@@ -19,6 +19,7 @@ from .algebra import (
     HomologyRow,
     HomologyTable,
     SparseIntMatrix,
+    complex_from_bases,
     complex_homology,
     magnitude_complex,
     magnitude_homology,
@@ -99,6 +100,7 @@ __all__ = [
     "HomologyGroup",
     "ChainComplexZ",
     "complex_homology",
+    "complex_from_bases",
     "tensor",
     "magnitude_complex",
     "magnitude_homology",

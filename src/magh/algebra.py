@@ -12,7 +12,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegreeOutOfRange
+from .errors import (
+    DegreeOutOfRange,
+    NegativeBetti,
+    NotADivisorChain,
+    NotASubcomplex,
+    TrivialTorsionFactor,
+)
 from .metric import format_rational, parse_rational
 from . import chains as _chains
 
@@ -205,8 +211,8 @@ def snf(matrix):
             a[t] = [x + y for x, y in zip(pivot_row, a[bad])]
         factors.append(a[t][t])
         t += 1
-    for d, e in zip(factors, factors[1:]):
-        assert e % d == 0
+    if any(e % d for d, e in zip(factors, factors[1:])):
+        raise NotADivisorChain(factors)
     return tuple(factors)
 
 
@@ -266,9 +272,10 @@ class HomologyGroup:
     torsion: tuple = ()
 
     def __post_init__(self):
-        for d, e in zip(self.torsion, self.torsion[1:]):
-            assert e % d == 0, f"torsion {self.torsion} is not a divisor chain"
-        assert all(d > 1 for d in self.torsion)
+        if any(e % d for d, e in zip(self.torsion, self.torsion[1:])):
+            raise NotADivisorChain(self.torsion)
+        if any(d <= 1 for d in self.torsion):
+            raise TrivialTorsionFactor(self.torsion)
 
     def is_trivial(self):
         return self.betti == 0 and not self.torsion
@@ -363,7 +370,8 @@ class ChainComplexZ:
         rank_out = len(self._factors(k))
         factors_in = self._factors(k + 1)
         betti = self.size(k) - rank_out - len(factors_in)
-        assert betti >= 0
+        if betti < 0:
+            raise NegativeBetti(k, betti)
         torsion = tuple(d for d in factors_in if d > 1)
         return HomologyGroup(betti, torsion)
 
@@ -458,6 +466,45 @@ def tensor_many(complexes):
     return out
 
 
+def complex_from_bases(space, bases_by_degree, lo, hi):
+    """The chain complex spanned by the given proper chains, degrees lo..hi.
+
+    `bases_by_degree[k]` lists the basis at degree k in row/column order;
+    a missing degree is empty. Every boundary term of every basis chain
+    must again lie in the basis one degree down (NotASubcomplex otherwise);
+    at the bottom degree the boundary must vanish outright. d^2 = 0 is
+    checked on construction.
+    """
+    sizes = []
+    boundaries = {}
+    index = {}
+    for k in range(lo, hi + 1):
+        basis = bases_by_degree.get(k, [])
+        sizes.append(len(basis))
+        index[k] = {ch.points: r for r, ch in enumerate(basis)}
+    for k in range(lo, hi + 1):
+        basis = bases_by_degree.get(k, [])
+        if k == lo:
+            for ch in basis:
+                if _chains.boundary(space, ch):
+                    raise NotASubcomplex(
+                        f"chain {ch.points} at bottom degree {k} has nonzero boundary"
+                    )
+            continue
+        mat = SparseIntMatrix(sizes[k - 1 - lo], len(basis))
+        for c, ch in enumerate(basis):
+            for term, coeff in _chains.boundary(space, ch).items():
+                r = index[k - 1].get(term.points)
+                if r is None:
+                    raise NotASubcomplex(
+                        f"boundary term {term.points} of {ch.points} "
+                        f"is outside the subcomplex basis at degree {k - 1}"
+                    )
+                mat.add(r, c, coeff)
+        boundaries[k] = mat
+    return ChainComplexZ(lo, sizes, boundaries)
+
+
 def magnitude_complex(space, l, n_top, cap=None):
     """The chain complex of proper chains of one exact length.
 
@@ -469,21 +516,11 @@ def magnitude_complex(space, l, n_top, cap=None):
         raise ValueError(f"length must be >= 0, got {l}")
     if n_top < 0:
         raise ValueError(f"n_top must be >= 0, got {n_top}")
-    bases = {}
-    for n in range(n_top + 1):
-        buckets = _chains.enumerate_proper_chains(space, n, cap)
-        bases[n] = buckets.get(l, [])
-    boundaries = {}
-    for n in range(1, n_top + 1):
-        index = {ch.points: r for r, ch in enumerate(bases[n - 1])}
-        mat = SparseIntMatrix(len(bases[n - 1]), len(bases[n]))
-        for c, ch in enumerate(bases[n]):
-            for term, coeff in _chains.boundary(space, ch).items():
-                # the enumeration is complete, so every face is present
-                mat.add(index[term.points], c, coeff)
-        boundaries[n] = mat
-    cx = ChainComplexZ(0, [len(bases[n]) for n in range(n_top + 1)], boundaries)
-    return cx, bases
+    bases = {
+        n: _chains.enumerate_proper_chains(space, n, cap).get(l, [])
+        for n in range(n_top + 1)
+    }
+    return complex_from_bases(space, bases, 0, n_top), bases
 
 
 @dataclass(frozen=True)
@@ -511,14 +548,58 @@ class HomologyRow:
         )
 
 
-def magnitude_homology(space, l, n_max, cap=None):
-    """Magnitude homology rows of one length grading, degrees 0..n_max.
+def _endpoint_blocks(by_degree, l):
+    """Split the chains of length l by endpoint pair, pairs in sorted order.
 
-    The underlying complex extends one degree above n_max so the incoming
-    boundary at n_max is part of the computation.
+    `by_degree[n]` is what enumerate_proper_chains returns for degree n.
+    Returns {(a, b): {n: chains from a to b}}; each list keeps the
+    lexicographic order of its bucket.
     """
-    cx, _ = magnitude_complex(space, l, n_max + 1, cap)
-    return [HomologyRow(Fraction(l), n, cx.homology(n)) for n in range(n_max + 1)]
+    blocks = {}
+    for n, buckets in enumerate(by_degree):
+        for ch in buckets.get(l, ()):
+            pts = ch.points
+            blocks.setdefault((pts[0], pts[-1]), {}).setdefault(n, []).append(ch)
+    return {pair: blocks[pair] for pair in sorted(blocks)}
+
+
+def magnitude_homology_rows(space, gradings, n_max, cap=None):
+    """Magnitude homology rows of several length gradings, degrees 0..n_max.
+
+    The boundary never removes a chain's endpoints, so the complex of each
+    grading is the direct sum over endpoint pairs (a, b) of the complexes
+    of chains from a to b. Each block is assembled and reduced on its own
+    and the groups are summed. Every degree is enumerated once for all
+    gradings; the complexes extend one degree above n_max so the incoming
+    boundary at n_max is part of the computation. Rows come grading by
+    grading in the order given, degrees ascending.
+    """
+    gradings = [Fraction(l) for l in gradings]
+    for l in gradings:
+        if l < 0:
+            raise ValueError(f"length must be >= 0, got {l}")
+    top = n_max + 1
+    if top < 0:
+        raise ValueError(f"n_max must be >= -1, got {n_max}")
+    if not gradings:
+        # nothing is enumerated, so an empty request never meets the cap
+        return []
+    by_degree = [_chains.enumerate_proper_chains(space, n, cap) for n in range(top + 1)]
+    rows = []
+    for l in gradings:
+        blocks = [
+            complex_from_bases(space, bases, 0, top)
+            for bases in _endpoint_blocks(by_degree, l).values()
+        ]
+        for n in range(n_max + 1):
+            group = HomologyGroup.direct_sum(cx.homology(n) for cx in blocks)
+            rows.append(HomologyRow(l, n, group))
+    return rows
+
+
+def magnitude_homology(space, l, n_max, cap=None):
+    """Magnitude homology rows of one length grading, degrees 0..n_max."""
+    return magnitude_homology_rows(space, [l], n_max, cap)
 
 
 class HomologyTable:

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
-from .algebra import HomologyTable, magnitude_homology
+from .algebra import HomologyTable, magnitude_homology_rows
 from .chains import enumerate_proper_chains, resolve_cap
 from .errors import MaghError
 from .frames import m_x
@@ -88,18 +87,9 @@ def _gradings(space, args):
 def _cmd_compute(args):
     space = _load_space(args)
     gradings = _gradings(space, args)
-    cap = resolve_cap(args.cap)
-
-    def rows_for(l):
-        return magnitude_homology(space, l, args.n_max, cap)
-
-    threads = max(1, args.threads)
-    if threads == 1 or len(gradings) <= 1:
-        chunks = [rows_for(l) for l in gradings]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(rows_for, gradings))
-    table = HomologyTable([row for chunk in chunks for row in chunk])
+    table = HomologyTable(
+        magnitude_homology_rows(space, gradings, args.n_max, resolve_cap(args.cap))
+    )
     if args.format == "json":
         _write_text(args.outfile, table.to_json() + "\n")
     elif args.format == "csv":
@@ -199,7 +189,6 @@ def build_parser():
     p.add_argument("--l-max", default=None, help="drop gradings above this value")
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
     _add_io(p)
     p.set_defaults(func=_cmd_compute)

@@ -97,3 +97,32 @@ class NotASubcomplex(MaghError, AssertionError):
     def __init__(self, detail):
         super().__init__(detail)
         self.detail = detail
+
+
+class NotADivisorChain(MaghError, AssertionError):
+    """Invariant factors that do not divide each other in order.
+
+    Smith normal form and direct sums always produce d_1 | d_2 | ...; a
+    chain that breaks this is a bug, reported with the offending factors.
+    """
+
+    def __init__(self, factors):
+        super().__init__(f"invariant factors {tuple(factors)} are not a divisor chain")
+        self.factors = tuple(factors)
+
+
+class TrivialTorsionFactor(MaghError, AssertionError):
+    """A torsion list that contains a factor of 1 or less."""
+
+    def __init__(self, torsion):
+        super().__init__(f"torsion factors must all exceed 1, got {tuple(torsion)}")
+        self.torsion = tuple(torsion)
+
+
+class NegativeBetti(MaghError, AssertionError):
+    """Rank bookkeeping gave a negative Betti number at some degree."""
+
+    def __init__(self, degree, betti):
+        super().__init__(f"betti number {betti} at degree {degree} is negative")
+        self.degree = degree
+        self.betti = betti

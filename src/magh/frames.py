@@ -13,15 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ChainComplexZ, SparseIntMatrix
+from .algebra import complex_from_bases
 from .chains import (
     ProperChain,
-    boundary,
     chain_length,
     enumerate_proper_chains,
     is_strictly_smooth,
 )
-from .errors import NotASubcomplex
 from .metric import format_rational
 
 
@@ -134,43 +132,6 @@ def simple_chains_by_frame(space, l, n_top, cap=None):
     return {f: partition[f] for f in sorted(partition)}
 
 
-def _complex_from_bases(space, bases_by_degree, lo, hi):
-    """Assemble the subcomplex spanned by the given chains, checking closure.
-
-    Every boundary term of every basis element must again lie in the basis
-    one degree down (NotASubcomplex otherwise); at the bottom degree the
-    boundary must vanish outright.
-    """
-    sizes = []
-    boundaries = {}
-    index = {}
-    for k in range(lo, hi + 1):
-        basis = bases_by_degree.get(k, [])
-        sizes.append(len(basis))
-        index[k] = {ch.points: r for r, ch in enumerate(basis)}
-    for k in range(lo, hi + 1):
-        basis = bases_by_degree.get(k, [])
-        if k == lo:
-            for ch in basis:
-                if boundary(space, ch):
-                    raise NotASubcomplex(
-                        f"chain {ch.points} at bottom degree {k} has nonzero boundary"
-                    )
-            continue
-        mat = SparseIntMatrix(sizes[k - 1 - lo], len(basis))
-        for c, ch in enumerate(basis):
-            for term, coeff in boundary(space, ch).items():
-                r = index[k - 1].get(term.points)
-                if r is None:
-                    raise NotASubcomplex(
-                        f"boundary term {term.points} of {ch.points} "
-                        f"is outside the subcomplex basis at degree {k - 1}"
-                    )
-                mat.add(r, c, coeff)
-        boundaries[k] = mat
-    return ChainComplexZ(lo, sizes, boundaries)
-
-
 def frame_subcomplex(space, f, n_top, cap=None):
     """The subcomplex of geodesically simple chains with the given frame.
 
@@ -192,7 +153,7 @@ def frame_subcomplex(space, f, n_top, cap=None):
             for ch in enumerate_proper_chains(space, n, cap).get(l, [])
             if frame(space, ch) == f and chain_length(space, f) == ch.length
         ]
-    return _complex_from_bases(space, bases, lo, n_top)
+    return complex_from_bases(space, bases, lo, n_top)
 
 
 def simp_decomposition(space, l, n_top, cap=None):
@@ -208,7 +169,7 @@ def simp_decomposition(space, l, n_top, cap=None):
     out = {}
     for f, by_degree in simple_chains_by_frame(space, l, n_top, cap).items():
         lo = len(f) - 1
-        out[f] = _complex_from_bases(space, by_degree, lo, n_top)
+        out[f] = complex_from_bases(space, by_degree, lo, n_top)
     return out
 
 

@@ -119,9 +119,10 @@ def check_simp_iso(space, n_max, cap=None):
 
     For every grading 0 < l < m_X realized up to degree n_max, the direct
     sum of frame subcomplex homologies must equal magnitude homology in
-    degrees 1..n_max, betti and torsion both. The two sides share nothing
-    past the chain enumeration: one filters and splits, the other builds
-    one big complex.
+    degrees 1..n_max, betti and torsion both. The two sides share the chain
+    enumeration and the assembly of complexes from bases: one keeps the
+    geodesically simple chains and splits them by frame, the other keeps
+    every chain and splits only by endpoint pair.
     """
     mx = m_x(space)
     gradings = _grading_values(space, n_max, mx.value, cap)

@@ -6,6 +6,7 @@ rational arithmetic; there are no tolerances anywhere.
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -131,30 +132,17 @@ def test_criterion_8_tree_diagonality(acceptance):
 
 
 def test_criterion_9_cli_determinism(acceptance, tmp_path):
-    with acceptance("9/9 CLI compute byte-identical, 3 runs x threads {1,4}"):
+    label = "9/9 CLI compute byte-identical, 3 runs x PYTHONHASHSEED {0,1,random}"
+    with acceptance(label):
         space_file = tmp_path / "c5.json"
         space_file.write_text(cycle_space(5).to_json())
+        argv = [sys.executable, "-m", "magh", "compute", "--in", str(space_file)]
+        argv += ["--n-max", "3", "--format", "json"]
         outputs = []
-        for threads in ("1", "4"):
+        for hash_seed in ("0", "1", "random"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
             for _ in range(3):
-                proc = subprocess.run(
-                    [
-                        sys.executable,
-                        "-m",
-                        "magh",
-                        "compute",
-                        "--in",
-                        str(space_file),
-                        "--n-max",
-                        "3",
-                        "--threads",
-                        threads,
-                        "--format",
-                        "json",
-                    ],
-                    capture_output=True,
-                    check=True,
-                )
+                proc = subprocess.run(argv, capture_output=True, check=True, env=env)
                 outputs.append(proc.stdout)
         assert len(set(outputs)) == 1
         rows = json.loads(outputs[0])

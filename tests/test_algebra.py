@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import magh
 from magh.algebra import (
     ChainComplexZ,
     HomologyGroup,
@@ -18,7 +23,12 @@ from magh.algebra import (
     tensor,
     tensor_many,
 )
-from magh.errors import DegreeOutOfRange
+from magh.errors import (
+    DegreeOutOfRange,
+    NegativeBetti,
+    NotADivisorChain,
+    TrivialTorsionFactor,
+)
 from magh.metric import complete_space, cycle_space, path_space, validate_metric
 
 from oracles import minor_gcds, naive_snf, rational_rank
@@ -120,8 +130,30 @@ def test_group_str_and_trivial():
     assert str(HomologyGroup(1)) == "Z"
     assert str(HomologyGroup(2, (2, 4))) == "Z^2 + Z/2 + Z/4"
     assert HomologyGroup(0).is_trivial()
-    with pytest.raises(AssertionError):
+    with pytest.raises(NotADivisorChain) as exc:
         HomologyGroup(0, (4, 2))
+    assert exc.value.factors == (4, 2)
+    with pytest.raises(TrivialTorsionFactor):
+        HomologyGroup(0, (1, 2))
+
+
+def test_group_guard_survives_optimize():
+    code = (
+        "from magh.algebra import HomologyGroup\n"
+        "from magh.errors import NotADivisorChain\n"
+        "if __debug__:\n"
+        "    raise SystemExit('asserts are on: not running under -O')\n"
+        "try:\n"
+        "    HomologyGroup(0, (2, 3))\n"
+        "except NotADivisorChain:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('HomologyGroup(0, (2, 3)) was accepted')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(magh.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_merge_invariant_factors():
@@ -164,6 +196,14 @@ def test_complex_degree_out_of_range():
     with pytest.raises(DegreeOutOfRange):
         cx.homology(1)
     assert cx.homology_or_trivial(5) == HomologyGroup(0)
+
+
+def test_complex_negative_betti_is_named():
+    one = SparseIntMatrix.from_dense([[1]])
+    cx = ChainComplexZ(0, [1, 1, 1], {1: one, 2: one}, check=False)
+    with pytest.raises(NegativeBetti) as exc:
+        cx.homology(1)
+    assert (exc.value.degree, exc.value.betti) == (1, -1)
 
 
 def test_complex_validates_d_squared():

@@ -125,21 +125,6 @@ def test_compute_json_and_explicit_gradings(capsys, monkeypatch):
     assert rows[1] == {"l": "1", "n": 1, "betti": 8, "torsion": []}
 
 
-def test_compute_threads_match_single(capsys, monkeypatch):
-    _, space_json, _ = run_cli(capsys, monkeypatch, ["gen", "cycle", "5"])
-    outs = []
-    for threads in ("1", "4"):
-        code, out, _ = run_cli(
-            capsys,
-            monkeypatch,
-            ["compute", "--n-max", "2", "--threads", threads, "--format", "json"],
-            stdin=space_json,
-        )
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
-
-
 def test_compute_rejects_negative_grading(capsys, monkeypatch):
     _, space_json, _ = run_cli(capsys, monkeypatch, ["gen", "cycle", "4"])
     code, _, err = run_cli(
