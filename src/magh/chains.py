@@ -37,6 +37,11 @@ class ProperChain:
     points: tuple
     length: Fraction
 
+    def __hash__(self):
+        # equal chains have equal points; leaving the Fraction length out of
+        # the hash saves most of the cost of keying dicts by chains
+        return hash(self.points)
+
     @property
     def degree(self):
         return len(self.points) - 1
@@ -64,22 +69,21 @@ class ProperChain:
 
 def chain_length(space, points):
     """Sum of consecutive distances along the tuple; 0 for a single point."""
-    dist = space.dist
-    total = Fraction(0)
+    view = space.integer_view
+    idist = view.idist
+    total = 0
     for a, b in zip(points, points[1:]):
-        total += dist[a][b]
-    return total
+        total += idist[a][b]
+    return view.fraction(total)
 
 
 def is_strictly_smooth(space, a, c, b):
     """True when c sits strictly between a and b on a geodesic.
 
     Requires c distinct from both endpoints and d(a,b) = d(a,c) + d(c,b),
-    all compared exactly.
+    all compared exactly; this reads the space's betweenness table.
     """
-    if c == a or c == b:
-        return False
-    return space.dist[a][b] == space.dist[a][c] + space.dist[c][b]
+    return space.integer_view.between[a][b] >> c & 1 == 1
 
 
 @lru_cache(maxsize=256)
@@ -87,31 +91,37 @@ def _buckets(space, n, cap):
     """All proper n-chains of a space, bucketed by exact length.
 
     DFS in ascending point order, so each bucket comes out in lexicographic
-    order without an extra sort. Cached by value: spaces are immutable and
-    hash by their distance matrices.
+    order without an extra sort. Lengths are summed as scaled ints; each
+    bucket gets one Fraction key, shared by its chains. Cached by value:
+    spaces are immutable and hash by their distance matrices.
     """
     size = space.n
     count = size * (size - 1) ** n if n >= 0 else 0
     if count > cap:
         raise EnumerationCapExceeded(count, cap)
-    dist = space.dist
+    view = space.integer_view
+    idist = view.idist
     buckets = {}
 
     def extend(prefix, length, remaining):
         if remaining == 0:
-            chain = ProperChain(tuple(prefix), length)
-            buckets.setdefault(length, []).append(chain)
+            buckets.setdefault(length, []).append(tuple(prefix))
             return
         last = prefix[-1]
+        row = idist[last]
         for nxt in range(size):
             if nxt != last:
                 prefix.append(nxt)
-                extend(prefix, length + dist[last][nxt], remaining - 1)
+                extend(prefix, length + row[nxt], remaining - 1)
                 prefix.pop()
 
     for start in range(size):
-        extend([start], Fraction(0), n)
-    return {l: tuple(buckets[l]) for l in sorted(buckets)}
+        extend([start], 0, n)
+    out = {}
+    for total in sorted(buckets):
+        l = view.fraction(total)
+        out[l] = tuple(ProperChain(pts, l) for pts in buckets[total])
+    return out
 
 
 def enumerate_proper_chains(space, n, cap=None):
@@ -150,15 +160,16 @@ def boundary(space, chain):
     Interior point x_i is removed with sign (-1)^i, and only when it is
     strictly smooth in (x_{i-1}, x_i, x_{i+1}). Endpoints are never removed,
     so degree <= 1 chains have zero boundary. Every emitted term is again
-    proper and has the same length, which this function asserts.
+    proper and has the same length.
     """
+    between = space.integer_view.between
     pts = chain.points
     terms = {}
     for i in range(1, len(pts) - 1):
-        if not is_strictly_smooth(space, pts[i - 1], pts[i], pts[i + 1]):
+        # a smooth point never sits between a point and itself (checked when
+        # the table is built), so the face is again proper
+        if not between[pts[i - 1]][pts[i + 1]] >> pts[i] & 1:
             continue
-        # smoothness forbids x_{i-1} == x_{i+1}: d(a,a)=0 < d(a,c)+d(c,a)
-        assert pts[i - 1] != pts[i + 1]
         face = pts[:i] + pts[i + 1 :]
         sign = -1 if i % 2 else 1
         term = ProperChain(face, chain.length)

@@ -9,8 +9,8 @@ check failed, 2 bad usage or bad input.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .algebra import HomologyTable, magnitude_homology_rows
@@ -21,6 +21,7 @@ from .metric import (
     FiniteMetricSpace,
     complete_space,
     cycle_space,
+    format_rational,
     parse_rational,
     path_space,
     random_metric,
@@ -121,8 +122,6 @@ def _cmd_spectrum(args):
     for n in range(args.n_max + 1):
         buckets = enumerate_proper_chains(space, n, args.cap)
         for l in sorted(buckets):
-            from .metric import format_rational
-
             lines.append(f"{n},{format_rational(l)},{len(buckets[l])}")
     _write_text(args.outfile, "\n".join(lines) + "\n")
     return 0
@@ -145,8 +144,6 @@ def _cmd_verify(args):
 
 
 def _json_line(obj):
-    import json
-
     return json.dumps(obj, sort_keys=True) + "\n"
 
 

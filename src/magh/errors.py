@@ -126,3 +126,33 @@ class NegativeBetti(MaghError, AssertionError):
         super().__init__(f"betti number {betti} at degree {degree} is negative")
         self.degree = degree
         self.betti = betti
+
+
+class SelfBetweenness(MaghError, AssertionError):
+    """A point counted strictly between some point and itself.
+
+    d(a, a) = 0 can equal d(a, c) + d(c, a) only when a distance is not
+    positive, so no validated space has one; the boundary and the frame
+    code rely on x_{i-1} != x_{i+1} around every smooth point.
+    """
+
+    def __init__(self, a, c):
+        super().__init__(f"point {c} lies strictly between {a} and itself")
+        self.a = a
+        self.c = c
+
+
+class NotAPartialOrder(MaghError, AssertionError):
+    """The order on an interval poset failed one of its checks.
+
+    `kind` names the check: "two-sided agreement" of the order's two
+    formulations, "antisymmetry" or "transitivity"; `witness` holds the
+    points that broke it.
+    """
+
+    def __init__(self, a, b, kind, witness):
+        super().__init__(f"{kind} fails on {tuple(witness)} in I({a}, {b})")
+        self.a = a
+        self.b = b
+        self.kind = kind
+        self.witness = tuple(witness)

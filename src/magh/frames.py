@@ -14,20 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import complex_from_bases
-from .chains import (
-    ProperChain,
-    chain_length,
-    enumerate_proper_chains,
-    is_strictly_smooth,
-)
+from .chains import ProperChain, chain_length, enumerate_proper_chains
 from .metric import format_rational
 
 
 def singular_positions(space, points):
     """Indices into the chain that survive into the frame."""
+    between = space.integer_view.between
     keep = [0]
     for i in range(1, len(points) - 1):
-        if not is_strictly_smooth(space, points[i - 1], points[i], points[i + 1]):
+        if not between[points[i - 1]][points[i + 1]] >> points[i] & 1:
             keep.append(i)
     if len(points) > 1:
         keep.append(len(points) - 1)
@@ -69,17 +65,6 @@ def is_frame(space, points):
     return frame(space, ch) == pts
 
 
-def _strictly_between(space, a, b):
-    """Points c distinct from a, b with d(a,b) = d(a,c) + d(c,b)."""
-    dist = space.dist
-    dab = dist[a][b]
-    return [
-        c
-        for c in range(space.n)
-        if c != a and c != b and dab == dist[a][c] + dist[c][b]
-    ]
-
-
 def is_realized_frame(space, points):
     """True when inserting interval points into segments preserves the frame.
 
@@ -98,16 +83,17 @@ def is_realized_frame(space, points):
     pts = tuple(points)
     if not is_frame(space, pts):
         return False
-    dist = space.dist
+    view = space.integer_view
+    between = view.between
     for i in range(1, len(pts) - 1):
         xi = pts[i]
-        left = [pts[i - 1]] + _strictly_between(space, pts[i - 1], xi)
-        right = [pts[i + 1]] + _strictly_between(space, xi, pts[i + 1])
+        left = (pts[i - 1],) + view.between_points(pts[i - 1], xi)
+        right = (pts[i + 1],) + view.between_points(xi, pts[i + 1])
         for lpt in left:
             for rpt in right:
                 if lpt == pts[i - 1] and rpt == pts[i + 1]:
                     continue
-                if dist[lpt][rpt] == dist[lpt][xi] + dist[xi][rpt]:
+                if between[lpt][rpt] >> xi & 1:
                     return False
     return True
 
@@ -151,7 +137,7 @@ def frame_subcomplex(space, f, n_top, cap=None):
         bases[n] = [
             ch
             for ch in enumerate_proper_chains(space, n, cap).get(l, [])
-            if frame(space, ch) == f and chain_length(space, f) == ch.length
+            if frame(space, ch) == f and l == ch.length
         ]
     return complex_from_bases(space, bases, lo, n_top)
 
@@ -191,29 +177,31 @@ class FourCut:
 
 def four_cuts(space):
     """All four-cuts, sorted by (length, points)."""
+    view = space.integer_view
+    idist = view.idist
+    between = view.between
     n = space.n
-    dist = space.dist
-    out = []
+    found = []
     for x0 in range(n):
-        for x1 in range(n):
-            if x1 == x0:
-                continue
-            for x2 in range(n):
-                if x2 == x1:
-                    continue
-                if not is_strictly_smooth(space, x0, x1, x2):
-                    continue
-                base = dist[x0][x2]
+        for x2 in range(n):
+            base = idist[x0][x2]
+            for x1 in view.between_points(x0, x2):
+                row1 = between[x1]
                 for x3 in range(n):
-                    if x3 == x2:
+                    if not row1[x3] >> x2 & 1:
                         continue
-                    if not is_strictly_smooth(space, x1, x2, x3):
-                        continue
-                    total = base + dist[x2][x3]
-                    if dist[x0][x3] < total:
-                        out.append(FourCut((x0, x1, x2, x3), total))
-    out.sort(key=lambda c: (c.length, c.points))
-    return out
+                    total = base + idist[x2][x3]
+                    if idist[x0][x3] < total:
+                        found.append((total, (x0, x1, x2, x3)))
+    # cuts of one length share one Fraction; the list is converted in place
+    # so the int pairs are freed as the cuts are built
+    found.sort()
+    lengths = {}
+    for i, (total, points) in enumerate(found):
+        if total not in lengths:
+            lengths[total] = view.fraction(total)
+        found[i] = FourCut(points, lengths[total])
+    return found
 
 
 @dataclass(frozen=True)

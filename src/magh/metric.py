@@ -1,7 +1,16 @@
 """Finite metric spaces with exact rational distances.
 
-Distances are `fractions.Fraction` throughout; no float ever enters a
-comparison. Points are integer indices 0..N-1 with optional string labels.
+Distances are `fractions.Fraction` at every API and I/O boundary; no float
+ever enters a comparison. Points are integer indices 0..N-1 with optional
+string labels.
+
+Inside, the hot paths work on integers. Each space carries an
+`IntegerView`, built once on first use: the distances times `scale`, the
+least common multiple of their denominators, as ints, and one table of
+which points lie strictly between which pairs on geodesics. Lengths are
+summed as ints and turn back into `Fraction`s only where they leave the
+package's internals, so the results are exactly those of rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import random
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     AsymmetricAt,
@@ -23,6 +33,7 @@ from .errors import (
     NonzeroDiagonal,
     NotSquare,
     NTooSmall,
+    SelfBetweenness,
     TriangleViolation,
 )
 
@@ -67,12 +78,73 @@ def _to_fraction(value, i, j):
     raise MetricError(f"entry [{i}][{j}] has unsupported type {type(value).__name__}")
 
 
+def _scaled(rows):
+    """(scale, int rows): Fraction rows times the lcm of their denominators."""
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    return scale, tuple(
+        tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows
+    )
+
+
+@dataclass(frozen=True)
+class IntegerView:
+    """A space's distances scaled to ints, with betweenness tabulated once.
+
+    `idist[a][b]` is d(a, b) * `scale` as an int. `between[a][b]` is a
+    bitmask whose bit c is set iff c != a, b and idist[a][b] ==
+    idist[a][c] + idist[c][b], i.e. c lies strictly between a and b on a
+    geodesic. This table is the one definition of betweenness in the
+    package; smoothness, frames, four-cuts and interval posets all read it.
+    """
+
+    scale: int
+    idist: tuple
+    between: tuple
+
+    @classmethod
+    def of(cls, dist):
+        """Build the view of a distance matrix of Fractions.
+
+        Raises SelfBetweenness if some point lies strictly between a point
+        and itself, which only a matrix with a non-positive off-diagonal
+        entry allows; everything that removes a smooth point relies on
+        that never happening.
+        """
+        scale, idist = _scaled(dist)
+        n = len(idist)
+        between = []
+        for a, row_a in enumerate(idist):
+            masks = [0] * n
+            for c, row_c in enumerate(idist):
+                if c == a:
+                    continue
+                dac = row_a[c]
+                bit = 1 << c
+                for b in range(n):
+                    if b != c and dac + row_c[b] == row_a[b]:
+                        masks[b] |= bit
+            if masks[a]:
+                raise SelfBetweenness(a, (masks[a] & -masks[a]).bit_length() - 1)
+            between.append(tuple(masks))
+        return cls(scale=scale, idist=idist, between=tuple(between))
+
+    def between_points(self, a, b):
+        """The points strictly between a and b, ascending."""
+        mask = self.between[a][b]
+        return tuple(c for c in range(len(self.idist)) if mask >> c & 1)
+
+    def fraction(self, total):
+        """The Fraction a scaled integer length stands for."""
+        return Fraction(total, self.scale)
+
+
 @dataclass(frozen=True)
 class FiniteMetricSpace:
     """An immutable finite metric space.
 
     `dist` is a tuple of tuples of Fractions, already validated. Build
     instances through `validate_metric` or the generators below.
+    `integer_view` is computed from `dist` on first use and kept.
     """
 
     labels: tuple
@@ -88,6 +160,10 @@ class FiniteMetricSpace:
 
     def d(self, i, j):
         return self.dist[i][j]
+
+    @cached_property
+    def integer_view(self):
+        return IntegerView.of(self.dist)
 
     def points(self):
         return range(len(self.labels))
@@ -149,6 +225,8 @@ def validate_metric(matrix, labels=None, name=""):
     Axioms are checked in a fixed order with the first witness reported:
     squareness, symmetry, positivity off the diagonal, zero diagonal,
     triangle inequality. Row-major scan order makes witnesses deterministic.
+    The triangle scan compares the distances scaled to ints, which orders
+    them exactly as the Fractions do.
     """
     n = len(matrix)
     rows = []
@@ -176,12 +254,12 @@ def validate_metric(matrix, labels=None, name=""):
     for i in range(n):
         if rows[i][i] != 0:
             raise NonzeroDiagonal(i)
-    for i in range(n):
-        for j in range(n):
-            dij = rows[i][j]
-            row_j = rows[j]
+    _, idist = _scaled(rows)
+    for i, row_i in enumerate(idist):
+        for j, row_j in enumerate(idist):
+            dij = row_i[j]
             for k in range(n):
-                if rows[i][k] > dij + row_j[k]:
+                if row_i[k] > dij + row_j[k]:
                     raise TriangleViolation(i, j, k)
 
     dist = tuple(tuple(row) for row in rows)

@@ -19,7 +19,7 @@ from .algebra import (
     TRIVIAL_GROUP,
     tensor_many,
 )
-from .errors import SamePoint
+from .errors import NotAPartialOrder, SamePoint
 from .metric import format_rational
 
 
@@ -47,37 +47,34 @@ def interval_poset(space, a, b):
 
     A point c belongs iff it is strictly smooth between a and b. The order
     has two equivalent formulations, from the a side (d(a,y) = d(a,x) +
-    d(x,y)) and from the b side (d(x,b) = d(x,y) + d(y,b)); both are
-    computed and must agree. Antisymmetry and transitivity are asserted,
-    not assumed.
+    d(x,y)) and from the b side (d(x,b) = d(x,y) + d(y,b)); both are read
+    from the space's betweenness table and must agree. Antisymmetry and
+    transitivity are checked, not assumed: a failure raises
+    NotAPartialOrder, also under `python -O`.
     """
     if a == b:
         raise SamePoint(a)
-    dist = space.dist
-    dab = dist[a][b]
-    elements = tuple(
-        c
-        for c in range(space.n)
-        if c != a and c != b and dab == dist[a][c] + dist[c][b]
-    )
+    view = space.integer_view
+    between = view.between
+    elements = view.between_points(a, b)
     less = set()
     for x in elements:
         for y in elements:
             if x == y:
                 continue
-            from_a = dist[a][y] == dist[a][x] + dist[x][y]
-            from_b = dist[x][b] == dist[x][y] + dist[y][b]
-            assert from_a == from_b, (
-                f"order formulations disagree on ({x}, {y}) in I({a}, {b})"
-            )
+            from_a = between[a][y] >> x & 1
+            from_b = between[x][b] >> y & 1
+            if from_a != from_b:
+                raise NotAPartialOrder(a, b, "two-sided agreement", (x, y))
             if from_a:
                 less.add((x, y))
     for x, y in less:
-        assert (y, x) not in less, f"antisymmetry fails on ({x}, {y})"
+        if (y, x) in less:
+            raise NotAPartialOrder(a, b, "antisymmetry", (x, y))
     for x, y in less:
         for z, w in less:
-            if z == y:
-                assert (x, w) in less, f"transitivity fails on ({x}, {y}, {w})"
+            if z == y and (x, w) not in less:
+                raise NotAPartialOrder(a, b, "transitivity", (x, y, w))
     return IntervalPoset(a=a, b=b, elements=elements, less=frozenset(less))
 
 

@@ -2,8 +2,10 @@
 
 Nothing here reuses package machinery beyond the metric object: chains
 come from itertools filters, ranks from dense rational elimination, Smith
-normal form from a textbook first-nonzero-pivot reduction, and four-cuts
-from a three-condition quadruple scan. Slow on purpose; oracle scale only.
+normal form from a textbook first-nonzero-pivot reduction, four-cuts
+from a three-condition quadruple scan, and triangle witnesses from a
+row-major scan. All distance arithmetic is on Fractions. Slow on purpose;
+oracle scale only.
 """
 
 import itertools
@@ -197,3 +199,25 @@ def naive_four_cuts(space):
             out.append((total, pts))
     out.sort()
     return [(pts, total) for total, pts in out]
+
+
+def naive_m_x(space):
+    """(length, points) of the shortest four-cut, points lexicographically
+    first among ties; (None, None) when the space has no four-cut."""
+    cuts = naive_four_cuts(space)
+    if not cuts:
+        return None, None
+    pts, total = cuts[0]
+    return total, pts
+
+
+def naive_triangle_witness(matrix):
+    """First (i, j, k) in row-major order with d[i][k] > d[i][j] + d[j][k]."""
+    d = [[Fraction(v) for v in row] for row in matrix]
+    n = len(d)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if d[i][k] > d[i][j] + d[j][k]:
+                    return i, j, k
+    return None

@@ -1,8 +1,8 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-import magh.chains as chains_module
 import magh.verify as verify_module
 from magh.chains import is_strictly_smooth
 from magh.frames import is_frame
@@ -47,16 +47,20 @@ def test_d_squared_reports_counts():
     assert report.params["n_max"] == 3
 
 
-def test_d_squared_catches_corrupted_smoothness(monkeypatch):
-    # make one non-smooth triple removable; the single extra term has no
-    # cancelling partner, so boundary-of-boundary picks up a residue
-    def corrupted(space, a, b, c):
-        if (a, b, c) == (0, 2, 1):
-            return True
-        return is_strictly_smooth(space, a, b, c)
-
-    monkeypatch.setattr(chains_module, "is_strictly_smooth", corrupted)
-    report = check_d_squared(cycle_space(4), 3)
+def test_d_squared_catches_corrupted_smoothness():
+    # make one non-smooth triple removable: count point 2 as strictly
+    # between 0 and 1 in the space's betweenness table; the single extra
+    # term has no cancelling partner, so boundary-of-boundary picks up a
+    # residue
+    space = cycle_space(4)
+    view = space.integer_view
+    between = [list(row) for row in view.between]
+    between[0][1] |= 1 << 2
+    vars(space)["integer_view"] = replace(
+        view, between=tuple(tuple(row) for row in between)
+    )
+    assert is_strictly_smooth(space, 0, 2, 1)
+    report = check_d_squared(space, 3)
     assert not report.passed
     # first failure in enumeration order: removing 1 from (0,1,2,1) leaves
     # (0,2,1), whose corrupted boundary then drops to (0,1) uncancelled
