@@ -20,7 +20,6 @@ from .algebra import (
     HomologyTable,
     SparseIntMatrix,
     complex_from_bases,
-    complex_homology,
     magnitude_complex,
     magnitude_homology,
     snf,
@@ -99,7 +98,6 @@ __all__ = [
     "snf",
     "HomologyGroup",
     "ChainComplexZ",
-    "complex_homology",
     "complex_from_bases",
     "tensor",
     "magnitude_complex",

@@ -2,8 +2,10 @@
 
 Everything here is exact: Smith normal form by integer row/column
 operations, homology of finitely generated complexes as (betti, torsion),
-and tensor products of complexes. Degrees may be negative; reduced
-complexes of order complexes start at degree -1.
+and tensor products of complexes. `snf` is the one reduction routine: it
+clears +-1 pivots on sparse rows and reduces only what is left densely.
+Degrees may be negative; reduced complexes of order complexes start at
+degree -1.
 """
 
 from __future__ import annotations
@@ -132,17 +134,87 @@ def snf(matrix):
     """Invariant factors of an integer matrix (Smith normal form diagonal).
 
     Returns a tuple (d_1, ..., d_r) of positive integers with d_i | d_{i+1};
-    r is the rank. Pivoting always picks a minimum-magnitude nonzero entry,
-    which keeps intermediate integers small on the matrices this package
-    produces.
+    r is the rank. A dense list of rows is read through
+    `SparseIntMatrix.from_dense`.
+
+    The sparse stage keeps the rows as dicts {col: value}, with an index
+    from each column to the rows that have an entry in it, and clears unit
+    pivots. It passes over the rows, shortest first, and in each row takes
+    the +-1 entry whose column has the fewest entries. Subtracting
+    multiples of that row clears the rest of its column, after which
+    column operations clear the row without touching anything else: the
+    pivot row and column are dropped and count as one invariant factor 1.
+    Boundary matrices have few entries per column, nearly all +-1, so
+    this usually reduces most of the matrix. It stops when no row is left
+    or a pass finds no unit entry. The rows and columns that still have
+    entries go to `_smith_dense`, whose factors follow the units.
     """
-    if isinstance(matrix, SparseIntMatrix):
-        a = matrix.to_dense()
-        m, n = matrix.rows, matrix.cols
-    else:
-        a = [list(row) for row in matrix]
-        m = len(a)
-        n = len(a[0]) if m else 0
+    if not isinstance(matrix, SparseIntMatrix):
+        matrix = SparseIntMatrix.from_dense(matrix)
+    rows = {}
+    cols = {}
+    for (r, c), v in matrix.entries.items():
+        rows.setdefault(r, {})[c] = v
+        cols.setdefault(c, set()).add(r)
+    units = 0
+    found = True
+    while found and rows:
+        found = False
+        for r in sorted(rows, key=lambda r: len(rows[r])):
+            row = rows.get(r)
+            if row is None:
+                continue
+            pc = None
+            for c, v in row.items():
+                if (v == 1 or v == -1) and (pc is None or len(cols[c]) < len(cols[pc])):
+                    pc = c
+            if pc is None:
+                continue
+            found = True
+            units += 1
+            del rows[r]
+            for c in row:
+                cols[c].discard(r)
+            p = row[pc]
+            for i in cols.pop(pc):
+                target = rows[i]
+                q = target[pc] * p  # target[pc] / p, as p is +-1
+                for c, v in row.items():
+                    new = target.get(c, 0) - q * v
+                    if new:
+                        if c not in target:
+                            cols[c].add(i)
+                        target[c] = new
+                    else:
+                        del target[c]
+                        if c != pc:
+                            cols[c].discard(i)
+                if not target:
+                    del rows[i]
+    factors = (1,) * units
+    if rows:
+        index = {c: j for j, c in enumerate(sorted({c for row in rows.values() for c in row}))}
+        residual = []
+        for r in sorted(rows):
+            dense = [0] * len(index)
+            for c, v in rows[r].items():
+                dense[index[c]] = v
+            residual.append(dense)
+        factors += _smith_dense(residual)
+    if any(e % d for d, e in zip(factors, factors[1:])):
+        raise NotADivisorChain(factors)
+    return factors
+
+
+def _smith_dense(a):
+    """Invariant factors of a dense matrix, reducing the list of rows in place.
+
+    Pivoting always picks a minimum-magnitude nonzero entry, which keeps
+    intermediate integers small. `snf` calls this on what its unit pivots
+    leave; the divisor-chain check is left to `snf`.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
     factors = []
     t = 0
     while t < m and t < n:
@@ -211,14 +283,7 @@ def snf(matrix):
             a[t] = [x + y for x, y in zip(pivot_row, a[bad])]
         factors.append(a[t][t])
         t += 1
-    if any(e % d for d, e in zip(factors, factors[1:])):
-        raise NotADivisorChain(factors)
     return tuple(factors)
-
-
-def integer_rank(matrix):
-    """Rank of an integer matrix (number of invariant factors)."""
-    return len(snf(matrix))
 
 
 def _factorize(n):
@@ -392,11 +457,6 @@ class ChainComplexZ:
 
     def __repr__(self):
         return f"<ChainComplexZ degrees {self.lo}..{self.hi} sizes {self.sizes}>"
-
-
-def complex_homology(complex_, degree):
-    """Homology of a chain complex at one degree, as a HomologyGroup."""
-    return complex_.homology(degree)
 
 
 def tensor(a, b):

@@ -99,6 +99,20 @@ class NotASubcomplex(MaghError, AssertionError):
         self.detail = detail
 
 
+class ImproperFrame(MaghError, AssertionError):
+    """A geodesically simple chain whose frame repeats a point.
+
+    A simple chain is as long as its frame, and a point repeated around a
+    dropped one would make the frame shorter, so a correct `frame` never
+    gives one; the frame decomposition relies on frames being proper.
+    """
+
+    def __init__(self, chain, frame):
+        super().__init__(f"simple chain {tuple(chain)} has improper frame {tuple(frame)}")
+        self.chain = tuple(chain)
+        self.frame = tuple(frame)
+
+
 class NotADivisorChain(MaghError, AssertionError):
     """Invariant factors that do not divide each other in order.
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .algebra import complex_from_bases
 from .chains import ProperChain, chain_length, enumerate_proper_chains
+from .errors import ImproperFrame
 from .metric import format_rational
 
 
@@ -36,7 +37,7 @@ def frame(space, chain):
     For a geodesically simple chain the frame is itself a proper chain with
     the same endpoints. Without simplicity the subtuple can fail properness
     (adjacent equal entries), so this returns a bare tuple and properness
-    is only asserted where the decomposition relies on it.
+    is only checked where the decomposition relies on it (ImproperFrame).
     """
     pts = chain.points if isinstance(chain, ProperChain) else tuple(chain)
     return tuple(pts[i] for i in singular_positions(space, pts))
@@ -112,8 +113,8 @@ def simple_chains_by_frame(space, l, n_top, cap=None):
             f = frame(space, ch)
             if chain_length(space, f) != ch.length:
                 continue
-            # simple chains have proper frames
-            assert all(a != b for a, b in zip(f, f[1:]))
+            if any(a == b for a, b in zip(f, f[1:])):
+                raise ImproperFrame(ch.points, f)
             partition.setdefault(f, {}).setdefault(n, []).append(ch)
     return {f: partition[f] for f in sorted(partition)}
 
@@ -137,7 +138,10 @@ def frame_subcomplex(space, f, n_top, cap=None):
         bases[n] = [
             ch
             for ch in enumerate_proper_chains(space, n, cap).get(l, [])
-            if frame(space, ch) == f and l == ch.length
+            if ch.points[0] == f[0]
+            and ch.points[-1] == f[-1]
+            and frame(space, ch) == f
+            and l == ch.length
         ]
     return complex_from_bases(space, bases, lo, n_top)
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import magh
 from magh.algebra import (
@@ -14,8 +15,6 @@ from magh.algebra import (
     HomologyRow,
     HomologyTable,
     SparseIntMatrix,
-    complex_homology,
-    integer_rank,
     magnitude_complex,
     magnitude_homology,
     merge_invariant_factors,
@@ -119,7 +118,104 @@ def test_snf_divisibility_and_rank(seed):
     for d, e in zip(factors, factors[1:]):
         assert d > 0 and e % d == 0
     assert len(factors) == rational_rank(dense)
-    assert integer_rank(SparseIntMatrix.from_dense(dense)) == len(factors)
+    assert len(snf(SparseIntMatrix.from_dense(dense))) == len(factors)
+
+
+# The differential tests below drive both stages of `snf`: unit pivots on
+# sparse rows, and the dense reduction of what they leave.
+
+SPARSE_ENTRIES = (0,) * 16 + (1, -1, 2, -2, 3, -3, 6, -6)
+HYPOTHESIS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def assert_invariant_factors(dense, factors):
+    """`factors` equal the textbook reduction and the gcds of the minors."""
+    assert factors == naive_snf(dense), dense
+    gcds = minor_gcds(dense)
+    prod = 1
+    for k, d in enumerate(factors, start=1):
+        prod *= d
+        assert prod == gcds[k - 1], dense
+    assert all(g == 0 for g in gcds[len(factors) :]), dense
+
+
+@st.composite
+def dense_matrices(draw, entries, max_dim):
+    m = draw(st.integers(1, max_dim))
+    n = draw(st.integers(1, max_dim))
+    cell = st.sampled_from(entries)
+    return [[draw(cell) for _ in range(n)] for _ in range(m)]
+
+
+@st.composite
+def unimodular(draw, size):
+    """A random integer matrix of determinant +-1: the identity after random
+    row additions, its rows then permuted and their signs flipped."""
+    u = [[int(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(draw(st.integers(0, 2 * size)) if size > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+        k = draw(st.sampled_from((-2, -1, 1, 2)))
+        u[i] = [a + k * b for a, b in zip(u[i], u[j])]
+    order = draw(st.permutations(range(size)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=size, max_size=size))
+    return [[s * v for v in u[i]] for s, i in zip(signs, order)]
+
+
+@st.composite
+def smith_products(draw):
+    """U * D * V with unimodular U, V and a diagonal D that ends in a
+    non-unit; returns the product and D's diagonal, its invariant factors."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    chain = [draw(st.sampled_from((1, 2)))]
+    for _ in range(draw(st.integers(0, min(m, n) - 1))):
+        chain.append(chain[-1] * draw(st.sampled_from((1, 2, 3, 6))))
+    if chain[-1] == 1:
+        chain[-1] = 2
+    d = [[chain[i] if i == j and i < len(chain) else 0 for j in range(n)] for i in range(m)]
+    u, v = (SparseIntMatrix.from_dense(draw(unimodular(k))) for k in (m, n))
+    product = u.matmul(SparseIntMatrix.from_dense(d)).matmul(v).to_dense()
+    return product, tuple(chain)
+
+
+@HYPOTHESIS
+@given(dense_matrices(SPARSE_ENTRIES, max_dim=5))
+def test_snf_sparse_small_entries(dense):
+    assert_invariant_factors(dense, snf(dense))
+
+
+@HYPOTHESIS
+@given(dense_matrices(SPARSE_ENTRIES, max_dim=14))
+def test_snf_sparse_larger_against_naive(dense):
+    assert snf(dense) == naive_snf(dense), dense
+
+
+@HYPOTHESIS
+@given(smith_products())
+def test_snf_unimodular_products(case):
+    product, chain = case
+    factors = snf(product)
+    assert factors == chain, product
+    assert_invariant_factors(product, factors)
+    # unit pivots only ever give factors 1, so this one came out of the
+    # dense residual stage
+    assert factors[-1] > 1
+
+
+@HYPOTHESIS
+@given(dense_matrices((1, -1), max_dim=5))
+def test_snf_all_unit_entries(dense):
+    assert_invariant_factors(dense, snf(dense))
+
+
+@HYPOTHESIS
+@given(st.integers(0, 6), st.integers(0, 6))
+def test_snf_zero_and_empty_shapes(m, n):
+    assert snf(SparseIntMatrix(m, n)) == ()
+    if m:
+        assert snf([[0] * n for _ in range(m)]) == ()
+    else:
+        assert snf([]) == ()
 
 
 # --- homology groups ----------------------------------------------------------
@@ -175,8 +271,8 @@ def test_direct_sum():
 
 def test_complex_zero_map():
     cx = ChainComplexZ(0, [2, 2])
-    assert complex_homology(cx, 0) == HomologyGroup(2)
-    assert complex_homology(cx, 1) == HomologyGroup(2)
+    assert cx.homology(0) == HomologyGroup(2)
+    assert cx.homology(1) == HomologyGroup(2)
 
 
 def test_complex_times_two():

@@ -146,13 +146,16 @@ def test_triangle_witness_matches_fraction_scan(space, data):
 
 
 def test_guards_survive_optimize():
-    # the betweenness table refuses a point between another and itself, and
-    # interval_poset refuses an intransitive order, both under -O; neither
-    # can happen in a validated space, so both spaces are built directly
+    # the betweenness table refuses a point between another and itself,
+    # interval_poset refuses an intransitive order, and simple_chains_by_frame
+    # refuses a frame that repeats a point, all under -O; none can happen in
+    # a validated space, so the first two spaces are built directly and the
+    # third fault is injected by replacing `frame`
     code = (
         "from fractions import Fraction\n"
-        "from magh.errors import NotAPartialOrder, SelfBetweenness\n"
-        "from magh.metric import FiniteMetricSpace\n"
+        "import magh.frames as frames\n"
+        "from magh.errors import ImproperFrame, NotAPartialOrder, SelfBetweenness\n"
+        "from magh.metric import FiniteMetricSpace, path_space\n"
         "from magh.posets import interval_poset\n"
         "if __debug__:\n"
         "    raise SystemExit('asserts are on: not running under -O')\n"
@@ -162,9 +165,18 @@ def test_guards_survive_optimize():
         "try:\n"
         "    space([[0, 1, 1], [1, 0, 0], [1, 0, 0]]).integer_view\n"
         "except SelfBetweenness as exc:\n"
-        "    assert (exc.a, exc.c) == (1, 2), exc\n"
+        "    if (exc.a, exc.c) != (1, 2):\n"
+        "        raise SystemExit(f'wrong witness: {exc}')\n"
         "else:\n"
         "    raise SystemExit('a zero distance was accepted')\n"
+        "frames.frame = lambda space, ch: ch.points[:1] + ch.points\n"
+        "try:\n"
+        "    frames.simple_chains_by_frame(path_space(3), 1, 1)\n"
+        "except ImproperFrame as exc:\n"
+        "    if (exc.chain, exc.frame) != ((0, 1), (0, 0, 1)):\n"
+        "        raise SystemExit(f'wrong witness: {exc}')\n"
+        "else:\n"
+        "    raise SystemExit('an improper frame was accepted')\n"
         "rows = [[0, 1, 2, 3, 4], [1, 0, 1, 1, 3], [2, 1, 0, 1, 2],\n"
         "        [3, 1, 1, 0, 1], [4, 3, 2, 1, 0]]\n"
         "try:\n"

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from magh.errors import SamePoint
 from magh.metric import (
     complete_space,
     cycle_space,
+    metric_closure,
     path_space,
     random_metric,
     validate_metric,
@@ -186,6 +188,49 @@ def test_frame_homology_matches_subcomplex_on_realized_frames():
                 assert sub.homology(n) == frame_homology_via_posets(c5, (a, b), n)
             checked += 1
     assert checked == 20
+
+
+# the 6-vertex triangulation of the real projective plane: every edge of K_6
+# lies on exactly two of these triangles
+RP2_TRIANGLES = (
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+    (1, 2, 4), (2, 3, 5), (1, 3, 4), (1, 3, 5), (2, 4, 5),
+)
+
+
+def rp2_face_poset_space():
+    """Hasse-graph metric of RP^2's face poset with a bottom and a top added.
+
+    Points: the bottom (), 6 vertices, 15 edges, 10 triangles, then the top.
+    Covering faces are joined by edges of length 1. The interval from bottom
+    to top is the whole face poset, whose order complex is the barycentric
+    subdivision of RP^2.
+    """
+    edges = sorted({e for t in RP2_TRIANGLES for e in itertools.combinations(t, 2)})
+    faces = [(v,) for v in range(6)] + edges + sorted(RP2_TRIANGLES)
+    points = [()] + faces
+    n = len(points) + 1
+    top = n - 1
+    # n is longer than any path, so it stands for a missing edge
+    d = [[0 if i == j else n for j in range(n)] for i in range(n)]
+    for i, f in enumerate(points):
+        for j, g in enumerate(points):
+            if len(g) == len(f) + 1 and set(f) <= set(g):
+                d[i][j] = d[j][i] = 1
+        if len(f) == 3:
+            d[i][top] = d[top][i] = 1
+    return validate_metric(metric_closure(d), name="rp2-face-poset"), 0, top
+
+
+def test_frame_homology_rp2_face_poset_torsion():
+    # MH_n of the (bottom, top) frame is reduced H_{n-2} of RP^2: Z/2 at n = 3
+    space, bottom, top = rp2_face_poset_space()
+    assert space.n == 33
+    assert space.d(bottom, top) == 4
+    assert interval_complex(space, bottom, top).sizes == [1, 31, 90, 60]
+    assert frame_homology_via_posets(space, (bottom, top), 3) == HomologyGroup(0, (2,))
+    for n in (2, 4, 5):
+        assert frame_homology_via_posets(space, (bottom, top), n) == HomologyGroup(0)
 
 
 # --- certificates -----------------------------------------------------------------
