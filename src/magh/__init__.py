@@ -4,9 +4,10 @@ The public surface:
 
 - `metric`: exact rational metric spaces, generators, validation, closure
 - `chains`: proper chains, smoothness, enumeration, the boundary map
-- `algebra`: Smith normal form, chain complexes over Z, tensor products
+- `algebra`: Smith normal form, chain complexes over Z, the Kunneth formula
 - `frames`: frames, the subcomplex decomposition, four-cuts and m_X
-- `posets`: interval posets, order complexes, certificates
+- `posets`: interval posets, certificates, and magnitude homology: the
+  frame route below m_X, the endpoint-block engine above
 - `verify`: cross-checks between independent computation routes
 - `cli`: the `magh` command
 """
@@ -21,9 +22,7 @@ from .algebra import (
     SparseIntMatrix,
     complex_from_bases,
     magnitude_complex,
-    magnitude_homology,
     snf,
-    tensor,
 )
 from .chains import (
     LengthSpectrum,
@@ -62,6 +61,7 @@ from .posets import (
     IntervalPoset,
     frame_homology_via_posets,
     interval_poset,
+    magnitude_homology,
     mh2_certificate,
     order_complex,
     poset_component_count,
@@ -99,7 +99,6 @@ __all__ = [
     "HomologyGroup",
     "ChainComplexZ",
     "complex_from_bases",
-    "tensor",
     "magnitude_complex",
     "magnitude_homology",
     "HomologyRow",

@@ -2,8 +2,10 @@
 
 Everything here is exact: Smith normal form by integer row/column
 operations, homology of finitely generated complexes as (betti, torsion),
-and tensor products of complexes. `snf` is the one reduction routine: it
-clears +-1 pivots on sparse rows and reduces only what is left densely.
+the Kunneth formula for the homology of a product of complexes, and the
+endpoint-block engine for magnitude homology. `snf` is the one reduction
+routine: it clears +-1 pivots on sparse rows and reduces only what is
+left densely.
 Degrees may be negative; reduced complexes of order complexes start at
 degree -1.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     DegreeOutOfRange,
@@ -452,77 +455,38 @@ class ChainComplexZ:
     def euler_characteristic(self):
         return sum((1 if k % 2 == 0 else -1) * self.size(k) for k in self.degrees())
 
-    def total_dimension(self):
-        return sum(self.sizes)
-
     def __repr__(self):
         return f"<ChainComplexZ degrees {self.lo}..{self.hi} sizes {self.sizes}>"
 
 
-def tensor(a, b):
-    """Tensor product of two chain complexes over Z.
+def kunneth(h, h2):
+    """Homology of the tensor product of two free complexes over Z.
 
-    Degree k of the product is the direct sum of A_i (x) B_j over i+j=k,
-    with d(x (x) y) = dx (x) y + (-1)^i x (x) dy for x in degree i. Basis
-    order within a degree: blocks by ascending i, row-major within a block.
+    `h` and `h2` map degrees to the nonzero homology groups of two bounded
+    complexes of free Z-modules, such as `ChainComplexZ` holds, and so
+    does the result. By the Kunneth formula, H_k of the product is the
+    direct sum of H_i (x) H'_j over i + j = k and of Tor(H_i, H'_j) over
+    i + j = k - 1. For H = Z^a + sum Z/d and H' = Z^b + sum Z/e, H (x) H'
+    is Z^ab + (Z/d)^b + (Z/e)^a + sum Z/gcd(d, e), and Tor(H, H') is
+    sum Z/gcd(d, e). No product complex is built.
     """
-
-    def blocks(k):
-        out = []
-        for i in range(max(a.lo, k - b.hi), min(a.hi, k - b.lo) + 1):
-            out.append((i, k - i))
-        return out
-
-    lo = a.lo + b.lo
-    hi = a.hi + b.hi
-    sizes = []
-    offsets = {}
-    for k in range(lo, hi + 1):
-        off = {}
-        total = 0
-        for i, j in blocks(k):
-            off[(i, j)] = total
-            total += a.size(i) * b.size(j)
-        offsets[k] = off
-        sizes.append(total)
-
-    boundaries = {}
-    for k in range(lo + 1, hi + 1):
-        mat = SparseIntMatrix(sizes[k - 1 - lo], sizes[k - lo])
-        src_off = offsets[k]
-        dst_off = offsets[k - 1]
-        for i, j in blocks(k):
-            na, nb = a.size(i), b.size(j)
-            if na == 0 or nb == 0:
-                continue
-            base = src_off[(i, j)]
-            sign = 1 if i % 2 == 0 else -1
-            da = a.boundaries.get(i)
-            db = b.boundaries.get(j)
-            for p in range(na):
-                for qcol in range(nb):
-                    col = base + p * nb + qcol
-                    if da is not None:
-                        dbase = dst_off.get((i - 1, j))
-                        if dbase is not None:
-                            for r, v in da.column_entries(p):
-                                mat.add(dbase + r * nb + qcol, col, v)
-                    if db is not None:
-                        dbase = dst_off.get((i, j - 1))
-                        if dbase is not None:
-                            nb1 = b.size(j - 1)
-                            for s, v in db.column_entries(qcol):
-                                mat.add(dbase + p * nb1 + s, col, sign * v)
-        boundaries[k] = mat
-    return ChainComplexZ(lo, sizes, boundaries)
-
-
-def tensor_many(complexes):
-    out = None
-    for c in complexes:
-        out = c if out is None else tensor(out, c)
-    if out is None:
-        raise ValueError("tensor_many needs at least one complex")
+    betti = {}
+    factors = {}
+    for i, g in h.items():
+        for j, g2 in h2.items():
+            k = i + j
+            betti[k] = betti.get(k, 0) + g.betti * g2.betti
+            if g.torsion or g2.torsion:
+                cross = [gcd(d, e) for d in g.torsion for e in g2.torsion]
+                factors.setdefault(k, []).extend(
+                    (g.torsion * g2.betti, g2.torsion * g.betti, cross)
+                )
+                factors.setdefault(k + 1, []).append(cross)
+    out = {}
+    for k in sorted(betti.keys() | factors.keys()):
+        group = HomologyGroup(betti.get(k, 0), merge_invariant_factors(factors.get(k, ())))
+        if not group.is_trivial():
+            out[k] = group
     return out
 
 
@@ -623,16 +587,20 @@ def _endpoint_blocks(by_degree, l):
     return {pair: blocks[pair] for pair in sorted(blocks)}
 
 
-def magnitude_homology_rows(space, gradings, n_max, cap=None):
+def block_homology_rows(space, gradings, n_max, cap=None):
     """Magnitude homology rows of several length gradings, degrees 0..n_max.
 
-    The boundary never removes a chain's endpoints, so the complex of each
-    grading is the direct sum over endpoint pairs (a, b) of the complexes
-    of chains from a to b. Each block is assembled and reduced on its own
-    and the groups are summed. Every degree is enumerated once for all
-    gradings; the complexes extend one degree above n_max so the incoming
-    boundary at n_max is part of the computation. Rows come grading by
-    grading in the order given, degrees ascending.
+    The endpoint-block engine, from enumerated chains. The boundary never
+    removes a chain's endpoints, so the complex of each grading is the
+    direct sum over endpoint pairs (a, b) of the complexes of chains from
+    a to b. Each block is assembled and reduced on its own and the groups
+    are summed. Every degree is enumerated once for all gradings; the
+    complexes extend one degree above n_max so the incoming boundary at
+    n_max is part of the computation. Rows come grading by grading in the
+    order given, degrees ascending.
+
+    `posets.magnitude_homology_rows` sends only gradings l >= m_X here;
+    `verify` compares the frame decomposition against this full complex.
     """
     gradings = [Fraction(l) for l in gradings]
     for l in gradings:
@@ -655,11 +623,6 @@ def magnitude_homology_rows(space, gradings, n_max, cap=None):
             group = HomologyGroup.direct_sum(cx.homology(n) for cx in blocks)
             rows.append(HomologyRow(l, n, group))
     return rows
-
-
-def magnitude_homology(space, l, n_max, cap=None):
-    """Magnitude homology rows of one length grading, degrees 0..n_max."""
-    return magnitude_homology_rows(space, [l], n_max, cap)
 
 
 class HomologyTable:

@@ -144,10 +144,6 @@ class LengthSpectrum:
     degree: int
     lengths: tuple
 
-    def counts(self, space, cap=None):
-        buckets = enumerate_proper_chains(space, self.degree, cap)
-        return {l: len(buckets[l]) for l in self.lengths}
-
 
 def length_spectrum(space, n, cap=None):
     buckets = enumerate_proper_chains(space, n, cap)

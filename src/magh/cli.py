@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import __version__
-from .algebra import HomologyTable, magnitude_homology_rows
+from .algebra import HomologyTable
 from .chains import enumerate_proper_chains, resolve_cap
 from .errors import MaghError
 from .frames import m_x
@@ -26,7 +26,7 @@ from .metric import (
     path_space,
     random_metric,
 )
-from .posets import mh2_certificate
+from .posets import magnitude_homology_rows, mh2_certificate
 from .verify import CHECKS, default_suite, run_checks
 
 
@@ -212,7 +212,6 @@ def build_parser():
         choices=sorted(CHECKS),
         help="run only this check (repeatable); default all",
     )
-    p.add_argument("--all", action="store_true", help="run every check (the default)")
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--seed", type=int, default=1, help="seed for the random suite spaces")
     p.add_argument("--cap", type=int, default=None)

@@ -113,6 +113,21 @@ class ImproperFrame(MaghError, AssertionError):
         self.frame = tuple(frame)
 
 
+class UnrealizedFrame(MaghError, AssertionError):
+    """A frame below m_X that fails `is_realized_frame`.
+
+    Below m_X no junction can be smoothed by inserting interval points,
+    so every frame is realized and the frame route may count its
+    geodesically simple chains through interval posets; a frame that is
+    not would make that count wrong, so the route refuses it.
+    """
+
+    def __init__(self, frame, length):
+        super().__init__(f"frame {tuple(frame)} of length {length} below m_X is not realized")
+        self.frame = tuple(frame)
+        self.length = length
+
+
 class NotADivisorChain(MaghError, AssertionError):
     """Invariant factors that do not divide each other in order.
 

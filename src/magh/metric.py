@@ -144,12 +144,20 @@ class FiniteMetricSpace:
 
     `dist` is a tuple of tuples of Fractions, already validated. Build
     instances through `validate_metric` or the generators below.
-    `integer_view` is computed from `dist` on first use and kept.
+    `integer_view` is computed from `dist` on first use and kept, and so
+    is the hash, which value-keyed caches look up on every call.
     """
 
     labels: tuple
     dist: tuple
     name: str = field(default="", compare=False)
+
+    @cached_property
+    def _hash(self):
+        return hash((self.labels, self.dist))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def n(self):

@@ -1,25 +1,36 @@
-"""Interval posets, order complexes, and the poset route to frame homology.
+"""Interval posets, order complexes, and the frame route to magnitude homology.
 
 The interval poset I(a, b) consists of the points strictly between a and b
 on geodesics, ordered by x < y iff x lies on a geodesic from a to y. Its
 order complex, through the reduced chain complex (augmented: one generator
 in degree -1), computes the homology of the frame subcomplex of (a, b); a
-frame of higher degree tensors the complexes of its consecutive intervals.
+frame of higher degree tensors the complexes of its consecutive intervals,
+whose homology the Kunneth formula gives from theirs.
+
+Below m_X, magnitude homology is the direct sum of those frame homologies
+(Kaneta-Yoshinaga), so `magnitude_homology_rows` computes every grading
+0 < l < m_X from the reduced homology of interval posets, with no chain
+enumeration, and leaves gradings l >= m_X to the endpoint-block engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
+from . import frames as _frames
 from .algebra import (
     ChainComplexZ,
     HomologyGroup,
+    HomologyRow,
     SparseIntMatrix,
     TRIVIAL_GROUP,
-    tensor_many,
+    block_homology_rows,
+    kunneth,
 )
-from .errors import NotAPartialOrder, SamePoint
+from .chains import resolve_cap
+from .errors import EnumerationCapExceeded, NotAPartialOrder, SamePoint, UnrealizedFrame
 from .metric import format_rational
 
 
@@ -164,11 +175,31 @@ def interval_complex(space, a, b):
     return reduced_complex(order_complex(interval_poset(space, a, b)))
 
 
+@lru_cache(maxsize=4096)
+def _interval_homology(space, a, b):
+    """`interval_homology` without the copy; callers must not mutate it."""
+    cx = interval_complex(space, a, b)
+    groups = {k: cx.homology(k) for k in cx.degrees()}
+    return {k: g for k, g in groups.items() if not g.is_trivial()}
+
+
+def interval_homology(space, a, b):
+    """Reduced homology of the order complex of I(a, b), {degree: group}.
+
+    Only nonzero groups are listed; an empty interval gives Z in degree
+    -1. Cached by value, like chain enumeration: spaces are immutable and
+    hash by their distances, so each pair's complex is built and reduced
+    once per space, and only its groups are kept.
+    """
+    return dict(_interval_homology(space, a, b))
+
+
 def frame_homology_via_posets(space, f, n):
     """Homology of a frame subcomplex computed through interval posets.
 
-    For a frame of degree m, tensor the reduced complexes of the intervals
-    between consecutive frame points and read off degree n - 2m. Valid for
+    For a frame of degree m, the Kunneth formula folds the reduced
+    homology of the intervals between consecutive frame points into the
+    homology of their tensor product, read at degree n - 2m. Valid for
     tuples that are genuinely frames (equal to their own frame); the
     agreement with the direct subcomplex route is what `verify` checks.
     """
@@ -176,9 +207,116 @@ def frame_homology_via_posets(space, f, n):
     m = len(f) - 1
     if m < 1:
         raise ValueError(f"a frame needs at least two points, got {f}")
-    parts = [interval_complex(space, f[i], f[i + 1]) for i in range(m)]
-    total = tensor_many(parts)
-    return total.homology_or_trivial(n - 2 * m)
+    product = {0: HomologyGroup(1)}
+    for a, b in zip(f, f[1:]):
+        product = kunneth(product, _interval_homology(space, a, b))
+    return product.get(n - 2 * m, TRIVIAL_GROUP)
+
+
+def _frame_groups(space, gradings, n_max, cap):
+    """{(l, n): MH_n^l} for gradings 0 < l < m_X, by a DFS over frames.
+
+    A tuple grows one point at a time, and only where the junction it
+    leaves behind is not strictly smooth, so every tuple visited is its
+    own frame. Each carries the Kunneth product of its pairs' interval
+    homology; a frame of degree m and length l adds H_k of that product
+    to MH_{2m+k}^l. A branch stops once it is longer than the largest
+    grading, once its least degree 2m + min k passes n_max (neither can
+    shrink as the tuple grows), or when its product is zero, which a pair
+    with zero reduced homology forces. Visited tuples count against the
+    enumeration cap. Every frame that contributes must pass
+    `is_realized_frame` (UnrealizedFrame otherwise, also under -O).
+    """
+    view = space.integer_view
+    idist = view.idist
+    between = view.between
+    wanted = {}
+    for l in gradings:
+        scaled = l * view.scale
+        if scaled.denominator == 1:
+            wanted[scaled.numerator] = l
+    if not wanted:
+        return {}
+    top = max(wanted)
+    limit = resolve_cap(cap)
+    size = space.n
+    pairs = {}  # the run's own table, so no pair is reduced twice in it
+    parts = {}
+    visited = 0
+
+    def extend(pts, length, product):
+        nonlocal visited
+        last = pts[-1]
+        prev = pts[-2] if len(pts) > 1 else None
+        m = len(pts)  # degree of each extension
+        row = idist[last]
+        for nxt in range(size):
+            total = length + row[nxt]
+            if nxt == last or total > top:
+                continue
+            if prev is not None and between[prev][nxt] >> last & 1:
+                continue
+            h = pairs.get((last, nxt))
+            if h is None:
+                h = pairs[last, nxt] = _interval_homology(space, last, nxt)
+            if not h:
+                continue
+            visited += 1
+            if visited > limit:
+                raise EnumerationCapExceeded(visited, limit)
+            grown = h if prev is None else kunneth(product, h)
+            if not grown or 2 * m + min(grown) > n_max:
+                continue
+            pts.append(nxt)
+            l = wanted.get(total)
+            if l is not None:
+                if not _frames.is_realized_frame(space, pts):
+                    raise UnrealizedFrame(pts, l)
+                for k, group in grown.items():
+                    if 2 * m + k <= n_max:
+                        parts.setdefault((l, 2 * m + k), []).append(group)
+            extend(pts, total, grown)
+            pts.pop()
+
+    for start in range(size):
+        extend([start], 0, None)
+    return {key: HomologyGroup.direct_sum(groups) for key, groups in parts.items()}
+
+
+def magnitude_homology_rows(space, gradings, n_max, cap=None):
+    """Magnitude homology rows of several length gradings, degrees 0..n_max.
+
+    Grading 0 is Z^N at degree 0 and 0 above. Every grading 0 < l < m_X,
+    which is every positive one when m_X is infinite, comes from the frame
+    DFS of `_frame_groups`; the gradings l >= m_X go to the endpoint-block
+    engine, the only place chains are enumerated. Rows come grading by
+    grading in the order given, degrees ascending.
+    """
+    gradings = [Fraction(l) for l in gradings]
+    for l in gradings:
+        if l < 0:
+            raise ValueError(f"length must be >= 0, got {l}")
+    if n_max < -1:
+        raise ValueError(f"n_max must be >= -1, got {n_max}")
+    if not gradings:
+        return []
+    mx = _frames.m_x(space).value
+    below = sorted({l for l in gradings if l > 0 and (mx is None or l < mx)})
+    above = sorted({l for l in gradings if mx is not None and l >= mx})
+    groups = _frame_groups(space, below, n_max, cap)
+    for row in block_homology_rows(space, above, n_max, cap):
+        groups[(row.l, row.n)] = row.group
+    groups[(Fraction(0), 0)] = HomologyGroup(space.n)
+    return [
+        HomologyRow(l, n, groups.get((l, n), TRIVIAL_GROUP))
+        for l in gradings
+        for n in range(n_max + 1)
+    ]
+
+
+def magnitude_homology(space, l, n_max, cap=None):
+    """Magnitude homology rows of one length grading, degrees 0..n_max."""
+    return magnitude_homology_rows(space, [l], n_max, cap)
 
 
 @dataclass(frozen=True)

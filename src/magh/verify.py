@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import HomologyGroup, magnitude_homology
+from .algebra import HomologyGroup, block_homology_rows
 from .chains import (
     boundary,
     boundary_of_sum,
@@ -133,7 +133,7 @@ def check_simp_iso(space, n_max, cap=None):
     }
     name = space.name or "space"
     for l in gradings:
-        full = {row.n: row.group for row in magnitude_homology(space, l, n_max, cap)}
+        full = {row.n: row.group for row in block_homology_rows(space, [l], n_max, cap)}
         pieces = simp_decomposition(space, l, n_max + 1, cap)
         for n in range(1, n_max + 1):
             summed = HomologyGroup.direct_sum(
@@ -174,7 +174,7 @@ def check_frame_injectivity(space, n_max, cap=None):
             l = space.d(a, b)
             if l not in full_cache:
                 full_cache[l] = {
-                    row.n: row.group for row in magnitude_homology(space, l, n_max, cap)
+                    row.n: row.group for row in block_homology_rows(space, [l], n_max, cap)
                 }
             sub = frame_subcomplex(space, (a, b), n_max + 1, cap)
             for n in range(1, n_max + 1):

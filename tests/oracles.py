@@ -4,13 +4,17 @@ Nothing here reuses package machinery beyond the metric object: chains
 come from itertools filters, ranks from dense rational elimination, Smith
 normal form from a textbook first-nonzero-pivot reduction, four-cuts
 from a three-condition quadruple scan, and triangle witnesses from a
-row-major scan. All distance arithmetic is on Fractions. Slow on purpose;
-oracle scale only.
+row-major scan. All distance arithmetic is on Fractions. The one
+exception is `tensor`, which builds the product of two package complexes
+basis element by basis element, so that reducing it checks `kunneth`,
+which never builds one. Slow on purpose; oracle scale only.
 """
 
 import itertools
 from fractions import Fraction
 from math import gcd
+
+from magh.algebra import ChainComplexZ, SparseIntMatrix
 
 
 def naive_chains(space, n, l=None):
@@ -221,3 +225,70 @@ def naive_triangle_witness(matrix):
                 if d[i][k] > d[i][j] + d[j][k]:
                     return i, j, k
     return None
+
+
+def tensor(a, b):
+    """Tensor product of two chain complexes over Z.
+
+    Degree k of the product is the direct sum of A_i (x) B_j over i+j=k,
+    with d(x (x) y) = dx (x) y + (-1)^i x (x) dy for x in degree i. Basis
+    order within a degree: blocks by ascending i, row-major within a block.
+    """
+
+    def blocks(k):
+        out = []
+        for i in range(max(a.lo, k - b.hi), min(a.hi, k - b.lo) + 1):
+            out.append((i, k - i))
+        return out
+
+    lo = a.lo + b.lo
+    hi = a.hi + b.hi
+    sizes = []
+    offsets = {}
+    for k in range(lo, hi + 1):
+        off = {}
+        total = 0
+        for i, j in blocks(k):
+            off[(i, j)] = total
+            total += a.size(i) * b.size(j)
+        offsets[k] = off
+        sizes.append(total)
+
+    boundaries = {}
+    for k in range(lo + 1, hi + 1):
+        mat = SparseIntMatrix(sizes[k - 1 - lo], sizes[k - lo])
+        src_off = offsets[k]
+        dst_off = offsets[k - 1]
+        for i, j in blocks(k):
+            na, nb = a.size(i), b.size(j)
+            if na == 0 or nb == 0:
+                continue
+            base = src_off[(i, j)]
+            sign = 1 if i % 2 == 0 else -1
+            da = a.boundaries.get(i)
+            db = b.boundaries.get(j)
+            for p in range(na):
+                for qcol in range(nb):
+                    col = base + p * nb + qcol
+                    if da is not None:
+                        dbase = dst_off.get((i - 1, j))
+                        if dbase is not None:
+                            for r, v in da.column_entries(p):
+                                mat.add(dbase + r * nb + qcol, col, v)
+                    if db is not None:
+                        dbase = dst_off.get((i, j - 1))
+                        if dbase is not None:
+                            nb1 = b.size(j - 1)
+                            for s, v in db.column_entries(qcol):
+                                mat.add(dbase + p * nb1 + s, col, sign * v)
+        boundaries[k] = mat
+    return ChainComplexZ(lo, sizes, boundaries)
+
+
+def tensor_many(complexes):
+    out = None
+    for c in complexes:
+        out = c if out is None else tensor(out, c)
+    if out is None:
+        raise ValueError("tensor_many needs at least one complex")
+    return out

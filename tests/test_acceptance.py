@@ -12,11 +12,10 @@ import sys
 
 import pytest
 
-from magh.algebra import magnitude_homology
 from magh.chains import length_spectrum
 from magh.frames import m_x
 from magh.metric import complete_space, cycle_space, path_space
-from magh.posets import mh2_certificate
+from magh.posets import magnitude_homology, mh2_certificate
 from magh.verify import (
     check_d_squared,
     check_frame_injectivity,

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -15,12 +16,10 @@ from magh.algebra import (
     HomologyRow,
     HomologyTable,
     SparseIntMatrix,
+    kunneth,
     magnitude_complex,
-    magnitude_homology,
     merge_invariant_factors,
     snf,
-    tensor,
-    tensor_many,
 )
 from magh.errors import (
     DegreeOutOfRange,
@@ -29,8 +28,9 @@ from magh.errors import (
     TrivialTorsionFactor,
 )
 from magh.metric import complete_space, cycle_space, path_space, validate_metric
+from magh.posets import magnitude_homology
 
-from oracles import minor_gcds, naive_snf, rational_rank
+from oracles import minor_gcds, naive_snf, rational_rank, tensor, tensor_many
 
 F = Fraction
 
@@ -377,6 +377,94 @@ def test_tensor_associative_on_homology():
     for k in left.degrees():
         assert left.homology(k) == right.homology(k)
     assert tensor_many([x, y, z]).homology_all() == left.homology_all()
+
+
+# --- Kunneth ------------------------------------------------------------------
+
+
+def homology_dict(cx):
+    """{degree: nonzero group}, the form `kunneth` takes and returns."""
+    groups = {k: cx.homology(k) for k in cx.degrees()}
+    return {k: g for k, g in groups.items() if not g.is_trivial()}
+
+
+def cyclic_complex(d, k=0):
+    # Z --d--> Z with the target in degree k: Z/d at k, or 0 when d = 1
+    return ChainComplexZ(k, [1, 1], {k + 1: SparseIntMatrix.from_dense([[d]])})
+
+
+@st.composite
+def torsion_complexes(draw):
+    """Free complexes on degrees -1..2 with known torsion.
+
+    A direct sum of pieces: Z at one degree, or Z --d--> Z across two with
+    d in {1, 2, 3, 4, 6} (acyclic for d = 1, Z/d otherwise), after a
+    random change of basis in every degree. A change P in degree k turns
+    the boundary out of k into D P^-1 and the one into k into P D; with
+    P = I + c E_ji these are one column and one row operation.
+    """
+    lo, hi = -1, 2
+    pieces = draw(
+        st.lists(
+            st.tuples(st.integers(lo, hi - 1), st.sampled_from((0, 1, 2, 3, 4, 6))),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    sizes = {k: 0 for k in range(lo, hi + 1)}
+    units = []
+    for k, d in pieces:
+        if d:
+            units.append((k + 1, sizes[k], sizes[k + 1], d))
+            sizes[k + 1] += 1
+        sizes[k] += 1
+    dense = {k: [[0] * sizes[k] for _ in range(sizes[k - 1])] for k in range(lo + 1, hi + 1)}
+    for k, r, c, d in units:
+        dense[k][r][c] = d
+    for k in range(lo, hi + 1):
+        for _ in range(draw(st.integers(0, 3)) if sizes[k] > 1 else 0):
+            i, j = draw(st.lists(st.integers(0, sizes[k] - 1), min_size=2, max_size=2, unique=True))
+            c = draw(st.sampled_from((-1, 1, 2)))
+            if k + 1 in dense:
+                into = dense[k + 1]
+                into[j] = [x + c * y for x, y in zip(into[j], into[i])]
+            for row in dense.get(k, ()):
+                row[i] -= c * row[j]
+    boundaries = {}
+    for k, rows in dense.items():
+        mat = SparseIntMatrix(sizes[k - 1], sizes[k])
+        for r, row in enumerate(rows):
+            for c, v in enumerate(row):
+                if v:
+                    mat.add(r, c, v)
+        boundaries[k] = mat
+    return ChainComplexZ(lo, [sizes[k] for k in range(lo, hi + 1)], boundaries)
+
+
+@HYPOTHESIS
+@given(torsion_complexes(), torsion_complexes())
+def test_kunneth_matches_tensor_oracle(a, b):
+    assert kunneth(homology_dict(a), homology_dict(b)) == homology_dict(tensor(a, b))
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 6))
+@pytest.mark.parametrize("e", (2, 3, 4, 6))
+def test_kunneth_cyclic_tor_term(d, e):
+    # Z/d (x) Z/e and Tor(Z/d, Z/e) are both Z/gcd(d, e), one degree apart
+    a, b = cyclic_complex(d), cyclic_complex(e, k=-1)
+    g = math.gcd(d, e)
+    expected = {} if g == 1 else {-1: HomologyGroup(0, (g,)), 0: HomologyGroup(0, (g,))}
+    assert kunneth(homology_dict(a), homology_dict(b)) == expected
+    assert homology_dict(tensor(a, b)) == expected
+
+
+def test_kunneth_free_and_mixed():
+    z2, z = {0: HomologyGroup(0, (2,))}, {1: HomologyGroup(3)}
+    assert kunneth(z2, z) == {1: HomologyGroup(0, (2, 2, 2))}
+    assert kunneth({0: HomologyGroup(1)}, z) == z
+    assert kunneth({}, z) == {}
+    both = {0: HomologyGroup(1, (4,))}
+    assert kunneth(both, both) == {0: HomologyGroup(1, (4, 4, 4)), 1: HomologyGroup(0, (4,))}
 
 
 # --- magnitude homology -------------------------------------------------------

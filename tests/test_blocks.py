@@ -1,25 +1,35 @@
-"""The endpoint-block engine against the whole-grading route and the oracle.
+"""The two magnitude homology engines, against each other and the oracle.
 
-The boundary never removes a chain's endpoints, so `magnitude_homology`
-reduces one complex per endpoint pair and sums the groups. These tests
-compare that with one complex per grading (`magnitude_complex`) and with
-the dense naive oracle, on metrics with non-integer rational distances.
+The boundary never removes a chain's endpoints, so the endpoint-block
+engine, `block_homology_rows`, reduces one complex per endpoint pair and
+sums the groups. These tests compare that with one complex per grading
+(`magnitude_complex`) and with the dense naive oracle, and compare the
+frame route that `magnitude_homology_rows` takes below m_X with the
+block engine, on metrics with non-integer rational distances.
 """
 
 from fractions import Fraction
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
+
+import magh.chains
+import magh.posets
 
 from magh.algebra import (
     HomologyGroup,
     _endpoint_blocks,
+    block_homology_rows,
     complex_from_bases,
     magnitude_complex,
-    magnitude_homology,
-    magnitude_homology_rows,
 )
 from magh.chains import enumerate_proper_chains, length_spectrum
-from magh.metric import cycle_space, metric_closure, validate_metric
+from magh.errors import EnumerationCapExceeded
+from magh.frames import m_x
+from magh.metric import cycle_space, metric_closure, path_space, validate_metric
+from magh.posets import magnitude_homology, magnitude_homology_rows
+from magh.verify import full_suite, random_suite
 
 from oracles import naive_magnitude_group
 
@@ -52,7 +62,7 @@ def realized_lengths(space, n_max):
 @given(rational_metrics(max_points=5))
 def test_blocks_match_whole_grading_complex(space):
     lengths = realized_lengths(space, 3)
-    rows = magnitude_homology_rows(space, lengths, 3)
+    rows = block_homology_rows(space, lengths, 3)
     assert [(r.l, r.n) for r in rows] == [(l, n) for l in lengths for n in range(4)]
     for row in rows:
         whole, _ = magnitude_complex(space, row.l, row.n + 1)
@@ -63,7 +73,7 @@ def test_blocks_match_whole_grading_complex(space):
 @given(rational_metrics(max_points=5))
 def test_blocks_match_naive_oracle(space):
     for l in realized_lengths(space, 2):
-        for row in magnitude_homology(space, l, 2):
+        for row in block_homology_rows(space, [l], 2):
             group = (row.group.betti, row.group.torsion)
             assert group == naive_magnitude_group(space, l, row.n), (space.d, row)
 
@@ -80,14 +90,71 @@ def test_cycle4_blocks_sum_to_grading():
     expected.update({(a, (a + 2) % 4): HomologyGroup(1) for a in range(4)})
     assert groups == expected
     assert list(blocks) == sorted(expected)
-    whole = {r.n: r.group for r in magnitude_homology(space, 2, 2)}[2]
+    whole = {r.n: r.group for r in block_homology_rows(space, [2], 2)}[2]
     assert whole == HomologyGroup.direct_sum(groups.values()) == HomologyGroup(12)
 
 
 def test_many_gradings_equal_one_at_a_time():
     space = cycle_space(5)
     lengths = realized_lengths(space, 2)
-    together = magnitude_homology_rows(space, lengths, 2)
-    apart = [row for l in lengths for row in magnitude_homology(space, l, 2)]
+    together = block_homology_rows(space, lengths, 2)
+    apart = [row for l in lengths for row in block_homology_rows(space, [l], 2)]
     assert together == apart
-    assert magnitude_homology_rows(space, [], 2) == []
+    assert block_homology_rows(space, [], 2) == []
+
+
+def gradings_below_m_x(space, n_max):
+    mx = m_x(space).value
+    return [l for l in realized_lengths(space, n_max) if l > 0 and (mx is None or l < mx)]
+
+
+def assert_frame_route_matches_blocks(space, gradings, n_max):
+    # below m_X the router must not enumerate chains
+    with mock.patch.object(magh.chains, "enumerate_proper_chains", side_effect=AssertionError):
+        frames = magnitude_homology_rows(space, gradings, n_max)
+    blocks = block_homology_rows(space, gradings, n_max)
+    assert frames == blocks, space.d
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(rational_metrics(max_points=6))
+def test_frame_route_matches_blocks_below_m_x(space):
+    assert_frame_route_matches_blocks(space, gradings_below_m_x(space, 3), 3)
+
+
+def test_frame_route_matches_blocks_on_suites():
+    compared = 0
+    for space in full_suite() + random_suite(8):
+        gradings = gradings_below_m_x(space, 3)
+        if gradings:
+            assert_frame_route_matches_blocks(space, gradings, 3)
+            compared += 1
+    assert compared == 23
+
+
+def test_router_splits_at_m_x():
+    # C_5 has m_X = 3: gradings 1 and 2 take the frame route, 3 the blocks
+    space = cycle_space(5)
+    with mock.patch.object(
+        magh.posets, "block_homology_rows", wraps=block_homology_rows
+    ) as blocks:
+        rows = magnitude_homology_rows(space, [3, 0, 2, 1, 3], 2)
+    blocks.assert_called_once_with(space, [Fraction(3)], 2, None)
+    assert rows == [
+        row
+        for l in (3, 0, 2, 1, 3)
+        for row in block_homology_rows(space, [l], 2)
+    ]
+
+
+def test_frame_route_counts_prefixes_against_cap():
+    # only frames that turn back at every junction have nonzero homology in
+    # a path, one per directed edge, each giving Z at n = l; block
+    # enumeration at degree 6 would visit 8 * 7**6 chains, the frame DFS
+    # visits far fewer tuples, and those count against the cap
+    space = path_space(8)
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        magnitude_homology(space, 5, 5, cap=20)
+    assert exc.value.cap == 20
+    rows = magnitude_homology(space, 5, 5, cap=1000)
+    assert [r.group for r in rows] == [HomologyGroup(0)] * 5 + [HomologyGroup(14)]

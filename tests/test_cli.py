@@ -187,6 +187,14 @@ def test_verify_failure_exit_one(capsys, monkeypatch):
     assert report["status"] == "fail"
 
 
+def test_verify_all_flag_removed(capsys):
+    # every check runs unless --check picks some, so --all is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--all"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --all" in capsys.readouterr().err
+
+
 def test_bad_input_exit_two(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch, ["mx"], stdin="not json or csv")
     assert code == 2

@@ -147,16 +147,20 @@ def test_triangle_witness_matches_fraction_scan(space, data):
 
 def test_guards_survive_optimize():
     # the betweenness table refuses a point between another and itself,
-    # interval_poset refuses an intransitive order, and simple_chains_by_frame
-    # refuses a frame that repeats a point, all under -O; none can happen in
-    # a validated space, so the first two spaces are built directly and the
-    # third fault is injected by replacing `frame`
+    # interval_poset refuses an intransitive order, simple_chains_by_frame
+    # refuses a frame that repeats a point, and the frame route refuses an
+    # unrealized frame below m_X, all under -O; none can happen in a
+    # validated space, so the first two spaces are built directly and the
+    # last two faults are injected by replacing `frame` and
+    # `is_realized_frame`
     code = (
         "from fractions import Fraction\n"
         "import magh.frames as frames\n"
-        "from magh.errors import ImproperFrame, NotAPartialOrder, SelfBetweenness\n"
+        "from magh.errors import (\n"
+        "    ImproperFrame, NotAPartialOrder, SelfBetweenness, UnrealizedFrame,\n"
+        ")\n"
         "from magh.metric import FiniteMetricSpace, path_space\n"
-        "from magh.posets import interval_poset\n"
+        "from magh.posets import interval_poset, magnitude_homology\n"
         "if __debug__:\n"
         "    raise SystemExit('asserts are on: not running under -O')\n"
         "def space(rows):\n"
@@ -177,6 +181,14 @@ def test_guards_survive_optimize():
         "        raise SystemExit(f'wrong witness: {exc}')\n"
         "else:\n"
         "    raise SystemExit('an improper frame was accepted')\n"
+        "frames.is_realized_frame = lambda space, pts: False\n"
+        "try:\n"
+        "    magnitude_homology(path_space(3), 1, 1)\n"
+        "except UnrealizedFrame as exc:\n"
+        "    if (exc.frame, exc.length) != ((0, 1), 1):\n"
+        "        raise SystemExit(f'wrong witness: {exc}')\n"
+        "else:\n"
+        "    raise SystemExit('an unrealized frame was used')\n"
         "rows = [[0, 1, 2, 3, 4], [1, 0, 1, 1, 3], [2, 1, 0, 1, 2],\n"
         "        [3, 1, 1, 0, 1], [4, 3, 2, 1, 0]]\n"
         "try:\n"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from magh.algebra import HomologyGroup, magnitude_homology
+from magh.algebra import TRIVIAL_GROUP as TRIVIAL, HomologyGroup, kunneth
 from magh.errors import SamePoint
 from magh.metric import (
     complete_space,
@@ -16,7 +16,9 @@ from magh.metric import (
 from magh.posets import (
     frame_homology_via_posets,
     interval_complex,
+    interval_homology,
     interval_poset,
+    magnitude_homology,
     mh2_certificate,
     order_complex,
     poset_component_count,
@@ -231,6 +233,29 @@ def test_frame_homology_rp2_face_poset_torsion():
     assert frame_homology_via_posets(space, (bottom, top), 3) == HomologyGroup(0, (2,))
     for n in (2, 4, 5):
         assert frame_homology_via_posets(space, (bottom, top), n) == HomologyGroup(0)
+
+
+def test_kunneth_rp2_intervals_tor_term():
+    # both directions are the whole face poset: reduced H_1(RP^2) = Z/2;
+    # their product has Z/2 (x) Z/2 at degree 2 and Tor(Z/2, Z/2) at 3
+    space, bottom, top = rp2_face_poset_space()
+    up = interval_homology(space, bottom, top)
+    down = interval_homology(space, top, bottom)
+    assert up == down == {1: HomologyGroup(0, (2,))}
+    z2 = HomologyGroup(0, (2,))
+    assert kunneth(up, down) == {2: z2, 3: z2}
+    for n, group in ((5, TRIVIAL), (6, z2), (7, z2), (8, TRIVIAL)):
+        assert frame_homology_via_posets(space, (bottom, top, bottom), n) == group
+
+
+def test_interval_homology_is_cached_as_a_copy():
+    space = cycle_space(6)
+    first = interval_homology(space, 0, 3)
+    assert first == {0: HomologyGroup(1)}
+    first.clear()
+    assert interval_homology(cycle_space(6), 0, 3) == {0: HomologyGroup(1)}
+    assert interval_homology(path_space(2), 0, 1) == {-1: HomologyGroup(1)}
+    assert interval_homology(path_space(5), 0, 4) == {}
 
 
 # --- certificates -----------------------------------------------------------------

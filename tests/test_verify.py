@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 import magh.verify as verify_module
+from magh.algebra import block_homology_rows
 from magh.chains import is_strictly_smooth
 from magh.frames import is_frame
 from magh.metric import complete_space, cycle_space, path_space, random_metric
@@ -154,3 +155,17 @@ def test_default_suite_all_green():
     reports = run_checks(default_suite(), n_max=3)
     assert all(r.passed for r in reports), [r.to_json() for r in reports if not r.passed]
     assert len(reports) == 14 * 4
+
+
+@pytest.mark.parametrize("check", [check_simp_iso, check_frame_injectivity])
+def test_full_side_is_the_block_engine(monkeypatch, check):
+    # the frame route would make the decomposition its own reference
+    calls = []
+
+    def blocks(*args):
+        calls.append(args[1])
+        return block_homology_rows(*args)
+
+    monkeypatch.setattr(verify_module, "block_homology_rows", blocks)
+    assert check(cycle_space(5), n_max=3).passed
+    assert calls and all(len(gradings) == 1 for gradings in calls)
