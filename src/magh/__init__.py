@@ -3,7 +3,8 @@
 The public surface:
 
 - `metric`: exact rational metric spaces, generators, validation, closure
-- `chains`: proper chains, smoothness, enumeration, the boundary map
+- `chains`: proper chains, smoothness, enumeration, length spectra, the
+  boundary map
 - `algebra`: Smith normal form, chain complexes over Z, the Kunneth formula
 - `frames`: frames, the subcomplex decomposition, four-cuts and m_X
 - `posets`: interval posets, certificates, and magnitude homology: the
@@ -31,6 +32,7 @@ from .chains import (
     chain_length,
     enumerate_proper_chains,
     is_strictly_smooth,
+    length_spectra,
     length_spectrum,
 )
 from .errors import MaghError
@@ -93,6 +95,7 @@ __all__ = [
     "chain_length",
     "enumerate_proper_chains",
     "length_spectrum",
+    "length_spectra",
     "boundary",
     "SparseIntMatrix",
     "snf",

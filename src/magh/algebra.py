@@ -493,39 +493,38 @@ def kunneth(h, h2):
 def complex_from_bases(space, bases_by_degree, lo, hi):
     """The chain complex spanned by the given proper chains, degrees lo..hi.
 
-    `bases_by_degree[k]` lists the basis at degree k in row/column order;
-    a missing degree is empty. Every boundary term of every basis chain
-    must again lie in the basis one degree down (NotASubcomplex otherwise);
-    at the bottom degree the boundary must vanish outright. d^2 = 0 is
-    checked on construction.
+    `bases_by_degree[k]` lists the basis at degree k in row/column order,
+    each chain a ProperChain or a tuple of points; a missing degree is
+    empty. Every boundary term of every basis chain must again lie in the
+    basis one degree down (NotASubcomplex otherwise); at the bottom degree
+    the boundary must vanish outright. d^2 = 0 is checked on construction.
     """
+    between = space.integer_view.between
     sizes = []
     boundaries = {}
-    index = {}
+    index = None
     for k in range(lo, hi + 1):
-        basis = bases_by_degree.get(k, [])
+        basis = [tuple(ch) for ch in bases_by_degree.get(k, ())]
         sizes.append(len(basis))
-        index[k] = {ch.points: r for r, ch in enumerate(basis)}
-    for k in range(lo, hi + 1):
-        basis = bases_by_degree.get(k, [])
         if k == lo:
-            for ch in basis:
-                if _chains.boundary(space, ch):
+            for pts in basis:
+                if _chains.smooth_faces(between, pts):
                     raise NotASubcomplex(
-                        f"chain {ch.points} at bottom degree {k} has nonzero boundary"
+                        f"chain {pts} at bottom degree {k} has nonzero boundary"
                     )
-            continue
-        mat = SparseIntMatrix(sizes[k - 1 - lo], len(basis))
-        for c, ch in enumerate(basis):
-            for term, coeff in _chains.boundary(space, ch).items():
-                r = index[k - 1].get(term.points)
-                if r is None:
-                    raise NotASubcomplex(
-                        f"boundary term {term.points} of {ch.points} "
-                        f"is outside the subcomplex basis at degree {k - 1}"
-                    )
-                mat.add(r, c, coeff)
-        boundaries[k] = mat
+        else:
+            mat = SparseIntMatrix(len(index), len(basis))
+            for c, pts in enumerate(basis):
+                for face, sign in _chains.smooth_faces(between, pts):
+                    r = index.get(face)
+                    if r is None:
+                        raise NotASubcomplex(
+                            f"boundary term {face} of {pts} "
+                            f"is outside the subcomplex basis at degree {k - 1}"
+                        )
+                    mat.add(r, c, sign)
+            boundaries[k] = mat
+        index = {pts: r for r, pts in enumerate(basis)}
     return ChainComplexZ(lo, sizes, boundaries)
 
 
@@ -540,8 +539,12 @@ def magnitude_complex(space, l, n_top, cap=None):
         raise ValueError(f"length must be >= 0, got {l}")
     if n_top < 0:
         raise ValueError(f"n_top must be >= 0, got {n_top}")
+    total = space.integer_view.scaled(l)
     bases = {
-        n: _chains.enumerate_proper_chains(space, n, cap).get(l, [])
+        n: [
+            _chains.ProperChain(pts, l)
+            for pts in _chains.chain_table(space, n, cap).buckets.get(total, ())
+        ]
         for n in range(n_top + 1)
     }
     return complex_from_bases(space, bases, 0, n_top), bases
@@ -575,14 +578,15 @@ class HomologyRow:
 def _endpoint_blocks(by_degree, l):
     """Split the chains of length l by endpoint pair, pairs in sorted order.
 
-    `by_degree[n]` is what enumerate_proper_chains returns for degree n.
-    Returns {(a, b): {n: chains from a to b}}; each list keeps the
-    lexicographic order of its bucket.
+    `by_degree[n]` maps lengths to the chains of degree n, as point tuples
+    or ProperChains, like `ChainTable.buckets` or enumerate_proper_chains.
+    Returns {(a, b): {n: chains from a to b}}, listing only the degrees
+    where the pair has chains; each list keeps the order of its bucket.
     """
     blocks = {}
     for n, buckets in enumerate(by_degree):
         for ch in buckets.get(l, ()):
-            pts = ch.points
+            pts = tuple(ch)
             blocks.setdefault((pts[0], pts[-1]), {}).setdefault(n, []).append(ch)
     return {pair: blocks[pair] for pair in sorted(blocks)}
 
@@ -590,14 +594,15 @@ def _endpoint_blocks(by_degree, l):
 def block_homology_rows(space, gradings, n_max, cap=None):
     """Magnitude homology rows of several length gradings, degrees 0..n_max.
 
-    The endpoint-block engine, from enumerated chains. The boundary never
+    The endpoint-block engine, from the chain tables. The boundary never
     removes a chain's endpoints, so the complex of each grading is the
     direct sum over endpoint pairs (a, b) of the complexes of chains from
-    a to b. Each block is assembled and reduced on its own and the groups
-    are summed. Every degree is enumerated once for all gradings; the
-    complexes extend one degree above n_max so the incoming boundary at
-    n_max is part of the computation. Rows come grading by grading in the
-    order given, degrees ascending.
+    a to b. Each block is assembled over the degrees from its lowest to
+    its highest with chains, reduced on its own, and counts as zero at
+    the degrees outside; the groups are summed. Every degree is
+    enumerated once for all gradings, up to one above n_max so the
+    incoming boundary at n_max is part of the computation. Rows come
+    grading by grading in the order given, degrees ascending.
 
     `posets.magnitude_homology_rows` sends only gradings l >= m_X here;
     `verify` compares the frame decomposition against this full complex.
@@ -612,15 +617,17 @@ def block_homology_rows(space, gradings, n_max, cap=None):
     if not gradings:
         # nothing is enumerated, so an empty request never meets the cap
         return []
-    by_degree = [_chains.enumerate_proper_chains(space, n, cap) for n in range(top + 1)]
+    by_degree = [_chains.chain_table(space, n, cap).buckets for n in range(top + 1)]
+    view = space.integer_view
     rows = []
     for l in gradings:
+        # a length that is no scaled int (None) is in no bucket
         blocks = [
-            complex_from_bases(space, bases, 0, top)
-            for bases in _endpoint_blocks(by_degree, l).values()
+            complex_from_bases(space, bases, min(bases), max(bases))
+            for bases in _endpoint_blocks(by_degree, view.scaled(l)).values()
         ]
         for n in range(n_max + 1):
-            group = HomologyGroup.direct_sum(cx.homology(n) for cx in blocks)
+            group = HomologyGroup.direct_sum(cx.homology_or_trivial(n) for cx in blocks)
             rows.append(HomologyRow(l, n, group))
     return rows
 

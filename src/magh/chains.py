@@ -1,10 +1,18 @@
-"""Proper chains, smoothness, enumeration, and the boundary map.
+"""Proper chains, smoothness, enumeration, length spectra and the boundary map.
 
 A proper n-chain is a tuple (x_0, ..., x_n) of point indices with
 consecutive entries distinct. Its length is the sum of consecutive
 distances. The boundary removes one interior point at a time, and only
 when that point is strictly smooth: removing it does not change the
 length of the chain.
+
+Inside the package a chain is a bare tuple of points and its length the
+scaled int of the space's `IntegerView`. `chain_table` holds every proper
+n-chain of a space grouped by that int, and `smooth_faces` is the
+boundary on tuples. `ProperChain`, with its `Fraction` length, appears
+only at the public API: `enumerate_proper_chains`, `boundary` and
+`boundary_of_sum` wrap the tuple kernel. `length_spectra` counts chains
+per length without building any.
 """
 
 from __future__ import annotations
@@ -67,14 +75,15 @@ class ProperChain:
         return cls(pts, chain_length(space, pts))
 
 
+def chain_total(space, points):
+    """The length of a tuple of points as a scaled int of the IntegerView."""
+    idist = space.integer_view.idist
+    return sum(idist[a][b] for a, b in zip(points, points[1:]))
+
+
 def chain_length(space, points):
     """Sum of consecutive distances along the tuple; 0 for a single point."""
-    view = space.integer_view
-    idist = view.idist
-    total = 0
-    for a, b in zip(points, points[1:]):
-        total += idist[a][b]
-    return view.fraction(total)
+    return space.integer_view.fraction(chain_total(space, points))
 
 
 def is_strictly_smooth(space, a, c, b):
@@ -86,68 +95,180 @@ def is_strictly_smooth(space, a, c, b):
     return space.integer_view.between[a][b] >> c & 1 == 1
 
 
-@lru_cache(maxsize=256)
-def _buckets(space, n, cap):
-    """All proper n-chains of a space, bucketed by exact length.
+@dataclass(frozen=True)
+class ChainTable:
+    """Every proper n-chain of a space, as point tuples.
 
-    DFS in ascending point order, so each bucket comes out in lexicographic
-    order without an extra sort. Lengths are summed as scaled ints; each
-    bucket gets one Fraction key, shared by its chains. Cached by value:
-    spaces are immutable and hash by their distance matrices.
+    `chains` lists them in lexicographic order and `totals` gives each
+    one's length as a scaled int. `buckets` maps each length that occurs,
+    ascending, to its chains in lexicographic order. Shared through the
+    cache of `chain_table`, so callers must not mutate it.
+    """
+
+    chains: tuple
+    totals: tuple
+    buckets: dict
+
+
+@lru_cache(maxsize=256)
+def _chain_table(space, n):
+    """The ChainTable of degree n, cached by value per (space, degree).
+
+    Degree n extends each chain of degree n - 1, in their lexicographic
+    order, by every next point in ascending order, so both the chains and
+    each bucket come out lexicographic without a sort, and no degree is
+    walked again from its first point. Spaces are immutable and hash by
+    their distance matrices.
     """
     size = space.n
-    count = size * (size - 1) ** n if n >= 0 else 0
-    if count > cap:
-        raise EnumerationCapExceeded(count, cap)
-    view = space.integer_view
-    idist = view.idist
+    if n == 0:
+        chains = tuple((p,) for p in range(size))
+        totals = (0,) * size
+    else:
+        below = _chain_table(space, n - 1)
+        idist = space.integer_view.idist
+        steps = [
+            [(nxt, row[nxt]) for nxt in range(size) if nxt != last]
+            for last, row in enumerate(idist)
+        ]
+        chains = []
+        totals = []
+        add_chain = chains.append
+        add_total = totals.append
+        for pts, total in zip(below.chains, below.totals):
+            for nxt, d in steps[pts[-1]]:
+                add_chain(pts + (nxt,))
+                add_total(total + d)
+        chains = tuple(chains)
+        totals = tuple(totals)
     buckets = {}
+    for pts, total in zip(chains, totals):
+        bucket = buckets.get(total)
+        if bucket is None:
+            buckets[total] = [pts]
+        else:
+            bucket.append(pts)
+    return ChainTable(chains, totals, {t: tuple(buckets[t]) for t in sorted(buckets)})
 
-    def extend(prefix, length, remaining):
-        if remaining == 0:
-            buckets.setdefault(length, []).append(tuple(prefix))
-            return
-        last = prefix[-1]
-        row = idist[last]
-        for nxt in range(size):
-            if nxt != last:
-                prefix.append(nxt)
-                extend(prefix, length + row[nxt], remaining - 1)
-                prefix.pop()
 
-    for start in range(size):
-        extend([start], 0, n)
-    out = {}
-    for total in sorted(buckets):
-        l = view.fraction(total)
-        out[l] = tuple(ProperChain(pts, l) for pts in buckets[total])
-    return out
+def chain_table(space, n, cap=None):
+    """All proper n-chains of a space as a ChainTable of point tuples.
+
+    Raises EnumerationCapExceeded before doing any work if N*(N-1)^n, the
+    number of chains, exceeds the cap (default 5e6, override via argument
+    or the MAGH_CAP variable).
+    """
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
+    size = space.n
+    count = size * (size - 1) ** n
+    limit = resolve_cap(cap)
+    if count > limit:
+        raise EnumerationCapExceeded(count, limit)
+    return _chain_table(space, n)
 
 
 def enumerate_proper_chains(space, n, cap=None):
     """Map from exact length to the list of proper n-chains of that length.
 
-    Keys ascend; each list is in lexicographic order. Raises
-    EnumerationCapExceeded before doing any work if N*(N-1)^n exceeds the
-    cap (default 5e6, override via argument or the MAGH_CAP variable).
+    Keys ascend; each list is in lexicographic order. The cap is that of
+    `chain_table`. Builds a new ProperChain per chain on every call; the
+    package itself reads `chain_table`.
     """
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    cached = _buckets(space, n, resolve_cap(cap))
-    return {l: list(chains) for l, chains in cached.items()}
+    view = space.integer_view
+    out = {}
+    for total, bucket in chain_table(space, n, cap).buckets.items():
+        l = view.fraction(total)
+        out[l] = [ProperChain(pts, l) for pts in bucket]
+    return out
 
 
 @dataclass(frozen=True)
 class LengthSpectrum:
-    """The set of lengths realized by proper chains of one degree."""
+    """The lengths realized by proper chains of one degree, ascending.
+
+    `counts[i]` is the number of chains of length `lengths[i]`.
+    """
 
     degree: int
     lengths: tuple
+    counts: tuple
+
+
+def length_spectra(space, n_max, cap=None):
+    """The LengthSpectrum of every degree 0..n_max (none if n_max < 0).
+
+    A dynamic-programming count over (last point, int length) that builds
+    no chain: the number of n-chains ending at x with length t, extended
+    by every next point. Each (state, next point) transition is one step
+    against the cap (`resolve_cap`); before each degree is counted,
+    EnumerationCapExceeded is raised if the steps so far would pass it.
+    """
+    limit = resolve_cap(cap)
+    view = space.integer_view
+    size = space.n
+    # states[x] maps the length t to the number of chains ending at x
+    states = [{0: 1} for _ in range(size)]
+    steps = 0
+    out = []
+    for n in range(n_max + 1):
+        if n:
+            steps += sum(len(s) for s in states) * (size - 1)
+            if steps > limit:
+                raise EnumerationCapExceeded(steps, limit)
+            grown = [{} for _ in range(size)]
+            for last, (row, by_total) in enumerate(zip(view.idist, states)):
+                for nxt in range(size):
+                    if nxt == last:
+                        continue
+                    target = grown[nxt]
+                    d = row[nxt]
+                    for total, count in by_total.items():
+                        key = total + d
+                        target[key] = target.get(key, 0) + count
+            states = grown
+        counts = {}
+        for by_total in states:
+            for total, count in by_total.items():
+                counts[total] = counts.get(total, 0) + count
+        keys = sorted(counts)
+        out.append(
+            LengthSpectrum(
+                degree=n,
+                lengths=tuple(view.fraction(t) for t in keys),
+                counts=tuple(counts[t] for t in keys),
+            )
+        )
+    return out
 
 
 def length_spectrum(space, n, cap=None):
-    buckets = enumerate_proper_chains(space, n, cap)
-    return LengthSpectrum(degree=n, lengths=tuple(sorted(buckets)))
+    """The LengthSpectrum of degree n; the cap counts as in `length_spectra`."""
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
+    return length_spectra(space, n, cap)[n]
+
+
+def smooth_faces(between, pts):
+    """The boundary of a proper chain of points, as [(face, sign)].
+
+    `between` is the space's betweenness table. Interior point x_i is
+    removed with sign (-1)^i, and only when it is strictly smooth in
+    (x_{i-1}, x_i, x_{i+1}). Faces of one proper chain are distinct
+    proper chains of the same length, in order of the removed index.
+    """
+    faces = []
+    if len(pts) < 3:
+        return faces
+    i = 1
+    a, c = pts[0], pts[1]
+    for b in pts[2:]:
+        # (a, c, b) = (x_{i-1}, x_i, x_{i+1})
+        if between[a][b] >> c & 1:
+            faces.append((pts[:i] + pts[i + 1 :], -1 if i % 2 else 1))
+        a, c = c, b
+        i += 1
+    return faces
 
 
 def boundary(space, chain):
@@ -158,23 +279,14 @@ def boundary(space, chain):
     so degree <= 1 chains have zero boundary. Every emitted term is again
     proper and has the same length.
     """
-    between = space.integer_view.between
-    pts = chain.points
-    terms = {}
-    for i in range(1, len(pts) - 1):
-        # a smooth point never sits between a point and itself (checked when
-        # the table is built), so the face is again proper
-        if not between[pts[i - 1]][pts[i + 1]] >> pts[i] & 1:
-            continue
-        face = pts[:i] + pts[i + 1 :]
-        sign = -1 if i % 2 else 1
-        term = ProperChain(face, chain.length)
-        new = terms.get(term, 0) + sign
-        if new:
-            terms[term] = new
-        else:
-            del terms[term]
-    return terms
+    # removing x_i and x_j, i < j, gives one tuple only if x_i = ... = x_j,
+    # which no proper chain has, so no two faces merge; and a smooth point
+    # never sits between a point and itself (checked when the betweenness
+    # table is built), so faces are proper
+    return {
+        ProperChain(face, chain.length): sign
+        for face, sign in smooth_faces(space.integer_view.between, chain.points)
+    }
 
 
 def boundary_of_sum(space, combo):

@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from .algebra import HomologyTable
-from .chains import enumerate_proper_chains, resolve_cap
+from .chains import length_spectra, resolve_cap
 from .errors import MaghError
 from .frames import m_x
 from .metric import (
@@ -71,8 +71,8 @@ def _cmd_gen(args):
 def _gradings(space, args):
     if args.l.strip() == "spectrum":
         values = set()
-        for n in range(args.n_max + 1):
-            values.update(enumerate_proper_chains(space, n, args.cap))
+        for spectrum in length_spectra(space, args.n_max, args.cap):
+            values.update(spectrum.lengths)
         out = sorted(values)
     else:
         out = sorted({parse_rational(part) for part in args.l.split(",") if part.strip()})
@@ -119,10 +119,9 @@ def _cmd_certify(args):
 def _cmd_spectrum(args):
     space = _load_space(args)
     lines = ["n,l,count"]
-    for n in range(args.n_max + 1):
-        buckets = enumerate_proper_chains(space, n, args.cap)
-        for l in sorted(buckets):
-            lines.append(f"{n},{format_rational(l)},{len(buckets[l])}")
+    for spectrum in length_spectra(space, args.n_max, args.cap):
+        for l, count in zip(spectrum.lengths, spectrum.counts):
+            lines.append(f"{spectrum.degree},{format_rational(l)},{count}")
     _write_text(args.outfile, "\n".join(lines) + "\n")
     return 0
 
@@ -186,7 +185,13 @@ def build_parser():
     p.add_argument("--l-max", default=None, help="drop gradings above this value")
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
+    p.add_argument(
+        "--cap",
+        type=int,
+        default=None,
+        help="cap on enumeration steps: length-count steps for the spectrum, "
+        "tuples for the frame search, chains per degree for l >= m_X",
+    )
     _add_io(p)
     p.set_defaults(func=_cmd_compute)
 
@@ -199,9 +204,13 @@ def build_parser():
     _add_io(p)
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("spectrum", help="realized chain lengths per degree, CSV")
+    p = sub.add_parser(
+        "spectrum", help="number of chains per degree and length, CSV, counted without enumerating"
+    )
     p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument(
+        "--cap", type=int, default=None, help="cap on the (state, next point) steps of the count"
+    )
     _add_io(p)
     p.set_defaults(func=_cmd_spectrum)
 

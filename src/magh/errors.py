@@ -64,9 +64,18 @@ class NegativeEntry(MaghError, ValueError):
 
 
 class EnumerationCapExceeded(MaghError, RuntimeError):
+    """Work past the enumeration cap.
+
+    `count` is in the steps of whichever search refused: the chains of a
+    whole degree for the chain table, checked before any is built; the
+    tuples visited so far for the frame search; the (state, next point)
+    transitions through the degree that passes the cap for the length
+    spectrum count.
+    """
+
     def __init__(self, count, cap):
         super().__init__(
-            f"enumeration would visit {count} chains, cap is {cap} "
+            f"enumeration reaches {count} steps, past the cap of {cap} "
             f"(raise the cap explicitly to proceed)"
         )
         self.count = count

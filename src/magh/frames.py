@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import complex_from_bases
-from .chains import ProperChain, chain_length, enumerate_proper_chains
+from .chains import ProperChain, chain_length, chain_table, chain_total
 from .errors import ImproperFrame
 from .metric import format_rational
 
@@ -62,8 +62,7 @@ def is_frame(space, points):
         return False
     if any(a == b for a, b in zip(pts, pts[1:])):
         return False
-    ch = ProperChain(pts, chain_length(space, pts))
-    return frame(space, ch) == pts
+    return frame(space, pts) == pts
 
 
 def is_realized_frame(space, points):
@@ -99,6 +98,21 @@ def is_realized_frame(space, points):
     return True
 
 
+def _simple_tuples_by_frame(space, l, n_top, cap):
+    """`simple_chains_by_frame` with chains as point tuples."""
+    total = space.integer_view.scaled(l)
+    partition = {}
+    for n in range(1, n_top + 1):
+        for pts in chain_table(space, n, cap).buckets.get(total, ()):
+            f = frame(space, pts)
+            if chain_total(space, f) != total:
+                continue
+            if any(a == b for a, b in zip(f, f[1:])):
+                raise ImproperFrame(pts, f)
+            partition.setdefault(f, {}).setdefault(n, []).append(pts)
+    return {f: partition[f] for f in sorted(partition)}
+
+
 def simple_chains_by_frame(space, l, n_top, cap=None):
     """Geodesically simple chains of length l, keyed by frame then degree.
 
@@ -107,16 +121,10 @@ def simple_chains_by_frame(space, l, n_top, cap=None):
     within each degree.
     """
     l = Fraction(l)
-    partition = {}
-    for n in range(1, n_top + 1):
-        for ch in enumerate_proper_chains(space, n, cap).get(l, []):
-            f = frame(space, ch)
-            if chain_length(space, f) != ch.length:
-                continue
-            if any(a == b for a, b in zip(f, f[1:])):
-                raise ImproperFrame(ch.points, f)
-            partition.setdefault(f, {}).setdefault(n, []).append(ch)
-    return {f: partition[f] for f in sorted(partition)}
+    return {
+        f: {n: [ProperChain(pts, l) for pts in basis] for n, basis in by_degree.items()}
+        for f, by_degree in _simple_tuples_by_frame(space, l, n_top, cap).items()
+    }
 
 
 def frame_subcomplex(space, f, n_top, cap=None):
@@ -127,21 +135,19 @@ def frame_subcomplex(space, f, n_top, cap=None):
     structure theory about where inserted points may sit.
     """
     f = tuple(f)
-    l = chain_length(space, f)
     lo = len(f) - 1
     if lo < 1:
         raise ValueError(f"a frame needs at least two points, got {f}")
     if n_top < lo:
         raise ValueError(f"n_top {n_top} below frame degree {lo}")
+    total = chain_total(space, f)
+    a, b = f[0], f[-1]
     bases = {}
     for n in range(lo, n_top + 1):
         bases[n] = [
-            ch
-            for ch in enumerate_proper_chains(space, n, cap).get(l, [])
-            if ch.points[0] == f[0]
-            and ch.points[-1] == f[-1]
-            and frame(space, ch) == f
-            and l == ch.length
+            pts
+            for pts in chain_table(space, n, cap).buckets.get(total, ())
+            if pts[0] == a and pts[-1] == b and frame(space, pts) == f
         ]
     return complex_from_bases(space, bases, lo, n_top)
 
@@ -157,7 +163,7 @@ def simp_decomposition(space, l, n_top, cap=None):
     if l <= 0:
         return {}
     out = {}
-    for f, by_degree in simple_chains_by_frame(space, l, n_top, cap).items():
+    for f, by_degree in _simple_tuples_by_frame(space, l, n_top, cap).items():
         lo = len(f) - 1
         out[f] = complex_from_bases(space, by_degree, lo, n_top)
     return out

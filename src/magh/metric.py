@@ -137,6 +137,15 @@ class IntegerView:
         """The Fraction a scaled integer length stands for."""
         return Fraction(total, self.scale)
 
+    def scaled(self, length):
+        """The scaled integer a length stands for, or None if it is not one.
+
+        A length that is not a multiple of 1/scale is the length of no
+        chain.
+        """
+        total = Fraction(length) * self.scale
+        return total.numerator if total.denominator == 1 else None
+
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:

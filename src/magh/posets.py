@@ -232,9 +232,9 @@ def _frame_groups(space, gradings, n_max, cap):
     between = view.between
     wanted = {}
     for l in gradings:
-        scaled = l * view.scale
-        if scaled.denominator == 1:
-            wanted[scaled.numerator] = l
+        total = view.scaled(l)
+        if total is not None:
+            wanted[total] = l
     if not wanted:
         return {}
     top = max(wanted)

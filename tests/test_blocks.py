@@ -14,20 +14,29 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import magh.algebra
 import magh.chains
 import magh.posets
 
 from magh.algebra import (
     HomologyGroup,
+    HomologyRow,
     _endpoint_blocks,
     block_homology_rows,
     complex_from_bases,
     magnitude_complex,
+    snf,
 )
 from magh.chains import enumerate_proper_chains, length_spectrum
 from magh.errors import EnumerationCapExceeded
 from magh.frames import m_x
-from magh.metric import cycle_space, metric_closure, path_space, validate_metric
+from magh.metric import (
+    cycle_space,
+    metric_closure,
+    path_space,
+    random_metric,
+    validate_metric,
+)
 from magh.posets import magnitude_homology, magnitude_homology_rows
 from magh.verify import full_suite, random_suite
 
@@ -92,6 +101,40 @@ def test_cycle4_blocks_sum_to_grading():
     assert list(blocks) == sorted(expected)
     whole = {r.n: r.group for r in block_homology_rows(space, [2], 2)}[2]
     assert whole == HomologyGroup.direct_sum(groups.values()) == HomologyGroup(12)
+
+
+def test_blocks_reduce_only_degrees_with_chains():
+    # a block is assembled from its lowest to its highest degree with
+    # chains; assembled over every degree 0..n_max + 1 instead, it gives
+    # the same groups from more reductions, mostly of matrices with no
+    # rows or no columns
+    space = random_metric(5, seed=3)
+    lengths = realized_lengths(space, 3)
+    shapes = []
+
+    def counting_snf(matrix):
+        shapes.append((matrix.rows, matrix.cols))
+        return snf(matrix)
+
+    with mock.patch.object(magh.algebra, "snf", counting_snf):
+        rows = block_homology_rows(space, lengths, 3)
+        engine = shapes[:]
+        shapes.clear()
+        by_degree = [enumerate_proper_chains(space, n) for n in range(5)]
+        every_degree = []
+        for l in lengths:
+            blocks = [
+                complex_from_bases(space, bases, 0, 4)
+                for bases in _endpoint_blocks(by_degree, l).values()
+            ]
+            every_degree += [
+                HomologyRow(l, n, HomologyGroup.direct_sum(cx.homology(n) for cx in blocks))
+                for n in range(4)
+            ]
+    assert rows == every_degree
+    assert len(engine) < len(shapes)
+    # the reductions dropped are exactly those of matrices with a zero side
+    assert sorted(s for s in engine if all(s)) == sorted(s for s in shapes if all(s))
 
 
 def test_many_gradings_equal_one_at_a_time():

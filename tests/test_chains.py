@@ -9,6 +9,7 @@ from magh.chains import (
     chain_length,
     enumerate_proper_chains,
     is_strictly_smooth,
+    length_spectra,
     length_spectrum,
 )
 from magh.errors import EnumerationCapExceeded
@@ -117,6 +118,27 @@ def test_length_spectrum():
     assert spec.lengths == (F(1), F(2))
     assert length_spectrum(cycle_space(4), 1).lengths == (F(1), F(2))
     assert length_spectrum(path_space(1), 1).lengths == ()
+
+
+@pytest.mark.parametrize(
+    "space",
+    [path_space(5), cycle_space(6), complete_space(4), random_metric(5, seed=4)],
+    ids=lambda s: s.name,
+)
+def test_length_spectra_cap_counts_transitions(space):
+    # one step per (last point, length) state of a degree and next point
+    n = 4
+    states = [
+        {(pts[-1], chain_length(space, pts)) for pts in naive_chains(space, j)}
+        for j in range(n)
+    ]
+    steps = sum(len(s) for s in states) * (space.n - 1)
+    spectra = length_spectra(space, n, cap=steps)
+    assert [sum(s.counts) for s in spectra] == [len(naive_chains(space, j)) for j in range(n + 1)]
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        length_spectra(space, n, cap=steps - 1)
+    assert (exc.value.count, exc.value.cap) == (steps, steps - 1)
+    assert length_spectra(space, -1) == []
 
 
 def test_boundary_path3():

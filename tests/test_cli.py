@@ -1,15 +1,25 @@
 import importlib.metadata
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import magh.chains
 from magh.cli import main
-from magh.metric import FiniteMetricSpace, cycle_space, random_metric
+from magh.metric import (
+    FiniteMetricSpace,
+    cycle_space,
+    metric_closure,
+    random_metric,
+    validate_metric,
+)
 
 
 def run_cli(capsys, monkeypatch, argv, stdin=""):
@@ -145,6 +155,74 @@ def test_spectrum(capsys, monkeypatch):
     assert "0,0,3" in lines
     assert "1,1,4" in lines and "1,2,2" in lines
     assert "2,2,6" in lines and "2,4,2" in lines
+
+
+def test_spectrum_cap_bounds_the_count(capsys, monkeypatch):
+    # on the 4-cycle the chains of degree n ending at one point take n + 1
+    # lengths, so the count to degree 4 takes 3 * 4 * (1 + 2 + 3 + 4) steps,
+    # where enumerating degree 4 would take 4 * 3**4 = 324 chains
+    _, space_json, _ = run_cli(capsys, monkeypatch, ["gen", "cycle", "4"])
+    argv = ["spectrum", "--n-max", "4", "--cap"]
+    code, out, _ = run_cli(capsys, monkeypatch, argv + ["120"], stdin=space_json)
+    assert code == 0
+    assert out.splitlines()[-1] == "4,8,4"
+    code, out, err = run_cli(capsys, monkeypatch, argv + ["119"], stdin=space_json)
+    assert code == 2 and out == ""
+    assert "reaches 120 steps, past the cap of 119" in err
+
+
+def test_spectrum_byte_identical_across_hash_seeds(tmp_path):
+    d = [[Fraction(0)] * 6 for _ in range(6)]
+    for i in range(6):
+        for j in range(i + 1, 6):
+            d[i][j] = d[j][i] = Fraction(1 + (i * 5 + j * 3) % 7, 2)
+    space_file = tmp_path / "space.json"
+    space_file.write_text(validate_metric(metric_closure(d)).to_json())
+    argv = [sys.executable, "-m", "magh", "spectrum", "--in", str(space_file)]
+    argv += ["--n-max", "5"]
+    outputs = set()
+    for hash_seed in ("0", "1", "random"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        outputs.add(subprocess.run(argv, capture_output=True, check=True, env=env).stdout)
+    assert len(outputs) == 1
+    assert outputs.pop().startswith(b"n,l,count\n0,0,6\n1,1/2,")
+
+
+def test_compute_spectrum_gradings_enumerate_no_chains(capsys, monkeypatch):
+    # degree 6 has 10 * 9**6 = 5,314,410 chains, past the default cap; the
+    # gradings come from the length count instead, and m_X is infinite on
+    # a path, so every grading takes the frame route
+    _, space_json, _ = run_cli(capsys, monkeypatch, ["gen", "path", "10"])
+    argv = ["compute", "--n-max", "6", "--format", "json"]
+    code, out, err = run_cli(capsys, monkeypatch, argv, stdin=space_json)
+    assert code == 0 and err == ""
+    code, explicit, _ = run_cli(
+        capsys, monkeypatch, argv + ["--l", "1,2,3,4,5,6"], stdin=space_json
+    )
+    assert code == 0
+    wanted = [str(l) for l in range(1, 7)]
+    rows = [r for r in json.loads(out) if r["l"] in wanted]
+    assert rows == json.loads(explicit)
+    nonzero = [(r["l"], r["n"], r["betti"], r["torsion"]) for r in rows if r["betti"]]
+    assert nonzero == [(str(l), l, 18, []) for l in range(1, 7)]
+
+
+def test_internal_callers_skip_the_proper_chain_wrappers(capsys, monkeypatch):
+    # the 5-cycle has m_X = 3, so compute takes gradings 3..6 through
+    # the block engine, and verify runs all four checks
+    space_json = cycle_space(5).to_json()
+    commands = [
+        ["spectrum", "--n-max", "4"],
+        ["verify", "--n-max", "3", "--in", "-"],
+        ["compute", "--n-max", "3", "--format", "json"],
+    ]
+    expected = [run_cli(capsys, monkeypatch, argv, stdin=space_json) for argv in commands]
+    for name in ("enumerate_proper_chains", "boundary", "boundary_of_sum"):
+        monkeypatch.setattr(magh.chains, name, mock.Mock(side_effect=AssertionError(name)))
+    got = [run_cli(capsys, monkeypatch, argv, stdin=space_json) for argv in commands]
+    assert got == expected
+    assert [code for code, _, _ in got] == [0, 0, 0]
+    assert len(expected[1][1].splitlines()) == 4
 
 
 def test_verify_single_space(capsys, monkeypatch):

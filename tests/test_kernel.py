@@ -19,10 +19,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import magh
-from magh.chains import chain_length, enumerate_proper_chains, is_strictly_smooth
+from magh.chains import (
+    chain_length,
+    chain_table,
+    enumerate_proper_chains,
+    is_strictly_smooth,
+    length_spectra,
+)
 from magh.errors import TriangleViolation
 from magh.frames import four_cuts, m_x
 from magh.metric import metric_closure, validate_metric
+from magh.verify import check_d_squared
 
 from oracles import naive_chains, naive_four_cuts, naive_m_x, naive_triangle_witness
 
@@ -111,6 +118,45 @@ def test_buckets_and_lengths_match_fraction_sums(space):
         assert sorted(seen) == naive_chains(space, n)
 
 
+def fraction_buckets(space, chains):
+    """Chains grouped by their Fraction length, ascending, order kept."""
+    buckets = {}
+    for pts in chains:
+        total = sum((space.d(a, b) for a, b in zip(pts, pts[1:])), Fraction(0))
+        buckets.setdefault(total, []).append(pts)
+    return {l: buckets[l] for l in sorted(buckets)}
+
+
+@kernel_settings
+@given(metrics)
+def test_chain_table_matches_naive_chains(space):
+    # naive_chains lists tuples lexicographically, so grouping it keeps
+    # the order each bucket of the table must have
+    view = space.integer_view
+    for n in range(4):
+        table = chain_table(space, n)
+        assert list(table.chains) == naive_chains(space, n)
+        assert list(table.buckets) == sorted(table.buckets)
+        got = {view.fraction(t): list(bucket) for t, bucket in table.buckets.items()}
+        assert got == fraction_buckets(space, naive_chains(space, n)), space.dist
+
+
+@kernel_settings
+@given(metrics)
+def test_length_spectra_count_the_chain_table(space):
+    spectra = length_spectra(space, 4)
+    assert [s.degree for s in spectra] == [0, 1, 2, 3, 4]
+    view = space.integer_view
+    for n, spectrum in enumerate(spectra):
+        buckets = chain_table(space, n).buckets
+        assert spectrum.lengths == tuple(view.fraction(t) for t in buckets)
+        assert spectrum.counts == tuple(len(b) for b in buckets.values())
+    # every chain passes, so every chain of degree 2..n_max is checked
+    report = check_d_squared(space, 4)
+    assert report.passed
+    assert report.params["checked"] == sum(sum(s.counts) for s in spectra[2:])
+
+
 @kernel_settings
 @given(metrics)
 def test_m_x_matches_brute_force(space):
@@ -173,7 +219,7 @@ def test_guards_survive_optimize():
         "        raise SystemExit(f'wrong witness: {exc}')\n"
         "else:\n"
         "    raise SystemExit('a zero distance was accepted')\n"
-        "frames.frame = lambda space, ch: ch.points[:1] + ch.points\n"
+        "frames.frame = lambda space, pts: tuple(pts)[:1] + tuple(pts)\n"
         "try:\n"
         "    frames.simple_chains_by_frame(path_space(3), 1, 1)\n"
         "except ImproperFrame as exc:\n"

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from magh.chains import _buckets, enumerate_proper_chains
+from magh.chains import _chain_table, enumerate_proper_chains
 from magh.errors import (
     AsymmetricAt,
     MetricError,
@@ -219,7 +219,7 @@ def test_spaces_hash_by_value():
     assert a != validate_metric(matrix, labels=["x", "y", "z"])
     # so value-keyed caches give equal spaces one shared entry
     enumerate_proper_chains(a, 2, cap=10**6)
-    before = _buckets.cache_info()
+    before = _chain_table.cache_info()
     assert enumerate_proper_chains(b, 2, cap=10**6) == enumerate_proper_chains(a, 2, cap=10**6)
-    after = _buckets.cache_info()
+    after = _chain_table.cache_info()
     assert (after.hits - before.hits, after.currsize) == (2, before.currsize)
