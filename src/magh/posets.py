@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import frames as _frames
 from .algebra import (
@@ -137,18 +136,16 @@ def reduced_complex(complex_):
     sizes = [1] + [len(simplices.get(k, ())) for k in range(dim + 1)]
     boundaries = {}
     if dim >= 0:
-        aug = SparseIntMatrix(1, sizes[1])
-        for c in range(sizes[1]):
-            aug.add(0, c, 1)
-        boundaries[0] = aug
+        boundaries[0] = SparseIntMatrix(1, [{0: 1} for _ in range(sizes[1])])
     for k in range(1, dim + 1):
         below = {s: r for r, s in enumerate(simplices[k - 1])}
-        mat = SparseIntMatrix(sizes[k], sizes[k + 1])
-        for c, s in enumerate(simplices[k]):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1 :]
-                mat.add(below[face], c, -1 if i % 2 else 1)
-        boundaries[k] = mat
+        boundaries[k] = SparseIntMatrix(
+            sizes[k],
+            [
+                {below[s[:i] + s[i + 1 :]]: -1 if i % 2 else 1 for i in range(len(s))}
+                for s in simplices[k]
+            ],
+        )
     return ChainComplexZ(-1, sizes, boundaries)
 
 
@@ -175,12 +172,36 @@ def interval_complex(space, a, b):
     return reduced_complex(order_complex(interval_poset(space, a, b)))
 
 
-@lru_cache(maxsize=4096)
+_PAIR_TABLES = {}  # space -> its pair table, least recently used first
+
+
+def _pair_table(space):
+    """{(a, b): nonzero reduced homology of I(a, b)} for one space.
+
+    `_interval_homology` fills it as pairs are asked for. Equal spaces
+    share a table, and the 64 spaces used last keep theirs. The table is
+    stored again under the instance that asks for it, so only the first
+    call with a new instance compares spaces by value (distance by
+    distance); later calls with it hit by identity.
+    """
+    table = _PAIR_TABLES.pop(space, None)
+    if table is None:
+        table = {}
+        if len(_PAIR_TABLES) >= 64:
+            del _PAIR_TABLES[next(iter(_PAIR_TABLES))]
+    _PAIR_TABLES[space] = table
+    return table
+
+
 def _interval_homology(space, a, b):
     """`interval_homology` without the copy; callers must not mutate it."""
-    cx = interval_complex(space, a, b)
-    groups = {k: cx.homology(k) for k in cx.degrees()}
-    return {k: g for k, g in groups.items() if not g.is_trivial()}
+    table = _pair_table(space)
+    groups = table.get((a, b))
+    if groups is None:
+        cx = interval_complex(space, a, b)
+        groups = {k: cx.homology(k) for k in cx.degrees()}
+        groups = table[a, b] = {k: g for k, g in groups.items() if not g.is_trivial()}
+    return groups
 
 
 def interval_homology(space, a, b):
@@ -189,7 +210,8 @@ def interval_homology(space, a, b):
     Only nonzero groups are listed; an empty interval gives Z in degree
     -1. Cached by value, like chain enumeration: spaces are immutable and
     hash by their distances, so each pair's complex is built and reduced
-    once per space, and only its groups are kept.
+    once per space, and only its groups are kept, in one table per space
+    that the frame DFS shares.
     """
     return dict(_interval_homology(space, a, b))
 
@@ -240,7 +262,6 @@ def _frame_groups(space, gradings, n_max, cap):
     top = max(wanted)
     limit = resolve_cap(cap)
     size = space.n
-    pairs = {}  # the run's own table, so no pair is reduced twice in it
     parts = {}
     visited = 0
 
@@ -256,9 +277,7 @@ def _frame_groups(space, gradings, n_max, cap):
                 continue
             if prev is not None and between[prev][nxt] >> last & 1:
                 continue
-            h = pairs.get((last, nxt))
-            if h is None:
-                h = pairs[last, nxt] = _interval_homology(space, last, nxt)
+            h = _interval_homology(space, last, nxt)
             if not h:
                 continue
             visited += 1

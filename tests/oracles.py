@@ -256,7 +256,7 @@ def tensor(a, b):
 
     boundaries = {}
     for k in range(lo + 1, hi + 1):
-        mat = SparseIntMatrix(sizes[k - 1 - lo], sizes[k - lo])
+        columns = [{} for _ in range(sizes[k - lo])]
         src_off = offsets[k]
         dst_off = offsets[k - 1]
         for i, j in blocks(k):
@@ -269,19 +269,19 @@ def tensor(a, b):
             db = b.boundaries.get(j)
             for p in range(na):
                 for qcol in range(nb):
-                    col = base + p * nb + qcol
+                    column = columns[base + p * nb + qcol]
                     if da is not None:
                         dbase = dst_off.get((i - 1, j))
                         if dbase is not None:
-                            for r, v in da.column_entries(p):
-                                mat.add(dbase + r * nb + qcol, col, v)
+                            for r, v in da.columns[p].items():
+                                column[dbase + r * nb + qcol] = v
                     if db is not None:
                         dbase = dst_off.get((i, j - 1))
                         if dbase is not None:
                             nb1 = b.size(j - 1)
-                            for s, v in db.column_entries(qcol):
-                                mat.add(dbase + p * nb1 + s, col, sign * v)
-        boundaries[k] = mat
+                            for s, v in db.columns[qcol].items():
+                                column[dbase + p * nb1 + s] = sign * v
+        boundaries[k] = SparseIntMatrix(sizes[k - 1 - lo], columns)
     return ChainComplexZ(lo, sizes, boundaries)
 
 

@@ -43,36 +43,20 @@ def dense_random(rng, rows, cols, lo=-9, hi=9):
 
 
 def test_sparse_basics():
-    m = SparseIntMatrix(2, 3)
-    m.add(0, 1, 5)
-    m.add(0, 1, -5)
-    assert m.is_zero()
-    m.add(1, 2, 7)
-    assert m[1, 2] == 7
-    assert m[0, 0] == 0
-    assert m.nnz == 1
+    m = SparseIntMatrix(2, [{}, {1: 5}, {0: 7, 1: -1}])
+    assert (m.rows, m.cols, m.nnz) == (2, 3, 3)
+    assert SparseIntMatrix(0, []).nnz == 0
+    assert SparseIntMatrix.from_dense([[0, 5], [7, 0], [0, -1]]) == SparseIntMatrix(
+        3, [{1: 7}, {0: 5, 2: -1}]
+    )
     with pytest.raises(IndexError):
-        m.add(2, 0, 1)
+        SparseIntMatrix(2, [{2: 1}])
+    with pytest.raises(IndexError):
+        SparseIntMatrix(2, [{}, {-1: 1}])
     with pytest.raises(TypeError):
-        m.add(0, 0, F(1, 2))
-
-
-def test_sparse_matmul_matches_dense():
-    rng = random.Random(4)
-    for _ in range(20):
-        a = dense_random(rng, rng.randint(1, 4), rng.randint(1, 4))
-        b = dense_random(rng, len(a[0]), rng.randint(1, 4))
-        prod = SparseIntMatrix.from_dense(a).matmul(SparseIntMatrix.from_dense(b))
-        expected = [
-            [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))
-        ]
-        assert prod.to_dense() == expected
-
-
-def test_sparse_transpose():
-    m = SparseIntMatrix.from_dense([[1, 2], [0, 3]])
-    assert m.transpose().to_dense() == [[1, 0], [2, 3]]
+        SparseIntMatrix(2, [{0: F(1, 2)}])
+    with pytest.raises(ValueError):
+        SparseIntMatrix(2, [{0: 1, 1: 0}])
 
 
 # --- Smith normal form --------------------------------------------------------
@@ -161,6 +145,10 @@ def unimodular(draw, size):
     return [[s * v for v in u[i]] for s, i in zip(signs, order)]
 
 
+def dense_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 @st.composite
 def smith_products(draw):
     """U * D * V with unimodular U, V and a diagonal D that ends in a
@@ -173,9 +161,8 @@ def smith_products(draw):
     if chain[-1] == 1:
         chain[-1] = 2
     d = [[chain[i] if i == j and i < len(chain) else 0 for j in range(n)] for i in range(m)]
-    u, v = (SparseIntMatrix.from_dense(draw(unimodular(k))) for k in (m, n))
-    product = u.matmul(SparseIntMatrix.from_dense(d)).matmul(v).to_dense()
-    return product, tuple(chain)
+    u, v = (draw(unimodular(k)) for k in (m, n))
+    return dense_product(dense_product(u, d), v), tuple(chain)
 
 
 @HYPOTHESIS
@@ -211,7 +198,7 @@ def test_snf_all_unit_entries(dense):
 @HYPOTHESIS
 @given(st.integers(0, 6), st.integers(0, 6))
 def test_snf_zero_and_empty_shapes(m, n):
-    assert snf(SparseIntMatrix(m, n)) == ()
+    assert snf(SparseIntMatrix(m, [{} for _ in range(n)])) == ()
     if m:
         assert snf([[0] * n for _ in range(m)]) == ()
     else:
@@ -305,7 +292,8 @@ def test_complex_negative_betti_is_named():
 def test_complex_validates_d_squared():
     b2 = SparseIntMatrix.from_dense([[1], [0]])
     b1 = SparseIntMatrix.from_dense([[1, 1]])
-    with pytest.raises(ValueError):
+    message = r"^boundary squared is nonzero at degree 2, column 0$"
+    with pytest.raises(ValueError, match=message):
         ChainComplexZ(0, [1, 2, 1], {1: b1, 2: b2})
 
 
@@ -341,7 +329,7 @@ def test_tensor_two_step_example():
     assert t.lo == -2 and t.hi == 0
     assert t.sizes == [1, 2, 1]
     for k in range(t.lo + 1, t.hi + 1):
-        assert t.boundary(k).is_zero()
+        assert t.boundary(k).nnz == 0
 
 
 def test_tensor_euler_multiplicative():
@@ -432,12 +420,10 @@ def torsion_complexes(draw):
                 row[i] -= c * row[j]
     boundaries = {}
     for k, rows in dense.items():
-        mat = SparseIntMatrix(sizes[k - 1], sizes[k])
-        for r, row in enumerate(rows):
-            for c, v in enumerate(row):
-                if v:
-                    mat.add(r, c, v)
-        boundaries[k] = mat
+        boundaries[k] = SparseIntMatrix(
+            sizes[k - 1],
+            [{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(sizes[k])],
+        )
     return ChainComplexZ(lo, [sizes[k] for k in range(lo, hi + 1)], boundaries)
 
 
@@ -514,10 +500,10 @@ def permuted_complex(cx, seed):
     boundaries = {}
     for k in range(cx.lo + 1, cx.hi + 1):
         old = cx.boundary(k)
-        mat = SparseIntMatrix(old.rows, old.cols)
-        for (r, c), v in old.entries.items():
-            mat.add(perms[k - 1][r], perms[k][c], v)
-        boundaries[k] = mat
+        columns = [None] * old.cols
+        for c, column in enumerate(old.columns):
+            columns[perms[k][c]] = {perms[k - 1][r]: v for r, v in column.items()}
+        boundaries[k] = SparseIntMatrix(old.rows, columns)
     return ChainComplexZ(cx.lo, list(cx.sizes), boundaries)
 
 

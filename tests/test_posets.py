@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import magh.posets
 from magh.algebra import TRIVIAL_GROUP as TRIVIAL, HomologyGroup, kunneth
 from magh.errors import SamePoint
 from magh.metric import (
@@ -19,6 +20,7 @@ from magh.posets import (
     interval_homology,
     interval_poset,
     magnitude_homology,
+    magnitude_homology_rows,
     mh2_certificate,
     order_complex,
     poset_component_count,
@@ -256,6 +258,34 @@ def test_interval_homology_is_cached_as_a_copy():
     assert interval_homology(cycle_space(6), 0, 3) == {0: HomologyGroup(1)}
     assert interval_homology(path_space(2), 0, 1) == {-1: HomologyGroup(1)}
     assert interval_homology(path_space(5), 0, 4) == {}
+
+
+def test_pair_homology_cache_outlives_a_run(monkeypatch):
+    # 70 * 69 = 4830 pairs, more than the old cache of 4096 entries held
+    space = complete_space(70)
+    first = magnitude_homology_rows(space, [1], 2)
+    assert [row.group for row in first] == [TRIVIAL, HomologyGroup(4830), TRIVIAL]
+    built = []
+    original = magh.posets.interval_complex
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(magh.posets, "interval_complex", counting)
+    assert magnitude_homology_rows(space, [1], 2) == first
+    assert built == []
+
+
+def test_pair_tables_keep_the_spaces_used_last():
+    def segment(d):
+        return validate_metric([[0, d], [d, 0]])
+
+    for d in range(1, 80):
+        assert interval_homology(segment(d), 0, 1) == {-1: HomologyGroup(1)}
+    assert len(magh.posets._PAIR_TABLES) == 64
+    assert segment(79) in magh.posets._PAIR_TABLES
+    assert segment(1) not in magh.posets._PAIR_TABLES
 
 
 # --- certificates -----------------------------------------------------------------
