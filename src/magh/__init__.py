@@ -22,7 +22,6 @@ from .algebra import (
     HomologyTable,
     SparseIntMatrix,
     complex_from_bases,
-    magnitude_complex,
     snf,
 )
 from .chains import (
@@ -102,7 +101,6 @@ __all__ = [
     "HomologyGroup",
     "ChainComplexZ",
     "complex_from_bases",
-    "magnitude_complex",
     "magnitude_homology",
     "HomologyRow",
     "HomologyTable",

@@ -488,28 +488,6 @@ def complex_from_bases(space, bases_by_degree, lo, hi):
     return ChainComplexZ(lo, sizes, boundaries)
 
 
-def magnitude_complex(space, l, n_top, cap=None):
-    """The chain complex of proper chains of one exact length.
-
-    Degrees 0..n_top; basis at degree n is the lexicographically ordered
-    list of proper n-chains of length l. Returns (complex, bases).
-    """
-    l = Fraction(l)
-    if l < 0:
-        raise ValueError(f"length must be >= 0, got {l}")
-    if n_top < 0:
-        raise ValueError(f"n_top must be >= 0, got {n_top}")
-    total = space.integer_view.scaled(l)
-    bases = {
-        n: [
-            _chains.ProperChain(pts, l)
-            for pts in _chains.chain_table(space, n, cap).buckets.get(total, ())
-        ]
-        for n in range(n_top + 1)
-    }
-    return complex_from_bases(space, bases, 0, n_top), bases
-
-
 @dataclass(frozen=True)
 class HomologyRow:
     """One (length, degree) entry of a magnitude homology table."""

@@ -20,21 +20,26 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .errors import EnumerationCapExceeded
+from .errors import CapNotAnInteger, EnumerationCapExceeded
 
 DEFAULT_CAP = 5_000_000
 CAP_ENV_VAR = "MAGH_CAP"
 
 
 def resolve_cap(cap=None):
-    """Effective enumeration cap: explicit argument, else env var, else default."""
+    """Effective enumeration cap: explicit argument, else env var, else default.
+
+    Raises CapNotAnInteger if the env var is set to something else.
+    """
     if cap is not None:
         return int(cap)
     env = os.environ.get(CAP_ENV_VAR)
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise CapNotAnInteger(CAP_ENV_VAR, env) from None
     return DEFAULT_CAP
 
 
@@ -101,8 +106,8 @@ class ChainTable:
 
     `chains` lists them in lexicographic order and `totals` gives each
     one's length as a scaled int. `buckets` maps each length that occurs,
-    ascending, to its chains in lexicographic order. Shared through the
-    cache of `chain_table`, so callers must not mutate it.
+    ascending, to its chains in lexicographic order. Kept in the space's
+    `IntegerView.chain_tables` and shared, so callers must not mutate it.
     """
 
     chains: tuple
@@ -110,16 +115,19 @@ class ChainTable:
     buckets: dict
 
 
-@lru_cache(maxsize=256)
 def _chain_table(space, n):
-    """The ChainTable of degree n, cached by value per (space, degree).
+    """The ChainTable of degree n, built once per space.
 
+    Read from and stored in the space's `IntegerView.chain_tables`.
     Degree n extends each chain of degree n - 1, in their lexicographic
     order, by every next point in ascending order, so both the chains and
     each bucket come out lexicographic without a sort, and no degree is
-    walked again from its first point. Spaces are immutable and hash by
-    their distance matrices.
+    walked again from its first point.
     """
+    tables = space.integer_view.chain_tables
+    table = tables.get(n)
+    if table is not None:
+        return table
     size = space.n
     if n == 0:
         chains = tuple((p,) for p in range(size))
@@ -148,7 +156,10 @@ def _chain_table(space, n):
             buckets[total] = [pts]
         else:
             bucket.append(pts)
-    return ChainTable(chains, totals, {t: tuple(buckets[t]) for t in sorted(buckets)})
+    table = tables[n] = ChainTable(
+        chains, totals, {t: tuple(buckets[t]) for t in sorted(buckets)}
+    )
+    return table
 
 
 def chain_table(space, n, cap=None):

@@ -142,6 +142,21 @@ def _cmd_verify(args):
     return 0
 
 
+def _int_at_least(low):
+    """An argparse type: an int no smaller than `low`."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _json_line(obj):
     return json.dumps(obj, sort_keys=True) + "\n"
 
@@ -171,7 +186,7 @@ def build_parser():
     p.add_argument("kind", choices=["cycle", "path", "complete", "random"])
     p.add_argument("n", type=int, help="number of points")
     p.add_argument("--seed", type=int, default=0, help="random kind only")
-    p.add_argument("--max-w", type=int, default=9, help="random kind only")
+    p.add_argument("--max-w", type=_int_at_least(1), default=9, help="random kind only")
     p.add_argument("--pretty", action="store_true", help="indent the JSON")
     _add_io(p, needs_input=False)
     p.set_defaults(func=_cmd_gen)
@@ -183,7 +198,7 @@ def build_parser():
         help="'spectrum' or comma-separated gradings like '1,3/2,2'",
     )
     p.add_argument("--l-max", default=None, help="drop gradings above this value")
-    p.add_argument("--n-max", type=int, default=3)
+    p.add_argument("--n-max", type=_int_at_least(0), default=3)
     p.add_argument("--format", choices=["table", "json", "csv"], default="table")
     p.add_argument(
         "--cap",
@@ -207,7 +222,7 @@ def build_parser():
     p = sub.add_parser(
         "spectrum", help="number of chains per degree and length, CSV, counted without enumerating"
     )
-    p.add_argument("--n-max", type=int, default=3)
+    p.add_argument("--n-max", type=_int_at_least(0), default=3)
     p.add_argument(
         "--cap", type=int, default=None, help="cap on the (state, next point) steps of the count"
     )
@@ -221,7 +236,7 @@ def build_parser():
         choices=sorted(CHECKS),
         help="run only this check (repeatable); default all",
     )
-    p.add_argument("--n-max", type=int, default=3)
+    p.add_argument("--n-max", type=_int_at_least(0), default=3)
     p.add_argument("--seed", type=int, default=1, help="seed for the random suite spaces")
     p.add_argument("--cap", type=int, default=None)
     _add_io(p)

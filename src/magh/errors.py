@@ -82,6 +82,15 @@ class EnumerationCapExceeded(MaghError, RuntimeError):
         self.cap = cap
 
 
+class CapNotAnInteger(MaghError, ValueError):
+    """An enumeration cap given as text that is not an integer."""
+
+    def __init__(self, source, text):
+        super().__init__(f"{source} must be an integer, got {text!r}")
+        self.source = source
+        self.text = text
+
+
 class DegreeOutOfRange(MaghError, IndexError):
     def __init__(self, degree, lo, hi):
         super().__init__(f"degree {degree} outside complex range [{lo}, {hi}]")

@@ -95,11 +95,19 @@ class IntegerView:
     idist[a][c] + idist[c][b], i.e. c lies strictly between a and b on a
     geodesic. This table is the one definition of betweenness in the
     package; smoothness, frames, four-cuts and interval posets all read it.
+
+    The view also owns what the engine derives from it once per space and
+    reuses: `chain_tables` maps a degree to its `chains.ChainTable`, and
+    `pair_homology` maps a pair (a, b) to the nonzero reduced homology of
+    its interval poset. Both fill as they are asked for and live exactly
+    as long as the space.
     """
 
     scale: int
     idist: tuple
     between: tuple
+    chain_tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    pair_homology: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def of(cls, dist):
@@ -152,21 +160,15 @@ class FiniteMetricSpace:
     """An immutable finite metric space.
 
     `dist` is a tuple of tuples of Fractions, already validated. Build
-    instances through `validate_metric` or the generators below.
-    `integer_view` is computed from `dist` on first use and kept, and so
-    is the hash, which value-keyed caches look up on every call.
+    instances through `validate_metric` or the generators below. Spaces
+    compare and hash by (labels, dist). `integer_view` is computed from
+    `dist` on first use and kept with the instance, together with the
+    chain tables and pair homology the engine derives from it.
     """
 
     labels: tuple
     dist: tuple
     name: str = field(default="", compare=False)
-
-    @cached_property
-    def _hash(self):
-        return hash((self.labels, self.dist))
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def n(self):

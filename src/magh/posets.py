@@ -172,30 +172,9 @@ def interval_complex(space, a, b):
     return reduced_complex(order_complex(interval_poset(space, a, b)))
 
 
-_PAIR_TABLES = {}  # space -> its pair table, least recently used first
-
-
-def _pair_table(space):
-    """{(a, b): nonzero reduced homology of I(a, b)} for one space.
-
-    `_interval_homology` fills it as pairs are asked for. Equal spaces
-    share a table, and the 64 spaces used last keep theirs. The table is
-    stored again under the instance that asks for it, so only the first
-    call with a new instance compares spaces by value (distance by
-    distance); later calls with it hit by identity.
-    """
-    table = _PAIR_TABLES.pop(space, None)
-    if table is None:
-        table = {}
-        if len(_PAIR_TABLES) >= 64:
-            del _PAIR_TABLES[next(iter(_PAIR_TABLES))]
-    _PAIR_TABLES[space] = table
-    return table
-
-
 def _interval_homology(space, a, b):
     """`interval_homology` without the copy; callers must not mutate it."""
-    table = _pair_table(space)
+    table = space.integer_view.pair_homology
     groups = table.get((a, b))
     if groups is None:
         cx = interval_complex(space, a, b)
@@ -208,10 +187,9 @@ def interval_homology(space, a, b):
     """Reduced homology of the order complex of I(a, b), {degree: group}.
 
     Only nonzero groups are listed; an empty interval gives Z in degree
-    -1. Cached by value, like chain enumeration: spaces are immutable and
-    hash by their distances, so each pair's complex is built and reduced
-    once per space, and only its groups are kept, in one table per space
-    that the frame DFS shares.
+    -1. Each pair's complex is built and reduced once per space, and only
+    its groups are kept, in the space's `IntegerView.pair_homology`, which
+    the frame DFS shares.
     """
     return dict(_interval_homology(space, a, b))
 

@@ -243,9 +243,12 @@ def check_tensor_route(space, n_max, m_max=2, cap=None):
     up to n_max. The two routes share no code past the metric. Frames
     with a smoothable junction are excluded: insertion does not preserve
     them and the equivalence genuinely fails there (see is_realized_frame).
+    Frames of degree above n_max + 1 are left out: the subcomplex of a
+    frame of degree m starts at degree m and its tensor route at 2m - 1,
+    so both are zero up to n_max.
     """
     name = space.name or "space"
-    frames, excluded = _realized_frames(space, m_max)
+    frames, excluded = _realized_frames(space, min(m_max, n_max + 1))
     for f in frames:
         sub = frame_subcomplex(space, f, n_max + 1, cap)
         for n in range(n_max + 1):

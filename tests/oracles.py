@@ -4,17 +4,20 @@ Nothing here reuses package machinery beyond the metric object: chains
 come from itertools filters, ranks from dense rational elimination, Smith
 normal form from a textbook first-nonzero-pivot reduction, four-cuts
 from a three-condition quadruple scan, and triangle witnesses from a
-row-major scan. All distance arithmetic is on Fractions. The one
-exception is `tensor`, which builds the product of two package complexes
-basis element by basis element, so that reducing it checks `kunneth`,
-which never builds one. Slow on purpose; oracle scale only.
+row-major scan. All distance arithmetic is on Fractions. There are two
+exceptions. `tensor` builds the product of two package complexes basis
+element by basis element, so that reducing it checks `kunneth`, which
+never builds one. `magnitude_complex` assembles a whole grading as one
+complex from the package's chain table, the complex the endpoint-block
+engine splits by endpoint pair. Slow on purpose; oracle scale only.
 """
 
 import itertools
 from fractions import Fraction
 from math import gcd
 
-from magh.algebra import ChainComplexZ, SparseIntMatrix
+from magh.algebra import ChainComplexZ, SparseIntMatrix, complex_from_bases
+from magh.chains import chain_table
 
 
 def naive_chains(space, n, l=None):
@@ -49,6 +52,17 @@ def naive_boundary_matrix(space, l, n):
             face = pts[:i] + pts[i + 1 :]
             dense[row_index[face]][c] += -1 if i % 2 else 1
     return dense, len(rows), len(cols)
+
+
+def magnitude_complex(space, l, n_top):
+    """The chain complex of the proper chains of length l, degrees 0..n_top.
+
+    The basis at degree n lists the proper n-chains of length l as point
+    tuples in lexicographic order.
+    """
+    total = space.integer_view.scaled(l)
+    bases = {n: chain_table(space, n).buckets.get(total, ()) for n in range(n_top + 1)}
+    return complex_from_bases(space, bases, 0, n_top)
 
 
 def rational_rank(dense):

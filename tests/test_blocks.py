@@ -3,7 +3,7 @@
 The boundary never removes a chain's endpoints, so the endpoint-block
 engine, `block_homology_rows`, reduces one complex per endpoint pair and
 sums the groups. These tests compare that with one complex per grading
-(`magnitude_complex`) and with the dense naive oracle, and compare the
+(`oracles.magnitude_complex`) and with the dense naive oracle, and compare the
 frame route that `magnitude_homology_rows` takes below m_X with the
 block engine, on metrics with non-integer rational distances.
 """
@@ -24,7 +24,6 @@ from magh.algebra import (
     _endpoint_blocks,
     block_homology_rows,
     complex_from_bases,
-    magnitude_complex,
     snf,
 )
 from magh.chains import enumerate_proper_chains, length_spectrum
@@ -40,7 +39,7 @@ from magh.metric import (
 from magh.posets import magnitude_homology, magnitude_homology_rows
 from magh.verify import full_suite, random_suite
 
-from oracles import naive_magnitude_group
+from oracles import magnitude_complex, naive_magnitude_group
 
 
 @st.composite
@@ -74,7 +73,7 @@ def test_blocks_match_whole_grading_complex(space):
     rows = block_homology_rows(space, lengths, 3)
     assert [(r.l, r.n) for r in rows] == [(l, n) for l in lengths for n in range(4)]
     for row in rows:
-        whole, _ = magnitude_complex(space, row.l, row.n + 1)
+        whole = magnitude_complex(space, row.l, row.n + 1)
         assert row.group == whole.homology(row.n), (space.d, row)
 
 

@@ -280,6 +280,10 @@ def test_bad_input_exit_two(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch, ["mx"], stdin="")
     assert code == 2
     assert "empty input" in err
+    monkeypatch.setenv("MAGH_CAP", "abc")
+    code, out, err = run_cli(capsys, monkeypatch, ["compute"], stdin=cycle_space(4).to_json())
+    assert (code, out) == (2, "")
+    assert "magh: error: MAGH_CAP must be an integer, got 'abc'" in err
 
 
 def test_csv_space_input(capsys, monkeypatch):
@@ -392,10 +396,22 @@ def test_version_flag():
     assert proc.stdout.strip().startswith("magh ")
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     proc = subprocess.run(
         [sys.executable, "-m", "magh", "frobnicate"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 2
+    # numbers out of range are usage errors too, not failed checks (exit 1)
+    for argv, option in (
+        (["gen", "random", "4", "--max-w", "0"], "--max-w"),
+        (["compute", "--n-max", "-2"], "--n-max"),
+        (["spectrum", "--n-max", "-1"], "--n-max"),
+        (["verify", "--n-max", "-1"], "--n-max"),
+        (["verify", "--n-max", "two"], "--n-max"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"error: argument {option}:" in capsys.readouterr().err

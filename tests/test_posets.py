@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 import magh.posets
 from magh.algebra import TRIVIAL_GROUP as TRIVIAL, HomologyGroup, kunneth
 from magh.errors import SamePoint
+from magh.frames import m_x
 from magh.metric import (
     complete_space,
     cycle_space,
@@ -26,6 +29,7 @@ from magh.posets import (
     poset_component_count,
     reduced_complex,
 )
+from magh.verify import run_checks
 
 F = Fraction
 
@@ -277,15 +281,20 @@ def test_pair_homology_cache_outlives_a_run(monkeypatch):
     assert built == []
 
 
-def test_pair_tables_keep_the_spaces_used_last():
-    def segment(d):
-        return validate_metric([[0, d], [d, 0]])
-
-    for d in range(1, 80):
-        assert interval_homology(segment(d), 0, 1) == {-1: HomologyGroup(1)}
-    assert len(magh.posets._PAIR_TABLES) == 64
-    assert segment(79) in magh.posets._PAIR_TABLES
-    assert segment(1) not in magh.posets._PAIR_TABLES
+def test_a_space_is_freed_after_compute_and_verify():
+    # chain tables and pair homology live on the space, and nothing at
+    # module level keeps a space, or an equal one, alive after a run
+    space = cycle_space(5)
+    assert m_x(space).value == 3
+    rows = magnitude_homology_rows(space, [1, 2, 3, 4], 3)
+    assert [row.group for row in rows if row.l == 2] == [
+        TRIVIAL, TRIVIAL, HomologyGroup(10), TRIVIAL,
+    ]
+    assert all(report.passed for report in run_checks([space], n_max=2))
+    ref = weakref.ref(space)
+    del space
+    gc.collect()
+    assert ref() is None
 
 
 # --- certificates -----------------------------------------------------------------

@@ -105,9 +105,11 @@ def test_frame_injectivity_counts_ordered_pairs():
 
 
 def test_deeper_tensor_route_with_three_segment_frames():
-    for space in (cycle_space(5), path_space(4), random_metric(4, seed=17)):
-        report = check_tensor_route(space, n_max=4, m_max=3)
-        assert report.passed, report.to_json()
+    # at n_max = 0 the frames of degree 2 and 3 lie above every degree checked
+    for n_max in (4, 0):
+        for space in (cycle_space(5), path_space(4), random_metric(4, seed=17)):
+            report = check_tensor_route(space, n_max=n_max, m_max=3)
+            assert report.passed, report.to_json()
 
 
 def test_run_checks_order_and_determinism():
