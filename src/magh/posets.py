@@ -5,7 +5,10 @@ on geodesics, ordered by x < y iff x lies on a geodesic from a to y. Its
 order complex, through the reduced chain complex (augmented: one generator
 in degree -1), computes the homology of the frame subcomplex of (a, b); a
 frame of higher degree tensors the complexes of its consecutive intervals,
-whose homology the Kunneth formula gives from theirs.
+whose homology the Kunneth formula gives from theirs. Pair homology is
+reduced on the order complex of the interval's core (`poset_core`), which
+has the same reduced homology over Z as the whole interval's (Stong), and
+is often a single point.
 
 Below m_X, magnitude homology is the direct sum of those frame homologies
 (Kaneta-Yoshinaga), so `magnitude_homology_rows` computes every grading
@@ -68,7 +71,9 @@ def interval_poset(space, a, b):
     between = view.between
     elements = view.between_points(a, b)
     less = set()
+    up = {}  # x -> bitmask of the elements above x
     for x in elements:
+        mask = 0
         for y in elements:
             if x == y:
                 continue
@@ -78,14 +83,75 @@ def interval_poset(space, a, b):
                 raise NotAPartialOrder(a, b, "two-sided agreement", (x, y))
             if from_a:
                 less.add((x, y))
+                mask |= 1 << y
+        up[x] = mask
     for x, y in less:
         if (y, x) in less:
             raise NotAPartialOrder(a, b, "antisymmetry", (x, y))
-    for x, y in less:
-        for z, w in less:
-            if z == y and (x, w) not in less:
-                raise NotAPartialOrder(a, b, "transitivity", (x, y, w))
+    for x in elements:
+        for y in _bits(up[x]):
+            missing = up[y] & ~up[x]
+            if missing:
+                raise NotAPartialOrder(a, b, "transitivity", (x, y, next(_bits(missing))))
     return IntervalPoset(a=a, b=b, elements=elements, less=frozenset(less))
+
+
+def _bits(mask):
+    """The set bits of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _has_least(mask, up):
+    """True when the elements in `mask` have a least one, `up[z]` being above z."""
+    for z in _bits(mask):
+        if mask & ~up[z] == 1 << z:
+            return True
+    return False
+
+
+def poset_core(poset):
+    """The core of a poset: what is left once no beat point remains.
+
+    A beat point has exactly one upper cover or exactly one lower cover,
+    that is, the elements above it have a least one or those below it a
+    greatest one. Each pass removes, in ascending order, every element
+    that is a beat point of what is left at its turn; passes repeat until
+    one removes nothing. The core's order complex is a strong deformation
+    retract of the poset's (Stong, 1966), so its reduced homology over Z,
+    torsion included, is the poset's. A nonempty poset keeps at least one
+    element, since a lone element has no cover. Elements are point
+    indices, so successors and predecessors are kept as int bitmasks.
+    """
+    up = dict.fromkeys(poset.elements, 0)
+    down = dict.fromkeys(poset.elements, 0)
+    for x, y in poset.less:
+        up[x] |= 1 << y
+        down[y] |= 1 << x
+    left = 0
+    for x in poset.elements:
+        left |= 1 << x
+    start = left
+    removed = True
+    while removed:
+        removed = False
+        for x in poset.elements:
+            bit = 1 << x
+            if left & bit and (
+                _has_least(up[x] & left, up) or _has_least(down[x] & left, down)
+            ):
+                left ^= bit
+                removed = True
+    if left == start:
+        return poset
+    return IntervalPoset(
+        a=poset.a,
+        b=poset.b,
+        elements=tuple(x for x in poset.elements if left >> x & 1),
+        less=frozenset((x, y) for x, y in poset.less if left >> x & 1 and left >> y & 1),
+    )
 
 
 @dataclass(frozen=True)
@@ -168,7 +234,7 @@ def poset_component_count(space, a, b):
 
 
 def interval_complex(space, a, b):
-    """Reduced chain complex of the order complex of I(a, b)."""
+    """Reduced chain complex of the full order complex of I(a, b), not its core's."""
     return reduced_complex(order_complex(interval_poset(space, a, b)))
 
 
@@ -177,7 +243,7 @@ def _interval_homology(space, a, b):
     table = space.integer_view.pair_homology
     groups = table.get((a, b))
     if groups is None:
-        cx = interval_complex(space, a, b)
+        cx = reduced_complex(order_complex(poset_core(interval_poset(space, a, b))))
         groups = {k: cx.homology(k) for k in cx.degrees()}
         groups = table[a, b] = {k: g for k, g in groups.items() if not g.is_trivial()}
     return groups
@@ -187,7 +253,9 @@ def interval_homology(space, a, b):
     """Reduced homology of the order complex of I(a, b), {degree: group}.
 
     Only nonzero groups are listed; an empty interval gives Z in degree
-    -1. Each pair's complex is built and reduced once per space, and only
+    -1. The complex reduced is the order complex of the interval's core,
+    a strong deformation retract of the full one (Stong), so torsion is
+    kept. Each pair's complex is built and reduced once per space, and only
     its groups are kept, in the space's `IntegerView.pair_homology`, which
     the frame DFS shares.
     """
@@ -199,9 +267,11 @@ def frame_homology_via_posets(space, f, n):
 
     For a frame of degree m, the Kunneth formula folds the reduced
     homology of the intervals between consecutive frame points into the
-    homology of their tensor product, read at degree n - 2m. Valid for
-    tuples that are genuinely frames (equal to their own frame); the
-    agreement with the direct subcomplex route is what `verify` checks.
+    homology of their tensor product, read at degree n - 2m. Each
+    interval's homology is reduced on the interval's core, as in
+    `interval_homology`. Valid for tuples that are genuinely frames (equal
+    to their own frame); the agreement with the direct subcomplex route is
+    what `verify` checks.
     """
     f = tuple(f)
     m = len(f) - 1

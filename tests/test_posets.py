@@ -4,6 +4,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import magh.posets
 from magh.algebra import TRIVIAL_GROUP as TRIVIAL, HomologyGroup, kunneth
@@ -18,6 +19,7 @@ from magh.metric import (
     validate_metric,
 )
 from magh.posets import (
+    IntervalPoset,
     frame_homology_via_posets,
     interval_complex,
     interval_homology,
@@ -27,9 +29,10 @@ from magh.posets import (
     mh2_certificate,
     order_complex,
     poset_component_count,
+    poset_core,
     reduced_complex,
 )
-from magh.verify import run_checks
+from magh.verify import default_suite, run_checks
 
 F = Fraction
 
@@ -254,6 +257,116 @@ def test_kunneth_rp2_intervals_tor_term():
         assert frame_homology_via_posets(space, (bottom, top, bottom), n) == group
 
 
+# --- cores -----------------------------------------------------------------------
+
+
+def nonzero_homology(cx):
+    groups = {k: cx.homology(k) for k in cx.degrees()}
+    return {k: g for k, g in groups.items() if not g.is_trivial()}
+
+
+def rational_grid_space(rows, cols):
+    """L1 metric on a grid whose column and row steps are non-integer rationals."""
+    xs = [F(0), F(3, 2), F(19, 6), F(17, 4)][:cols]
+    ys = [F(0), F(7, 5), F(9, 5)][:rows]
+    coords = [(x, y) for y in ys for x in xs]
+    d = [[abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in coords] for p in coords]
+    return validate_metric(d, name=f"rational-grid-{rows}x{cols}")
+
+
+@pytest.mark.parametrize(
+    "space",
+    default_suite() + [rational_grid_space(3, 4), rp2_face_poset_space()[0]],
+    ids=lambda s: s.name,
+)
+def test_core_route_matches_full_order_complex(space):
+    for a in range(space.n):
+        for b in range(space.n):
+            if a != b:
+                full = nonzero_homology(interval_complex(space, a, b))
+                assert interval_homology(space, a, b) == full, (a, b)
+
+
+def rp2_with_beat_point():
+    """The RP^2 face-poset space plus a point covering one edge, covered by the top.
+
+    In the interval from bottom to top the new point sits at rank 3 and
+    has one lower cover, the edge, so it is a beat point.
+    """
+    space, bottom, top = rp2_face_poset_space()
+    n = space.n + 1
+    edge = 7  # the first edge, (0, 1)
+    d = [[space.d(i, j) if max(i, j) < space.n else n for j in range(n)] for i in range(n)]
+    d[n - 1][n - 1] = 0
+    d[edge][n - 1] = d[n - 1][edge] = d[top][n - 1] = d[n - 1][top] = 1
+    return validate_metric(metric_closure(d), name="rp2-beat-point"), bottom, top
+
+
+def test_core_keeps_rp2_torsion_past_a_beat_point():
+    space, bottom, top = rp2_with_beat_point()
+    assert space.d(bottom, top) == 4
+    poset = interval_poset(space, bottom, top)
+    assert len(poset) == 32
+    assert interval_complex(space, bottom, top).sizes == [1, 32, 93, 62]
+    core = poset_core(poset)
+    assert core.elements == tuple(x for x in poset.elements if x != space.n - 1)
+    assert core.a == bottom and core.b == top
+    assert interval_homology(space, bottom, top) == {1: HomologyGroup(0, (2,))}
+
+
+def test_core_of_small_posets():
+    chain = interval_poset(path_space(5), 0, 4)
+    assert poset_core(chain).elements == (3,)
+    assert poset_core(chain).less == frozenset()
+    antichain = interval_poset(cycle_space(4), 0, 2)
+    assert poset_core(antichain) is antichain
+    empty = interval_poset(path_space(3), 0, 1)
+    assert poset_core(empty) is empty
+
+
+@st.composite
+def strict_orders(draw):
+    """Transitive closure of a random DAG on at most 8 elements.
+
+    Labels are odd and shuffled, so the order does not follow label order.
+    """
+    k = draw(st.integers(0, 8))
+    labels = [2 * i + 1 for i in draw(st.permutations(range(k)))]
+    pairs = list(itertools.combinations(range(k), 2))
+    edges = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    reach = {i: set() for i in range(k)}
+    for (i, j), edge in zip(pairs, edges):
+        if edge:
+            reach[i].add(j)
+    for i in reversed(range(k)):
+        for j in list(reach[i]):
+            reach[i] |= reach[j]
+    less = frozenset((labels[i], labels[j]) for i in range(k) for j in reach[i])
+    return IntervalPoset(a=-1, b=-2, elements=tuple(sorted(labels)), less=less)
+
+
+def has_beat_point(poset):
+    def covers(x, up):
+        beyond = {y for y in poset.elements if ((x, y) if up else (y, x)) in poset.less}
+        return {y for y in beyond if not any(poset.lt(*((z, y) if up else (y, z))) for z in beyond)}
+
+    return any(len(covers(x, True)) == 1 or len(covers(x, False)) == 1 for x in poset.elements)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(strict_orders())
+def test_poset_core_on_strict_orders(poset):
+    core = poset_core(poset)
+    assert set(core.elements) <= set(poset.elements)
+    assert core.less == {(x, y) for x, y in poset.less if {x, y} <= set(core.elements)}
+    assert not has_beat_point(core)
+    assert poset_core(core) == core
+    assert bool(core.elements) == bool(poset.elements)
+    assert nonzero_homology(reduced_complex(order_complex(core))) == nonzero_homology(
+        reduced_complex(order_complex(poset))
+    )
+
+
 def test_interval_homology_is_cached_as_a_copy():
     space = cycle_space(6)
     first = interval_homology(space, 0, 3)
@@ -267,16 +380,18 @@ def test_interval_homology_is_cached_as_a_copy():
 def test_pair_homology_cache_outlives_a_run(monkeypatch):
     # 70 * 69 = 4830 pairs, more than the old cache of 4096 entries held
     space = complete_space(70)
+    built = []
+    original = magh.posets.poset_core
+
+    def counting(poset):
+        built.append((poset.a, poset.b))
+        return original(poset)
+
+    monkeypatch.setattr(magh.posets, "poset_core", counting)
     first = magnitude_homology_rows(space, [1], 2)
     assert [row.group for row in first] == [TRIVIAL, HomologyGroup(4830), TRIVIAL]
-    built = []
-    original = magh.posets.interval_complex
-
-    def counting(*args):
-        built.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(magh.posets, "interval_complex", counting)
+    assert len(built) == 4830
+    built.clear()
     assert magnitude_homology_rows(space, [1], 2) == first
     assert built == []
 
