@@ -4,7 +4,9 @@ Everything here is exact: Smith normal form by integer row/column
 operations, homology of finitely generated complexes as (betti, torsion),
 the Kunneth formula for the homology of a product of complexes, and the
 endpoint-block engine for magnitude homology. A boundary matrix is a
-`SparseIntMatrix`, one dict {row: coeff} per basis chain. `snf` is the
+`SparseIntMatrix`, one dict {row: coeff} per basis chain with a smooth
+face; those chains come first in each degree, so the chains without one
+are trailing zero columns and are not stored. `snf` is the
 one reduction routine: it reads those columns into sparse rows, clears
 +-1 pivots on them and reduces only what is left densely.
 Degrees may be negative; reduced complexes of order complexes start at
@@ -34,9 +36,10 @@ class SparseIntMatrix:
 
     `columns[c]` maps each row with a nonzero entry in column c to that
     entry; column c of a boundary matrix is the boundary of basis element
-    c. Construction checks every entry once: a row outside the matrix
-    raises IndexError, a value that is not an int TypeError, and a stored
-    zero ValueError.
+    c, and the basis elements past the last column have boundary zero
+    (see `ChainComplexZ`). Construction checks every entry once: a row
+    outside the matrix raises IndexError, a value that is not an int
+    TypeError, and a stored zero ValueError.
     """
 
     def __init__(self, rows, columns):
@@ -47,8 +50,6 @@ class SparseIntMatrix:
         self.cols = len(columns)
         self.nnz = sum(map(len, columns))
         for c, column in enumerate(columns):
-            if not column:  # most columns of an endpoint block are empty
-                continue
             for r, v in column.items():
                 if not 0 <= r < rows:
                     raise IndexError(f"({r}, {c}) outside {rows}x{self.cols}")
@@ -321,8 +322,11 @@ class ChainComplexZ:
 
     Degrees run lo..hi inclusive. `boundaries[k]` is the map from degree k
     to degree k-1 for lo < k <= hi; the map out of degree lo is zero by
-    convention (there is nothing below). Construction checks the square of
-    the boundary unless told not to.
+    convention (there is nothing below). A boundary has `size(k - 1)` rows
+    and at most `size(k)` columns: the basis elements past its last column
+    map to zero, so a basis ordered with its cycles last needs no column
+    for them. Construction checks the square of the boundary unless told
+    not to.
     """
 
     def __init__(self, lo, sizes, boundaries=None, check=True):
@@ -335,11 +339,11 @@ class ChainComplexZ:
         for k in range(lo + 1, lo + len(self.sizes)):
             mat = boundaries.get(k)
             if mat is None:
-                mat = SparseIntMatrix(self.size(k - 1), [{} for _ in range(self.size(k))])
-            if mat.rows != self.size(k - 1) or mat.cols != self.size(k):
+                mat = SparseIntMatrix(self.size(k - 1), [])
+            if mat.rows != self.size(k - 1) or mat.cols > self.size(k):
                 raise ValueError(
                     f"boundary at degree {k} is {mat.rows}x{mat.cols}, "
-                    f"expected {self.size(k - 1)}x{self.size(k)}"
+                    f"expected {self.size(k - 1)} rows and at most {self.size(k)} columns"
                 )
             self.boundaries[k] = mat
         for k in list(boundaries):
@@ -370,9 +374,12 @@ class ChainComplexZ:
         """Raise ValueError naming the first column whose d(d(column)) is nonzero."""
         for k in range(self.lo + 2, self.hi + 1):
             below = self.boundaries[k - 1].columns
+            stored = len(below)
             for c, column in enumerate(self.boundaries[k].columns):
                 image = {}
                 for r, v in column.items():
+                    if r >= stored:  # no column: its boundary is zero
+                        continue
                     for s, w in below[r].items():
                         image[s] = image.get(s, 0) + v * w
                 if any(image.values()):
@@ -449,42 +456,49 @@ def kunneth(h, h2):
 def complex_from_bases(space, bases_by_degree, lo, hi):
     """The chain complex spanned by the given proper chains, degrees lo..hi.
 
-    `bases_by_degree[k]` lists the basis at degree k in row/column order,
-    each chain a ProperChain or a tuple of points; a missing degree is
-    empty. Every boundary term of every basis chain must again lie in the
-    basis one degree down (NotASubcomplex otherwise); at the bottom degree
-    the boundary must vanish outright. Column c of the boundary at degree k
-    is the dict {row of face: sign} of the faces of basis chain c, read
-    from `chains.smooth_faces`. d^2 = 0 is checked on construction.
+    `bases_by_degree[k]` lists the basis at degree k, each chain a
+    ProperChain or a tuple of points; a missing degree is empty. Every
+    boundary term of every basis chain must again lie in the basis one
+    degree down (NotASubcomplex otherwise); at the bottom degree the
+    boundary must vanish outright. Each degree is ordered faced-first: the
+    chains with a smooth face, then those without, each in the order
+    given. Column c of the boundary at degree k is the dict {row of face:
+    sign} of the faces of chain c, read from `chains.smooth_faces`, and a
+    chain with no face gets no column, so those are the boundary's
+    trailing zero columns. d^2 = 0 is checked on construction.
     """
     between = space.integer_view.between
     sizes = []
     boundaries = {}
     index = None
     for k in range(lo, hi + 1):
-        basis = [tuple(ch) for ch in bases_by_degree.get(k, ())]
-        sizes.append(len(basis))
-        if k == lo:
-            for pts in basis:
-                if _chains.smooth_faces(between, pts):
+        faced = []
+        faceless = []
+        columns = []
+        for ch in bases_by_degree.get(k, ()):
+            pts = tuple(ch)
+            faces = _chains.smooth_faces(between, pts)
+            if not faces:
+                faceless.append(pts)
+                continue
+            if index is None:
+                raise NotASubcomplex(f"chain {pts} at bottom degree {k} has nonzero boundary")
+            column = {}
+            for face, sign in faces:
+                r = index.get(face)
+                if r is None:
                     raise NotASubcomplex(
-                        f"chain {pts} at bottom degree {k} has nonzero boundary"
+                        f"boundary term {face} of {pts} "
+                        f"is outside the subcomplex basis at degree {k - 1}"
                     )
-        else:
-            columns = []
-            for pts in basis:
-                column = {}
-                for face, sign in _chains.smooth_faces(between, pts):
-                    r = index.get(face)
-                    if r is None:
-                        raise NotASubcomplex(
-                            f"boundary term {face} of {pts} "
-                            f"is outside the subcomplex basis at degree {k - 1}"
-                        )
-                    column[r] = sign
-                columns.append(column)
+                column[r] = sign
+            faced.append(pts)
+            columns.append(column)
+        if index is not None:
             boundaries[k] = SparseIntMatrix(len(index), columns)
-        index = {pts: r for r, pts in enumerate(basis)}
+        sizes.append(len(faced) + len(faceless))
+        if k < hi:
+            index = {pts: r for r, pts in enumerate(faced + faceless)}
     return ChainComplexZ(lo, sizes, boundaries)
 
 
@@ -513,33 +527,19 @@ class HomologyRow:
         )
 
 
-def _endpoint_blocks(by_degree, l):
-    """Split the chains of length l by endpoint pair, pairs in sorted order.
-
-    `by_degree[n]` maps lengths to the chains of degree n, as point tuples
-    or ProperChains, like `ChainTable.buckets` or enumerate_proper_chains.
-    Returns {(a, b): {n: chains from a to b}}, listing only the degrees
-    where the pair has chains; each list keeps the order of its bucket.
-    """
-    blocks = {}
-    for n, buckets in enumerate(by_degree):
-        for ch in buckets.get(l, ()):
-            pts = tuple(ch)
-            blocks.setdefault((pts[0], pts[-1]), {}).setdefault(n, []).append(ch)
-    return {pair: blocks[pair] for pair in sorted(blocks)}
-
-
 def block_homology_rows(space, gradings, n_max, cap=None):
     """Magnitude homology rows of several length gradings, degrees 0..n_max.
 
-    The endpoint-block engine, from the chain tables. The boundary never
-    removes a chain's endpoints, so the complex of each grading is the
-    direct sum over endpoint pairs (a, b) of the complexes of chains from
-    a to b. Each block is assembled over the degrees from its lowest to
-    its highest with chains, reduced on its own, and counts as zero at
-    the degrees outside; the groups are summed. Every degree is
-    enumerated once for all gradings, up to one above n_max so the
-    incoming boundary at n_max is part of the computation. Rows come
+    The endpoint-block engine. The boundary never removes a chain's
+    endpoints, so the complex of each grading is the direct sum over
+    endpoint pairs (a, b) of the complexes of chains from a to b. The
+    blocks of all gradings come from one search, `chains.block_chains`:
+    every chain up to degree n_max, and at degree n_max + 1, whose only
+    role is the incoming boundary at n_max, just the chains with a smooth
+    face. Each block is assembled over the degrees from its lowest to its
+    highest with chains, with no column for a chain without a face,
+    reduced on its own, and counts as zero at the degrees outside; the
+    groups are summed. The cap counts the steps of that search. Rows come
     grading by grading in the order given, degrees ascending.
 
     `posets.magnitude_homology_rows` sends only gradings l >= m_X here;
@@ -549,25 +549,23 @@ def block_homology_rows(space, gradings, n_max, cap=None):
     for l in gradings:
         if l < 0:
             raise ValueError(f"length must be >= 0, got {l}")
-    top = n_max + 1
-    if top < 0:
+    if n_max < -1:
         raise ValueError(f"n_max must be >= -1, got {n_max}")
-    if not gradings:
-        # nothing is enumerated, so an empty request never meets the cap
-        return []
-    by_degree = [_chains.chain_table(space, n, cap).buckets for n in range(top + 1)]
     view = space.integer_view
-    rows = []
-    for l in gradings:
-        # a length that is no scaled int (None) is in no bucket
-        blocks = [
-            complex_from_bases(space, bases, min(bases), max(bases))
-            for bases in _endpoint_blocks(by_degree, view.scaled(l)).values()
-        ]
+    # a length that is no scaled int (None) is that of no chain
+    totals = {view.scaled(l) for l in gradings} - {None}
+    parts = {}
+    for total, _, bases in _chains.block_chains(space, totals, n_max, cap):
+        cx = complex_from_bases(space, bases, min(bases), max(bases))
         for n in range(n_max + 1):
-            group = HomologyGroup.direct_sum(cx.homology_or_trivial(n) for cx in blocks)
-            rows.append(HomologyRow(l, n, group))
-    return rows
+            group = cx.homology_or_trivial(n)
+            if not group.is_trivial():
+                parts.setdefault((total, n), []).append(group)
+    return [
+        HomologyRow(l, n, HomologyGroup.direct_sum(parts.get((view.scaled(l), n), ())))
+        for l in gradings
+        for n in range(n_max + 1)
+    ]
 
 
 class HomologyTable:

@@ -8,8 +8,9 @@ length of the chain.
 
 Inside the package a chain is a bare tuple of points and its length the
 scaled int of the space's `IntegerView`. `chain_table` holds every proper
-n-chain of a space grouped by that int, and `smooth_faces` is the
-boundary on tuples. `ProperChain`, with its `Fraction` length, appears
+n-chain of a space grouped by that int, `block_chains` builds only the
+chains of the endpoint blocks the engine reduces, and `smooth_faces` is
+the boundary on tuples. `ProperChain`, with its `Fraction` length, appears
 only at the public API: `enumerate_proper_chains`, `boundary` and
 `boundary_of_sum` wrap the tuple kernel. `length_spectra` counts chains
 per length without building any.
@@ -177,6 +178,98 @@ def chain_table(space, n, cap=None):
     if count > limit:
         raise EnumerationCapExceeded(count, limit)
     return _chain_table(space, n)
+
+
+def block_chains(space, totals, n_max, cap=None):
+    """The chains of each endpoint block whose length is in `totals`.
+
+    `totals` holds lengths as scaled ints of the space's IntegerView.
+    Yields (total, (a, b), bases) for every endpoint pair (a, b) joined by
+    a proper chain of degree <= n_max and length `total`, by start point
+    a, then total, then b. `bases` maps a degree k to the block's chains:
+    every one of them for k <= n_max, in lexicographic order, and at
+    k = n_max + 1 only those with a smooth face. A degree with no chain
+    is absent.
+
+    Degrees 0..n_max come from one search per start point that extends
+    each chain by every next point in ascending order and drops a prefix
+    once it is longer than the largest total. Degree n_max + 1 is built by
+    insertion: a point c strictly between x_{i-1} and x_i of a degree-n_max
+    chain x of the block is inserted at position i, and the result is kept
+    only if i is its first smooth position. Removing that point gives x
+    back, so every top chain with a smooth face is made exactly once; one
+    without a face changes only H_{n_max + 1} and is never built.
+
+    Steps counted against the cap (`resolve_cap`): every prefix kept,
+    that is every proper chain of degree <= n_max no longer than the
+    largest total, degree 0 included, and every insertion kept.
+    EnumerationCapExceeded is raised as soon as the steps pass the cap.
+    """
+    wanted = set(totals)
+    if n_max < 0 or not wanted:
+        return
+    limit = resolve_cap(cap)
+    view = space.integer_view
+    between = view.between
+    longest = max(wanted)
+    size = space.n
+    # next points from each last point with their step, in ascending order
+    moves = [
+        [(nxt, d) for nxt, d in enumerate(row) if nxt != last and d <= longest]
+        for last, row in enumerate(view.idist)
+    ]
+    inner = [[view.between_points(a, b) for b in range(size)] for a in range(size)]
+    steps = 0
+    for start in range(size):
+        steps += 1
+        if steps > limit:
+            raise EnumerationCapExceeded(steps, limit)
+        blocks = {}
+        if 0 in wanted:
+            blocks[0, start] = {0: [(start,)]}
+        level = [((start,), 0)]
+        for n in range(1, n_max + 1):
+            grown = []
+            for pts, total in level:
+                for nxt, d in moves[pts[-1]]:
+                    t = total + d
+                    if t > longest:
+                        continue
+                    steps += 1
+                    ch = pts + (nxt,)
+                    if n < n_max:
+                        grown.append((ch, t))
+                    if t in wanted:
+                        blocks.setdefault((t, nxt), {}).setdefault(n, []).append(ch)
+                if steps > limit:
+                    raise EnumerationCapExceeded(steps, limit)
+            level = grown
+        for key in sorted(blocks):
+            bases = blocks.pop(key)
+            made = []
+            for pts in bases.get(n_max, ()):
+                # a point inserted after the first smooth point x_j lies
+                # between x_j and x_{j+1}, so x_j stays smooth: only
+                # positions up to j can become the first smooth one
+                last = n_max
+                for j in range(1, n_max):
+                    if between[pts[j - 1]][pts[j + 1]] >> pts[j] & 1:
+                        last = j
+                        break
+                count = len(made)
+                for i in range(1, last + 1):
+                    left = pts[i - 1]
+                    for c in inner[left][pts[i]]:
+                        # x_{i-1} must not turn smooth between x_{i-2} and c
+                        if i > 1 and between[pts[i - 2]][c] >> left & 1:
+                            continue
+                        made.append(pts[:i] + (c,) + pts[i:])
+                steps += len(made) - count
+                if steps > limit:
+                    raise EnumerationCapExceeded(steps, limit)
+            if made:
+                bases[n_max + 1] = made
+            yield key[0], (start, key[1]), bases
 
 
 def enumerate_proper_chains(space, n, cap=None):

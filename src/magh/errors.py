@@ -68,9 +68,11 @@ class EnumerationCapExceeded(MaghError, RuntimeError):
 
     `count` is in the steps of whichever search refused: the chains of a
     whole degree for the chain table, checked before any is built; the
-    tuples visited so far for the frame search; the (state, next point)
-    transitions through the degree that passes the cap for the length
-    spectrum count.
+    prefixes kept (chains of degree <= n_max no longer than the largest
+    grading) plus the top-degree insertions kept so far for the
+    endpoint-block engine; the tuples visited so far for the frame
+    search; the (state, next point) transitions through the degree that
+    passes the cap for the length spectrum count.
     """
 
     def __init__(self, count, cap):

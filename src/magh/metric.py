@@ -110,15 +110,17 @@ class IntegerView:
     pair_homology: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
-    def of(cls, dist):
+    def of(cls, dist, scaled=None):
         """Build the view of a distance matrix of Fractions.
 
-        Raises SelfBetweenness if some point lies strictly between a point
+        `scaled` is the matrix's (scale, int rows) from `_scaled`, when the
+        caller has it already; it is computed here otherwise. Raises
+        SelfBetweenness if some point lies strictly between a point
         and itself, which only a matrix with a non-positive off-diagonal
         entry allows; everything that removes a smooth point relies on
         that never happening.
         """
-        scale, idist = _scaled(dist)
+        scale, idist = _scaled(dist) if scaled is None else scaled
         n = len(idist)
         between = []
         for a, row_a in enumerate(idist):
@@ -163,12 +165,15 @@ class FiniteMetricSpace:
     instances through `validate_metric` or the generators below. Spaces
     compare and hash by (labels, dist). `integer_view` is computed from
     `dist` on first use and kept with the instance, together with the
-    chain tables and pair homology the engine derives from it.
+    chain tables and pair homology the engine derives from it. `scaled`
+    is `dist` scaled to ints as (scale, int rows), when `validate_metric`
+    has done that already for its triangle scan; the view then reuses it.
     """
 
     labels: tuple
     dist: tuple
     name: str = field(default="", compare=False)
+    scaled: tuple = field(default=None, compare=False, repr=False)
 
     @property
     def n(self):
@@ -182,7 +187,7 @@ class FiniteMetricSpace:
 
     @cached_property
     def integer_view(self):
-        return IntegerView.of(self.dist)
+        return IntegerView.of(self.dist, self.scaled)
 
     def points(self):
         return range(len(self.labels))
@@ -273,7 +278,8 @@ def validate_metric(matrix, labels=None, name=""):
     for i in range(n):
         if rows[i][i] != 0:
             raise NonzeroDiagonal(i)
-    _, idist = _scaled(rows)
+    scaled = _scaled(rows)
+    idist = scaled[1]
     for i, row_i in enumerate(idist):
         for j, row_j in enumerate(idist):
             dij = row_i[j]
@@ -282,7 +288,7 @@ def validate_metric(matrix, labels=None, name=""):
                     raise TriangleViolation(i, j, k)
 
     dist = tuple(tuple(row) for row in rows)
-    return FiniteMetricSpace(labels=tuple(labels), dist=dist, name=name)
+    return FiniteMetricSpace(labels=tuple(labels), dist=dist, name=name, scaled=scaled)
 
 
 def cycle_space(n):

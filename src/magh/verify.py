@@ -130,10 +130,11 @@ def check_simp_iso(space, n_max, cap=None):
 
     For every grading 0 < l < m_X realized up to degree n_max, the direct
     sum of frame subcomplex homologies must equal magnitude homology in
-    degrees 1..n_max, betti and torsion both. The two sides share the chain
-    enumeration and the assembly of complexes from bases: one keeps the
-    geodesically simple chains and splits them by frame, the other keeps
-    every chain and splits only by endpoint pair.
+    degrees 1..n_max, betti and torsion both. The two sides share the
+    assembly of complexes from bases: one keeps the geodesically simple
+    chains and splits them by frame, the other keeps every chain and
+    splits only by endpoint pair, in one block-engine call for every
+    grading.
     """
     mx = m_x(space)
     gradings = _grading_values(space, n_max, mx.value, cap)
@@ -143,14 +144,17 @@ def check_simp_iso(space, n_max, cap=None):
         "gradings": [format_rational(l) for l in gradings],
     }
     name = space.name or "space"
+    full = {
+        (row.l, row.n): row.group
+        for row in block_homology_rows(space, gradings, n_max, cap)
+    }
     for l in gradings:
-        full = {row.n: row.group for row in block_homology_rows(space, [l], n_max, cap)}
         pieces = simp_decomposition(space, l, n_max + 1, cap)
         for n in range(1, n_max + 1):
             summed = HomologyGroup.direct_sum(
                 cx.homology_or_trivial(n) for cx in pieces.values()
             )
-            if summed != full[n]:
+            if summed != full[l, n]:
                 return VerificationReport(
                     check="simp_iso",
                     space=name,
@@ -160,7 +164,7 @@ def check_simp_iso(space, n_max, cap=None):
                         "l": format_rational(l),
                         "n": n,
                         "decomposition": _group_json(summed),
-                        "full": _group_json(full[n]),
+                        "full": _group_json(full[l, n]),
                     },
                 )
     return VerificationReport(check="simp_iso", space=name, status="pass", params=params)
@@ -172,10 +176,15 @@ def check_frame_injectivity(space, n_max, cap=None):
     For every ordered pair (a, b), the betti number of the frame subcomplex
     of (a, b) at degree n must not exceed the betti number of magnitude
     homology at grading d(a, b). This is a one-sided shadow of the
-    decomposition that holds at every grading, not only below m_X.
+    decomposition that holds at every grading, not only below m_X. One
+    block-engine call gives the full side of every distance at once.
     """
     name = space.name or "space"
-    full_cache = {}
+    gradings = sorted({space.d(a, b) for a in range(space.n) for b in range(space.n) if a != b})
+    full = {
+        (row.l, row.n): row.group
+        for row in block_homology_rows(space, gradings, n_max, cap)
+    }
     pairs = 0
     for a in range(space.n):
         for b in range(space.n):
@@ -183,14 +192,10 @@ def check_frame_injectivity(space, n_max, cap=None):
                 continue
             pairs += 1
             l = space.d(a, b)
-            if l not in full_cache:
-                full_cache[l] = {
-                    row.n: row.group for row in block_homology_rows(space, [l], n_max, cap)
-                }
             sub = frame_subcomplex(space, (a, b), n_max + 1, cap)
             for n in range(1, n_max + 1):
                 fb = sub.homology_or_trivial(n).betti
-                if fb > full_cache[l][n].betti:
+                if fb > full[l, n].betti:
                     return VerificationReport(
                         check="frame_injectivity",
                         space=name,
@@ -201,7 +206,7 @@ def check_frame_injectivity(space, n_max, cap=None):
                             "l": format_rational(l),
                             "n": n,
                             "frame_betti": fb,
-                            "full_betti": full_cache[l][n].betti,
+                            "full_betti": full[l, n].betti,
                         },
                     )
     return VerificationReport(

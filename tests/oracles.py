@@ -9,7 +9,9 @@ exceptions. `tensor` builds the product of two package complexes basis
 element by basis element, so that reducing it checks `kunneth`, which
 never builds one. `magnitude_complex` assembles a whole grading as one
 complex from the package's chain table, the complex the endpoint-block
-engine splits by endpoint pair. Slow on purpose; oracle scale only.
+engine splits by endpoint pair, and `endpoint_blocks` splits a chain
+table by endpoint pair the way the engine's blocks are meant to come
+out. Slow on purpose; oracle scale only.
 """
 
 import itertools
@@ -63,6 +65,22 @@ def magnitude_complex(space, l, n_top):
     total = space.integer_view.scaled(l)
     bases = {n: chain_table(space, n).buckets.get(total, ()) for n in range(n_top + 1)}
     return complex_from_bases(space, bases, 0, n_top)
+
+
+def endpoint_blocks(by_degree, l):
+    """Split the chains of length l by endpoint pair, pairs in sorted order.
+
+    `by_degree[n]` maps lengths to the chains of degree n, as point tuples
+    or ProperChains, like `ChainTable.buckets` or enumerate_proper_chains.
+    Returns {(a, b): {n: chains from a to b}}, listing only the degrees
+    where the pair has chains; each list keeps the order of its bucket.
+    """
+    blocks = {}
+    for n, buckets in enumerate(by_degree):
+        for ch in buckets.get(l, ()):
+            pts = tuple(ch)
+            blocks.setdefault((pts[0], pts[-1]), {}).setdefault(n, []).append(ch)
+    return {pair: blocks[pair] for pair in sorted(blocks)}
 
 
 def rational_rank(dense):
@@ -247,6 +265,8 @@ def tensor(a, b):
     Degree k of the product is the direct sum of A_i (x) B_j over i+j=k,
     with d(x (x) y) = dx (x) y + (-1)^i x (x) dy for x in degree i. Basis
     order within a degree: blocks by ascending i, row-major within a block.
+    A basis element past the last column of a factor's boundary has
+    boundary zero there.
     """
 
     def blocks(k):
@@ -284,12 +304,12 @@ def tensor(a, b):
             for p in range(na):
                 for qcol in range(nb):
                     column = columns[base + p * nb + qcol]
-                    if da is not None:
+                    if da is not None and p < da.cols:
                         dbase = dst_off.get((i - 1, j))
                         if dbase is not None:
                             for r, v in da.columns[p].items():
                                 column[dbase + r * nb + qcol] = v
-                    if db is not None:
+                    if db is not None and qcol < db.cols:
                         dbase = dst_off.get((i, j - 1))
                         if dbase is not None:
                             nb1 = b.size(j - 1)

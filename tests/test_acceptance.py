@@ -1,6 +1,6 @@
 """End-to-end acceptance gate.
 
-Nine criteria, each wrapped in the `acceptance` fixture so the run summary
+Ten criteria, each wrapped in the `acceptance` fixture so the run summary
 shows one PASS/FAIL line per criterion. Everything is exact integer or
 rational arithmetic; there are no tolerances anywhere.
 """
@@ -12,10 +12,11 @@ import sys
 
 import pytest
 
-from magh.chains import length_spectrum
+from magh.algebra import complex_from_bases
+from magh.chains import CAP_ENV_VAR, block_chains, length_spectrum
 from magh.frames import m_x
 from magh.metric import complete_space, cycle_space, path_space
-from magh.posets import magnitude_homology, mh2_certificate
+from magh.posets import frame_homology_via_posets, magnitude_homology, mh2_certificate
 from magh.verify import (
     check_d_squared,
     check_frame_injectivity,
@@ -26,6 +27,7 @@ from magh.verify import (
 )
 
 from oracles import naive_four_cuts, naive_magnitude_group
+from test_posets import rp2_face_poset_space
 
 
 def criterion_1_suite():
@@ -146,3 +148,35 @@ def test_criterion_9_cli_determinism(acceptance, tmp_path):
         assert len(set(outputs)) == 1
         rows = json.loads(outputs[0])
         assert rows, "compute produced an empty table"
+
+
+def test_criterion_10_rp2_torsion_above_m_x(acceptance, tmp_path):
+    label = "10 RP^2 face-poset space: CLI MH_3^4 = Z^450 + (Z/2)^2 above m_X = 3"
+    with acceptance(label):
+        space, bottom, top = rp2_face_poset_space()
+        assert m_x(space).value == 3
+        space_file = tmp_path / "rp2.json"
+        space_file.write_text(space.to_json())
+        argv = [sys.executable, "-m", "magh", "compute", "--in", str(space_file)]
+        argv += ["--l", "4", "--n-max", "3", "--format", "json"]
+        env = {k: v for k, v in os.environ.items() if k != CAP_ENV_VAR}
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        rows = json.loads(proc.stdout)
+        assert rows == [
+            {"betti": 0, "l": "4", "n": n, "torsion": []} for n in range(3)
+        ] + [{"betti": 450, "l": "4", "n": 3, "torsion": [2, 2]}]
+        # every chain of length d(a, b) = 4 from a to b is geodesic, so the
+        # block of each such pair is its pair frame's subcomplex, whose
+        # homology the interval posets give by a route with no chains
+        total = space.integer_view.scaled(4)
+        blocks = {
+            pair: complex_from_bases(space, bases, min(bases), max(bases))
+            for _, pair, bases in block_chains(space, {total}, 4)
+            if pair in ((bottom, top), (top, bottom))
+        }
+        assert len(blocks) == 2
+        for pair, cx in blocks.items():
+            for n in range(2, 5):
+                assert cx.homology_or_trivial(n) == frame_homology_via_posets(space, pair, n)
+            assert cx.homology(3).torsion == (2,)

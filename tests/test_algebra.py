@@ -304,8 +304,14 @@ def test_complex_validates_d_squared():
 
 
 def test_complex_validates_shapes():
+    # a boundary has a row per basis element below and at most a column
+    # per basis element; the elements past its last column map to zero
     with pytest.raises(ValueError):
-        ChainComplexZ(0, [1, 2], {1: SparseIntMatrix.from_dense([[1]])})
+        ChainComplexZ(0, [1, 2], {1: SparseIntMatrix.from_dense([[1, 0, 1]])})
+    with pytest.raises(ValueError):
+        ChainComplexZ(0, [2, 2], {1: SparseIntMatrix.from_dense([[1]])})
+    cx = ChainComplexZ(0, [1, 2], {1: SparseIntMatrix.from_dense([[1]])})
+    assert [cx.homology(k) for k in (0, 1)] == [HomologyGroup(0), HomologyGroup(1)]
 
 
 # --- tensor products ----------------------------------------------------------
@@ -506,7 +512,8 @@ def permuted_complex(cx, seed):
     boundaries = {}
     for k in range(cx.lo + 1, cx.hi + 1):
         old = cx.boundary(k)
-        columns = [None] * old.cols
+        # a basis element past the last column maps to zero
+        columns = [{} for _ in range(cx.size(k))]
         for c, column in enumerate(old.columns):
             columns[perms[k][c]] = {perms[k - 1][r]: v for r, v in column.items()}
         boundaries[k] = SparseIntMatrix(old.rows, columns)

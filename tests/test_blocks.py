@@ -8,7 +8,11 @@ frame route that `magnitude_homology_rows` takes below m_X with the
 block engine, on metrics with non-integer rational distances.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -20,13 +24,16 @@ import magh.posets
 
 from magh.algebra import (
     HomologyGroup,
-    HomologyRow,
-    _endpoint_blocks,
     block_homology_rows,
     complex_from_bases,
-    snf,
 )
-from magh.chains import enumerate_proper_chains, length_spectrum
+from magh.chains import (
+    block_chains,
+    chain_table,
+    enumerate_proper_chains,
+    length_spectrum,
+    smooth_faces,
+)
 from magh.errors import EnumerationCapExceeded
 from magh.frames import m_x
 from magh.metric import (
@@ -39,7 +46,7 @@ from magh.metric import (
 from magh.posets import magnitude_homology, magnitude_homology_rows
 from magh.verify import full_suite, random_suite
 
-from oracles import magnitude_complex, naive_magnitude_group
+from oracles import endpoint_blocks, magnitude_complex, naive_chains, naive_magnitude_group
 
 
 @st.composite
@@ -89,7 +96,7 @@ def test_blocks_match_naive_oracle(space):
 def test_cycle4_blocks_sum_to_grading():
     space = cycle_space(4)
     by_degree = [enumerate_proper_chains(space, n) for n in range(4)]
-    blocks = _endpoint_blocks(by_degree, Fraction(2))
+    blocks = endpoint_blocks(by_degree, Fraction(2))
     groups = {
         pair: complex_from_bases(space, bases, 0, 3).homology(2)
         for pair, bases in blocks.items()
@@ -103,37 +110,113 @@ def test_cycle4_blocks_sum_to_grading():
 
 
 def test_blocks_reduce_only_degrees_with_chains():
-    # a block is assembled from its lowest to its highest degree with
-    # chains; assembled over every degree 0..n_max + 1 instead, it gives
-    # the same groups from more reductions, mostly of matrices with no
-    # rows or no columns
+    # the engine builds every chain of the wanted lengths up to n_max, but
+    # at n_max + 1 only those with a smooth face, and stores no empty
+    # column; what it leaves out changes no group up to n_max
     space = random_metric(5, seed=3)
     lengths = realized_lengths(space, 3)
-    shapes = []
+    view = space.integer_view
+    complexes = []
+    built = {}
 
-    def counting_snf(matrix):
-        shapes.append((matrix.rows, matrix.cols))
-        return snf(matrix)
+    def recording_assembly(*args):
+        complexes.append(complex_from_bases(*args))
+        return complexes[-1]
 
-    with mock.patch.object(magh.algebra, "snf", counting_snf):
+    def recording_blocks(*args):
+        for total, pair, bases in block_chains(*args):
+            for n, chains in bases.items():
+                built.setdefault(n, []).extend(chains)
+            yield total, pair, bases
+
+    with mock.patch.object(magh.algebra, "complex_from_bases", recording_assembly), (
+        mock.patch.object(magh.chains, "block_chains", recording_blocks)
+    ):
         rows = block_homology_rows(space, lengths, 3)
-        engine = shapes[:]
-        shapes.clear()
-        by_degree = [enumerate_proper_chains(space, n) for n in range(5)]
-        every_degree = []
-        for l in lengths:
-            blocks = [
-                complex_from_bases(space, bases, 0, 4)
-                for bases in _endpoint_blocks(by_degree, l).values()
-            ]
-            every_degree += [
-                HomologyRow(l, n, HomologyGroup.direct_sum(cx.homology(n) for cx in blocks))
-                for n in range(4)
-            ]
-    assert rows == every_degree
-    assert len(engine) < len(shapes)
-    # the reductions dropped are exactly those of matrices with a zero side
-    assert sorted(s for s in engine if all(s)) == sorted(s for s in shapes if all(s))
+    matrices = [(cx, k) for cx in complexes for k in range(cx.lo + 1, cx.hi + 1)]
+    assert all(all(cx.boundary(k).columns) for cx, k in matrices)
+    assert any(cx.boundary(k).cols < cx.size(k) for cx, k in matrices)
+    totals = {view.scaled(l) for l in lengths}
+    for n in range(5):
+        table = [pts for t in totals for pts in chain_table(space, n).buckets.get(t, ())]
+        if n == 4:
+            faced = [pts for pts in table if smooth_faces(view.between, pts)]
+            assert 0 < len(faced) < len(table)
+            table = faced
+        assert sorted(built.get(n, ())) == sorted(table), n
+    for row in rows:
+        assert row.group == magnitude_complex(space, row.l, 4).homology(row.n), row
+
+
+def test_block_cap_counts_prefixes_and_kept_insertions():
+    # C_5 has m_X = 3; at gradings 3 and 4 the search keeps every proper
+    # chain of degree <= 3 and length <= 4, and every chain of degree 4 and
+    # length 3 or 4 that has a smooth interior point
+    space = cycle_space(5)
+    gradings = [Fraction(3), Fraction(4)]
+    prefixes = sum(
+        1
+        for n in range(4)
+        for pts in naive_chains(space, n)
+        if sum(space.d(a, b) for a, b in zip(pts, pts[1:])) <= 4
+    )
+    insertions = sum(
+        1
+        for l in gradings
+        for pts in naive_chains(space, 4, l)
+        if any(
+            space.d(x, z) == space.d(x, y) + space.d(y, z)
+            for x, y, z in zip(pts, pts[1:], pts[2:])
+        )
+    )
+    count = prefixes + insertions
+    assert insertions and prefixes < sum(len(naive_chains(space, n)) for n in range(4))
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        block_homology_rows(space, gradings, 3, cap=count - 1)
+    assert (exc.value.count, exc.value.cap) == (count, count - 1)
+    rows = block_homology_rows(space, gradings, 3, cap=count)
+    assert rows == magnitude_homology_rows(space, gradings, 3)
+
+
+def test_corrupted_betweenness_fails_the_block_engine_under_O():
+    # count point 2 as strictly between 0 and 1 in C_4's betweenness
+    # table, as test_d_squared_catches_corrupted_smoothness does: the
+    # engine must refuse the blocks this breaks, also with asserts off
+    code = (
+        "from dataclasses import replace\n"
+        "from magh.algebra import block_homology_rows\n"
+        "from magh.errors import NotASubcomplex\n"
+        "from magh.metric import cycle_space\n"
+        "if __debug__:\n"
+        "    raise SystemExit('asserts are on: not running under -O')\n"
+        "space = cycle_space(4)\n"
+        "view = space.integer_view\n"
+        "between = [list(row) for row in view.between]\n"
+        "between[0][1] |= 1 << 2\n"
+        "vars(space)['integer_view'] = replace(\n"
+        "    view, between=tuple(tuple(row) for row in between)\n"
+        ")\n"
+        "for l in (3, 4):\n"
+        "    try:\n"
+        "        block_homology_rows(space, [l], 3)\n"
+        "    except (NotASubcomplex, ValueError) as exc:\n"
+        "        print(l, type(exc).__name__, exc)\n"
+        "    else:\n"
+        "        raise SystemExit(f'grading {l} was computed')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(magh.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    # at l = 3 the corrupted triple (0, 2, 1) is the bottom of its block yet
+    # has a face; at l = 4 the face (0, 1, 0) of (0, 2, 1, 0) lies in
+    # another block
+    assert proc.stdout.splitlines() == [
+        "3 NotASubcomplex chain (0, 2, 1) at bottom degree 2 has nonzero boundary",
+        "4 NotASubcomplex boundary term (0, 1, 0) of (0, 2, 1, 0) "
+        "is outside the subcomplex basis at degree 2",
+    ]
 
 
 def test_many_gradings_equal_one_at_a_time():

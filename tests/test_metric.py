@@ -1,6 +1,9 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+
+import magh.metric
 
 from magh.errors import (
     AsymmetricAt,
@@ -14,6 +17,7 @@ from magh.errors import (
 )
 from magh.metric import (
     FiniteMetricSpace,
+    IntegerView,
     complete_space,
     cycle_space,
     format_rational,
@@ -215,3 +219,16 @@ def test_spaces_hash_by_value():
     b = validate_metric(matrix, name="b")
     assert a == b and hash(a) == hash(b) == hash((a.labels, a.dist))
     assert a != validate_metric(matrix, labels=["x", "y", "z"])
+
+
+def test_loading_scales_the_matrix_once():
+    # validate_metric scales the matrix for its triangle scan and hands the
+    # result to the space, whose integer view reuses it
+    matrix = [["0", "3/2", "1/3"], ["3/2", "0", "7/6"], ["1/3", "7/6", "0"]]
+    text = validate_metric(matrix).to_json()
+    with mock.patch.object(magh.metric, "_scaled", wraps=magh.metric._scaled) as scaled:
+        space = FiniteMetricSpace.from_json(text)
+        view = space.integer_view
+    assert scaled.call_count == 1
+    assert view == IntegerView.of(space.dist)
+    assert view.scale == 6 and view.idist[0] == (0, 9, 2)
