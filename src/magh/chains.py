@@ -7,11 +7,13 @@ when that point is strictly smooth: removing it does not change the
 length of the chain.
 
 Inside the package a chain is a bare tuple of points and its length the
-scaled int of the space's `IntegerView`. `chain_table` holds every proper
-n-chain of a space grouped by that int, `block_chains` builds only the
-chains of the endpoint blocks the engine reduces, and `smooth_faces` is
-the boundary on tuples. `ProperChain`, with its `Fraction` length, appears
-only at the public API: `enumerate_proper_chains`, `boundary` and
+scaled int of the space's `IntegerView`. `start_blocks` is the one
+length-pruned search from a start point: `block_chains` runs it for the
+endpoint blocks the engine reduces, and the frame code for its
+subcomplexes. `smooth_faces` is the boundary on tuples. `chain_table`
+holds every proper n-chain of a space grouped by length and serves only
+`enumerate_proper_chains`. `ProperChain`, with its `Fraction` length,
+appears only at the public API: `enumerate_proper_chains`, `boundary` and
 `boundary_of_sum` wrap the tuple kernel. `length_spectra` counts chains
 per length without building any.
 """
@@ -180,6 +182,57 @@ def chain_table(space, n, cap=None):
     return _chain_table(space, n)
 
 
+def search_moves(space, longest):
+    """Each point's next points with their step, ascending, no step over `longest`.
+
+    `longest` is a length as a scaled int of the space's IntegerView; the
+    result is the `moves` argument of `start_blocks`.
+    """
+    return [
+        [(nxt, d) for nxt, d in enumerate(row) if nxt != last and d <= longest]
+        for last, row in enumerate(space.integer_view.idist)
+    ]
+
+
+def start_blocks(start, moves, wanted, n_top, steps, limit):
+    """The chains from `start` of degree <= n_top with a length in `wanted`.
+
+    One length-pruned search: each chain is extended by every next point
+    of `moves` (from `search_moves` with the largest of `wanted`) in
+    ascending order, and a prefix is dropped once it is longer than the
+    largest wanted length. Returns (blocks, steps). `blocks` maps (total,
+    end point) to {degree: chains}, each degree in lexicographic order; a
+    degree with no chain is absent. `steps` is the given count plus one
+    for the start and one per prefix kept, degree n_top included, and
+    EnumerationCapExceeded is raised as soon as it passes `limit`.
+    """
+    steps += 1
+    if steps > limit:
+        raise EnumerationCapExceeded(steps, limit)
+    longest = max(wanted)
+    blocks = {}
+    if 0 in wanted:
+        blocks[0, start] = {0: [(start,)]}
+    level = [((start,), 0)]
+    for n in range(1, n_top + 1):
+        grown = []
+        for pts, total in level:
+            for nxt, d in moves[pts[-1]]:
+                t = total + d
+                if t > longest:
+                    continue
+                steps += 1
+                ch = pts + (nxt,)
+                if n < n_top:
+                    grown.append((ch, t))
+                if t in wanted:
+                    blocks.setdefault((t, nxt), {}).setdefault(n, []).append(ch)
+            if steps > limit:
+                raise EnumerationCapExceeded(steps, limit)
+        level = grown
+    return blocks, steps
+
+
 def block_chains(space, totals, n_max, cap=None):
     """The chains of each endpoint block whose length is in `totals`.
 
@@ -191,16 +244,15 @@ def block_chains(space, totals, n_max, cap=None):
     k = n_max + 1 only those with a smooth face. A degree with no chain
     is absent.
 
-    Degrees 0..n_max come from one search per start point that extends
-    each chain by every next point in ascending order and drops a prefix
-    once it is longer than the largest total. Degree n_max + 1 is built by
-    insertion: a point c strictly between x_{i-1} and x_i of a degree-n_max
-    chain x of the block is inserted at position i, and the result is kept
-    only if i is its first smooth position. Removing that point gives x
-    back, so every top chain with a smooth face is made exactly once; one
-    without a face changes only H_{n_max + 1} and is never built.
+    Degrees 0..n_max come from `start_blocks`, one search per start
+    point. Degree n_max + 1 is built by insertion: a point c strictly
+    between x_{i-1} and x_i of a degree-n_max chain x of the block is
+    inserted at position i, and the result is kept only if i is its first
+    smooth position. Removing that point gives x back, so every top chain
+    with a smooth face is made exactly once; one without a face changes
+    only H_{n_max + 1} and is never built.
 
-    Steps counted against the cap (`resolve_cap`): every prefix kept,
+    Steps counted against the cap (`resolve_cap`): those of the searches,
     that is every proper chain of degree <= n_max no longer than the
     largest total, degree 0 included, and every insertion kept.
     EnumerationCapExceeded is raised as soon as the steps pass the cap.
@@ -211,39 +263,12 @@ def block_chains(space, totals, n_max, cap=None):
     limit = resolve_cap(cap)
     view = space.integer_view
     between = view.between
-    longest = max(wanted)
     size = space.n
-    # next points from each last point with their step, in ascending order
-    moves = [
-        [(nxt, d) for nxt, d in enumerate(row) if nxt != last and d <= longest]
-        for last, row in enumerate(view.idist)
-    ]
+    moves = search_moves(space, max(wanted))
     inner = [[view.between_points(a, b) for b in range(size)] for a in range(size)]
     steps = 0
     for start in range(size):
-        steps += 1
-        if steps > limit:
-            raise EnumerationCapExceeded(steps, limit)
-        blocks = {}
-        if 0 in wanted:
-            blocks[0, start] = {0: [(start,)]}
-        level = [((start,), 0)]
-        for n in range(1, n_max + 1):
-            grown = []
-            for pts, total in level:
-                for nxt, d in moves[pts[-1]]:
-                    t = total + d
-                    if t > longest:
-                        continue
-                    steps += 1
-                    ch = pts + (nxt,)
-                    if n < n_max:
-                        grown.append((ch, t))
-                    if t in wanted:
-                        blocks.setdefault((t, nxt), {}).setdefault(n, []).append(ch)
-                if steps > limit:
-                    raise EnumerationCapExceeded(steps, limit)
-            level = grown
+        blocks, steps = start_blocks(start, moves, wanted, n_max, steps, limit)
         for key in sorted(blocks):
             bases = blocks.pop(key)
             made = []
@@ -276,8 +301,8 @@ def enumerate_proper_chains(space, n, cap=None):
     """Map from exact length to the list of proper n-chains of that length.
 
     Keys ascend; each list is in lexicographic order. The cap is that of
-    `chain_table`. Builds a new ProperChain per chain on every call; the
-    package itself reads `chain_table`.
+    `chain_table`, which this is the one package caller of. Builds a new
+    ProperChain per chain on every call.
     """
     view = space.integer_view
     out = {}

@@ -67,12 +67,14 @@ class EnumerationCapExceeded(MaghError, RuntimeError):
     """Work past the enumeration cap.
 
     `count` is in the steps of whichever search refused: the chains of a
-    whole degree for the chain table, checked before any is built; the
-    prefixes kept (chains of degree <= n_max no longer than the largest
-    grading) plus the top-degree insertions kept so far for the
-    endpoint-block engine; the tuples visited so far for the frame
-    search; the (state, next point) transitions through the degree that
-    passes the cap for the length spectrum count.
+    whole degree for the chain table and the d^2 check, checked before
+    any is built; the prefixes kept (chains of degree <= n_max no longer
+    than the largest grading) plus the top-degree insertions kept so far
+    for the endpoint-block engine; the prefixes kept so far for a frame
+    subcomplex or a whole grading's frame subcomplexes; the tuples
+    visited so far for the frame search; the (state, next point)
+    transitions through the degree that passes the cap for the length
+    spectrum count.
     """
 
     def __init__(self, count, cap):

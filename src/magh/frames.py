@@ -6,6 +6,11 @@ simple when it has the same length as its frame. For each length grading,
 the geodesically simple chains split by frame into subcomplexes whose
 direct sum computes magnitude homology below the threshold m_X, the
 minimum length of a four-cut.
+
+A frame subcomplex's chains come from `chains.start_blocks`, the
+length-pruned search the endpoint-block engine runs too: rooted at the
+frame's first point for one frame, at every point for a whole grading,
+pruned at the grading, and grown in full up to the top degree.
 """
 
 from __future__ import annotations
@@ -14,7 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import complex_from_bases
-from .chains import ProperChain, chain_length, chain_table, chain_total
+from .chains import (
+    ProperChain,
+    chain_length,
+    chain_total,
+    resolve_cap,
+    search_moves,
+    start_blocks,
+)
 from .errors import ImproperFrame
 from .metric import format_rational
 
@@ -98,18 +110,39 @@ def is_realized_frame(space, points):
     return True
 
 
+def _searches(space, starts, total, n_top, cap):
+    """Yield the blocks of `chains.start_blocks` from each point of `starts`.
+
+    The one wanted length is `total`, a scaled int, so each is
+    {(total, end): {degree: chains}} for degrees 0..n_top, each degree in
+    lexicographic order. The steps of all starts count against one cap
+    (`resolve_cap`).
+    """
+    limit = resolve_cap(cap)
+    moves = search_moves(space, total)
+    steps = 0
+    for start in starts:
+        blocks, steps = start_blocks(start, moves, {total}, n_top, steps, limit)
+        yield blocks
+
+
 def _simple_tuples_by_frame(space, l, n_top, cap):
     """`simple_chains_by_frame` with chains as point tuples."""
     total = space.integer_view.scaled(l)
     partition = {}
-    for n in range(1, n_top + 1):
-        for pts in chain_table(space, n, cap).buckets.get(total, ()):
-            f = frame(space, pts)
-            if chain_total(space, f) != total:
-                continue
-            if any(a == b for a, b in zip(f, f[1:])):
-                raise ImproperFrame(pts, f)
-            partition.setdefault(f, {}).setdefault(n, []).append(pts)
+    # degree-0 chains, the only ones of length 0, carry no frame
+    if total is None or total <= 0:
+        return partition
+    for blocks in _searches(space, range(space.n), total, n_top, cap):
+        for key in sorted(blocks):
+            for n, chains in blocks[key].items():
+                for pts in chains:
+                    f = frame(space, pts)
+                    if chain_total(space, f) != total:
+                        continue
+                    if any(a == b for a, b in zip(f, f[1:])):
+                        raise ImproperFrame(pts, f)
+                    partition.setdefault(f, {}).setdefault(n, []).append(pts)
     return {f: partition[f] for f in sorted(partition)}
 
 
@@ -118,7 +151,9 @@ def simple_chains_by_frame(space, l, n_top, cap=None):
 
     Degrees run 1..n_top; degree-0 chains carry no frame data and are
     excluded. Keys are sorted lexicographically, bases lexicographically
-    within each degree.
+    within each degree. The chains come from one length-pruned search per
+    start point, and the cap counts its steps: every proper chain of degree
+    <= n_top no longer than l, degree 0 included.
     """
     l = Fraction(l)
     return {
@@ -131,8 +166,11 @@ def frame_subcomplex(space, f, n_top, cap=None):
     """The subcomplex of geodesically simple chains with the given frame.
 
     Degrees run from the frame's own degree up to n_top. The basis at each
-    degree is filtered out of the full enumeration, independently of any
-    structure theory about where inserted points may sit.
+    degree is filtered out of every chain from f[0] to f[-1] of the
+    frame's length, found by the length-pruned search from f[0], and
+    independently of any structure theory about where inserted points may
+    sit. The cap counts the search's steps: every proper chain from f[0]
+    of degree <= n_top no longer than the frame, degree 0 included.
     """
     f = tuple(f)
     lo = len(f) - 1
@@ -141,14 +179,12 @@ def frame_subcomplex(space, f, n_top, cap=None):
     if n_top < lo:
         raise ValueError(f"n_top {n_top} below frame degree {lo}")
     total = chain_total(space, f)
-    a, b = f[0], f[-1]
-    bases = {}
-    for n in range(lo, n_top + 1):
-        bases[n] = [
-            pts
-            for pts in chain_table(space, n, cap).buckets.get(total, ())
-            if pts[0] == a and pts[-1] == b and frame(space, pts) == f
-        ]
+    [blocks] = _searches(space, f[:1], total, n_top, cap)
+    found = blocks.get((total, f[-1]), {})
+    bases = {
+        n: [pts for pts in found.get(n, ()) if frame(space, pts) == f]
+        for n in range(lo, n_top + 1)
+    }
     return complex_from_bases(space, bases, lo, n_top)
 
 

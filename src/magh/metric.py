@@ -96,11 +96,12 @@ class IntegerView:
     geodesic. This table is the one definition of betweenness in the
     package; smoothness, frames, four-cuts and interval posets all read it.
 
-    The view also owns what the engine derives from it once per space and
-    reuses: `chain_tables` maps a degree to its `chains.ChainTable`, and
-    `pair_homology` maps a pair (a, b) to the nonzero reduced homology of
-    its interval poset. Both fill as they are asked for and live exactly
-    as long as the space.
+    The view also owns what is derived from it once per space and reused:
+    `chain_tables` maps a degree to its `chains.ChainTable`, filled only
+    by the public `enumerate_proper_chains`, and `pair_homology` maps a
+    pair (a, b) to the nonzero reduced homology of its interval poset,
+    which the engine reads. Both fill as they are asked for and live
+    exactly as long as the space.
     """
 
     scale: int
@@ -165,7 +166,7 @@ class FiniteMetricSpace:
     instances through `validate_metric` or the generators below. Spaces
     compare and hash by (labels, dist). `integer_view` is computed from
     `dist` on first use and kept with the instance, together with the
-    chain tables and pair homology the engine derives from it. `scaled`
+    chain tables and pair homology derived from it. `scaled`
     is `dist` scaled to ints as (scale, int rows), when `validate_metric`
     has done that already for its triangle scan; the view then reuses it.
     """
@@ -249,8 +250,8 @@ def validate_metric(matrix, labels=None, name=""):
     Axioms are checked in a fixed order with the first witness reported:
     squareness, symmetry, positivity off the diagonal, zero diagonal,
     triangle inequality. Row-major scan order makes witnesses deterministic.
-    The triangle scan compares the distances scaled to ints, which orders
-    them exactly as the Fractions do.
+    Every check after squareness compares the distances scaled to ints,
+    which keep the signs and the order of the Fractions exactly.
     """
     n = len(matrix)
     rows = []
@@ -267,19 +268,19 @@ def validate_metric(matrix, labels=None, name=""):
         if len(labels) != n:
             raise MetricError(f"{len(labels)} labels for {n} points")
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise AsymmetricAt(i, j)
-    for i in range(n):
-        for j in range(n):
-            if i != j and rows[i][j] <= 0:
-                raise NegativeOrZeroOffDiagonal(i, j)
-    for i in range(n):
-        if rows[i][i] != 0:
-            raise NonzeroDiagonal(i)
     scaled = _scaled(rows)
     idist = scaled[1]
+    for i, row_i in enumerate(idist):
+        for j in range(i + 1, n):
+            if row_i[j] != idist[j][i]:
+                raise AsymmetricAt(i, j)
+    for i, row_i in enumerate(idist):
+        for j, dij in enumerate(row_i):
+            if i != j and dij <= 0:
+                raise NegativeOrZeroOffDiagonal(i, j)
+    for i, row_i in enumerate(idist):
+        if row_i[i]:
+            raise NonzeroDiagonal(i)
     for i, row_i in enumerate(idist):
         for j, row_j in enumerate(idist):
             dij = row_i[j]

@@ -3,7 +3,9 @@
 Each check returns a VerificationReport rather than raising: a failing
 check is data, with a concrete witness, so suites can report everything
 they found. All iteration orders are sorted, making reports byte-stable
-across runs.
+across runs. No check builds a whole-space chain table: `d_squared`
+walks the chains once per start point, and the frame side of the other
+checks reads the frame code's length-pruned searches.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import HomologyGroup, block_homology_rows
-from .chains import chain_table, length_spectra, smooth_faces
+from .chains import chain_total, length_spectra, resolve_cap, smooth_faces
+from .errors import EnumerationCapExceeded
 from .frames import (
     frame_subcomplex,
     is_frame,
@@ -63,54 +66,151 @@ def _group_json(group):
     return {"betti": group.betti, "torsion": list(group.torsion)}
 
 
+def _first_dd_failure(space, top):
+    """(degree, total, chain, dd) of the first chain of degree 2..top whose
+    boundary-of-boundary is not zero, in (degree, length, lexicographic)
+    order; None if there is none.
+
+    One walk per start point over its proper chains, a degree at a time,
+    carrying whether each chain already has a smooth interior point. Only
+    a chain with a smooth face has a boundary-of-boundary to check: its
+    faces are those of `smooth_faces`, and each face's own faces are read
+    from those kept for the faced chains of lower degree from the same
+    start, every one of which the walk met first. A face not among them
+    has none. At the top degree a chain is built only if it has a face.
+    Once a degree has a failure, no higher degree is walked.
+    """
+    view = space.integer_view
+    between = view.between
+    size = space.n
+    moves = [[nxt for nxt in range(size) if nxt != last] for last in range(size)]
+    # smooth[prev][last]: the next points that make `last` strictly smooth
+    smooth = [
+        [tuple(nxt for nxt, mask in enumerate(row) if mask >> last & 1) for last in range(size)]
+        for row in between
+    ]
+    best = None
+    for start in range(size):
+        faces_of = {}
+        level = [((start, nxt), False) for nxt in moves[start]]
+        for n in range(2, top + 1):
+            grown = []
+            for pts, faced in level:
+                prev, last = pts[-2], pts[-1]
+                smoothing = smooth[prev][last]
+                # at the top degree only the chains with a face are built
+                for nxt in moves[last] if faced or n < top else smoothing:
+                    ch = pts + (nxt,)
+                    has_face = faced or nxt in smoothing
+                    if n < top:
+                        grown.append((ch, has_face))
+                    if not has_face:
+                        continue
+                    faces = smooth_faces(between, ch)
+                    if n < top:
+                        faces_of[ch] = faces
+                    dd = {}
+                    for face, sign in faces:
+                        for term, sign2 in faces_of.get(face, ()):
+                            dd[term] = dd.get(term, 0) + sign * sign2
+                    if any(dd.values()):
+                        found = (n, chain_total(space, ch), ch, dd)
+                        if best is None or found[:3] < best[:3]:
+                            best = found
+            if best is not None and best[0] == n:
+                top = n
+                break
+            level = grown
+    return best
+
+
+def _chain_position(space, n, total, pts):
+    """1-based position of a proper n-chain among the chains of degrees
+    2..n in (degree, length, lexicographic) order, counted without
+    building any: walks[k][x] maps a length to the number of proper
+    k-step chains from x of that length.
+    """
+    idist = space.integer_view.idist
+    size = space.n
+    walks = [[{0: 1} for _ in range(size)]]
+    for k in range(1, n + 1):
+        layer = []
+        for x, row in enumerate(idist):
+            counts = {}
+            for y, below in enumerate(walks[-1]):
+                if y == x:
+                    continue
+                d = row[y]
+                for t, c in below.items():
+                    counts[t + d] = counts.get(t + d, 0) + c
+            layer.append(counts)
+        walks.append(layer)
+    position = sum(size * (size - 1) ** k for k in range(2, n)) + 1
+    position += sum(c for counts in walks[n] for t, c in counts.items() if t < total)
+    # chains of the same length that leave pts at position i for a smaller point
+    run = 0
+    for i, p in enumerate(pts):
+        for c in range(p):
+            if i == 0:
+                position += walks[n][c].get(total, 0)
+            elif c != pts[i - 1]:
+                position += walks[n - i][c].get(total - run - idist[pts[i - 1]][c], 0)
+        if i:
+            run += idist[pts[i - 1]][p]
+    return position
+
+
 def check_d_squared(space, n_max, cap=None):
     """Boundary-of-boundary vanishes for every proper chain of degree <= n_max.
 
     This exercises the smoothness filter directly: a wrong filter breaks
-    the identity on small cycles immediately. Chains are visited by
-    degree, then length, then lexicographically, and the report names the
-    first one whose boundary-of-boundary is not zero.
+    the identity on small cycles immediately. Chains are ordered by
+    degree, then length, then lexicographically; on a failure the report
+    names the first failing one, and `checked` is its position in that
+    order. On a pass `checked` is the number of chains of degrees
+    2..n_max, N(N-1)^n each.
+
+    The cap (`resolve_cap`) bounds each degree's N(N-1)^n chains: the
+    degrees below the first one over the cap are checked, a failure among
+    them is reported, and otherwise EnumerationCapExceeded is raised with
+    that degree's count.
     """
-    view = space.integer_view
-    between = view.between
-    checked = 0
-    for n in range(2, n_max + 1):
-        # the boundary of each face, shared by the chains of this degree
-        face_terms = {}
-        for total, bucket in chain_table(space, n, cap).buckets.items():
-            for index, pts in enumerate(bucket):
-                faces = smooth_faces(between, pts)
-                if not faces:
-                    continue
-                dd = {}
-                for face, sign in faces:
-                    terms = face_terms.get(face)
-                    if terms is None:
-                        terms = face_terms[face] = smooth_faces(between, face)
-                    for term, sign2 in terms:
-                        dd[term] = dd.get(term, 0) + sign * sign2
-                dd = {term: c for term, c in dd.items() if c}
-                if dd:
-                    return VerificationReport(
-                        check="d_squared",
-                        space=space.name or "space",
-                        status="fail",
-                        params={"n_max": n_max, "checked": checked + index + 1},
-                        witness={
-                            "chain": list(pts),
-                            "l": format_rational(view.fraction(total)),
-                            "dd_terms": [
-                                {"points": list(term), "coeff": c}
-                                for term, c in sorted(dd.items())
-                            ],
-                        },
-                    )
-            checked += len(bucket)
+    name = space.name or "space"
+    size = space.n
+    counts = [size * (size - 1) ** n for n in range(2, n_max + 1)]
+    top = n_max
+    over = None
+    if counts:
+        limit = resolve_cap(cap)
+        for n, count in enumerate(counts, start=2):
+            if count > limit:
+                top, over = n - 1, count
+                break
+    best = _first_dd_failure(space, top)
+    if best is not None:
+        n, total, pts, dd = best
+        return VerificationReport(
+            check="d_squared",
+            space=name,
+            status="fail",
+            params={"n_max": n_max, "checked": _chain_position(space, n, total, pts)},
+            witness={
+                "chain": list(pts),
+                "l": format_rational(space.integer_view.fraction(total)),
+                "dd_terms": [
+                    {"points": list(term), "coeff": c}
+                    for term, c in sorted(dd.items())
+                    if c
+                ],
+            },
+        )
+    if over is not None:
+        raise EnumerationCapExceeded(over, limit)
     return VerificationReport(
         check="d_squared",
-        space=space.name or "space",
+        space=name,
         status="pass",
-        params={"n_max": n_max, "checked": checked},
+        params={"n_max": n_max, "checked": sum(counts)},
     )
 
 

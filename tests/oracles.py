@@ -11,7 +11,10 @@ never builds one. `magnitude_complex` assembles a whole grading as one
 complex from the package's chain table, the complex the endpoint-block
 engine splits by endpoint pair, and `endpoint_blocks` splits a chain
 table by endpoint pair the way the engine's blocks are meant to come
-out. Slow on purpose; oracle scale only.
+out. `d_squared_by_tables` is the boundary-of-boundary check as a walk
+over whole chain tables, the route `verify.check_d_squared` replaced,
+and `frame_bases_by_tables` filters the frame subcomplexes' bases out of
+whole chain tables. Slow on purpose; oracle scale only.
 """
 
 import itertools
@@ -19,7 +22,10 @@ from fractions import Fraction
 from math import gcd
 
 from magh.algebra import ChainComplexZ, SparseIntMatrix, complex_from_bases
-from magh.chains import chain_table
+from magh.chains import chain_table, smooth_faces
+from magh.frames import frame
+from magh.metric import format_rational
+from magh.verify import VerificationReport
 
 
 def naive_chains(space, n, l=None):
@@ -81,6 +87,71 @@ def endpoint_blocks(by_degree, l):
             pts = tuple(ch)
             blocks.setdefault((pts[0], pts[-1]), {}).setdefault(n, []).append(ch)
     return {pair: blocks[pair] for pair in sorted(blocks)}
+
+
+def d_squared_by_tables(space, n_max, cap=None):
+    """`verify.check_d_squared` as a walk over each degree's chain table.
+
+    Visits every chain of degrees 2..n_max by degree, then length, then
+    lexicographically, counting each one, and reports the first whose
+    boundary-of-boundary is not zero. `chain_table` raises
+    EnumerationCapExceeded for the first degree whose N(N-1)^n chains pass
+    the cap, once the degrees below it have passed.
+    """
+    view = space.integer_view
+    between = view.between
+    checked = 0
+    for n in range(2, n_max + 1):
+        face_terms = {}
+        for total, bucket in chain_table(space, n, cap).buckets.items():
+            for index, pts in enumerate(bucket):
+                dd = {}
+                for face, sign in smooth_faces(between, pts):
+                    terms = face_terms.get(face)
+                    if terms is None:
+                        terms = face_terms[face] = smooth_faces(between, face)
+                    for term, sign2 in terms:
+                        dd[term] = dd.get(term, 0) + sign * sign2
+                dd = {term: c for term, c in dd.items() if c}
+                if dd:
+                    return VerificationReport(
+                        check="d_squared",
+                        space=space.name or "space",
+                        status="fail",
+                        params={"n_max": n_max, "checked": checked + index + 1},
+                        witness={
+                            "chain": list(pts),
+                            "l": format_rational(view.fraction(total)),
+                            "dd_terms": [
+                                {"points": list(term), "coeff": c}
+                                for term, c in sorted(dd.items())
+                            ],
+                        },
+                    )
+            checked += len(bucket)
+    return VerificationReport(
+        check="d_squared",
+        space=space.name or "space",
+        status="pass",
+        params={"n_max": n_max, "checked": checked},
+    )
+
+
+def frame_bases_by_tables(space, total, n_top):
+    """The geodesically simple chains of length `total`, a scaled int, by
+    frame then degree 1..n_top, filtered out of whole chain tables.
+
+    Frames and degrees ascend; each basis keeps its table's lexicographic
+    order.
+    """
+    idist = space.integer_view.idist
+    out = {}
+    for n in range(1, n_top + 1):
+        for pts in chain_table(space, n).buckets.get(total, ()):
+            f = frame(space, pts)
+            if sum(idist[a][b] for a, b in zip(f, f[1:])) == total:
+                out.setdefault(f, {}).setdefault(n, []).append(pts)
+    return {f: out[f] for f in sorted(out)}
 
 
 def rational_rank(dense):

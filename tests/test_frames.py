@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from magh.algebra import HomologyGroup
+import magh.frames
+from magh.algebra import HomologyGroup, complex_from_bases
 from magh.chains import ProperChain, chain_length, enumerate_proper_chains
+from magh.errors import EnumerationCapExceeded
 from magh.frames import (
     four_cuts,
     frame,
@@ -19,12 +21,14 @@ from magh.frames import (
 from magh.metric import (
     complete_space,
     cycle_space,
+    metric_closure,
     path_space,
     random_metric,
+    validate_metric,
 )
 from magh.posets import frame_homology_via_posets
 
-from oracles import naive_four_cuts
+from oracles import frame_bases_by_tables, naive_chains, naive_four_cuts
 
 F = Fraction
 
@@ -168,6 +172,104 @@ def test_partition_of_simple_chains(space):
                     assert ch.points in seen
                 else:
                     assert ch.points not in seen
+
+
+def rational_metric():
+    """Closure of K_5 with weights in sixths, geodesic ties kept."""
+    w = [F(1, 2), F(5, 6), F(4, 3), F(1, 2), F(3, 2), F(5, 6), F(1, 3), F(2, 3), F(7, 6), F(1, 2)]
+    d = [[F(0)] * 5 for _ in range(5)]
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    for (i, j), v in zip(pairs, w):
+        d[i][j] = d[j][i] = v
+    space = validate_metric(metric_closure(d), name="rational(5)")
+    assert space.integer_view.scale == 6
+    return space
+
+
+FRAME_SPACES = [
+    cycle_space(4),
+    cycle_space(5),
+    cycle_space(6),
+    path_space(4),
+    complete_space(3),
+    random_metric(4, seed=7),
+    random_metric(5, seed=8),
+    rational_metric(),
+]
+
+
+def recorded_bases(monkeypatch):
+    """Record the bases the frame code hands to complex_from_bases."""
+    calls = []
+
+    def record(space, bases, lo, hi):
+        calls.append({n: list(chains) for n, chains in bases.items()})
+        return complex_from_bases(space, bases, lo, hi)
+
+    monkeypatch.setattr(magh.frames, "complex_from_bases", record)
+    return calls
+
+
+@pytest.mark.parametrize("space", FRAME_SPACES, ids=lambda s: s.name)
+def test_frame_bases_match_table_filter(space, monkeypatch):
+    calls = recorded_bases(monkeypatch)
+    view = space.integer_view
+    for n_top in (2, 4):
+        totals = {
+            sum(view.idist[a][b] for a, b in zip(pts, pts[1:]))
+            for n in range(1, n_top + 1)
+            for pts in naive_chains(space, n)
+        }
+        for total in sorted(totals):
+            l = view.fraction(total)
+            oracle = frame_bases_by_tables(space, total, n_top)
+            by_frame = simple_chains_by_frame(space, l, n_top)
+            assert list(by_frame) == list(oracle)
+            for f, by_degree in by_frame.items():
+                assert {n: [ch.points for ch in chains] for n, chains in by_degree.items()} == (
+                    oracle[f]
+                )
+            del calls[:]
+            pieces = simp_decomposition(space, l, n_top)
+            assert list(pieces) == list(oracle)
+            assert calls == list(oracle.values())
+            for f, by_degree in oracle.items():
+                del calls[:]
+                frame_subcomplex(space, f, n_top)
+                lo = len(f) - 1
+                assert calls == [{n: by_degree.get(n, []) for n in range(lo, n_top + 1)}]
+        # every pair is its own frame, as check_frame_injectivity asks
+        for a in range(space.n):
+            for b in range(space.n):
+                if a != b:
+                    oracle = frame_bases_by_tables(space, view.idist[a][b], n_top)
+                    del calls[:]
+                    frame_subcomplex(space, (a, b), n_top)
+                    assert calls == [{n: oracle[a, b].get(n, []) for n in range(1, n_top + 1)}]
+
+
+def test_frame_cap_counts_prefixes_kept():
+    # the frame (0, 2) of C_5 has length 2: its search from 0 keeps every
+    # proper chain from 0 of degree <= 3 and length <= 2, degree 0
+    # included; a whole grading's search keeps those from every point
+    space = cycle_space(5)
+
+    def length(pts):
+        return sum(space.d(a, b) for a, b in zip(pts, pts[1:]))
+
+    kept = [pts for n in range(4) for pts in naive_chains(space, n) if length(pts) <= 2]
+    from_zero = sum(1 for pts in kept if pts[0] == 0)
+    # far below the 5 * 4^3 chains of degree 3 the chain table counted
+    assert (from_zero, len(kept)) == (9, 45)
+    for call, count in [
+        (lambda cap: frame_subcomplex(space, (0, 2), 3, cap), from_zero),
+        (lambda cap: simp_decomposition(space, 2, 3, cap), len(kept)),
+        (lambda cap: simple_chains_by_frame(space, 2, 3, cap), len(kept)),
+    ]:
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            call(count - 1)
+        assert (exc.value.count, exc.value.cap) == (count, count - 1)
+        call(count)
 
 
 # --- four-cuts and m_X ----------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,8 +8,15 @@ import pytest
 import magh.verify as verify_module
 from magh.algebra import block_homology_rows
 from magh.chains import is_strictly_smooth
+from magh.errors import EnumerationCapExceeded
 from magh.frames import is_frame
-from magh.metric import complete_space, cycle_space, path_space, random_metric
+from magh.metric import (
+    complete_space,
+    cycle_space,
+    path_space,
+    random_metric,
+    validate_metric,
+)
 from magh.verify import (
     CHECKS,
     check_d_squared,
@@ -20,6 +28,8 @@ from magh.verify import (
     random_suite,
     run_checks,
 )
+
+from oracles import d_squared_by_tables
 
 
 SAMPLE_SPACES = [
@@ -68,6 +78,113 @@ def test_d_squared_catches_corrupted_smoothness():
     # (0,2,1), whose corrupted boundary then drops to (0,1) uncancelled
     assert report.witness["chain"] == [0, 1, 2, 1]
     assert report.witness["dd_terms"] == [{"points": [0, 1], "coeff": 1}]
+
+
+def with_between(space, between):
+    """The space with its betweenness table replaced, for injecting faults."""
+    view = space.integer_view
+    vars(space)["integer_view"] = replace(
+        view, between=tuple(tuple(row) for row in between)
+    )
+    return space
+
+
+def rational_grid(rows, cols):
+    """L1 metric on a grid with non-integer rational steps."""
+    xs = [Fraction(0), Fraction(3, 2), Fraction(19, 6)][:cols]
+    ys = [Fraction(0), Fraction(7, 5)][:rows]
+    coords = [(x, y) for y in ys for x in xs]
+    d = [[abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in coords] for p in coords]
+    return validate_metric(d, name=f"rational-grid-{rows}x{cols}")
+
+
+def d_squared_outcome(check, space, n_max, cap=None):
+    try:
+        return check(space, n_max, cap).to_json()
+    except EnumerationCapExceeded as exc:
+        return ("cap", exc.count, exc.cap)
+
+
+@pytest.mark.parametrize(
+    "space",
+    default_suite() + [rational_grid(2, 3)],
+    ids=lambda s: s.name,
+)
+def test_d_squared_matches_table_walk(space):
+    for n_max in range(5):
+        assert check_d_squared(space, n_max).to_json() == (
+            d_squared_by_tables(space, n_max).to_json()
+        )
+
+
+def test_d_squared_matches_table_walk_on_corrupted_tables():
+    # random bit flips in the betweenness tables of small spaces, off the
+    # diagonal, where every face stays a proper chain; the whole report,
+    # status, count and witness, must be the table walk's
+    bases = [cycle_space(n) for n in range(3, 7)] + [path_space(n) for n in range(2, 6)]
+    bases += [random_metric(n, seed=seed) for n, seed in [(3, 1), (4, 2), (5, 3), (5, 5)]]
+    rng = random.Random(2019)
+    failures = 0
+    for case in range(240):
+        base = rng.choice(bases)
+        size = base.n
+        between = [list(row) for row in base.integer_view.between]
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.sample(range(size), 2)
+            between[a][b] ^= 1 << rng.randrange(size)
+        fresh = validate_metric([list(row) for row in base.dist], name=base.name)
+        space = with_between(fresh, between)
+        n_max = rng.randint(2, 4)
+        report = check_d_squared(space, n_max).to_json()
+        assert report == d_squared_by_tables(space, n_max).to_json(), (case, report)
+        failures += '"fail"' in report
+    assert 50 < failures < 200
+
+
+def corrupted_cycle4():
+    # point 2 counts as strictly between 0 and 1: d^2 first fails at degree 3
+    space = cycle_space(4)
+    between = [list(row) for row in space.integer_view.between]
+    between[0][1] |= 1 << 2
+    return with_between(space, between)
+
+
+@pytest.mark.parametrize(
+    "space, clean",
+    [
+        (cycle_space(4), True),
+        (path_space(2), True),
+        (complete_space(3), True),
+        (corrupted_cycle4(), False),
+    ],
+    ids=["cycle(4)", "path(2)", "complete(3)", "corrupted-cycle(4)"],
+)
+def test_d_squared_cap_is_per_degree(space, clean):
+    # the table walk's outcome, a report or the exception's count and cap,
+    # at every cap on either side of a degree's N(N-1)^n
+    size = space.n
+    for n_max in range(2, 5):
+        counts = [size * (size - 1) ** n for n in range(2, n_max + 1)]
+        for cap in sorted({c + e for c in counts for e in (-1, 0)}):
+            assert d_squared_outcome(check_d_squared, space, n_max, cap) == (
+                d_squared_outcome(d_squared_by_tables, space, n_max, cap)
+            ), (n_max, cap)
+        # raises at N(N-1)^n - 1 with the top degree's count, passes at it
+        if clean:
+            with pytest.raises(EnumerationCapExceeded) as exc:
+                check_d_squared(space, n_max, cap=counts[-1] - 1)
+            assert (exc.value.count, exc.value.cap) == (counts[-1], counts[-1] - 1)
+            report = check_d_squared(space, n_max, cap=counts[-1])
+            assert report.passed and report.params["checked"] == sum(counts)
+
+
+def test_d_squared_failure_below_the_cap_is_reported():
+    # degree 4 of C_4 has 324 chains, over the cap; the failure at degree 3
+    # is found first
+    report = check_d_squared(corrupted_cycle4(), 4, cap=4 * 3**4 - 1)
+    assert not report.passed
+    assert report.witness["chain"] == [0, 1, 2, 1]
+    assert report.params["checked"] == d_squared_by_tables(corrupted_cycle4(), 3).params["checked"]
 
 
 def test_tensor_route_catches_unrealized_frame(monkeypatch):
@@ -155,9 +272,12 @@ def test_suite_compositions():
 
 
 def test_default_suite_all_green():
-    reports = run_checks(default_suite(), n_max=3)
+    spaces = default_suite()
+    reports = run_checks(spaces, n_max=3)
     assert all(r.passed for r in reports), [r.to_json() for r in reports if not r.passed]
     assert len(reports) == 14 * 4
+    # no check reads a whole-space chain table
+    assert [s.integer_view.chain_tables for s in spaces] == [{}] * len(spaces)
 
 
 @pytest.mark.parametrize("check", [check_simp_iso, check_frame_injectivity])
