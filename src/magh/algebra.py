@@ -97,10 +97,13 @@ def snf(matrix):
     matrices have few entries per column, nearly all +-1, so this usually
     reduces most of the matrix. It stops when no row is left or a pass
     finds no unit entry. The rows and columns that still have
-    entries go to `_smith_dense`, whose factors follow the units.
+    entries go to `_smith_dense`, whose factors follow the units. A
+    matrix with no entries has no factors and builds no index.
     """
     if not isinstance(matrix, SparseIntMatrix):
         matrix = SparseIntMatrix.from_dense(matrix)
+    if not matrix.nnz:
+        return ()
     rows = {}
     cols = {}
     for c, column in enumerate(matrix.columns):
@@ -396,6 +399,7 @@ class ChainComplexZ:
         return self._snf_cache[k]
 
     def homology(self, k):
+        """H_k as a HomologyGroup; a zero group is the shared TRIVIAL_GROUP."""
         if not self.lo <= k <= self.hi:
             raise DegreeOutOfRange(k, self.lo, self.hi)
         rank_out = len(self._factors(k))
@@ -404,6 +408,8 @@ class ChainComplexZ:
         if betti < 0:
             raise NegativeBetti(k, betti)
         torsion = tuple(d for d in factors_in if d > 1)
+        if not betti and not torsion:
+            return TRIVIAL_GROUP
         return HomologyGroup(betti, torsion)
 
     def homology_or_trivial(self, k):

@@ -10,7 +10,17 @@ minimum length of a four-cut.
 A frame subcomplex's chains come from `chains.start_blocks`, the
 length-pruned search the endpoint-block engine runs too: rooted at the
 frame's first point for one frame, at every point for a whole grading,
-pruned at the grading, and grown in full up to the top degree.
+pruned at the grading, and grown in full up to the top degree. Each
+endpoint block's chains split by frame in one place (`_split_by_frame`),
+which every route here goes through.
+
+`frame_table` is the frame side of `verify`. It holds, per top degree,
+the nonzero homology of every frame piece of the endpoint blocks asked
+for so far, on the space's `IntegerView.frame_groups`, and no chains.
+A block it lacks is searched once per start point, over every total
+that start still lacks; only the blocks asked for are split, and each
+piece is reduced once. A block already held costs no search and no cap
+step.
 """
 
 from __future__ import annotations
@@ -18,16 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import complex_from_bases
+from .algebra import HomologyGroup, complex_from_bases
 from .chains import (
     ProperChain,
-    chain_length,
     chain_total,
     resolve_cap,
     search_moves,
+    smooth_faces,
     start_blocks,
 )
-from .errors import ImproperFrame
+from .errors import ImproperFrame, NotASubcomplex
 from .metric import format_rational
 
 
@@ -43,6 +53,22 @@ def singular_positions(space, points):
     return tuple(keep)
 
 
+def _frame_and_total(view, pts):
+    """The frame of a tuple of points and the frame's length as a scaled int."""
+    between = view.between
+    idist = view.idist
+    keep = [pts[0]]
+    total = 0
+    for prev, x, nxt in zip(pts, pts[1:], pts[2:]):
+        if not between[prev][nxt] >> x & 1:
+            total += idist[keep[-1]][x]
+            keep.append(x)
+    if len(pts) > 1:
+        total += idist[keep[-1]][pts[-1]]
+        keep.append(pts[-1])
+    return tuple(keep), total
+
+
 def frame(space, chain):
     """The subtuple of singular points of a proper chain.
 
@@ -52,14 +78,15 @@ def frame(space, chain):
     is only checked where the decomposition relies on it (ImproperFrame).
     """
     pts = chain.points if isinstance(chain, ProperChain) else tuple(chain)
-    return tuple(pts[i] for i in singular_positions(space, pts))
+    return _frame_and_total(space.integer_view, pts)[0]
 
 
 def is_geodesically_simple(space, chain):
     """True when the chain's length equals its frame's length."""
     if not isinstance(chain, ProperChain):
         chain = ProperChain.from_points(space, chain)
-    return chain_length(space, frame(space, chain)) == chain.length
+    pts = chain.points
+    return _frame_and_total(space.integer_view, pts)[1] == chain_total(space, pts)
 
 
 def is_frame(space, points):
@@ -126,23 +153,37 @@ def _searches(space, starts, total, n_top, cap):
         yield blocks
 
 
+def _split_by_frame(view, total, bases):
+    """The geodesically simple chains of one endpoint block, by frame.
+
+    `bases` maps a degree to the block's chains of length `total`; the
+    result maps each frame as long as its chains to {degree: chains},
+    degrees ascending and each in the order given. A simple chain whose
+    frame is not proper raises ImproperFrame.
+    """
+    partition = {}
+    for n in sorted(bases):
+        for pts in bases[n]:
+            f, t = _frame_and_total(view, pts)
+            if t != total:
+                continue
+            if any(a == b for a, b in zip(f, f[1:])):
+                raise ImproperFrame(pts, f)
+            partition.setdefault(f, {}).setdefault(n, []).append(pts)
+    return partition
+
+
 def _simple_tuples_by_frame(space, l, n_top, cap):
     """`simple_chains_by_frame` with chains as point tuples."""
-    total = space.integer_view.scaled(l)
+    view = space.integer_view
+    total = view.scaled(l)
     partition = {}
     # degree-0 chains, the only ones of length 0, carry no frame
     if total is None or total <= 0:
         return partition
     for blocks in _searches(space, range(space.n), total, n_top, cap):
         for key in sorted(blocks):
-            for n, chains in blocks[key].items():
-                for pts in chains:
-                    f = frame(space, pts)
-                    if chain_total(space, f) != total:
-                        continue
-                    if any(a == b for a, b in zip(f, f[1:])):
-                        raise ImproperFrame(pts, f)
-                    partition.setdefault(f, {}).setdefault(n, []).append(pts)
+            partition.update(_split_by_frame(view, total, blocks[key]))
     return {f: partition[f] for f in sorted(partition)}
 
 
@@ -166,8 +207,8 @@ def frame_subcomplex(space, f, n_top, cap=None):
     """The subcomplex of geodesically simple chains with the given frame.
 
     Degrees run from the frame's own degree up to n_top. The basis at each
-    degree is filtered out of every chain from f[0] to f[-1] of the
-    frame's length, found by the length-pruned search from f[0], and
+    degree is split out of every chain from f[0] to f[-1] of the frame's
+    length, found by the length-pruned search from f[0], and
     independently of any structure theory about where inserted points may
     sit. The cap counts the search's steps: every proper chain from f[0]
     of degree <= n_top no longer than the frame, degree 0 included.
@@ -180,11 +221,9 @@ def frame_subcomplex(space, f, n_top, cap=None):
         raise ValueError(f"n_top {n_top} below frame degree {lo}")
     total = chain_total(space, f)
     [blocks] = _searches(space, f[:1], total, n_top, cap)
-    found = blocks.get((total, f[-1]), {})
-    bases = {
-        n: [pts for pts in found.get(n, ()) if frame(space, pts) == f]
-        for n in range(lo, n_top + 1)
-    }
+    split = _split_by_frame(space.integer_view, total, blocks.get((total, f[-1]), {}))
+    by_degree = split.get(f, {})
+    bases = {n: by_degree.get(n, []) for n in range(lo, n_top + 1)}
     return complex_from_bases(space, bases, lo, n_top)
 
 
@@ -203,6 +242,75 @@ def simp_decomposition(space, l, n_top, cap=None):
         lo = len(f) - 1
         out[f] = complex_from_bases(space, by_degree, lo, n_top)
     return out
+
+
+_Z = HomologyGroup(1)
+
+
+def _piece_groups(space, by_degree):
+    """The nonzero homology of one frame piece, {degree: group}.
+
+    The piece spans the chains of `by_degree` over the degrees where it has
+    any. Its homology at the degrees outside is zero, and so is every
+    degree of the frame subcomplex below its first chain. A piece of one
+    chain, such as a frame that no insertion keeps at its length, is Z at
+    that chain's degree and builds no complex; the chain's boundary must
+    vanish, as at the bottom of any complex (NotASubcomplex otherwise).
+    """
+    if len(by_degree) == 1:
+        [(n, chains)] = by_degree.items()
+        if len(chains) == 1:
+            pts = chains[0]
+            if smooth_faces(space.integer_view.between, pts):
+                raise NotASubcomplex(f"chain {pts} at bottom degree {n} has nonzero boundary")
+            return {n: _Z}
+    cx = complex_from_bases(space, by_degree, min(by_degree), max(by_degree))
+    groups = {}
+    for n in cx.degrees():
+        group = cx.homology(n)
+        if not group.is_trivial():
+            groups[n] = group
+    return groups
+
+
+def frame_table(space, blocks, n_top, cap=None):
+    """The homology of every frame piece of the given endpoint blocks.
+
+    `blocks` lists endpoint blocks (total, a, b): the chains from a to b
+    whose length, as a scaled int, is `total` > 0. Returns {block: {frame:
+    {degree: group}}} for those blocks, where a frame's groups are the
+    nonzero ones of `frame_subcomplex(space, frame, n_top)` and a block
+    lists every frame of its geodesically simple chains of degree <=
+    n_top.
+
+    Kept per space and n_top in `IntegerView.frame_groups`, groups only.
+    For the blocks not held yet, each start point is searched once over
+    every total it lacks (`chains.start_blocks`), those blocks alone are
+    split by frame, and each piece is reduced once. The steps of all those
+    searches count against one cap (`resolve_cap`); a held block costs
+    none.
+    """
+    view = space.integer_view
+    held = view.frame_groups.setdefault(n_top, {})
+    lacking = {}
+    for key in blocks:
+        if key not in held:
+            total, a, b = key
+            lacking.setdefault(a, {}).setdefault(total, set()).add(b)
+    if lacking:
+        limit = resolve_cap(cap)
+        moves = search_moves(space, max(max(totals) for totals in lacking.values()))
+        steps = 0
+        for start in sorted(lacking):
+            ends_of = lacking[start]
+            found, steps = start_blocks(start, moves, set(ends_of), n_top, steps, limit)
+            for total in sorted(ends_of):
+                for end in sorted(ends_of[total]):
+                    split = _split_by_frame(view, total, found.get((total, end), {}))
+                    held[total, start, end] = {
+                        f: _piece_groups(space, split[f]) for f in sorted(split)
+                    }
+    return {key: held[key] for key in blocks}
 
 
 @dataclass(frozen=True)

@@ -98,10 +98,13 @@ class IntegerView:
 
     The view also owns what is derived from it once per space and reused:
     `chain_tables` maps a degree to its `chains.ChainTable`, filled only
-    by the public `enumerate_proper_chains`, and `pair_homology` maps a
-    pair (a, b) to the nonzero reduced homology of its interval poset,
-    which the engine reads. Both fill as they are asked for and live
-    exactly as long as the space.
+    by the public `enumerate_proper_chains`; `pair_homology` maps a pair
+    (a, b) to the nonzero reduced homology of its interval poset, which
+    the engine reads; and `frame_groups` maps a top degree to the frame
+    table of `frames.frame_table`, which `verify` reads: for each
+    endpoint block searched, the nonzero homology of each frame piece,
+    and no chains. All three fill as they are asked for and live exactly
+    as long as the space.
     """
 
     scale: int
@@ -109,6 +112,7 @@ class IntegerView:
     between: tuple
     chain_tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     pair_homology: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    frame_groups: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def of(cls, dist, scaled=None):

@@ -262,13 +262,14 @@ def interval_homology(space, a, b):
     return dict(_interval_homology(space, a, b))
 
 
-def frame_homology_via_posets(space, f, n):
-    """Homology of a frame subcomplex computed through interval posets.
+def frame_homology_by_degree(space, f):
+    """Homology of a frame subcomplex through interval posets, every degree.
 
     For a frame of degree m, the Kunneth formula folds the reduced
     homology of the intervals between consecutive frame points into the
-    homology of their tensor product, read at degree n - 2m. Each
-    interval's homology is reduced on the interval's core, as in
+    homology of their tensor product, whose degree k is the frame's degree
+    2m + k. Returns {degree: group}, nonzero groups only, from one fold.
+    Each interval's homology is reduced on the interval's core, as in
     `interval_homology`. Valid for tuples that are genuinely frames (equal
     to their own frame); the agreement with the direct subcomplex route is
     what `verify` checks.
@@ -280,7 +281,12 @@ def frame_homology_via_posets(space, f, n):
     product = {0: HomologyGroup(1)}
     for a, b in zip(f, f[1:]):
         product = kunneth(product, _interval_homology(space, a, b))
-    return product.get(n - 2 * m, TRIVIAL_GROUP)
+    return {2 * m + k: group for k, group in product.items()}
+
+
+def frame_homology_via_posets(space, f, n):
+    """Degree n of `frame_homology_by_degree`: TRIVIAL_GROUP where it is zero."""
+    return frame_homology_by_degree(space, f).get(n, TRIVIAL_GROUP)
 
 
 def _frame_groups(space, gradings, n_max, cap):

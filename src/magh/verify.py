@@ -4,8 +4,12 @@ Each check returns a VerificationReport rather than raising: a failing
 check is data, with a concrete witness, so suites can report everything
 they found. All iteration orders are sorted, making reports byte-stable
 across runs. No check builds a whole-space chain table: `d_squared`
-walks the chains once per start point, and the frame side of the other
-checks reads the frame code's length-pruned searches.
+walks the chains once per start point, and `simp_iso`,
+`frame_injectivity` and `tensor_route` read their frame side from one
+frame table per space (`frames.frame_table`). It keeps the homology of
+each frame piece and no chains, so the three checks search each start
+point and reduce each piece once between them, and a block one check
+has filled costs the next no search and no cap step.
 """
 
 from __future__ import annotations
@@ -15,16 +19,10 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import HomologyGroup, block_homology_rows
+from .algebra import TRIVIAL_GROUP, HomologyGroup, block_homology_rows
 from .chains import chain_total, length_spectra, resolve_cap, smooth_faces
 from .errors import EnumerationCapExceeded
-from .frames import (
-    frame_subcomplex,
-    is_frame,
-    is_realized_frame,
-    m_x,
-    simp_decomposition,
-)
+from .frames import frame_table, is_frame, is_realized_frame, m_x
 from .metric import (
     complete_space,
     cycle_space,
@@ -32,7 +30,7 @@ from .metric import (
     path_space,
     random_metric,
 )
-from .posets import frame_homology_via_posets
+from .posets import frame_homology_by_degree
 
 
 @dataclass(frozen=True)
@@ -232,7 +230,8 @@ def check_simp_iso(space, n_max, cap=None):
     sum of frame subcomplex homologies must equal magnitude homology in
     degrees 1..n_max, betti and torsion both. The two sides share the
     assembly of complexes from bases: one keeps the geodesically simple
-    chains and splits them by frame, the other keeps every chain and
+    chains and splits them by frame, reading every endpoint block of
+    every grading from the frame table, the other keeps every chain and
     splits only by endpoint pair, in one block-engine call for every
     grading.
     """
@@ -248,12 +247,17 @@ def check_simp_iso(space, n_max, cap=None):
         (row.l, row.n): row.group
         for row in block_homology_rows(space, gradings, n_max, cap)
     }
-    for l in gradings:
-        pieces = simp_decomposition(space, l, n_max + 1, cap)
+    totals = [space.integer_view.scaled(l) for l in gradings]
+    points = range(space.n)
+    table = frame_table(space, list(itertools.product(totals, points, points)), n_max + 1, cap)
+    parts = {}
+    for (total, _, _), pieces in table.items():
+        for groups in pieces.values():
+            for n, group in groups.items():
+                parts.setdefault((total, n), []).append(group)
+    for l, total in zip(gradings, totals):
         for n in range(1, n_max + 1):
-            summed = HomologyGroup.direct_sum(
-                cx.homology_or_trivial(n) for cx in pieces.values()
-            )
+            summed = HomologyGroup.direct_sum(parts.get((total, n), ()))
             if summed != full[l, n]:
                 return VerificationReport(
                     check="simp_iso",
@@ -277,7 +281,9 @@ def check_frame_injectivity(space, n_max, cap=None):
     of (a, b) at degree n must not exceed the betti number of magnitude
     homology at grading d(a, b). This is a one-sided shadow of the
     decomposition that holds at every grading, not only below m_X. One
-    block-engine call gives the full side of every distance at once.
+    block-engine call gives the full side of every distance at once, and
+    the frame table the pair frames' side, from their blocks (d(a, b), a,
+    b).
     """
     name = space.name or "space"
     gradings = sorted({space.d(a, b) for a in range(space.n) for b in range(space.n) if a != b})
@@ -285,35 +291,36 @@ def check_frame_injectivity(space, n_max, cap=None):
         (row.l, row.n): row.group
         for row in block_homology_rows(space, gradings, n_max, cap)
     }
-    pairs = 0
-    for a in range(space.n):
-        for b in range(space.n):
-            if a == b:
-                continue
-            pairs += 1
-            l = space.d(a, b)
-            sub = frame_subcomplex(space, (a, b), n_max + 1, cap)
-            for n in range(1, n_max + 1):
-                fb = sub.homology_or_trivial(n).betti
-                if fb > full[l, n].betti:
-                    return VerificationReport(
-                        check="frame_injectivity",
-                        space=name,
-                        status="fail",
-                        params={"n_max": n_max, "pairs": pairs},
-                        witness={
-                            "frame": [a, b],
-                            "l": format_rational(l),
-                            "n": n,
-                            "frame_betti": fb,
-                            "full_betti": full[l, n].betti,
-                        },
-                    )
+    idist = space.integer_view.idist
+    blocks = [
+        (idist[a][b], a, b) for a in range(space.n) for b in range(space.n) if a != b
+    ]
+    table = frame_table(space, blocks, n_max + 1, cap)
+    for pairs, block in enumerate(blocks, start=1):
+        _, a, b = block
+        l = space.d(a, b)
+        groups = table[block].get((a, b), {})
+        for n in range(1, n_max + 1):
+            fb = groups.get(n, TRIVIAL_GROUP).betti
+            if fb > full[l, n].betti:
+                return VerificationReport(
+                    check="frame_injectivity",
+                    space=name,
+                    status="fail",
+                    params={"n_max": n_max, "pairs": pairs},
+                    witness={
+                        "frame": [a, b],
+                        "l": format_rational(l),
+                        "n": n,
+                        "frame_betti": fb,
+                        "full_betti": full[l, n].betti,
+                    },
+                )
     return VerificationReport(
         check="frame_injectivity",
         space=name,
         status="pass",
-        params={"n_max": n_max, "pairs": pairs},
+        params={"n_max": n_max, "pairs": len(blocks)},
     )
 
 
@@ -345,7 +352,10 @@ def check_tensor_route(space, n_max, m_max=2, cap=None):
     For every realized frame of degree <= m_max, compare the homology of
     the chain-level subcomplex against the tensor product of reduced
     interval complexes (shifted by twice the frame degree), at each degree
-    up to n_max. The two routes share no code past the metric. Frames
+    up to n_max. The subcomplex side is read from the frame table, block
+    (length of f, f[0], f[-1]); the tensor side folds each frame's
+    intervals once for every degree. The two routes share no code past
+    the metric. Frames
     with a smoothable junction are excluded: insertion does not preserve
     them and the equivalence genuinely fails there (see is_realized_frame).
     Frames of degree above n_max + 1 are left out: the subcomplex of a
@@ -354,11 +364,14 @@ def check_tensor_route(space, n_max, m_max=2, cap=None):
     """
     name = space.name or "space"
     frames, excluded = _realized_frames(space, min(m_max, n_max + 1))
-    for f in frames:
-        sub = frame_subcomplex(space, f, n_max + 1, cap)
+    blocks = [(chain_total(space, f), f[0], f[-1]) for f in frames]
+    table = frame_table(space, blocks, n_max + 1, cap)
+    for f, block in zip(frames, blocks):
+        groups = table[block].get(f, {})
+        vias = frame_homology_by_degree(space, f)
         for n in range(n_max + 1):
-            direct = sub.homology_or_trivial(n)
-            via = frame_homology_via_posets(space, f, n)
+            direct = groups.get(n, TRIVIAL_GROUP)
+            via = vias.get(n, TRIVIAL_GROUP)
             if direct != via:
                 return VerificationReport(
                     check="tensor_route",

@@ -16,6 +16,7 @@ from magh.algebra import (
     HomologyRow,
     HomologyTable,
     SparseIntMatrix,
+    TRIVIAL_GROUP,
     kunneth,
     merge_invariant_factors,
     snf,
@@ -211,6 +212,12 @@ def test_snf_zero_and_empty_shapes(m, n):
         assert snf([]) == ()
 
 
+def test_snf_of_a_matrix_without_entries():
+    # returned before any row index is built
+    assert snf(SparseIntMatrix(3, [{}, {}])) == ()
+    assert snf(SparseIntMatrix(0, [])) == ()
+
+
 # --- homology groups ----------------------------------------------------------
 
 
@@ -278,6 +285,12 @@ def test_complex_empty_degree():
     cx = ChainComplexZ(0, [0, 3])
     assert cx.homology(0) == HomologyGroup(0)
     assert cx.homology(1) == HomologyGroup(3)
+
+
+def test_complex_zero_group_is_shared():
+    cx = ChainComplexZ(0, [1, 1], {1: SparseIntMatrix.from_dense([[1]])})
+    assert cx.homology(0) is TRIVIAL_GROUP
+    assert cx.homology(1) is TRIVIAL_GROUP
 
 
 def test_complex_degree_out_of_range():

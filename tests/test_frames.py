@@ -2,14 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+import magh.algebra
 import magh.frames
-from magh.algebra import HomologyGroup, complex_from_bases
+from magh.algebra import TRIVIAL_GROUP, HomologyGroup, complex_from_bases
 from magh.chains import ProperChain, chain_length, enumerate_proper_chains
-from magh.errors import EnumerationCapExceeded
+from magh.errors import EnumerationCapExceeded, NotASubcomplex
 from magh.frames import (
     four_cuts,
     frame,
     frame_subcomplex,
+    frame_table,
     is_frame,
     is_geodesically_simple,
     is_realized_frame,
@@ -29,6 +31,7 @@ from magh.metric import (
 from magh.posets import frame_homology_via_posets
 
 from oracles import frame_bases_by_tables, naive_chains, naive_four_cuts
+from test_posets import rp2_face_poset_space
 
 F = Fraction
 
@@ -270,6 +273,110 @@ def test_frame_cap_counts_prefixes_kept():
             call(count - 1)
         assert (exc.value.count, exc.value.cap) == (count, count - 1)
         call(count)
+
+
+# --- the frame table ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("space", FRAME_SPACES, ids=lambda s: s.name)
+def test_frame_table_matches_frame_subcomplexes(space):
+    # every frame's groups equal its subcomplex's, and every grading's sum
+    # is the direct sum over simp_decomposition
+    view = space.integer_view
+    points = range(space.n)
+    for n_top in (2, 4):
+        totals = sorted(
+            {
+                sum(view.idist[a][b] for a, b in zip(pts, pts[1:]))
+                for n in range(1, n_top + 1)
+                for pts in naive_chains(space, n)
+            }
+        )
+        blocks = [(t, a, b) for t in totals for a in points for b in points]
+        table = frame_table(space, blocks, n_top)
+        assert list(table) == blocks
+        for total in totals:
+            pieces = simp_decomposition(space, view.fraction(total), n_top)
+            by_frame = {}
+            for (t, a, b), frames in table.items():
+                if t == total:
+                    for f, groups in frames.items():
+                        assert (f[0], f[-1]) == (a, b)
+                        by_frame[f] = groups
+            assert sorted(by_frame) == list(pieces)
+            for f, groups in by_frame.items():
+                assert all(not g.is_trivial() for g in groups.values())
+                sub = frame_subcomplex(space, f, n_top)
+                for n in range(n_top + 2):
+                    assert groups.get(n, TRIVIAL_GROUP) == sub.homology_or_trivial(n), (f, n)
+            for n in range(n_top + 2):
+                assert HomologyGroup.direct_sum(
+                    groups.get(n, TRIVIAL_GROUP) for groups in by_frame.values()
+                ) == HomologyGroup.direct_sum(
+                    cx.homology_or_trivial(n) for cx in pieces.values()
+                )
+
+
+def test_frame_table_keeps_rp2_torsion():
+    # the pair frame (bottom, top) of RP^2's face poset reads reduced
+    # H_1(RP^2) = Z/2 at n = 3, as the interval route does
+    space, bottom, top = rp2_face_poset_space()
+    block = (space.integer_view.idist[bottom][top], bottom, top)
+    groups = frame_table(space, [block], 4)[block][bottom, top]
+    assert groups[3] == HomologyGroup(0, (2,))
+    assert 2 not in groups
+    assert groups[3] == frame_homology_via_posets(space, (bottom, top), 3)
+
+
+def test_frame_alone_builds_no_complex(monkeypatch):
+    built = []
+
+    class Counting(magh.algebra.ChainComplexZ):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(magh.algebra, "ChainComplexZ", Counting)
+    space = path_space(3)
+    table = frame_table(space, [(1, 0, 1), (2, 0, 0), (2, 0, 2)], 3)
+    assert table == {
+        (1, 0, 1): {(0, 1): {1: HomologyGroup(1)}},
+        (2, 0, 0): {(0, 1, 0): {2: HomologyGroup(1)}},
+        # (0, 2) holds (0, 1, 2) as well as itself
+        (2, 0, 2): {(0, 2): {}},
+    }
+    assert len(built) == 1
+    # the lone chain's boundary is still checked, as at a complex's bottom
+    with pytest.raises(NotASubcomplex):
+        magh.frames._piece_groups(space, {2: [(0, 1, 2)]})
+    with pytest.raises(NotASubcomplex):
+        complex_from_bases(space, {2: [(0, 1, 2)]}, 2, 2)
+
+
+def test_frame_table_searches_only_what_it_lacks(monkeypatch):
+    searches = []
+    original = magh.frames.start_blocks
+
+    def recording(start, moves, wanted, n_top, steps, limit):
+        searches.append((start, sorted(wanted)))
+        return original(start, moves, wanted, n_top, steps, limit)
+
+    monkeypatch.setattr(magh.frames, "start_blocks", recording)
+    space = cycle_space(5)
+    first = frame_table(space, [(2, 0, 2), (1, 0, 1), (2, 3, 0)], 3)
+    assert searches == [(0, [1, 2]), (3, [2])]
+    del searches[:]
+    # a held block costs no search and no cap step
+    again = frame_table(space, [(2, 3, 0), (2, 0, 2)], 3, cap=0)
+    assert searches == []
+    assert again == {key: first[key] for key in again}
+    # a block from a start already searched for that total is split anew
+    frame_table(space, [(2, 0, 3), (1, 0, 1)], 3)
+    assert searches == [(0, [2])]
+    # and each top degree has its own table
+    frame_table(space, [(2, 0, 2)], 4)
+    assert searches[1:] == [(0, [2])]
+    assert sorted(space.integer_view.frame_groups) == [3, 4]
 
 
 # --- four-cuts and m_X ----------------------------------------------------------

@@ -1,12 +1,19 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import magh
+import magh.chains
+import magh.frames
 import magh.verify as verify_module
-from magh.algebra import block_homology_rows
+from magh.algebra import HomologyGroup, HomologyRow, block_homology_rows
 from magh.chains import is_strictly_smooth
 from magh.errors import EnumerationCapExceeded
 from magh.frames import is_frame
@@ -32,6 +39,15 @@ from magh.verify import (
 from oracles import d_squared_by_tables
 
 
+def rational_grid(rows, cols):
+    """L1 metric on a grid with non-integer rational steps."""
+    xs = [Fraction(0), Fraction(3, 2), Fraction(19, 6)][:cols]
+    ys = [Fraction(0), Fraction(7, 5)][:rows]
+    coords = [(x, y) for y in ys for x in xs]
+    d = [[abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in coords] for p in coords]
+    return validate_metric(d, name=f"rational-grid-{rows}x{cols}")
+
+
 SAMPLE_SPACES = [
     cycle_space(4),
     cycle_space(5),
@@ -40,6 +56,7 @@ SAMPLE_SPACES = [
     complete_space(3),
     random_metric(4, seed=7),
     random_metric(5, seed=8),
+    rational_grid(2, 3),
 ]
 
 
@@ -87,15 +104,6 @@ def with_between(space, between):
         view, between=tuple(tuple(row) for row in between)
     )
     return space
-
-
-def rational_grid(rows, cols):
-    """L1 metric on a grid with non-integer rational steps."""
-    xs = [Fraction(0), Fraction(3, 2), Fraction(19, 6)][:cols]
-    ys = [Fraction(0), Fraction(7, 5)][:rows]
-    coords = [(x, y) for y in ys for x in xs]
-    d = [[abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in coords] for p in coords]
-    return validate_metric(d, name=f"rational-grid-{rows}x{cols}")
 
 
 def d_squared_outcome(check, space, n_max, cap=None):
@@ -222,6 +230,20 @@ def test_frame_injectivity_counts_ordered_pairs():
     assert report.params["pairs"] == 12
 
 
+def test_frame_injectivity_reads_the_pair_frames(monkeypatch):
+    # with the full side zeroed, the first pair frame with homology fails
+    def zeros(space, gradings, n_max, cap=None):
+        return [HomologyRow(l, n, HomologyGroup(0)) for l in gradings for n in range(n_max + 1)]
+
+    monkeypatch.setattr(verify_module, "block_homology_rows", zeros)
+    report = check_frame_injectivity(cycle_space(4), 2)
+    assert not report.passed
+    assert report.params == {"n_max": 2, "pairs": 1}
+    assert report.witness == {
+        "frame": [0, 1], "l": "1", "n": 1, "frame_betti": 1, "full_betti": 0,
+    }
+
+
 def test_deeper_tensor_route_with_three_segment_frames():
     # at n_max = 0 the frames of degree 2 and 3 lie above every degree checked
     for n_max in (4, 0):
@@ -278,6 +300,71 @@ def test_default_suite_all_green():
     assert len(reports) == 14 * 4
     # no check reads a whole-space chain table
     assert [s.integer_view.chain_tables for s in spaces] == [{}] * len(spaces)
+    # and the frame table keeps groups, not chains
+    for space in spaces:
+        tables = space.integer_view.frame_groups
+        assert list(tables) == [4]
+        for (total, a, b), frames in tables[4].items():
+            for f, groups in frames.items():
+                assert (f[0], f[-1]) == (a, b)
+                assert all(isinstance(g, HomologyGroup) for g in groups.values())
+                assert all(isinstance(n, int) for n in groups)
+
+
+def recorded_frame_searches(monkeypatch, tables):
+    """Record (start, wanted totals, blocks `tables` held) per frame-table search."""
+    searches = []
+    original = magh.chains.start_blocks
+
+    def recording(start, moves, wanted, n_top, steps, limit):
+        searches.append((start, set(wanted), set(tables.get(n_top, ()))))
+        return original(start, moves, wanted, n_top, steps, limit)
+
+    monkeypatch.setattr(magh.frames, "start_blocks", recording)
+    return searches
+
+
+def test_simp_iso_searches_each_start_once(monkeypatch):
+    space = cycle_space(5)
+    searches = recorded_frame_searches(monkeypatch, space.integer_view.frame_groups)
+    report = check_simp_iso(space, n_max=4)
+    assert report.params["gradings"] == ["1", "2"]
+    assert sorted(start for start, _, _ in searches) == list(range(5))
+    assert all(wanted == {1, 2} for _, wanted, _ in searches)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [cycle_space(6), random_metric(5, seed=8), rational_grid(2, 3)],
+    ids=lambda s: s.name,
+)
+def test_run_checks_never_searches_a_held_block(monkeypatch, space):
+    searches = recorded_frame_searches(monkeypatch, space.integer_view.frame_groups)
+    run_checks([space], n_max=3)
+    assert searches
+    for start, wanted, held in searches:
+        # each total searched from a start has a block there not held
+        for total in wanted:
+            assert any((total, start, b) not in held for b in range(space.n))
+    # a second run finds every block held
+    del searches[:]
+    run_checks([space], n_max=3)
+    assert searches == []
+
+
+def test_verify_output_ignores_hash_seed():
+    # the frame table gathers its blocks in sets and dicts, and the output
+    # must not depend on their hash order
+    env = dict(os.environ, PYTHONPATH=str(Path(magh.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "magh", "verify", "--n-max", "3"]
+    outputs = set()
+    for hash_seed in ("0", "1"):
+        env["PYTHONHASHSEED"] = hash_seed
+        outputs.add(subprocess.run(argv, capture_output=True, check=True, env=env).stdout)
+    assert len(outputs) == 1
+    lines = outputs.pop().decode().splitlines()
+    assert len(lines) == 14 * 4
+    assert all(json.loads(line)["status"] == "pass" for line in lines)
 
 
 @pytest.mark.parametrize("check", [check_simp_iso, check_frame_injectivity])
