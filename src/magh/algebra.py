@@ -542,11 +542,15 @@ def block_homology_rows(space, gradings, n_max, cap=None):
     blocks of all gradings come from one search, `chains.block_chains`:
     every chain up to degree n_max, and at degree n_max + 1, whose only
     role is the incoming boundary at n_max, just the chains with a smooth
-    face. Each block is assembled over the degrees from its lowest to its
-    highest with chains, with no column for a chain without a face,
-    reduced on its own, and counts as zero at the degrees outside; the
-    groups are summed. The cap counts the steps of that search. Rows come
-    grading by grading in the order given, degrees ascending.
+    face. It gives only the blocks with a <= b: reversing chains maps
+    block (l, a, b) isomorphically onto (l, b, a), so the groups of an
+    a < b block are counted twice and those of an a = b block once. Each
+    block is assembled over the degrees from its lowest to its highest
+    with chains, with no column for a chain without a face, reduced on
+    its own, and counts as zero at the degrees outside; the groups are
+    summed. The cap counts the steps of that search, which searches both
+    directions but inserts top chains only into the blocks it gives. Rows
+    come grading by grading in the order given, degrees ascending.
 
     `posets.magnitude_homology_rows` sends only gradings l >= m_X here;
     `verify` compares the frame decomposition against this full complex.
@@ -561,12 +565,12 @@ def block_homology_rows(space, gradings, n_max, cap=None):
     # a length that is no scaled int (None) is that of no chain
     totals = {view.scaled(l) for l in gradings} - {None}
     parts = {}
-    for total, _, bases in _chains.block_chains(space, totals, n_max, cap):
+    for total, (a, b), bases in _chains.block_chains(space, totals, n_max, cap):
         cx = complex_from_bases(space, bases, min(bases), max(bases))
         for n in range(n_max + 1):
             group = cx.homology_or_trivial(n)
             if not group.is_trivial():
-                parts.setdefault((total, n), []).append(group)
+                parts.setdefault((total, n), []).extend((group, group) if a < b else (group,))
     return [
         HomologyRow(l, n, HomologyGroup.direct_sum(parts.get((view.scaled(l), n), ())))
         for l in gradings

@@ -9,10 +9,11 @@ length of the chain.
 Inside the package a chain is a bare tuple of points and its length the
 scaled int of the space's `IntegerView`. `start_blocks` is the one
 length-pruned search from a start point: `block_chains` runs it for the
-endpoint blocks the engine reduces, and the frame code for its
-subcomplexes. `smooth_faces` is the boundary on tuples. `chain_table`
-holds every proper n-chain of a space grouped by length and serves only
-`enumerate_proper_chains`. `ProperChain`, with its `Fraction` length,
+endpoint blocks the engine reduces, only those (a, b) with a <= b, as
+chain reversal maps each block onto its reverse, and the frame code for
+its subcomplexes, in both directions. `smooth_faces` is the boundary on
+tuples. `chain_table` holds every proper n-chain of a space grouped by
+length and serves only `enumerate_proper_chains`. `ProperChain`, with its `Fraction` length,
 appears only at the public API: `enumerate_proper_chains`, `boundary` and
 `boundary_of_sum` wrap the tuple kernel. `length_spectra` counts chains
 per length without building any.
@@ -24,7 +25,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapNotAnInteger, EnumerationCapExceeded
+from .errors import AsymmetricTable, CapNotAnInteger, EnumerationCapExceeded
 
 DEFAULT_CAP = 5_000_000
 CAP_ENV_VAR = "MAGH_CAP"
@@ -234,28 +235,45 @@ def start_blocks(start, moves, wanted, n_top, steps, limit):
 
 
 def block_chains(space, totals, n_max, cap=None):
-    """The chains of each endpoint block whose length is in `totals`.
+    """The chains of each endpoint block (a, b), a <= b, whose length is in `totals`.
 
     `totals` holds lengths as scaled ints of the space's IntegerView.
-    Yields (total, (a, b), bases) for every endpoint pair (a, b) joined by
-    a proper chain of degree <= n_max and length `total`, by start point
-    a, then total, then b. `bases` maps a degree k to the block's chains:
-    every one of them for k <= n_max, in lexicographic order, and at
-    k = n_max + 1 only those with a smooth face. A degree with no chain
-    is absent.
+    Yields (total, (a, b), bases) for every endpoint pair (a, b) with
+    a <= b joined by a proper chain of degree <= n_max and length
+    `total`, by start point a, then total, then b. `bases` maps a degree
+    k to the block's chains: every one of them for k <= n_max, in
+    lexicographic order, and at k = n_max + 1 only those with a smooth
+    face. A degree with no chain is absent.
+
+    The block (total, b, a) is not yielded for a < b: it has the groups of
+    (total, a, b), so a caller summing over all blocks counts each a < b
+    block twice. Reversal, (x_0, ..., x_n) -> (x_n, ..., x_0), maps the
+    chains of one block one to one onto those of the other, and as d and
+    the betweenness table are symmetric it keeps each chain's length and
+    smooth points and sends the face that drops x_i to the face that
+    drops x_{n-i}. The signs (-1)^i and (-1)^(n-i) differ by (-1)^n, so
+    reversal times the sign e_n = (-1)^n e_{n-1} in degree n is an
+    isomorphism of chain complexes, torsion included, and it maps the top
+    chains with a smooth face onto each other. Both tables are checked
+    for symmetry once per call, after the last block, so an error a
+    corrupted table causes inside a block is reported first with its
+    chain; an asymmetric one raises AsymmetricTable, under `python -O`
+    too.
 
     Degrees 0..n_max come from `start_blocks`, one search per start
-    point. Degree n_max + 1 is built by insertion: a point c strictly
-    between x_{i-1} and x_i of a degree-n_max chain x of the block is
-    inserted at position i, and the result is kept only if i is its first
-    smooth position. Removing that point gives x back, so every top chain
-    with a smooth face is made exactly once; one without a face changes
-    only H_{n_max + 1} and is never built.
+    point; the blocks it gives that end below their start are dropped
+    before any insertion. Degree n_max + 1 is built by insertion: a point
+    c strictly between x_{i-1} and x_i of a degree-n_max chain x of the
+    block is inserted at position i, and the result is kept only if i is
+    its first smooth position. Removing that point gives x back, so every top chain with
+    a smooth face is made exactly once; one without a face changes only
+    H_{n_max + 1} and is never built.
 
     Steps counted against the cap (`resolve_cap`): those of the searches,
     that is every proper chain of degree <= n_max no longer than the
-    largest total, degree 0 included, and every insertion kept.
-    EnumerationCapExceeded is raised as soon as the steps pass the cap.
+    largest total, degree 0 included, and every insertion kept into a
+    block with a <= b. EnumerationCapExceeded is raised as soon as the
+    steps pass the cap.
     """
     wanted = set(totals)
     if n_max < 0 or not wanted:
@@ -271,6 +289,8 @@ def block_chains(space, totals, n_max, cap=None):
         blocks, steps = start_blocks(start, moves, wanted, n_max, steps, limit)
         for key in sorted(blocks):
             bases = blocks.pop(key)
+            if key[1] < start:
+                continue
             made = []
             for pts in bases.get(n_max, ()):
                 # a point inserted after the first smooth point x_j lies
@@ -295,6 +315,12 @@ def block_chains(space, totals, n_max, cap=None):
             if made:
                 bases[n_max + 1] = made
             yield key[0], (start, key[1]), bases
+    for table in ("idist", "between"):
+        rows = getattr(view, table)
+        for a in range(size):
+            for b in range(a):
+                if rows[a][b] != rows[b][a]:
+                    raise AsymmetricTable(table, b, a)
 
 
 def enumerate_proper_chains(space, n, cap=None):

@@ -205,7 +205,8 @@ def build_parser():
         type=int,
         default=None,
         help="cap on enumeration steps: length-count steps for the spectrum, "
-        "tuples for the frame search, chains per degree for l >= m_X",
+        "tuples for the frame search, and for l >= m_X the chain prefixes "
+        "kept plus the top-degree chains kept by insertion",
     )
     _add_io(p)
     p.set_defaults(func=_cmd_compute)

@@ -70,11 +70,11 @@ class EnumerationCapExceeded(MaghError, RuntimeError):
     whole degree for the chain table and the d^2 check, checked before
     any is built; the prefixes kept (chains of degree <= n_max no longer
     than the largest grading) plus the top-degree insertions kept so far
-    for the endpoint-block engine; the prefixes kept so far for a frame
-    subcomplex or a whole grading's frame subcomplexes; the tuples
-    visited so far for the frame search; the (state, next point)
-    transitions through the degree that passes the cap for the length
-    spectrum count.
+    into the blocks (a, b) with a <= b for the endpoint-block engine; the
+    prefixes kept so far for a frame subcomplex or a whole grading's
+    frame subcomplexes; the tuples visited so far for the frame search;
+    the (state, next point) transitions through the degree that passes
+    the cap for the length spectrum count.
     """
 
     def __init__(self, count, cap):
@@ -191,6 +191,21 @@ class SelfBetweenness(MaghError, AssertionError):
         super().__init__(f"point {c} lies strictly between {a} and itself")
         self.a = a
         self.c = c
+
+
+class AsymmetricTable(MaghError, AssertionError):
+    """A distance or betweenness table of an IntegerView that is not symmetric.
+
+    `table` names it ("idist" or "between"), and entry [i][j] differs from
+    [j][i]. A validated space has symmetric tables; the endpoint-block
+    engine relies on it to reduce one block of each reversed pair.
+    """
+
+    def __init__(self, table, i, j):
+        super().__init__(f"{table}[{i}][{j}] != {table}[{j}][{i}]")
+        self.table = table
+        self.i = i
+        self.j = j
 
 
 class NotAPartialOrder(MaghError, AssertionError):

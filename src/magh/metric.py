@@ -146,7 +146,12 @@ class IntegerView:
     def between_points(self, a, b):
         """The points strictly between a and b, ascending."""
         mask = self.between[a][b]
-        return tuple(c for c in range(len(self.idist)) if mask >> c & 1)
+        points = []
+        while mask:
+            low = mask & -mask
+            points.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(points)
 
     def fraction(self, total):
         """The Fraction a scaled integer length stands for."""

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .algebra import TRIVIAL_GROUP, HomologyGroup, block_homology_rows
 from .chains import chain_total, length_spectra, resolve_cap, smooth_faces
 from .errors import EnumerationCapExceeded
-from .frames import frame_table, is_frame, is_realized_frame, m_x
+from .frames import frame_table, is_realized_frame, m_x
 from .metric import (
     complete_space,
     cycle_space,
@@ -329,16 +329,26 @@ def _realized_frames(space, m_max):
 
     Returns (realized, excluded_count): tuples that equal their own frame
     with no smoothable junction, plus how many self-framed tuples the
-    junction criterion rejected.
+    junction criterion rejected. A tuple is its own frame when it is
+    proper and no interior point is strictly smooth, so the frames of
+    degree m + 1 are those of degree m extended by a point that leaves
+    the old last point not strictly smooth; grown degree by degree in
+    lexicographic order, each degree comes out sorted.
     """
+    between = space.integer_view.between
+    points = range(space.n)
+    level = [(a, b) for a in points for b in points if a != b]
     realized = []
     excluded = 0
     for m in range(1, m_max + 1):
-        for pts in itertools.product(range(space.n), repeat=m + 1):
-            if any(x == y for x, y in zip(pts, pts[1:])):
-                continue
-            if not is_frame(space, pts):
-                continue
+        if m > 1:
+            level = [
+                pts + (x,)
+                for pts in level
+                for x in points
+                if x != pts[-1] and not between[pts[-2]][x] >> pts[-1] & 1
+            ]
+        for pts in level:
             if is_realized_frame(space, pts):
                 realized.append(pts)
             else:

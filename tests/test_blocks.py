@@ -11,6 +11,7 @@ block engine, on metrics with non-integer rational distances.
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -34,7 +35,7 @@ from magh.chains import (
     length_spectrum,
     smooth_faces,
 )
-from magh.errors import EnumerationCapExceeded
+from magh.errors import AsymmetricTable, EnumerationCapExceeded
 from magh.frames import m_x
 from magh.metric import (
     cycle_space,
@@ -44,9 +45,10 @@ from magh.metric import (
     validate_metric,
 )
 from magh.posets import magnitude_homology, magnitude_homology_rows
-from magh.verify import full_suite, random_suite
+from magh.verify import default_suite, full_suite, random_suite
 
 from oracles import endpoint_blocks, magnitude_complex, naive_chains, naive_magnitude_group
+from test_posets import rp2_face_poset_space
 
 
 @st.composite
@@ -112,7 +114,8 @@ def test_cycle4_blocks_sum_to_grading():
 def test_blocks_reduce_only_degrees_with_chains():
     # the engine builds every chain of the wanted lengths up to n_max, but
     # at n_max + 1 only those with a smooth face, and stores no empty
-    # column; what it leaves out changes no group up to n_max
+    # column, all only for the blocks (a, b) with a <= b; what it leaves
+    # out changes no group up to n_max
     space = random_metric(5, seed=3)
     lengths = realized_lengths(space, 3)
     view = space.integer_view
@@ -138,7 +141,12 @@ def test_blocks_reduce_only_degrees_with_chains():
     assert any(cx.boundary(k).cols < cx.size(k) for cx, k in matrices)
     totals = {view.scaled(l) for l in lengths}
     for n in range(5):
-        table = [pts for t in totals for pts in chain_table(space, n).buckets.get(t, ())]
+        table = [
+            pts
+            for t in totals
+            for pts in chain_table(space, n).buckets.get(t, ())
+            if pts[0] <= pts[-1]
+        ]
         if n == 4:
             faced = [pts for pts in table if smooth_faces(view.between, pts)]
             assert 0 < len(faced) < len(table)
@@ -150,8 +158,9 @@ def test_blocks_reduce_only_degrees_with_chains():
 
 def test_block_cap_counts_prefixes_and_kept_insertions():
     # C_5 has m_X = 3; at gradings 3 and 4 the search keeps every proper
-    # chain of degree <= 3 and length <= 4, and every chain of degree 4 and
-    # length 3 or 4 that has a smooth interior point
+    # chain of degree <= 3 and length <= 4, in both directions, and every
+    # chain of degree 4 and length 3 or 4 that has a smooth interior point
+    # and does not end below its start
     space = cycle_space(5)
     gradings = [Fraction(3), Fraction(4)]
     prefixes = sum(
@@ -164,7 +173,8 @@ def test_block_cap_counts_prefixes_and_kept_insertions():
         1
         for l in gradings
         for pts in naive_chains(space, 4, l)
-        if any(
+        if pts[0] <= pts[-1]
+        and any(
             space.d(x, z) == space.d(x, y) + space.d(y, z)
             for x, y, z in zip(pts, pts[1:], pts[2:])
         )
@@ -217,6 +227,133 @@ def test_corrupted_betweenness_fails_the_block_engine_under_O():
         "4 NotASubcomplex boundary term (0, 1, 0) of (0, 2, 1, 0) "
         "is outside the subcomplex basis at degree 2",
     ]
+
+
+def test_asymmetric_between_fails_the_block_engine_under_O():
+    # count point 2 as strictly between 1 and 0 in C_4, but not between 0
+    # and 1: the engine reduces only blocks (a, b) with a <= b and reads
+    # the other direction off them, so it must refuse a table that is not
+    # symmetric, also with asserts off; at gradings 1 and 2 no chain runs
+    # through the corrupted triple, so only the symmetry check can refuse
+    code = (
+        "from dataclasses import replace\n"
+        "from magh.algebra import block_homology_rows\n"
+        "from magh.errors import AsymmetricTable\n"
+        "from magh.metric import cycle_space\n"
+        "if __debug__:\n"
+        "    raise SystemExit('asserts are on: not running under -O')\n"
+        "space = cycle_space(4)\n"
+        "view = space.integer_view\n"
+        "between = [list(row) for row in view.between]\n"
+        "between[1][0] |= 1 << 2\n"
+        "vars(space)['integer_view'] = replace(\n"
+        "    view, between=tuple(tuple(row) for row in between)\n"
+        ")\n"
+        "for l in (1, 2):\n"
+        "    try:\n"
+        "        block_homology_rows(space, [l], 3)\n"
+        "    except AsymmetricTable as exc:\n"
+        "        print(l, type(exc).__name__, exc)\n"
+        "    else:\n"
+        "        raise SystemExit(f'grading {l} was computed')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(magh.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert proc.stdout.splitlines() == [
+        f"{l} AsymmetricTable between[0][1] != between[1][0]" for l in (1, 2)
+    ]
+
+
+def test_asymmetric_distances_fail_the_block_engine():
+    space = cycle_space(4)
+    view = space.integer_view
+    idist = [list(row) for row in view.idist]
+    idist[3][1] += 1
+    vars(space)["integer_view"] = replace(view, idist=tuple(tuple(row) for row in idist))
+    with pytest.raises(AsymmetricTable) as exc:
+        block_homology_rows(space, [1], 2)
+    assert (exc.value.table, exc.value.i, exc.value.j) == ("idist", 1, 3)
+
+
+def pruned_blocks(space, total, n_top):
+    """The proper chains of length `total`, a scaled int, up to degree n_top,
+    from every start point to every end point, split by endpoint pair.
+
+    A naive search that drops a prefix once it is longer than `total`;
+    it shares no code with `chains.block_chains` and skips no direction.
+    """
+    idist = space.integer_view.idist
+    by_degree = []
+    level = [((p,), 0) for p in range(space.n)]
+    for _ in range(n_top + 1):
+        by_degree.append({total: [pts for pts, t in level if t == total]})
+        level = [
+            (pts + (x,), t + idist[pts[-1]][x])
+            for pts, t in level
+            for x in range(space.n)
+            if x != pts[-1] and t + idist[pts[-1]][x] <= total
+        ]
+    return endpoint_blocks(by_degree, total)
+
+
+def assert_reversal_and_sum(space, lengths, n_max):
+    """Every block (l, a, b) has the groups of (l, b, a) up to n_max, and
+    the engine's rows are the sums over all ordered pairs."""
+    view = space.integer_view
+    rows = block_homology_rows(space, lengths, n_max)
+    expected = []
+    for l in lengths:
+        blocks = pruned_blocks(space, view.scaled(l), n_max + 1)
+        groups = {
+            pair: [
+                complex_from_bases(space, bases, 0, n_max + 1).homology(n)
+                for n in range(n_max + 1)
+            ]
+            for pair, bases in blocks.items()
+        }
+        for (a, b), by_degree in groups.items():
+            assert groups[b, a] == by_degree, (space.name, l, a, b)
+        expected.extend(
+            HomologyGroup.direct_sum(by_degree[n] for by_degree in groups.values())
+            for n in range(n_max + 1)
+        )
+    assert [row.group for row in rows] == expected, space.name
+    return rows
+
+
+def l1_grid_space():
+    """A 2 x 3 grid with the L^1 metric of non-integer rational coordinates."""
+    xs = [Fraction(0), Fraction(3, 2), Fraction(19, 6)]
+    ys = [Fraction(0), Fraction(7, 4)]
+    coords = [(x, y) for y in ys for x in xs]
+    d = [[abs(x - u) + abs(y - v) for u, v in coords] for x, y in coords]
+    return validate_metric(d, name="l1-grid(2x3)")
+
+
+def test_reversed_blocks_agree_and_sum_to_the_grading():
+    spaces = default_suite() + [l1_grid_space()]
+    assert any(x.denominator > 1 for row in spaces[-1].dist for x in row)
+    for space in spaces:
+        lengths = realized_lengths(space, 3)
+        rows = assert_reversal_and_sum(space, lengths, 3)
+        for row in rows:
+            assert row.group == magnitude_complex(space, row.l, 4).homology(row.n), row
+
+
+def test_reversed_rp2_blocks_carry_the_torsion():
+    # criterion 10's grading: the (bottom, top) block and its reverse each
+    # carry one Z/2 at degree 3, and the engine, which reduces one of them,
+    # counts both
+    space, bottom, top = rp2_face_poset_space()
+    rows = assert_reversal_and_sum(space, [Fraction(4)], 3)
+    assert rows[3].group == HomologyGroup(450, (2, 2))
+    blocks = pruned_blocks(space, space.integer_view.scaled(4), 4)
+    for pair in ((bottom, top), (top, bottom)):
+        cx = complex_from_bases(space, blocks[pair], 0, 4)
+        assert cx.homology(3) == HomologyGroup(0, (2,))
 
 
 def test_many_gradings_equal_one_at_a_time():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -16,7 +17,7 @@ import magh.verify as verify_module
 from magh.algebra import HomologyGroup, HomologyRow, block_homology_rows
 from magh.chains import is_strictly_smooth
 from magh.errors import EnumerationCapExceeded
-from magh.frames import is_frame
+from magh.frames import is_frame, is_realized_frame
 from magh.metric import (
     complete_space,
     cycle_space,
@@ -26,6 +27,7 @@ from magh.metric import (
 )
 from magh.verify import (
     CHECKS,
+    _realized_frames,
     check_d_squared,
     check_frame_injectivity,
     check_simp_iso,
@@ -213,6 +215,28 @@ def test_tensor_route_reports_exclusions():
     assert report.passed
     assert report.params["excluded"] > 0
     assert report.params["frames"] > 0
+
+
+def test_realized_frames_match_every_tuple():
+    # the frames are grown only through junctions that are not strictly
+    # smooth; testing each of the N^(m+1) tuples must find the same ones
+    def every_tuple(space, m_max):
+        realized = []
+        excluded = 0
+        for m in range(1, m_max + 1):
+            for pts in itertools.product(range(space.n), repeat=m + 1):
+                if not is_frame(space, pts):
+                    continue
+                if is_realized_frame(space, pts):
+                    realized.append(pts)
+                else:
+                    excluded += 1
+        return realized, excluded
+
+    for space in default_suite():
+        for m_max in range(4):
+            assert _realized_frames(space, m_max) == every_tuple(space, m_max), space.name
+    assert _realized_frames(cycle_space(6), 2)[1] > 0
 
 
 def test_simp_iso_grading_window():
