@@ -328,11 +328,10 @@ class ChainComplexZ:
     convention (there is nothing below). A boundary has `size(k - 1)` rows
     and at most `size(k)` columns: the basis elements past its last column
     map to zero, so a basis ordered with its cycles last needs no column
-    for them. Construction checks the square of the boundary unless told
-    not to.
+    for them. Construction checks that the square of the boundary is zero.
     """
 
-    def __init__(self, lo, sizes, boundaries=None, check=True):
+    def __init__(self, lo, sizes, boundaries=None):
         self.lo = lo
         self.sizes = list(sizes)
         if any(s < 0 for s in self.sizes):
@@ -352,8 +351,7 @@ class ChainComplexZ:
         for k in list(boundaries):
             if not lo < k <= self.hi:
                 raise ValueError(f"boundary at degree {k} outside range")
-        if check:
-            self.check_d_squared()
+        self.check_d_squared()
         self._snf_cache = {}
 
     @property

@@ -12,11 +12,13 @@ length-pruned search from a start point: `block_chains` runs it for the
 endpoint blocks the engine reduces, only those (a, b) with a <= b, as
 chain reversal maps each block onto its reverse, and the frame code for
 its subcomplexes, in both directions. `smooth_faces` is the boundary on
-tuples. `chain_table` holds every proper n-chain of a space grouped by
-length and serves only `enumerate_proper_chains`. `ProperChain`, with its `Fraction` length,
-appears only at the public API: `enumerate_proper_chains`, `boundary` and
-`boundary_of_sum` wrap the tuple kernel. `length_spectra` counts chains
-per length without building any.
+tuples. No whole-space table of chains is kept: the public
+`enumerate_proper_chains` builds its one degree on each call. `ProperChain`,
+with its `Fraction` length, appears only at the public API:
+`enumerate_proper_chains`, `boundary` and `boundary_of_sum` wrap the
+tuple kernel. `count_step` is the one chain-count dynamic program:
+`length_spectra` counts chains per length with it, without building any,
+and `verify` places a chain in the d^2 check's order with it.
 """
 
 from __future__ import annotations
@@ -102,85 +104,6 @@ def is_strictly_smooth(space, a, c, b):
     all compared exactly; this reads the space's betweenness table.
     """
     return space.integer_view.between[a][b] >> c & 1 == 1
-
-
-@dataclass(frozen=True)
-class ChainTable:
-    """Every proper n-chain of a space, as point tuples.
-
-    `chains` lists them in lexicographic order and `totals` gives each
-    one's length as a scaled int. `buckets` maps each length that occurs,
-    ascending, to its chains in lexicographic order. Kept in the space's
-    `IntegerView.chain_tables` and shared, so callers must not mutate it.
-    """
-
-    chains: tuple
-    totals: tuple
-    buckets: dict
-
-
-def _chain_table(space, n):
-    """The ChainTable of degree n, built once per space.
-
-    Read from and stored in the space's `IntegerView.chain_tables`.
-    Degree n extends each chain of degree n - 1, in their lexicographic
-    order, by every next point in ascending order, so both the chains and
-    each bucket come out lexicographic without a sort, and no degree is
-    walked again from its first point.
-    """
-    tables = space.integer_view.chain_tables
-    table = tables.get(n)
-    if table is not None:
-        return table
-    size = space.n
-    if n == 0:
-        chains = tuple((p,) for p in range(size))
-        totals = (0,) * size
-    else:
-        below = _chain_table(space, n - 1)
-        idist = space.integer_view.idist
-        steps = [
-            [(nxt, row[nxt]) for nxt in range(size) if nxt != last]
-            for last, row in enumerate(idist)
-        ]
-        chains = []
-        totals = []
-        add_chain = chains.append
-        add_total = totals.append
-        for pts, total in zip(below.chains, below.totals):
-            for nxt, d in steps[pts[-1]]:
-                add_chain(pts + (nxt,))
-                add_total(total + d)
-        chains = tuple(chains)
-        totals = tuple(totals)
-    buckets = {}
-    for pts, total in zip(chains, totals):
-        bucket = buckets.get(total)
-        if bucket is None:
-            buckets[total] = [pts]
-        else:
-            bucket.append(pts)
-    table = tables[n] = ChainTable(
-        chains, totals, {t: tuple(buckets[t]) for t in sorted(buckets)}
-    )
-    return table
-
-
-def chain_table(space, n, cap=None):
-    """All proper n-chains of a space as a ChainTable of point tuples.
-
-    Raises EnumerationCapExceeded before doing any work if N*(N-1)^n, the
-    number of chains, exceeds the cap (default 5e6, override via argument
-    or the MAGH_CAP variable).
-    """
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    size = space.n
-    count = size * (size - 1) ** n
-    limit = resolve_cap(cap)
-    if count > limit:
-        raise EnumerationCapExceeded(count, limit)
-    return _chain_table(space, n)
 
 
 def search_moves(space, longest):
@@ -326,15 +249,33 @@ def block_chains(space, totals, n_max, cap=None):
 def enumerate_proper_chains(space, n, cap=None):
     """Map from exact length to the list of proper n-chains of that length.
 
-    Keys ascend; each list is in lexicographic order. The cap is that of
-    `chain_table`, which this is the one package caller of. Builds a new
-    ProperChain per chain on every call.
+    Keys ascend; each list is in lexicographic order. Raises
+    EnumerationCapExceeded before doing any work if N*(N-1)^n, the number
+    of chains, exceeds the cap (`resolve_cap`). Degree k + 1 extends each
+    chain of degree k, in their lexicographic order, by every next point
+    in ascending order, so each bucket comes out lexicographic without a
+    sort. Nothing is cached: every call builds its chains anew.
     """
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
+    size = space.n
+    count = size * (size - 1) ** n
+    limit = resolve_cap(cap)
+    if count > limit:
+        raise EnumerationCapExceeded(count, limit)
     view = space.integer_view
+    # no step is over the largest distance, so every point moves everywhere
+    moves = search_moves(space, max(map(max, view.idist)))
+    level = [((p,), 0) for p in range(size)]
+    for _ in range(n):
+        level = [(pts + (nxt,), total + d) for pts, total in level for nxt, d in moves[pts[-1]]]
+    buckets = {}
+    for pts, total in level:
+        buckets.setdefault(total, []).append(pts)
     out = {}
-    for total, bucket in chain_table(space, n, cap).buckets.items():
+    for total in sorted(buckets):
         l = view.fraction(total)
-        out[l] = [ProperChain(pts, l) for pts in bucket]
+        out[l] = [ProperChain(pts, l) for pts in buckets[total]]
     return out
 
 
@@ -350,19 +291,40 @@ class LengthSpectrum:
     counts: tuple
 
 
+def count_step(idist, states):
+    """One degree of the chain-count dynamic program.
+
+    `states[x]` maps a length t, a scaled int, to the number of proper
+    k-chains ending at x with length t; the result is the same for k + 1,
+    each chain extended by every next point. As d is symmetric, reversal
+    makes it also the count of the chains starting at x.
+    """
+    size = len(states)
+    grown = [{} for _ in range(size)]
+    for last, (row, by_total) in enumerate(zip(idist, states)):
+        for nxt in range(size):
+            if nxt == last:
+                continue
+            target = grown[nxt]
+            d = row[nxt]
+            for total, count in by_total.items():
+                key = total + d
+                target[key] = target.get(key, 0) + count
+    return grown
+
+
 def length_spectra(space, n_max, cap=None):
     """The LengthSpectrum of every degree 0..n_max (none if n_max < 0).
 
     A dynamic-programming count over (last point, int length) that builds
-    no chain: the number of n-chains ending at x with length t, extended
-    by every next point. Each (state, next point) transition is one step
-    against the cap (`resolve_cap`); before each degree is counted,
-    EnumerationCapExceeded is raised if the steps so far would pass it.
+    no chain, one `count_step` per degree. Each (state, next point)
+    transition is one step against the cap (`resolve_cap`); before each
+    degree is counted, EnumerationCapExceeded is raised if the steps so far
+    would pass it.
     """
     limit = resolve_cap(cap)
     view = space.integer_view
     size = space.n
-    # states[x] maps the length t to the number of chains ending at x
     states = [{0: 1} for _ in range(size)]
     steps = 0
     out = []
@@ -371,17 +333,7 @@ def length_spectra(space, n_max, cap=None):
             steps += sum(len(s) for s in states) * (size - 1)
             if steps > limit:
                 raise EnumerationCapExceeded(steps, limit)
-            grown = [{} for _ in range(size)]
-            for last, (row, by_total) in enumerate(zip(view.idist, states)):
-                for nxt in range(size):
-                    if nxt == last:
-                        continue
-                    target = grown[nxt]
-                    d = row[nxt]
-                    for total, count in by_total.items():
-                        key = total + d
-                        target[key] = target.get(key, 0) + count
-            states = grown
+            states = count_step(view.idist, states)
         counts = {}
         for by_total in states:
             for total, count in by_total.items():

@@ -67,7 +67,7 @@ class EnumerationCapExceeded(MaghError, RuntimeError):
     """Work past the enumeration cap.
 
     `count` is in the steps of whichever search refused: the chains of a
-    whole degree for the chain table and the d^2 check, checked before
+    whole degree for `enumerate_proper_chains` and the d^2 check, checked before
     any is built; the prefixes kept (chains of degree <= n_max no longer
     than the largest grading) plus the top-degree insertions kept so far
     into the blocks (a, b) with a <= b for the endpoint-block engine; the

@@ -8,19 +8,20 @@ direct sum computes magnitude homology below the threshold m_X, the
 minimum length of a four-cut.
 
 A frame subcomplex's chains come from `chains.start_blocks`, the
-length-pruned search the endpoint-block engine runs too: rooted at the
-frame's first point for one frame, at every point for a whole grading,
-pruned at the grading, and grown in full up to the top degree. Each
-endpoint block's chains split by frame in one place (`_split_by_frame`),
-which every route here goes through.
+length-pruned search the endpoint-block engine runs too, pruned at the
+largest length asked for and grown in full up to the top degree. One
+driver, `_frame_splits`, runs it for a list of endpoint blocks (total, a,
+b): one search per start point a over every total asked for from a, and
+one split by frame (`_split_by_frame`) per block. Every route here reads
+that driver: one block for `frame_subcomplex`, every block of a grading
+for `simp_decomposition` and `simple_chains_by_frame`, and the blocks a
+space lacks so far for `frame_table`.
 
 `frame_table` is the frame side of `verify`. It holds, per top degree,
 the nonzero homology of every frame piece of the endpoint blocks asked
 for so far, on the space's `IntegerView.frame_groups`, and no chains.
-A block it lacks is searched once per start point, over every total
-that start still lacks; only the blocks asked for are split, and each
-piece is reduced once. A block already held costs no search and no cap
-step.
+Only the blocks it lacks are searched and split, and each piece is
+reduced once. A block already held costs no search and no cap step.
 """
 
 from __future__ import annotations
@@ -39,18 +40,6 @@ from .chains import (
 )
 from .errors import ImproperFrame, NotASubcomplex
 from .metric import format_rational
-
-
-def singular_positions(space, points):
-    """Indices into the chain that survive into the frame."""
-    between = space.integer_view.between
-    keep = [0]
-    for i in range(1, len(points) - 1):
-        if not between[points[i - 1]][points[i + 1]] >> points[i] & 1:
-            keep.append(i)
-    if len(points) > 1:
-        keep.append(len(points) - 1)
-    return tuple(keep)
 
 
 def _frame_and_total(view, pts):
@@ -137,20 +126,31 @@ def is_realized_frame(space, points):
     return True
 
 
-def _searches(space, starts, total, n_top, cap):
-    """Yield the blocks of `chains.start_blocks` from each point of `starts`.
+def _frame_splits(space, blocks, n_top, cap):
+    """Yield (block, split) for each endpoint block (total, a, b) of `blocks`.
 
-    The one wanted length is `total`, a scaled int, so each is
-    {(total, end): {degree: chains}} for degrees 0..n_top, each degree in
-    lexicographic order. The steps of all starts count against one cap
-    (`resolve_cap`).
+    `split` is `_split_by_frame` of the block's chains of degree <= n_top,
+    computed once per distinct block; blocks come by a, then total, then
+    b. Each start point a is searched once (`chains.start_blocks`), over
+    every total asked for from it, and the steps of all the searches count
+    against one cap (`resolve_cap`).
     """
+    ends_by_start = {}
+    for total, a, b in blocks:
+        ends_by_start.setdefault(a, {}).setdefault(total, set()).add(b)
+    if not ends_by_start:
+        return
+    view = space.integer_view
     limit = resolve_cap(cap)
-    moves = search_moves(space, total)
+    moves = search_moves(space, max(max(totals) for totals in ends_by_start.values()))
     steps = 0
-    for start in starts:
-        blocks, steps = start_blocks(start, moves, {total}, n_top, steps, limit)
-        yield blocks
+    for start in sorted(ends_by_start):
+        ends_of = ends_by_start[start]
+        found, steps = start_blocks(start, moves, set(ends_of), n_top, steps, limit)
+        for total in sorted(ends_of):
+            for end in sorted(ends_of[total]):
+                bases = found.get((total, end), {})
+                yield (total, start, end), _split_by_frame(view, total, bases)
 
 
 def _split_by_frame(view, total, bases):
@@ -181,9 +181,10 @@ def _simple_tuples_by_frame(space, l, n_top, cap):
     # degree-0 chains, the only ones of length 0, carry no frame
     if total is None or total <= 0:
         return partition
-    for blocks in _searches(space, range(space.n), total, n_top, cap):
-        for key in sorted(blocks):
-            partition.update(_split_by_frame(view, total, blocks[key]))
+    points = range(space.n)
+    blocks = [(total, a, b) for a in points for b in points]
+    for _, split in _frame_splits(space, blocks, n_top, cap):
+        partition.update(split)
     return {f: partition[f] for f in sorted(partition)}
 
 
@@ -219,9 +220,7 @@ def frame_subcomplex(space, f, n_top, cap=None):
         raise ValueError(f"a frame needs at least two points, got {f}")
     if n_top < lo:
         raise ValueError(f"n_top {n_top} below frame degree {lo}")
-    total = chain_total(space, f)
-    [blocks] = _searches(space, f[:1], total, n_top, cap)
-    split = _split_by_frame(space.integer_view, total, blocks.get((total, f[-1]), {}))
+    [(_, split)] = _frame_splits(space, [(chain_total(space, f), f[0], f[-1])], n_top, cap)
     by_degree = split.get(f, {})
     bases = {n: by_degree.get(n, []) for n in range(lo, n_top + 1)}
     return complex_from_bases(space, bases, lo, n_top)
@@ -284,32 +283,16 @@ def frame_table(space, blocks, n_top, cap=None):
     n_top.
 
     Kept per space and n_top in `IntegerView.frame_groups`, groups only.
-    For the blocks not held yet, each start point is searched once over
-    every total it lacks (`chains.start_blocks`), those blocks alone are
-    split by frame, and each piece is reduced once. The steps of all those
-    searches count against one cap (`resolve_cap`); a held block costs
-    none.
+    The blocks not held yet go through `_frame_splits`, so each start
+    point is searched once over every total it lacks, those blocks alone
+    are split by frame, and each piece is reduced once. The steps of all
+    those searches count against one cap (`resolve_cap`); a held block
+    costs none.
     """
-    view = space.integer_view
-    held = view.frame_groups.setdefault(n_top, {})
-    lacking = {}
-    for key in blocks:
-        if key not in held:
-            total, a, b = key
-            lacking.setdefault(a, {}).setdefault(total, set()).add(b)
-    if lacking:
-        limit = resolve_cap(cap)
-        moves = search_moves(space, max(max(totals) for totals in lacking.values()))
-        steps = 0
-        for start in sorted(lacking):
-            ends_of = lacking[start]
-            found, steps = start_blocks(start, moves, set(ends_of), n_top, steps, limit)
-            for total in sorted(ends_of):
-                for end in sorted(ends_of[total]):
-                    split = _split_by_frame(view, total, found.get((total, end), {}))
-                    held[total, start, end] = {
-                        f: _piece_groups(space, split[f]) for f in sorted(split)
-                    }
+    held = space.integer_view.frame_groups.setdefault(n_top, {})
+    lacking = [key for key in blocks if key not in held]
+    for key, split in _frame_splits(space, lacking, n_top, cap):
+        held[key] = {f: _piece_groups(space, split[f]) for f in sorted(split)}
     return {key: held[key] for key in blocks}
 
 

@@ -97,20 +97,17 @@ class IntegerView:
     package; smoothness, frames, four-cuts and interval posets all read it.
 
     The view also owns what is derived from it once per space and reused:
-    `chain_tables` maps a degree to its `chains.ChainTable`, filled only
-    by the public `enumerate_proper_chains`; `pair_homology` maps a pair
-    (a, b) to the nonzero reduced homology of its interval poset, which
-    the engine reads; and `frame_groups` maps a top degree to the frame
-    table of `frames.frame_table`, which `verify` reads: for each
-    endpoint block searched, the nonzero homology of each frame piece,
-    and no chains. All three fill as they are asked for and live exactly
-    as long as the space.
+    `pair_homology` maps a pair (a, b) to the nonzero reduced homology of
+    its interval poset, which the engine reads; and `frame_groups` maps a
+    top degree to the frame table of `frames.frame_table`, which `verify`
+    reads: for each endpoint block searched, the nonzero homology of each
+    frame piece, and no chains. Both fill as they are asked for and live
+    exactly as long as the space. No chains are kept on the view.
     """
 
     scale: int
     idist: tuple
     between: tuple
-    chain_tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     pair_homology: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     frame_groups: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 

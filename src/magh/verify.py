@@ -3,13 +3,14 @@
 Each check returns a VerificationReport rather than raising: a failing
 check is data, with a concrete witness, so suites can report everything
 they found. All iteration orders are sorted, making reports byte-stable
-across runs. No check builds a whole-space chain table: `d_squared`
-walks the chains once per start point, and `simp_iso`,
-`frame_injectivity` and `tensor_route` read their frame side from one
-frame table per space (`frames.frame_table`). It keeps the homology of
-each frame piece and no chains, so the three checks search each start
-point and reduce each piece once between them, and a block one check
-has filled costs the next no search and no cap step.
+across runs. No check builds a whole degree of chains: `d_squared`
+walks the chains once per start point and places a failing one in its
+order with the chain-count dynamic program (`chains.count_step`), and
+`simp_iso`, `frame_injectivity` and `tensor_route` read their frame side
+from one frame table per space (`frames.frame_table`). It keeps the
+homology of each frame piece and no chains, so the three checks search
+each start point and reduce each piece once between them, and a block
+one check has filled costs the next no search and no cap step.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import TRIVIAL_GROUP, HomologyGroup, block_homology_rows
-from .chains import chain_total, length_spectra, resolve_cap, smooth_faces
+from .chains import chain_total, count_step, length_spectra, resolve_cap, smooth_faces
 from .errors import EnumerationCapExceeded
 from .frames import frame_table, is_realized_frame, m_x
 from .metric import (
@@ -126,23 +127,13 @@ def _chain_position(space, n, total, pts):
     """1-based position of a proper n-chain among the chains of degrees
     2..n in (degree, length, lexicographic) order, counted without
     building any: walks[k][x] maps a length to the number of proper
-    k-step chains from x of that length.
+    k-step chains from x of that length, by `chains.count_step`.
     """
     idist = space.integer_view.idist
     size = space.n
     walks = [[{0: 1} for _ in range(size)]]
-    for k in range(1, n + 1):
-        layer = []
-        for x, row in enumerate(idist):
-            counts = {}
-            for y, below in enumerate(walks[-1]):
-                if y == x:
-                    continue
-                d = row[y]
-                for t, c in below.items():
-                    counts[t + d] = counts.get(t + d, 0) + c
-            layer.append(counts)
-        walks.append(layer)
+    for _ in range(n):
+        walks.append(count_step(idist, walks[-1]))
     position = sum(size * (size - 1) ** k for k in range(2, n)) + 1
     position += sum(c for counts in walks[n] for t, c in counts.items() if t < total)
     # chains of the same length that leave pts at position i for a smaller point

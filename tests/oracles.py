@@ -4,17 +4,19 @@ Nothing here reuses package machinery beyond the metric object: chains
 come from itertools filters, ranks from dense rational elimination, Smith
 normal form from a textbook first-nonzero-pivot reduction, four-cuts
 from a three-condition quadruple scan, and triangle witnesses from a
-row-major scan. All distance arithmetic is on Fractions. There are two
+row-major scan. All distance arithmetic is on Fractions, except that
+`naive_buckets` groups `naive_chains` by length as a scaled int of the
+space's `IntegerView`, so that its keys are the package's. There are two
 exceptions. `tensor` builds the product of two package complexes basis
 element by basis element, so that reducing it checks `kunneth`, which
-never builds one. `magnitude_complex` assembles a whole grading as one
-complex from the package's chain table, the complex the endpoint-block
-engine splits by endpoint pair, and `endpoint_blocks` splits a chain
-table by endpoint pair the way the engine's blocks are meant to come
-out. `d_squared_by_tables` is the boundary-of-boundary check as a walk
-over whole chain tables, the route `verify.check_d_squared` replaced,
-and `frame_bases_by_tables` filters the frame subcomplexes' bases out of
-whole chain tables. Slow on purpose; oracle scale only.
+never builds one. `magnitude_complex` assembles a whole grading's
+buckets as one package complex, the complex the endpoint-block engine
+splits by endpoint pair, and `endpoint_blocks` splits buckets by
+endpoint pair the way the engine's blocks are meant to come out.
+`d_squared_by_tables` is the boundary-of-boundary check as a walk over
+each degree's buckets, the route `verify.check_d_squared` replaced, and
+`frame_bases_by_tables` filters the frame subcomplexes' bases out of the
+buckets. Slow on purpose; oracle scale only.
 """
 
 import itertools
@@ -22,7 +24,8 @@ from fractions import Fraction
 from math import gcd
 
 from magh.algebra import ChainComplexZ, SparseIntMatrix, complex_from_bases
-from magh.chains import chain_table, smooth_faces
+from magh.chains import resolve_cap, smooth_faces
+from magh.errors import EnumerationCapExceeded
 from magh.frames import frame
 from magh.metric import format_rational
 from magh.verify import VerificationReport
@@ -42,6 +45,29 @@ def naive_chains(space, n, l=None):
                 continue
         out.append(pts)
     return out
+
+
+_BUCKETS = {}
+
+
+def naive_buckets(space, n):
+    """The proper n-chains of `naive_chains` grouped by length.
+
+    Keys are lengths as scaled ints of the space's `IntegerView`,
+    ascending; each bucket keeps the lexicographic order of
+    `naive_chains`. Kept per (IntegerView, n), not per space, as tests
+    swap a corrupted view into a space; callers must not mutate them.
+    """
+    key = (space.integer_view, n)
+    buckets = _BUCKETS.get(key)
+    if buckets is None:
+        idist = space.integer_view.idist
+        grouped = {}
+        for pts in naive_chains(space, n):
+            total = sum(idist[a][b] for a, b in zip(pts, pts[1:]))
+            grouped.setdefault(total, []).append(pts)
+        buckets = _BUCKETS[key] = {t: tuple(grouped[t]) for t in sorted(grouped)}
+    return buckets
 
 
 def naive_boundary_matrix(space, l, n):
@@ -69,7 +95,7 @@ def magnitude_complex(space, l, n_top):
     tuples in lexicographic order.
     """
     total = space.integer_view.scaled(l)
-    bases = {n: chain_table(space, n).buckets.get(total, ()) for n in range(n_top + 1)}
+    bases = {n: naive_buckets(space, n).get(total, ()) for n in range(n_top + 1)}
     return complex_from_bases(space, bases, 0, n_top)
 
 
@@ -77,7 +103,7 @@ def endpoint_blocks(by_degree, l):
     """Split the chains of length l by endpoint pair, pairs in sorted order.
 
     `by_degree[n]` maps lengths to the chains of degree n, as point tuples
-    or ProperChains, like `ChainTable.buckets` or enumerate_proper_chains.
+    or ProperChains, like `naive_buckets` or enumerate_proper_chains.
     Returns {(a, b): {n: chains from a to b}}, listing only the degrees
     where the pair has chains; each list keeps the order of its bucket.
     """
@@ -94,16 +120,20 @@ def d_squared_by_tables(space, n_max, cap=None):
 
     Visits every chain of degrees 2..n_max by degree, then length, then
     lexicographically, counting each one, and reports the first whose
-    boundary-of-boundary is not zero. `chain_table` raises
-    EnumerationCapExceeded for the first degree whose N(N-1)^n chains pass
-    the cap, once the degrees below it have passed.
+    boundary-of-boundary is not zero. EnumerationCapExceeded is raised for
+    the first degree whose N(N-1)^n chains pass the cap, once the degrees
+    below it have passed.
     """
     view = space.integer_view
     between = view.between
     checked = 0
     for n in range(2, n_max + 1):
+        count = space.n * (space.n - 1) ** n
+        limit = resolve_cap(cap)
+        if count > limit:
+            raise EnumerationCapExceeded(count, limit)
         face_terms = {}
-        for total, bucket in chain_table(space, n, cap).buckets.items():
+        for total, bucket in naive_buckets(space, n).items():
             for index, pts in enumerate(bucket):
                 dd = {}
                 for face, sign in smooth_faces(between, pts):
@@ -139,15 +169,15 @@ def d_squared_by_tables(space, n_max, cap=None):
 
 def frame_bases_by_tables(space, total, n_top):
     """The geodesically simple chains of length `total`, a scaled int, by
-    frame then degree 1..n_top, filtered out of whole chain tables.
+    frame then degree 1..n_top, filtered out of `naive_buckets`.
 
-    Frames and degrees ascend; each basis keeps its table's lexicographic
+    Frames and degrees ascend; each basis keeps its bucket's lexicographic
     order.
     """
     idist = space.integer_view.idist
     out = {}
     for n in range(1, n_top + 1):
-        for pts in chain_table(space, n).buckets.get(total, ()):
+        for pts in naive_buckets(space, n).get(total, ()):
             f = frame(space, pts)
             if sum(idist[a][b] for a, b in zip(f, f[1:])) == total:
                 out.setdefault(f, {}).setdefault(n, []).append(pts)

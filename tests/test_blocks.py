@@ -30,7 +30,6 @@ from magh.algebra import (
 )
 from magh.chains import (
     block_chains,
-    chain_table,
     enumerate_proper_chains,
     length_spectrum,
     smooth_faces,
@@ -47,7 +46,13 @@ from magh.metric import (
 from magh.posets import magnitude_homology, magnitude_homology_rows
 from magh.verify import default_suite, full_suite, random_suite
 
-from oracles import endpoint_blocks, magnitude_complex, naive_chains, naive_magnitude_group
+from oracles import (
+    endpoint_blocks,
+    magnitude_complex,
+    naive_buckets,
+    naive_chains,
+    naive_magnitude_group,
+)
 from test_posets import rp2_face_poset_space
 
 
@@ -144,7 +149,7 @@ def test_blocks_reduce_only_degrees_with_chains():
         table = [
             pts
             for t in totals
-            for pts in chain_table(space, n).buckets.get(t, ())
+            for pts in naive_buckets(space, n).get(t, ())
             if pts[0] <= pts[-1]
         ]
         if n == 4:

@@ -18,7 +18,6 @@ from magh.frames import (
     m_x,
     simp_decomposition,
     simple_chains_by_frame,
-    singular_positions,
 )
 from magh.metric import (
     complete_space,
@@ -41,7 +40,6 @@ F = Fraction
 
 def test_singular_positions_and_frame():
     p3 = path_space(3)
-    assert singular_positions(p3, (0, 1, 2)) == (0, 2)
     assert frame(p3, (0, 1, 2)) == (0, 2)
     assert frame(p3, (0, 1, 0)) == (0, 1, 0)
     c6 = cycle_space(6)
