@@ -547,8 +547,12 @@ def block_homology_rows(space, gradings, n_max, cap=None):
     with chains, with no column for a chain without a face, reduced on
     its own, and counts as zero at the degrees outside; the groups are
     summed. The cap counts the steps of that search, which searches both
-    directions but inserts top chains only into the blocks it gives. Rows
+    directions but builds top chains only for the blocks it gives. Rows
     come grading by grading in the order given, degrees ascending.
+
+    Each grading's groups are kept per n_max on the space's
+    `IntegerView.block_groups`, so a grading already held costs no search
+    and no cap step; only the gradings lacking are searched, together.
 
     `posets.magnitude_homology_rows` sends only gradings l >= m_X here;
     `verify` compares the frame decomposition against this full complex.
@@ -560,17 +564,24 @@ def block_homology_rows(space, gradings, n_max, cap=None):
     if n_max < -1:
         raise ValueError(f"n_max must be >= -1, got {n_max}")
     view = space.integer_view
+    held = view.block_groups.setdefault(n_max, {})
     # a length that is no scaled int (None) is that of no chain
-    totals = {view.scaled(l) for l in gradings} - {None}
-    parts = {}
-    for total, (a, b), bases in _chains.block_chains(space, totals, n_max, cap):
-        cx = complex_from_bases(space, bases, min(bases), max(bases))
-        for n in range(n_max + 1):
-            group = cx.homology_or_trivial(n)
-            if not group.is_trivial():
-                parts.setdefault((total, n), []).extend((group, group) if a < b else (group,))
+    lacking = {view.scaled(l) for l in gradings} - held.keys() - {None}
+    if lacking:
+        parts = {}
+        for total, (a, b), bases in _chains.block_chains(space, lacking, n_max, cap):
+            cx = complex_from_bases(space, bases, min(bases), max(bases))
+            for n in range(n_max + 1):
+                group = cx.homology_or_trivial(n)
+                if not group.is_trivial():
+                    parts.setdefault((total, n), []).extend((group, group) if a < b else (group,))
+        for total in lacking:
+            held[total] = tuple(
+                HomologyGroup.direct_sum(parts.get((total, n), ())) for n in range(n_max + 1)
+            )
+    none = (TRIVIAL_GROUP,) * (n_max + 1)
     return [
-        HomologyRow(l, n, HomologyGroup.direct_sum(parts.get((view.scaled(l), n), ())))
+        HomologyRow(l, n, held.get(view.scaled(l), none)[n])
         for l in gradings
         for n in range(n_max + 1)
     ]

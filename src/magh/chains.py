@@ -7,12 +7,13 @@ when that point is strictly smooth: removing it does not change the
 length of the chain.
 
 Inside the package a chain is a bare tuple of points and its length the
-scaled int of the space's `IntegerView`. `start_blocks` is the one
+scaled int of the space's `IntegerView`. `start_blocks` is the engine's
 length-pruned search from a start point: `block_chains` runs it for the
 endpoint blocks the engine reduces, only those (a, b) with a <= b, as
-chain reversal maps each block onto its reverse, and the frame code for
-its subcomplexes, in both directions. `smooth_faces` is the boundary on
-tuples. No whole-space table of chains is kept: the public
+chain reversal maps each block onto its reverse. The frame code searches
+only geodesically simple chains, in both directions, with its own search
+(`frames._frame_search`) over the same `search_moves`. `smooth_faces` is
+the boundary on tuples. No whole-space table of chains is kept: the public
 `enumerate_proper_chains` builds its one degree on each call. `ProperChain`,
 with its `Fraction` length, appears only at the public API:
 `enumerate_proper_chains`, `boundary` and `boundary_of_sum` wrap the
@@ -110,7 +111,8 @@ def search_moves(space, longest):
     """Each point's next points with their step, ascending, no step over `longest`.
 
     `longest` is a length as a scaled int of the space's IntegerView; the
-    result is the `moves` argument of `start_blocks`.
+    result is the `moves` argument of `start_blocks` and of the frame
+    search.
     """
     return [
         [(nxt, d) for nxt, d in enumerate(row) if nxt != last and d <= longest]
@@ -119,16 +121,19 @@ def search_moves(space, longest):
 
 
 def start_blocks(start, moves, wanted, n_top, steps, limit):
-    """The chains from `start` of degree <= n_top with a length in `wanted`.
+    """The chains from `start` of degree <= n_top with a length in `wanted`
+    that do not end below `start`.
 
     One length-pruned search: each chain is extended by every next point
     of `moves` (from `search_moves` with the largest of `wanted`) in
     ascending order, and a prefix is dropped once it is longer than the
-    largest wanted length. Returns (blocks, steps). `blocks` maps (total,
-    end point) to {degree: chains}, each degree in lexicographic order; a
-    degree with no chain is absent. `steps` is the given count plus one
-    for the start and one per prefix kept, degree n_top included, and
-    EnumerationCapExceeded is raised as soon as it passes `limit`.
+    largest wanted length. At degree n_top, the top of the search, a chain
+    that ends below `start` is not built at all. Returns (blocks, steps).
+    `blocks` maps (total, end point) to {degree: chains}, each degree in
+    lexicographic order, for the end points >= `start` only; a degree with
+    no chain is absent. `steps` is the given count plus one for the start
+    and one per prefix kept, and EnumerationCapExceeded is raised as soon
+    as it passes `limit`.
     """
     steps += 1
     if steps > limit:
@@ -139,17 +144,18 @@ def start_blocks(start, moves, wanted, n_top, steps, limit):
         blocks[0, start] = {0: [(start,)]}
     level = [((start,), 0)]
     for n in range(1, n_top + 1):
+        top = n == n_top
         grown = []
         for pts, total in level:
             for nxt, d in moves[pts[-1]]:
                 t = total + d
-                if t > longest:
+                if t > longest or top and nxt < start:
                     continue
                 steps += 1
                 ch = pts + (nxt,)
-                if n < n_top:
+                if not top:
                     grown.append((ch, t))
-                if t in wanted:
+                if t in wanted and nxt >= start:
                     blocks.setdefault((t, nxt), {}).setdefault(n, []).append(ch)
             if steps > limit:
                 raise EnumerationCapExceeded(steps, limit)
@@ -184,8 +190,8 @@ def block_chains(space, totals, n_max, cap=None):
     too.
 
     Degrees 0..n_max come from `start_blocks`, one search per start
-    point; the blocks it gives that end below their start are dropped
-    before any insertion. Degree n_max + 1 is built by insertion: a point
+    point, which records no chain that ends below its start and builds
+    none at degree n_max. Degree n_max + 1 is built by insertion: a point
     c strictly between x_{i-1} and x_i of a degree-n_max chain x of the
     block is inserted at position i, and the result is kept only if i is
     its first smooth position. Removing that point gives x back, so every top chain with
@@ -194,9 +200,9 @@ def block_chains(space, totals, n_max, cap=None):
 
     Steps counted against the cap (`resolve_cap`): those of the searches,
     that is every proper chain of degree <= n_max no longer than the
-    largest total, degree 0 included, and every insertion kept into a
-    block with a <= b. EnumerationCapExceeded is raised as soon as the
-    steps pass the cap.
+    largest total, degree 0 included, less those of degree n_max that end
+    below their start, and every insertion kept into a block with a <= b.
+    EnumerationCapExceeded is raised as soon as the steps pass the cap.
     """
     wanted = set(totals)
     if n_max < 0 or not wanted:
@@ -212,8 +218,6 @@ def block_chains(space, totals, n_max, cap=None):
         blocks, steps = start_blocks(start, moves, wanted, n_max, steps, limit)
         for key in sorted(blocks):
             bases = blocks.pop(key)
-            if key[1] < start:
-                continue
             made = []
             for pts in bases.get(n_max, ()):
                 # a point inserted after the first smooth point x_j lies

@@ -69,10 +69,12 @@ class EnumerationCapExceeded(MaghError, RuntimeError):
     `count` is in the steps of whichever search refused: the chains of a
     whole degree for `enumerate_proper_chains` and the d^2 check, checked before
     any is built; the prefixes kept (chains of degree <= n_max no longer
-    than the largest grading) plus the top-degree insertions kept so far
-    into the blocks (a, b) with a <= b for the endpoint-block engine; the
-    prefixes kept so far for a frame subcomplex or a whole grading's
-    frame subcomplexes; the tuples visited so far for the frame search;
+    than the largest grading, less those of degree n_max that end below
+    their start) plus the top-degree insertions kept so far into the
+    blocks (a, b) with a <= b for the endpoint-block engine; the start
+    points and geodesically simple prefixes kept so far for a frame
+    subcomplex, a whole grading's frame subcomplexes or `verify`'s frame
+    table; the tuples visited so far for the frame search;
     the (state, next point) transitions through the degree that passes
     the cap for the length spectrum count.
     """

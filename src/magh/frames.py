@@ -7,21 +7,24 @@ the geodesically simple chains split by frame into subcomplexes whose
 direct sum computes magnitude homology below the threshold m_X, the
 minimum length of a four-cut.
 
-A frame subcomplex's chains come from `chains.start_blocks`, the
-length-pruned search the endpoint-block engine runs too, pruned at the
-largest length asked for and grown in full up to the top degree. One
-driver, `_frame_splits`, runs it for a list of endpoint blocks (total, a,
-b): one search per start point a over every total asked for from a, and
-one split by frame (`_split_by_frame`) per block. Every route here reads
-that driver: one block for `frame_subcomplex`, every block of a grading
-for `simp_decomposition` and `simple_chains_by_frame`, and the blocks a
-space lacks so far for `frame_table`.
+A frame subcomplex's chains come from one search, `_frame_search`, that
+keeps only geodesically simple chains. Each prefix carries its frame head,
+the kept points before its last one, so the frame of every chain is known
+as it is built, and a prefix is dropped once it is longer than its frame:
+that gap never shrinks as the chain grows, so no simple chain is lost.
+One function, `_frame_splits`, runs it once per start point for what is
+asked: whole endpoint blocks (total, a, b), or single frames, for which a
+prefix whose head starts no wanted frame is dropped too. Every route here
+reads that function: one frame for `frame_subcomplex`, every block of a
+grading for `simp_decomposition` and `simple_chains_by_frame`, and what a
+space lacks so far for `frame_table` and `frame_pieces`.
 
-`frame_table` is the frame side of `verify`. It holds, per top degree,
-the nonzero homology of every frame piece of the endpoint blocks asked
-for so far, on the space's `IntegerView.frame_groups`, and no chains.
-Only the blocks it lacks are searched and split, and each piece is
-reduced once. A block already held costs no search and no cap step.
+`frame_table` and `frame_pieces` are the frame side of `verify`. They
+hold, per top degree, the nonzero homology of every frame piece found so
+far, keyed by frame, and the endpoint blocks whose every frame is among
+them, on the space's `IntegerView.frame_groups`; no chains are kept. Only
+what is lacking is searched, and only the pieces asked for are reduced,
+each once. A block or frame already held costs no search and no cap step.
 """
 
 from __future__ import annotations
@@ -30,15 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import HomologyGroup, complex_from_bases
-from .chains import (
-    ProperChain,
-    chain_total,
-    resolve_cap,
-    search_moves,
-    smooth_faces,
-    start_blocks,
-)
-from .errors import ImproperFrame, NotASubcomplex
+from .chains import ProperChain, chain_total, resolve_cap, search_moves, smooth_faces
+from .errors import EnumerationCapExceeded, ImproperFrame, NotASubcomplex
 from .metric import format_rational
 
 
@@ -126,51 +122,115 @@ def is_realized_frame(space, points):
     return True
 
 
-def _frame_splits(space, blocks, n_top, cap):
-    """Yield (block, split) for each endpoint block (total, a, b) of `blocks`.
+def _frame_search(view, start, moves, wanted, heads, n_top, steps, limit):
+    """The geodesically simple chains from `start` of degrees 1..n_top with a
+    length in `wanted`, by frame.
 
-    `split` is `_split_by_frame` of the block's chains of degree <= n_top,
-    computed once per distinct block; blocks come by a, then total, then
-    b. Each start point a is searched once (`chains.start_blocks`), over
-    every total asked for from it, and the steps of all the searches count
-    against one cap (`resolve_cap`).
+    Each chain is extended by every next point of `moves` (from
+    `chains.search_moves`) in ascending order. A prefix carries its head,
+    the kept points before its last one, and the head's length; extending
+    it by `nxt` settles only whether the old last point x is kept, which
+    it is unless x is strictly smooth between its neighbors. A kept x
+    leaves the prefix exactly as long as its frame, and a dropped x leaves
+    it longer unless d(head end, nxt) = d(head end, x) + d(x, nxt), by
+    the triangle inequality; a prefix longer than its frame, or than the
+    largest of `wanted`, is dropped, as no extension of it is simple.
+    When `heads` is a set, a prefix whose head is not in it is dropped
+    too. Returns (found, steps): `found` maps each frame, in the order its
+    first chain was met, to {degree: chains}, degrees ascending and each
+    in lexicographic order. `steps` is the given count plus one for the
+    start and one per prefix kept, and EnumerationCapExceeded is raised as
+    soon as it passes `limit`.
     """
-    ends_by_start = {}
+    steps += 1
+    if steps > limit:
+        raise EnumerationCapExceeded(steps, limit)
+    between = view.between
+    idist = view.idist
+    longest = max(wanted)
+    found = {}
+    level = [((start,), 0, (), 0)]
+    for n in range(1, n_top + 1):
+        grown = []
+        for pts, total, head, head_total in level:
+            x = pts[-1]
+            # no point lies strictly between the start and another, so
+            # reading prev = x keeps the start
+            prev = pts[-2] if n > 1 else x
+            for nxt, d in moves[x]:
+                t = total + d
+                if t > longest:
+                    continue
+                if between[prev][nxt] >> x & 1:
+                    # x is strictly smooth: the frame becomes head + (nxt,)
+                    if t != head_total + idist[head[-1]][nxt]:
+                        continue
+                    kept, kept_total = head, head_total
+                else:
+                    # x is kept; the prefix was as long as its frame, so the
+                    # head, now ending at x, is as long as the prefix. A
+                    # prefix with every point kept is its own head.
+                    kept = pts if len(head) == n - 1 else head + (x,)
+                    kept_total = total
+                    if heads is not None and kept not in heads:
+                        continue
+                steps += 1
+                ch = pts + (nxt,)
+                if n < n_top:
+                    grown.append((ch, t, kept, kept_total))
+                if t in wanted:
+                    f = ch if kept is pts else kept + (nxt,)
+                    found.setdefault(f, {}).setdefault(n, []).append(ch)
+            if steps > limit:
+                raise EnumerationCapExceeded(steps, limit)
+        level = grown
+    return found, steps
+
+
+def _frame_splits(space, blocks, frames, n_top, cap):
+    """Yield (block, frame, by_degree) for the geodesically simple chains of
+    degree <= n_top of every endpoint block (total, a, b) of `blocks` and of
+    every frame of `frames`, one frame at a time.
+
+    `by_degree` maps a degree to the frame's chains, degrees ascending and
+    each in lexicographic order; a frame with no chain is not yielded.
+    Frames come by start point, then in the order their first chain was
+    met. Each start point a is searched once (`_frame_search`) over every
+    length asked for from it; when only frames are asked from a, the
+    search keeps only the prefixes whose head starts one of them. A
+    simple chain whose frame is not proper raises ImproperFrame. The steps
+    of all the searches count against one cap (`resolve_cap`).
+    """
+    wanted = {}
     for total, a, b in blocks:
-        ends_by_start.setdefault(a, {}).setdefault(total, set()).add(b)
-    if not ends_by_start:
+        totals, ends, _ = wanted.setdefault(a, (set(), set(), set()))
+        totals.add(total)
+        ends.add((total, b))
+    for f in frames:
+        totals, _, wanted_frames = wanted.setdefault(f[0], (set(), set(), set()))
+        totals.add(chain_total(space, f))
+        wanted_frames.add(f)
+    if not wanted:
         return
     view = space.integer_view
+    idist = view.idist
     limit = resolve_cap(cap)
-    moves = search_moves(space, max(max(totals) for totals in ends_by_start.values()))
+    moves = search_moves(space, max(max(totals) for totals, _, _ in wanted.values()))
     steps = 0
-    for start in sorted(ends_by_start):
-        ends_of = ends_by_start[start]
-        found, steps = start_blocks(start, moves, set(ends_of), n_top, steps, limit)
-        for total in sorted(ends_of):
-            for end in sorted(ends_of[total]):
-                bases = found.get((total, end), {})
-                yield (total, start, end), _split_by_frame(view, total, bases)
-
-
-def _split_by_frame(view, total, bases):
-    """The geodesically simple chains of one endpoint block, by frame.
-
-    `bases` maps a degree to the block's chains of length `total`; the
-    result maps each frame as long as its chains to {degree: chains},
-    degrees ascending and each in the order given. A simple chain whose
-    frame is not proper raises ImproperFrame.
-    """
-    partition = {}
-    for n in sorted(bases):
-        for pts in bases[n]:
-            f, t = _frame_and_total(view, pts)
-            if t != total:
-                continue
-            if any(a == b for a, b in zip(f, f[1:])):
-                raise ImproperFrame(pts, f)
-            partition.setdefault(f, {}).setdefault(n, []).append(pts)
-    return partition
+    for start in sorted(wanted):
+        totals, ends, wanted_frames = wanted[start]
+        heads = None
+        if not ends:
+            heads = {f[:k] for f in wanted_frames for k in range(1, len(f))}
+        found, steps = _frame_search(view, start, moves, totals, heads, n_top, steps, limit)
+        for f, by_degree in found.items():
+            total = 0
+            for a, b in zip(f, f[1:]):
+                if a == b:
+                    raise ImproperFrame(by_degree[min(by_degree)][0], f)
+                total += idist[a][b]
+            if (total, f[-1]) in ends or f in wanted_frames:
+                yield (total, start, f[-1]), f, by_degree
 
 
 def _simple_tuples_by_frame(space, l, n_top, cap):
@@ -183,8 +243,8 @@ def _simple_tuples_by_frame(space, l, n_top, cap):
         return partition
     points = range(space.n)
     blocks = [(total, a, b) for a in points for b in points]
-    for _, split in _frame_splits(space, blocks, n_top, cap):
-        partition.update(split)
+    for _, f, by_degree in _frame_splits(space, blocks, (), n_top, cap):
+        partition[f] = by_degree
     return {f: partition[f] for f in sorted(partition)}
 
 
@@ -193,9 +253,9 @@ def simple_chains_by_frame(space, l, n_top, cap=None):
 
     Degrees run 1..n_top; degree-0 chains carry no frame data and are
     excluded. Keys are sorted lexicographically, bases lexicographically
-    within each degree. The chains come from one length-pruned search per
-    start point, and the cap counts its steps: every proper chain of degree
-    <= n_top no longer than l, degree 0 included.
+    within each degree. The chains come from one search per start point,
+    and the cap counts its steps: every geodesically simple chain of degree
+    <= n_top no longer than l, and each start point.
     """
     l = Fraction(l)
     return {
@@ -208,11 +268,11 @@ def frame_subcomplex(space, f, n_top, cap=None):
     """The subcomplex of geodesically simple chains with the given frame.
 
     Degrees run from the frame's own degree up to n_top. The basis at each
-    degree is split out of every chain from f[0] to f[-1] of the frame's
-    length, found by the length-pruned search from f[0], and
-    independently of any structure theory about where inserted points may
-    sit. The cap counts the search's steps: every proper chain from f[0]
-    of degree <= n_top no longer than the frame, degree 0 included.
+    degree is every chain from f[0] that the frame search finds with frame
+    f, independently of any structure theory about where inserted points
+    may sit. The cap counts the search's steps: the start, and every
+    geodesically simple chain from f[0] of degree <= n_top, no longer than
+    the frame, whose frame less its last point starts f.
     """
     f = tuple(f)
     lo = len(f) - 1
@@ -220,7 +280,7 @@ def frame_subcomplex(space, f, n_top, cap=None):
         raise ValueError(f"a frame needs at least two points, got {f}")
     if n_top < lo:
         raise ValueError(f"n_top {n_top} below frame degree {lo}")
-    [(_, split)] = _frame_splits(space, [(chain_total(space, f), f[0], f[-1])], n_top, cap)
+    split = {g: by_degree for _, g, by_degree in _frame_splits(space, (), [f], n_top, cap)}
     by_degree = split.get(f, {})
     bases = {n: by_degree.get(n, []) for n in range(lo, n_top + 1)}
     return complex_from_bases(space, bases, lo, n_top)
@@ -272,6 +332,30 @@ def _piece_groups(space, by_degree):
     return groups
 
 
+def _held(space, n_top):
+    """The space's frame table for `n_top`: (groups by frame, complete blocks)."""
+    return space.integer_view.frame_groups.setdefault(n_top, ({}, {}))
+
+
+def _fill(space, blocks, frames, n_top, cap):
+    """Search and reduce what `blocks` and `frames` ask for into the table.
+
+    Only the pieces asked for and not held yet are reduced. A block
+    searched is held with its sorted frames, and a frame searched without
+    a chain with its empty groups.
+    """
+    pieces, complete = _held(space, n_top)
+    found = {}
+    for block, f, by_degree in _frame_splits(space, blocks, frames, n_top, cap):
+        if f not in pieces:
+            pieces[f] = _piece_groups(space, by_degree)
+        found.setdefault(block, []).append(f)
+    for key in blocks:
+        complete[key] = tuple(sorted(found.get(key, ())))
+    for f in frames:
+        pieces.setdefault(f, {})
+
+
 def frame_table(space, blocks, n_top, cap=None):
     """The homology of every frame piece of the given endpoint blocks.
 
@@ -280,20 +364,43 @@ def frame_table(space, blocks, n_top, cap=None):
     {degree: group}}} for those blocks, where a frame's groups are the
     nonzero ones of `frame_subcomplex(space, frame, n_top)` and a block
     lists every frame of its geodesically simple chains of degree <=
-    n_top.
+    n_top, in order.
 
     Kept per space and n_top in `IntegerView.frame_groups`, groups only.
     The blocks not held yet go through `_frame_splits`, so each start
-    point is searched once over every total it lacks, those blocks alone
-    are split by frame, and each piece is reduced once. The steps of all
-    those searches count against one cap (`resolve_cap`); a held block
-    costs none.
+    point is searched once over every total it lacks, and each piece not
+    held yet is reduced once. The steps of all those searches count
+    against one cap (`resolve_cap`); a held block costs none.
     """
-    held = space.integer_view.frame_groups.setdefault(n_top, {})
-    lacking = [key for key in blocks if key not in held]
-    for key, split in _frame_splits(space, lacking, n_top, cap):
-        held[key] = {f: _piece_groups(space, split[f]) for f in sorted(split)}
-    return {key: held[key] for key in blocks}
+    pieces, complete = _held(space, n_top)
+    lacking = [key for key in blocks if key not in complete]
+    if lacking:
+        _fill(space, lacking, (), n_top, cap)
+    return {key: {f: pieces[f] for f in complete[key]} for key in blocks}
+
+
+def frame_pieces(space, frames, n_top, cap=None):
+    """The homology of the frame piece of each given frame.
+
+    Returns {frame: {degree: group}}, the nonzero groups of
+    `frame_subcomplex(space, frame, n_top)`, read from the same table as
+    `frame_table`. A frame not held yet, and whose block (its length,
+    f[0], f[-1]) is not held either, goes through `_frame_splits`: each
+    start point is searched once for all the frames it lacks, keeping
+    only the prefixes whose frame so far starts one of them, and only
+    those frames' pieces are reduced. The cap counts as there; a held
+    frame costs none.
+    """
+    frames = [tuple(f) for f in frames]
+    pieces, complete = _held(space, n_top)
+    lacking = [
+        f
+        for f in frames
+        if f not in pieces and (chain_total(space, f), f[0], f[-1]) not in complete
+    ]
+    if lacking:
+        _fill(space, (), lacking, n_top, cap)
+    return {f: pieces.get(f, {}) for f in frames}
 
 
 @dataclass(frozen=True)

@@ -98,17 +98,23 @@ class IntegerView:
 
     The view also owns what is derived from it once per space and reused:
     `pair_homology` maps a pair (a, b) to the nonzero reduced homology of
-    its interval poset, which the engine reads; and `frame_groups` maps a
-    top degree to the frame table of `frames.frame_table`, which `verify`
-    reads: for each endpoint block searched, the nonzero homology of each
-    frame piece, and no chains. Both fill as they are asked for and live
-    exactly as long as the space. No chains are kept on the view.
+    its interval poset, which the engine reads; `block_groups` maps n_max
+    to the groups of degrees 0..n_max of each length grading the block
+    engine (`algebra.block_homology_rows`) has reduced, keyed by scaled
+    length; and `frame_groups` maps a top degree to the frame table of
+    `frames.frame_table` and `frames.frame_pieces`, which `verify` reads,
+    a pair (pieces, blocks): `pieces` maps each frame found or asked for
+    to the nonzero homology of its frame piece, and `blocks` maps each
+    endpoint block (total, a, b) searched whole to its frames, sorted.
+    All fill as they are asked for and live exactly as long as the space.
+    No chains are kept on the view.
     """
 
     scale: int
     idist: tuple
     between: tuple
     pair_homology: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    block_groups: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     frame_groups: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod

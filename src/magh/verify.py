@@ -7,10 +7,15 @@ across runs. No check builds a whole degree of chains: `d_squared`
 walks the chains once per start point and places a failing one in its
 order with the chain-count dynamic program (`chains.count_step`), and
 `simp_iso`, `frame_injectivity` and `tensor_route` read their frame side
-from one frame table per space (`frames.frame_table`). It keeps the
-homology of each frame piece and no chains, so the three checks search
-each start point and reduce each piece once between them, and a block
-one check has filled costs the next no search and no cap step.
+from one frame table per space. It keeps the homology of each frame piece
+and no chains: `simp_iso` asks it for whole endpoint blocks
+(`frames.frame_table`), the other two for single frames
+(`frames.frame_pieces`), whose search keeps only the chains that can end
+with one of them and reduces only their pieces. A block or frame one
+check has filled costs the next no search and no cap step. The full side
+of `simp_iso` and `frame_injectivity`, the block engine, likewise keeps
+each grading's groups on the space, so a grading both ask for is
+reduced once.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from fractions import Fraction
 from .algebra import TRIVIAL_GROUP, HomologyGroup, block_homology_rows
 from .chains import chain_total, count_step, length_spectra, resolve_cap, smooth_faces
 from .errors import EnumerationCapExceeded
-from .frames import frame_table, is_realized_frame, m_x
+from .frames import frame_pieces, frame_table, is_realized_frame, m_x
 from .metric import (
     complete_space,
     cycle_space,
@@ -273,8 +278,7 @@ def check_frame_injectivity(space, n_max, cap=None):
     homology at grading d(a, b). This is a one-sided shadow of the
     decomposition that holds at every grading, not only below m_X. One
     block-engine call gives the full side of every distance at once, and
-    the frame table the pair frames' side, from their blocks (d(a, b), a,
-    b).
+    the frame table the pair frames' side, one frame request each.
     """
     name = space.name or "space"
     gradings = sorted({space.d(a, b) for a in range(space.n) for b in range(space.n) if a != b})
@@ -282,15 +286,11 @@ def check_frame_injectivity(space, n_max, cap=None):
         (row.l, row.n): row.group
         for row in block_homology_rows(space, gradings, n_max, cap)
     }
-    idist = space.integer_view.idist
-    blocks = [
-        (idist[a][b], a, b) for a in range(space.n) for b in range(space.n) if a != b
-    ]
-    table = frame_table(space, blocks, n_max + 1, cap)
-    for pairs, block in enumerate(blocks, start=1):
-        _, a, b = block
+    frames = [(a, b) for a in range(space.n) for b in range(space.n) if a != b]
+    table = frame_pieces(space, frames, n_max + 1, cap)
+    for pairs, (a, b) in enumerate(frames, start=1):
         l = space.d(a, b)
-        groups = table[block].get((a, b), {})
+        groups = table[a, b]
         for n in range(1, n_max + 1):
             fb = groups.get(n, TRIVIAL_GROUP).betti
             if fb > full[l, n].betti:
@@ -311,7 +311,7 @@ def check_frame_injectivity(space, n_max, cap=None):
         check="frame_injectivity",
         space=name,
         status="pass",
-        params={"n_max": n_max, "pairs": len(blocks)},
+        params={"n_max": n_max, "pairs": len(frames)},
     )
 
 
@@ -353,8 +353,8 @@ def check_tensor_route(space, n_max, m_max=2, cap=None):
     For every realized frame of degree <= m_max, compare the homology of
     the chain-level subcomplex against the tensor product of reduced
     interval complexes (shifted by twice the frame degree), at each degree
-    up to n_max. The subcomplex side is read from the frame table, block
-    (length of f, f[0], f[-1]); the tensor side folds each frame's
+    up to n_max. The subcomplex side is read from the frame table, which
+    reduces only these frames' pieces; the tensor side folds each frame's
     intervals once for every degree. The two routes share no code past
     the metric. Frames
     with a smoothable junction are excluded: insertion does not preserve
@@ -365,10 +365,9 @@ def check_tensor_route(space, n_max, m_max=2, cap=None):
     """
     name = space.name or "space"
     frames, excluded = _realized_frames(space, min(m_max, n_max + 1))
-    blocks = [(chain_total(space, f), f[0], f[-1]) for f in frames]
-    table = frame_table(space, blocks, n_max + 1, cap)
-    for f, block in zip(frames, blocks):
-        groups = table[block].get(f, {})
+    table = frame_pieces(space, frames, n_max + 1, cap)
+    for f in frames:
+        groups = table[f]
         vias = frame_homology_by_degree(space, f)
         for n in range(n_max + 1):
             direct = groups.get(n, TRIVIAL_GROUP)

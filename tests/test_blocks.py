@@ -24,7 +24,9 @@ import magh.chains
 import magh.posets
 
 from magh.algebra import (
+    TRIVIAL_GROUP,
     HomologyGroup,
+    HomologyRow,
     block_homology_rows,
     complex_from_bases,
 )
@@ -163,9 +165,10 @@ def test_blocks_reduce_only_degrees_with_chains():
 
 def test_block_cap_counts_prefixes_and_kept_insertions():
     # C_5 has m_X = 3; at gradings 3 and 4 the search keeps every proper
-    # chain of degree <= 3 and length <= 4, in both directions, and every
-    # chain of degree 4 and length 3 or 4 that has a smooth interior point
-    # and does not end below its start
+    # chain of degree <= 2 and length <= 4, in both directions, every one
+    # of degree 3 and length <= 4 that does not end below its start, and
+    # every chain of degree 4 and length 3 or 4 that has a smooth interior
+    # point and does not end below its start
     space = cycle_space(5)
     gradings = [Fraction(3), Fraction(4)]
     prefixes = sum(
@@ -173,6 +176,7 @@ def test_block_cap_counts_prefixes_and_kept_insertions():
         for n in range(4)
         for pts in naive_chains(space, n)
         if sum(space.d(a, b) for a, b in zip(pts, pts[1:])) <= 4
+        and (n < 3 or pts[0] <= pts[-1])
     )
     insertions = sum(
         1
@@ -362,12 +366,42 @@ def test_reversed_rp2_blocks_carry_the_torsion():
 
 
 def test_many_gradings_equal_one_at_a_time():
+    # a fresh space per grading, so that none is read from the block table
     space = cycle_space(5)
     lengths = realized_lengths(space, 2)
     together = block_homology_rows(space, lengths, 2)
-    apart = [row for l in lengths for row in block_homology_rows(space, [l], 2)]
+    apart = [row for l in lengths for row in block_homology_rows(cycle_space(5), [l], 2)]
     assert together == apart
     assert block_homology_rows(space, [], 2) == []
+
+
+def test_block_table_searches_only_gradings_it_lacks():
+    space = cycle_space(5)
+    fresh = block_homology_rows(cycle_space(5), [5], 2)
+    searched = []
+
+    def recording_blocks(space_, totals, n_max, cap=None):
+        searched.append((sorted(totals), n_max))
+        return block_chains(space_, totals, n_max, cap)
+
+    with mock.patch.object(magh.chains, "block_chains", recording_blocks):
+        rows = block_homology_rows(space, [3, 4, Fraction(1, 2)], 2)
+        assert searched == [([3, 4], 2)]
+        # a held grading costs no search and no cap step
+        again = block_homology_rows(space, [4, 3], 2, cap=0)
+        assert again == rows[3:6] + rows[:3]
+        # only the gradings lacking are searched
+        more = block_homology_rows(space, [3, 5], 2)
+        assert searched[1:] == [([5], 2)]
+        assert more == rows[:3] + fresh
+        # and each n_max has its own table
+        block_homology_rows(space, [3], 3)
+        assert searched[2:] == [([3], 3)]
+    view = space.integer_view
+    assert sorted(view.block_groups) == [2, 3]
+    assert sorted(view.block_groups[2]) == [3, 4, 5]
+    # a length that is no scaled int is that of no chain, and is not held
+    assert rows[6:] == [HomologyRow(Fraction(1, 2), n, TRIVIAL_GROUP) for n in range(3)]
 
 
 def gradings_below_m_x(space, n_max):

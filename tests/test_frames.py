@@ -5,11 +5,13 @@ import pytest
 import magh.algebra
 import magh.frames
 from magh.algebra import TRIVIAL_GROUP, HomologyGroup, complex_from_bases
-from magh.chains import ProperChain, chain_length, enumerate_proper_chains
+from magh.chains import ProperChain, chain_length, chain_total, enumerate_proper_chains
 from magh.errors import EnumerationCapExceeded, NotASubcomplex
 from magh.frames import (
+    _simple_tuples_by_frame,
     four_cuts,
     frame,
+    frame_pieces,
     frame_subcomplex,
     frame_table,
     is_frame,
@@ -29,8 +31,8 @@ from magh.metric import (
 )
 from magh.posets import frame_homology_via_posets
 
-from oracles import frame_bases_by_tables, naive_chains, naive_four_cuts
-from test_posets import rp2_face_poset_space
+from oracles import frame_bases_by_tables, naive_buckets, naive_chains, naive_four_cuts
+from test_posets import rational_grid_space, rp2_face_poset_space
 
 F = Fraction
 
@@ -250,22 +252,26 @@ def test_frame_bases_match_table_filter(space, monkeypatch):
 
 
 def test_frame_cap_counts_prefixes_kept():
-    # the frame (0, 2) of C_5 has length 2: its search from 0 keeps every
-    # proper chain from 0 of degree <= 3 and length <= 2, degree 0
-    # included; a whole grading's search keeps those from every point
-    space = cycle_space(5)
+    # the frame search keeps, from each start, the start itself and every
+    # geodesically simple chain no longer than the length asked for; for
+    # a frame request it keeps only those whose frame less its last point
+    # starts the frame. On C_6 at length 4 and degree <= 4 both prunings bite
+    space = cycle_space(6)
+    f = (0, 2, 4)
+    heads = {f[:k] for k in range(1, len(f))}
 
     def length(pts):
         return sum(space.d(a, b) for a, b in zip(pts, pts[1:]))
 
-    kept = [pts for n in range(4) for pts in naive_chains(space, n) if length(pts) <= 2]
-    from_zero = sum(1 for pts in kept if pts[0] == 0)
-    # far below the 5 * 4^3 chains of degree 3 the chain table counted
-    assert (from_zero, len(kept)) == (9, 45)
+    short = [pts for n in range(1, 5) for pts in naive_chains(space, n) if length(pts) <= 4]
+    simple = [pts for pts in short if length(frame(space, pts)) == length(pts)]
+    from_zero = [pts for pts in simple if pts[0] == 0]
+    for_f = [pts for pts in from_zero if frame(space, pts)[:-1] in heads]
+    assert (len(short), len(simple), len(from_zero), len(for_f)) == (438, 390, 65, 20)
     for call, count in [
-        (lambda cap: frame_subcomplex(space, (0, 2), 3, cap), from_zero),
-        (lambda cap: simp_decomposition(space, 2, 3, cap), len(kept)),
-        (lambda cap: simple_chains_by_frame(space, 2, 3, cap), len(kept)),
+        (lambda cap: frame_subcomplex(space, f, 4, cap), 1 + len(for_f)),
+        (lambda cap: simp_decomposition(space, 4, 4, cap), space.n + len(simple)),
+        (lambda cap: simple_chains_by_frame(space, 4, 4, cap), space.n + len(simple)),
     ]:
         with pytest.raises(EnumerationCapExceeded) as exc:
             call(count - 1)
@@ -351,30 +357,139 @@ def test_frame_alone_builds_no_complex(monkeypatch):
         complex_from_bases(space, {2: [(0, 1, 2)]}, 2, 2)
 
 
-def test_frame_table_searches_only_what_it_lacks(monkeypatch):
+def recorded_searches(monkeypatch):
+    """Record (start, wanted totals, heads) per frame search."""
     searches = []
-    original = magh.frames.start_blocks
+    original = magh.frames._frame_search
 
-    def recording(start, moves, wanted, n_top, steps, limit):
-        searches.append((start, sorted(wanted)))
-        return original(start, moves, wanted, n_top, steps, limit)
+    def recording(view, start, moves, wanted, heads, n_top, steps, limit):
+        searches.append((start, sorted(wanted), heads))
+        return original(view, start, moves, wanted, heads, n_top, steps, limit)
 
-    monkeypatch.setattr(magh.frames, "start_blocks", recording)
+    monkeypatch.setattr(magh.frames, "_frame_search", recording)
+    return searches
+
+
+def test_frame_table_searches_only_what_it_lacks(monkeypatch):
+    searches = recorded_searches(monkeypatch)
+    reduced = []
+    piece_groups = magh.frames._piece_groups
+
+    def recording_pieces(space, by_degree):
+        reduced.append(by_degree[min(by_degree)][0])
+        return piece_groups(space, by_degree)
+
+    monkeypatch.setattr(magh.frames, "_piece_groups", recording_pieces)
     space = cycle_space(5)
     first = frame_table(space, [(2, 0, 2), (1, 0, 1), (2, 3, 0)], 3)
-    assert searches == [(0, [1, 2]), (3, [2])]
+    assert searches == [(0, [1, 2], None), (3, [2], None)]
     del searches[:]
     # a held block costs no search and no cap step
     again = frame_table(space, [(2, 3, 0), (2, 0, 2)], 3, cap=0)
     assert searches == []
     assert again == {key: first[key] for key in again}
-    # a block from a start already searched for that total is split anew
+    # nor does a frame of a held block; (0, 1, 2) is none of its frames
+    assert frame_pieces(space, [(0, 2), (3, 0), (0, 1, 2)], 3, cap=0) == {
+        (0, 2): first[2, 0, 2][0, 2],
+        (3, 0): first[2, 3, 0][3, 0],
+        (0, 1, 2): {},
+    }
+    assert searches == []
+    # a block from a start already searched for that total is searched anew
     frame_table(space, [(2, 0, 3), (1, 0, 1)], 3)
-    assert searches == [(0, [2])]
+    assert searches == [(0, [2], None)]
+    del searches[:]
+    # a frame request keeps only the heads that start a wanted frame, and
+    # reduces only the wanted pieces, each once
+    del reduced[:]
+    pieces = frame_pieces(space, [(1, 3), (1, 2, 1)], 3)
+    assert searches == [(1, [2], {(1,), (1, 2)})]
+    assert sorted(reduced) == [(1, 2, 1), (1, 3)]
+    assert pieces == {f: frame_table(space, [(2, 1, f[-1])], 3)[2, 1, f[-1]][f] for f in pieces}
+    assert sorted(reduced) == [(1, 0, 1), (1, 2, 1), (1, 3)]
+    del searches[:]
+    frame_pieces(space, [(1, 3)], 3, cap=0)
+    assert searches == []
     # and each top degree has its own table
     frame_table(space, [(2, 0, 2)], 4)
-    assert searches[1:] == [(0, [2])]
+    assert searches == [(0, [2], None)]
     assert sorted(space.integer_view.frame_groups) == [3, 4]
+
+
+def frame_search_spaces():
+    return [
+        cycle_space(6),
+        random_metric(5, seed=8),
+        rational_metric(),
+        rational_grid_space(2, 3),
+        rp2_face_poset_space()[0],
+    ]
+
+
+@pytest.mark.parametrize("space", frame_search_spaces(), ids=lambda s: s.name)
+def test_carried_frame_is_the_frame(space):
+    # every chain the search gives is simple, has the frame it is filed
+    # under, and lies in the block it is yielded with
+    view = space.integer_view
+    n_top = 3 if space.n > 10 else 4
+    totals = sorted({t for t in view.idist[0] if t} | {t for t in view.idist[1] if t})
+    points = range(space.n)
+    blocks = [(t, a, b) for t in totals for a in points for b in points]
+    seen = 0
+    for (total, a, b), f, by_degree in magh.frames._frame_splits(space, blocks, (), n_top, None):
+        for n, chains in by_degree.items():
+            for pts in chains:
+                assert frame(space, pts) == f
+                assert is_geodesically_simple(space, pts)
+                assert (chain_total(space, pts), pts[0], pts[-1], len(pts) - 1) == (total, a, b, n)
+                seen += 1
+    assert seen
+
+
+@pytest.mark.parametrize(
+    "space, totals",
+    [
+        (cycle_space(6), [3, 4]),
+        (random_metric(5, seed=8), None),
+        (rational_grid_space(2, 3), None),
+    ],
+    ids=["cycle(6)", "random(5,8)", "rational-grid-2x3"],
+)
+def test_frame_search_matches_table_filter_at_and_above_m_x(space, totals):
+    # at gradings >= m_X the frame pieces are not the whole complex, and
+    # the pruning by frame length drops most prefixes
+    view = space.integer_view
+    n_top = 4
+    if totals is None:
+        mx = view.scaled(m_x(space).value)
+        totals = sorted(
+            {t for n in range(1, n_top + 1) for t in naive_buckets(space, n) if t >= mx}
+        )
+    assert totals
+    for total in totals:
+        oracle = frame_bases_by_tables(space, total, n_top)
+        assert oracle
+        by_frame = _simple_tuples_by_frame(space, view.fraction(total), n_top, None)
+        assert by_frame == oracle
+        assert list(by_frame) == list(oracle)
+        frames = list(oracle)
+        split = {f: b for _, f, b in magh.frames._frame_splits(space, (), frames, n_top, None)}
+        assert split == oracle
+
+
+@pytest.mark.parametrize("make", frame_search_spaces()[:4], ids=lambda s: s.name)
+def test_frame_and_block_requests_agree(make):
+    # one table filled by whole blocks, one by single frames, on two
+    # instances of the space, so neither reads the other's
+    first, second = (validate_metric(make.dist, name=make.name) for _ in range(2))
+    view = first.integer_view
+    points = range(first.n)
+    totals = sorted({t for row in view.idist for t in row if t})
+    blocks = [(t, a, b) for t in totals for a in points for b in points]
+    by_block = frame_table(first, blocks, 3)
+    frames = [f for pieces in by_block.values() for f in pieces]
+    by_frame = frame_pieces(second, frames, 3)
+    assert frames and by_frame == {f: g for pieces in by_block.values() for f, g in pieces.items()}
 
 
 # --- four-cuts and m_X ----------------------------------------------------------

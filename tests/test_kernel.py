@@ -172,8 +172,9 @@ def test_guards_survive_optimize():
     # refuses a frame that repeats a point, and the frame route refuses an
     # unrealized frame below m_X, all under -O; none can happen in a
     # validated space, so the first two spaces are built directly and the
-    # last two faults are injected by replacing `_frame_and_total`, the
-    # one helper that gives a chain's frame, and `is_realized_frame`
+    # last two faults are injected by replacing `_frame_search`, the one
+    # search that gives the frame side its chains and their frames, and
+    # `is_realized_frame`
     code = (
         "from fractions import Fraction\n"
         "import magh.frames as frames\n"
@@ -194,11 +195,11 @@ def test_guards_survive_optimize():
         "        raise SystemExit(f'wrong witness: {exc}')\n"
         "else:\n"
         "    raise SystemExit('a zero distance was accepted')\n"
-        "real = frames._frame_and_total\n"
-        "def doubled(view, pts):\n"
-        "    f, total = real(view, pts)\n"
-        "    return f[:1] + f, total\n"
-        "frames._frame_and_total = doubled\n"
+        "real = frames._frame_search\n"
+        "def doubled(*args):\n"
+        "    found, steps = real(*args)\n"
+        "    return {f[:1] + f: by_degree for f, by_degree in found.items()}, steps\n"
+        "frames._frame_search = doubled\n"
         "try:\n"
         "    frames.simple_chains_by_frame(path_space(3), 1, 1)\n"
         "except ImproperFrame as exc:\n"

@@ -15,7 +15,7 @@ import magh.chains
 import magh.frames
 import magh.verify as verify_module
 from magh.algebra import HomologyGroup, HomologyRow, block_homology_rows
-from magh.chains import is_strictly_smooth
+from magh.chains import chain_total, is_strictly_smooth
 from magh.errors import EnumerationCapExceeded
 from magh.frames import is_frame, is_realized_frame
 from magh.metric import (
@@ -322,37 +322,54 @@ def test_default_suite_all_green():
     reports = run_checks(spaces, n_max=3)
     assert all(r.passed for r in reports), [r.to_json() for r in reports if not r.passed]
     assert len(reports) == 14 * 4
-    # the frame table keeps groups, not chains
+    # the frame table keeps groups by frame and the blocks searched whole,
+    # not chains, and the block table each grading's groups
     for space in spaces:
-        tables = space.integer_view.frame_groups
-        assert list(tables) == [4]
-        for (total, a, b), frames in tables[4].items():
-            for f, groups in frames.items():
-                assert (f[0], f[-1]) == (a, b)
-                assert all(isinstance(g, HomologyGroup) for g in groups.values())
-                assert all(isinstance(n, int) for n in groups)
+        view = space.integer_view
+        assert list(view.frame_groups) == [4]
+        pieces, blocks = view.frame_groups[4]
+        for (total, a, b), frames in blocks.items():
+            assert list(frames) == sorted(frames)
+            for f in frames:
+                assert (chain_total(space, f), f[0], f[-1]) == (total, a, b)
+                assert f in pieces
+        for groups in pieces.values():
+            assert all(isinstance(g, HomologyGroup) for g in groups.values())
+            assert all(isinstance(n, int) for n in groups)
+        assert list(view.block_groups) == [3]
+        for total, groups in view.block_groups[3].items():
+            assert isinstance(total, int) and len(groups) == 4
+            assert all(isinstance(g, HomologyGroup) for g in groups)
 
 
-def recorded_frame_searches(monkeypatch, tables):
-    """Record (start, wanted totals, blocks `tables` held) per frame-table search."""
-    searches = []
-    original = magh.chains.start_blocks
+def recorded_frame_searches(monkeypatch, space):
+    """Record each frame search as (request, start, wanted totals, heads),
+    and each call of `_frame_splits` as (blocks, frames, frames held, blocks
+    held) at the time it was made."""
+    searches, requests = [], []
+    search, splits = magh.frames._frame_search, magh.frames._frame_splits
 
-    def recording(start, moves, wanted, n_top, steps, limit):
-        searches.append((start, set(wanted), set(tables.get(n_top, ()))))
-        return original(start, moves, wanted, n_top, steps, limit)
+    def recording_search(view, start, moves, wanted, heads, n_top, steps, limit):
+        searches.append((len(requests) - 1, start, set(wanted), heads))
+        return search(view, start, moves, wanted, heads, n_top, steps, limit)
 
-    monkeypatch.setattr(magh.frames, "start_blocks", recording)
-    return searches
+    def recording_splits(space_, blocks, frames, n_top, cap):
+        pieces, complete = space.integer_view.frame_groups.get(n_top, ({}, {}))
+        requests.append((list(blocks), list(frames), set(pieces), set(complete)))
+        return splits(space_, blocks, frames, n_top, cap)
+
+    monkeypatch.setattr(magh.frames, "_frame_search", recording_search)
+    monkeypatch.setattr(magh.frames, "_frame_splits", recording_splits)
+    return searches, requests
 
 
 def test_simp_iso_searches_each_start_once(monkeypatch):
     space = cycle_space(5)
-    searches = recorded_frame_searches(monkeypatch, space.integer_view.frame_groups)
+    searches, _ = recorded_frame_searches(monkeypatch, space)
     report = check_simp_iso(space, n_max=4)
     assert report.params["gradings"] == ["1", "2"]
-    assert sorted(start for start, _, _ in searches) == list(range(5))
-    assert all(wanted == {1, 2} for _, wanted, _ in searches)
+    assert sorted(start for _, start, _, _ in searches) == list(range(5))
+    assert all(wanted == {1, 2} and heads is None for _, _, wanted, heads in searches)
 
 
 @pytest.mark.parametrize(
@@ -361,17 +378,42 @@ def test_simp_iso_searches_each_start_once(monkeypatch):
     ids=lambda s: s.name,
 )
 def test_run_checks_never_searches_a_held_block(monkeypatch, space):
-    searches = recorded_frame_searches(monkeypatch, space.integer_view.frame_groups)
+    searches, requests = recorded_frame_searches(monkeypatch, space)
     run_checks([space], n_max=3)
-    assert searches
-    for start, wanted, held in searches:
-        # each total searched from a start has a block there not held
-        for total in wanted:
-            assert any((total, start, b) not in held for b in range(space.n))
-    # a second run finds every block held
-    del searches[:]
-    run_checks([space], n_max=3)
-    assert searches == []
+    # simp_iso asks for blocks; frame_injectivity and tensor_route only for
+    # frames, and only when some are not held
+    assert requests and requests[0][0]
+    assert all(frames and not blocks for blocks, frames, _, _ in requests[1:])
+    for blocks, frames, pieces, complete in requests:
+        # nothing asked for was held
+        assert not set(blocks) & complete
+        for f in frames:
+            assert f not in pieces
+            assert (chain_total(space, f), f[0], f[-1]) not in complete
+    # each request searches each start once
+    starts = [(request, start) for request, start, _, _ in searches]
+    assert starts and len(starts) == len(set(starts))
+
+
+@pytest.mark.parametrize(
+    "space", [cycle_space(6), rational_grid(2, 3)], ids=lambda s: s.name
+)
+def test_second_run_checks_searches_nothing(monkeypatch, space):
+    searches, _ = recorded_frame_searches(monkeypatch, space)
+    engine = []
+    block_chains = magh.chains.block_chains
+
+    def recording_blocks(space_, totals, n_max, cap=None):
+        engine.append(sorted(totals))
+        return block_chains(space_, totals, n_max, cap)
+
+    monkeypatch.setattr(magh.chains, "block_chains", recording_blocks)
+    first = run_checks([space], n_max=3)
+    assert searches and engine
+    del searches[:], engine[:]
+    # every block, frame and grading is held
+    assert run_checks([space], n_max=3) == first
+    assert searches == [] and engine == []
 
 
 def test_verify_output_ignores_hash_seed():
