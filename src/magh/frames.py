@@ -168,9 +168,8 @@ def _frame_search(view, start, moves, wanted, heads, n_top, steps, limit):
                     kept, kept_total = head, head_total
                 else:
                     # x is kept; the prefix was as long as its frame, so the
-                    # head, now ending at x, is as long as the prefix. A
-                    # prefix with every point kept is its own head.
-                    kept = pts if len(head) == n - 1 else head + (x,)
+                    # head, now ending at x, is as long as the prefix
+                    kept = head + (x,)
                     kept_total = total
                     if heads is not None and kept not in heads:
                         continue
@@ -179,8 +178,7 @@ def _frame_search(view, start, moves, wanted, heads, n_top, steps, limit):
                 if n < n_top:
                     grown.append((ch, t, kept, kept_total))
                 if t in wanted:
-                    f = ch if kept is pts else kept + (nxt,)
-                    found.setdefault(f, {}).setdefault(n, []).append(ch)
+                    found.setdefault(kept + (nxt,), {}).setdefault(n, []).append(ch)
             if steps > limit:
                 raise EnumerationCapExceeded(steps, limit)
         level = grown

@@ -396,7 +396,9 @@ def test_run_checks_never_searches_a_held_block(monkeypatch, space):
 
 
 @pytest.mark.parametrize(
-    "space", [cycle_space(6), rational_grid(2, 3)], ids=lambda s: s.name
+    "space",
+    [cycle_space(6), random_metric(5, seed=8), rational_grid(2, 3)],
+    ids=lambda s: s.name,
 )
 def test_second_run_checks_searches_nothing(monkeypatch, space):
     searches, _ = recorded_frame_searches(monkeypatch, space)
