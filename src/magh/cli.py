@@ -246,9 +246,15 @@ def build_parser():
     return parser
 
 
+_PARSER = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    # built on the first call only: in-process callers run many commands
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except MaghError as exc:

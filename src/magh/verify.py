@@ -3,9 +3,11 @@
 Each check returns a VerificationReport rather than raising: a failing
 check is data, with a concrete witness, so suites can report everything
 they found. All iteration orders are sorted, making reports byte-stable
-across runs. No check builds a whole degree of chains: `d_squared`
-walks the chains once per start point and places a failing one in its
-order with the chain-count dynamic program (`chains.count_step`), and
+across runs. No check builds a whole degree of chains. `d_squared`
+walks none: d^2 of a chain is a sum of terms that each read one window
+of four consecutive points, so one scan of the windows decides every
+degree (see `check_d_squared`), and a failing window is placed in the
+chain order with the chain-count dynamic program (`chains.count_step`).
 `simp_iso`, `frame_injectivity` and `tensor_route` read their frame side
 from one frame table per space. It keeps the homology of each frame piece
 and no chains: `simp_iso` asks it for whole endpoint blocks
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import TRIVIAL_GROUP, HomologyGroup, block_homology_rows
-from .chains import chain_total, count_step, length_spectra, resolve_cap, smooth_faces
+from .chains import count_step, length_spectra, resolve_cap, smooth_faces
 from .errors import EnumerationCapExceeded
 from .frames import frame_pieces, frame_table, is_realized_frame, m_x
 from .metric import (
@@ -70,61 +72,37 @@ def _group_json(group):
     return {"betti": group.betti, "torsion": list(group.torsion)}
 
 
-def _first_dd_failure(space, top):
-    """(degree, total, chain, dd) of the first chain of degree 2..top whose
-    boundary-of-boundary is not zero, in (degree, length, lexicographic)
-    order; None if there is none.
+def _first_bad_window(space):
+    """(total, chain) of the first proper 4-tuple whose d^2 is not zero,
+    by length then lexicographically; None if there is none.
 
-    One walk per start point over its proper chains, a degree at a time,
-    carrying whether each chain already has a smooth interior point. Only
-    a chain with a smooth face has a boundary-of-boundary to check: its
-    faces are those of `smooth_faces`, and each face's own faces are read
-    from those kept for the faced chains of lower degree from the same
-    start, every one of which the walk met first. A face not among them
-    has none. At the top degree a chain is built only if it has a face.
-    Once a degree has a failure, no higher degree is walked.
+    ymask[w][x] holds the points y with x in B(w, y), so the last points z
+    of the bad windows (w, x, y, z) form one mask: A and B of
+    `check_d_squared` are its bits z of ymask[x][y] & ymask[w][x] and of
+    ymask[w][y] if y is in ymask[w][x].
     """
     view = space.integer_view
-    between = view.between
-    size = space.n
-    moves = [[nxt for nxt in range(size) if nxt != last] for last in range(size)]
-    # smooth[prev][last]: the next points that make `last` strictly smooth
-    smooth = [
-        [tuple(nxt for nxt, mask in enumerate(row) if mask >> last & 1) for last in range(size)]
-        for row in between
+    idist = view.idist
+    points = range(space.n)
+    ymask = [
+        [sum(1 << y for y in points if row[y] >> x & 1) for x in points] for row in view.between
     ]
     best = None
-    for start in range(size):
-        faces_of = {}
-        level = [((start, nxt), False) for nxt in moves[start]]
-        for n in range(2, top + 1):
-            grown = []
-            for pts, faced in level:
-                prev, last = pts[-2], pts[-1]
-                smoothing = smooth[prev][last]
-                # at the top degree only the chains with a face are built
-                for nxt in moves[last] if faced or n < top else smoothing:
-                    ch = pts + (nxt,)
-                    has_face = faced or nxt in smoothing
-                    if n < top:
-                        grown.append((ch, has_face))
-                    if not has_face:
-                        continue
-                    faces = smooth_faces(between, ch)
-                    if n < top:
-                        faces_of[ch] = faces
-                    dd = {}
-                    for face, sign in faces:
-                        for term, sign2 in faces_of.get(face, ()):
-                            dd[term] = dd.get(term, 0) + sign * sign2
-                    if any(dd.values()):
-                        found = (n, chain_total(space, ch), ch, dd)
-                        if best is None or found[:3] < best[:3]:
-                            best = found
-            if best is not None and best[0] == n:
-                top = n
-                break
-            level = grown
+    for w, masks in enumerate(ymask):
+        for x, wx in enumerate(masks):
+            if x == w:
+                continue
+            for y in points:
+                if y == x:
+                    continue
+                bad = ((ymask[x][y] & wx) ^ (masks[y] if wx >> y & 1 else 0)) & ~(1 << y)
+                while bad:
+                    low = bad & -bad
+                    bad ^= low
+                    z = low.bit_length() - 1
+                    found = (idist[w][x] + idist[x][y] + idist[y][z], (w, x, y, z))
+                    if best is None or found < best:
+                        best = found
     return best
 
 
@@ -164,30 +142,43 @@ def check_d_squared(space, n_max, cap=None):
     order. On a pass `checked` is the number of chains of degrees
     2..n_max, N(N-1)^n each.
 
-    The cap (`resolve_cap`) bounds each degree's N(N-1)^n chains: the
-    degrees below the first one over the cap are checked, a failure among
-    them is reported, and otherwise EnumerationCapExceeded is raised with
-    that degree's count.
+    No chain is walked. d^2 removes each pair of interior positions
+    p < q in both orders. For q >= p + 2 both orders test the same two
+    triples with opposite signs and cancel, whatever the betweenness table
+    holds. For q = p + 1 they read only the window (w, x, y, z) =
+    (x_{p-1}, .., x_{p+2}) and leave B - A, with A = [y in B(x, z)]
+    [x in B(w, z)] and B = [x in B(w, y)] [y in B(w, z)]. A window with
+    A != B is a degree-3 chain with d^2 = (B - A) (w, z), and degree 2 has
+    no pair, so the first failing chain is the first bad window
+    (`_first_bad_window`), and with none every degree passes. Its d^2 is
+    taken with `smooth_faces`.
+
+    The cap (`resolve_cap`) still bounds each degree's N(N-1)^n chains,
+    so that reports do not change: the degrees below the first one over
+    the cap are checked, a failure among them is reported, and otherwise
+    EnumerationCapExceeded is raised with that degree's count.
     """
     name = space.name or "space"
     size = space.n
     counts = [size * (size - 1) ** n for n in range(2, n_max + 1)]
-    top = n_max
     over = None
     if counts:
         limit = resolve_cap(cap)
-        for n, count in enumerate(counts, start=2):
-            if count > limit:
-                top, over = n - 1, count
-                break
-    best = _first_dd_failure(space, top)
+        over = next((count for count in counts if count > limit), None)
+    # the windows are the degree-3 chains; counts never fall with the degree
+    best = _first_bad_window(space) if n_max >= 3 and counts[1] <= limit else None
     if best is not None:
-        n, total, pts, dd = best
+        total, pts = best
+        between = space.integer_view.between
+        dd = {}
+        for face, sign in smooth_faces(between, pts):
+            for term, sign2 in smooth_faces(between, face):
+                dd[term] = dd.get(term, 0) + sign * sign2
         return VerificationReport(
             check="d_squared",
             space=name,
             status="fail",
-            params={"n_max": n_max, "checked": _chain_position(space, n, total, pts)},
+            params={"n_max": n_max, "checked": _chain_position(space, 3, total, pts)},
             witness={
                 "chain": list(pts),
                 "l": format_rational(space.integer_view.fraction(total)),

@@ -14,7 +14,8 @@ buckets as one package complex, the complex the endpoint-block engine
 splits by endpoint pair, and `endpoint_blocks` splits buckets by
 endpoint pair the way the engine's blocks are meant to come out.
 `d_squared_by_tables` is the boundary-of-boundary check as a walk over
-each degree's buckets, the route `verify.check_d_squared` replaced, and
+every chain of each degree's buckets, which `verify.check_d_squared`
+decides from 4-point windows without walking any chain, and
 `frame_bases_by_tables` filters the frame subcomplexes' bases out of the
 buckets. Slow on purpose; oracle scale only.
 """

@@ -12,6 +12,7 @@ from unittest import mock
 import pytest
 
 import magh.chains
+import magh.cli
 from magh.cli import main
 from magh.metric import (
     FiniteMetricSpace,
@@ -223,6 +224,52 @@ def test_internal_callers_skip_the_proper_chain_wrappers(capsys, monkeypatch):
     assert got == expected
     assert [code for code, _, _ in got] == [0, 0, 0]
     assert len(expected[1][1].splitlines()) == 4
+
+
+def test_main_called_again_in_one_process(capsys, monkeypatch):
+    # main keeps one parser for the process; each call must print what a
+    # single call in a fresh process prints, and a repeated --check must
+    # not carry its list into the next call, across a usage error too
+    built = []
+    monkeypatch.setattr(magh.cli, "_PARSER", None)
+    monkeypatch.setattr(
+        magh.cli, "build_parser", lambda build=magh.cli.build_parser: built.append(1) or build()
+    )
+    space_json = cycle_space(5).to_json()
+    calls = [
+        ["gen", "cycle", "5"],
+        ["verify", "--check", "d_squared", "--check", "simp_iso", "--in", "-"],
+        ["verify", "--check", "bogus", "--in", "-"],
+        ["verify", "--check", "tensor_route", "--check", "tensor_route", "--in", "-"],
+        ["verify", "--n-max", "2", "--in", "-"],
+        ["spectrum", "--n-max", "3", "--in", "-"],
+        ["mx", "--in", "-"],
+        ["verify", "--check", "d_squared", "--in", "-"],
+    ]
+    outs = []
+    for argv in calls:
+        single = subprocess.run(
+            [sys.executable, "-m", "magh", *argv],
+            input=space_json,
+            capture_output=True,
+            text=True,
+        )
+        try:
+            code, out, err = run_cli(capsys, monkeypatch, argv, stdin=space_json)
+        except SystemExit as exc:
+            captured = capsys.readouterr()
+            code, out, err = exc.code, captured.out, captured.err
+        assert (code, out, err) == (single.returncode, single.stdout, single.stderr), argv
+        outs.append((code, out))
+    assert [code for code, _ in outs] == [0, 0, 2, 0, 0, 0, 0, 0]
+    assert len(built) == 1
+    checks = [[json.loads(line)["check"] for line in outs[i][1].splitlines()] for i in (1, 3, 4, 7)]
+    assert checks == [
+        ["d_squared", "simp_iso"],
+        ["tensor_route", "tensor_route"],
+        ["d_squared", "simp_iso", "frame_injectivity", "tensor_route"],
+        ["d_squared"],
+    ]
 
 
 def test_verify_single_space(capsys, monkeypatch):

@@ -151,6 +151,68 @@ def test_d_squared_matches_table_walk_on_corrupted_tables():
     assert 50 < failures < 200
 
 
+def test_d_squared_matches_table_walk_on_more_corrupted_tables():
+    # bit flips in the tables of the non-integer 2x3 grid and of a 7-point
+    # space, on the diagonal in every third case: no metric gives those,
+    # and they make some faces improper tuples, but the window argument
+    # holds for any table. Each report must be the table walk's, and each
+    # failure names a window, some with w = y and some with x = z
+    rng = random.Random(17)
+    reports = []
+    for base in (rational_grid(2, 3), random_metric(7, seed=1)):
+        size = base.n
+        for case in range(30):
+            between = [list(row) for row in base.integer_view.between]
+            for _ in range(rng.randint(1, 2)):
+                a = rng.randrange(size)
+                b = a if case % 3 == 0 else rng.choice([p for p in range(size) if p != a])
+                between[a][b] ^= 1 << rng.randrange(size)
+            fresh = validate_metric([list(row) for row in base.dist], name=base.name)
+            space = with_between(fresh, between)
+            for n_max in (2, 3, 4):
+                report = check_d_squared(space, n_max)
+                assert report.to_json() == d_squared_by_tables(space, n_max).to_json(), (case, n_max)
+                reports.append(report)
+    witnesses = [r.witness["chain"] for r in reports if not r.passed]
+    assert 20 < len(witnesses) < len(reports) - 60
+    assert all(len(chain) == 4 for chain in witnesses)
+    assert any(w == y for w, _, y, _ in witnesses)
+    assert any(x == z for _, x, _, z in witnesses)
+
+
+def counted_smooth_faces(monkeypatch):
+    """The chains `smooth_faces` is called on from now, wherever verify or
+    chains reads it."""
+    calls = []
+    real = magh.chains.smooth_faces
+
+    def counted(between, pts):
+        calls.append(tuple(pts))
+        return real(between, pts)
+
+    for module in (magh.chains, verify_module):
+        monkeypatch.setattr(module, "smooth_faces", counted)
+    return calls
+
+
+def test_d_squared_takes_faces_of_its_witness_only(monkeypatch):
+    # the windows decide every degree, so a pass takes no boundary at all
+    # and a failure only its witness's and its faces'; walking chains again
+    # would show up here
+    calls = counted_smooth_faces(monkeypatch)
+    report = check_d_squared(random_metric(7, seed=1), 5)
+    assert report.passed and report.params["checked"] == sum(7 * 6**n for n in range(2, 6))
+    assert calls == []
+    space = corrupted_cycle4()
+    report = check_d_squared(space, 5)
+    chain = tuple(report.witness["chain"])
+    assert chain == (0, 1, 2, 1)
+    assert calls[0] == chain and set(calls[1:]) <= {
+        chain[:i] + chain[i + 1 :] for i in (1, 2)
+    }
+    assert 1 < len(calls) <= 3
+
+
 def corrupted_cycle4():
     # point 2 counts as strictly between 0 and 1: d^2 first fails at degree 3
     space = cycle_space(4)
