@@ -417,26 +417,39 @@ class FourCut:
         return {"points": list(self.points), "length": format_rational(self.length)}
 
 
-def four_cuts(space):
-    """All four-cuts, sorted by (length, points)."""
-    view = space.integer_view
+def _cuts_through(view, x0, x2):
+    """The four-cuts (x0, x1, x2, x3) with the given x0 and x2.
+
+    Yields (total, points) with total the cut's scaled int length, in
+    ascending (x1, x3). x1 lies strictly between x0 and x2, x2 strictly
+    between x1 and x3, and d(x0, x3) < total. As x1 is on a geodesic from
+    x0 to x2, total is d(x0, x2) + d(x2, x3). This is the one definition
+    of a four-cut that `four_cuts` and `m_x` read.
+    """
     idist = view.idist
     between = view.between
+    row0 = idist[x0]
+    row2 = idist[x2]
+    base = row0[x2]
+    for x1 in view.between_points(x0, x2):
+        row1 = between[x1]
+        for x3, mask in enumerate(row1):
+            if mask >> x2 & 1:
+                total = base + row2[x3]
+                if row0[x3] < total:
+                    yield total, (x0, x1, x2, x3)
+
+
+def four_cuts(space):
+    """All four-cuts, sorted by (length, points).
+
+    Cuts of one length share one Fraction.
+    """
+    view = space.integer_view
     n = space.n
-    found = []
-    for x0 in range(n):
-        for x2 in range(n):
-            base = idist[x0][x2]
-            for x1 in view.between_points(x0, x2):
-                row1 = between[x1]
-                for x3 in range(n):
-                    if not row1[x3] >> x2 & 1:
-                        continue
-                    total = base + idist[x2][x3]
-                    if idist[x0][x3] < total:
-                        found.append((total, (x0, x1, x2, x3)))
-    # cuts of one length share one Fraction; the list is converted in place
-    # so the int pairs are freed as the cuts are built
+    found = [cut for x0 in range(n) for x2 in range(n) for cut in _cuts_through(view, x0, x2)]
+    # the list is converted in place so the int pairs are freed as the
+    # cuts are built
     found.sort()
     lengths = {}
     for i, (total, points) in enumerate(found):
@@ -470,9 +483,22 @@ def m_x(space):
     Spaces without four-cuts (trees, complete graphs, ...) get value None,
     an explicit infinity: the frame decomposition then computes magnitude
     homology at every positive grading.
+
+    The result is `four_cuts(space)[0]`, found without listing the cuts:
+    a running least (total, points) is kept, and a pair (x0, x2) is
+    skipped once d(x0, x2) is at least the least total so far, since
+    every cut through it is longer by d(x2, x3) > 0.
     """
-    cuts = four_cuts(space)
-    if not cuts:
+    view = space.integer_view
+    best = None
+    for x0, row0 in enumerate(view.idist):
+        for x2, base in enumerate(row0):
+            if best is not None and base >= best[0]:
+                continue
+            for cut in _cuts_through(view, x0, x2):
+                if best is None or cut < best:
+                    best = cut
+    if best is None:
         return MxResult(None, None)
-    first = cuts[0]
-    return MxResult(first.length, first.points)
+    total, points = best
+    return MxResult(view.fraction(total), points)

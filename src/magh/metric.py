@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
+from operator import sub
 
 from .errors import (
     AsymmetricAt,
@@ -178,9 +179,9 @@ class FiniteMetricSpace:
     instances through `validate_metric` or the generators below. Spaces
     compare and hash by (labels, dist). `integer_view` is computed from
     `dist` on first use and kept with the instance, together with the
-    chain tables and pair homology derived from it. `scaled`
-    is `dist` scaled to ints as (scale, int rows), when `validate_metric`
-    has done that already for its triangle scan; the view then reuses it.
+    homology tables derived from it. `scaled` is `dist` scaled to ints as
+    (scale, int rows), when `validate_metric` has done that already for
+    its checks; the view then reuses it.
     """
 
     labels: tuple
@@ -256,22 +257,49 @@ class FiniteMetricSpace:
         return validate_metric(matrix, labels=labels, name=name)
 
 
+def _fraction_rows(matrix):
+    """The matrix's entries as Fraction rows, checked square row by row.
+
+    Each distinct string entry is parsed once; a repeated text reuses the
+    Fraction of its first occurrence. Rows are read in order and each row
+    is checked for length before its entries are converted, so the first
+    malformed entry in row-major order raises, as it would with no memo.
+    """
+    n = len(matrix)
+    parsed = {}
+    rows = []
+    for i, raw_row in enumerate(matrix):
+        row = list(raw_row)
+        if len(row) != n:
+            raise NotSquare(n, len(row))
+        out = []
+        for j, v in enumerate(row):
+            if type(v) is str:
+                q = parsed.get(v)
+                if q is None:
+                    q = parsed[v] = parse_rational(v)
+            else:
+                q = _to_fraction(v, i, j)
+            out.append(q)
+        rows.append(out)
+    return rows
+
+
 def validate_metric(matrix, labels=None, name=""):
     """Check all metric axioms and return the validated space.
 
     Axioms are checked in a fixed order with the first witness reported:
     squareness, symmetry, positivity off the diagonal, zero diagonal,
     triangle inequality. Row-major scan order makes witnesses deterministic.
-    Every check after squareness compares the distances scaled to ints,
-    which keep the signs and the order of the Fractions exactly.
+    Entries are read as `_to_fraction` reads them, each distinct string
+    once. Every check after squareness compares the distances scaled to
+    ints, which keep the signs and the order of the Fractions exactly. The
+    triangle inequality is tested a pair (i, j) at a time, as
+    max_k(d(i, k) - d(j, k)) <= d(i, j); only a pair that fails is scanned
+    point by point for its first witness k.
     """
     n = len(matrix)
-    rows = []
-    for i, raw_row in enumerate(matrix):
-        row = list(raw_row)
-        if len(row) != n:
-            raise NotSquare(n, len(row))
-        rows.append([_to_fraction(v, i, j) for j, v in enumerate(row)])
+    rows = _fraction_rows(matrix)
 
     if labels is None:
         labels = [str(i) for i in range(n)]
@@ -296,9 +324,10 @@ def validate_metric(matrix, labels=None, name=""):
     for i, row_i in enumerate(idist):
         for j, row_j in enumerate(idist):
             dij = row_i[j]
-            for k in range(n):
-                if row_i[k] > dij + row_j[k]:
-                    raise TriangleViolation(i, j, k)
+            if max(map(sub, row_i, row_j)) > dij:
+                for k in range(n):
+                    if row_i[k] > dij + row_j[k]:
+                        raise TriangleViolation(i, j, k)
 
     dist = tuple(tuple(row) for row in rows)
     return FiniteMetricSpace(labels=tuple(labels), dist=dist, name=name, scaled=scaled)
@@ -336,21 +365,21 @@ def complete_space(n):
 def metric_closure(matrix):
     """Shortest-path closure of a nonnegative symmetric matrix, exactly.
 
-    Returns the largest metric dominated by the input (Floyd-Warshall over
-    Fractions). Input rows are not mutated.
+    Returns the largest metric dominated by the input, as a new list of
+    lists of Fractions; input rows are not mutated. Entries are read as
+    `validate_metric` reads them (ints, Fractions, Decimals, finite floats
+    by their shortest repr, and "p/q" strings), so a row of the wrong
+    length raises NotSquare. Floyd-Warshall runs on the entries scaled to
+    ints by the lcm of their denominators, which is exact.
     """
-    n = len(matrix)
-    d = [list(row) for row in matrix]
-    for k in range(n):
-        dk = d[k]
-        for i in range(n):
-            dik = d[i][k]
-            row = d[i]
-            for j in range(n):
-                via = dik + dk[j]
-                if via < row[j]:
-                    row[j] = via
-    return d
+    scale, scaled = _scaled(_fraction_rows(matrix))
+    d = [list(row) for row in scaled]
+    for k, dk in enumerate(d):
+        for row in d:
+            # row[j] = min(row[j], row[k] + d[k][j]) for every j, in place
+            row[:] = map(min, row, map(row[k].__add__, dk))
+    fractions = {v: Fraction(v, scale) for v in {v for row in d for v in row}}
+    return [[fractions[v] for v in row] for row in d]
 
 
 def random_metric(n, seed, max_w=9):

@@ -3,8 +3,9 @@
 Nothing here reuses package machinery beyond the metric object: chains
 come from itertools filters, ranks from dense rational elimination, Smith
 normal form from a textbook first-nonzero-pivot reduction, four-cuts
-from a three-condition quadruple scan, and triangle witnesses from a
-row-major scan. All distance arithmetic is on Fractions, except that
+from a three-condition quadruple scan, triangle witnesses from a
+row-major scan, and shortest-path closures from the textbook
+Floyd-Warshall loop. All distance arithmetic is on Fractions, except that
 `naive_buckets` groups `naive_chains` by length as a scaled int of the
 space's `IntegerView`, so that its keys are the package's. There are two
 exceptions. `tensor` builds the product of two package complexes basis
@@ -347,6 +348,18 @@ def naive_m_x(space):
         return None, None
     pts, total = cuts[0]
     return total, pts
+
+
+def naive_metric_closure(matrix):
+    """Floyd-Warshall over Fractions, in place on a copy, row by row."""
+    d = [[Fraction(v) for v in row] for row in matrix]
+    n = len(d)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if d[i][k] + d[k][j] < d[i][j]:
+                    d[i][j] = d[i][k] + d[k][j]
+    return d
 
 
 def naive_triangle_witness(matrix):

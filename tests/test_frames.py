@@ -30,8 +30,15 @@ from magh.metric import (
     validate_metric,
 )
 from magh.posets import frame_homology_via_posets
+from magh.verify import default_suite
 
-from oracles import frame_bases_by_tables, naive_buckets, naive_chains, naive_four_cuts
+from oracles import (
+    frame_bases_by_tables,
+    naive_buckets,
+    naive_chains,
+    naive_four_cuts,
+    naive_m_x,
+)
 from test_posets import rational_grid_space, rp2_face_poset_space
 
 F = Fraction
@@ -495,6 +502,30 @@ def test_frame_and_block_requests_agree(make):
 # --- four-cuts and m_X ----------------------------------------------------------
 
 
+def weighted_grid(wx, wy):
+    """L1 metric on a grid with column steps wx and row steps wy.
+
+    Points are numbered row by row. A four-cut turns back in one coordinate
+    and moves in the other, so m_X is min(2a + b, a + 2b) for the least
+    steps a of wx and b of wy.
+    """
+    xs = [sum(wx[:c], F(0)) for c in range(len(wx) + 1)]
+    ys = [sum(wy[:r], F(0)) for r in range(len(wy) + 1)]
+    coords = [(x, y) for y in ys for x in xs]
+    d = [[abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in coords] for p in coords]
+    return validate_metric(d, name=f"grid({','.join(map(str, wx))};{','.join(map(str, wy))})")
+
+
+GRID_STEPS = [
+    ([F(1), F(1)], [F(1)]),  # unit steps: many least cuts tie
+    ([F(1, 2)] * 3, [F(1, 2)] * 2),  # equal rational steps, 3x4 points
+    ([F(3, 2), F(5, 3)], [F(7, 5)]),
+    ([F(5, 4), F(2, 3), F(5, 4)], [F(2, 3), F(7, 3)]),  # a == b, in the middle
+    ([F(1, 3)], [F(1, 2), F(1, 5)]),
+    ([F(7, 2), F(7, 2)], [F(7, 4), F(7, 4)]),  # a = 2b: the least cuts turn back across rows
+]
+
+
 def test_four_cuts_c4():
     cuts = four_cuts(cycle_space(4))
     assert FourCutPoints(cuts) == naive_four_cuts(cycle_space(4))
@@ -524,7 +555,8 @@ def test_four_cuts_sorted():
         random_metric(4, seed=11),
         random_metric(5, seed=12),
         random_metric(5, seed=13),
-    ],
+    ]
+    + [weighted_grid(wx, wy) for wx, wy in GRID_STEPS],
     ids=lambda s: s.name,
 )
 def test_four_cuts_match_oracle(space):
@@ -539,6 +571,17 @@ def test_m_x_values():
     assert m_x(cycle_space(6)).witness == (0, 1, 2, 4)
 
 
+@pytest.mark.parametrize("wx, wy", GRID_STEPS)
+def test_m_x_on_weighted_grids(wx, wy):
+    space = weighted_grid(wx, wy)
+    a, b = min(wx), min(wy)
+    res = m_x(space)
+    assert res.value == min(2 * a + b, a + 2 * b)
+    assert (res.value, res.witness) == naive_m_x(space)
+    first = four_cuts(space)[0]
+    assert (first.length, first.points) == (res.value, res.witness)
+
+
 def test_m_x_infinite_cases():
     for space in (path_space(5), complete_space(4), path_space(2)):
         res = m_x(space)
@@ -548,13 +591,16 @@ def test_m_x_infinite_cases():
 
 
 def test_m_x_consistency_with_cuts():
-    for space in (cycle_space(4), cycle_space(6), random_metric(5, seed=20)):
+    # in random_metric(5, seed=4, max_w=2) the first least cut met in
+    # (x0, x2) order, (0, 3, 2, 4), ties with the witness (0, 1, 4, 2),
+    # which lies through the later pair (0, 4) with d(0, 4) = m_X - 1
+    tied = random_metric(5, seed=4, max_w=2)
+    for space in [random_metric(5, seed=20), tied] + default_suite():
         res = m_x(space)
         cuts = four_cuts(space)
         if not cuts:
             assert res.is_infinite
             continue
         assert res.value == min(c.length for c in cuts)
-        witness_cut = next(c for c in cuts if c.points == res.witness)
-        assert witness_cut.length == res.value
+        assert (res.value, res.witness) == (cuts[0].length, cuts[0].points)
         assert res.to_json_dict()["witness"] == list(res.witness)

@@ -30,7 +30,13 @@ from magh.frames import four_cuts, m_x
 from magh.metric import metric_closure, validate_metric
 from magh.verify import check_d_squared
 
-from oracles import naive_chains, naive_four_cuts, naive_m_x, naive_triangle_witness
+from oracles import (
+    naive_chains,
+    naive_four_cuts,
+    naive_m_x,
+    naive_metric_closure,
+    naive_triangle_witness,
+)
 
 PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MIN_EDGES = 8  # the eight smallest primes multiply to more than 2**31
@@ -141,6 +147,44 @@ def test_m_x_matches_brute_force(space):
     cuts = [(c.points, c.length) for c in four_cuts(space)]
     assert cuts == naive_four_cuts(space)
     assert all(type(c.length) is Fraction for c in four_cuts(space))
+    # the pruned scan finds the first cut of the sorted list, witness included
+    assert (result.witness, result.value) == (cuts[0] if cuts else (None, None))
+
+
+@st.composite
+def closure_inputs(draw):
+    """A nonnegative symmetric matrix with a zero diagonal.
+
+    Off-diagonal entries are ints, non-integer rationals with prime
+    denominators, or a "far" sentinel longer than any path through the
+    others, which the closure replaces unless the graph is disconnected.
+    """
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["int", "rational", "far"]))
+    far = Fraction(10**6, 7)
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if kind == "int":
+                v = draw(st.integers(0, 9))
+            elif kind == "far" and draw(st.booleans()):
+                v = far
+            else:
+                q = draw(st.sampled_from(PRIMES))
+                v = Fraction(draw(st.integers(1, 4 * q)), q)
+            d[i][j] = d[j][i] = v
+    return d
+
+
+@kernel_settings
+@given(closure_inputs())
+def test_metric_closure_matches_fraction_floyd_warshall(matrix):
+    before = [list(row) for row in matrix]
+    closed = metric_closure(matrix)
+    assert matrix == before
+    assert closed == naive_metric_closure(matrix)
+    assert all(type(row) is list for row in closed)
+    assert all(type(v) is Fraction for row in closed for v in row)
 
 
 @kernel_settings

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -152,6 +153,18 @@ def test_metric_closure_repairs_triangle():
             assert closed[i][j] <= matrix[i][j]
 
 
+def test_metric_closure_returns_fractions_for_int_input():
+    # entries are read as validate_metric reads them, so ints come back as
+    # equal Fractions and a ragged row is refused like a ragged metric
+    closed = metric_closure([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+    assert closed == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    assert all(type(v) is Fraction for row in closed for v in row)
+    assert metric_closure([["0", "1/2"], [0.5, Decimal(0)]]) == [[0, F(1, 2)], [F(1, 2), 0]]
+    assert metric_closure([]) == []
+    with pytest.raises(NotSquare):
+        metric_closure([[0, 1], [1, 0, 1]])
+
+
 def test_quantize_halves():
     out = quantize([[0, 0.5], [0.5, 0]], 2)
     assert out[0][1] == F(1, 2)
@@ -232,3 +245,71 @@ def test_loading_scales_the_matrix_once():
     assert scaled.call_count == 1
     assert view == IntegerView.of(space.dist)
     assert view.scale == 6 and view.idist[0] == (0, 9, 2)
+
+
+def test_repeated_string_entries_parse_once():
+    # each distinct text is parsed once, and the space is the one the same
+    # matrix gives from Fractions
+    base = random_metric(6, seed=3).dist
+    texts = [[format_rational(v) for v in row] for row in base]
+    texts[0][1] = texts[1][0] = f" {texts[0][1]} "  # one text, two spellings
+    with mock.patch.object(magh.metric, "parse_rational", wraps=parse_rational) as parse:
+        space = validate_metric(texts)
+    assert parse.call_count == len({t for row in texts for t in row})
+    assert parse.call_count < 36
+    expected = validate_metric([list(row) for row in base])
+    assert space == expected and space.dist == base
+    assert space.integer_view == expected.integer_view
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        # one malformed text at four positions
+        (
+            [["0", "x", "x"], ["x", "0", "1"], ["x", "1", "0"]],
+            "cannot parse rational from 'x': Invalid literal for Fraction: 'x'",
+        ),
+        # two malformed texts, each repeated: the first in row-major order wins
+        (
+            [["0", "1/0", "abc"], ["1/0", "0", "1"], ["abc", "1", "0"]],
+            "cannot parse rational from '1/0': Fraction(1, 0)",
+        ),
+        (
+            [["0", "1", "1"], ["1", "0", "nope"], ["1", "nope", "0"]],
+            "cannot parse rational from 'nope': Invalid literal for Fraction: 'nope'",
+        ),
+        # a bad entry in row 0 is met before row 1 is found too long
+        (
+            [["0", "abc"], ["abc", "0", "1"]],
+            "cannot parse rational from 'abc': Invalid literal for Fraction: 'abc'",
+        ),
+        (
+            [[0, "bad", True], ["bad", 0, 1], [True, 1, 0]],
+            "cannot parse rational from 'bad': Invalid literal for Fraction: 'bad'",
+        ),
+        ([[0, 1, True], [1, 0, "bad"], [True, "bad", 0]], "entry [0][2] is a bool, not a number"),
+    ],
+)
+def test_malformed_repeated_text_raises_at_its_first_position(matrix, message):
+    with pytest.raises(MetricError) as exc:
+        validate_metric(matrix)
+    assert type(exc.value) is MetricError
+    assert str(exc.value) == message
+
+
+def test_mixed_entry_types_read_as_before():
+    matrix = [
+        [0, 0.5, Decimal("1.5"), "3/2"],
+        [0.5, 0, 1, F(1)],
+        [Decimal("1.5"), 1, 0, "1/2"],
+        ["3/2", 1, " 1/2 ", 0],
+    ]
+    space = validate_metric(matrix)
+    assert space.dist == (
+        (F(0), F(1, 2), F(3, 2), F(3, 2)),
+        (F(1, 2), F(0), F(1), F(1)),
+        (F(3, 2), F(1), F(0), F(1, 2)),
+        (F(3, 2), F(1), F(1, 2), F(0)),
+    )
+    assert all(type(v) is Fraction for row in space.dist for v in row)
