@@ -9,6 +9,13 @@ face; those chains come first in each degree, so the chains without one
 are trailing zero columns and are not stored. `snf` is the
 one reduction routine: it reads those columns into sparse rows, clears
 +-1 pivots on them and reduces only what is left densely.
+`groups_from_bases` takes given chains, such as one endpoint block or
+one frame piece, to their nonzero homology groups in one pass: it
+assembles the columns, checks d^2 = 0 on them and reduces each nonempty
+boundary once, with no `ChainComplexZ` in between. `complex_from_bases`
+builds the same complex as a `ChainComplexZ`, and `ChainComplexZ.groups`
+reads its homology; both share that assembly, that d^2 check and the
+step from invariant factors to groups.
 Degrees may be negative; reduced complexes of order complexes start at
 degree -1.
 """
@@ -98,12 +105,17 @@ def snf(matrix):
     reduces most of the matrix. It stops when no row is left or a pass
     finds no unit entry. The rows and columns that still have
     entries go to `_smith_dense`, whose factors follow the units. A
-    matrix with no entries has no factors and builds no index.
+    matrix with no entries has no factors and builds no index, and one
+    with a single row or column has the gcd of its entries as its one
+    factor.
     """
     if not isinstance(matrix, SparseIntMatrix):
         matrix = SparseIntMatrix.from_dense(matrix)
     if not matrix.nnz:
         return ()
+    if matrix.rows == 1 or matrix.cols == 1:
+        # a single row or column has one factor, the gcd of its entries
+        return (gcd(*(v for column in matrix.columns for v in column.values())),)
     rows = {}
     cols = {}
     for c, column in enumerate(matrix.columns):
@@ -156,8 +168,10 @@ def snf(matrix):
                 dense[index[c]] = v
             residual.append(dense)
         factors += _smith_dense(residual)
-    if any(e % d for d, e in zip(factors, factors[1:])):
-        raise NotADivisorChain(factors)
+        # units alone are all 1 and divide each other; only the dense
+        # stage's factors can break the chain
+        if any(e % d for d, e in zip(factors, factors[1:])):
+            raise NotADivisorChain(factors)
     return factors
 
 
@@ -292,10 +306,11 @@ class HomologyGroup:
     torsion: tuple = ()
 
     def __post_init__(self):
-        if any(e % d for d, e in zip(self.torsion, self.torsion[1:])):
-            raise NotADivisorChain(self.torsion)
-        if any(d <= 1 for d in self.torsion):
-            raise TrivialTorsionFactor(self.torsion)
+        if self.torsion:
+            if any(e % d for d, e in zip(self.torsion, self.torsion[1:])):
+                raise NotADivisorChain(self.torsion)
+            if any(d <= 1 for d in self.torsion):
+                raise TrivialTorsionFactor(self.torsion)
 
     def is_trivial(self):
         return self.betti == 0 and not self.torsion
@@ -320,6 +335,49 @@ class HomologyGroup:
 TRIVIAL_GROUP = HomologyGroup(0, ())
 
 
+def _check_d_squared(boundaries):
+    """Raise ValueError naming the first column whose d(d(column)) is nonzero.
+
+    `boundaries` maps each degree k, ascending, to the column dicts of the
+    boundary out of k; a column past the last one below is zero there.
+    """
+    for k, columns in boundaries.items():
+        below = boundaries.get(k - 1)
+        if not below:  # the map below is zero
+            continue
+        stored = len(below)
+        for c, column in enumerate(columns):
+            image = {}
+            for r, v in column.items():
+                if r >= stored:  # no column: its boundary is zero
+                    continue
+                for s, w in below[r].items():
+                    image[s] = image.get(s, 0) + v * w
+            if any(image.values()):
+                raise ValueError(f"boundary squared is nonzero at degree {k}, column {c}")
+
+
+def _nonzero_groups(lo, sizes, factors):
+    """{degree: group} of a complex, for the degrees where it is nonzero.
+
+    `sizes` lists the ranks of degrees lo, lo + 1, ...; `factors[k]` holds
+    the invariant factors of the boundary out of degree k, and a degree
+    missing from it has a zero boundary. H_k has betti number size(k) -
+    rank(d_k) - rank(d_{k+1}) and the factors of d_{k+1} above 1 as its
+    torsion; a negative betti number raises NegativeBetti.
+    """
+    groups = {}
+    for k, size in enumerate(sizes, lo):
+        into = factors.get(k + 1, ())
+        betti = size - len(factors.get(k, ())) - len(into)
+        if betti < 0:
+            raise NegativeBetti(k, betti)
+        torsion = into[into.count(1) :]  # a divisor chain puts its 1s first
+        if betti or torsion:
+            groups[k] = HomologyGroup(betti, torsion)
+    return groups
+
+
 class ChainComplexZ:
     """A bounded chain complex of free Z-modules.
 
@@ -329,6 +387,8 @@ class ChainComplexZ:
     and at most `size(k)` columns: the basis elements past its last column
     map to zero, so a basis ordered with its cycles last needs no column
     for them. Construction checks that the square of the boundary is zero.
+    The homology is computed on the first call of `groups` or `homology`
+    and kept.
     """
 
     def __init__(self, lo, sizes, boundaries=None):
@@ -352,7 +412,7 @@ class ChainComplexZ:
             if not lo < k <= self.hi:
                 raise ValueError(f"boundary at degree {k} outside range")
         self.check_d_squared()
-        self._snf_cache = {}
+        self._group_cache = None
 
     @property
     def hi(self):
@@ -373,54 +433,32 @@ class ChainComplexZ:
 
     def check_d_squared(self):
         """Raise ValueError naming the first column whose d(d(column)) is nonzero."""
-        for k in range(self.lo + 2, self.hi + 1):
-            below = self.boundaries[k - 1].columns
-            stored = len(below)
-            for c, column in enumerate(self.boundaries[k].columns):
-                image = {}
-                for r, v in column.items():
-                    if r >= stored:  # no column: its boundary is zero
-                        continue
-                    for s, w in below[r].items():
-                        image[s] = image.get(s, 0) + v * w
-                if any(image.values()):
-                    raise ValueError(
-                        f"boundary squared is nonzero at degree {k}, column {c}"
-                    )
+        _check_d_squared({k: mat.columns for k, mat in self.boundaries.items()})
 
-    def _factors(self, k):
-        """Invariant factors of the boundary map at degree k (cached)."""
-        if not self.lo < k <= self.hi:
-            return ()
-        if k not in self._snf_cache:
-            self._snf_cache[k] = snf(self.boundaries[k])
-        return self._snf_cache[k]
+    def _nonzero(self):
+        if self._group_cache is None:
+            factors = {k: snf(mat) for k, mat in self.boundaries.items() if mat.nnz}
+            self._group_cache = _nonzero_groups(self.lo, self.sizes, factors)
+        return self._group_cache
+
+    def groups(self):
+        """The homology as {degree: group}, listing only the nonzero groups.
+
+        Each boundary with entries is reduced once by `snf`. A boundary
+        changed after construction makes NegativeBetti possible, and it
+        names the lowest degree where the ranks do not fit.
+        """
+        return dict(self._nonzero())
 
     def homology(self, k):
         """H_k as a HomologyGroup; a zero group is the shared TRIVIAL_GROUP."""
         if not self.lo <= k <= self.hi:
             raise DegreeOutOfRange(k, self.lo, self.hi)
-        rank_out = len(self._factors(k))
-        factors_in = self._factors(k + 1)
-        betti = self.size(k) - rank_out - len(factors_in)
-        if betti < 0:
-            raise NegativeBetti(k, betti)
-        torsion = tuple(d for d in factors_in if d > 1)
-        if not betti and not torsion:
-            return TRIVIAL_GROUP
-        return HomologyGroup(betti, torsion)
+        return self._nonzero().get(k, TRIVIAL_GROUP)
 
     def homology_or_trivial(self, k):
         """Homology at k, with degrees outside the range counting as 0."""
-        if not self.lo <= k <= self.hi:
-            return TRIVIAL_GROUP
-        return self.homology(k)
-
-    def homology_all(self):
-        return {k: self.homology(k) for k in self.degrees()}
-
-    def euler_characteristic(self):
-        return sum((1 if k % 2 == 0 else -1) * self.size(k) for k in self.degrees())
+        return self._nonzero().get(k, TRIVIAL_GROUP)
 
     def __repr__(self):
         return f"<ChainComplexZ degrees {self.lo}..{self.hi} sizes {self.sizes}>"
@@ -457,21 +495,16 @@ def kunneth(h, h2):
     return out
 
 
-def complex_from_bases(space, bases_by_degree, lo, hi):
-    """The chain complex spanned by the given proper chains, degrees lo..hi.
+def _assemble(space, bases_by_degree, lo, hi):
+    """The sizes and boundary columns of the complex spanned by given chains.
 
-    `bases_by_degree[k]` lists the basis at degree k, each chain a
-    ProperChain or a tuple of points; a missing degree is empty. Every
-    boundary term of every basis chain must again lie in the basis one
-    degree down (NotASubcomplex otherwise); at the bottom degree the
-    boundary must vanish outright. Each degree is ordered faced-first: the
-    chains with a smooth face, then those without, each in the order
-    given. Column c of the boundary at degree k is the dict {row of face:
-    sign} of the faces of chain c, read from `chains.smooth_faces`, and a
-    chain with no face gets no column, so those are the boundary's
-    trailing zero columns. d^2 = 0 is checked on construction.
+    Returns (sizes, boundaries): `sizes` lists the rank of each degree
+    lo..hi, and `boundaries[k]`, for lo < k <= hi, the column dicts of the
+    boundary out of degree k, one per chain with a smooth face. See
+    `complex_from_bases` for the order and the checks.
     """
     between = space.integer_view.between
+    smooth_faces = _chains.smooth_faces
     sizes = []
     boundaries = {}
     index = None
@@ -481,7 +514,7 @@ def complex_from_bases(space, bases_by_degree, lo, hi):
         columns = []
         for ch in bases_by_degree.get(k, ()):
             pts = tuple(ch)
-            faces = _chains.smooth_faces(between, pts)
+            faces = smooth_faces(between, pts)
             if not faces:
                 faceless.append(pts)
                 continue
@@ -499,11 +532,56 @@ def complex_from_bases(space, bases_by_degree, lo, hi):
             faced.append(pts)
             columns.append(column)
         if index is not None:
-            boundaries[k] = SparseIntMatrix(len(index), columns)
+            boundaries[k] = columns
         sizes.append(len(faced) + len(faceless))
         if k < hi:
             index = {pts: r for r, pts in enumerate(faced + faceless)}
-    return ChainComplexZ(lo, sizes, boundaries)
+    return sizes, boundaries
+
+
+def complex_from_bases(space, bases_by_degree, lo, hi):
+    """The chain complex spanned by the given proper chains, degrees lo..hi.
+
+    `bases_by_degree[k]` lists the basis at degree k, each chain a
+    ProperChain or a tuple of points; a missing degree is empty. Every
+    boundary term of every basis chain must again lie in the basis one
+    degree down (NotASubcomplex otherwise); at the bottom degree the
+    boundary must vanish outright. Each degree is ordered faced-first: the
+    chains with a smooth face, then those without, each in the order
+    given. Column c of the boundary at degree k is the dict {row of face:
+    sign} of the faces of chain c, read from `chains.smooth_faces`, and a
+    chain with no face gets no column, so those are the boundary's
+    trailing zero columns. d^2 = 0 is checked on construction.
+    """
+    sizes, boundaries = _assemble(space, bases_by_degree, lo, hi)
+    return ChainComplexZ(
+        lo,
+        sizes,
+        {k: SparseIntMatrix(sizes[k - 1 - lo], columns) for k, columns in boundaries.items()},
+    )
+
+
+def groups_from_bases(space, bases_by_degree):
+    """The nonzero homology of the complex spanned by the given chains.
+
+    Returns {degree: group} for the degrees where the homology is nonzero.
+    The complex is the one `complex_from_bases` builds over the degrees
+    from the lowest to the highest key of `bases_by_degree`, with the same
+    order and NotASubcomplex checks, and d^2 = 0 is checked on its
+    columns; but no ChainComplexZ is built. Each boundary with entries is
+    reduced once by `snf`, and an empty one is not reduced at all. This is
+    how the endpoint-block engine and the frame table reduce each of
+    their many small complexes.
+    """
+    lo = min(bases_by_degree)
+    sizes, boundaries = _assemble(space, bases_by_degree, lo, max(bases_by_degree))
+    _check_d_squared(boundaries)
+    factors = {
+        k: snf(SparseIntMatrix(sizes[k - 1 - lo], columns))
+        for k, columns in boundaries.items()
+        if columns
+    }
+    return _nonzero_groups(lo, sizes, factors)
 
 
 @dataclass(frozen=True)
@@ -543,12 +621,13 @@ def block_homology_rows(space, gradings, n_max, cap=None):
     face. It gives only the blocks with a <= b: reversing chains maps
     block (l, a, b) isomorphically onto (l, b, a), so the groups of an
     a < b block are counted twice and those of an a = b block once. Each
-    block is assembled over the degrees from its lowest to its highest
-    with chains, with no column for a chain without a face, reduced on
-    its own, and counts as zero at the degrees outside; the groups are
-    summed. The cap counts the steps of that search, which searches both
-    directions but builds top chains only for the blocks it gives. Rows
-    come grading by grading in the order given, degrees ascending.
+    block goes to `groups_from_bases`, which assembles it over the degrees
+    from its lowest to its highest with chains, with no column for a chain
+    without a face, and reduces it on its own; a block counts as zero at
+    the degrees outside, and its groups up to n_max are summed. The cap
+    counts the steps of that search, which searches both directions but
+    builds top chains only for the blocks it gives. Rows come grading by
+    grading in the order given, degrees ascending.
 
     Each grading's groups are kept per n_max on the space's
     `IntegerView.block_groups`, so a grading already held costs no search
@@ -570,10 +649,8 @@ def block_homology_rows(space, gradings, n_max, cap=None):
     if lacking:
         parts = {}
         for total, (a, b), bases in _chains.block_chains(space, lacking, n_max, cap):
-            cx = complex_from_bases(space, bases, min(bases), max(bases))
-            for n in range(n_max + 1):
-                group = cx.homology_or_trivial(n)
-                if not group.is_trivial():
+            for n, group in groups_from_bases(space, bases).items():
+                if n <= n_max:
                     parts.setdefault((total, n), []).extend((group, group) if a < b else (group,))
         for total in lacking:
             held[total] = tuple(

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import HomologyGroup, complex_from_bases
+from .algebra import HomologyGroup, complex_from_bases, groups_from_bases
 from .chains import ProperChain, chain_total, resolve_cap, search_moves, smooth_faces
 from .errors import EnumerationCapExceeded, ImproperFrame, NotASubcomplex
 from .metric import format_rational
@@ -311,7 +311,7 @@ def _piece_groups(space, by_degree):
     any. Its homology at the degrees outside is zero, and so is every
     degree of the frame subcomplex below its first chain. A piece of one
     chain, such as a frame that no insertion keeps at its length, is Z at
-    that chain's degree and builds no complex; the chain's boundary must
+    that chain's degree and is not assembled; the chain's boundary must
     vanish, as at the bottom of any complex (NotASubcomplex otherwise).
     """
     if len(by_degree) == 1:
@@ -321,13 +321,7 @@ def _piece_groups(space, by_degree):
             if smooth_faces(space.integer_view.between, pts):
                 raise NotASubcomplex(f"chain {pts} at bottom degree {n} has nonzero boundary")
             return {n: _Z}
-    cx = complex_from_bases(space, by_degree, min(by_degree), max(by_degree))
-    groups = {}
-    for n in cx.degrees():
-        group = cx.homology(n)
-        if not group.is_trivial():
-            groups[n] = group
-    return groups
+    return groups_from_bases(space, by_degree)
 
 
 def _held(space, n_top):

@@ -244,8 +244,7 @@ def _interval_homology(space, a, b):
     groups = table.get((a, b))
     if groups is None:
         cx = reduced_complex(order_complex(poset_core(interval_poset(space, a, b))))
-        groups = {k: cx.homology(k) for k in cx.degrees()}
-        groups = table[a, b] = {k: g for k, g in groups.items() if not g.is_trivial()}
+        groups = table[a, b] = cx.groups()
     return groups
 
 

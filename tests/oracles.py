@@ -14,6 +14,7 @@ never builds one. `magnitude_complex` assembles a whole grading's
 buckets as one package complex, the complex the endpoint-block engine
 splits by endpoint pair, and `endpoint_blocks` splits buckets by
 endpoint pair the way the engine's blocks are meant to come out.
+`euler_characteristic` reads a package complex's ranks.
 `d_squared_by_tables` is the boundary-of-boundary check as a walk over
 every chain of each degree's buckets, which `verify.check_d_squared`
 decides from 4-point windows without walking any chain, and
@@ -72,14 +73,17 @@ def naive_buckets(space, n):
     return buckets
 
 
-def naive_boundary_matrix(space, l, n):
-    """Dense integer matrix of the degree-n boundary at grading l."""
-    rows = naive_chains(space, n - 1, l)
-    cols = naive_chains(space, n, l)
+def dense_boundary(space, rows, cols):
+    """Dense integer matrix of the boundary from the chains `cols` to `rows`.
+
+    Interior point i of a chain is removed, with sign (-1)^i, where the
+    Fraction distances make it strictly between its neighbours; a face
+    outside `rows` raises KeyError.
+    """
     row_index = {pts: r for r, pts in enumerate(rows)}
     dense = [[0] * len(cols) for _ in rows]
     for c, pts in enumerate(cols):
-        for i in range(1, n):
+        for i in range(1, len(pts) - 1):
             a, mid, b = pts[i - 1], pts[i], pts[i + 1]
             if mid == a or mid == b:
                 continue
@@ -87,7 +91,37 @@ def naive_boundary_matrix(space, l, n):
                 continue
             face = pts[:i] + pts[i + 1 :]
             dense[row_index[face]][c] += -1 if i % 2 else 1
-    return dense, len(rows), len(cols)
+    return dense
+
+
+def naive_boundary_matrix(space, l, n):
+    """Dense integer matrix of the degree-n boundary at grading l."""
+    rows = naive_chains(space, n - 1, l)
+    cols = naive_chains(space, n, l)
+    return dense_boundary(space, rows, cols), len(rows), len(cols)
+
+
+def naive_complex_groups(space, bases, n_max):
+    """The nonzero homology of the complex spanned by the given chains.
+
+    `bases` maps degrees to lists of point tuples, and the complex runs
+    from its lowest to its highest degree. Returns {n: (betti, torsion)}
+    for the degrees n <= n_max where the homology is nonzero, from dense
+    boundaries and `naive_snf`.
+    """
+    lo, hi = min(bases), max(bases)
+    factors = {}
+    for k in range(lo + 1, hi + 1):
+        rows, cols = bases.get(k - 1, ()), bases.get(k, ())
+        factors[k] = naive_snf(dense_boundary(space, rows, cols)) if rows and cols else ()
+    groups = {}
+    for n in range(lo, min(hi, n_max) + 1):
+        into = factors.get(n + 1, ())
+        betti = len(bases.get(n, ())) - len(factors.get(n, ())) - len(into)
+        torsion = tuple(d for d in into if d > 1)
+        if betti or torsion:
+            groups[n] = (betti, torsion)
+    return groups
 
 
 def magnitude_complex(space, l, n_top):
@@ -432,6 +466,11 @@ def tensor(a, b):
                                 column[dbase + p * nb1 + s] = sign * v
         boundaries[k] = SparseIntMatrix(sizes[k - 1 - lo], columns)
     return ChainComplexZ(lo, sizes, boundaries)
+
+
+def euler_characteristic(cx):
+    """The alternating sum of the ranks of a complex's degrees."""
+    return sum((-1) ** (k % 2) * cx.size(k) for k in cx.degrees())
 
 
 def tensor_many(complexes):

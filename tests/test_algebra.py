@@ -31,6 +31,7 @@ from magh.metric import complete_space, cycle_space, path_space, validate_metric
 from magh.posets import magnitude_homology
 
 from oracles import (
+    euler_characteristic,
     magnitude_complex,
     minor_gcds,
     naive_snf,
@@ -192,8 +193,17 @@ def test_snf_unimodular_products(case):
     assert factors == chain, product
     assert_invariant_factors(product, factors)
     # unit pivots only ever give factors 1, so this one came out of the
-    # dense residual stage
+    # dense residual stage, or of the gcd of a single row or column
     assert factors[-1] > 1
+
+
+@HYPOTHESIS
+@given(dense_matrices(SPARSE_ENTRIES, max_dim=8))
+def test_snf_of_a_single_row_or_column(dense):
+    # its one factor is the gcd of its entries, read without elimination
+    for vector in (dense[:1], [row[:1] for row in dense]):
+        assert snf(vector) == naive_snf(vector), vector
+        assert snf(SparseIntMatrix.from_dense(vector)) == naive_snf(vector), vector
 
 
 @HYPOTHESIS
@@ -370,8 +380,8 @@ def test_tensor_euler_multiplicative():
     c = unit_complex()
     for x in (a, b, c):
         for y in (a, b, c):
-            assert tensor(x, y).euler_characteristic() == (
-                x.euler_characteristic() * y.euler_characteristic()
+            assert euler_characteristic(tensor(x, y)) == (
+                euler_characteristic(x) * euler_characteristic(y)
             )
 
 
@@ -392,7 +402,7 @@ def test_tensor_associative_on_homology():
     assert left.lo == right.lo and left.hi == right.hi
     for k in left.degrees():
         assert left.homology(k) == right.homology(k)
-    assert tensor_many([x, y, z]).homology_all() == left.homology_all()
+    assert tensor_many([x, y, z]).groups() == left.groups()
 
 
 # --- Kunneth ------------------------------------------------------------------
@@ -459,6 +469,41 @@ def torsion_complexes(draw):
 @given(torsion_complexes(), torsion_complexes())
 def test_kunneth_matches_tensor_oracle(a, b):
     assert kunneth(homology_dict(a), homology_dict(b)) == homology_dict(tensor(a, b))
+
+
+@HYPOTHESIS
+@given(torsion_complexes())
+def test_complex_groups_match_snf_ranks(cx):
+    # H_k = Z^(size - rank d_k - rank d_(k+1)) + the factors of d_(k+1)
+    # above 1, each boundary's factors from the textbook reduction
+    factors = {}
+    for k, mat in cx.boundaries.items():
+        dense = [[0] * cx.size(k) for _ in range(mat.rows)]
+        for c, column in enumerate(mat.columns):
+            for r, v in column.items():
+                dense[r][c] = v
+        factors[k] = naive_snf(dense) if mat.rows and cx.size(k) else ()
+    expected = {}
+    for k in cx.degrees():
+        into = factors.get(k + 1, ())
+        betti = cx.size(k) - len(factors.get(k, ())) - len(into)
+        torsion = tuple(d for d in into if d > 1)
+        if betti or torsion:
+            expected[k] = HomologyGroup(betti, torsion)
+    assert cx.groups() == expected
+    assert [cx.homology(k) for k in cx.degrees()] == [
+        expected.get(k, TRIVIAL_GROUP) for k in cx.degrees()
+    ]
+
+
+def test_complex_groups_keep_torsion():
+    # Z/2 at 0 and Z at 1: the nonzero degrees only, and a copy each call
+    cx = ChainComplexZ(0, [1, 2, 1], {1: SparseIntMatrix.from_dense([[2, 0]])})
+    groups = cx.groups()
+    assert groups == {0: HomologyGroup(0, (2,)), 1: HomologyGroup(1), 2: HomologyGroup(1)}
+    groups.clear()
+    assert cx.groups()[0].torsion == (2,)
+    assert ChainComplexZ(0, [1, 1], {1: SparseIntMatrix.from_dense([[1]])}).groups() == {}
 
 
 @pytest.mark.parametrize("d", (2, 3, 4, 6))

@@ -29,6 +29,7 @@ from magh.algebra import (
     HomologyRow,
     block_homology_rows,
     complex_from_bases,
+    groups_from_bases,
 )
 from magh.chains import (
     block_chains,
@@ -53,8 +54,10 @@ from oracles import (
     magnitude_complex,
     naive_buckets,
     naive_chains,
+    naive_complex_groups,
     naive_magnitude_group,
 )
+from test_frames import GRID_STEPS, weighted_grid
 from test_posets import rp2_face_poset_space
 
 
@@ -129,9 +132,13 @@ def test_blocks_reduce_only_degrees_with_chains():
     complexes = []
     built = {}
 
-    def recording_assembly(*args):
-        complexes.append(complex_from_bases(*args))
-        return complexes[-1]
+    def recording_reduction(space_, bases):
+        # the complex `complex_from_bases` builds from the same assembly
+        cx = complex_from_bases(space_, bases, min(bases), max(bases))
+        complexes.append(cx)
+        groups = groups_from_bases(space_, bases)
+        assert groups == cx.groups()
+        return groups
 
     def recording_blocks(*args):
         for total, pair, bases in block_chains(*args):
@@ -139,10 +146,11 @@ def test_blocks_reduce_only_degrees_with_chains():
                 built.setdefault(n, []).extend(chains)
             yield total, pair, bases
 
-    with mock.patch.object(magh.algebra, "complex_from_bases", recording_assembly), (
+    with mock.patch.object(magh.algebra, "groups_from_bases", recording_reduction), (
         mock.patch.object(magh.chains, "block_chains", recording_blocks)
     ):
         rows = block_homology_rows(space, lengths, 3)
+    assert complexes
     matrices = [(cx, k) for cx in complexes for k in range(cx.lo + 1, cx.hi + 1)]
     assert all(all(cx.boundary(k).columns) for cx, k in matrices)
     assert any(cx.boundary(k).cols < cx.size(k) for cx, k in matrices)
@@ -363,6 +371,52 @@ def test_reversed_rp2_blocks_carry_the_torsion():
     for pair in ((bottom, top), (top, bottom)):
         cx = complex_from_bases(space, blocks[pair], 0, 4)
         assert cx.homology(3) == HomologyGroup(0, (2,))
+
+
+def assert_block_groups_match_oracles(space, lengths, n_max):
+    """Per block, `groups_from_bases` equals the dense oracle up to n_max,
+    and per grading the blocks sum to the whole grading's complex."""
+    view = space.integer_view
+    for l in lengths:
+        blocks = pruned_blocks(space, view.scaled(l), n_max + 1)
+        parts = {n: [] for n in range(n_max + 1)}
+        for pair, bases in blocks.items():
+            groups = {n: g for n, g in groups_from_bases(space, bases).items() if n <= n_max}
+            expected = naive_complex_groups(space, bases, n_max)
+            assert {n: (g.betti, g.torsion) for n, g in groups.items()} == expected, (l, pair)
+            for n, g in groups.items():
+                parts[n].append(g)
+        whole = magnitude_complex(space, l, n_max + 1)
+        for n in range(n_max + 1):
+            assert HomologyGroup.direct_sum(parts[n]) == whole.homology(n), (space.name, l, n)
+
+
+@pytest.mark.parametrize("space", default_suite(), ids=lambda s: s.name)
+def test_block_groups_match_oracles_on_the_default_suite(space):
+    assert_block_groups_match_oracles(space, realized_lengths(space, 3), 3)
+
+
+@pytest.mark.parametrize("wx, wy", GRID_STEPS)
+def test_block_groups_match_oracles_on_rational_grids(wx, wy):
+    space = weighted_grid(wx, wy)
+    lengths = realized_lengths(space, 2)
+    assert_block_groups_match_oracles(space, lengths, 2)
+
+
+def test_block_groups_keep_the_rp2_torsion():
+    # MH_3^4 of RP^2's face-poset space carries (Z/2)^2, one Z/2 from the
+    # (bottom, top) block and one from its reverse
+    space, bottom, top = rp2_face_poset_space()
+    blocks = pruned_blocks(space, space.integer_view.scaled(4), 4)
+    for pair in ((bottom, top), (top, bottom)):
+        groups = groups_from_bases(space, blocks[pair])
+        assert groups[3] == HomologyGroup(0, (2,))
+        assert naive_complex_groups(space, blocks[pair], 3) == {3: (0, (2,))}
+    total = HomologyGroup.direct_sum(
+        groups_from_bases(space, bases).get(3, TRIVIAL_GROUP) for bases in blocks.values()
+    )
+    assert total == HomologyGroup(450, (2, 2))
+    assert block_homology_rows(space, [4], 3)[3].group == total
 
 
 def test_many_gradings_equal_one_at_a_time():

@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-import magh.algebra
+import magh
 import magh.frames
-from magh.algebra import TRIVIAL_GROUP, HomologyGroup, complex_from_bases
+from magh.algebra import TRIVIAL_GROUP, HomologyGroup, complex_from_bases, groups_from_bases
 from magh.chains import ProperChain, chain_length, chain_total, enumerate_proper_chains
 from magh.errors import EnumerationCapExceeded, NotASubcomplex
 from magh.frames import (
@@ -342,12 +346,11 @@ def test_frame_table_keeps_rp2_torsion():
 def test_frame_alone_builds_no_complex(monkeypatch):
     built = []
 
-    class Counting(magh.algebra.ChainComplexZ):
-        def __init__(self, *args, **kwargs):
-            built.append(args)
-            super().__init__(*args, **kwargs)
+    def counting(space, by_degree):
+        built.append(by_degree)
+        return groups_from_bases(space, by_degree)
 
-    monkeypatch.setattr(magh.algebra, "ChainComplexZ", Counting)
+    monkeypatch.setattr(magh.frames, "groups_from_bases", counting)
     space = path_space(3)
     table = frame_table(space, [(1, 0, 1), (2, 0, 0), (2, 0, 2)], 3)
     assert table == {
@@ -356,12 +359,57 @@ def test_frame_alone_builds_no_complex(monkeypatch):
         # (0, 2) holds (0, 1, 2) as well as itself
         (2, 0, 2): {(0, 2): {}},
     }
-    assert len(built) == 1
+    # only the piece of (0, 2) and (0, 1, 2) has more than one chain
+    assert built == [{1: [(0, 2)], 2: [(0, 1, 2)]}]
     # the lone chain's boundary is still checked, as at a complex's bottom
     with pytest.raises(NotASubcomplex):
         magh.frames._piece_groups(space, {2: [(0, 1, 2)]})
+    assert len(built) == 1
     with pytest.raises(NotASubcomplex):
         complex_from_bases(space, {2: [(0, 1, 2)]}, 2, 2)
+    with pytest.raises(NotASubcomplex):
+        groups_from_bases(space, {2: [(0, 1, 2)]})
+
+
+def test_corrupted_betweenness_fails_the_frame_table_under_O():
+    # the corruption of test_corrupted_betweenness_fails_the_block_engine_under_O:
+    # point 2 counted as strictly between 0 and 1 in C_4; the frame table
+    # must refuse each block it breaks, also with asserts off, both where
+    # a piece is a lone chain and where a piece is assembled
+    code = (
+        "from dataclasses import replace\n"
+        "from magh.errors import NotASubcomplex\n"
+        "from magh.frames import frame_table\n"
+        "from magh.metric import cycle_space\n"
+        "if __debug__:\n"
+        "    raise SystemExit('asserts are on: not running under -O')\n"
+        "for block in [(2, 0, 2), (3, 0, 1), (4, 0, 0), (4, 0, 2)]:\n"
+        "    space = cycle_space(4)\n"
+        "    view = space.integer_view\n"
+        "    between = [list(row) for row in view.between]\n"
+        "    between[0][1] |= 1 << 2\n"
+        "    vars(space)['integer_view'] = replace(\n"
+        "        view, between=tuple(tuple(row) for row in between)\n"
+        "    )\n"
+        "    try:\n"
+        "        frame_table(space, [block], 4)\n"
+        "    except NotASubcomplex as exc:\n"
+        "        print(*block, exc)\n"
+        "    else:\n"
+        "        print(*block, 'computed')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(magh.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert proc.stdout.splitlines() == [
+        "2 0 2 computed",
+        "3 0 1 chain (0, 1, 2, 1) at bottom degree 3 has nonzero boundary",
+        "4 0 0 boundary term (0, 2, 1, 0) of (0, 1, 2, 1, 0) "
+        "is outside the subcomplex basis at degree 3",
+        "4 0 2 chain (0, 1, 2, 1, 2) at bottom degree 4 has nonzero boundary",
+    ]
 
 
 def recorded_searches(monkeypatch):
