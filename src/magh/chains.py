@@ -16,10 +16,10 @@ only geodesically simple chains, in both directions, with its own search
 the boundary on tuples. No whole-space table of chains is kept: the public
 `enumerate_proper_chains` builds its one degree on each call. `ProperChain`,
 with its `Fraction` length, appears only at the public API:
-`enumerate_proper_chains`, `boundary` and `boundary_of_sum` wrap the
-tuple kernel. `count_step` is the one chain-count dynamic program:
-`length_spectra` counts chains per length with it, without building any,
-and `verify` places a chain in the d^2 check's order with it.
+`enumerate_proper_chains` and `boundary` wrap the tuple kernel.
+`count_step` is the one chain-count dynamic program: `length_spectra`
+counts chains per length with it, without building any, and `verify`
+places a chain in the d^2 check's order with it.
 """
 
 from __future__ import annotations
@@ -399,17 +399,3 @@ def boundary(space, chain):
         for face, sign in smooth_faces(space.integer_view.between, chain.points)
     }
 
-
-def boundary_of_sum(space, combo):
-    """Extend the boundary linearly to a formal sum {chain: coeff}."""
-    out = {}
-    for chain, coeff in combo.items():
-        if not coeff:
-            continue
-        for term, sign in boundary(space, chain).items():
-            new = out.get(term, 0) + coeff * sign
-            if new:
-                out[term] = new
-            else:
-                del out[term]
-    return out

@@ -79,6 +79,16 @@ def _to_fraction(value, i, j):
     raise MetricError(f"entry [{i}][{j}] has unsupported type {type(value).__name__}")
 
 
+def set_bits(mask):
+    """The indices of the set bits of an int bitmask, as an ascending list."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
+
+
 def _scaled(rows):
     """(scale, int rows): Fraction rows times the lcm of their denominators."""
     scale = math.lcm(*(v.denominator for row in rows for v in row))
@@ -143,19 +153,13 @@ class IntegerView:
                     if b != c and dac + row_c[b] == row_a[b]:
                         masks[b] |= bit
             if masks[a]:
-                raise SelfBetweenness(a, (masks[a] & -masks[a]).bit_length() - 1)
+                raise SelfBetweenness(a, set_bits(masks[a])[0])
             between.append(tuple(masks))
         return cls(scale=scale, idist=idist, between=tuple(between))
 
     def between_points(self, a, b):
         """The points strictly between a and b, ascending."""
-        mask = self.between[a][b]
-        points = []
-        while mask:
-            low = mask & -mask
-            points.append(low.bit_length() - 1)
-            mask ^= low
-        return tuple(points)
+        return tuple(set_bits(self.between[a][b]))
 
     def fraction(self, total):
         """The Fraction a scaled integer length stands for."""

@@ -1,11 +1,14 @@
 """Interval posets, order complexes, and the frame route to magnitude homology.
 
 The interval poset I(a, b) consists of the points strictly between a and b
-on geodesics, ordered by x < y iff x lies on a geodesic from a to y. Its
-order complex, through the reduced chain complex (augmented: one generator
-in degree -1), computes the homology of the frame subcomplex of (a, b); a
-frame of higher degree tensors the complexes of its consecutive intervals,
-whose homology the Kunneth formula gives from theirs. Pair homology is
+on geodesics, ordered by x < y iff x lies on a geodesic from a to y. It
+is stored as two bitmasks per element, the elements above and below it,
+read straight off the betweenness rows of a and b; its core, its order
+complex and its component count all read those masks. Its order complex,
+through the reduced chain complex (augmented: one generator in degree
+-1), computes the homology of the frame subcomplex of (a, b); a frame of
+higher degree tensors the complexes of its consecutive intervals, whose
+homology the Kunneth formula gives from theirs. Pair homology is
 reduced on the order complex of the interval's core (`poset_core`), which
 has the same reduced homology over Z as the whole interval's (Stong), and
 is often a single point.
@@ -33,23 +36,31 @@ from .algebra import (
 )
 from .chains import resolve_cap
 from .errors import EnumerationCapExceeded, NotAPartialOrder, SamePoint, UnrealizedFrame
-from .metric import format_rational
+from .metric import format_rational, set_bits
 
 
 @dataclass(frozen=True)
 class IntervalPoset:
-    """Strict partial order on the points strictly between a and b."""
+    """Strict partial order on the points strictly between a and b.
+
+    `elements` are point indices, ascending. `up[i]` and `down[i]` are int
+    bitmasks over point indices of the elements strictly above and below
+    `elements[i]`; they are the order's only stored form.
+    """
 
     a: int
     b: int
     elements: tuple
-    less: frozenset  # pairs (x, y) with x strictly below y
+    up: tuple
+    down: tuple
 
-    def lt(self, x, y):
-        return (x, y) in self.less
+    @property
+    def less(self):
+        """The pairs (x, y) with x strictly below y."""
+        return frozenset((x, y) for x, up in zip(self.elements, self.up) for y in set_bits(up))
 
     def successors(self, x):
-        return tuple(y for y in self.elements if (x, y) in self.less)
+        return tuple(set_bits(self.up[self.elements.index(x)]))
 
     def __len__(self):
         return len(self.elements)
@@ -59,54 +70,47 @@ def interval_poset(space, a, b):
     """Build I(a, b), verifying the order is well defined.
 
     A point c belongs iff it is strictly smooth between a and b. The order
-    has two equivalent formulations, from the a side (d(a,y) = d(a,x) +
-    d(x,y)) and from the b side (d(x,b) = d(x,y) + d(y,b)); both are read
-    from the space's betweenness table and must agree. Antisymmetry and
-    transitivity are checked, not assumed: a failure raises
-    NotAPartialOrder, also under `python -O`.
+    has two equivalent formulations, each one row of the space's
+    betweenness table: from the a side, x < y iff x lies between a and y,
+    which gives `down`; from the b side, x < y iff y lies between x and b,
+    which gives `up`. They must agree (`up` is the transpose of `down`),
+    and antisymmetry and transitivity are checked, not assumed: a failure
+    raises NotAPartialOrder, also under `python -O`, with the least
+    witness.
     """
     if a == b:
         raise SamePoint(a)
-    view = space.integer_view
-    between = view.between
-    elements = view.between_points(a, b)
-    less = set()
-    up = {}  # x -> bitmask of the elements above x
-    for x in elements:
-        mask = 0
-        for y in elements:
-            if x == y:
-                continue
-            from_a = between[a][y] >> x & 1
-            from_b = between[x][b] >> y & 1
-            if from_a != from_b:
-                raise NotAPartialOrder(a, b, "two-sided agreement", (x, y))
-            if from_a:
-                less.add((x, y))
-                mask |= 1 << y
-        up[x] = mask
-    for x, y in less:
-        if (y, x) in less:
-            raise NotAPartialOrder(a, b, "antisymmetry", (x, y))
-    for x in elements:
-        for y in _bits(up[x]):
-            missing = up[y] & ~up[x]
+    between = space.integer_view.between
+    inside = between[a][b]
+    elements = set_bits(inside)
+    row_a = between[a]
+    down = []
+    up_at = [0] * len(row_a)  # each point's up-mask, as the a side sees it
+    for y in elements:
+        below = row_a[y] & inside
+        down.append(below)
+        for x in set_bits(below):
+            up_at[x] |= 1 << y
+    up = [between[x][b] & inside for x in elements]
+    for x, above in zip(elements, up):
+        if above != up_at[x]:
+            raise NotAPartialOrder(
+                a, b, "two-sided agreement", (x, set_bits(above ^ up_at[x])[0])
+            )
+    for x, above, below in zip(elements, up, down):
+        if above & below:
+            raise NotAPartialOrder(a, b, "antisymmetry", (x, set_bits(above & below)[0]))
+    for x, above in zip(elements, up):
+        for y in set_bits(above):
+            missing = up_at[y] & ~above
             if missing:
-                raise NotAPartialOrder(a, b, "transitivity", (x, y, next(_bits(missing))))
-    return IntervalPoset(a=a, b=b, elements=elements, less=frozenset(less))
-
-
-def _bits(mask):
-    """The set bits of a mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+                raise NotAPartialOrder(a, b, "transitivity", (x, y, set_bits(missing)[0]))
+    return IntervalPoset(a=a, b=b, elements=tuple(elements), up=tuple(up), down=tuple(down))
 
 
 def _has_least(mask, up):
     """True when the elements in `mask` have a least one, `up[z]` being above z."""
-    for z in _bits(mask):
+    for z in set_bits(mask):
         if mask & ~up[z] == 1 << z:
             return True
     return False
@@ -122,18 +126,12 @@ def poset_core(poset):
     one removes nothing. The core's order complex is a strong deformation
     retract of the poset's (Stong, 1966), so its reduced homology over Z,
     torsion included, is the poset's. A nonempty poset keeps at least one
-    element, since a lone element has no cover. Elements are point
-    indices, so successors and predecessors are kept as int bitmasks.
+    element, since a lone element has no cover. The core's masks are the
+    poset's restricted to what is left.
     """
-    up = dict.fromkeys(poset.elements, 0)
-    down = dict.fromkeys(poset.elements, 0)
-    for x, y in poset.less:
-        up[x] |= 1 << y
-        down[y] |= 1 << x
-    left = 0
-    for x in poset.elements:
-        left |= 1 << x
-    start = left
+    up = dict(zip(poset.elements, poset.up))
+    down = dict(zip(poset.elements, poset.down))
+    left = start = sum(1 << x for x in poset.elements)
     removed = True
     while removed:
         removed = False
@@ -146,11 +144,13 @@ def poset_core(poset):
                 removed = True
     if left == start:
         return poset
+    kept = tuple(x for x in poset.elements if left >> x & 1)
     return IntervalPoset(
         a=poset.a,
         b=poset.b,
-        elements=tuple(x for x in poset.elements if left >> x & 1),
-        less=frozenset((x, y) for x, y in poset.less if left >> x & 1 and left >> y & 1),
+        elements=kept,
+        up=tuple(up[x] & left for x in kept),
+        down=tuple(down[x] & left for x in kept),
     )
 
 
@@ -158,8 +158,8 @@ def poset_core(poset):
 class OrderComplex:
     """Simplices are the totally ordered subsets of a poset.
 
-    `simplices[k]` lists the k-simplices as ascending tuples, in
-    lexicographic order.
+    `simplices[k]` lists the k-simplices as tuples ascending in the order,
+    in lexicographic order.
     """
 
     simplices: dict
@@ -168,23 +168,20 @@ class OrderComplex:
     def dim(self):
         return max(self.simplices) if self.simplices else -1
 
-    def vertices(self):
-        return tuple(s[0] for s in self.simplices.get(0, ()))
-
 
 def order_complex(poset):
-    """All chains of the poset, graded by dimension."""
-    up = {x: poset.successors(x) for x in poset.elements}
+    """All chains of the poset, graded by dimension.
+
+    Each chain grows by the set bits of its top element's `up` mask, in
+    ascending order, so each dimension comes out in lexicographic order.
+    """
+    up = dict(zip(poset.elements, poset.up))
     simplices = {}
     frontier = [(v,) for v in poset.elements]
     dim = 0
     while frontier:
-        simplices[dim] = sorted(frontier)
-        nxt = []
-        for s in frontier:
-            for y in up[s[-1]]:
-                nxt.append(s + (y,))
-        frontier = nxt
+        simplices[dim] = frontier
+        frontier = [s + (y,) for s in frontier for y in set_bits(up[s[-1]])]
         dim += 1
     return OrderComplex(simplices=simplices)
 
@@ -216,26 +213,24 @@ def reduced_complex(complex_):
 
 
 def poset_component_count(space, a, b):
-    """Number of connected components of the comparability graph of I(a, b)."""
+    """Number of connected components of the comparability graph of I(a, b).
+
+    Each component is flooded from its least element over `up | down`.
+    """
     poset = interval_poset(space, a, b)
-    parent = {x: x for x in poset.elements}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x, y in poset.less:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-    return len({find(x) for x in poset.elements})
-
-
-def interval_complex(space, a, b):
-    """Reduced chain complex of the full order complex of I(a, b), not its core's."""
-    return reduced_complex(order_complex(interval_poset(space, a, b)))
+    near = {x: up | down for x, up, down in zip(poset.elements, poset.up, poset.down)}
+    left = sum(1 << x for x in poset.elements)
+    count = 0
+    while left:
+        count += 1
+        frontier = left & -left
+        while frontier:
+            left &= ~frontier
+            reached = 0
+            for x in set_bits(frontier):
+                reached |= near[x]
+            frontier = reached & left
+    return count
 
 
 def _interval_homology(space, a, b):

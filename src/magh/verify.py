@@ -37,6 +37,7 @@ from .metric import (
     format_rational,
     path_space,
     random_metric,
+    set_bits,
 )
 from .posets import frame_homology_by_degree
 
@@ -96,10 +97,9 @@ def _first_bad_window(space):
                 if y == x:
                     continue
                 bad = ((ymask[x][y] & wx) ^ (masks[y] if wx >> y & 1 else 0)) & ~(1 << y)
-                while bad:
-                    low = bad & -bad
-                    bad ^= low
-                    z = low.bit_length() - 1
+                if not bad:  # zero in every window of a valid space
+                    continue
+                for z in set_bits(bad):
                     found = (idist[w][x] + idist[x][y] + idist[y][z], (w, x, y, z))
                     if best is None or found < best:
                         best = found

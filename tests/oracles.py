@@ -19,7 +19,13 @@ endpoint pair the way the engine's blocks are meant to come out.
 every chain of each degree's buckets, which `verify.check_d_squared`
 decides from 4-point windows without walking any chain, and
 `frame_bases_by_tables` filters the frame subcomplexes' bases out of the
-buckets. Slow on purpose; oracle scale only.
+buckets. `naive_interval_order` reads an interval poset's pairs off
+Fraction distances, and `naive_component_count`, `naive_core` and
+`naive_order_complex` work on such plain pair sets, with none of the
+package's bitmasks. `interval_complex` and `boundary_of_sum` are thin
+helpers over the package: the full order complex of one interval, and
+the boundary extended to a formal sum. Slow on purpose; oracle scale
+only.
 """
 
 import itertools
@@ -27,10 +33,11 @@ from fractions import Fraction
 from math import gcd
 
 from magh.algebra import ChainComplexZ, SparseIntMatrix, complex_from_bases
-from magh.chains import resolve_cap, smooth_faces
+from magh.chains import boundary, resolve_cap, smooth_faces
 from magh.errors import EnumerationCapExceeded
 from magh.frames import frame
 from magh.metric import format_rational
+from magh.posets import interval_poset, order_complex, reduced_complex
 from magh.verify import VerificationReport
 
 
@@ -479,4 +486,107 @@ def tensor_many(complexes):
         out = c if out is None else tensor(out, c)
     if out is None:
         raise ValueError("tensor_many needs at least one complex")
+    return out
+
+
+def boundary_of_sum(space, combo):
+    """Extend the package's `boundary` linearly to a formal sum {chain: coeff}."""
+    out = {}
+    for chain, coeff in combo.items():
+        if not coeff:
+            continue
+        for term, sign in boundary(space, chain).items():
+            new = out.get(term, 0) + coeff * sign
+            if new:
+                out[term] = new
+            else:
+                del out[term]
+    return out
+
+
+def interval_complex(space, a, b):
+    """Reduced chain complex of the full order complex of I(a, b), not its core's."""
+    return reduced_complex(order_complex(interval_poset(space, a, b)))
+
+
+def naive_interval_order(space, a, b):
+    """(elements, less) of I(a, b) from Fraction distances.
+
+    The elements are the points x != a, b with d(a, x) + d(x, b) =
+    d(a, b), ascending, and `less` the set of pairs (x, y) of distinct
+    elements with d(a, x) + d(x, y) = d(a, y).
+    """
+    d = space.d
+    elements = [x for x in range(space.n) if x not in (a, b) and d(a, x) + d(x, b) == d(a, b)]
+    less = {(x, y) for x in elements for y in elements if x != y and d(a, x) + d(x, y) == d(a, y)}
+    return elements, less
+
+
+def naive_component_count(elements, less):
+    """Connected components of the comparability graph, by search over pairs."""
+    seen = set()
+    count = 0
+    for start in elements:
+        if start in seen:
+            continue
+        count += 1
+        stack = [start]
+        seen.add(start)
+        while stack:
+            x = stack.pop()
+            for p, q in less:
+                if x in (p, q):
+                    y = q if p == x else p
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+    return count
+
+
+def _covers(x, left, less):
+    """The elements of `left` covering x in `less`: minimal among those above x."""
+    above = {y for y in left if (x, y) in less}
+    return {y for y in above if not any((z, y) in less for z in above)}
+
+
+def naive_core(elements, less):
+    """The elements left once beat points are removed, ascending.
+
+    A beat point has one upper cover or one lower cover among what is
+    left. Each pass tries the elements in ascending order, as
+    `posets.poset_core` does, and passes repeat until one removes nothing.
+    """
+    flipped = {(y, x) for x, y in less}
+    left = sorted(elements)
+    removed = True
+    while removed:
+        removed = False
+        for x in sorted(elements):
+            if x in left and 1 in (len(_covers(x, left, less)), len(_covers(x, left, flipped))):
+                left.remove(x)
+                removed = True
+    return left
+
+
+def naive_order_complex(elements, less):
+    """{k: k-simplices}: sets of k + 1 pairwise comparable elements.
+
+    Sets grow by label; each is listed in the order's direction, and each
+    degree is sorted.
+    """
+    comparable = less | {(y, x) for x, y in less}
+    sets = [(x,) for x in sorted(elements)]
+    out = {}
+    k = 0
+    while sets:
+        out[k] = sorted(
+            tuple(sorted(s, key=lambda x: sum((y, x) in less for y in s))) for s in sets
+        )
+        sets = [
+            s + (y,)
+            for s in sets
+            for y in elements
+            if y > s[-1] and all((x, y) in comparable for x in s)
+        ]
+        k += 1
     return out

@@ -5,7 +5,6 @@ import pytest
 from magh.chains import (
     ProperChain,
     boundary,
-    boundary_of_sum,
     chain_length,
     enumerate_proper_chains,
     is_strictly_smooth,
@@ -21,7 +20,7 @@ from magh.metric import (
     validate_metric,
 )
 
-from oracles import naive_chains
+from oracles import boundary_of_sum, naive_chains
 
 F = Fraction
 

@@ -218,7 +218,7 @@ def test_internal_callers_skip_the_proper_chain_wrappers(capsys, monkeypatch):
         ["compute", "--n-max", "3", "--format", "json"],
     ]
     expected = [run_cli(capsys, monkeypatch, argv, stdin=space_json) for argv in commands]
-    for name in ("enumerate_proper_chains", "boundary", "boundary_of_sum"):
+    for name in ("enumerate_proper_chains", "boundary"):
         monkeypatch.setattr(magh.chains, name, mock.Mock(side_effect=AssertionError(name)))
     got = [run_cli(capsys, monkeypatch, argv, stdin=space_json) for argv in commands]
     assert got == expected

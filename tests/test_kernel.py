@@ -212,7 +212,8 @@ def test_triangle_witness_matches_fraction_scan(space, data):
 
 def test_guards_survive_optimize():
     # the betweenness table refuses a point between another and itself,
-    # interval_poset refuses an intransitive order, simple_chains_by_frame
+    # interval_poset refuses each order that `test_posets.BROKEN_ORDERS`
+    # breaks in the table and an intransitive one, simple_chains_by_frame
     # refuses a frame that repeats a point, and the frame route refuses an
     # unrealized frame below m_X, all under -O; none can happen in a
     # validated space, so the first two spaces are built directly and the
@@ -259,6 +260,15 @@ def test_guards_survive_optimize():
         "        raise SystemExit(f'wrong witness: {exc}')\n"
         "else:\n"
         "    raise SystemExit('an unrealized frame was used')\n"
+        "from test_posets import BROKEN_ORDERS, broken_path5\n"
+        "for kind, witness, edits in BROKEN_ORDERS:\n"
+        "    try:\n"
+        "        interval_poset(broken_path5(edits), 0, 4)\n"
+        "    except NotAPartialOrder as exc:\n"
+        "        if (exc.kind, exc.witness) != (kind, witness):\n"
+        "            raise SystemExit(f'wrong witness: {exc}')\n"
+        "    else:\n"
+        "        raise SystemExit(f'a broken {kind} was accepted')\n"
         "rows = [[0, 1, 2, 3, 4], [1, 0, 1, 1, 3], [2, 1, 0, 1, 2],\n"
         "        [3, 1, 1, 0, 1], [4, 3, 2, 1, 0]]\n"
         "try:\n"
@@ -269,7 +279,8 @@ def test_guards_survive_optimize():
         "    raise SystemExit(0)\n"
         "raise SystemExit('an intransitive order was accepted')\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(magh.__file__).resolve().parents[1]))
+    paths = (Path(magh.__file__).resolve().parents[1], Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
     )

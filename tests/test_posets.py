@@ -1,6 +1,7 @@
 import gc
 import itertools
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import magh.posets
 from magh.algebra import TRIVIAL_GROUP as TRIVIAL, HomologyGroup, kunneth
-from magh.errors import SamePoint
+from magh.errors import NotAPartialOrder, SamePoint
 from magh.frames import m_x
 from magh.metric import (
     complete_space,
@@ -21,7 +22,6 @@ from magh.metric import (
 from magh.posets import (
     IntervalPoset,
     frame_homology_via_posets,
-    interval_complex,
     interval_homology,
     interval_poset,
     magnitude_homology,
@@ -33,6 +33,8 @@ from magh.posets import (
     reduced_complex,
 )
 from magh.verify import default_suite, run_checks
+
+from oracles import interval_complex, naive_core, naive_order_complex
 
 F = Fraction
 
@@ -50,16 +52,16 @@ def test_interval_poset_antichain():
     poset = interval_poset(cycle_space(4), 0, 2)
     assert poset.elements == (1, 3)
     assert poset.less == frozenset()
-    assert not poset.lt(1, 3) and not poset.lt(3, 1)
+    assert poset.up == poset.down == (0, 0)
 
 
 def test_interval_poset_c6_two_chains():
     poset = interval_poset(cycle_space(6), 0, 3)
     assert poset.elements == (1, 2, 4, 5)
-    assert poset.lt(1, 2) and not poset.lt(2, 1)
     # the far-side arc passes 5 first, so 5 sits below 4
-    assert poset.lt(5, 4) and not poset.lt(4, 5)
-    assert not poset.lt(1, 4) and not poset.lt(4, 1)
+    assert poset.less == {(1, 2), (5, 4)}
+    assert poset.up == (1 << 2, 0, 0, 1 << 4)
+    assert poset.down == (0, 1 << 1, 1 << 5, 0)
     assert poset.successors(1) == (2,)
     assert poset.successors(5) == (4,)
     assert poset.successors(2) == ()
@@ -69,7 +71,7 @@ def test_interval_poset_c6_two_chains():
 def test_interval_poset_three_chain():
     poset = interval_poset(path_space(5), 0, 4)
     assert poset.elements == (1, 2, 3)
-    assert poset.lt(1, 2) and poset.lt(2, 3) and poset.lt(1, 3)
+    assert poset.less == {(1, 2), (2, 3), (1, 3)}
     assert poset.successors(1) == (2, 3)
 
 
@@ -81,6 +83,42 @@ def test_interval_poset_adjacent_empty():
 def test_interval_poset_same_point():
     with pytest.raises(SamePoint):
         interval_poset(path_space(3), 1, 1)
+
+
+# each edit (p, q, c, on) sets or clears bit c of between[p][q] in path(5),
+# whose interval I(0, 4) is the chain 1 < 2 < 3
+BROKEN_ORDERS = [
+    # 1 < 3 seen from b only, and 2 < 3 seen from a only
+    ("two-sided agreement", (1, 3), [(0, 3, 1, False), (2, 4, 3, False)]),
+    # 3 < 2 seen from both sides
+    ("antisymmetry", (2, 3), [(0, 2, 3, True), (3, 4, 2, True)]),
+    # 3 < 2 and 2 < 1: the least witness is (1, 2)
+    (
+        "antisymmetry",
+        (1, 2),
+        [(0, 2, 3, True), (3, 4, 2, True), (0, 1, 2, True), (2, 4, 1, True)],
+    ),
+    # 1 < 2 < 3 but not 1 < 3, from both sides
+    ("transitivity", (1, 2, 3), [(0, 3, 1, False), (1, 4, 3, False)]),
+]
+
+
+def broken_path5(edits):
+    """path(5) with its betweenness table edited; validation never sees it."""
+    space = path_space(5)
+    view = space.integer_view
+    between = [list(row) for row in view.between]
+    for p, q, c, on in edits:
+        between[p][q] = between[p][q] | 1 << c if on else between[p][q] & ~(1 << c)
+    vars(space)["integer_view"] = replace(view, between=tuple(map(tuple, between)))
+    return space
+
+
+@pytest.mark.parametrize("kind, witness, edits", BROKEN_ORDERS)
+def test_interval_poset_refuses_a_broken_order(kind, witness, edits):
+    with pytest.raises(NotAPartialOrder) as info:
+        interval_poset(broken_path5(edits), 0, 4)
+    assert (info.value.kind, info.value.witness) == (kind, witness)
 
 
 def test_interval_poset_builds_on_random_spaces():
@@ -101,7 +139,6 @@ def test_order_complex_shapes():
     assert oc.dim == 1
     assert oc.simplices[0] == [(1,), (2,), (4,), (5,)]
     assert oc.simplices[1] == [(1, 2), (5, 4)]
-    assert oc.vertices() == (1, 2, 4, 5)
 
 
 def test_order_complex_empty():
@@ -341,14 +378,28 @@ def strict_orders(draw):
     for i in reversed(range(k)):
         for j in list(reach[i]):
             reach[i] |= reach[j]
-    less = frozenset((labels[i], labels[j]) for i in range(k) for j in reach[i])
-    return IntervalPoset(a=-1, b=-2, elements=tuple(sorted(labels)), less=less)
+    up = dict.fromkeys(labels, 0)
+    down = dict.fromkeys(labels, 0)
+    for i in range(k):
+        for j in reach[i]:
+            up[labels[i]] |= 1 << labels[j]
+            down[labels[j]] |= 1 << labels[i]
+    elements = tuple(sorted(labels))
+    return IntervalPoset(
+        a=-1,
+        b=-2,
+        elements=elements,
+        up=tuple(up[x] for x in elements),
+        down=tuple(down[x] for x in elements),
+    )
 
 
 def has_beat_point(poset):
+    less = poset.less
+
     def covers(x, up):
-        beyond = {y for y in poset.elements if ((x, y) if up else (y, x)) in poset.less}
-        return {y for y in beyond if not any(poset.lt(*((z, y) if up else (y, z))) for z in beyond)}
+        beyond = {y for y in poset.elements if ((x, y) if up else (y, x)) in less}
+        return {y for y in beyond if not any(((z, y) if up else (y, z)) in less for z in beyond)}
 
     return any(len(covers(x, True)) == 1 or len(covers(x, False)) == 1 for x in poset.elements)
 
@@ -365,6 +416,9 @@ def test_poset_core_on_strict_orders(poset):
     assert nonzero_homology(reduced_complex(order_complex(core))) == nonzero_homology(
         reduced_complex(order_complex(poset))
     )
+    elements, less = list(poset.elements), set(poset.less)
+    assert list(core.elements) == naive_core(elements, less)
+    assert order_complex(poset).simplices == naive_order_complex(elements, less)
 
 
 def test_interval_homology_is_cached_as_a_copy():
