@@ -9,13 +9,17 @@ face; those chains come first in each degree, so the chains without one
 are trailing zero columns and are not stored. `snf` is the
 one reduction routine: it reads those columns into sparse rows, clears
 +-1 pivots on them and reduces only what is left densely.
-`groups_from_bases` takes given chains, such as one endpoint block or
-one frame piece, to their nonzero homology groups in one pass: it
-assembles the columns, checks d^2 = 0 on them and reduces each nonempty
-boundary once, with no `ChainComplexZ` in between. `complex_from_bases`
-builds the same complex as a `ChainComplexZ`, and `ChainComplexZ.groups`
-reads its homology; both share that assembly, that d^2 check and the
-step from invariant factors to groups.
+`groups_from_records` takes the chains of one endpoint block or one frame
+piece, as the searches hand them on, to their nonzero homology groups in
+one pass: it assembles the columns, checks d^2 = 0 on them and reduces
+each nonempty boundary once, with no `ChainComplexZ` in between. A chain
+record is (points, mask), with bit i of mask set iff x_i is strictly
+smooth, so the one assembly, `_assemble`, writes each column from the
+mask and tests no point for smoothness. `groups_from_bases` and
+`complex_from_bases` take plain chains, read their masks with
+`chains.smooth_mask`, and reach the same assembly; `complex_from_bases`
+builds a `ChainComplexZ`, whose `groups` reads its homology. All share
+that d^2 check and the step from invariant factors to groups.
 Degrees may be negative; reduced complexes of order complexes start at
 degree -1.
 """
@@ -34,7 +38,7 @@ from .errors import (
     NotASubcomplex,
     TrivialTorsionFactor,
 )
-from .metric import format_rational, parse_rational
+from .metric import format_rational, parse_rational, set_bits
 from . import chains as _chains
 
 
@@ -47,6 +51,13 @@ class SparseIntMatrix:
     (see `ChainComplexZ`). Construction checks every entry once: a row
     outside the matrix raises IndexError, a value that is not an int
     TypeError, and a stored zero ValueError.
+
+    `_assembled` is the one constructor that skips those checks. Only the
+    boundary assembly (`_assemble`'s callers) uses it, on columns it made
+    itself: each entry is a sign +-1 at the row of a face found in the
+    index of the degree below, so the checks could not fail there, and on
+    the endpoint-block engine they took about 8 % of a profiled run. Every
+    other caller goes through `SparseIntMatrix(rows, columns)`.
     """
 
     def __init__(self, rows, columns):
@@ -64,6 +75,20 @@ class SparseIntMatrix:
                     raise TypeError(f"entries must be int, got {type(v).__name__}")
                 if not v:
                     raise ValueError(f"zero stored at ({r}, {c})")
+
+    @classmethod
+    def _assembled(cls, rows, columns):
+        """The matrix of columns `_assemble` made, without the entry checks.
+
+        `columns` is a list of nonempty dicts {row: +-1} with every row in
+        range(rows); it is kept, not copied.
+        """
+        matrix = cls.__new__(cls)
+        matrix.rows = rows
+        matrix.columns = columns
+        matrix.cols = len(columns)
+        matrix.nnz = sum(map(len, columns))
+        return matrix
 
     @classmethod
     def from_dense(cls, dense):
@@ -495,16 +520,28 @@ def kunneth(h, h2):
     return out
 
 
-def _assemble(space, bases_by_degree, lo, hi):
+# mask -> [(i, (-1)^i) for each set bit i of mask]: a memo of a pure
+# function, filled as masks are met; chains of degree <= n have fewer than
+# 2^n masks
+_SIGNED_BITS = {}
+
+
+def _assemble(records_by_degree, lo, hi):
     """The sizes and boundary columns of the complex spanned by given chains.
 
-    Returns (sizes, boundaries): `sizes` lists the rank of each degree
-    lo..hi, and `boundaries[k]`, for lo < k <= hi, the column dicts of the
-    boundary out of degree k, one per chain with a smooth face. See
-    `complex_from_bases` for the order and the checks.
+    `records_by_degree[k]` lists the chains of degree k as records
+    (points, mask), bit i of mask set iff x_i is strictly smooth; a
+    missing degree is empty. Returns (sizes, boundaries): `sizes` lists
+    the rank of each degree lo..hi, and `boundaries[k]`, for lo < k <= hi,
+    the column dicts of the boundary out of degree k, one per chain with
+    a smooth face, in the order of `complex_from_bases`. The column of a
+    chain is {row of the face without x_i: (-1)^i for each bit i of its
+    mask}; a face missing from the degree below, or a face at the bottom
+    degree, raises NotASubcomplex. The masks are trusted: the searches
+    make them as they build the chains, and `_records` reads them off
+    given tuples.
     """
-    between = space.integer_view.between
-    smooth_faces = _chains.smooth_faces
+    signed = _SIGNED_BITS
     sizes = []
     boundaries = {}
     index = None
@@ -512,16 +549,18 @@ def _assemble(space, bases_by_degree, lo, hi):
         faced = []
         faceless = []
         columns = []
-        for ch in bases_by_degree.get(k, ()):
-            pts = tuple(ch)
-            faces = smooth_faces(between, pts)
-            if not faces:
+        for pts, mask in records_by_degree.get(k, ()):
+            if not mask:
                 faceless.append(pts)
                 continue
             if index is None:
                 raise NotASubcomplex(f"chain {pts} at bottom degree {k} has nonzero boundary")
+            spots = signed.get(mask)
+            if spots is None:
+                spots = signed[mask] = [(i, -1 if i & 1 else 1) for i in set_bits(mask)]
             column = {}
-            for face, sign in faces:
+            for i, sign in spots:
+                face = pts[:i] + pts[i + 1 :]
                 r = index.get(face)
                 if r is None:
                     raise NotASubcomplex(
@@ -539,6 +578,20 @@ def _assemble(space, bases_by_degree, lo, hi):
     return sizes, boundaries
 
 
+def _records(space, bases_by_degree):
+    """Given chains, ProperChains or tuples of points, as records by degree.
+
+    Each record is (points, mask), with the mask `chains.smooth_mask` reads
+    off the space's betweenness table.
+    """
+    between = space.integer_view.between
+    smooth_mask = _chains.smooth_mask
+    return {
+        k: [(pts, smooth_mask(between, pts)) for pts in map(tuple, chains)]
+        for k, chains in bases_by_degree.items()
+    }
+
+
 def complex_from_bases(space, bases_by_degree, lo, hi):
     """The chain complex spanned by the given proper chains, degrees lo..hi.
 
@@ -549,39 +602,61 @@ def complex_from_bases(space, bases_by_degree, lo, hi):
     boundary must vanish outright. Each degree is ordered faced-first: the
     chains with a smooth face, then those without, each in the order
     given. Column c of the boundary at degree k is the dict {row of face:
-    sign} of the faces of chain c, read from `chains.smooth_faces`, and a
-    chain with no face gets no column, so those are the boundary's
-    trailing zero columns. d^2 = 0 is checked on construction.
+    sign} of the faces of chain c, the ones `chains.smooth_faces` gives,
+    and a chain with no face gets no column, so those are the boundary's
+    trailing zero columns. Each chain's smooth points are read once, by
+    `chains.smooth_mask`, and the columns come from the assembly that
+    `groups_from_records` reads too. d^2 = 0 is checked on construction.
     """
-    sizes, boundaries = _assemble(space, bases_by_degree, lo, hi)
+    sizes, boundaries = _assemble(_records(space, bases_by_degree), lo, hi)
     return ChainComplexZ(
         lo,
         sizes,
-        {k: SparseIntMatrix(sizes[k - 1 - lo], columns) for k, columns in boundaries.items()},
+        {
+            k: SparseIntMatrix._assembled(sizes[k - 1 - lo], columns)
+            for k, columns in boundaries.items()
+        },
     )
+
+
+def groups_from_records(records_by_degree):
+    """The nonzero homology of the complex spanned by the given chain records.
+
+    `records_by_degree[k]` lists the chains of degree k as records
+    (points, mask), bit i of mask set iff x_i is strictly smooth, as the
+    chain searches hand them on (`chains.block_chains`,
+    `frames._frame_splits`). Returns {degree: group} for the degrees
+    where the homology is nonzero. The complex is assembled by `_assemble`
+    over the degrees from the lowest to the highest key, with the order
+    and NotASubcomplex checks of `complex_from_bases`, and d^2 = 0 is
+    checked on its columns; but no ChainComplexZ is built. Each boundary
+    with entries is reduced once by `snf`, and an empty one is not reduced
+    at all. This is how the endpoint-block engine and the frame table
+    reduce each of their many small complexes, with no chain tested for
+    smoothness again.
+    """
+    lo = min(records_by_degree)
+    sizes, boundaries = _assemble(records_by_degree, lo, max(records_by_degree))
+    _check_d_squared(boundaries)
+    factors = {
+        k: snf(SparseIntMatrix._assembled(sizes[k - 1 - lo], columns))
+        for k, columns in boundaries.items()
+        if columns
+    }
+    return _nonzero_groups(lo, sizes, factors)
 
 
 def groups_from_bases(space, bases_by_degree):
     """The nonzero homology of the complex spanned by the given chains.
 
     Returns {degree: group} for the degrees where the homology is nonzero.
-    The complex is the one `complex_from_bases` builds over the degrees
-    from the lowest to the highest key of `bases_by_degree`, with the same
-    order and NotASubcomplex checks, and d^2 = 0 is checked on its
-    columns; but no ChainComplexZ is built. Each boundary with entries is
-    reduced once by `snf`, and an empty one is not reduced at all. This is
-    how the endpoint-block engine and the frame table reduce each of
-    their many small complexes.
+    The chains, ProperChains or tuples of points by degree, are read into
+    records by `chains.smooth_mask` and go to `groups_from_records`: the
+    complex is the one `complex_from_bases` builds over the degrees from
+    the lowest to the highest key of `bases_by_degree`, with the same
+    order and checks, but no ChainComplexZ is built.
     """
-    lo = min(bases_by_degree)
-    sizes, boundaries = _assemble(space, bases_by_degree, lo, max(bases_by_degree))
-    _check_d_squared(boundaries)
-    factors = {
-        k: snf(SparseIntMatrix(sizes[k - 1 - lo], columns))
-        for k, columns in boundaries.items()
-        if columns
-    }
-    return _nonzero_groups(lo, sizes, factors)
+    return groups_from_records(_records(space, bases_by_degree))
 
 
 @dataclass(frozen=True)
@@ -621,8 +696,9 @@ def block_homology_rows(space, gradings, n_max, cap=None):
     face. It gives only the blocks with a <= b: reversing chains maps
     block (l, a, b) isomorphically onto (l, b, a), so the groups of an
     a < b block are counted twice and those of an a = b block once. Each
-    block goes to `groups_from_bases`, which assembles it over the degrees
-    from its lowest to its highest with chains, with no column for a chain
+    block's chain records, with the smooth-position masks the search made,
+    go to `groups_from_records`, which assembles it over the degrees from
+    its lowest to its highest with chains, with no column for a chain
     without a face, and reduces it on its own; a block counts as zero at
     the degrees outside, and its groups up to n_max are summed. The cap
     counts the steps of that search, which searches both directions but
@@ -648,8 +724,8 @@ def block_homology_rows(space, gradings, n_max, cap=None):
     lacking = {view.scaled(l) for l in gradings} - held.keys() - {None}
     if lacking:
         parts = {}
-        for total, (a, b), bases in _chains.block_chains(space, lacking, n_max, cap):
-            for n, group in groups_from_bases(space, bases).items():
+        for total, (a, b), records in _chains.block_chains(space, lacking, n_max, cap):
+            for n, group in groups_from_records(records).items():
                 if n <= n_max:
                     parts.setdefault((total, n), []).extend((group, group) if a < b else (group,))
         for total in lacking:

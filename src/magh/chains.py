@@ -7,16 +7,24 @@ when that point is strictly smooth: removing it does not change the
 length of the chain.
 
 Inside the package a chain is a bare tuple of points and its length the
-scaled int of the space's `IntegerView`. `start_blocks` is the engine's
-length-pruned search from a start point: `block_chains` runs it for the
-endpoint blocks the engine reduces, only those (a, b) with a <= b, as
-chain reversal maps each block onto its reverse. The frame code searches
-only geodesically simple chains, in both directions, with its own search
-(`frames._frame_search`) over the same `search_moves`. `smooth_faces` is
-the boundary on tuples. No whole-space table of chains is kept: the public
-`enumerate_proper_chains` builds its one degree on each call. `ProperChain`,
-with its `Fraction` length, appears only at the public API:
-`enumerate_proper_chains` and `boundary` wrap the tuple kernel.
+scaled int of the space's `IntegerView`. A search hands each chain on as
+one record (points, mask): bit i of mask is set iff x_i is strictly
+smooth, so the boundary drops exactly the points of the mask, and the
+assembly (`algebra.groups_from_records`) reads the faces off it without
+testing any point again. `start_blocks` is the engine's length-pruned
+search from a start point, which settles each point's bit as it appends
+the next: `block_chains` runs it for the endpoint blocks the engine
+reduces, only those (a, b) with a <= b, as chain reversal maps each block
+onto its reverse, and carries the masks through its insertions. The frame
+code searches only geodesically simple chains, in both directions, with
+its own search (`frames._frame_search`) over the same `search_moves`,
+whose masks are the points each frame drops. `smooth_mask` reads the mask
+off a given tuple, for chains that come from no search, and `smooth_faces`
+is the boundary on tuples built on it. No whole-space table of chains is
+kept: the public `enumerate_proper_chains` builds its one degree on each
+call. `ProperChain`, with its `Fraction` length, appears only at the
+public API: `enumerate_proper_chains` and `boundary` wrap the tuple
+kernel.
 `count_step` is the one chain-count dynamic program: `length_spectra`
 counts chains per length with it, without building any, and `verify`
 places a chain in the d^2 check's order with it.
@@ -120,20 +128,24 @@ def search_moves(space, longest):
     ]
 
 
-def start_blocks(start, moves, wanted, n_top, steps, limit):
+def start_blocks(start, moves, between, wanted, n_top, steps, limit):
     """The chains from `start` of degree <= n_top with a length in `wanted`
-    that do not end below `start`.
+    that do not end below `start`, each with its smooth-position mask.
 
     One length-pruned search: each chain is extended by every next point
     of `moves` (from `search_moves` with the largest of `wanted`) in
     ascending order, and a prefix is dropped once it is longer than the
     largest wanted length. At degree n_top, the top of the search, a chain
-    that ends below `start` is not built at all. Returns (blocks, steps).
-    `blocks` maps (total, end point) to {degree: chains}, each degree in
-    lexicographic order, for the end points >= `start` only; a degree with
-    no chain is absent. `steps` is the given count plus one for the start
-    and one per prefix kept, and EnumerationCapExceeded is raised as soon
-    as it passes `limit`.
+    that ends below `start` is not built at all. A chain carries the mask
+    whose bit i is set iff x_i is strictly smooth; appending `nxt` to a
+    chain of degree n - 1 settles only x_{n-1}, whose bit comes from the
+    betweenness table `between` as `between[x_{n-2}][nxt] >> x_{n-1} & 1`.
+    Returns (blocks, steps). `blocks` maps (total, end point) to {degree:
+    records}, a record being (points, mask), each degree in lexicographic
+    order, for the end points >= `start` only; a degree with no chain is
+    absent. `steps` is the given count plus one for the start and one per
+    prefix kept, and EnumerationCapExceeded is raised as soon as it passes
+    `limit`.
     """
     steps += 1
     if steps > limit:
@@ -141,22 +153,27 @@ def start_blocks(start, moves, wanted, n_top, steps, limit):
     longest = max(wanted)
     blocks = {}
     if 0 in wanted:
-        blocks[0, start] = {0: [(start,)]}
-    level = [((start,), 0)]
+        blocks[0, start] = {0: [((start,), 0)]}
+    level = [((start,), 0, 0)]
     for n in range(1, n_top + 1):
         top = n == n_top
+        # x_0 is an endpoint: degree 1 settles no interior point
+        bit = 1 << n - 1 if n > 1 else 0
         grown = []
-        for pts, total in level:
-            for nxt, d in moves[pts[-1]]:
+        for pts, total, mask in level:
+            x = pts[-1]
+            row = between[pts[-2] if n > 1 else x]
+            for nxt, d in moves[x]:
                 t = total + d
                 if t > longest or top and nxt < start:
                     continue
                 steps += 1
                 ch = pts + (nxt,)
+                m = mask | bit if row[nxt] >> x & 1 else mask
                 if not top:
-                    grown.append((ch, t))
+                    grown.append((ch, t, m))
                 if t in wanted and nxt >= start:
-                    blocks.setdefault((t, nxt), {}).setdefault(n, []).append(ch)
+                    blocks.setdefault((t, nxt), {}).setdefault(n, []).append((ch, m))
             if steps > limit:
                 raise EnumerationCapExceeded(steps, limit)
         level = grown
@@ -167,12 +184,15 @@ def block_chains(space, totals, n_max, cap=None):
     """The chains of each endpoint block (a, b), a <= b, whose length is in `totals`.
 
     `totals` holds lengths as scaled ints of the space's IntegerView.
-    Yields (total, (a, b), bases) for every endpoint pair (a, b) with
+    Yields (total, (a, b), records) for every endpoint pair (a, b) with
     a <= b joined by a proper chain of degree <= n_max and length
-    `total`, by start point a, then total, then b. `bases` maps a degree
-    k to the block's chains: every one of them for k <= n_max, in
-    lexicographic order, and at k = n_max + 1 only those with a smooth
-    face. A degree with no chain is absent.
+    `total`, by start point a, then total, then b. `records` maps a
+    degree k to the block's chains as records (points, mask), where bit
+    i of mask is set iff x_i is strictly smooth, as `smooth_mask` reads
+    it: every chain for k <= n_max, in lexicographic order, and at
+    k = n_max + 1 only those with a smooth face. A degree with no chain
+    is absent. The masks are made as the chains are, so no chain is
+    tested for smoothness again.
 
     The block (total, b, a) is not yielded for a < b: it has the groups of
     (total, a, b), so a caller summing over all blocks counts each a < b
@@ -194,9 +214,13 @@ def block_chains(space, totals, n_max, cap=None):
     none at degree n_max. Degree n_max + 1 is built by insertion: a point
     c strictly between x_{i-1} and x_i of a degree-n_max chain x of the
     block is inserted at position i, and the result is kept only if i is
-    its first smooth position. Removing that point gives x back, so every top chain with
-    a smooth face is made exactly once; one without a face changes only
-    H_{n_max + 1} and is never built.
+    its first smooth position. Removing that point gives x back, so every
+    top chain with a smooth face is made exactly once; one without a face
+    changes only H_{n_max + 1} and is never built. The first smooth
+    position of x is its mask's lowest set bit. The mask of a kept
+    insertion has no bit below i, bit i set, bit i + 1 for the old x_i,
+    now between c and x_{i+1}, tested anew, and the old bits above i
+    moved up by one.
 
     Steps counted against the cap (`resolve_cap`): those of the searches,
     that is every proper chain of degree <= n_max no longer than the
@@ -215,33 +239,35 @@ def block_chains(space, totals, n_max, cap=None):
     inner = [[view.between_points(a, b) for b in range(size)] for a in range(size)]
     steps = 0
     for start in range(size):
-        blocks, steps = start_blocks(start, moves, wanted, n_max, steps, limit)
+        blocks, steps = start_blocks(start, moves, between, wanted, n_max, steps, limit)
         for key in sorted(blocks):
-            bases = blocks.pop(key)
+            records = blocks.pop(key)
             made = []
-            for pts in bases.get(n_max, ()):
+            for pts, mask in records.get(n_max, ()):
                 # a point inserted after the first smooth point x_j lies
                 # between x_j and x_{j+1}, so x_j stays smooth: only
                 # positions up to j can become the first smooth one
-                last = n_max
-                for j in range(1, n_max):
-                    if between[pts[j - 1]][pts[j + 1]] >> pts[j] & 1:
-                        last = j
-                        break
+                last = (mask & -mask).bit_length() - 1 if mask else n_max
                 count = len(made)
                 for i in range(1, last + 1):
                     left = pts[i - 1]
-                    for c in inner[left][pts[i]]:
+                    right = pts[i]
+                    above = mask >> i + 1 << i + 2 | 1 << i
+                    after = pts[i + 1] if i < n_max else None
+                    for c in inner[left][right]:
                         # x_{i-1} must not turn smooth between x_{i-2} and c
                         if i > 1 and between[pts[i - 2]][c] >> left & 1:
                             continue
-                        made.append(pts[:i] + (c,) + pts[i:])
+                        m = above
+                        if after is not None and between[c][after] >> right & 1:
+                            m |= 2 << i
+                        made.append((pts[:i] + (c,) + pts[i:], m))
                 steps += len(made) - count
                 if steps > limit:
                     raise EnumerationCapExceeded(steps, limit)
             if made:
-                bases[n_max + 1] = made
-            yield key[0], (start, key[1]), bases
+                records[n_max + 1] = made
+            yield key[0], (start, key[1]), records
     for table in ("idist", "between"):
         rows = getattr(view, table)
         for a in range(size):
@@ -360,26 +386,37 @@ def length_spectrum(space, n, cap=None):
     return length_spectra(space, n, cap)[n]
 
 
+def smooth_mask(between, pts):
+    """The smooth positions of a tuple of points, as a bit mask.
+
+    `between` is the space's betweenness table. Bit i is set iff interior
+    point x_i is strictly smooth in (x_{i-1}, x_i, x_{i+1}). This is the
+    mask the chain searches carry with each chain they build
+    (`start_blocks`, `frames._frame_search`); `smooth_faces` and
+    `algebra.groups_from_bases` read it off given tuples.
+    """
+    mask = 0
+    for i in range(1, len(pts) - 1):
+        if between[pts[i - 1]][pts[i + 1]] >> pts[i] & 1:
+            mask |= 1 << i
+    return mask
+
+
 def smooth_faces(between, pts):
     """The boundary of a proper chain of points, as [(face, sign)].
 
     `between` is the space's betweenness table. Interior point x_i is
     removed with sign (-1)^i, and only when it is strictly smooth in
-    (x_{i-1}, x_i, x_{i+1}). Faces of one proper chain are distinct
-    proper chains of the same length, in order of the removed index.
+    (x_{i-1}, x_i, x_{i+1}), that is when bit i of `smooth_mask` is set.
+    Faces of one proper chain are distinct proper chains of the same
+    length, in order of the removed index.
     """
-    faces = []
-    if len(pts) < 3:
-        return faces
-    i = 1
-    a, c = pts[0], pts[1]
-    for b in pts[2:]:
-        # (a, c, b) = (x_{i-1}, x_i, x_{i+1})
-        if between[a][b] >> c & 1:
-            faces.append((pts[:i] + pts[i + 1 :], -1 if i % 2 else 1))
-        a, c = c, b
-        i += 1
-    return faces
+    mask = smooth_mask(between, pts)
+    return [
+        (pts[:i] + pts[i + 1 :], -1 if i & 1 else 1)
+        for i in range(1, len(pts) - 1)
+        if mask >> i & 1
+    ]
 
 
 def boundary(space, chain):

@@ -12,6 +12,10 @@ keeps only geodesically simple chains. Each prefix carries its frame head,
 the kept points before its last one, so the frame of every chain is known
 as it is built, and a prefix is dropped once it is longer than its frame:
 that gap never shrinks as the chain grows, so no simple chain is lost.
+The points a frame drops are exactly the strictly smooth ones, so each
+chain is filed as a record (points, mask) with those positions as its
+mask, and the frame table reduces its pieces from these records
+(`algebra.groups_from_records`) without testing any point again.
 One function, `_frame_splits`, runs it once per start point for what is
 asked: whole endpoint blocks (total, a, b), or single frames, for which a
 prefix whose head starts no wanted frame is dropped too. Every route here
@@ -32,8 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import HomologyGroup, complex_from_bases, groups_from_bases
-from .chains import ProperChain, chain_total, resolve_cap, search_moves, smooth_faces
+from .algebra import HomologyGroup, complex_from_bases, groups_from_records
+from .chains import ProperChain, chain_total, resolve_cap, search_moves
 from .errors import EnumerationCapExceeded, ImproperFrame, NotASubcomplex
 from .metric import format_rational
 
@@ -136,8 +140,11 @@ def _frame_search(view, start, moves, wanted, heads, n_top, steps, limit):
     the triangle inequality; a prefix longer than its frame, or than the
     largest of `wanted`, is dropped, as no extension of it is simple.
     When `heads` is a set, a prefix whose head is not in it is dropped
-    too. Returns (found, steps): `found` maps each frame, in the order its
-    first chain was met, to {degree: chains}, degrees ascending and each
+    too. A prefix also carries the mask of its dropped positions, bit i
+    set iff x_i is strictly smooth: the test that drops x sets its bit, so
+    each chain's mask is made with it. Returns (found, steps): `found`
+    maps each frame, in the order its first chain was met, to {degree:
+    records}, a record being (points, mask), degrees ascending and each
     in lexicographic order. `steps` is the given count plus one for the
     start and one per prefix kept, and EnumerationCapExceeded is raised as
     soon as it passes `limit`.
@@ -149,10 +156,11 @@ def _frame_search(view, start, moves, wanted, heads, n_top, steps, limit):
     idist = view.idist
     longest = max(wanted)
     found = {}
-    level = [((start,), 0, (), 0)]
+    level = [((start,), 0, (), 0, 0)]
     for n in range(1, n_top + 1):
+        bit = 1 << n - 1
         grown = []
-        for pts, total, head, head_total in level:
+        for pts, total, head, head_total, mask in level:
             x = pts[-1]
             # no point lies strictly between the start and another, so
             # reading prev = x keeps the start
@@ -166,19 +174,21 @@ def _frame_search(view, start, moves, wanted, heads, n_top, steps, limit):
                     if t != head_total + idist[head[-1]][nxt]:
                         continue
                     kept, kept_total = head, head_total
+                    dropped = mask | bit
                 else:
                     # x is kept; the prefix was as long as its frame, so the
                     # head, now ending at x, is as long as the prefix
                     kept = head + (x,)
                     kept_total = total
+                    dropped = mask
                     if heads is not None and kept not in heads:
                         continue
                 steps += 1
                 ch = pts + (nxt,)
                 if n < n_top:
-                    grown.append((ch, t, kept, kept_total))
+                    grown.append((ch, t, kept, kept_total, dropped))
                 if t in wanted:
-                    found.setdefault(kept + (nxt,), {}).setdefault(n, []).append(ch)
+                    found.setdefault(kept + (nxt,), {}).setdefault(n, []).append((ch, dropped))
             if steps > limit:
                 raise EnumerationCapExceeded(steps, limit)
         level = grown
@@ -190,8 +200,10 @@ def _frame_splits(space, blocks, frames, n_top, cap):
     degree <= n_top of every endpoint block (total, a, b) of `blocks` and of
     every frame of `frames`, one frame at a time.
 
-    `by_degree` maps a degree to the frame's chains, degrees ascending and
-    each in lexicographic order; a frame with no chain is not yielded.
+    `by_degree` maps a degree to the frame's chains as the search's
+    records (points, mask), the mask holding the positions the frame
+    drops, degrees ascending and each in lexicographic order; a frame with
+    no chain is not yielded.
     Frames come by start point, then in the order their first chain was
     met. Each start point a is searched once (`_frame_search`) over every
     length asked for from it; when only frames are asked from a, the
@@ -225,10 +237,15 @@ def _frame_splits(space, blocks, frames, n_top, cap):
             total = 0
             for a, b in zip(f, f[1:]):
                 if a == b:
-                    raise ImproperFrame(by_degree[min(by_degree)][0], f)
+                    raise ImproperFrame(by_degree[min(by_degree)][0][0], f)
                 total += idist[a][b]
             if (total, f[-1]) in ends or f in wanted_frames:
                 yield (total, start, f[-1]), f, by_degree
+
+
+def _points(by_degree):
+    """Chain records by degree with their masks left off."""
+    return {n: [pts for pts, _ in records] for n, records in by_degree.items()}
 
 
 def _simple_tuples_by_frame(space, l, n_top, cap):
@@ -242,7 +259,7 @@ def _simple_tuples_by_frame(space, l, n_top, cap):
     points = range(space.n)
     blocks = [(total, a, b) for a in points for b in points]
     for _, f, by_degree in _frame_splits(space, blocks, (), n_top, cap):
-        partition[f] = by_degree
+        partition[f] = _points(by_degree)
     return {f: partition[f] for f in sorted(partition)}
 
 
@@ -279,7 +296,7 @@ def frame_subcomplex(space, f, n_top, cap=None):
     if n_top < lo:
         raise ValueError(f"n_top {n_top} below frame degree {lo}")
     split = {g: by_degree for _, g, by_degree in _frame_splits(space, (), [f], n_top, cap)}
-    by_degree = split.get(f, {})
+    by_degree = _points(split.get(f, {}))
     bases = {n: by_degree.get(n, []) for n in range(lo, n_top + 1)}
     return complex_from_bases(space, bases, lo, n_top)
 
@@ -304,24 +321,26 @@ def simp_decomposition(space, l, n_top, cap=None):
 _Z = HomologyGroup(1)
 
 
-def _piece_groups(space, by_degree):
+def _piece_groups(by_degree):
     """The nonzero homology of one frame piece, {degree: group}.
 
-    The piece spans the chains of `by_degree` over the degrees where it has
-    any. Its homology at the degrees outside is zero, and so is every
-    degree of the frame subcomplex below its first chain. A piece of one
-    chain, such as a frame that no insertion keeps at its length, is Z at
-    that chain's degree and is not assembled; the chain's boundary must
-    vanish, as at the bottom of any complex (NotASubcomplex otherwise).
+    The piece spans the chain records (points, mask) of `by_degree`, as
+    `_frame_splits` hands them on, over the degrees where it has any, and
+    goes to `algebra.groups_from_records`. Its homology at the degrees
+    outside is zero, and so is every degree of the frame subcomplex below
+    its first chain. A piece of one chain, such as a frame that no
+    insertion keeps at its length, is Z at that chain's degree and is not
+    assembled; the chain must have no smooth point (a zero mask), as at
+    the bottom of any complex (NotASubcomplex otherwise).
     """
     if len(by_degree) == 1:
-        [(n, chains)] = by_degree.items()
-        if len(chains) == 1:
-            pts = chains[0]
-            if smooth_faces(space.integer_view.between, pts):
+        [(n, records)] = by_degree.items()
+        if len(records) == 1:
+            [(pts, mask)] = records
+            if mask:
                 raise NotASubcomplex(f"chain {pts} at bottom degree {n} has nonzero boundary")
             return {n: _Z}
-    return groups_from_bases(space, by_degree)
+    return groups_from_records(by_degree)
 
 
 def _held(space, n_top):
@@ -340,7 +359,7 @@ def _fill(space, blocks, frames, n_top, cap):
     found = {}
     for block, f, by_degree in _frame_splits(space, blocks, frames, n_top, cap):
         if f not in pieces:
-            pieces[f] = _piece_groups(space, by_degree)
+            pieces[f] = _piece_groups(by_degree)
         found.setdefault(block, []).append(f)
     for key in blocks:
         complete[key] = tuple(sorted(found.get(key, ())))

@@ -174,8 +174,13 @@ def test_criterion_10_rp2_torsion_above_m_x(acceptance, tmp_path):
         total = space.integer_view.scaled(4)
         ends = (min(bottom, top), max(bottom, top))
         blocks = [
-            complex_from_bases(space, bases, min(bases), max(bases))
-            for _, pair, bases in block_chains(space, {total}, 4)
+            complex_from_bases(
+                space,
+                {n: [pts for pts, _ in chains] for n, chains in records.items()},
+                min(records),
+                max(records),
+            )
+            for _, pair, records in block_chains(space, {total}, 4)
             if pair == ends
         ]
         assert len(blocks) == 1

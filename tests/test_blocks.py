@@ -30,6 +30,7 @@ from magh.algebra import (
     block_homology_rows,
     complex_from_bases,
     groups_from_bases,
+    groups_from_records,
 )
 from magh.chains import (
     block_chains,
@@ -132,21 +133,22 @@ def test_blocks_reduce_only_degrees_with_chains():
     complexes = []
     built = {}
 
-    def recording_reduction(space_, bases):
+    def recording_reduction(records):
         # the complex `complex_from_bases` builds from the same assembly
-        cx = complex_from_bases(space_, bases, min(bases), max(bases))
+        bases = {n: [pts for pts, _ in chains] for n, chains in records.items()}
+        cx = complex_from_bases(space, bases, min(bases), max(bases))
         complexes.append(cx)
-        groups = groups_from_bases(space_, bases)
+        groups = groups_from_records(records)
         assert groups == cx.groups()
         return groups
 
     def recording_blocks(*args):
-        for total, pair, bases in block_chains(*args):
-            for n, chains in bases.items():
-                built.setdefault(n, []).extend(chains)
-            yield total, pair, bases
+        for total, pair, records in block_chains(*args):
+            for n, chains in records.items():
+                built.setdefault(n, []).extend(pts for pts, _ in chains)
+            yield total, pair, records
 
-    with mock.patch.object(magh.algebra, "groups_from_bases", recording_reduction), (
+    with mock.patch.object(magh.algebra, "groups_from_records", recording_reduction), (
         mock.patch.object(magh.chains, "block_chains", recording_blocks)
     ):
         rows = block_homology_rows(space, lengths, 3)

@@ -8,7 +8,13 @@ import pytest
 
 import magh
 import magh.frames
-from magh.algebra import TRIVIAL_GROUP, HomologyGroup, complex_from_bases, groups_from_bases
+from magh.algebra import (
+    TRIVIAL_GROUP,
+    HomologyGroup,
+    complex_from_bases,
+    groups_from_bases,
+    groups_from_records,
+)
 from magh.chains import ProperChain, chain_length, chain_total, enumerate_proper_chains
 from magh.errors import EnumerationCapExceeded, NotASubcomplex
 from magh.frames import (
@@ -346,11 +352,11 @@ def test_frame_table_keeps_rp2_torsion():
 def test_frame_alone_builds_no_complex(monkeypatch):
     built = []
 
-    def counting(space, by_degree):
-        built.append(by_degree)
-        return groups_from_bases(space, by_degree)
+    def counting(records):
+        built.append({n: [pts for pts, _ in chains] for n, chains in records.items()})
+        return groups_from_records(records)
 
-    monkeypatch.setattr(magh.frames, "groups_from_bases", counting)
+    monkeypatch.setattr(magh.frames, "groups_from_records", counting)
     space = path_space(3)
     table = frame_table(space, [(1, 0, 1), (2, 0, 0), (2, 0, 2)], 3)
     assert table == {
@@ -361,9 +367,12 @@ def test_frame_alone_builds_no_complex(monkeypatch):
     }
     # only the piece of (0, 2) and (0, 1, 2) has more than one chain
     assert built == [{1: [(0, 2)], 2: [(0, 1, 2)]}]
-    # the lone chain's boundary is still checked, as at a complex's bottom
+    # the lone chain's boundary is still checked, as at a complex's bottom:
+    # the search files (0, 1, 2) with its smooth point 1 in its mask
+    [(_, f, by_degree)] = magh.frames._frame_splits(space, [(2, 0, 2)], (), 2, None)
+    assert f == (0, 2) and by_degree[2] == [((0, 1, 2), 0b10)]
     with pytest.raises(NotASubcomplex):
-        magh.frames._piece_groups(space, {2: [(0, 1, 2)]})
+        magh.frames._piece_groups({2: by_degree[2]})
     assert len(built) == 1
     with pytest.raises(NotASubcomplex):
         complex_from_bases(space, {2: [(0, 1, 2)]}, 2, 2)
@@ -430,9 +439,9 @@ def test_frame_table_searches_only_what_it_lacks(monkeypatch):
     reduced = []
     piece_groups = magh.frames._piece_groups
 
-    def recording_pieces(space, by_degree):
-        reduced.append(by_degree[min(by_degree)][0])
-        return piece_groups(space, by_degree)
+    def recording_pieces(by_degree):
+        reduced.append(by_degree[min(by_degree)][0][0])
+        return piece_groups(by_degree)
 
     monkeypatch.setattr(magh.frames, "_piece_groups", recording_pieces)
     space = cycle_space(5)
@@ -492,8 +501,8 @@ def test_carried_frame_is_the_frame(space):
     blocks = [(t, a, b) for t in totals for a in points for b in points]
     seen = 0
     for (total, a, b), f, by_degree in magh.frames._frame_splits(space, blocks, (), n_top, None):
-        for n, chains in by_degree.items():
-            for pts in chains:
+        for n, records in by_degree.items():
+            for pts, _ in records:
                 assert frame(space, pts) == f
                 assert is_geodesically_simple(space, pts)
                 assert (chain_total(space, pts), pts[0], pts[-1], len(pts) - 1) == (total, a, b, n)
@@ -528,7 +537,10 @@ def test_frame_search_matches_table_filter_at_and_above_m_x(space, totals):
         assert by_frame == oracle
         assert list(by_frame) == list(oracle)
         frames = list(oracle)
-        split = {f: b for _, f, b in magh.frames._frame_splits(space, (), frames, n_top, None)}
+        split = {
+            f: {n: [pts for pts, _ in records] for n, records in b.items()}
+            for _, f, b in magh.frames._frame_splits(space, (), frames, n_top, None)
+        }
         assert split == oracle
 
 

@@ -246,16 +246,26 @@ RP2_TRIANGLES = (
 )
 
 
-def rp2_face_poset_space():
-    """Hasse-graph metric of RP^2's face poset with a bottom and a top added.
+def face_poset_space(facets, name):
+    """Hasse-graph metric of a simplicial complex's face poset, with a
+    bottom and a top added.
 
-    Points: the bottom (), 6 vertices, 15 edges, 10 triangles, then the top.
-    Covering faces are joined by edges of length 1. The interval from bottom
-    to top is the whole face poset, whose order complex is the barycentric
-    subdivision of RP^2.
+    `facets` lists the complex's facets as tuples of vertices; every
+    nonempty subset of one is a face. Points: the bottom (), the faces by
+    dimension, each dimension in sorted order, then the top. Covering
+    faces are joined by edges of length 1, and so are the facets of top
+    dimension and the top. When every facet has that dimension, the
+    interval from bottom to top is the whole face poset, whose order
+    complex is the barycentric subdivision of the complex, so the
+    (bottom, top) frame carries its reduced homology shifted up by 2.
+    Returns (space, bottom, top).
     """
-    edges = sorted({e for t in RP2_TRIANGLES for e in itertools.combinations(t, 2)})
-    faces = [(v,) for v in range(6)] + edges + sorted(RP2_TRIANGLES)
+    facets = [tuple(sorted(f)) for f in facets]
+    dim = max(map(len, facets))
+    faces = sorted(
+        {face for f in facets for k in range(1, len(f) + 1) for face in itertools.combinations(f, k)},
+        key=lambda face: (len(face), face),
+    )
     points = [()] + faces
     n = len(points) + 1
     top = n - 1
@@ -265,9 +275,44 @@ def rp2_face_poset_space():
         for j, g in enumerate(points):
             if len(g) == len(f) + 1 and set(f) <= set(g):
                 d[i][j] = d[j][i] = 1
-        if len(f) == 3:
+        if len(f) == dim:
             d[i][top] = d[top][i] = 1
-    return validate_metric(metric_closure(d), name="rp2-face-poset"), 0, top
+    return validate_metric(metric_closure(d), name=name), 0, top
+
+
+def rp2_face_poset_space():
+    """Hasse-graph metric of RP^2's face poset with a bottom and a top added.
+
+    Points: the bottom (), 6 vertices, 15 edges, 10 triangles, then the top.
+    The interval from bottom to top is the whole face poset, whose order
+    complex is the barycentric subdivision of RP^2.
+    """
+    return face_poset_space(RP2_TRIANGLES, "rp2-face-poset")
+
+
+def moore_space_facets(k):
+    """Facets of a triangulated mod-k Moore space, whose reduced homology
+    is Z/k in degree 1 alone.
+
+    A disk, a center o (vertex 0) coned off an inner ring w_0 .. w_{3k-1}
+    (vertices 1 .. 3k), is glued to a triangle abc (vertices 3k + 1 ..
+    3k + 3) along a boundary that wraps k times around it: the outer ring
+    v_i = (a, b, c)[i mod 3] is joined to the inner ring by the triangles
+    (w_i, w_{i+1}, v_i) and (w_{i+1}, v_i, v_{i+1}), indices mod 3k.
+    """
+    ring = 3 * k
+    w = [1 + i for i in range(ring)]
+    v = [ring + 1 + i % 3 for i in range(ring)]
+    facets = []
+    for i in range(ring):
+        j = (i + 1) % ring
+        facets += [(0, w[i], w[j]), (w[i], w[j], v[i]), (w[j], v[i], v[j])]
+    return facets
+
+
+def moore_face_poset_space(k):
+    """`face_poset_space` of the mod-k Moore space of `moore_space_facets`."""
+    return face_poset_space(moore_space_facets(k), f"moore({k})-face-poset")
 
 
 def test_frame_homology_rp2_face_poset_torsion():
