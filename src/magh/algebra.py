@@ -9,17 +9,21 @@ face; those chains come first in each degree, so the chains without one
 are trailing zero columns and are not stored. `snf` is the
 one reduction routine: it reads those columns into sparse rows, clears
 +-1 pivots on them and reduces only what is left densely.
-`groups_from_records` takes the chains of one endpoint block or one frame
-piece, as the searches hand them on, to their nonzero homology groups in
-one pass: it assembles the columns, checks d^2 = 0 on them and reduces
-each nonempty boundary once, with no `ChainComplexZ` in between. A chain
-record is (points, mask), with bit i of mask set iff x_i is strictly
-smooth, so the one assembly, `_assemble`, writes each column from the
-mask and tests no point for smoothness. `groups_from_bases` and
-`complex_from_bases` take plain chains, read their masks with
-`chains.smooth_mask`, and reach the same assembly; `complex_from_bases`
-builds a `ChainComplexZ`, whose `groups` reads its homology. All share
-that d^2 check and the step from invariant factors to groups.
+`groups_from_columns` is the one step from boundary columns to groups:
+it checks d^2 = 0 on them, reduces each nonempty boundary once and reads
+the nonzero groups off the invariant factors, with no `ChainComplexZ`
+in between. `groups_from_records` takes the chains of one endpoint block
+or one frame piece, as the searches hand them on, assembles their
+columns and hands them to that step; `posets` hands it the augmented
+columns of each interval's order complex. A chain record is (points,
+mask), with bit i of mask set iff x_i is strictly smooth, so the one
+assembly, `_assemble`, writes each column from the mask and tests no
+point for smoothness. `groups_from_bases` and `complex_from_bases` take
+plain chains, read their masks with `chains.smooth_mask`, and reach the
+same assembly. A `ChainComplexZ` is built only at the public API
+(`complex_from_bases`, `posets.reduced_complex`); its `groups` reads its
+homology through the same d^2 check and factors-to-groups step. No
+compute or verify route builds one.
 Degrees may be negative; reduced complexes of order complexes start at
 degree -1.
 """
@@ -53,11 +57,12 @@ class SparseIntMatrix:
     TypeError, and a stored zero ValueError.
 
     `_assembled` is the one constructor that skips those checks. Only the
-    boundary assembly (`_assemble`'s callers) uses it, on columns it made
-    itself: each entry is a sign +-1 at the row of a face found in the
-    index of the degree below, so the checks could not fail there, and on
-    the endpoint-block engine they took about 8 % of a profiled run. Every
-    other caller goes through `SparseIntMatrix(rows, columns)`.
+    boundary assemblies use it (`_assemble` and `posets._reduced_columns`,
+    through their callers), on columns they made themselves: each entry is
+    a sign +-1 at the row of a face found in the index of the degree
+    below, so the checks could not fail there, and on the endpoint-block
+    engine they took about 8 % of a profiled run. Every other caller goes
+    through `SparseIntMatrix(rows, columns)`.
     """
 
     def __init__(self, rows, columns):
@@ -78,7 +83,7 @@ class SparseIntMatrix:
 
     @classmethod
     def _assembled(cls, rows, columns):
-        """The matrix of columns `_assemble` made, without the entry checks.
+        """The matrix of columns an assembly made, without the entry checks.
 
         `columns` is a list of nonempty dicts {row: +-1} with every row in
         range(rows); it is kept, not copied.
@@ -619,6 +624,29 @@ def complex_from_bases(space, bases_by_degree, lo, hi):
     )
 
 
+def groups_from_columns(lo, sizes, boundaries):
+    """The nonzero homology of a complex given by its boundary columns.
+
+    `sizes` lists the ranks of degrees lo, lo + 1, ...; `boundaries` maps
+    each degree k, ascending, to the column dicts {row: +-1} of the
+    boundary out of k, a complex assembled by the caller (`_assemble`, or
+    the reduced order complexes of `posets`), with any chain that has no
+    column last in its degree. This is the one step from columns to
+    groups that every route shares: d^2 = 0 is checked on the columns
+    (ValueError otherwise, also under `python -O`), each boundary with
+    entries is reduced once by `snf`, and `_nonzero_groups` makes the
+    groups. Returns {degree: group} for the degrees where the homology is
+    nonzero; no ChainComplexZ is built.
+    """
+    _check_d_squared(boundaries)
+    factors = {
+        k: snf(SparseIntMatrix._assembled(sizes[k - 1 - lo], columns))
+        for k, columns in boundaries.items()
+        if columns
+    }
+    return _nonzero_groups(lo, sizes, factors)
+
+
 def groups_from_records(records_by_degree):
     """The nonzero homology of the complex spanned by the given chain records.
 
@@ -628,22 +656,13 @@ def groups_from_records(records_by_degree):
     `frames._frame_splits`). Returns {degree: group} for the degrees
     where the homology is nonzero. The complex is assembled by `_assemble`
     over the degrees from the lowest to the highest key, with the order
-    and NotASubcomplex checks of `complex_from_bases`, and d^2 = 0 is
-    checked on its columns; but no ChainComplexZ is built. Each boundary
-    with entries is reduced once by `snf`, and an empty one is not reduced
-    at all. This is how the endpoint-block engine and the frame table
-    reduce each of their many small complexes, with no chain tested for
-    smoothness again.
+    and NotASubcomplex checks of `complex_from_bases`, and its columns go
+    to `groups_from_columns`; no ChainComplexZ is built. This is how the
+    endpoint-block engine and the frame table reduce each of their many
+    small complexes, with no chain tested for smoothness again.
     """
     lo = min(records_by_degree)
-    sizes, boundaries = _assemble(records_by_degree, lo, max(records_by_degree))
-    _check_d_squared(boundaries)
-    factors = {
-        k: snf(SparseIntMatrix._assembled(sizes[k - 1 - lo], columns))
-        for k, columns in boundaries.items()
-        if columns
-    }
-    return _nonzero_groups(lo, sizes, factors)
+    return groups_from_columns(lo, *_assemble(records_by_degree, lo, max(records_by_degree)))
 
 
 def groups_from_bases(space, bases_by_degree):

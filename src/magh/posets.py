@@ -9,9 +9,20 @@ through the reduced chain complex (augmented: one generator in degree
 -1), computes the homology of the frame subcomplex of (a, b); a frame of
 higher degree tensors the complexes of its consecutive intervals, whose
 homology the Kunneth formula gives from theirs. Pair homology is
-reduced on the order complex of the interval's core (`poset_core`), which
-has the same reduced homology over Z as the whole interval's (Stong), and
-is often a single point.
+reduced on the order complex of the interval's core, which has the same
+reduced homology over Z as the whole interval's (Stong), and is often a
+single point.
+
+Each step is one helper on plain lists of masks: `_interval_masks` reads
+and checks the order, `_core_masks` strips beat points, `_order_simplices`
+grows the chains from the `up` masks and `_reduced_columns` writes the
+augmented boundary columns. Pair homology runs them in one pass and hands
+the columns to `algebra.groups_from_columns`, the one d^2 check, Smith
+normal form and groups step that the endpoint-block engine shares. The
+public `interval_poset`, `poset_core`, `order_complex` and
+`reduced_complex` are thin wrappers over the same helpers, and are the
+only places an `IntervalPoset`, `OrderComplex` or `ChainComplexZ` is
+built here; no compute or verify route builds one.
 
 Below m_X, magnitude homology is the direct sum of those frame homologies
 (Kaneta-Yoshinaga), so `magnitude_homology_rows` computes every grading
@@ -32,6 +43,7 @@ from .algebra import (
     SparseIntMatrix,
     TRIVIAL_GROUP,
     block_homology_rows,
+    groups_from_columns,
     kunneth,
 )
 from .chains import resolve_cap
@@ -66,17 +78,19 @@ class IntervalPoset:
         return len(self.elements)
 
 
-def interval_poset(space, a, b):
-    """Build I(a, b), verifying the order is well defined.
+def _interval_masks(space, a, b):
+    """(elements, up, down) of I(a, b), as lists, with every check made.
 
-    A point c belongs iff it is strictly smooth between a and b. The order
-    has two equivalent formulations, each one row of the space's
-    betweenness table: from the a side, x < y iff x lies between a and y,
-    which gives `down`; from the b side, x < y iff y lies between x and b,
-    which gives `up`. They must agree (`up` is the transpose of `down`),
-    and antisymmetry and transitivity are checked, not assumed: a failure
-    raises NotAPartialOrder, also under `python -O`, with the least
-    witness.
+    This is the one place the order is read and checked; `interval_poset`
+    wraps it in an `IntervalPoset`, and pair homology and the component
+    count read the lists as they are. A point c belongs iff it is strictly
+    smooth between a and b. The order has two equivalent formulations,
+    each one row of the space's betweenness table: from the a side, x < y
+    iff x lies between a and y, which gives `down`; from the b side, x < y
+    iff y lies between x and b, which gives `up`. They must agree (`up` is
+    the transpose of `down`), and antisymmetry and transitivity are
+    checked, not assumed: a failure raises NotAPartialOrder, also under
+    `python -O`, with the least witness. a == b raises SamePoint.
     """
     if a == b:
         raise SamePoint(a)
@@ -105,15 +119,56 @@ def interval_poset(space, a, b):
             missing = up_at[y] & ~above
             if missing:
                 raise NotAPartialOrder(a, b, "transitivity", (x, y, set_bits(missing)[0]))
+    return elements, up, down
+
+
+def interval_poset(space, a, b):
+    """Build I(a, b), verifying the order is well defined.
+
+    The masks and every check come from `_interval_masks`: SamePoint for
+    a == b, and NotAPartialOrder, with its least witness, where the two
+    sides of the order disagree or it is not antisymmetric or transitive.
+    """
+    elements, up, down = _interval_masks(space, a, b)
     return IntervalPoset(a=a, b=b, elements=tuple(elements), up=tuple(up), down=tuple(down))
 
 
 def _has_least(mask, up):
     """True when the elements in `mask` have a least one, `up[z]` being above z."""
-    for z in set_bits(mask):
-        if mask & ~up[z] == 1 << z:
+    if not mask & (mask - 1):  # no element, or a lone one
+        return bool(mask)
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if mask & ~up[low.bit_length() - 1] == low:
             return True
+        rest ^= low
     return False
+
+
+def _core_masks(elements, up, down):
+    """The core's (elements, up, down); the arguments themselves if it is all of it.
+
+    See `poset_core`, which wraps this; pair homology calls it on the
+    lists `_interval_masks` reads.
+    """
+    above = dict(zip(elements, up))
+    below = dict(zip(elements, down))
+    left = start = sum(1 << x for x in elements)
+    removed = True
+    while removed:
+        removed = False
+        for x in elements:
+            bit = 1 << x
+            if left & bit and (
+                _has_least(above[x] & left, above) or _has_least(below[x] & left, below)
+            ):
+                left ^= bit
+                removed = True
+    if left == start:
+        return elements, up, down
+    kept = [x for x in elements if left >> x & 1]
+    return kept, [above[x] & left for x in kept], [below[x] & left for x in kept]
 
 
 def poset_core(poset):
@@ -127,31 +182,13 @@ def poset_core(poset):
     retract of the poset's (Stong, 1966), so its reduced homology over Z,
     torsion included, is the poset's. A nonempty poset keeps at least one
     element, since a lone element has no cover. The core's masks are the
-    poset's restricted to what is left.
+    poset's restricted to what is left, and a poset with no beat point is
+    returned as it is.
     """
-    up = dict(zip(poset.elements, poset.up))
-    down = dict(zip(poset.elements, poset.down))
-    left = start = sum(1 << x for x in poset.elements)
-    removed = True
-    while removed:
-        removed = False
-        for x in poset.elements:
-            bit = 1 << x
-            if left & bit and (
-                _has_least(up[x] & left, up) or _has_least(down[x] & left, down)
-            ):
-                left ^= bit
-                removed = True
-    if left == start:
+    kept, up, down = _core_masks(poset.elements, poset.up, poset.down)
+    if kept is poset.elements:
         return poset
-    kept = tuple(x for x in poset.elements if left >> x & 1)
-    return IntervalPoset(
-        a=poset.a,
-        b=poset.b,
-        elements=kept,
-        up=tuple(up[x] & left for x in kept),
-        down=tuple(down[x] & left for x in kept),
-    )
+    return IntervalPoset(a=poset.a, b=poset.b, elements=tuple(kept), up=tuple(up), down=tuple(down))
 
 
 @dataclass(frozen=True)
@@ -169,21 +206,46 @@ class OrderComplex:
         return max(self.simplices) if self.simplices else -1
 
 
-def order_complex(poset):
-    """All chains of the poset, graded by dimension.
+def _order_simplices(elements, up):
+    """The chains of a poset, as a list of the simplices of each dimension.
 
     Each chain grows by the set bits of its top element's `up` mask, in
     ascending order, so each dimension comes out in lexicographic order.
     """
-    up = dict(zip(poset.elements, poset.up))
-    simplices = {}
-    frontier = [(v,) for v in poset.elements]
-    dim = 0
+    above = dict(zip(elements, up))
+    levels = []
+    frontier = [(v,) for v in elements]
     while frontier:
-        simplices[dim] = frontier
-        frontier = [s + (y,) for s in frontier for y in set_bits(up[s[-1]])]
-        dim += 1
-    return OrderComplex(simplices=simplices)
+        levels.append(frontier)
+        frontier = [s + (y,) for s in frontier for y in set_bits(above[s[-1]])]
+    return levels
+
+
+def order_complex(poset):
+    """All chains of the poset, graded by dimension (`_order_simplices`)."""
+    return OrderComplex(simplices=dict(enumerate(_order_simplices(poset.elements, poset.up))))
+
+
+def _reduced_columns(levels):
+    """(sizes, boundaries) of the reduced complex of simplices by dimension.
+
+    `sizes` lists the ranks of degrees -1, 0, 1, ...: one copy of Z, then
+    one generator per simplex. `boundaries[k]` lists the column dicts of
+    the boundary out of degree k, one per k-simplex: the augmentation sends
+    every vertex to +1 times the degree -1 generator, and the faces of a
+    k-simplex alternate signs in vertex order.
+    """
+    sizes = [1] + [len(level) for level in levels]
+    boundaries = {}
+    if levels:
+        boundaries[0] = [{0: 1} for _ in levels[0]]
+    for k in range(1, len(levels)):
+        below = {s: r for r, s in enumerate(levels[k - 1])}
+        boundaries[k] = [
+            {below[s[:i] + s[i + 1 :]]: -1 if i & 1 else 1 for i in range(k + 1)}
+            for s in levels[k]
+        ]
+    return sizes, boundaries
 
 
 def reduced_complex(complex_):
@@ -192,34 +254,29 @@ def reduced_complex(complex_):
     Degree -1 is a single copy of Z; the augmentation sends every vertex to
     +1 times that generator. Faces of a k-simplex alternate signs in vertex
     order. An empty complex is just Z in degree -1, whose homology there is
-    Z: the reduced homology of the empty space.
+    Z: the reduced homology of the empty space. The columns come from
+    `_reduced_columns`, as pair homology's do.
     """
     simplices = complex_.simplices
-    dim = max(simplices) if simplices else -1
-    sizes = [1] + [len(simplices.get(k, ())) for k in range(dim + 1)]
-    boundaries = {}
-    if dim >= 0:
-        boundaries[0] = SparseIntMatrix(1, [{0: 1} for _ in range(sizes[1])])
-    for k in range(1, dim + 1):
-        below = {s: r for r, s in enumerate(simplices[k - 1])}
-        boundaries[k] = SparseIntMatrix(
-            sizes[k],
-            [
-                {below[s[:i] + s[i + 1 :]]: -1 if i % 2 else 1 for i in range(len(s))}
-                for s in simplices[k]
-            ],
-        )
-    return ChainComplexZ(-1, sizes, boundaries)
+    sizes, boundaries = _reduced_columns(
+        [simplices.get(k, []) for k in range(complex_.dim + 1)]
+    )
+    return ChainComplexZ(
+        -1,
+        sizes,
+        {k: SparseIntMatrix._assembled(sizes[k], columns) for k, columns in boundaries.items()},
+    )
 
 
 def poset_component_count(space, a, b):
     """Number of connected components of the comparability graph of I(a, b).
 
-    Each component is flooded from its least element over `up | down`.
+    Each component is flooded from its least element over `up | down`,
+    read off `_interval_masks` with its checks.
     """
-    poset = interval_poset(space, a, b)
-    near = {x: up | down for x, up, down in zip(poset.elements, poset.up, poset.down)}
-    left = sum(1 << x for x in poset.elements)
+    elements, up, down = _interval_masks(space, a, b)
+    near = {x: above | below for x, above, below in zip(elements, up, down)}
+    left = sum(1 << x for x in elements)
     count = 0
     while left:
         count += 1
@@ -238,8 +295,9 @@ def _interval_homology(space, a, b):
     table = space.integer_view.pair_homology
     groups = table.get((a, b))
     if groups is None:
-        cx = reduced_complex(order_complex(poset_core(interval_poset(space, a, b))))
-        groups = table[a, b] = cx.groups()
+        elements, up, _ = _core_masks(*_interval_masks(space, a, b))
+        sizes, boundaries = _reduced_columns(_order_simplices(elements, up))
+        groups = table[a, b] = groups_from_columns(-1, sizes, boundaries)
     return groups
 
 
@@ -249,9 +307,14 @@ def interval_homology(space, a, b):
     Only nonzero groups are listed; an empty interval gives Z in degree
     -1. The complex reduced is the order complex of the interval's core,
     a strong deformation retract of the full one (Stong), so torsion is
-    kept. Each pair's complex is built and reduced once per space, and only
-    its groups are kept, in the space's `IntegerView.pair_homology`, which
-    the frame DFS shares.
+    kept. Each pair goes once per space from masks to groups, with no
+    `IntervalPoset`, `OrderComplex` or `ChainComplexZ` built: the interval's
+    masks (`_interval_masks`, every order check made), its core's
+    (`_core_masks`), the core's simplices and augmented boundary columns,
+    then `algebra.groups_from_columns`, the d^2 check, Smith normal form
+    and groups step the endpoint-block engine shares. Only the groups are
+    kept, in the space's `IntegerView.pair_homology`, which the frame DFS
+    shares; this returns a copy.
     """
     return dict(_interval_homology(space, a, b))
 
@@ -262,18 +325,18 @@ def frame_homology_by_degree(space, f):
     For a frame of degree m, the Kunneth formula folds the reduced
     homology of the intervals between consecutive frame points into the
     homology of their tensor product, whose degree k is the frame's degree
-    2m + k. Returns {degree: group}, nonzero groups only, from one fold.
-    Each interval's homology is reduced on the interval's core, as in
-    `interval_homology`. Valid for tuples that are genuinely frames (equal
-    to their own frame); the agreement with the direct subcomplex route is
-    what `verify` checks.
+    2m + k. Returns a new {degree: group}, nonzero groups only, from one
+    fold that starts at the first pair's groups. Each interval's homology
+    is reduced on the interval's core, as in `interval_homology`. Valid
+    for tuples that are genuinely frames (equal to their own frame); the
+    agreement with the direct subcomplex route is what `verify` checks.
     """
     f = tuple(f)
     m = len(f) - 1
     if m < 1:
         raise ValueError(f"a frame needs at least two points, got {f}")
-    product = {0: HomologyGroup(1)}
-    for a, b in zip(f, f[1:]):
+    product = _interval_homology(space, f[0], f[1])
+    for a, b in zip(f[1:], f[2:]):
         product = kunneth(product, _interval_homology(space, a, b))
     return {2 * m + k: group for k, group in product.items()}
 

@@ -1,14 +1,18 @@
 import gc
 import itertools
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import magh.posets
-from magh.algebra import TRIVIAL_GROUP as TRIVIAL, HomologyGroup, kunneth
+from magh.algebra import TRIVIAL_GROUP as TRIVIAL, ChainComplexZ, HomologyGroup, kunneth
 from magh.errors import NotAPartialOrder, SamePoint
 from magh.frames import m_x
 from magh.metric import (
@@ -21,6 +25,8 @@ from magh.metric import (
 )
 from magh.posets import (
     IntervalPoset,
+    OrderComplex,
+    frame_homology_by_degree,
     frame_homology_via_posets,
     interval_homology,
     interval_poset,
@@ -32,7 +38,7 @@ from magh.posets import (
     poset_core,
     reduced_complex,
 )
-from magh.verify import default_suite, run_checks
+from magh.verify import CHECKS, default_suite, run_checks
 
 from oracles import interval_complex, naive_core, naive_order_complex
 
@@ -116,9 +122,54 @@ def broken_path5(edits):
 
 @pytest.mark.parametrize("kind, witness, edits", BROKEN_ORDERS)
 def test_interval_poset_refuses_a_broken_order(kind, witness, edits):
-    with pytest.raises(NotAPartialOrder) as info:
-        interval_poset(broken_path5(edits), 0, 4)
-    assert (info.value.kind, info.value.witness) == (kind, witness)
+    # pair homology and the component count read the masks without an
+    # IntervalPoset, and must refuse the same order with the same witness
+    for route in (interval_poset, interval_homology, poset_component_count):
+        with pytest.raises(NotAPartialOrder) as info:
+            route(broken_path5(edits), 0, 4)
+        assert (info.value.kind, info.value.witness) == (kind, witness), route.__name__
+
+
+def test_pair_route_guards_survive_optimize():
+    # the order, same-point and d^2 guards of the mask route are raises,
+    # not asserts, so they fire with asserts off too
+    code = (
+        "from magh.algebra import groups_from_columns\n"
+        "from magh.errors import NotAPartialOrder, SamePoint\n"
+        "from magh.metric import path_space\n"
+        "from magh.posets import interval_homology, poset_component_count\n"
+        "from test_posets import BROKEN_ORDERS, broken_path5\n"
+        "if __debug__:\n"
+        "    raise SystemExit('asserts are on: not running under -O')\n"
+        "for _, _, edits in BROKEN_ORDERS:\n"
+        "    for route in (interval_homology, poset_component_count):\n"
+        "        try:\n"
+        "            route(broken_path5(edits), 0, 4)\n"
+        "        except NotAPartialOrder as exc:\n"
+        "            print(exc.kind, exc.witness)\n"
+        "try:\n"
+        "    interval_homology(path_space(3), 1, 1)\n"
+        "except SamePoint:\n"
+        "    print('same point')\n"
+        "try:\n"
+        "    groups_from_columns(0, [1, 2, 1], {1: [{0: 1}, {0: 1}], 2: [{0: 1}]})\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(map(str, (Path(magh.__file__).resolve().parents[1], tests)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    refusals = [f"{kind} {witness}" for kind, witness, _ in BROKEN_ORDERS for _ in range(2)]
+    assert proc.stdout.splitlines() == refusals + [
+        "same point",
+        "boundary squared is nonzero at degree 2, column 0",
+    ]
 
 
 def test_interval_poset_builds_on_random_spaces():
@@ -472,6 +523,12 @@ def test_interval_homology_is_cached_as_a_copy():
     assert first == {0: HomologyGroup(1)}
     first.clear()
     assert interval_homology(cycle_space(6), 0, 3) == {0: HomologyGroup(1)}
+    # a pair frame's fold starts at the cached groups, and hands on a copy
+    frame = frame_homology_by_degree(space, (0, 3))
+    assert frame == {2: HomologyGroup(1)}
+    frame.clear()
+    assert frame_homology_by_degree(space, (0, 3)) == {2: HomologyGroup(1)}
+    assert interval_homology(space, 0, 3) == {0: HomologyGroup(1)}
     assert interval_homology(path_space(2), 0, 1) == {-1: HomologyGroup(1)}
     assert interval_homology(path_space(5), 0, 4) == {}
 
@@ -480,19 +537,42 @@ def test_pair_homology_cache_outlives_a_run(monkeypatch):
     # 70 * 69 = 4830 pairs, more than the old cache of 4096 entries held
     space = complete_space(70)
     built = []
-    original = magh.posets.poset_core
+    original = magh.posets._core_masks
 
-    def counting(poset):
-        built.append((poset.a, poset.b))
-        return original(poset)
+    def counting(elements, up, down):
+        built.append(tuple(elements))
+        return original(elements, up, down)
 
-    monkeypatch.setattr(magh.posets, "poset_core", counting)
+    monkeypatch.setattr(magh.posets, "_core_masks", counting)
     first = magnitude_homology_rows(space, [1], 2)
     assert [row.group for row in first] == [TRIVIAL, HomologyGroup(4830), TRIVIAL]
     assert len(built) == 4830
     built.clear()
     assert magnitude_homology_rows(space, [1], 2) == first
     assert built == []
+
+
+def test_no_compute_or_verify_route_builds_a_complex_object(monkeypatch):
+    # pair homology goes from masks to groups, and blocks and frame pieces
+    # from records to groups: IntervalPoset, OrderComplex and ChainComplexZ
+    # are built only at the public API
+    gradings = [0, 1, 2, 3, 4]
+    expected = magnitude_homology_rows(cycle_space(5), gradings, 3)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built on a compute or verify route")
+
+    for cls in (ChainComplexZ, IntervalPoset, OrderComplex):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    space = validate_metric(cycle_space(5).dist, name="C5")
+    assert m_x(space).value == 3  # gradings 1, 2 below m_X, 3, 4 at or above
+    assert magnitude_homology_rows(space, gradings, 3) == expected
+    assert any(row.l >= 3 and not row.group.is_trivial() for row in expected)
+    fresh = validate_metric(cycle_space(5).dist, name="C5")
+    reports = run_checks([fresh], n_max=3)
+    assert [r.check for r in reports] == list(CHECKS)
+    assert all(r.passed for r in reports)
+    assert [mh2_certificate(fresh, 0, b).components for b in range(1, 5)] == [0, 1, 1, 0]
 
 
 def test_a_space_is_freed_after_compute_and_verify():

@@ -5,7 +5,9 @@ degree 1, so the (bottom, top) frame of their face-poset spaces carries
 it at MH_3 (Kaneta-Yoshinaga). d(bottom, top) = 4 >= m_X = 3, so
 `compute` sends that grading to the engine, and its invariant factors
 must come out as (3, 3) and (4, 4): not as Z/2 + Z/2, nor lost in a
-merge.
+merge. Glued at its top to the RP^2 space's, the mod-3 space's Z/3
+meets RP^2's Z/2 in one grading, and the engine must merge them into
+the factors (6, 6).
 """
 
 import json
@@ -21,7 +23,8 @@ from magh.chains import CAP_ENV_VAR
 from magh.frames import m_x
 from magh.posets import frame_homology_via_posets, interval_homology
 
-from test_posets import moore_face_poset_space
+from test_posets import moore_face_poset_space, rp2_face_poset_space
+from test_wedge import wedge
 
 # k -> (points, MH_2^4, MH_3^4)
 MOORE = {
@@ -48,6 +51,22 @@ def test_moore_block_engine_torsion(k):
     rows = block_homology_rows(space, [4], 3)
     assert [(r.l, r.n) for r in rows] == [(Fraction(4), n) for n in range(4)]
     assert [r.group for r in rows] == [HomologyGroup(0), HomologyGroup(0), mh2, mh3]
+
+
+def test_wedge_merges_z2_and_z3_into_z6():
+    # RP^2's Z^450 + (Z/2)^2 and the mod-3 Moore space's Z^2046 + (Z/3)^2 at
+    # MH_3^4, glued at their tops, must merge to invariant factors (6, 6)
+    rp2, _, rp2_top = rp2_face_poset_space()
+    moore, _, moore_top = moore_face_poset_space(3)
+    glued = wedge(rp2, rp2_top, moore, moore_top)
+    assert glued.n == 113 and m_x(glued).value == 3
+    rows = block_homology_rows(glued, [4], 3)
+    assert [r.group for r in rows] == [
+        HomologyGroup(0),
+        HomologyGroup(0),
+        HomologyGroup(540),
+        HomologyGroup(2496, (6, 6)),
+    ]
 
 
 def test_moore3_cli_torsion_above_m_x(tmp_path):
