@@ -11,6 +11,13 @@ which points lie strictly between which pairs on geodesics. Lengths are
 summed as ints and turn back into `Fraction`s only where they leave the
 package's internals, so the results are exactly those of rational
 arithmetic.
+
+The triangle axiom and betweenness read the same sum d(a, c) + d(c, b)
+against d(a, b): short of it is a triangle violation, equal to it puts c
+between a and b. `_between_rows` works out both in one packed pass, a
+few big-int operations per pair, and is the one place either is
+computed: `validate_metric` runs it once and hands the table to the
+space, whose view reuses it.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from operator import sub
+from itertools import chain
 
 from .errors import (
     AsymmetricAt,
@@ -40,9 +47,18 @@ from .errors import (
 
 
 def parse_rational(text):
-    """Parse "p/q" or "p" into a Fraction, loss-free."""
+    """Parse "p/q" or "p" into a Fraction, loss-free.
+
+    Digits-only "p/q" and "p" are read with int(), about twice as fast as
+    Fraction's own parser, which reads every other form and reports what
+    is malformed.
+    """
+    clean = str(text).strip()
+    num, slash, den = clean.partition("/")
     try:
-        return Fraction(str(text).strip())
+        if num.isdecimal() and (den.isdecimal() if slash else True):
+            return Fraction(int(num), int(den) if slash else 1)
+        return Fraction(clean)
     except (ValueError, ZeroDivisionError) as exc:
         raise MetricError(f"cannot parse rational from {text!r}: {exc}") from exc
 
@@ -90,11 +106,83 @@ def set_bits(mask):
 
 
 def _scaled(rows):
-    """(scale, int rows): Fraction rows times the lcm of their denominators."""
-    scale = math.lcm(*(v.denominator for row in rows for v in row))
-    return scale, tuple(
-        tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows
-    )
+    """(scale, int rows): Fraction rows times the lcm of their denominators.
+
+    Each distinct entry object is scaled once and shared by every place it
+    fills; `_fraction_rows` gives a repeated text one Fraction, so a
+    loaded matrix has as many objects to scale as it has distinct texts.
+    """
+    flat = list(chain.from_iterable(rows))
+    distinct = dict(zip(map(id, flat), flat))
+    scale = math.lcm(*[v.denominator for v in distinct.values()])
+    ints = {key: v.numerator * (scale // v.denominator) for key, v in distinct.items()}
+    return scale, tuple([tuple(map(ints.__getitem__, map(id, row))) for row in rows])
+
+
+def _check_symmetric(idist):
+    """Raise AsymmetricAt at the first (i, j), i < j, in row-major order
+    where idist[i][j] != idist[j][i]."""
+    for i, row_i in enumerate(idist):
+        for j in range(i + 1, len(idist)):
+            if row_i[j] != idist[j][i]:
+                raise AsymmetricAt(i, j)
+
+
+# one binary digit per field, read off its top byte: _GUARD_CLEAR gives
+# "1" where the guard bit (the byte's top bit) is clear, _GUARD_SET where
+# it is set
+_GUARD_CLEAR = bytes(b"10"[byte >> 7] for byte in range(256))
+_GUARD_SET = bytes(b"01"[byte >> 7] for byte in range(256))
+
+
+def _between_rows(idist):
+    """(between, short) for a symmetric square matrix of ints, in one pass.
+
+    `between[a][b]` is the bitmask of the points c != a, b with
+    idist[a][c] + idist[c][b] == idist[a][b], the table `IntegerView`
+    holds; `short` tells whether some c had idist[a][c] + idist[c][b] <
+    idist[a][b], a triangle violation.
+
+    Each row is packed into one int, entry c in a field of 8k bits at bit
+    8k*c. For a pair a <= b, one sum row_a + row_b + (H - idist[a][b]) at
+    every field, H = 2**(8k-1), holds g_c + H in field c, with g_c =
+    idist[a][c] + idist[c][b] - idist[a][b]. The width keeps |g_c| < H - 1
+    for any ints, negative or not metric, so each field of the sum and of
+    the sum less 1 at every field stays in [1, 2H), and no carry or borrow
+    crosses into the next: a field's top (guard) bit is clear iff g_c < 0
+    in the sum, and iff g_c <= 0 in the sum less 1. Guard bits are read off
+    the big-endian bytes, the top byte of each field, as one binary digit
+    per point. By symmetry the pair's mask is also that of (b, a).
+    """
+    n = len(idist)
+    if not n:
+        return (), False
+    lo = min(0, min(map(min, idist)))
+    span = max(0, max(map(max, idist))) - lo
+    k = ((2 * span + 1).bit_length() + 8) // 8
+    size = k * n
+    ones = int.from_bytes(b"\1".ljust(k, b"\0") * n, "little")
+    guards = ones << 8 * k - 1
+    # each row with its entries moved up by -lo >= 0 to pack them as bytes;
+    # `lift` puts 2 lo back and adds H at every field
+    packed = [
+        int.from_bytes(b"".join([(v - lo).to_bytes(k, "little") for v in row]), "little")
+        for row in idist
+    ]
+    lift = 2 * lo * ones + guards
+    rows = [[0] * n for _ in range(n)]
+    short = False
+    for a, row in enumerate(idist):
+        base = packed[a] + lift
+        out = rows[a]
+        for b in range(a, n):
+            total = base + packed[b] - row[b] * ones
+            bits = int((total - ones).to_bytes(size, "big")[::k].translate(_GUARD_CLEAR), 2)
+            if total & guards != guards:
+                short = True
+                bits &= int(total.to_bytes(size, "big")[::k].translate(_GUARD_SET), 2)
+            out[b] = rows[b][a] = bits & ~(1 << a | 1 << b)
+    return tuple(map(tuple, rows)), short
 
 
 @dataclass(frozen=True)
@@ -106,6 +194,8 @@ class IntegerView:
     idist[a][c] + idist[c][b], i.e. c lies strictly between a and b on a
     geodesic. This table is the one definition of betweenness in the
     package; smoothness, frames, four-cuts and interval posets all read it.
+    It comes from `_between_rows`, the same packed pass that makes
+    `validate_metric`'s triangle check, once per load.
 
     The view also owns what is derived from it once per space and reused:
     `pair_homology` maps a pair (a, b) to the nonzero reduced homology of
@@ -129,33 +219,28 @@ class IntegerView:
     frame_groups: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
-    def of(cls, dist, scaled=None):
+    def of(cls, dist, scaled=None, between=None):
         """Build the view of a distance matrix of Fractions.
 
-        `scaled` is the matrix's (scale, int rows) from `_scaled`, when the
-        caller has it already; it is computed here otherwise. Raises
-        SelfBetweenness if some point lies strictly between a point
-        and itself, which only a matrix with a non-positive off-diagonal
-        entry allows; everything that removes a smooth point relies on
-        that never happening.
+        `scaled` is the matrix's (scale, int rows) from `_scaled` and
+        `between` its table from `_between_rows`, when the caller has them
+        already, as `validate_metric` does; each is computed here
+        otherwise. The packed pass reads each pair once and relies on
+        symmetry, so a matrix not checked yet raises AsymmetricAt at its
+        first asymmetric pair; a triangle violation in it is ignored.
+        Raises SelfBetweenness if some point lies strictly between a
+        point and itself, which only a matrix with a non-positive
+        off-diagonal entry allows; everything that removes a smooth point
+        relies on that never happening.
         """
         scale, idist = _scaled(dist) if scaled is None else scaled
-        n = len(idist)
-        between = []
-        for a, row_a in enumerate(idist):
-            masks = [0] * n
-            for c, row_c in enumerate(idist):
-                if c == a:
-                    continue
-                dac = row_a[c]
-                bit = 1 << c
-                for b in range(n):
-                    if b != c and dac + row_c[b] == row_a[b]:
-                        masks[b] |= bit
-            if masks[a]:
-                raise SelfBetweenness(a, set_bits(masks[a])[0])
-            between.append(tuple(masks))
-        return cls(scale=scale, idist=idist, between=tuple(between))
+        if between is None:
+            _check_symmetric(idist)
+            between = _between_rows(idist)[0]
+        for a, row in enumerate(between):
+            if row[a]:
+                raise SelfBetweenness(a, set_bits(row[a])[0])
+        return cls(scale=scale, idist=idist, between=between)
 
     def between_points(self, a, b):
         """The points strictly between a and b, ascending."""
@@ -184,14 +269,16 @@ class FiniteMetricSpace:
     compare and hash by (labels, dist). `integer_view` is computed from
     `dist` on first use and kept with the instance, together with the
     homology tables derived from it. `scaled` is `dist` scaled to ints as
-    (scale, int rows), when `validate_metric` has done that already for
-    its checks; the view then reuses it.
+    (scale, int rows) and `between` the betweenness table of
+    `_between_rows`, when `validate_metric` has worked them out already
+    for its checks; the view then reuses them.
     """
 
     labels: tuple
     dist: tuple
     name: str = field(default="", compare=False)
     scaled: tuple = field(default=None, compare=False, repr=False)
+    between: tuple = field(default=None, compare=False, repr=False)
 
     @property
     def n(self):
@@ -205,7 +292,7 @@ class FiniteMetricSpace:
 
     @cached_property
     def integer_view(self):
-        return IntegerView.of(self.dist, self.scaled)
+        return IntegerView.of(self.dist, self.scaled, self.between)
 
     def points(self):
         return range(len(self.labels))
@@ -298,9 +385,9 @@ def validate_metric(matrix, labels=None, name=""):
     Entries are read as `_to_fraction` reads them, each distinct string
     once. Every check after squareness compares the distances scaled to
     ints, which keep the signs and the order of the Fractions exactly. The
-    triangle inequality is tested a pair (i, j) at a time, as
-    max_k(d(i, k) - d(j, k)) <= d(i, j); only a pair that fails is scanned
-    point by point for its first witness k.
+    triangle inequality is tested by `_between_rows`, whose betweenness
+    table the space keeps for its view; only a matrix it finds short
+    somewhere is scanned point by point for the first witness (i, j, k).
     """
     n = len(matrix)
     rows = _fraction_rows(matrix)
@@ -314,10 +401,7 @@ def validate_metric(matrix, labels=None, name=""):
 
     scaled = _scaled(rows)
     idist = scaled[1]
-    for i, row_i in enumerate(idist):
-        for j in range(i + 1, n):
-            if row_i[j] != idist[j][i]:
-                raise AsymmetricAt(i, j)
+    _check_symmetric(idist)
     for i, row_i in enumerate(idist):
         for j, dij in enumerate(row_i):
             if i != j and dij <= 0:
@@ -325,16 +409,18 @@ def validate_metric(matrix, labels=None, name=""):
     for i, row_i in enumerate(idist):
         if row_i[i]:
             raise NonzeroDiagonal(i)
-    for i, row_i in enumerate(idist):
-        for j, row_j in enumerate(idist):
-            dij = row_i[j]
-            if max(map(sub, row_i, row_j)) > dij:
+    between, short = _between_rows(idist)
+    if short:
+        for i, row_i in enumerate(idist):
+            for j, row_j in enumerate(idist):
                 for k in range(n):
-                    if row_i[k] > dij + row_j[k]:
+                    if row_i[k] > row_i[j] + row_j[k]:
                         raise TriangleViolation(i, j, k)
 
     dist = tuple(tuple(row) for row in rows)
-    return FiniteMetricSpace(labels=tuple(labels), dist=dist, name=name, scaled=scaled)
+    return FiniteMetricSpace(
+        labels=tuple(labels), dist=dist, name=name, scaled=scaled, between=between
+    )
 
 
 def cycle_space(n):

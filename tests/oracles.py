@@ -4,8 +4,8 @@ Nothing here reuses package machinery beyond the metric object: chains
 come from itertools filters, ranks from dense rational elimination, Smith
 normal form from a textbook first-nonzero-pivot reduction, four-cuts
 from a three-condition quadruple scan, triangle witnesses from a
-row-major scan, and shortest-path closures from the textbook
-Floyd-Warshall loop. All distance arithmetic is on Fractions, except that
+row-major scan, betweenness from a triple loop, and shortest-path
+closures from the textbook Floyd-Warshall loop. All distance arithmetic is on Fractions, except that
 `naive_buckets` groups `naive_chains` by length as a scaled int of the
 space's `IntegerView`, so that its keys are the package's. There are two
 exceptions. `tensor` builds the product of two package complexes basis
@@ -413,6 +413,20 @@ def naive_triangle_witness(matrix):
                 if d[i][k] > d[i][j] + d[j][k]:
                     return i, j, k
     return None
+
+
+def naive_betweenness(matrix):
+    """between[a][b] as a bitmask of the points c != a, b with
+    d[a][c] + d[c][b] == d[a][b], by a triple loop over Fractions."""
+    d = [[Fraction(v) for v in row] for row in matrix]
+    n = len(d)
+    return tuple(
+        tuple(
+            sum(1 << c for c in range(n) if c != a and c != b and d[a][c] + d[c][b] == d[a][b])
+            for b in range(n)
+        )
+        for a in range(n)
+    )
 
 
 def tensor(a, b):

@@ -211,23 +211,26 @@ def test_triangle_witness_matches_fraction_scan(space, data):
 
 
 def test_guards_survive_optimize():
-    # the betweenness table refuses a point between another and itself,
-    # interval_poset refuses each order that `test_posets.BROKEN_ORDERS`
-    # breaks in the table and an intransitive one, simple_chains_by_frame
-    # refuses a frame that repeats a point, and the frame route refuses an
-    # unrealized frame below m_X, all under -O; none can happen in a
-    # validated space, so the first two spaces are built directly and the
-    # last two faults are injected by replacing `_frame_search`, the one
-    # search that gives the frame side its chains and their frames, and
-    # `is_realized_frame`
+    # the betweenness table refuses a point between another and itself and
+    # validate_metric a triangle violation, each with its first witness and
+    # both from the packed pass of `_between_rows`; interval_poset refuses
+    # each order that `test_posets.BROKEN_ORDERS` breaks in the table and
+    # an intransitive one, simple_chains_by_frame refuses a frame that
+    # repeats a point, and the frame route refuses an unrealized frame
+    # below m_X, all under -O; none can happen in a validated space, so
+    # two spaces are built directly and the last two faults are injected
+    # by replacing `_frame_search`, the one search that gives the frame
+    # side its chains and their frames, and `is_realized_frame`
     code = (
         "from fractions import Fraction\n"
         "import magh.frames as frames\n"
         "from magh.errors import (\n"
-        "    ImproperFrame, NotAPartialOrder, SelfBetweenness, UnrealizedFrame,\n"
+        "    ImproperFrame, NotAPartialOrder, SelfBetweenness, TriangleViolation,\n"
+        "    UnrealizedFrame,\n"
         ")\n"
-        "from magh.metric import FiniteMetricSpace, path_space\n"
+        "from magh.metric import FiniteMetricSpace, path_space, validate_metric\n"
         "from magh.posets import interval_poset, magnitude_homology\n"
+        "from oracles import naive_triangle_witness\n"
         "if __debug__:\n"
         "    raise SystemExit('asserts are on: not running under -O')\n"
         "def space(rows):\n"
@@ -240,6 +243,15 @@ def test_guards_survive_optimize():
         "        raise SystemExit(f'wrong witness: {exc}')\n"
         "else:\n"
         "    raise SystemExit('a zero distance was accepted')\n"
+        "rows = [[0, 1, 2, 3, 4], [1, 0, 1, 1, 3], [2, 1, 0, 1, 2],\n"
+        "        [3, 1, 1, 0, 1], [4, 3, 2, 1, 0]]\n"
+        "try:\n"
+        "    validate_metric(rows)\n"
+        "except TriangleViolation as exc:\n"
+        "    if (exc.i, exc.j, exc.k) != naive_triangle_witness(rows):\n"
+        "        raise SystemExit(f'wrong witness: {exc}')\n"
+        "else:\n"
+        "    raise SystemExit('a triangle violation was accepted')\n"
         "real = frames._frame_search\n"
         "def doubled(*args):\n"
         "    found, steps = real(*args)\n"
@@ -269,8 +281,6 @@ def test_guards_survive_optimize():
         "            raise SystemExit(f'wrong witness: {exc}')\n"
         "    else:\n"
         "        raise SystemExit(f'a broken {kind} was accepted')\n"
-        "rows = [[0, 1, 2, 3, 4], [1, 0, 1, 1, 3], [2, 1, 0, 1, 2],\n"
-        "        [3, 1, 1, 0, 1], [4, 3, 2, 1, 0]]\n"
         "try:\n"
         "    interval_poset(space(rows), 0, 4)\n"
         "except NotAPartialOrder as exc:\n"

@@ -3,6 +3,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
 import magh.metric
 
@@ -14,6 +15,7 @@ from magh.errors import (
     NonzeroDiagonal,
     NotSquare,
     NTooSmall,
+    SelfBetweenness,
     TriangleViolation,
 )
 from magh.metric import (
@@ -30,6 +32,11 @@ from magh.metric import (
     validate_metric,
 )
 
+from oracles import naive_betweenness, naive_triangle_witness
+from test_frames import GRID_STEPS, weighted_grid
+from test_kernel import kernel_settings, metrics
+from test_posets import rational_grid_space
+
 F = Fraction
 
 
@@ -41,6 +48,27 @@ def test_parse_rational():
         parse_rational("abc")
     with pytest.raises(MetricError):
         parse_rational("1/0")
+
+
+@kernel_settings
+@given(
+    st.one_of(
+        st.from_regex(r"\s*\d{1,40}(/\d{1,40})?\s*", fullmatch=True),
+        st.from_regex(r"[-+ 0-9/._eE]{0,8}", fullmatch=True),
+        st.text(max_size=8),
+    )
+)
+def test_parse_rational_reads_what_fraction_reads(text):
+    # digits-only texts skip Fraction's parser; the value, and for any
+    # other text the error, must be Fraction's
+    try:
+        expected = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(MetricError) as info:
+            parse_rational(text)
+        assert str(info.value) == f"cannot parse rational from {text!r}: {exc}"
+    else:
+        assert parse_rational(text) == expected
 
 
 def test_format_rational():
@@ -313,3 +341,120 @@ def test_mixed_entry_types_read_as_before():
         (F(3, 2), F(1), F(1, 2), F(0)),
     )
     assert all(type(v) is Fraction for row in space.dist for v in row)
+
+
+# --- the packed pass: betweenness and the triangle check ------------------------
+
+# 1 and 2 at distance 0: 2 lies between 1 and itself
+ZERO_DISTANCE = [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
+# d(1, 4) = 3 > d(1, 3) + d(3, 4): the betweenness order on I(0, 4) is
+# intransitive, and the triangle inequality fails first at (0, 1, 3)
+INTRANSITIVE = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 1, 1, 3],
+    [2, 1, 0, 1, 2],
+    [3, 1, 1, 0, 1],
+    [4, 3, 2, 1, 0],
+]
+
+
+def hand_built(rows):
+    """A space straight from int rows, with no validation."""
+    dist = tuple(tuple(F(v) for v in row) for row in rows)
+    return FiniteMetricSpace(tuple(map(str, range(len(rows)))), dist)
+
+
+@kernel_settings
+@given(metrics)
+def test_between_rows_match_the_triple_loop_on_metrics(space):
+    view = space.integer_view
+    assert magh.metric._between_rows(view.idist) == (view.between, False)
+    assert view.between == naive_betweenness(space.dist)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [weighted_grid(wx, wy) for wx, wy in GRID_STEPS] + [rational_grid_space(3, 4)],
+    ids=lambda s: s.name,
+)
+def test_between_rows_match_the_triple_loop_on_grids(space):
+    view = space.integer_view
+    assert magh.metric._between_rows(view.idist) == (view.between, False)
+    assert view.between == naive_betweenness(space.dist)
+
+
+@st.composite
+def symmetric_int_matrices(draw):
+    """Symmetric int matrices with negative, zero and nonzero diagonal entries."""
+    n = draw(st.integers(0, 6))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(st.integers(-6, 9))
+    return m
+
+
+@kernel_settings
+@given(symmetric_int_matrices())
+def test_between_rows_on_any_symmetric_int_matrix(matrix):
+    # no field may carry into the next whatever the signs, and `short`
+    # reports exactly the matrices with a triangle violation
+    between, short = magh.metric._between_rows(matrix)
+    assert between == naive_betweenness(matrix)
+    assert short is (naive_triangle_witness(matrix) is not None)
+
+
+def test_hand_built_views_match_the_triple_loop():
+    between, short = magh.metric._between_rows(ZERO_DISTANCE)
+    assert between == naive_betweenness(ZERO_DISTANCE) and not short
+    assert between[1][1] == 1 << 2
+    with pytest.raises(SelfBetweenness) as exc:
+        hand_built(ZERO_DISTANCE).integer_view
+    assert (exc.value.a, exc.value.c) == (1, 2)
+    # a view ignores the violation, and validation refuses it
+    view = hand_built(INTRANSITIVE).integer_view
+    assert magh.metric._between_rows(INTRANSITIVE) == (view.between, True)
+    assert view.between == naive_betweenness(INTRANSITIVE)
+    with pytest.raises(TriangleViolation) as exc:
+        validate_metric(INTRANSITIVE)
+    witness = (exc.value.i, exc.value.j, exc.value.k)
+    assert witness == naive_triangle_witness(INTRANSITIVE) == (0, 1, 3)
+    # the pass reads each pair once, so a view checks symmetry first
+    with pytest.raises(AsymmetricAt) as exc:
+        hand_built([[0, 1, 1], [1, 0, 1], [2, 1, 0]]).integer_view
+    assert (exc.value.i, exc.value.j) == (0, 2)
+
+
+@pytest.mark.parametrize("matrix", [[], [[0]], [[0, "3/2"], ["3/2", 0]]], ids=len)
+def test_spaces_of_up_to_two_points_load(matrix):
+    space = validate_metric(matrix)
+    view = space.integer_view
+    assert view.between == naive_betweenness(matrix) == tuple((0,) * len(matrix) for _ in matrix)
+    assert view.idist == tuple(tuple(v * view.scale for v in row) for row in space.dist)
+
+
+def test_between_rows_with_fields_past_64_bits():
+    # a line with steps over three Mersenne primes and one point off it: the
+    # scale passes 2**180, so every field of the pass is wider than 64 bits
+    steps = [F(1, 2**61 - 1), F(3, 2**31 - 1), F(5, 2**89 - 1), F(1, 2**61 - 1)]
+    xs = [sum(steps[:i], F(0)) for i in range(len(steps) + 1)]
+    coords = [(x, F(0)) for x in xs] + [(xs[2], F(7, 2**31 - 1))]
+    matrix = [[abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in coords] for p in coords]
+    view = validate_metric(matrix).integer_view
+    assert view.scale.bit_length() > 180
+    assert max(map(max, view.idist)).bit_length() > 64
+    assert view.between == naive_betweenness(matrix)
+    assert view.between[0][4] == 0b1110
+
+
+def test_loading_runs_the_packed_pass_once():
+    # validate_metric's triangle check and the view's betweenness table
+    # come from one pass, which the space hands on to its view
+    text = random_metric(7, seed=5).to_json()
+    packed = mock.patch.object(magh.metric, "_between_rows", wraps=magh.metric._between_rows)
+    with packed as between_rows:
+        space = FiniteMetricSpace.from_json(text)
+        view = space.integer_view
+    assert between_rows.call_count == 1
+    assert view.between is space.between
+    assert view.between == naive_betweenness(space.dist)

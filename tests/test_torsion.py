@@ -7,7 +7,9 @@ it at MH_3 (Kaneta-Yoshinaga). d(bottom, top) = 4 >= m_X = 3, so
 must come out as (3, 3) and (4, 4): not as Z/2 + Z/2, nor lost in a
 merge. Glued at its top to the RP^2 space's, the mod-3 space's Z/3
 meets RP^2's Z/2 in one grading, and the engine must merge them into
-the factors (6, 6).
+the factors (6, 6). Each space's (bottom, top) block is checked against
+the interval-poset route as well, as acceptance criterion 10 does for
+RP^2.
 """
 
 import json
@@ -18,8 +20,8 @@ from fractions import Fraction
 
 import pytest
 
-from magh.algebra import HomologyGroup, block_homology_rows
-from magh.chains import CAP_ENV_VAR
+from magh.algebra import HomologyGroup, block_homology_rows, complex_from_bases
+from magh.chains import CAP_ENV_VAR, block_chains
 from magh.frames import m_x
 from magh.posets import frame_homology_via_posets, interval_homology
 
@@ -51,6 +53,26 @@ def test_moore_block_engine_torsion(k):
     rows = block_homology_rows(space, [4], 3)
     assert [(r.l, r.n) for r in rows] == [(Fraction(4), n) for n in range(4)]
     assert [r.group for r in rows] == [HomologyGroup(0), HomologyGroup(0), mh2, mh3]
+
+
+@pytest.mark.parametrize("k", sorted(MOORE))
+def test_moore_pair_block_matches_the_interval_posets(k):
+    # every chain of length d(bottom, top) = 4 from bottom to top is
+    # geodesic, so the engine's (bottom, top) block is the pair frame's
+    # subcomplex, whose homology the interval posets give with no chains;
+    # reversal maps it onto the (top, bottom) block, so it must match both
+    # pair frames. Blocks come by start point and bottom is point 0, so
+    # only the first start is searched.
+    space, bottom, top = moore_face_poset_space(k)
+    total = space.integer_view.scaled(4)
+    ends = (min(bottom, top), max(bottom, top))
+    records = next(recs for _, pair, recs in block_chains(space, {total}, 4) if pair == ends)
+    bases = {n: [pts for pts, _ in chains] for n, chains in records.items()}
+    cx = complex_from_bases(space, bases, min(records), max(records))
+    for pair in ((bottom, top), (top, bottom)):
+        for n in range(2, 5):
+            assert cx.homology_or_trivial(n) == frame_homology_via_posets(space, pair, n)
+    assert cx.homology(3) == HomologyGroup(0, (k,))
 
 
 def test_wedge_merges_z2_and_z3_into_z6():
