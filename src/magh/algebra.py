@@ -710,9 +710,13 @@ def block_homology_rows(space, gradings, n_max, cap=None):
     endpoints, so the complex of each grading is the direct sum over
     endpoint pairs (a, b) of the complexes of chains from a to b. The
     blocks of all gradings come from one search, `chains.block_chains`:
-    every chain up to degree n_max, and at degree n_max + 1, whose only
-    role is the incoming boundary at n_max, just the chains with a smooth
-    face. It gives only the blocks with a <= b: reversing chains maps
+    every chain below degree n_max, and at n_max every chain but the
+    faceless ones it cancels against a one-face top chain; at degree
+    n_max + 1, whose only role is the incoming boundary at n_max, just the
+    chains with a face that is not cancelled, whose masks hold only those
+    faces. The cancelled pairs change only H_{n_max + 1}, and a block
+    whose chains all cancel is not given. It gives only the blocks with
+    a <= b: reversing chains maps
     block (l, a, b) isomorphically onto (l, b, a), so the groups of an
     a < b block are counted twice and those of an a = b block once. Each
     block's chain records, with the smooth-position masks the search made,
@@ -721,7 +725,8 @@ def block_homology_rows(space, gradings, n_max, cap=None):
     without a face, and reduces it on its own; a block counts as zero at
     the degrees outside, and its groups up to n_max are summed. The cap
     counts the steps of that search, which searches both directions but
-    builds top chains only for the blocks it gives. Rows come grading by
+    counts top chains only for the blocks it gives, and only those it
+    hands on. Rows come grading by
     grading in the order given, degrees ascending.
 
     Each grading's groups are kept per n_max on the space's

@@ -15,7 +15,8 @@ testing any point again. `start_blocks` is the engine's length-pruned
 search from a start point, which settles each point's bit as it appends
 the next: `block_chains` runs it for the endpoint blocks the engine
 reduces, only those (a, b) with a <= b, as chain reversal maps each block
-onto its reverse, and carries the masks through its insertions. The frame
+onto its reverse, carries the masks through its insertions and cancels
+each top chain that has one face against that face. The frame
 code searches only geodesically simple chains, in both directions, with
 its own search (`frames._frame_search`) over the same `search_moves`,
 whose masks are the points each frame drops. `smooth_mask` reads the mask
@@ -186,13 +187,16 @@ def block_chains(space, totals, n_max, cap=None):
     `totals` holds lengths as scaled ints of the space's IntegerView.
     Yields (total, (a, b), records) for every endpoint pair (a, b) with
     a <= b joined by a proper chain of degree <= n_max and length
-    `total`, by start point a, then total, then b. `records` maps a
-    degree k to the block's chains as records (points, mask), where bit
-    i of mask is set iff x_i is strictly smooth, as `smooth_mask` reads
-    it: every chain for k <= n_max, in lexicographic order, and at
-    k = n_max + 1 only those with a smooth face. A degree with no chain
-    is absent. The masks are made as the chains are, so no chain is
-    tested for smoothness again.
+    `total`, by start point a, then total, then b, except a block whose
+    chains all collapse (below). `records` maps a degree k to the block's
+    chains as records (points, mask), where bit i of mask is set iff x_i
+    is strictly smooth, as `smooth_mask` reads it, in lexicographic order:
+    every chain for k < n_max, and at k = n_max every chain but the
+    collapsed ones. At k = n_max + 1 the mask holds only the faces kept,
+    the smooth positions whose face is not collapsed, and only the chains
+    with such a face are there. A degree with no chain is absent. The
+    masks are made as the chains are, so no chain is tested for
+    smoothness again.
 
     The block (total, b, a) is not yielded for a < b: it has the groups of
     (total, a, b), so a caller summing over all blocks counts each a < b
@@ -217,16 +221,34 @@ def block_chains(space, totals, n_max, cap=None):
     its first smooth position. Removing that point gives x back, so every
     top chain with a smooth face is made exactly once; one without a face
     changes only H_{n_max + 1} and is never built. The first smooth
-    position of x is its mask's lowest set bit. The mask of a kept
-    insertion has no bit below i, bit i set, bit i + 1 for the old x_i,
-    now between c and x_{i+1}, tested anew, and the old bits above i
-    moved up by one.
+    position of x is its mask's lowest set bit. The mask of an insertion
+    has no bit below i, bit i set, bit i + 1 for the old x_i, now between
+    c and x_{i+1}, tested anew, and the old bits above i moved up by one.
+
+    An insertion y whose mask is 1 << i alone has one face, x, so d y =
+    +-x. Its parent is then faceless: were x_j smooth for some j >= i, c
+    would carry x's higher bits into y, and for j = i the triangle
+    inequality keeps the old x_i smooth between c and x_{i+1}. So x is a
+    cycle and (x, y) an elementary collapse with a unit coefficient
+    (Kaczynski-Mrozek-Slusarek): removing the pair and the x-entry of
+    every other top column changes no group below n_max + 1, torsion
+    included, and as x has no boundary d^2 is unchanged. The collapse is
+    taken only for a parent whose mask is 0, so a corrupted table that
+    gives a one-face insertion a faced parent builds y instead, for the
+    assembly's checks to see. Each collapsed x is dropped from degree
+    n_max, together with its one-face insertions, whose columns are +-x
+    and so zero after the collapse; every other top chain loses the bits
+    whose face is collapsed, and one left with no bit is dropped. A
+    collapsed chain is faceless, and the face of y that drops y_k for
+    k >= i + 2 keeps c smooth at i, so besides x only the face at bit
+    i + 1 of a y with no smooth point past i + 2 can be collapsed.
 
     Steps counted against the cap (`resolve_cap`): those of the searches,
     that is every proper chain of degree <= n_max no longer than the
     largest total, degree 0 included, less those of degree n_max that end
-    below their start, and every insertion kept into a block with a <= b.
-    EnumerationCapExceeded is raised as soon as the steps pass the cap.
+    below their start, and every top chain a block with a <= b keeps.
+    EnumerationCapExceeded is raised as soon as the steps pass the cap,
+    checked after the top chains of each parent are kept.
     """
     wanted = set(totals)
     if n_max < 0 or not wanted:
@@ -242,13 +264,19 @@ def block_chains(space, totals, n_max, cap=None):
         blocks, steps = start_blocks(start, moves, between, wanted, n_max, steps, limit)
         for key in sorted(blocks):
             records = blocks.pop(key)
-            made = []
-            for pts, mask in records.get(n_max, ()):
+            parents = records.get(n_max, ())
+            insertions = []
+            collapsed = set()
+            for pts, mask in parents:
                 # a point inserted after the first smooth point x_j lies
                 # between x_j and x_{j+1}, so x_j stays smooth: only
                 # positions up to j can become the first smooth one
                 last = (mask & -mask).bit_length() - 1 if mask else n_max
-                count = len(made)
+                made = []
+                # set once a faceless x has a one-face insertion y, d y =
+                # +-x; such a y is dropped whatever else x has, so none is
+                # built
+                lone = False
                 for i in range(1, last + 1):
                     left = pts[i - 1]
                     right = pts[i]
@@ -261,13 +289,48 @@ def block_chains(space, totals, n_max, cap=None):
                         m = above
                         if after is not None and between[c][after] >> right & 1:
                             m |= 2 << i
+                        elif not mask:
+                            lone = True
+                            continue
                         made.append((pts[:i] + (c,) + pts[i:], m))
-                steps += len(made) - count
+                if lone:
+                    collapsed.add(pts)
+                insertions.append((lone, made))
+            top = []
+            for gone, made in insertions:
+                count = len(top)
+                if not collapsed:
+                    top += made
+                else:
+                    for y, m in made:
+                        i = (m & -m).bit_length() - 1
+                        if gone:
+                            # the face at bit i is x itself
+                            m &= m - 1
+                        # besides x, only the face at bit i + 1 can be
+                        # faceless, and only when y has no smooth point
+                        # past i + 2: any other face keeps one
+                        if (
+                            m >> i + 1 & 1
+                            and not m >> i + 3
+                            and y[: i + 1] + y[i + 2 :] in collapsed
+                        ):
+                            m &= ~(2 << i)
+                        if m:
+                            top.append((y, m))
+                steps += len(top) - count
                 if steps > limit:
                     raise EnumerationCapExceeded(steps, limit)
-            if made:
-                records[n_max + 1] = made
-            yield key[0], (start, key[1]), records
+            if collapsed:
+                kept = [x for x, (gone, _) in zip(parents, insertions) if not gone]
+                if kept:
+                    records[n_max] = kept
+                else:
+                    del records[n_max]
+            if top:
+                records[n_max + 1] = top
+            if records:
+                yield key[0], (start, key[1]), records
     for table in ("idist", "between"):
         rows = getattr(view, table)
         for a in range(size):

@@ -3,7 +3,8 @@
 Subcommands: gen, compute, mx, certify, spectrum, verify. Spaces travel as
 JSON ({"labels": [...], "d": [["p/q", ...], ...]}) on stdin/stdout so
 commands pipe into each other. Exit codes: 0 success, 1 a verification
-check failed, 2 bad usage or bad input.
+check failed, 2 bad usage, bad input, an input that cannot be read as
+UTF-8 text or an `--out` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -31,18 +32,28 @@ from .verify import CHECKS, default_suite, run_checks
 
 
 def _read_text(path):
-    if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    stdin = path is None or path == "-"
+    try:
+        if stdin:
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        reason = exc.strerror or exc
+    except UnicodeDecodeError:
+        reason = "not UTF-8 text"
+    raise MaghError(f"cannot read input {'from stdin' if stdin else repr(path)}: {reason}")
 
 
 def _write_text(path, text):
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise MaghError(f"cannot write output {path!r}: {exc.strerror or exc}") from None
 
 
 def _load_space(args):

@@ -15,6 +15,9 @@ buckets as one package complex, the complex the endpoint-block engine
 splits by endpoint pair, and `endpoint_blocks` splits buckets by
 endpoint pair the way the engine's blocks are meant to come out.
 `euler_characteristic` reads a package complex's ranks.
+`smooth_by_distances`, `collapsed_chains` and `kept_faces` read smooth
+points off the scaled-int distances of the space's `IntegerView`, not off
+its betweenness table.
 `d_squared_by_tables` is the boundary-of-boundary check as a walk over
 every chain of each degree's buckets, which `verify.check_d_squared`
 decides from 4-point windows without walking any chain, and
@@ -140,6 +143,54 @@ def magnitude_complex(space, l, n_top):
     total = space.integer_view.scaled(l)
     bases = {n: naive_buckets(space, n).get(total, ()) for n in range(n_top + 1)}
     return complex_from_bases(space, bases, 0, n_top)
+
+
+def smooth_by_distances(space, pts):
+    """Bit i set iff d(x_{i-1}, x_{i+1}) = d(x_{i-1}, x_i) + d(x_i, x_{i+1})."""
+    d = space.integer_view.idist
+    mask = 0
+    for i in range(1, len(pts) - 1):
+        a, c, b = pts[i - 1], pts[i], pts[i + 1]
+        if a != b and d[a][b] == d[a][c] + d[c][b]:
+            mask |= 1 << i
+    return mask
+
+
+def collapsed_chains(space, chains):
+    """The chains of the endpoint-block engine's top degree n_max that it
+    collapses: those among `chains` with no smooth point that have an
+    insertion y, a point c inserted at some position i, whose only smooth
+    point is c. Then d y = +-x, and the pair cancels.
+
+    Every c on a geodesic from x_{i-1} to x_i is tried, read off the
+    distances by `smooth_by_distances`, not the betweenness table.
+    """
+    d = space.integer_view.idist
+    out = set()
+    for pts in map(tuple, chains):
+        if smooth_by_distances(space, pts):
+            continue
+        for i in range(1, len(pts)):
+            a, b = pts[i - 1], pts[i]
+            if any(
+                c != a and c != b
+                and d[a][c] + d[c][b] == d[a][b]
+                and smooth_by_distances(space, pts[:i] + (c,) + pts[i:]) == 1 << i
+                for c in range(space.n)
+            ):
+                out.add(pts)
+                break
+    return out
+
+
+def kept_faces(space, pts, collapsed):
+    """`smooth_by_distances` less the bits whose face is in `collapsed`:
+    the mask the engine gives a chain of its top degree n_max + 1."""
+    mask = smooth_by_distances(space, pts)
+    for i in range(1, len(pts) - 1):
+        if mask >> i & 1 and pts[:i] + pts[i + 1 :] in collapsed:
+            mask &= ~(1 << i)
+    return mask
 
 
 def endpoint_blocks(by_degree, l):

@@ -51,12 +51,15 @@ from magh.posets import magnitude_homology, magnitude_homology_rows
 from magh.verify import default_suite, full_suite, random_suite
 
 from oracles import (
+    collapsed_chains,
     endpoint_blocks,
+    kept_faces,
     magnitude_complex,
     naive_buckets,
     naive_chains,
     naive_complex_groups,
     naive_magnitude_group,
+    smooth_by_distances,
 )
 from test_frames import GRID_STEPS, weighted_grid
 from test_posets import rp2_face_poset_space
@@ -123,52 +126,57 @@ def test_cycle4_blocks_sum_to_grading():
 
 
 def test_blocks_reduce_only_degrees_with_chains():
-    # the engine builds every chain of the wanted lengths up to n_max, but
-    # at n_max + 1 only those with a smooth face, and stores no empty
-    # column, all only for the blocks (a, b) with a <= b; what it leaves
-    # out changes no group up to n_max
+    # the engine builds every chain of the wanted lengths below n_max, at
+    # n_max all but those it collapses against a one-face top chain, and at
+    # n_max + 1 only those with a face it keeps, and stores no empty column,
+    # all only for the blocks (a, b) with a <= b; what it leaves out
+    # changes no group up to n_max
     space = random_metric(5, seed=3)
     lengths = realized_lengths(space, 3)
     view = space.integer_view
-    complexes = []
+    assembled = []
     built = {}
 
     def recording_reduction(records):
-        # the complex `complex_from_bases` builds from the same assembly
-        bases = {n: [pts for pts, _ in chains] for n, chains in records.items()}
-        cx = complex_from_bases(space, bases, min(bases), max(bases))
-        complexes.append(cx)
-        groups = groups_from_records(records)
-        assert groups == cx.groups()
-        return groups
+        lo, hi = min(records), max(records)
+        assert sorted(records) == list(range(lo, hi + 1))
+        _, boundaries = magh.algebra._assemble(records, lo, hi)
+        for k, columns in boundaries.items():
+            faced = sum(1 for _, mask in records.get(k, ()) if mask)
+            assembled.append((faced, columns))
+        return groups_from_records(records)
 
     def recording_blocks(*args):
         for total, pair, records in block_chains(*args):
+            assert records
             for n, chains in records.items():
-                built.setdefault(n, []).extend(pts for pts, _ in chains)
+                built.setdefault(n, []).extend(chains)
             yield total, pair, records
 
     with mock.patch.object(magh.algebra, "groups_from_records", recording_reduction), (
         mock.patch.object(magh.chains, "block_chains", recording_blocks)
     ):
         rows = block_homology_rows(space, lengths, 3)
-    assert complexes
-    matrices = [(cx, k) for cx in complexes for k in range(cx.lo + 1, cx.hi + 1)]
-    assert all(all(cx.boundary(k).columns) for cx, k in matrices)
-    assert any(cx.boundary(k).cols < cx.size(k) for cx, k in matrices)
+    # one column per chain with a face, and none of them empty
+    assert assembled
+    assert all(len(columns) == faced and all(columns) for faced, columns in assembled)
+    assert any(not mask for chains in built.values() for _, mask in chains)
     totals = {view.scaled(l) for l in lengths}
-    for n in range(5):
-        table = [
-            pts
-            for t in totals
-            for pts in naive_buckets(space, n).get(t, ())
-            if pts[0] <= pts[-1]
-        ]
+    tables = [
+        [pts for t in totals for pts in naive_buckets(space, n).get(t, ()) if pts[0] <= pts[-1]]
+        for n in range(5)
+    ]
+    collapsed = collapsed_chains(space, tables[3])
+    assert 0 < len(collapsed) < len(tables[3])
+    for n, table in enumerate(tables):
+        if n == 3:
+            table = [pts for pts in table if pts not in collapsed]
         if n == 4:
             faced = [pts for pts in table if smooth_faces(view.between, pts)]
-            assert 0 < len(faced) < len(table)
-            table = faced
-        assert sorted(built.get(n, ())) == sorted(table), n
+            kept = [pts for pts in faced if kept_faces(space, pts, collapsed)]
+            assert 0 < len(kept) < len(faced) < len(table)
+            table = kept
+        assert sorted(pts for pts, _ in built.get(n, ())) == sorted(table), n
     for row in rows:
         assert row.group == magnitude_complex(space, row.l, 4).homology(row.n), row
 
@@ -177,8 +185,9 @@ def test_block_cap_counts_prefixes_and_kept_insertions():
     # C_5 has m_X = 3; at gradings 3 and 4 the search keeps every proper
     # chain of degree <= 2 and length <= 4, in both directions, every one
     # of degree 3 and length <= 4 that does not end below its start, and
-    # every chain of degree 4 and length 3 or 4 that has a smooth interior
-    # point and does not end below its start
+    # every chain of degree 4 and length 3 or 4 that does not end below
+    # its start and has a smooth interior point whose face the engine does
+    # not collapse
     space = cycle_space(5)
     gradings = [Fraction(3), Fraction(4)]
     prefixes = sum(
@@ -188,18 +197,15 @@ def test_block_cap_counts_prefixes_and_kept_insertions():
         if sum(space.d(a, b) for a, b in zip(pts, pts[1:])) <= 4
         and (n < 3 or pts[0] <= pts[-1])
     )
-    insertions = sum(
-        1
-        for l in gradings
-        for pts in naive_chains(space, 4, l)
-        if pts[0] <= pts[-1]
-        and any(
-            space.d(x, z) == space.d(x, y) + space.d(y, z)
-            for x, y, z in zip(pts, pts[1:], pts[2:])
-        )
+    collapsed = collapsed_chains(
+        space, [pts for l in gradings for pts in naive_chains(space, 3, l) if pts[0] <= pts[-1]]
     )
+    tops = [pts for l in gradings for pts in naive_chains(space, 4, l) if pts[0] <= pts[-1]]
+    faced = sum(1 for pts in tops if smooth_by_distances(space, pts))
+    insertions = sum(1 for pts in tops if kept_faces(space, pts, collapsed))
     count = prefixes + insertions
-    assert insertions and prefixes < sum(len(naive_chains(space, n)) for n in range(4))
+    assert collapsed and 0 < insertions < faced
+    assert prefixes < sum(len(naive_chains(space, n)) for n in range(4))
     with pytest.raises(EnumerationCapExceeded) as exc:
         block_homology_rows(space, gradings, 3, cap=count - 1)
     assert (exc.value.count, exc.value.cap) == (count, count - 1)
@@ -304,17 +310,22 @@ def pruned_blocks(space, total, n_top):
     A naive search that drops a prefix once it is longer than `total`;
     it shares no code with `chains.block_chains` and skips no direction.
     """
-    idist = space.integer_view.idist
+    # each point's steps no longer than `total`, next points ascending
+    near = [
+        [(x, d) for x, d in enumerate(row) if x != p and d <= total]
+        for p, row in enumerate(space.integer_view.idist)
+    ]
     by_degree = []
     level = [((p,), 0) for p in range(space.n)]
-    for _ in range(n_top + 1):
+    for n in range(n_top + 1):
         by_degree.append({total: [pts for pts, t in level if t == total]})
-        level = [
-            (pts + (x,), t + idist[pts[-1]][x])
-            for pts, t in level
-            for x in range(space.n)
-            if x != pts[-1] and t + idist[pts[-1]][x] <= total
-        ]
+        if n < n_top:
+            level = [
+                (pts + (x,), t + d)
+                for pts, t in level
+                for x, d in near[pts[-1]]
+                if t + d <= total
+            ]
     return endpoint_blocks(by_degree, total)
 
 

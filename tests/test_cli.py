@@ -333,6 +333,62 @@ def test_bad_input_exit_two(capsys, monkeypatch):
     assert "magh: error: MAGH_CAP must be an integer, got 'abc'" in err
 
 
+SUBCOMMAND_ARGS = {
+    "gen": ["cycle", "4"],
+    "compute": ["--l", "1,2", "--n-max", "2"],
+    "mx": [],
+    "certify": ["--pair", "0", "2"],
+    "spectrum": ["--n-max", "2"],
+    "verify": ["--check", "d_squared", "--n-max", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(set(SUBCOMMAND_ARGS) - {"gen"}))
+def test_missing_infile_exit_two(capsys, monkeypatch, tmp_path, command):
+    missing = tmp_path / "absent.json"
+    argv = [command, *SUBCOMMAND_ARGS[command], "--in", str(missing)]
+    code, out, err = run_cli(capsys, monkeypatch, argv)
+    assert (code, out) == (2, "")
+    assert err == f"magh: error: cannot read input {str(missing)!r}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+def test_unwritable_outfile_exit_two(capsys, monkeypatch, tmp_path, command):
+    space = tmp_path / "c4.json"
+    space.write_text(cycle_space(4).to_json())
+    inputs = [] if command == "gen" else ["--in", str(space)]
+    # a file in a directory that does not exist, and a directory
+    for target in (tmp_path / "no-dir" / "out.txt", tmp_path):
+        argv = [command, *SUBCOMMAND_ARGS[command], *inputs, "--out", str(target)]
+        code, out, err = run_cli(capsys, monkeypatch, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"magh: error: cannot write output {str(target)!r}: "), err
+        assert err.count("\n") == 1
+
+
+def test_unreadable_infile_reports_without_traceback(tmp_path):
+    # not UTF-8 text, and a directory: one line on stderr, exit 2
+    binary = tmp_path / "space.bin"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path, reason in ((binary, "not UTF-8 text"), (tmp_path, "Is a directory")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "magh", "mx", "--in", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"magh: error: cannot read input {str(path)!r}: {reason}\n"
+    # stdin decoded strictly as UTF-8
+    proc = subprocess.run(
+        [sys.executable, "-m", "magh", "mx"],
+        input=binary.read_bytes(),
+        capture_output=True,
+        env=dict(os.environ, PYTHONIOENCODING="utf-8"),
+    )
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"magh: error: cannot read input from stdin: not UTF-8 text\n"
+
+
 def test_csv_space_input(capsys, monkeypatch):
     csv_text = cycle_space(4).to_csv()
     code, out, _ = run_cli(capsys, monkeypatch, ["mx"], stdin=csv_text)

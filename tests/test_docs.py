@@ -1,8 +1,16 @@
-"""The README names only what the package has."""
+"""The README names only what the package has, and its cap example is exact."""
 
 import importlib
 import re
 from pathlib import Path
+
+import pytest
+
+from magh.algebra import HomologyGroup
+from magh.errors import EnumerationCapExceeded
+from magh.posets import magnitude_homology_rows
+
+from test_posets import rp2_face_poset_space
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -32,3 +40,23 @@ def test_readme_magh_names_resolve():
         except (ImportError, AttributeError):
             missing.append(name)
     assert missing == []
+
+
+def test_readme_rp2_cap_count_is_exact():
+    # the Enumeration cap section's RP^2 example: the stated step count
+    # passes the cap and one less does not
+    text = " ".join(README.read_text().split())
+    found = re.search(
+        r"RP² face-poset space at `compute --l 4 --n-max 3` takes ([\d,]+) steps "
+        r"\(([\d,]+) prefixes and ([\d,]+) insertions\)",
+        text,
+    )
+    assert found
+    count, prefixes, insertions = (int(g.replace(",", "")) for g in found.groups())
+    assert count == prefixes + insertions
+    space = rp2_face_poset_space()[0]
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        magnitude_homology_rows(space, [4], 3, cap=count - 1)
+    assert (exc.value.count, exc.value.cap) == (count, count - 1)
+    rows = magnitude_homology_rows(rp2_face_poset_space()[0], [4], 3, cap=count)
+    assert rows[3].group == HomologyGroup(450, (2, 2))

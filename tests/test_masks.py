@@ -4,8 +4,10 @@ Both searches make a chain's mask as they build the chain, and the
 assembly trusts it: bit i set iff x_i is strictly smooth. A wrong bit
 would drop a point that is not smooth, or keep one that is, so every mask
 is checked here against the faces `smooth_faces` takes and against the
-distances themselves. The assembly's matrices skip the entry checks of
-`SparseIntMatrix`, so they are checked against the checked constructor.
+distances themselves. At the engine's top degree n_max + 1 a mask holds
+only the faces that are not collapsed (`oracles.collapsed_chains`). The
+assembly's matrices skip the entry checks of `SparseIntMatrix`, so they
+are checked against the checked constructor.
 """
 
 import sys
@@ -20,7 +22,9 @@ from magh.frames import frame_table
 from magh.metric import cycle_space, random_metric, validate_metric
 from magh.verify import default_suite
 
+from oracles import collapsed_chains, kept_faces, smooth_by_distances
 from test_blocks import realized_lengths
+from test_collapse import uncollapsed_blocks
 from test_posets import rational_grid_space, rp2_face_poset_space
 
 
@@ -31,17 +35,6 @@ def removed_positions(between, pts):
         [i] = [i for i in range(1, len(pts) - 1) if pts[:i] + pts[i + 1 :] == face]
         assert sign == (-1) ** i
         mask |= 1 << i
-    return mask
-
-
-def smooth_by_distances(space, pts):
-    """Bit i set iff d(x_{i-1}, x_{i+1}) = d(x_{i-1}, x_i) + d(x_i, x_{i+1})."""
-    d = space.integer_view.idist
-    mask = 0
-    for i in range(1, len(pts) - 1):
-        a, c, b = pts[i - 1], pts[i], pts[i + 1]
-        if a != b and d[a][b] == d[a][c] + d[c][b]:
-            mask |= 1 << i
     return mask
 
 
@@ -71,13 +64,41 @@ def test_search_masks_are_the_smooth_positions(space, l, n_max):
     view = space.integer_view
     lengths = [l] if l is not None else [x for x in realized_lengths(space, n_max) if x]
     totals = {view.scaled(x) for x in lengths}
+    # the chains of degrees n_max and n_max + 1 of the blocks (a, b),
+    # a <= b, by a naive search, and the ones the engine collapses
+    naive = [
+        bases
+        for t in totals
+        for (a, b), bases in uncollapsed_blocks(space, t, n_max).items()
+        if a <= b
+    ]
+    expected = {pts for bases in naive for pts in bases.get(n_max, ())}
+    collapsed = collapsed_chains(space, expected)
+    faced = {pts for bases in naive for pts in bases.get(n_max + 1, ())}
+    between = view.between
     blocks = 0
     smooth = 0
     top = 0
+    kept = set()
+    tops = set()
     for _, _, records in block_chains(space, totals, n_max):
-        blocks += check_records(space, records)
-        smooth += sum(1 for chains in records.values() for _, mask in chains if mask)
-        top += len(records.get(n_max + 1, ()))
+        below = {n: chains for n, chains in records.items() if n <= n_max}
+        blocks += check_records(space, below)
+        smooth += sum(1 for chains in below.values() for _, mask in chains if mask)
+        kept.update(pts for pts, _ in records.get(n_max, ()))
+        # a top chain keeps exactly the faces that are not collapsed, and
+        # at least one
+        for pts, mask in records.get(n_max + 1, ()):
+            assert len(pts) == n_max + 2
+            assert mask == kept_faces(space, pts, collapsed), (pts, bin(mask))
+            assert mask and mask & ~removed_positions(between, pts) == 0, (pts, bin(mask))
+            tops.add(pts)
+            top += 1
+    # every degree-n_max chain is kept or collapsed, never both, and every
+    # top chain with a face that is not collapsed is built, once
+    assert kept == expected - collapsed and not kept & collapsed
+    assert tops == {pts for pts in faced if kept_faces(space, pts, collapsed)}
+    assert top == len(tops)
     # insertion-made top chains are checked too, wherever a point is smooth
     assert blocks and (top or not smooth)
     points = range(space.n)

@@ -297,6 +297,25 @@ RP2_TRIANGLES = (
 )
 
 
+_CLOSED = {}
+
+
+def closed_rows(d):
+    """`metric_closure(d)` as a tuple of rows, kept per matrix.
+
+    Closing the larger face-poset graphs is the slow part of building
+    them (Python Floyd-Warshall), and tests build the same ones again and
+    again. Only the closed rows are kept: each caller validates a fresh
+    space from them, so no space, and none of the per-space tables the
+    package keeps on its view, is shared between tests.
+    """
+    key = tuple(map(tuple, d))
+    rows = _CLOSED.get(key)
+    if rows is None:
+        rows = _CLOSED[key] = tuple(map(tuple, metric_closure(d)))
+    return rows
+
+
 def face_poset_space(facets, name):
     """Hasse-graph metric of a simplicial complex's face poset, with a
     bottom and a top added.
@@ -328,7 +347,7 @@ def face_poset_space(facets, name):
                 d[i][j] = d[j][i] = 1
         if len(f) == dim:
             d[i][top] = d[top][i] = 1
-    return validate_metric(metric_closure(d), name=name), 0, top
+    return validate_metric(closed_rows(d), name=name), 0, top
 
 
 def rp2_face_poset_space():
@@ -432,7 +451,7 @@ def rp2_with_beat_point():
     d = [[space.d(i, j) if max(i, j) < space.n else n for j in range(n)] for i in range(n)]
     d[n - 1][n - 1] = 0
     d[edge][n - 1] = d[n - 1][edge] = d[top][n - 1] = d[n - 1][top] = 1
-    return validate_metric(metric_closure(d), name="rp2-beat-point"), bottom, top
+    return validate_metric(closed_rows(d), name="rp2-beat-point"), bottom, top
 
 
 def test_core_keeps_rp2_torsion_past_a_beat_point():
