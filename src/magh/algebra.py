@@ -9,21 +9,28 @@ face; those chains come first in each degree, so the chains without one
 are trailing zero columns and are not stored. `snf` is the
 one reduction routine: it reads those columns into sparse rows, clears
 +-1 pivots on them and reduces only what is left densely.
-`groups_from_columns` is the one step from boundary columns to groups:
-it checks d^2 = 0 on them, reduces each nonempty boundary once and reads
-the nonzero groups off the invariant factors, with no `ChainComplexZ`
-in between. `groups_from_records` takes the chains of one endpoint block
-or one frame piece, as the searches hand them on, assembles their
-columns and hands them to that step; `posets` hands it the augmented
+`groups_from_columns` is the one step from the boundary columns of one
+complex to its groups: it checks d^2 = 0 on them, reduces each nonempty
+boundary once and reads the nonzero groups off the invariant factors,
+with no `ChainComplexZ` in between; `posets` hands it the augmented
 columns of each interval's order complex. A chain record is (points,
 mask), with bit i of mask set iff x_i is strictly smooth, so the one
 assembly, `_assemble`, writes each column from the mask and tests no
-point for smoothness. `groups_from_bases` and `complex_from_bases` take
-plain chains, read their masks with `chains.smooth_mask`, and reach the
-same assembly. A `ChainComplexZ` is built only at the public API
-(`complex_from_bases`, `posets.reduced_complex`); its `groups` reads its
-homology through the same d^2 check and factors-to-groups step. No
-compute or verify route builds one.
+point for smoothness. It assembles several complexes, blocks, in one
+pass, each with its own rows. The endpoint-block engine hands it all
+the endpoint blocks of one start point at a time (`_blocks_homology`):
+d^2 = 0 checked on all of them before any is reduced, `snf` on each
+block's own columns at each degree, and betti numbers and torsion
+factors per block, summed into one group per grading and degree.
+`groups_from_records` is the one-block case, for one frame piece as
+the frame search hands it on, and goes on to `groups_from_columns`.
+`groups_from_bases` and
+`complex_from_bases` take plain chains, read their masks with
+`chains.smooth_mask`, and reach the same assembly. A `ChainComplexZ` is
+built only at the public API (`complex_from_bases`,
+`posets.reduced_complex`); its `groups` reads its homology through the
+same d^2 check and factors-to-groups step. No compute or verify route
+builds one.
 Degrees may be negative; reduced complexes of order complexes start at
 degree -1.
 """
@@ -387,8 +394,8 @@ def _check_d_squared(boundaries):
                 raise ValueError(f"boundary squared is nonzero at degree {k}, column {c}")
 
 
-def _nonzero_groups(lo, sizes, factors):
-    """{degree: group} of a complex, for the degrees where it is nonzero.
+def _homology(lo, sizes, factors):
+    """[(degree, betti, torsion)] of a complex, for the degrees where it is nonzero.
 
     `sizes` lists the ranks of degrees lo, lo + 1, ...; `factors[k]` holds
     the invariant factors of the boundary out of degree k, and a degree
@@ -396,7 +403,7 @@ def _nonzero_groups(lo, sizes, factors):
     rank(d_k) - rank(d_{k+1}) and the factors of d_{k+1} above 1 as its
     torsion; a negative betti number raises NegativeBetti.
     """
-    groups = {}
+    out = []
     for k, size in enumerate(sizes, lo):
         into = factors.get(k + 1, ())
         betti = size - len(factors.get(k, ())) - len(into)
@@ -404,8 +411,13 @@ def _nonzero_groups(lo, sizes, factors):
             raise NegativeBetti(k, betti)
         torsion = into[into.count(1) :]  # a divisor chain puts its 1s first
         if betti or torsion:
-            groups[k] = HomologyGroup(betti, torsion)
-    return groups
+            out.append((k, betti, torsion))
+    return out
+
+
+def _nonzero_groups(lo, sizes, factors):
+    """{degree: group} of a complex, for the degrees where it is nonzero (`_homology`)."""
+    return {k: HomologyGroup(betti, torsion) for k, betti, torsion in _homology(lo, sizes, factors)}
 
 
 class ChainComplexZ:
@@ -531,56 +543,68 @@ def kunneth(h, h2):
 _SIGNED_BITS = {}
 
 
-def _assemble(records_by_degree, lo, hi):
-    """The sizes and boundary columns of the complex spanned by given chains.
+def _assemble(blocks):
+    """The sizes and boundary columns of complexes spanned by given chains.
 
-    `records_by_degree[k]` lists the chains of degree k as records
-    (points, mask), bit i of mask set iff x_i is strictly smooth; a
-    missing degree is empty. Returns (sizes, boundaries): `sizes` lists
-    the rank of each degree lo..hi, and `boundaries[k]`, for lo < k <= hi,
-    the column dicts of the boundary out of degree k, one per chain with
-    a smooth face, in the order of `complex_from_bases`. The column of a
-    chain is {row of the face without x_i: (-1)^i for each bit i of its
-    mask}; a face missing from the degree below, or a face at the bottom
-    degree, raises NotASubcomplex. The masks are trusted: the searches
-    make them as they build the chains, and `_records` reads them off
-    given tuples.
+    `blocks` lists complexes, each as chain records by degree:
+    `records[k]` lists its chains of degree k as records (points, mask),
+    bit i of mask set iff x_i is strictly smooth. A block runs over the
+    degrees from its lowest to its highest key, and a degree missing in
+    between is empty. Returns, per block, (lo, sizes, boundaries): `sizes`
+    lists its rank at each degree lo, lo + 1, ..., and `boundaries[k]`,
+    for each degree k above lo, the column dicts of its boundary out of
+    k, in the order of `complex_from_bases`: one column per chain with a
+    smooth face, and the rows of each degree ordered the same way. The
+    column of a chain is {row of the face without x_i: (-1)^i for each
+    bit i of its mask}.
+
+    The blocks are direct summands: each indexes its own chains of each
+    degree, so a face counts only in its own chain's block, and a face
+    missing from the block one degree down, or a face at the block's
+    bottom degree, raises NotASubcomplex. The masks are trusted: the
+    searches make them as they build the chains, and `_records` reads
+    them off given tuples.
     """
     signed = _SIGNED_BITS
-    sizes = []
-    boundaries = {}
-    index = None
-    for k in range(lo, hi + 1):
-        faced = []
-        faceless = []
-        columns = []
-        for pts, mask in records_by_degree.get(k, ()):
-            if not mask:
-                faceless.append(pts)
-                continue
-            if index is None:
-                raise NotASubcomplex(f"chain {pts} at bottom degree {k} has nonzero boundary")
-            spots = signed.get(mask)
-            if spots is None:
-                spots = signed[mask] = [(i, -1 if i & 1 else 1) for i in set_bits(mask)]
-            column = {}
-            for i, sign in spots:
-                face = pts[:i] + pts[i + 1 :]
-                r = index.get(face)
-                if r is None:
-                    raise NotASubcomplex(
-                        f"boundary term {face} of {pts} "
-                        f"is outside the subcomplex basis at degree {k - 1}"
-                    )
-                column[r] = sign
-            faced.append(pts)
-            columns.append(column)
-        if index is not None:
-            boundaries[k] = columns
-        sizes.append(len(faced) + len(faceless))
-        if k < hi:
-            index = {pts: r for r, pts in enumerate(faced + faceless)}
-    return sizes, boundaries
+    out = []
+    for records in blocks:
+        lo = min(records)
+        hi = max(records)
+        sizes = []
+        boundaries = {}
+        index = {}
+        for k in range(lo, hi + 1):
+            faced = []
+            faceless = []
+            columns = []
+            for pts, mask in records.get(k, ()):
+                if not mask:
+                    faceless.append(pts)
+                    continue
+                if k == lo:
+                    raise NotASubcomplex(f"chain {pts} at bottom degree {k} has nonzero boundary")
+                spots = signed.get(mask)
+                if spots is None:
+                    spots = signed[mask] = [(i, -1 if i & 1 else 1) for i in set_bits(mask)]
+                column = {}
+                for i, sign in spots:
+                    face = pts[:i] + pts[i + 1 :]
+                    r = index.get(face)
+                    if r is None:
+                        raise NotASubcomplex(
+                            f"boundary term {face} of {pts} "
+                            f"is outside the subcomplex basis at degree {k - 1}"
+                        )
+                    column[r] = sign
+                faced.append(pts)
+                columns.append(column)
+            if k > lo:
+                boundaries[k] = columns
+            sizes.append(len(faced) + len(faceless))
+            if k < hi:
+                index = {pts: r for r, pts in enumerate(faced + faceless)}
+        out.append((lo, sizes, boundaries))
+    return out
 
 
 def _records(space, bases_by_degree):
@@ -613,7 +637,9 @@ def complex_from_bases(space, bases_by_degree, lo, hi):
     `chains.smooth_mask`, and the columns come from the assembly that
     `groups_from_records` reads too. d^2 = 0 is checked on construction.
     """
-    sizes, boundaries = _assemble(_records(space, bases_by_degree), lo, hi)
+    bases = {k: bases_by_degree.get(k, ()) for k in range(lo, hi + 1)}
+    # lo > hi spans no degree: the empty complex
+    [(_, sizes, boundaries)] = _assemble([_records(space, bases)]) if bases else [(lo, [], {})]
     return ChainComplexZ(
         lo,
         sizes,
@@ -624,6 +650,15 @@ def complex_from_bases(space, bases_by_degree, lo, hi):
     )
 
 
+def _factors(lo, sizes, boundaries):
+    """The invariant factors of each boundary with entries, by degree, from one `snf` each."""
+    return {
+        k: snf(SparseIntMatrix._assembled(sizes[k - 1 - lo], columns))
+        for k, columns in boundaries.items()
+        if columns
+    }
+
+
 def groups_from_columns(lo, sizes, boundaries):
     """The nonzero homology of a complex given by its boundary columns.
 
@@ -631,20 +666,15 @@ def groups_from_columns(lo, sizes, boundaries):
     each degree k, ascending, to the column dicts {row: +-1} of the
     boundary out of k, a complex assembled by the caller (`_assemble`, or
     the reduced order complexes of `posets`), with any chain that has no
-    column last in its degree. This is the one step from columns to
-    groups that every route shares: d^2 = 0 is checked on the columns
-    (ValueError otherwise, also under `python -O`), each boundary with
-    entries is reduced once by `snf`, and `_nonzero_groups` makes the
-    groups. Returns {degree: group} for the degrees where the homology is
+    column last in its degree. This is the one step from columns to the
+    groups of one complex: d^2 = 0 is checked on the columns (ValueError
+    otherwise, also under `python -O`), each boundary with entries is
+    reduced once by `snf`, and `_nonzero_groups` makes the groups.
+    Returns {degree: group} for the degrees where the homology is
     nonzero; no ChainComplexZ is built.
     """
     _check_d_squared(boundaries)
-    factors = {
-        k: snf(SparseIntMatrix._assembled(sizes[k - 1 - lo], columns))
-        for k, columns in boundaries.items()
-        if columns
-    }
-    return _nonzero_groups(lo, sizes, factors)
+    return _nonzero_groups(lo, sizes, _factors(lo, sizes, boundaries))
 
 
 def groups_from_records(records_by_degree):
@@ -652,17 +682,38 @@ def groups_from_records(records_by_degree):
 
     `records_by_degree[k]` lists the chains of degree k as records
     (points, mask), bit i of mask set iff x_i is strictly smooth, as the
-    chain searches hand them on (`chains.block_chains`,
-    `frames._frame_splits`). Returns {degree: group} for the degrees
-    where the homology is nonzero. The complex is assembled by `_assemble`
-    over the degrees from the lowest to the highest key, with the order
-    and NotASubcomplex checks of `complex_from_bases`, and its columns go
-    to `groups_from_columns`; no ChainComplexZ is built. This is how the
-    endpoint-block engine and the frame table reduce each of their many
-    small complexes, with no chain tested for smoothness again.
+    chain searches hand them on (`frames._frame_splits`). Returns
+    {degree: group} for the degrees where the homology is nonzero. The
+    complex is the one-block case of the endpoint-block engine's assembly
+    (`_assemble`): it runs over the degrees from the lowest to the highest
+    key, with the order and NotASubcomplex checks of `complex_from_bases`,
+    and its columns go to `groups_from_columns`; no ChainComplexZ is
+    built. The frame table reduces each of its many small complexes this
+    way, with no chain tested for smoothness again.
     """
-    lo = min(records_by_degree)
-    return groups_from_columns(lo, *_assemble(records_by_degree, lo, max(records_by_degree)))
+    return groups_from_columns(*_assemble([records_by_degree])[0])
+
+
+def _blocks_homology(blocks):
+    """The homology of each of several complexes of chain records, assembled together.
+
+    `blocks` lists complexes as `_assemble` takes them: the endpoint
+    blocks of one start point, in the engine. They are assembled in one
+    pass, d^2 = 0 is checked on every block before any is reduced
+    (ValueError otherwise, also under `python -O`), and `snf` reduces
+    each block's boundary at each degree on its own: elimination never
+    crosses blocks. Returns, per block, [(degree, betti, torsion)] for
+    the degrees where its homology is nonzero, as `_homology` reads them;
+    a negative betti number in any block raises NegativeBetti, so no
+    block's can hide in a sum. No HomologyGroup is built.
+    """
+    assembled = _assemble(blocks)
+    for _, _, boundaries in assembled:
+        _check_d_squared(boundaries)
+    return [
+        _homology(lo, sizes, _factors(lo, sizes, boundaries))
+        for lo, sizes, boundaries in assembled
+    ]
 
 
 def groups_from_bases(space, bases_by_degree):
@@ -716,17 +767,20 @@ def block_homology_rows(space, gradings, n_max, cap=None):
     chains with a face that is not cancelled, whose masks hold only those
     faces. The cancelled pairs change only H_{n_max + 1}, and a block
     whose chains all cancel is not given. It gives only the blocks with
-    a <= b: reversing chains maps
-    block (l, a, b) isomorphically onto (l, b, a), so the groups of an
-    a < b block are counted twice and those of an a = b block once. Each
-    block's chain records, with the smooth-position masks the search made,
-    go to `groups_from_records`, which assembles it over the degrees from
-    its lowest to its highest with chains, with no column for a chain
-    without a face, and reduces it on its own; a block counts as zero at
-    the degrees outside, and its groups up to n_max are summed. The cap
-    counts the steps of that search, which searches both directions but
-    counts top chains only for the blocks it gives, and only those it
-    hands on. Rows come grading by
+    a <= b: reversing chains maps block (l, a, b) isomorphically onto
+    (l, b, a), so the groups of an a < b block are counted twice and
+    those of an a = b block once. The search hands on the blocks of one
+    start point a at a time, and they go, with the smooth-position masks
+    the search made, to `_blocks_homology`, which assembles them in one
+    pass, each over the degrees from its lowest to its highest with
+    chains and with no column for a chain without a face, checks d^2 = 0
+    on every block before reducing any, and reduces each block on its
+    own. Their betti numbers up to n_max are summed and their torsion
+    factors gathered per grading and degree, and each group is made once,
+    from the sums: no group is made per block. A block counts as zero at
+    the degrees outside its own. The cap counts the steps of that search,
+    which searches both directions but counts top chains only for the
+    blocks it gives, and only those it hands on. Rows come grading by
     grading in the order given, degrees ascending.
 
     Each grading's groups are kept per n_max on the space's
@@ -747,14 +801,26 @@ def block_homology_rows(space, gradings, n_max, cap=None):
     # a length that is no scaled int (None) is that of no chain
     lacking = {view.scaled(l) for l in gradings} - held.keys() - {None}
     if lacking:
-        parts = {}
-        for total, (a, b), records in _chains.block_chains(space, lacking, n_max, cap):
-            for n, group in groups_from_records(records).items():
-                if n <= n_max:
-                    parts.setdefault((total, n), []).extend((group, group) if a < b else (group,))
+        # (total, n) -> the betti number and the torsion factor lists summed
+        betti = {}
+        torsion = {}
+        for blocks in _chains.block_chains(space, lacking, n_max, cap):
+            homology = _blocks_homology([records for _, _, records in blocks])
+            for (total, (a, b), _), groups in zip(blocks, homology):
+                times = 2 if a < b else 1
+                for n, rank, factors in groups:
+                    if n <= n_max:
+                        key = total, n
+                        betti[key] = betti.get(key, 0) + times * rank
+                        if factors:
+                            torsion.setdefault(key, []).extend((factors,) * times)
         for total in lacking:
             held[total] = tuple(
-                HomologyGroup.direct_sum(parts.get((total, n), ())) for n in range(n_max + 1)
+                HomologyGroup(
+                    betti.get((total, n), 0),
+                    merge_invariant_factors(torsion.get((total, n), ())),
+                )
+                for n in range(n_max + 1)
             )
     none = (TRIVIAL_GROUP,) * (n_max + 1)
     return [

@@ -10,13 +10,14 @@ Inside the package a chain is a bare tuple of points and its length the
 scaled int of the space's `IntegerView`. A search hands each chain on as
 one record (points, mask): bit i of mask is set iff x_i is strictly
 smooth, so the boundary drops exactly the points of the mask, and the
-assembly (`algebra.groups_from_records`) reads the faces off it without
-testing any point again. `start_blocks` is the engine's length-pruned
-search from a start point, which settles each point's bit as it appends
-the next: `block_chains` runs it for the endpoint blocks the engine
-reduces, only those (a, b) with a <= b, as chain reversal maps each block
-onto its reverse, carries the masks through its insertions and cancels
-each top chain that has one face against that face. The frame
+assembly (`algebra._assemble`) reads the faces off it without testing
+any point again. `start_blocks` is the engine's length-pruned search
+from a start point, which settles each point's bit as it appends the
+next: `block_chains` runs it for the endpoint blocks the engine reduces,
+only those (a, b) with a <= b, as chain reversal maps each block onto
+its reverse, carries the masks through its insertions, cancels each top
+chain that has one face against that face, and hands on the blocks of
+one start point at a time, which the engine assembles together. The frame
 code searches only geodesically simple chains, in both directions, with
 its own search (`frames._frame_search`) over the same `search_moves`,
 whose masks are the points each frame drops. `smooth_mask` reads the mask
@@ -185,10 +186,12 @@ def block_chains(space, totals, n_max, cap=None):
     """The chains of each endpoint block (a, b), a <= b, whose length is in `totals`.
 
     `totals` holds lengths as scaled ints of the space's IntegerView.
-    Yields (total, (a, b), records) for every endpoint pair (a, b) with
-    a <= b joined by a proper chain of degree <= n_max and length
-    `total`, by start point a, then total, then b, except a block whose
-    chains all collapse (below). `records` maps a degree k to the block's
+    Yields, for each start point a in ascending order that has a block,
+    the list of its blocks (total, (a, b), records): one for every end
+    point b >= a joined to a by a proper chain of degree <= n_max and
+    length `total`, by total, then b, except a block whose chains all
+    collapse (below). A start's blocks come together because the engine
+    assembles them together. `records` maps a degree k to the block's
     chains as records (points, mask), where bit i of mask is set iff x_i
     is strictly smooth, as `smooth_mask` reads it, in lexicographic order:
     every chain for k < n_max, and at k = n_max every chain but the
@@ -262,6 +265,7 @@ def block_chains(space, totals, n_max, cap=None):
     steps = 0
     for start in range(size):
         blocks, steps = start_blocks(start, moves, between, wanted, n_max, steps, limit)
+        out = []
         for key in sorted(blocks):
             records = blocks.pop(key)
             parents = records.get(n_max, ())
@@ -280,9 +284,12 @@ def block_chains(space, totals, n_max, cap=None):
                 for i in range(1, last + 1):
                     left = pts[i - 1]
                     right = pts[i]
+                    window = inner[left][right]
+                    if not window:
+                        continue
                     above = mask >> i + 1 << i + 2 | 1 << i
                     after = pts[i + 1] if i < n_max else None
-                    for c in inner[left][right]:
+                    for c in window:
                         # x_{i-1} must not turn smooth between x_{i-2} and c
                         if i > 1 and between[pts[i - 2]][c] >> left & 1:
                             continue
@@ -330,7 +337,9 @@ def block_chains(space, totals, n_max, cap=None):
             if top:
                 records[n_max + 1] = top
             if records:
-                yield key[0], (start, key[1]), records
+                out.append((key[0], (start, key[1]), records))
+        if out:
+            yield out
     for table in ("idist", "between"):
         rows = getattr(view, table)
         for a in range(size):

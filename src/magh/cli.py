@@ -35,7 +35,11 @@ def _read_text(path):
     stdin = path is None or path == "-"
     try:
         if stdin:
-            return sys.stdin.read()
+            buffer = getattr(sys.stdin, "buffer", None)
+            if buffer is None:  # a text stream with no bytes beneath, like io.StringIO
+                return sys.stdin.read()
+            # strict UTF-8, whatever the locale; newlines as `open` reads them
+            return buffer.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
@@ -185,24 +189,16 @@ def _add_io(parser, needs_input=True):
     )
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="magh",
-        description="Integer magnitude homology of finite metric spaces, exactly.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a named space as JSON")
+def _gen_arguments(p):
     p.add_argument("kind", choices=["cycle", "path", "complete", "random"])
     p.add_argument("n", type=int, help="number of points")
     p.add_argument("--seed", type=int, default=0, help="random kind only")
     p.add_argument("--max-w", type=_int_at_least(1), default=9, help="random kind only")
     p.add_argument("--pretty", action="store_true", help="indent the JSON")
     _add_io(p, needs_input=False)
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("compute", help="magnitude homology table of a space")
+
+def _compute_arguments(p):
     p.add_argument(
         "--l",
         default="spectrum",
@@ -220,28 +216,22 @@ def build_parser():
         "kept plus the top-degree chains kept by insertion",
     )
     _add_io(p)
-    p.set_defaults(func=_cmd_compute)
 
-    p = sub.add_parser("mx", help="minimum four-cut length of a space")
-    _add_io(p)
-    p.set_defaults(func=_cmd_mx)
 
-    p = sub.add_parser("certify", help="lower bound for MH_2 at grading d(a,b)")
+def _certify_arguments(p):
     p.add_argument("--pair", nargs=2, type=int, required=True, metavar=("A", "B"))
     _add_io(p)
-    p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser(
-        "spectrum", help="number of chains per degree and length, CSV, counted without enumerating"
-    )
+
+def _spectrum_arguments(p):
     p.add_argument("--n-max", type=_int_at_least(0), default=3)
     p.add_argument(
         "--cap", type=int, default=None, help="cap on the (state, next point) steps of the count"
     )
     _add_io(p)
-    p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("verify", help="run cross-checks, one JSON report per line")
+
+def _verify_arguments(p):
     p.add_argument(
         "--check",
         action="append",
@@ -252,20 +242,71 @@ def build_parser():
     p.add_argument("--seed", type=int, default=1, help="seed for the random suite spaces")
     p.add_argument("--cap", type=int, default=None)
     _add_io(p)
-    p.set_defaults(func=_cmd_verify)
 
+
+# name -> (help line, the function declaring its arguments, the command)
+COMMANDS = {
+    "gen": ("generate a named space as JSON", _gen_arguments, _cmd_gen),
+    "compute": ("magnitude homology table of a space", _compute_arguments, _cmd_compute),
+    "mx": ("minimum four-cut length of a space", _add_io, _cmd_mx),
+    "certify": ("lower bound for MH_2 at grading d(a,b)", _certify_arguments, _cmd_certify),
+    "spectrum": (
+        "number of chains per degree and length, CSV, counted without enumerating",
+        _spectrum_arguments,
+        _cmd_spectrum,
+    ),
+    "verify": ("run cross-checks, one JSON report per line", _verify_arguments, _cmd_verify),
+}
+
+
+def _declare(parser, name):
+    _, arguments, command = COMMANDS[name]
+    arguments(parser)
+    parser.set_defaults(func=command)
     return parser
 
 
-_PARSER = None
+def build_parser():
+    """The full `magh` parser: top-level options and every command."""
+    parser = argparse.ArgumentParser(
+        prog="magh",
+        description="Integer magnitude homology of finite metric spaces, exactly.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, _, _) in COMMANDS.items():
+        _declare(sub.add_parser(name, help=help_line), name)
+    return parser
+
+
+def command_parser(name):
+    """The parser of one command alone, as `magh <name>`.
+
+    It prints the help, usage and errors that the full parser's
+    subparser for `name` prints.
+    """
+    return _declare(argparse.ArgumentParser(prog=f"magh {name}"), name)
+
+
+# command name -> its parser, built on the first call that names the
+# command: in-process callers run many commands
+_PARSERS = {}
 
 
 def main(argv=None):
-    global _PARSER
-    # built on the first call only: in-process callers run many commands
-    if _PARSER is None:
-        _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = None
+    if argv and argv[0] in COMMANDS:
+        parser = _PARSERS.get(argv[0])
+        if parser is None:
+            parser = _PARSERS[argv[0]] = command_parser(argv[0])
+        args, extra = parser.parse_known_args(argv[1:])
+        if extra:
+            args = None
+    if args is None:
+        # top-level -h or --version, no or an unknown command, or leftover
+        # arguments: the full parser prints what a user of `magh` expects
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except MaghError as exc:

@@ -180,7 +180,8 @@ def test_criterion_10_rp2_torsion_above_m_x(acceptance, tmp_path):
                 min(records),
                 max(records),
             )
-            for _, pair, records in block_chains(space, {total}, 4)
+            for blocks in block_chains(space, {total}, 4)
+            for _, pair, records in blocks
             if pair == ends
         ]
         assert len(blocks) == 1

@@ -30,7 +30,6 @@ from magh.algebra import (
     block_homology_rows,
     complex_from_bases,
     groups_from_bases,
-    groups_from_records,
 )
 from magh.chains import (
     block_chains,
@@ -137,23 +136,26 @@ def test_blocks_reduce_only_degrees_with_chains():
     assembled = []
     built = {}
 
-    def recording_reduction(records):
-        lo, hi = min(records), max(records)
-        assert sorted(records) == list(range(lo, hi + 1))
-        _, boundaries = magh.algebra._assemble(records, lo, hi)
-        for k, columns in boundaries.items():
-            faced = sum(1 for _, mask in records.get(k, ()) if mask)
-            assembled.append((faced, columns))
-        return groups_from_records(records)
+    def recording_reduction(blocks):
+        for records, (_, _, boundaries) in zip(blocks, magh.algebra._assemble(blocks)):
+            lo, hi = min(records), max(records)
+            assert sorted(records) == list(range(lo, hi + 1))
+            for k, columns in boundaries.items():
+                faced = sum(1 for _, mask in records.get(k, ()) if mask)
+                assembled.append((faced, columns))
+        return blocks_homology(blocks)
 
     def recording_blocks(*args):
-        for total, pair, records in block_chains(*args):
-            assert records
-            for n, chains in records.items():
-                built.setdefault(n, []).extend(chains)
-            yield total, pair, records
+        for blocks in block_chains(*args):
+            assert blocks and len({a for _, (a, _), _ in blocks}) == 1
+            for total, pair, records in blocks:
+                assert records
+                for n, chains in records.items():
+                    built.setdefault(n, []).extend(chains)
+            yield blocks
 
-    with mock.patch.object(magh.algebra, "groups_from_records", recording_reduction), (
+    blocks_homology = magh.algebra._blocks_homology
+    with mock.patch.object(magh.algebra, "_blocks_homology", recording_reduction), (
         mock.patch.object(magh.chains, "block_chains", recording_blocks)
     ):
         rows = block_homology_rows(space, lengths, 3)

@@ -227,13 +227,16 @@ def test_internal_callers_skip_the_proper_chain_wrappers(capsys, monkeypatch):
 
 
 def test_main_called_again_in_one_process(capsys, monkeypatch):
-    # main keeps one parser for the process; each call must print what a
-    # single call in a fresh process prints, and a repeated --check must
-    # not carry its list into the next call, across a usage error too
+    # main keeps each command's parser for the process; each call must
+    # print what a single call in a fresh process prints, and a repeated
+    # --check must not carry its list into the next call, across a usage
+    # error too
     built = []
-    monkeypatch.setattr(magh.cli, "_PARSER", None)
+    monkeypatch.setattr(magh.cli, "_PARSERS", {})
     monkeypatch.setattr(
-        magh.cli, "build_parser", lambda build=magh.cli.build_parser: built.append(1) or build()
+        magh.cli,
+        "command_parser",
+        lambda name, build=magh.cli.command_parser: built.append(name) or build(name),
     )
     space_json = cycle_space(5).to_json()
     calls = [
@@ -262,7 +265,8 @@ def test_main_called_again_in_one_process(capsys, monkeypatch):
         assert (code, out, err) == (single.returncode, single.stdout, single.stderr), argv
         outs.append((code, out))
     assert [code for code, _ in outs] == [0, 0, 2, 0, 0, 0, 0, 0]
-    assert len(built) == 1
+    # each command's parser at most once, and only the commands called
+    assert sorted(built) == sorted({argv[0] for argv in calls})
     checks = [[json.loads(line)["check"] for line in outs[i][1].splitlines()] for i in (1, 3, 4, 7)]
     assert checks == [
         ["d_squared", "simp_iso"],
@@ -270,6 +274,62 @@ def test_main_called_again_in_one_process(capsys, monkeypatch):
         ["d_squared", "simp_iso", "frame_injectivity", "tensor_route"],
         ["d_squared"],
     ]
+
+
+USAGE_ERRORS = {
+    "gen": ["gen", "torus", "4"],
+    "compute": ["compute", "--format", "xml"],
+    "mx": ["mx", "stray"],
+    "certify": ["certify", "--pair", "0"],
+    "spectrum": ["spectrum", "--n-max", "-1"],
+    "verify": ["verify", "--check", "bogus"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[name, "-h"] for name in magh.cli.COMMANDS]
+    + list(USAGE_ERRORS.values())
+    + [["-h"], ["--version"], [], ["frobnicate"], ["compute", "--bogus"], ["mx", "--version"]],
+    ids=" ".join,
+)
+def test_help_and_usage_texts_match_a_fresh_process(capsys, monkeypatch, argv):
+    # in process, main builds only the named command's parser, and the
+    # full one for top-level options, a missing or unknown command and
+    # leftover arguments; a fresh `python -m magh` must print the same
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh = subprocess.run(
+        [sys.executable, "-m", "magh", *argv],
+        capture_output=True,
+        text=True,
+        stdin=subprocess.DEVNULL,
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == (
+        fresh.returncode,
+        fresh.stdout,
+        fresh.stderr,
+    )
+    assert fresh.returncode == (0 if "-h" in argv or argv == ["--version"] else 2)
+    if argv == ["compute", "--bogus"]:
+        # leftover arguments get the full parser's usage
+        assert fresh.stderr.startswith("usage: magh [-h] [--version] {gen,")
+        assert fresh.stderr.endswith("magh: error: unrecognized arguments: --bogus\n")
+
+
+def test_top_level_help_lists_the_command_table(capsys, monkeypatch):
+    # the full parser and the one-command parsers are built from one
+    # table, so `magh -h` names exactly its commands, in its order
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        main(["-h"])
+    lines = capsys.readouterr().out.splitlines()
+    names = list(magh.cli.COMMANDS)
+    assert lines[0] == f"usage: magh [-h] [--version] {{{','.join(names)}}} ..."
+    listed = [line.split()[0] for line in lines if line[:4] == "    " and line[4:5] != " "]
+    assert listed == names
 
 
 def test_verify_single_space(capsys, monkeypatch):
@@ -378,15 +438,37 @@ def test_unreadable_infile_reports_without_traceback(tmp_path):
         )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"magh: error: cannot read input {str(path)!r}: {reason}\n"
-    # stdin decoded strictly as UTF-8
-    proc = subprocess.run(
-        [sys.executable, "-m", "magh", "mx"],
-        input=binary.read_bytes(),
-        capture_output=True,
-        env=dict(os.environ, PYTHONIOENCODING="utf-8"),
-    )
-    assert (proc.returncode, proc.stdout) == (2, b"")
-    assert proc.stderr == b"magh: error: cannot read input from stdin: not UTF-8 text\n"
+    # stdin decoded strictly as UTF-8 whatever the locale, a bad byte in a
+    # label included; the same label written as an escape is read
+    labelled = b'{"d": [["0", "1"], ["1", "0"]], "labels": ["a\xff", "b"]}'
+    unset = ("LANG", "LC_ALL", "PYTHONIOENCODING")
+    for locale in ({}, {"LC_ALL": "C"}, {"LC_ALL": "C.UTF-8"}, {"PYTHONIOENCODING": "utf-8"}):
+        env = {k: v for k, v in os.environ.items() if k not in unset}
+        env.update(locale)
+        for data in (binary.read_bytes(), labelled):
+            proc = subprocess.run(
+                [sys.executable, "-m", "magh", "mx"], input=data, capture_output=True, env=env
+            )
+            assert (proc.returncode, proc.stdout) == (2, b""), (locale, data)
+            assert proc.stderr == b"magh: error: cannot read input from stdin: not UTF-8 text\n"
+    escaped = labelled.replace(b"\xff", b"\\u00ff")
+    proc = subprocess.run([sys.executable, "-m", "magh", "mx"], input=escaped, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_stdin_newlines_read_as_a_file_reads_them(tmp_path):
+    # CRLF and CR line ends on stdin give what LF gives, as they do in a file
+    lf = cycle_space(5).to_csv().encode()
+    argv = [sys.executable, "-m", "magh", "compute", "--n-max", "2", "--format", "csv"]
+    want = subprocess.run(argv, input=lf, capture_output=True, check=True).stdout
+    assert want.startswith(b"l,n,betti,torsion\n")
+    for ends in (b"\r\n", b"\r"):
+        text = lf.replace(b"\n", ends)
+        path = tmp_path / "space.csv"
+        path.write_bytes(text)
+        for extra, data in (([], text), (["--in", str(path)], b"")):
+            proc = subprocess.run(argv + extra, input=data, capture_output=True)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, b""), (ends, extra)
 
 
 def test_csv_space_input(capsys, monkeypatch):

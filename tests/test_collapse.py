@@ -64,7 +64,11 @@ def compare_blocks(space, lengths, n_max):
     """
     view = space.integer_view
     totals = {view.scaled(l) for l in lengths}
-    engine = {(t, pair): records for t, pair, records in block_chains(space, totals, n_max)}
+    engine = {
+        (t, pair): records
+        for blocks in block_chains(space, totals, n_max)
+        for t, pair, records in blocks
+    }
     parts = {}
     vanished = 0
     for t in totals:
@@ -116,7 +120,7 @@ def test_a_fully_collapsed_block_contributes_zero():
     # P_3 at l = 2, n_max = 1: the block (0, 2) holds only the edge chain
     # (0, 2), which cancels against (0, 1, 2); its groups are zero
     space = path_space(3)
-    assert [pair for _, pair, _ in block_chains(space, {2}, 1)] == []
+    assert list(block_chains(space, {2}, 1)) == []
     groups, vanished = compare_blocks(space, [Fraction(2)], 1)
     assert groups == {} and vanished == 1
 

@@ -12,6 +12,7 @@ are checked against the checked constructor.
 
 import sys
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -81,7 +82,7 @@ def test_search_masks_are_the_smooth_positions(space, l, n_max):
     top = 0
     kept = set()
     tops = set()
-    for _, _, records in block_chains(space, totals, n_max):
+    for _, _, records in chain.from_iterable(block_chains(space, totals, n_max)):
         below = {n: chains for n, chains in records.items() if n <= n_max}
         blocks += check_records(space, below)
         smooth += sum(1 for chains in below.values() for _, mask in chains if mask)

@@ -66,7 +66,12 @@ def test_moore_pair_block_matches_the_interval_posets(k):
     space, bottom, top = moore_face_poset_space(k)
     total = space.integer_view.scaled(4)
     ends = (min(bottom, top), max(bottom, top))
-    records = next(recs for _, pair, recs in block_chains(space, {total}, 4) if pair == ends)
+    records = next(
+        recs
+        for blocks in block_chains(space, {total}, 4)
+        for _, pair, recs in blocks
+        if pair == ends
+    )
     bases = {n: [pts for pts, _ in chains] for n, chains in records.items()}
     cx = complex_from_bases(space, bases, min(records), max(records))
     for pair in ((bottom, top), (top, bottom)):
