@@ -21,9 +21,10 @@ pass, each with its own rows. The endpoint-block engine hands it all
 the endpoint blocks of one start point at a time (`_blocks_homology`):
 d^2 = 0 checked on all of them before any is reduced, `snf` on each
 block's own columns at each degree, and betti numbers and torsion
-factors per block, summed into one group per grading and degree.
-`groups_from_records` is the one-block case, for one frame piece as
-the frame search hands it on, and goes on to `groups_from_columns`.
+factors per block, summed into one group per grading and degree. The
+frame table hands the same call the new frame pieces of one start
+point. `groups_from_records` is the one-block case, and goes on to
+`groups_from_columns`.
 `groups_from_bases` and
 `complex_from_bases` take plain chains, read their masks with
 `chains.smooth_mask`, and reach the same assembly. A `ChainComplexZ` is
@@ -150,9 +151,11 @@ def snf(matrix):
         matrix = SparseIntMatrix.from_dense(matrix)
     if not matrix.nnz:
         return ()
-    if matrix.rows == 1 or matrix.cols == 1:
-        # a single row or column has one factor, the gcd of its entries
-        return (gcd(*(v for column in matrix.columns for v in column.values())),)
+    # a single row or column has one factor, the gcd of its entries
+    if matrix.cols == 1:
+        return (gcd(*matrix.columns[0].values()),)
+    if matrix.rows == 1:
+        return (gcd(*[v for column in matrix.columns for v in column.values()]),)
     rows = {}
     cols = {}
     for c, column in enumerate(matrix.columns):
@@ -570,10 +573,16 @@ def _assemble(blocks):
     for records in blocks:
         lo = min(records)
         hi = max(records)
-        sizes = []
+        bottom = records[lo]
+        for pts, mask in bottom:
+            if mask:
+                raise NotASubcomplex(f"chain {pts} at bottom degree {lo} has nonzero boundary")
+        sizes = [len(bottom)]
         boundaries = {}
-        index = {}
-        for k in range(lo, hi + 1):
+        out.append((lo, sizes, boundaries))
+        if lo < hi:
+            index = {pts: r for r, (pts, _) in enumerate(bottom)}
+        for k in range(lo + 1, hi + 1):
             faced = []
             faceless = []
             columns = []
@@ -581,8 +590,6 @@ def _assemble(blocks):
                 if not mask:
                     faceless.append(pts)
                     continue
-                if k == lo:
-                    raise NotASubcomplex(f"chain {pts} at bottom degree {k} has nonzero boundary")
                 spots = signed.get(mask)
                 if spots is None:
                     spots = signed[mask] = [(i, -1 if i & 1 else 1) for i in set_bits(mask)]
@@ -598,12 +605,11 @@ def _assemble(blocks):
                     column[r] = sign
                 faced.append(pts)
                 columns.append(column)
-            if k > lo:
-                boundaries[k] = columns
-            sizes.append(len(faced) + len(faceless))
+            boundaries[k] = columns
+            faced += faceless
+            sizes.append(len(faced))
             if k < hi:
-                index = {pts: r for r, pts in enumerate(faced + faceless)}
-        out.append((lo, sizes, boundaries))
+                index = {pts: r for r, pts in enumerate(faced)}
     return out
 
 
@@ -688,8 +694,7 @@ def groups_from_records(records_by_degree):
     (`_assemble`): it runs over the degrees from the lowest to the highest
     key, with the order and NotASubcomplex checks of `complex_from_bases`,
     and its columns go to `groups_from_columns`; no ChainComplexZ is
-    built. The frame table reduces each of its many small complexes this
-    way, with no chain tested for smoothness again.
+    built and no chain is tested for smoothness again.
     """
     return groups_from_columns(*_assemble([records_by_degree])[0])
 
@@ -698,7 +703,8 @@ def _blocks_homology(blocks):
     """The homology of each of several complexes of chain records, assembled together.
 
     `blocks` lists complexes as `_assemble` takes them: the endpoint
-    blocks of one start point, in the engine. They are assembled in one
+    blocks of one start point in the engine, the new frame pieces of one
+    start point in the frame table. They are assembled in one
     pass, d^2 = 0 is checked on every block before any is reduced
     (ValueError otherwise, also under `python -O`), and `snf` reduces
     each block's boundary at each degree on its own: elimination never
@@ -709,7 +715,8 @@ def _blocks_homology(blocks):
     """
     assembled = _assemble(blocks)
     for _, _, boundaries in assembled:
-        _check_d_squared(boundaries)
+        if len(boundaries) > 1:  # one map composes with nothing
+            _check_d_squared(boundaries)
     return [
         _homology(lo, sizes, _factors(lo, sizes, boundaries))
         for lo, sizes, boundaries in assembled
@@ -798,8 +805,9 @@ def block_homology_rows(space, gradings, n_max, cap=None):
         raise ValueError(f"n_max must be >= -1, got {n_max}")
     view = space.integer_view
     held = view.block_groups.setdefault(n_max, {})
+    totals = [view.scaled(l) for l in gradings]
     # a length that is no scaled int (None) is that of no chain
-    lacking = {view.scaled(l) for l in gradings} - held.keys() - {None}
+    lacking = set(totals) - held.keys() - {None}
     if lacking:
         # (total, n) -> the betti number and the torsion factor lists summed
         betti = {}
@@ -823,11 +831,11 @@ def block_homology_rows(space, gradings, n_max, cap=None):
                 for n in range(n_max + 1)
             )
     none = (TRIVIAL_GROUP,) * (n_max + 1)
-    return [
-        HomologyRow(l, n, held.get(view.scaled(l), none)[n])
-        for l in gradings
-        for n in range(n_max + 1)
-    ]
+    rows = []
+    for l, total in zip(gradings, totals):
+        groups = held.get(total, none)
+        rows.extend(HomologyRow(l, n, groups[n]) for n in range(n_max + 1))
+    return rows
 
 
 class HomologyTable:

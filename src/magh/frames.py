@@ -14,8 +14,9 @@ as it is built, and a prefix is dropped once it is longer than its frame:
 that gap never shrinks as the chain grows, so no simple chain is lost.
 The points a frame drops are exactly the strictly smooth ones, so each
 chain is filed as a record (points, mask) with those positions as its
-mask, and the frame table reduces its pieces from these records
-(`algebra.groups_from_records`) without testing any point again.
+mask, and the frame table reduces the new pieces of each start point
+from these records in one `algebra._blocks_homology` call, the engine's
+own, without testing any point again.
 One function, `_frame_splits`, runs it once per start point for what is
 asked: whole endpoint blocks (total, a, b), or single frames, for which a
 prefix whose head starts no wanted frame is dropped too. Every route here
@@ -24,11 +25,17 @@ grading for `simp_decomposition` and `simple_chains_by_frame`, and what a
 space lacks so far for `frame_table` and `frame_pieces`.
 
 `frame_table` and `frame_pieces` are the frame side of `verify`. They
-hold, per top degree, the nonzero homology of every frame piece found so
-far, keyed by frame, and the endpoint blocks whose every frame is among
-them, on the space's `IntegerView.frame_groups`; no chains are kept. Only
-what is lacking is searched, and only the pieces asked for are reduced,
-each once. A block or frame already held costs no search and no cap step.
+hold, per top degree n_top, the nonzero homology of every frame piece
+found so far, keyed by frame, and the endpoint blocks whose every frame
+is among them, on the space's `IntegerView.frame_groups`; no chains are
+kept. Only what is lacking is searched, and only the pieces asked for
+are reduced, each once. A block or frame already held costs no search
+and no cap step. The table files no chain of degree n_top without a
+smooth point: such a chain is a frame of its own and only adds a free
+generator at n_top, which no check reads. So a piece's betti number at
+n_top is its subcomplex's less those chains, its torsion is the
+subcomplex's, and a frame of degree n_top has no group and is listed in
+no block. The routes that build complexes keep every chain.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import HomologyGroup, complex_from_bases, groups_from_records
+from .algebra import HomologyGroup, _blocks_homology, complex_from_bases
 from .chains import ProperChain, chain_total, resolve_cap, search_moves
 from .errors import EnumerationCapExceeded, ImproperFrame, NotASubcomplex
 from .metric import format_rational
@@ -126,7 +133,7 @@ def is_realized_frame(space, points):
     return True
 
 
-def _frame_search(view, start, moves, wanted, heads, n_top, steps, limit):
+def _frame_search(view, start, moves, wanted, heads, n_top, steps, limit, faceless_top):
     """The geodesically simple chains from `start` of degrees 1..n_top with a
     length in `wanted`, by frame.
 
@@ -142,12 +149,14 @@ def _frame_search(view, start, moves, wanted, heads, n_top, steps, limit):
     When `heads` is a set, a prefix whose head is not in it is dropped
     too. A prefix also carries the mask of its dropped positions, bit i
     set iff x_i is strictly smooth: the test that drops x sets its bit, so
-    each chain's mask is made with it. Returns (found, steps): `found`
-    maps each frame, in the order its first chain was met, to {degree:
-    records}, a record being (points, mask), degrees ascending and each
-    in lexicographic order. `steps` is the given count plus one for the
-    start and one per prefix kept, and EnumerationCapExceeded is raised as
-    soon as it passes `limit`.
+    each chain's mask is made with it. Unless `faceless_top` is true, a
+    chain of degree n_top with a zero mask is counted but not filed: it
+    is its own frame and only a free generator at n_top. Returns (found,
+    steps): `found` maps each frame, in the order its first chain was
+    met, to {degree: records}, a record being (points, mask), degrees
+    ascending and each in lexicographic order. `steps` is the given count
+    plus one for the start and one per prefix kept, and
+    EnumerationCapExceeded is raised as soon as it passes `limit`.
     """
     steps += 1
     if steps > limit:
@@ -159,6 +168,7 @@ def _frame_search(view, start, moves, wanted, heads, n_top, steps, limit):
     level = [((start,), 0, (), 0, 0)]
     for n in range(1, n_top + 1):
         bit = 1 << n - 1
+        file_faceless = faceless_top or n < n_top
         grown = []
         for pts, total, head, head_total, mask in level:
             x = pts[-1]
@@ -187,7 +197,7 @@ def _frame_search(view, start, moves, wanted, heads, n_top, steps, limit):
                 ch = pts + (nxt,)
                 if n < n_top:
                     grown.append((ch, t, kept, kept_total, dropped))
-                if t in wanted:
+                if t in wanted and (dropped or file_faceless):
                     found.setdefault(kept + (nxt,), {}).setdefault(n, []).append((ch, dropped))
             if steps > limit:
                 raise EnumerationCapExceeded(steps, limit)
@@ -195,7 +205,7 @@ def _frame_search(view, start, moves, wanted, heads, n_top, steps, limit):
     return found, steps
 
 
-def _frame_splits(space, blocks, frames, n_top, cap):
+def _frame_splits(space, blocks, frames, n_top, cap, faceless_top=True):
     """Yield (block, frame, by_degree) for the geodesically simple chains of
     degree <= n_top of every endpoint block (total, a, b) of `blocks` and of
     every frame of `frames`, one frame at a time.
@@ -203,7 +213,10 @@ def _frame_splits(space, blocks, frames, n_top, cap):
     `by_degree` maps a degree to the frame's chains as the search's
     records (points, mask), the mask holding the positions the frame
     drops, degrees ascending and each in lexicographic order; a frame with
-    no chain is not yielded.
+    no chain is not yielded. With `faceless_top` false, the chains of
+    degree n_top with no smooth point are left out (`_frame_search`), so
+    the frames of degree n_top, whose only chain each is, are not
+    yielded either.
     Frames come by start point, then in the order their first chain was
     met. Each start point a is searched once (`_frame_search`) over every
     length asked for from it; when only frames are asked from a, the
@@ -213,11 +226,15 @@ def _frame_splits(space, blocks, frames, n_top, cap):
     """
     wanted = {}
     for total, a, b in blocks:
-        totals, ends, _ = wanted.setdefault(a, (set(), set(), set()))
+        if a not in wanted:
+            wanted[a] = (set(), set(), set())
+        totals, ends, _ = wanted[a]
         totals.add(total)
         ends.add((total, b))
     for f in frames:
-        totals, _, wanted_frames = wanted.setdefault(f[0], (set(), set(), set()))
+        if f[0] not in wanted:
+            wanted[f[0]] = (set(), set(), set())
+        totals, _, wanted_frames = wanted[f[0]]
         totals.add(chain_total(space, f))
         wanted_frames.add(f)
     if not wanted:
@@ -232,13 +249,17 @@ def _frame_splits(space, blocks, frames, n_top, cap):
         heads = None
         if not ends:
             heads = {f[:k] for f in wanted_frames for k in range(1, len(f))}
-        found, steps = _frame_search(view, start, moves, totals, heads, n_top, steps, limit)
+        found, steps = _frame_search(
+            view, start, moves, totals, heads, n_top, steps, limit, faceless_top
+        )
         for f, by_degree in found.items():
             total = 0
-            for a, b in zip(f, f[1:]):
+            a = f[0]
+            for b in f[1:]:
                 if a == b:
                     raise ImproperFrame(by_degree[min(by_degree)][0][0], f)
                 total += idist[a][b]
+                a = b
             if (total, f[-1]) in ends or f in wanted_frames:
                 yield (total, start, f[-1]), f, by_degree
 
@@ -321,26 +342,36 @@ def simp_decomposition(space, l, n_top, cap=None):
 _Z = HomologyGroup(1)
 
 
-def _piece_groups(by_degree):
-    """The nonzero homology of one frame piece, {degree: group}.
+def _reduce(pieces, new):
+    """Reduce the new frame pieces of one start point into `pieces`.
 
-    The piece spans the chain records (points, mask) of `by_degree`, as
-    `_frame_splits` hands them on, over the degrees where it has any, and
-    goes to `algebra.groups_from_records`. Its homology at the degrees
-    outside is zero, and so is every degree of the frame subcomplex below
-    its first chain. A piece of one chain, such as a frame that no
-    insertion keeps at its length, is Z at that chain's degree and is not
-    assembled; the chain must have no smooth point (a zero mask), as at
-    the bottom of any complex (NotASubcomplex otherwise).
+    `new` lists (frame, by_degree), the chain records as `_frame_splits`
+    hands them on. A piece of one chain without a smooth point, such as a
+    frame that no insertion keeps at its length, is Z at that chain's
+    degree and is not assembled. The others go to one
+    `algebra._blocks_homology` call: one assembly, d^2 = 0 checked on
+    every piece before any is reduced, and `snf` on each piece's own
+    boundary at each degree. A lone chain with a smooth point is at its
+    piece's bottom degree, and raises NotASubcomplex before any piece of
+    the start is reduced. A frame's groups are the nonzero ones, at the
+    degrees where its piece has chains; every degree of the frame
+    subcomplex below its first chain is zero.
     """
-    if len(by_degree) == 1:
-        [(n, records)] = by_degree.items()
-        if len(records) == 1:
-            [(pts, mask)] = records
-            if mask:
-                raise NotASubcomplex(f"chain {pts} at bottom degree {n} has nonzero boundary")
-            return {n: _Z}
-    return groups_from_records(by_degree)
+    assembled = []
+    for f, by_degree in new:
+        if len(by_degree) == 1:
+            [(n, records)] = by_degree.items()
+            if len(records) == 1:
+                [(pts, mask)] = records
+                if mask:
+                    raise NotASubcomplex(f"chain {pts} at bottom degree {n} has nonzero boundary")
+                pieces[f] = {n: _Z}
+                continue
+        assembled.append((f, by_degree))
+    if assembled:
+        homology = _blocks_homology([by_degree for _, by_degree in assembled])
+        for (f, _), groups in zip(assembled, homology):
+            pieces[f] = {n: HomologyGroup(betti, torsion) for n, betti, torsion in groups}
 
 
 def _held(space, n_top):
@@ -351,16 +382,27 @@ def _held(space, n_top):
 def _fill(space, blocks, frames, n_top, cap):
     """Search and reduce what `blocks` and `frames` ask for into the table.
 
-    Only the pieces asked for and not held yet are reduced. A block
-    searched is held with its sorted frames, and a frame searched without
-    a chain with its empty groups.
+    Only the pieces asked for and not held yet are reduced, those of one
+    start point together (`_reduce`). A chain of degree n_top with no
+    smooth point is not filed, so no block lists a frame of degree n_top.
+    A block searched is held with its sorted frames, and a frame searched
+    without a chain filed, such as one of degree n_top, with its empty
+    groups.
     """
     pieces, complete = _held(space, n_top)
     found = {}
-    for block, f, by_degree in _frame_splits(space, blocks, frames, n_top, cap):
+    start = None
+    new = []
+    splits = _frame_splits(space, blocks, frames, n_top, cap, faceless_top=False)
+    for block, f, by_degree in splits:
+        if block[1] != start:
+            _reduce(pieces, new)
+            start = block[1]
+            new = []
         if f not in pieces:
-            pieces[f] = _piece_groups(by_degree)
+            new.append((f, by_degree))
         found.setdefault(block, []).append(f)
+    _reduce(pieces, new)
     for key in blocks:
         complete[key] = tuple(sorted(found.get(key, ())))
     for f in frames:
@@ -375,13 +417,18 @@ def frame_table(space, blocks, n_top, cap=None):
     {degree: group}}} for those blocks, where a frame's groups are the
     nonzero ones of `frame_subcomplex(space, frame, n_top)` and a block
     lists every frame of its geodesically simple chains of degree <=
-    n_top, in order.
+    n_top, in order, except at degree n_top: no chain of degree n_top
+    without a smooth point is filed, so a frame's betti number there is
+    the subcomplex's less those chains (its torsion is the subcomplex's),
+    and a frame of degree n_top, whose only chain is one of them, is not
+    listed.
 
     Kept per space and n_top in `IntegerView.frame_groups`, groups only.
     The blocks not held yet go through `_frame_splits`, so each start
     point is searched once over every total it lacks, and each piece not
-    held yet is reduced once. The steps of all those searches count
-    against one cap (`resolve_cap`); a held block costs none.
+    held yet is reduced once, with the others of its start point. The
+    steps of all those searches count against one cap (`resolve_cap`),
+    the chains not filed included; a held block costs none.
     """
     pieces, complete = _held(space, n_top)
     lacking = [key for key in blocks if key not in complete]
@@ -395,7 +442,9 @@ def frame_pieces(space, frames, n_top, cap=None):
 
     Returns {frame: {degree: group}}, the nonzero groups of
     `frame_subcomplex(space, frame, n_top)`, read from the same table as
-    `frame_table`. A frame not held yet, and whose block (its length,
+    `frame_table` and so with its betti number at n_top less the chains
+    of degree n_top without a smooth point; a frame of degree n_top has
+    no group. A frame not held yet, and whose block (its length,
     f[0], f[-1]) is not held either, goes through `_frame_splits`: each
     start point is searched once for all the frames it lacks, keeping
     only the prefixes whose frame so far starts one of them, and only

@@ -312,18 +312,32 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_json(cls, source, name=""):
-        """Load from a JSON string or an already-parsed dict."""
+        """Load from a JSON string or an already-parsed dict.
+
+        `d` must be a list of row lists. `labels`, if given and not null,
+        must be a list of strings or ints, one per point; an int label is
+        read as its decimal string. Any other shape raises MetricError.
+        """
         if isinstance(source, (str, bytes)):
             try:
                 source = json.loads(source)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # ValueError covers malformed JSON, bytes that are not
+                # text, and ints past the interpreter's digit limit
                 raise MetricError(f"invalid JSON: {exc}") from exc
         if not isinstance(source, dict):
             raise MetricError("expected a JSON object with 'labels' and 'd'")
         if "d" not in source:
             raise MetricError("missing required field 'd'")
         matrix = source["d"]
+        if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
+            raise MetricError("field 'd' must be a list of rows, each a list of distances")
         labels = source.get("labels")
+        if labels is not None and (
+            not isinstance(labels, list)
+            or not all(type(x) is str or type(x) is int for x in labels)
+        ):
+            raise MetricError("field 'labels' must be a list of strings or ints")
         return validate_metric(matrix, labels=labels, name=name)
 
     def to_csv(self):
@@ -336,7 +350,15 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_csv(cls, text, name=""):
-        rows = [r for r in csv.reader(io.StringIO(text)) if r]
+        """Load from CSV text: a row of labels, then the matrix rows.
+
+        Text the csv module cannot read, such as a field broken by a bare
+        carriage return, raises MetricError.
+        """
+        try:
+            rows = [r for r in csv.reader(io.StringIO(text)) if r]
+        except csv.Error as exc:
+            raise MetricError(f"invalid CSV: {exc}") from exc
         if not rows:
             raise MetricError("empty CSV input")
         labels = [c.strip() for c in rows[0]]

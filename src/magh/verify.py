@@ -27,7 +27,12 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import TRIVIAL_GROUP, HomologyGroup, block_homology_rows
+from .algebra import (
+    TRIVIAL_GROUP,
+    HomologyGroup,
+    block_homology_rows,
+    merge_invariant_factors,
+)
 from .chains import count_step, length_spectra, resolve_cap, smooth_faces
 from .errors import EnumerationCapExceeded
 from .frames import frame_pieces, frame_table, is_realized_frame, m_x
@@ -220,7 +225,8 @@ def check_simp_iso(space, n_max, cap=None):
     chains and splits them by frame, reading every endpoint block of
     every grading from the frame table, the other keeps every chain and
     splits only by endpoint pair, in one block-engine call for every
-    grading.
+    grading. The pieces' betti numbers are summed and their torsion
+    factors gathered per grading and degree, and each group is made once.
     """
     mx = m_x(space)
     gradings = _grading_values(space, n_max, mx.value, cap)
@@ -237,14 +243,22 @@ def check_simp_iso(space, n_max, cap=None):
     totals = [space.integer_view.scaled(l) for l in gradings]
     points = range(space.n)
     table = frame_table(space, list(itertools.product(totals, points, points)), n_max + 1, cap)
-    parts = {}
+    # (total, n) -> the betti number and the torsion factor lists summed
+    betti = {}
+    torsion = {}
     for (total, _, _), pieces in table.items():
         for groups in pieces.values():
             for n, group in groups.items():
-                parts.setdefault((total, n), []).append(group)
+                key = total, n
+                betti[key] = betti.get(key, 0) + group.betti
+                if group.torsion:
+                    torsion.setdefault(key, []).append(group.torsion)
     for l, total in zip(gradings, totals):
         for n in range(1, n_max + 1):
-            summed = HomologyGroup.direct_sum(parts.get((total, n), ()))
+            key = total, n
+            summed = HomologyGroup(
+                betti.get(key, 0), merge_invariant_factors(torsion.get(key, ()))
+            )
             if summed != full[l, n]:
                 return VerificationReport(
                     check="simp_iso",

@@ -393,6 +393,21 @@ def test_bad_input_exit_two(capsys, monkeypatch):
     assert "magh: error: MAGH_CAP must be an integer, got 'abc'" in err
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"d": [null]}', "field 'd' must be a list of rows, each a list of distances"),
+        ('{"d": 3}', "field 'd' must be a list of rows, each a list of distances"),
+        ('{"d": [], "labels": 0.0}', "field 'labels' must be a list of strings or ints"),
+    ],
+)
+def test_misshapen_json_exits_two_with_one_line(capsys, monkeypatch, text, reason):
+    # each of these ended in a TypeError traceback before from_json
+    # checked the shapes of its fields
+    code, out, err = run_cli(capsys, monkeypatch, ["mx"], stdin=text)
+    assert (code, out, err) == (2, "", f"magh: error: {reason}\n")
+
+
 SUBCOMMAND_ARGS = {
     "gen": ["cycle", "4"],
     "compute": ["--l", "1,2", "--n-max", "2"],

@@ -11,9 +11,9 @@ import magh.frames
 from magh.algebra import (
     TRIVIAL_GROUP,
     HomologyGroup,
+    _blocks_homology,
     complex_from_bases,
     groups_from_bases,
-    groups_from_records,
 )
 from magh.chains import ProperChain, chain_length, chain_total, enumerate_proper_chains
 from magh.errors import EnumerationCapExceeded, NotASubcomplex
@@ -48,6 +48,7 @@ from oracles import (
     naive_chains,
     naive_four_cuts,
     naive_m_x,
+    smooth_by_distances,
 )
 from test_posets import rational_grid_space, rp2_face_poset_space
 
@@ -299,10 +300,52 @@ def test_frame_cap_counts_prefixes_kept():
 # --- the frame table ---------------------------------------------------------------
 
 
+def compare_with_subcomplexes(space, blocks, n_top):
+    """Check `frame_table` on the given blocks against `frame_subcomplex`,
+    frame by frame, and return {frame: chains of degree n_top without a
+    smooth point} for every frame of the blocks.
+
+    Below n_top every frame's groups are its subcomplex's. The table files
+    no chain of degree n_top without a smooth point (`smooth_by_distances`
+    reads them off the distances), so at n_top its betti number is the
+    subcomplex's less those chains, with equal torsion, and a frame whose
+    every chain is one of them is not listed. The frames and their chains
+    are those `_frame_splits` gives with every chain kept, as for
+    `frame_subcomplex`.
+    """
+    table = frame_table(space, blocks, n_top)
+    assert list(table) == blocks
+    faceless_top = {}
+    listed = {}
+    for block, f, by_degree in magh.frames._frame_splits(space, blocks, (), n_top, None):
+        tops = [pts for pts, _ in by_degree.get(n_top, ())]
+        faceless_top[f] = sum(1 for pts in tops if not smooth_by_distances(space, pts))
+        if faceless_top[f] < sum(map(len, by_degree.values())):
+            listed.setdefault(block, []).append(f)
+        else:
+            # a frame below n_top is a chain of its own, with a frame
+            # point at every position, so only frames of degree n_top
+            # can be left out
+            assert len(f) - 1 == n_top
+    for block, frames in table.items():
+        assert list(frames) == sorted(listed.get(block, ()))
+        for f, groups in frames.items():
+            assert (f[0], f[-1]) == block[1:]
+            assert all(not g.is_trivial() for g in groups.values())
+            sub = frame_subcomplex(space, f, n_top)
+            for n in range(n_top + 2):
+                want = sub.homology_or_trivial(n)
+                if n == n_top:
+                    want = HomologyGroup(want.betti - faceless_top[f], want.torsion)
+                assert groups.get(n, TRIVIAL_GROUP) == want, (f, n)
+    return faceless_top
+
+
 @pytest.mark.parametrize("space", FRAME_SPACES, ids=lambda s: s.name)
 def test_frame_table_matches_frame_subcomplexes(space):
-    # every frame's groups equal its subcomplex's, and every grading's sum
-    # is the direct sum over simp_decomposition
+    # every frame's groups equal its subcomplex's below n_top and at n_top
+    # less the chains without a smooth point, and every grading's sum is
+    # the direct sum over simp_decomposition, likewise
     view = space.integer_view
     points = range(space.n)
     for n_top in (2, 4):
@@ -314,28 +357,41 @@ def test_frame_table_matches_frame_subcomplexes(space):
             }
         )
         blocks = [(t, a, b) for t in totals for a in points for b in points]
+        faceless_top = compare_with_subcomplexes(space, blocks, n_top)
         table = frame_table(space, blocks, n_top)
-        assert list(table) == blocks
         for total in totals:
             pieces = simp_decomposition(space, view.fraction(total), n_top)
-            by_frame = {}
-            for (t, a, b), frames in table.items():
-                if t == total:
-                    for f, groups in frames.items():
-                        assert (f[0], f[-1]) == (a, b)
-                        by_frame[f] = groups
-            assert sorted(by_frame) == list(pieces)
-            for f, groups in by_frame.items():
-                assert all(not g.is_trivial() for g in groups.values())
-                sub = frame_subcomplex(space, f, n_top)
-                for n in range(n_top + 2):
-                    assert groups.get(n, TRIVIAL_GROUP) == sub.homology_or_trivial(n), (f, n)
+            by_frame = {
+                f: groups
+                for (t, _, _), frames in table.items()
+                if t == total
+                for f, groups in frames.items()
+            }
+            omitted = [f for f in pieces if f not in by_frame]
+            assert all(len(f) - 1 == n_top for f in omitted)
+            assert sorted(by_frame) == [f for f in pieces if f not in omitted]
             for n in range(n_top + 2):
-                assert HomologyGroup.direct_sum(
+                want = HomologyGroup.direct_sum(cx.homology_or_trivial(n) for cx in pieces.values())
+                if n == n_top:
+                    dropped = sum(faceless_top[f] for f in pieces)
+                    want = HomologyGroup(want.betti - dropped, want.torsion)
+                got = HomologyGroup.direct_sum(
                     groups.get(n, TRIVIAL_GROUP) for groups in by_frame.values()
-                ) == HomologyGroup.direct_sum(
-                    cx.homology_or_trivial(n) for cx in pieces.values()
                 )
+                assert got == want, (total, n)
+
+
+def test_frame_table_matches_frame_subcomplexes_on_rp2():
+    # RP^2's face poset with a bottom and a top: every frame from the
+    # bottom at length 4, where the pair frame (bottom, top) carries Z/2
+    # at n = 3
+    space, bottom, top = rp2_face_poset_space()
+    total = space.integer_view.idist[bottom][top]
+    blocks = [(total, bottom, b) for b in range(space.n)]
+    faceless_top = compare_with_subcomplexes(space, blocks, 4)
+    assert sum(faceless_top.values())
+    table = frame_table(space, blocks, 4)
+    assert table[total, bottom, top][bottom, top][3] == HomologyGroup(0, (2,))
 
 
 def test_frame_table_keeps_rp2_torsion():
@@ -350,13 +406,14 @@ def test_frame_table_keeps_rp2_torsion():
 
 
 def test_frame_alone_builds_no_complex(monkeypatch):
+    # each start's pieces go to one reduction call, as one list of blocks
     built = []
 
-    def counting(records):
-        built.append({n: [pts for pts, _ in chains] for n, chains in records.items()})
-        return groups_from_records(records)
+    def counting(blocks):
+        built.append([{n: [pts for pts, _ in chains] for n, chains in b.items()} for b in blocks])
+        return _blocks_homology(blocks)
 
-    monkeypatch.setattr(magh.frames, "groups_from_records", counting)
+    monkeypatch.setattr(magh.frames, "_blocks_homology", counting)
     space = path_space(3)
     table = frame_table(space, [(1, 0, 1), (2, 0, 0), (2, 0, 2)], 3)
     assert table == {
@@ -366,13 +423,13 @@ def test_frame_alone_builds_no_complex(monkeypatch):
         (2, 0, 2): {(0, 2): {}},
     }
     # only the piece of (0, 2) and (0, 1, 2) has more than one chain
-    assert built == [{1: [(0, 2)], 2: [(0, 1, 2)]}]
+    assert built == [[{1: [(0, 2)], 2: [(0, 1, 2)]}]]
     # the lone chain's boundary is still checked, as at a complex's bottom:
     # the search files (0, 1, 2) with its smooth point 1 in its mask
     [(_, f, by_degree)] = magh.frames._frame_splits(space, [(2, 0, 2)], (), 2, None)
     assert f == (0, 2) and by_degree[2] == [((0, 1, 2), 0b10)]
     with pytest.raises(NotASubcomplex):
-        magh.frames._piece_groups({2: by_degree[2]})
+        magh.frames._reduce({}, [(f, {2: by_degree[2]})])
     assert len(built) == 1
     with pytest.raises(NotASubcomplex):
         complex_from_bases(space, {2: [(0, 1, 2)]}, 2, 2)
@@ -426,9 +483,9 @@ def recorded_searches(monkeypatch):
     searches = []
     original = magh.frames._frame_search
 
-    def recording(view, start, moves, wanted, heads, n_top, steps, limit):
+    def recording(view, start, moves, wanted, heads, *rest):
         searches.append((start, sorted(wanted), heads))
-        return original(view, start, moves, wanted, heads, n_top, steps, limit)
+        return original(view, start, moves, wanted, heads, *rest)
 
     monkeypatch.setattr(magh.frames, "_frame_search", recording)
     return searches
@@ -437,13 +494,13 @@ def recorded_searches(monkeypatch):
 def test_frame_table_searches_only_what_it_lacks(monkeypatch):
     searches = recorded_searches(monkeypatch)
     reduced = []
-    piece_groups = magh.frames._piece_groups
+    reduce = magh.frames._reduce
 
-    def recording_pieces(by_degree):
-        reduced.append(by_degree[min(by_degree)][0][0])
-        return piece_groups(by_degree)
+    def recording_pieces(pieces, new):
+        reduced.extend(by_degree[min(by_degree)][0][0] for _, by_degree in new)
+        return reduce(pieces, new)
 
-    monkeypatch.setattr(magh.frames, "_piece_groups", recording_pieces)
+    monkeypatch.setattr(magh.frames, "_reduce", recording_pieces)
     space = cycle_space(5)
     first = frame_table(space, [(2, 0, 2), (1, 0, 1), (2, 3, 0)], 3)
     assert searches == [(0, [1, 2], None), (3, [2], None)]

@@ -1,14 +1,17 @@
+import json
+import re
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import magh.metric
 
 from magh.errors import (
     AsymmetricAt,
+    MaghError,
     MetricError,
     NegativeEntry,
     NegativeOrZeroOffDiagonal,
@@ -242,6 +245,84 @@ def test_json_errors():
         FiniteMetricSpace.from_json("not json")
     with pytest.raises(MetricError):
         FiniteMetricSpace.from_json('{"labels": ["a"]}')
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"d": [null]}', "field 'd' must be a list of rows"),
+        ('{"d": 3}', "field 'd' must be a list of rows"),
+        ('{"d": "0"}', "field 'd' must be a list of rows"),
+        ('{"d": [[0, 1], "10"]}', "field 'd' must be a list of rows"),
+        ('{"d": [], "labels": 0.0}', "field 'labels' must be a list"),
+        ('{"d": [[0, 1], [1, 0]], "labels": "ab"}', "field 'labels' must be a list"),
+        ('{"d": [[0, 1], [1, 0]], "labels": ["a", ["b"]]}', "field 'labels' must be a list"),
+        ('{"d": [[0, 1], [1, 0]], "labels": [true, "b"]}', "field 'labels' must be a list"),
+        ('{"d": [[0, 1], [1, 0]], "labels": [1.5, "b"]}', "field 'labels' must be a list"),
+        ('{"d": [[0, 1], [1, 0]], "labels": ["a"]}', "1 labels for 2 points"),
+        pytest.param("[" * 100000, "invalid JSON", id="nested-100000-deep"),
+        pytest.param('{"d": [[' + "1" * 5000 + "]]}", "invalid JSON", id="int-of-5000-digits"),
+    ],
+)
+def test_json_shapes_are_checked(text, reason):
+    with pytest.raises(MetricError, match=re.escape(reason)):
+        FiniteMetricSpace.from_json(text)
+
+
+def test_json_labels_are_strings_or_ints():
+    # an int label reads as its decimal string; null or no labels give 0..n-1
+    d = [[0, 1], [1, 0]]
+    assert FiniteMetricSpace.from_json({"d": d, "labels": [7, "b"]}).labels == ("7", "b")
+    assert FiniteMetricSpace.from_json({"d": d, "labels": None}).labels == ("0", "1")
+    assert FiniteMetricSpace.from_json({"d": d}).labels == ("0", "1")
+
+
+def test_csv_reader_errors_are_metric_errors():
+    # a lone carriage return ends no line for the csv module, which refuses
+    # the field; the same text with LF line ends loads
+    with pytest.raises(MetricError, match="invalid CSV"):
+        FiniteMetricSpace.from_csv("a,b\r0,1\r1,0\r")
+    with pytest.raises(MetricError, match="invalid CSV"):
+        FiniteMetricSpace.from_csv("0,1\r1,0\r")
+    assert FiniteMetricSpace.from_csv("a,b\n0,1\n1,0\n").labels == ("a", "b")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from("dl"), inner),
+    max_leaves=12,
+)
+
+
+def _documents():
+    fields = st.fixed_dictionaries({}, optional={"d": _JSON_VALUES, "labels": _JSON_VALUES})
+    return st.one_of(
+        fields.map(json.dumps),
+        _JSON_VALUES.map(json.dumps),
+        st.text(alphabet='{}[]",:0123456789 dlabels/\r\n-.', max_size=30),
+    )
+
+
+def _csv_texts():
+    return st.one_of(
+        st.text(alphabet=',"0123/ \r\nab-.\x00', max_size=30),
+        st.lists(
+            st.lists(st.sampled_from(["0", "1", "2", "1/2", "a", '"', "-1", ""]), max_size=3),
+            max_size=4,
+        ).map(lambda rows: "\r".join(",".join(row) for row in rows)),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(json_text=_documents(), csv_text=_csv_texts())
+def test_every_text_loads_or_raises_a_magh_error(json_text, csv_text):
+    loads = ((FiniteMetricSpace.from_json, json_text), (FiniteMetricSpace.from_csv, csv_text))
+    for load, text in loads:
+        try:
+            space = load(text)
+        except MaghError:
+            continue
+        assert isinstance(space, FiniteMetricSpace)
 
 
 def test_csv_roundtrip():

@@ -411,14 +411,14 @@ def recorded_frame_searches(monkeypatch, space):
     searches, requests = [], []
     search, splits = magh.frames._frame_search, magh.frames._frame_splits
 
-    def recording_search(view, start, moves, wanted, heads, n_top, steps, limit):
+    def recording_search(view, start, moves, wanted, heads, *rest):
         searches.append((len(requests) - 1, start, set(wanted), heads))
-        return search(view, start, moves, wanted, heads, n_top, steps, limit)
+        return search(view, start, moves, wanted, heads, *rest)
 
-    def recording_splits(space_, blocks, frames, n_top, cap):
+    def recording_splits(space_, blocks, frames, n_top, *rest, **options):
         pieces, complete = space.integer_view.frame_groups.get(n_top, ({}, {}))
         requests.append((list(blocks), list(frames), set(pieces), set(complete)))
-        return splits(space_, blocks, frames, n_top, cap)
+        return splits(space_, blocks, frames, n_top, *rest, **options)
 
     monkeypatch.setattr(magh.frames, "_frame_search", recording_search)
     monkeypatch.setattr(magh.frames, "_frame_splits", recording_splits)
