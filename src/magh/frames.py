@@ -14,9 +14,13 @@ as it is built, and a prefix is dropped once it is longer than its frame:
 that gap never shrinks as the chain grows, so no simple chain is lost.
 The points a frame drops are exactly the strictly smooth ones, so each
 chain is filed as a record (points, mask) with those positions as its
-mask, and the frame table reduces the new pieces of each start point
-from these records in one `algebra._blocks_homology` call, the engine's
-own, without testing any point again.
+mask, under its frame and with the frame's length, which the search has
+summed already: a simple chain is as long as its frame. The frame table
+reads the groups of a single-row piece, a frame with at most its
+one-point insertions, off the number of insertions, and reduces the
+other new pieces of each start point from these records in one
+`algebra._blocks_homology` call, the engine's own, without testing any
+point again.
 One function, `_frame_splits`, runs it once per start point for what is
 asked: whole endpoint blocks (total, a, b), or single frames, for which a
 prefix whose head starts no wanted frame is dropped too. Every route here
@@ -35,7 +39,9 @@ smooth point: such a chain is a frame of its own and only adds a free
 generator at n_top, which no check reads. So a piece's betti number at
 n_top is its subcomplex's less those chains, its torsion is the
 subcomplex's, and a frame of degree n_top has no group and is listed in
-no block. The routes that build complexes keep every chain.
+no block. The groups the table returns are its own, shared between
+pieces of equal groups, and must not be mutated. The routes that build
+complexes keep every chain.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from fractions import Fraction
 from .algebra import HomologyGroup, _blocks_homology, complex_from_bases
 from .chains import ProperChain, chain_total, resolve_cap, search_moves
 from .errors import EnumerationCapExceeded, ImproperFrame, NotASubcomplex
-from .metric import format_rational
+from .metric import format_rational, set_bits
 
 
 def _frame_and_total(view, pts):
@@ -114,21 +120,22 @@ def is_realized_frame(space, points):
     (0, 1, 4) smooths the 1, and the two homology routes genuinely
     disagree at degree 3. Pair frames have no junctions and always
     qualify.
+
+    One pass over the betweenness rows decides both: the tuple must be
+    proper, and the pair (L, R) = (x_{i-1}, x_{i+1}) is the test that x_i
+    is not strictly smooth, so the tuple is its own frame exactly when
+    that pair fails at every junction.
     """
     pts = tuple(points)
-    if not is_frame(space, pts):
+    if len(pts) < 2 or any(a == b for a, b in zip(pts, pts[1:])):
         return False
-    view = space.integer_view
-    between = view.between
-    for i in range(1, len(pts) - 1):
-        xi = pts[i]
-        left = (pts[i - 1],) + view.between_points(pts[i - 1], xi)
-        right = (pts[i + 1],) + view.between_points(xi, pts[i + 1])
-        for lpt in left:
+    between = space.integer_view.between
+    for prev, xi, nxt in zip(pts, pts[1:], pts[2:]):
+        right = set_bits(between[xi][nxt] | 1 << nxt)
+        for lpt in set_bits(between[prev][xi] | 1 << prev):
+            row = between[lpt]
             for rpt in right:
-                if lpt == pts[i - 1] and rpt == pts[i + 1]:
-                    continue
-                if between[lpt][rpt] >> xi & 1:
+                if row[rpt] >> xi & 1:
                     return False
     return True
 
@@ -153,10 +160,12 @@ def _frame_search(view, start, moves, wanted, heads, n_top, steps, limit, facele
     chain of degree n_top with a zero mask is counted but not filed: it
     is its own frame and only a free generator at n_top. Returns (found,
     steps): `found` maps each frame, in the order its first chain was
-    met, to {degree: records}, a record being (points, mask), degrees
-    ascending and each in lexicographic order. `steps` is the given count
-    plus one for the start and one per prefix kept, and
-    EnumerationCapExceeded is raised as soon as it passes `limit`.
+    met, to (total, {degree: records}), with total the frame's length as
+    a scaled int, which is that of each of its chains, and a record being
+    (points, mask), degrees ascending and each in lexicographic order.
+    `steps` is the given count plus one for the start and one per prefix
+    kept, and EnumerationCapExceeded is raised as soon as it passes
+    `limit`.
     """
     steps += 1
     if steps > limit:
@@ -198,7 +207,13 @@ def _frame_search(view, start, moves, wanted, heads, n_top, steps, limit, facele
                 if n < n_top:
                     grown.append((ch, t, kept, kept_total, dropped))
                 if t in wanted and (dropped or file_faceless):
-                    found.setdefault(kept + (nxt,), {}).setdefault(n, []).append((ch, dropped))
+                    # a chain that drops nothing is its own frame
+                    f = kept + (nxt,) if dropped else ch
+                    filed = found.get(f)
+                    if filed is None:
+                        found[f] = t, {n: [(ch, dropped)]}
+                    else:
+                        filed[1].setdefault(n, []).append((ch, dropped))
             if steps > limit:
                 raise EnumerationCapExceeded(steps, limit)
         level = grown
@@ -221,6 +236,7 @@ def _frame_splits(space, blocks, frames, n_top, cap, faceless_top=True):
     met. Each start point a is searched once (`_frame_search`) over every
     length asked for from it; when only frames are asked from a, the
     search keeps only the prefixes whose head starts one of them. A
+    frame's block total is the length the search filed it with. A
     simple chain whose frame is not proper raises ImproperFrame. The steps
     of all the searches count against one cap (`resolve_cap`).
     """
@@ -240,7 +256,6 @@ def _frame_splits(space, blocks, frames, n_top, cap, faceless_top=True):
     if not wanted:
         return
     view = space.integer_view
-    idist = view.idist
     limit = resolve_cap(cap)
     moves = search_moves(space, max(max(totals) for totals, _, _ in wanted.values()))
     steps = 0
@@ -252,13 +267,11 @@ def _frame_splits(space, blocks, frames, n_top, cap, faceless_top=True):
         found, steps = _frame_search(
             view, start, moves, totals, heads, n_top, steps, limit, faceless_top
         )
-        for f, by_degree in found.items():
-            total = 0
+        for f, (total, by_degree) in found.items():
             a = f[0]
             for b in f[1:]:
                 if a == b:
                     raise ImproperFrame(by_degree[min(by_degree)][0][0], f)
-                total += idist[a][b]
                 a = b
             if (total, f[-1]) in ends or f in wanted_frames:
                 yield (total, start, f[-1]), f, by_degree
@@ -339,35 +352,71 @@ def simp_decomposition(space, l, n_top, cap=None):
     return out
 
 
-_Z = HomologyGroup(1)
+# (degree, betti) -> {degree: Z^betti}, or {} for betti 0: the groups of
+# the single-row pieces (`_single_row`), shared by every table that holds
+# one and never mutated
+_FREE = {}
+
+
+def _single_row(by_degree):
+    """(degree, betti) of the one free group of a single-row piece, or None.
+
+    A single-row piece has one chain at its bottom degree lo, the frame,
+    with no smooth point, and above it only k >= 0 chains of degree
+    lo + 1 with exactly one smooth point each, whose removal gives the
+    frame: one-point insertions. Its boundary is a 1 x k row of +-1, so
+    its homology is Z at lo for k = 0, zero for k = 1, and Z^(k-1) at
+    lo + 1 for k >= 2, with no assembly and no `snf`. Betti 0 stands for
+    no group. A lone chain with a smooth point raises NotASubcomplex, as
+    at a complex's bottom; any other piece that fits no part of the rule
+    gives None, so the assembly meets it and raises what it raises.
+    """
+    lo = min(by_degree)
+    bottom = by_degree[lo]
+    if len(bottom) != 1 or len(by_degree) > 2:
+        return None
+    [(base, mask)] = bottom
+    if len(by_degree) == 1:
+        if mask:
+            raise NotASubcomplex(f"chain {base} at bottom degree {lo} has nonzero boundary")
+        return lo, 1
+    above = by_degree.get(lo + 1)
+    if mask or not above:
+        return None
+    for pts, bits in above:
+        i = bits.bit_length() - 1
+        if not bits or bits & bits - 1 or pts[:i] + pts[i + 1 :] != base:
+            return None
+    return lo + 1, len(above) - 1
 
 
 def _reduce(pieces, new):
     """Reduce the new frame pieces of one start point into `pieces`.
 
     `new` lists (frame, by_degree), the chain records as `_frame_splits`
-    hands them on. A piece of one chain without a smooth point, such as a
-    frame that no insertion keeps at its length, is Z at that chain's
-    degree and is not assembled. The others go to one
-    `algebra._blocks_homology` call: one assembly, d^2 = 0 checked on
-    every piece before any is reduced, and `snf` on each piece's own
-    boundary at each degree. A lone chain with a smooth point is at its
-    piece's bottom degree, and raises NotASubcomplex before any piece of
-    the start is reduced. A frame's groups are the nonzero ones, at the
-    degrees where its piece has chains; every degree of the frame
-    subcomplex below its first chain is zero.
+    hands them on. A single-row piece, a frame with only its one-point
+    insertions one degree up, or none, has its groups read off the number
+    of insertions (`_single_row`), from dicts shared by all such pieces
+    of equal groups. The others go to one `algebra._blocks_homology`
+    call: one assembly, d^2 = 0 checked on every piece before any is
+    reduced, and `snf` on each piece's own boundary at each degree. A
+    lone chain with a smooth point is at its piece's bottom degree, and
+    raises NotASubcomplex before any piece of the start is assembled. A
+    frame's groups are the nonzero ones, at the degrees where its piece
+    has chains; every degree of the frame subcomplex below its first
+    chain is zero.
     """
     assembled = []
     for f, by_degree in new:
-        if len(by_degree) == 1:
-            [(n, records)] = by_degree.items()
-            if len(records) == 1:
-                [(pts, mask)] = records
-                if mask:
-                    raise NotASubcomplex(f"chain {pts} at bottom degree {n} has nonzero boundary")
-                pieces[f] = {n: _Z}
-                continue
-        assembled.append((f, by_degree))
+        key = _single_row(by_degree)
+        if key is None:
+            assembled.append((f, by_degree))
+            continue
+        groups = _FREE.get(key)
+        if groups is None:
+            n, betti = key
+            groups = _FREE[key] = {n: HomologyGroup(betti)} if betti else {}
+        pieces[f] = groups
     if assembled:
         homology = _blocks_homology([by_degree for _, by_degree in assembled])
         for (f, _), groups in zip(assembled, homology):
@@ -428,7 +477,9 @@ def frame_table(space, blocks, n_top, cap=None):
     point is searched once over every total it lacks, and each piece not
     held yet is reduced once, with the others of its start point. The
     steps of all those searches count against one cap (`resolve_cap`),
-    the chains not filed included; a held block costs none.
+    the chains not filed included; a held block costs none. The groups
+    returned are the table's own, shared between pieces, and must not be
+    mutated.
     """
     pieces, complete = _held(space, n_top)
     lacking = [key for key in blocks if key not in complete]
@@ -449,7 +500,8 @@ def frame_pieces(space, frames, n_top, cap=None):
     start point is searched once for all the frames it lacks, keeping
     only the prefixes whose frame so far starts one of them, and only
     those frames' pieces are reduced. The cap counts as there; a held
-    frame costs none.
+    frame costs none. As there, the groups returned are the table's own
+    and must not be mutated.
     """
     frames = [tuple(f) for f in frames]
     pieces, complete = _held(space, n_top)

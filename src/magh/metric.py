@@ -46,18 +46,48 @@ from .errors import (
 )
 
 
+# the interpreter's default limit on the digits of an int read from text,
+# which JSON ints meet in `FiniteMetricSpace.from_json`
+MAX_EXPONENT = 4300
+
+
+def _exponent_too_large(clean):
+    """True when `clean` is a decimal in Fraction's syntax whose exponent,
+    after its last e or E, exceeds MAX_EXPONENT in absolute value.
+
+    The exponent's digits are read only when there are few of them, and
+    the syntax is checked on a copy with those digits zeroed, so no large
+    power is built. A text Fraction refuses gives False, and Fraction's
+    own error.
+    """
+    head, _, exponent = clean.replace("E", "e").rpartition("e")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if not digits.isdecimal() or (len(digits) <= 4 and int(digits) <= MAX_EXPONENT):
+        return False
+    zeroed = "".join("0" if c.isdecimal() else c for c in exponent)
+    try:
+        Fraction(f"{head}e{zeroed}")
+    except ValueError:
+        return False
+    return True
+
+
 def parse_rational(text):
     """Parse "p/q" or "p" into a Fraction, loss-free.
 
     Digits-only "p/q" and "p" are read with int(), about twice as fast as
     Fraction's own parser, which reads every other form and reports what
-    is malformed.
+    is malformed. Fraction builds the whole power of ten an exponent
+    names, so a decimal exponent beyond `MAX_EXPONENT` in absolute value
+    raises MetricError before it is read.
     """
     clean = str(text).strip()
     num, slash, den = clean.partition("/")
     try:
         if num.isdecimal() and (den.isdecimal() if slash else True):
             return Fraction(int(num), int(den) if slash else 1)
+        if not slash and ("e" in clean or "E" in clean) and _exponent_too_large(clean):
+            raise ValueError(f"decimal exponent exceeds {MAX_EXPONENT} in absolute value")
         return Fraction(clean)
     except (ValueError, ZeroDivisionError) as exc:
         raise MetricError(f"cannot parse rational from {text!r}: {exc}") from exc

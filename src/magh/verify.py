@@ -215,6 +215,16 @@ def _grading_values(space, n_max, mx_value, cap=None):
     return out
 
 
+def _full_groups(space, gradings, totals, n_max, cap):
+    """(total, n) -> the full complex's group at each grading and degree
+    0..n_max, from one block-engine call; `totals` are the gradings as
+    scaled ints, so no lookup hashes a Fraction.
+    """
+    width = n_max + 1
+    rows = block_homology_rows(space, gradings, n_max, cap)
+    return {(totals[i // width], row.n): row.group for i, row in enumerate(rows)}
+
+
 def check_simp_iso(space, n_max, cap=None):
     """Frame decomposition agrees with the full complex below m_X.
 
@@ -236,11 +246,8 @@ def check_simp_iso(space, n_max, cap=None):
         "gradings": [format_rational(l) for l in gradings],
     }
     name = space.name or "space"
-    full = {
-        (row.l, row.n): row.group
-        for row in block_homology_rows(space, gradings, n_max, cap)
-    }
     totals = [space.integer_view.scaled(l) for l in gradings]
+    full = _full_groups(space, gradings, totals, n_max, cap)
     points = range(space.n)
     table = frame_table(space, list(itertools.product(totals, points, points)), n_max + 1, cap)
     # (total, n) -> the betti number and the torsion factor lists summed
@@ -259,7 +266,7 @@ def check_simp_iso(space, n_max, cap=None):
             summed = HomologyGroup(
                 betti.get(key, 0), merge_invariant_factors(torsion.get(key, ()))
             )
-            if summed != full[l, n]:
+            if summed != full[key]:
                 return VerificationReport(
                     check="simp_iso",
                     space=name,
@@ -269,7 +276,7 @@ def check_simp_iso(space, n_max, cap=None):
                         "l": format_rational(l),
                         "n": n,
                         "decomposition": _group_json(summed),
-                        "full": _group_json(full[l, n]),
+                        "full": _group_json(full[key]),
                     },
                 )
     return VerificationReport(check="simp_iso", space=name, status="pass", params=params)
@@ -286,19 +293,20 @@ def check_frame_injectivity(space, n_max, cap=None):
     the frame table the pair frames' side, one frame request each.
     """
     name = space.name or "space"
-    gradings = sorted({space.d(a, b) for a in range(space.n) for b in range(space.n) if a != b})
-    full = {
-        (row.l, row.n): row.group
-        for row in block_homology_rows(space, gradings, n_max, cap)
-    }
+    idist = space.integer_view.idist
+    # each off-diagonal distance, the only nonzero ones, as a scaled int,
+    # with its Fraction
+    lengths = {t: l for irow, row in zip(idist, space.dist) for t, l in zip(irow, row) if t}
+    totals = sorted(lengths)
+    full = _full_groups(space, [lengths[t] for t in totals], totals, n_max, cap)
     frames = [(a, b) for a in range(space.n) for b in range(space.n) if a != b]
     table = frame_pieces(space, frames, n_max + 1, cap)
     for pairs, (a, b) in enumerate(frames, start=1):
-        l = space.d(a, b)
+        total = idist[a][b]
         groups = table[a, b]
         for n in range(1, n_max + 1):
             fb = groups.get(n, TRIVIAL_GROUP).betti
-            if fb > full[l, n].betti:
+            if fb > full[total, n].betti:
                 return VerificationReport(
                     check="frame_injectivity",
                     space=name,
@@ -306,10 +314,10 @@ def check_frame_injectivity(space, n_max, cap=None):
                     params={"n_max": n_max, "pairs": pairs},
                     witness={
                         "frame": [a, b],
-                        "l": format_rational(l),
+                        "l": format_rational(space.d(a, b)),
                         "n": n,
                         "frame_betti": fb,
-                        "full_betti": full[l, n].betti,
+                        "full_betti": full[total, n].betti,
                     },
                 )
     return VerificationReport(

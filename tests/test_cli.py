@@ -408,6 +408,23 @@ def test_misshapen_json_exits_two_with_one_line(capsys, monkeypatch, text, reaso
     assert (code, out, err) == (2, "", f"magh: error: {reason}\n")
 
 
+@pytest.mark.parametrize(
+    "text, entry",
+    [
+        ("a,b\n0,1e1000000\n1e1000000,0\n", "1e1000000"),
+        ('{"d": [[0, "1e-1000000"], ["1e-1000000", 0]]}', "1e-1000000"),
+    ],
+    ids=["csv", "json"],
+)
+def test_huge_exponent_exits_two_with_one_line(capsys, monkeypatch, text, entry):
+    code, out, err = run_cli(capsys, monkeypatch, ["mx"], stdin=text)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"magh: error: cannot parse rational from {entry!r}: "
+        "decimal exponent exceeds 4300 in absolute value\n"
+    )
+
+
 SUBCOMMAND_ARGS = {
     "gen": ["cycle", "4"],
     "compute": ["--l", "1,2", "--n-max", "2"],

@@ -1,6 +1,8 @@
+import itertools
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,10 +16,12 @@ from magh.algebra import (
     _blocks_homology,
     complex_from_bases,
     groups_from_bases,
+    groups_from_records,
 )
 from magh.chains import ProperChain, chain_length, chain_total, enumerate_proper_chains
 from magh.errors import EnumerationCapExceeded, NotASubcomplex
 from magh.frames import (
+    _points,
     _simple_tuples_by_frame,
     four_cuts,
     frame,
@@ -40,7 +44,7 @@ from magh.metric import (
     validate_metric,
 )
 from magh.posets import frame_homology_via_posets
-from magh.verify import default_suite
+from magh.verify import default_suite, random_suite
 
 from oracles import (
     frame_bases_by_tables,
@@ -422,19 +426,186 @@ def test_frame_alone_builds_no_complex(monkeypatch):
         # (0, 2) holds (0, 1, 2) as well as itself
         (2, 0, 2): {(0, 2): {}},
     }
-    # only the piece of (0, 2) and (0, 1, 2) has more than one chain
-    assert built == [[{1: [(0, 2)], 2: [(0, 1, 2)]}]]
+    # every piece is a frame with at most its one-point insertions, whose
+    # groups are read off their count: nothing is assembled
+    assert built == []
+    # on C_6 some pieces are assembled, none of them a single-row one
+    c6 = cycle_space(6)
+    points = range(c6.n)
+    frame_table(c6, [(t, a, b) for t in (2, 3, 4) for a in points for b in points], 4)
+    assert built
+    for blocks in built:
+        for by_degree in blocks:
+            assert not is_single_row(c6, by_degree), by_degree
+    del built[:]
     # the lone chain's boundary is still checked, as at a complex's bottom:
     # the search files (0, 1, 2) with its smooth point 1 in its mask
     [(_, f, by_degree)] = magh.frames._frame_splits(space, [(2, 0, 2)], (), 2, None)
     assert f == (0, 2) and by_degree[2] == [((0, 1, 2), 0b10)]
     with pytest.raises(NotASubcomplex):
         magh.frames._reduce({}, [(f, {2: by_degree[2]})])
-    assert len(built) == 1
+    assert built == []
     with pytest.raises(NotASubcomplex):
         complex_from_bases(space, {2: [(0, 1, 2)]}, 2, 2)
     with pytest.raises(NotASubcomplex):
         groups_from_bases(space, {2: [(0, 1, 2)]})
+
+
+def is_single_row(space, chains_by_degree):
+    """True when the piece is its bottom chain, with no smooth point, and
+    one degree up only chains with one smooth point each, by distances,
+    whose removal gives that chain."""
+    degrees = sorted(chains_by_degree)
+    lo = degrees[0]
+    if len(chains_by_degree[lo]) != 1 or degrees not in ([lo], [lo, lo + 1]):
+        return False
+    [base] = chains_by_degree[lo]
+    if smooth_by_distances(space, base):
+        return False
+    for pts in chains_by_degree.get(lo + 1, ()):
+        mask = smooth_by_distances(space, pts)
+        if bin(mask).count("1") != 1:
+            return False
+        i = mask.bit_length() - 1
+        if pts[:i] + pts[i + 1 :] != base:
+            return False
+    return True
+
+
+def single_row_spaces():
+    spaces = default_suite() + random_suite(8) + [rational_grid_space(2, 3)]
+    params = [pytest.param(space, None, id=space.name) for space in spaces]
+    # RP^2's face poset: the blocks from the bottom at the length of its
+    # torsion frame
+    space, bottom, top = rp2_face_poset_space()
+    total = space.integer_view.idist[bottom][top]
+    blocks = [(total, bottom, b) for b in range(space.n)]
+    return params + [pytest.param(space, blocks, id=space.name)]
+
+
+def recorded_single_rows(monkeypatch):
+    """Record (frame, records, groups) of each piece the single-row rule reads."""
+    read = []
+    reduce = magh.frames._reduce
+
+    def recording(pieces, new):
+        reduce(pieces, new)
+        for f, by_degree in new:
+            if magh.frames._single_row(by_degree) is not None:
+                read.append((f, by_degree, pieces[f]))
+
+    monkeypatch.setattr(magh.frames, "_reduce", recording)
+    return read
+
+
+def every_block(space):
+    points = range(space.n)
+    totals = sorted({t for row in space.integer_view.idist for t in row if t})
+    return [(t, a, b) for t in totals for a in points for b in points]
+
+
+@pytest.mark.parametrize("space, blocks", single_row_spaces())
+def test_single_row_pieces_match_their_assembly(monkeypatch, space, blocks):
+    # the groups a single-row piece is given are those of its own records
+    # assembled and reduced as a one-block complex
+    read = recorded_single_rows(monkeypatch)
+    frame_table(space, every_block(space) if blocks is None else blocks, 4)
+    assert read
+    for f, by_degree, groups in read:
+        assert is_single_row(space, _points(by_degree)), f
+        assert groups == groups_from_records(by_degree), f
+
+
+def test_single_row_rule_meets_every_count(monkeypatch):
+    # pieces of 0, 1 and several insertions all occur in the default suite
+    read = recorded_single_rows(monkeypatch)
+    for space in default_suite():
+        frame_table(space, every_block(space), 4)
+    counts = {len(by_degree.get(len(f), ())) for f, by_degree, _ in read}
+    assert {0, 1, 2, 3} <= counts
+
+
+@pytest.mark.parametrize(
+    "above, message",
+    [
+        # an insertion whose one face is not the frame
+        (
+            [((0, 1, 2), 0b10), ((0, 3, 1), 0b10)],
+            "boundary term (0, 1) of (0, 3, 1) is outside the subcomplex basis at degree 1",
+        ),
+        # an insertion with two smooth positions
+        (
+            [((0, 1, 2), 0b110)],
+            "boundary term (0, 1) of (0, 1, 2) is outside the subcomplex basis at degree 1",
+        ),
+    ],
+    ids=["foreign-face", "two-bit-mask"],
+)
+def test_corrupted_single_row_pieces_reach_the_assembly(monkeypatch, above, message):
+    built = []
+
+    def counting(blocks):
+        built.append(blocks)
+        return _blocks_homology(blocks)
+
+    monkeypatch.setattr(magh.frames, "_blocks_homology", counting)
+    piece = {1: [((0, 2), 0)], 2: above}
+    assert magh.frames._single_row(piece) is None
+    with pytest.raises(NotASubcomplex) as info:
+        magh.frames._reduce({}, [((0, 2), piece)])
+    assert str(info.value) == message
+    assert built == [[piece]]
+    # as the one-block assembly refuses it
+    with pytest.raises(NotASubcomplex) as info:
+        groups_from_records(piece)
+    assert str(info.value) == message
+
+
+def old_is_realized_frame(space, pts):
+    """The frame test and the junction test, one after the other."""
+    pts = tuple(pts)
+    if not is_frame(space, pts):
+        return False
+    view = space.integer_view
+    for i in range(1, len(pts) - 1):
+        xi = pts[i]
+        left = (pts[i - 1],) + view.between_points(pts[i - 1], xi)
+        right = (pts[i + 1],) + view.between_points(xi, pts[i + 1])
+        for lpt in left:
+            for rpt in right:
+                if lpt == pts[i - 1] and rpt == pts[i + 1]:
+                    continue
+                if view.between[lpt][rpt] >> xi & 1:
+                    return False
+    return True
+
+
+def corrupted_c5():
+    # C_5 with 3 counted as strictly between 0 and 1, and 1 no longer
+    # between 0 and 2
+    space = replace(cycle_space(5), name="cycle(5)-corrupted")
+    view = space.integer_view
+    between = [list(row) for row in view.between]
+    between[0][1] |= 1 << 3
+    between[0][2] &= ~(1 << 1)
+    vars(space)["integer_view"] = replace(view, between=tuple(map(tuple, between)))
+    return space
+
+
+@pytest.mark.parametrize(
+    "space",
+    default_suite() + [rational_grid_space(2, 3), corrupted_c5()],
+    ids=lambda s: s.name,
+)
+def test_realized_frame_in_one_pass(space):
+    # every tuple of degree <= 3, proper or not
+    seen = set()
+    for m in range(4):
+        for pts in itertools.product(range(space.n), repeat=m + 1):
+            got = is_realized_frame(space, pts)
+            assert got == old_is_realized_frame(space, pts), pts
+            seen.add(got)
+    assert seen == {True, False}
 
 
 def test_corrupted_betweenness_fails_the_frame_table_under_O():

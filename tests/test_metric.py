@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -22,6 +23,7 @@ from magh.errors import (
     TriangleViolation,
 )
 from magh.metric import (
+    MAX_EXPONENT,
     FiniteMetricSpace,
     IntegerView,
     complete_space,
@@ -63,7 +65,8 @@ def test_parse_rational():
 )
 def test_parse_rational_reads_what_fraction_reads(text):
     # digits-only texts skip Fraction's parser; the value, and for any
-    # other text the error, must be Fraction's
+    # other text the error, must be Fraction's, except that a decimal
+    # exponent beyond MAX_EXPONENT is refused before Fraction reads it
     try:
         expected = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -71,7 +74,43 @@ def test_parse_rational_reads_what_fraction_reads(text):
             parse_rational(text)
         assert str(info.value) == f"cannot parse rational from {text!r}: {exc}"
     else:
-        assert parse_rational(text) == expected
+        exponent = re.fullmatch(r".*e([-+]?[0-9_]+)", text.strip(), re.IGNORECASE)
+        if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+            with pytest.raises(MetricError) as info:
+                parse_rational(text)
+            assert str(info.value) == (
+                f"cannot parse rational from {text!r}: "
+                "decimal exponent exceeds 4300 in absolute value"
+            )
+        else:
+            assert parse_rational(text) == expected
+
+
+@pytest.mark.parametrize(
+    "load",
+    [
+        lambda e: FiniteMetricSpace.from_csv(f"a,b\n0,{e}\n{e},0\n"),
+        lambda e: FiniteMetricSpace.from_json(json.dumps({"d": [[0, e], [e, 0]]})),
+    ],
+    ids=["csv", "json"],
+)
+@pytest.mark.parametrize("entry", ["1e1000000", "1e-1000000", "0E+4301", "2.5e-4_301"])
+def test_huge_exponent_is_refused_at_once(load, entry):
+    # Fraction would build the whole power of ten the exponent names
+    start = time.perf_counter()
+    with pytest.raises(MetricError, match="decimal exponent exceeds 4300 in absolute value"):
+        load(entry)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [("1e300", F(10**300)), ("2.5e-3", F(1, 400)), ("1E4300", F(10**4300)), ("3e-4300", F(3, 10**4300))],
+)
+def test_exponent_within_the_bound_loads_exactly(entry, value):
+    space = FiniteMetricSpace.from_csv(f"a,b\n0,{entry}\n{entry},0\n")
+    assert space.dist[0][1] == value
+    assert parse_rational(entry) == value
 
 
 def test_format_rational():
