@@ -27,6 +27,7 @@ import io
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -94,11 +95,20 @@ def parse_rational(text):
 
 
 def format_rational(q):
-    """Render a Fraction as "p/q", or "p" when the denominator is 1."""
+    """Render a Fraction as "p/q", or "p" when the denominator is 1.
+
+    A term too long for the interpreter's int digit limit raises
+    MetricError, so a printed length past it is refused like any other
+    malformed input.
+    """
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise MetricError(f"cannot print rational: a term has more than {limit} digits") from None
 
 
 def _to_fraction(value, i, j):
@@ -106,7 +116,10 @@ def _to_fraction(value, i, j):
 
     Strings and Decimals are parsed exactly. Floats are read through their
     shortest round-tripping decimal representation, so the number a user
-    typed is the number we quantize, not its binary perturbation.
+    typed is the number we quantize, not its binary perturbation. A
+    non-finite float or Decimal raises MetricError, and so does a Decimal
+    whose exponent exceeds `MAX_EXPONENT` in absolute value, before
+    Fraction builds its power of ten, as `parse_rational` does for text.
     """
     if isinstance(value, Fraction):
         return value
@@ -119,6 +132,12 @@ def _to_fraction(value, i, j):
             raise MetricError(f"entry [{i}][{j}] = {value!r} is not finite")
         return Fraction(repr(value))
     if isinstance(value, Decimal):
+        if not value.is_finite():
+            raise MetricError(f"entry [{i}][{j}] = {value!r} is not finite")
+        if abs(value.as_tuple().exponent) > MAX_EXPONENT:
+            raise MetricError(
+                f"entry [{i}][{j}]: decimal exponent exceeds {MAX_EXPONENT} in absolute value"
+            )
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
@@ -229,7 +248,10 @@ class IntegerView:
 
     The view also owns what is derived from it once per space and reused:
     `pair_homology` maps a pair (a, b) to the nonzero reduced homology of
-    its interval poset, which the engine reads; `block_groups` maps n_max
+    its interval poset, which the engine reads; `start_orders` maps a
+    start point a to the up-masks of the order every interval I(a, b)
+    restricts, one int per point, and whether that order passed its
+    partial-order test (`posets._start_order`); `block_groups` maps n_max
     to the groups of degrees 0..n_max of each length grading the block
     engine (`algebra.block_homology_rows`) has reduced, keyed by scaled
     length; and `frame_groups` maps a top degree to the frame table of
@@ -245,6 +267,7 @@ class IntegerView:
     idist: tuple
     between: tuple
     pair_homology: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    start_orders: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     block_groups: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     frame_groups: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 

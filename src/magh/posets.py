@@ -16,13 +16,17 @@ single point.
 Each step is one helper on plain lists of masks: `_interval_masks` reads
 and checks the order, `_core_masks` strips beat points, `_order_simplices`
 grows the chains from the `up` masks and `_reduced_columns` writes the
-augmented boundary columns. Pair homology runs them in one pass and hands
-the columns to `algebra.groups_from_columns`, the one d^2 check, Smith
-normal form and groups step that the endpoint-block engine shares. The
-public `interval_poset`, `poset_core`, `order_complex` and
-`reduced_complex` are thin wrappers over the same helpers, and are the
-only places an `IntervalPoset`, `OrderComplex` or `ChainComplexZ` is
-built here; no compute or verify route builds one.
+augmented boundary columns. Every interval I(a, b) with the same a is a
+restriction of one order on the points, x < y iff x lies between a and
+y; `_start_order` transposes and tests it once per start point, so each
+pair only checks that its two sides agree. Pair homology runs the steps
+in one pass and hands the columns to `algebra.groups_from_columns`, the
+one d^2 check, Smith normal form and groups step that the endpoint-block
+engine shares; a core with no relation, k points, is counted instead,
+its homology read off k. The public `interval_poset`, `poset_core`,
+`order_complex` and `reduced_complex` are thin wrappers over the same
+helpers, and are the only places an `IntervalPoset`, `OrderComplex` or
+`ChainComplexZ` is built here; no compute or verify route builds one.
 
 Below m_X, magnitude homology is the direct sum of those frame homologies
 (Kaneta-Yoshinaga), so `magnitude_homology_rows` computes every grading
@@ -78,6 +82,33 @@ class IntervalPoset:
         return len(self.elements)
 
 
+def _start_order(view, a):
+    """(up, is_order) of the order P_a on the points, x < y iff x is between a and y.
+
+    `view.between[a][y]` is y's down-mask in P_a; `up[x]` is the mask of
+    the points above x, the transpose of that row, built once per start
+    point and kept in `view.start_orders`. `is_order` is True when P_a is
+    a strict partial order: no point lies below itself, and whatever lies
+    below x lies below each y above x. Those two give antisymmetry, since
+    x < y < x would put x below itself. A validated space's table always
+    passes: a point between a and x lies between a and whatever lies
+    beyond x.
+    """
+    order = view.start_orders.get(a)
+    if order is None:
+        row = view.between[a]
+        up = [0] * len(row)
+        broken = 0
+        for y, below in enumerate(row):
+            bit = 1 << y
+            broken |= below & bit
+            for x in set_bits(below):
+                up[x] |= bit
+                broken |= row[x] & ~below
+        order = view.start_orders[a] = (up, not broken)
+    return order
+
+
 def _interval_masks(space, a, b):
     """(elements, up, down) of I(a, b), as lists, with every check made.
 
@@ -87,38 +118,39 @@ def _interval_masks(space, a, b):
     smooth between a and b. The order has two equivalent formulations,
     each one row of the space's betweenness table: from the a side, x < y
     iff x lies between a and y, which gives `down`; from the b side, x < y
-    iff y lies between x and b, which gives `up`. They must agree (`up` is
-    the transpose of `down`), and antisymmetry and transitivity are
-    checked, not assumed: a failure raises NotAPartialOrder, also under
-    `python -O`, with the least witness. a == b raises SamePoint.
+    iff y lies between x and b, which gives `up`. The a side is the
+    restriction of the order P_a of `_start_order`, whose up-masks are
+    built and tested once per start point. The two sides must agree (`up`
+    is the transpose of `down`), checked for every pair. Antisymmetry and
+    transitivity are checked per pair only where P_a failed its test,
+    since a restriction of a partial order is one. A failure raises
+    NotAPartialOrder, also under `python -O`, with the least witness.
+    a == b raises SamePoint.
     """
     if a == b:
         raise SamePoint(a)
-    between = space.integer_view.between
+    view = space.integer_view
+    between = view.between
     inside = between[a][b]
     elements = set_bits(inside)
+    up_a, is_order = _start_order(view, a)
     row_a = between[a]
-    down = []
-    up_at = [0] * len(row_a)  # each point's up-mask, as the a side sees it
-    for y in elements:
-        below = row_a[y] & inside
-        down.append(below)
-        for x in set_bits(below):
-            up_at[x] |= 1 << y
+    down = [row_a[y] & inside for y in elements]
     up = [between[x][b] & inside for x in elements]
-    for x, above in zip(elements, up):
-        if above != up_at[x]:
-            raise NotAPartialOrder(
-                a, b, "two-sided agreement", (x, set_bits(above ^ up_at[x])[0])
-            )
-    for x, above, below in zip(elements, up, down):
-        if above & below:
-            raise NotAPartialOrder(a, b, "antisymmetry", (x, set_bits(above & below)[0]))
-    for x, above in zip(elements, up):
-        for y in set_bits(above):
-            missing = up_at[y] & ~above
-            if missing:
-                raise NotAPartialOrder(a, b, "transitivity", (x, y, set_bits(missing)[0]))
+    seen = [up_a[x] & inside for x in elements]  # the up-masks as the a side sees them
+    if up != seen:
+        for x, above, mask in zip(elements, up, seen):
+            if above != mask:
+                raise NotAPartialOrder(a, b, "two-sided agreement", (x, set_bits(above ^ mask)[0]))
+    if not is_order:
+        for x, above, below in zip(elements, up, down):
+            if above & below:
+                raise NotAPartialOrder(a, b, "antisymmetry", (x, set_bits(above & below)[0]))
+        for x, above in zip(elements, up):
+            for y in set_bits(above):
+                missing = up_a[y] & inside & ~above
+                if missing:
+                    raise NotAPartialOrder(a, b, "transitivity", (x, y, set_bits(missing)[0]))
     return elements, up, down
 
 
@@ -296,9 +328,24 @@ def _interval_homology(space, a, b):
     groups = table.get((a, b))
     if groups is None:
         elements, up, _ = _core_masks(*_interval_masks(space, a, b))
-        sizes, boundaries = _reduced_columns(_order_simplices(elements, up))
-        groups = table[a, b] = groups_from_columns(-1, sizes, boundaries)
+        if any(up):
+            sizes, boundaries = _reduced_columns(_order_simplices(elements, up))
+            groups = groups_from_columns(-1, sizes, boundaries)
+        else:
+            groups = _antichain_homology(len(elements))
+        table[a, b] = groups
     return groups
+
+
+def _antichain_homology(k):
+    """The nonzero reduced homology of k points with no relation.
+
+    Its complex has one boundary map, the augmentation, so there is no
+    d^2 to check: Z at -1 for no point, nothing for one, and Z^(k-1) at 0.
+    """
+    if k == 0:
+        return {-1: HomologyGroup(1)}
+    return {0: HomologyGroup(k - 1)} if k > 1 else {}
 
 
 def interval_homology(space, a, b):
@@ -314,7 +361,9 @@ def interval_homology(space, a, b):
     then `algebra.groups_from_columns`, the d^2 check, Smith normal form
     and groups step the endpoint-block engine shares. Only the groups are
     kept, in the space's `IntegerView.pair_homology`, which the frame DFS
-    shares; this returns a copy.
+    shares; this returns a copy. A core with no relation is an antichain
+    of k points and builds no simplex: Z at degree -1 for k = 0, nothing
+    for k = 1, and Z^(k-1) at degree 0 for k >= 2.
     """
     return dict(_interval_homology(space, a, b))
 

@@ -27,20 +27,31 @@ Fraction distances, and `naive_component_count`, `naive_core` and
 `naive_order_complex` work on such plain pair sets, with none of the
 package's bitmasks. `interval_complex` and `boundary_of_sum` are thin
 helpers over the package: the full order complex of one interval, and
-the boundary extended to a formal sum. Slow on purpose; oracle scale
-only.
+the boundary extended to a formal sum. `reference_interval_masks` is the
+per-pair route to an interval's masks, each pair transposing its own
+a-side rows and checking its own order, and `reference_interval_homology`
+reduces every core through the package's order-complex columns and
+`groups_from_columns`, a core without relations included. Slow on
+purpose; oracle scale only.
 """
 
 import itertools
 from fractions import Fraction
 from math import gcd
 
-from magh.algebra import ChainComplexZ, SparseIntMatrix, complex_from_bases
+from magh.algebra import ChainComplexZ, SparseIntMatrix, complex_from_bases, groups_from_columns
 from magh.chains import boundary, resolve_cap, smooth_faces
-from magh.errors import EnumerationCapExceeded
+from magh.errors import EnumerationCapExceeded, NotAPartialOrder, SamePoint
 from magh.frames import frame
-from magh.metric import format_rational
-from magh.posets import interval_poset, order_complex, reduced_complex
+from magh.metric import format_rational, set_bits
+from magh.posets import (
+    _core_masks,
+    _order_simplices,
+    _reduced_columns,
+    interval_poset,
+    order_complex,
+    reduced_complex,
+)
 from magh.verify import VerificationReport
 
 
@@ -655,3 +666,48 @@ def naive_order_complex(elements, less):
         ]
         k += 1
     return out
+
+
+def reference_interval_masks(space, a, b):
+    """(elements, up, down) of I(a, b), read and checked for this pair alone.
+
+    `down` comes off a's row of the betweenness table and `up` off the
+    rows into b. The pair transposes its own `down` masks and checks, in
+    this order, that the transpose is `up` (two-sided agreement), then
+    antisymmetry, then transitivity, raising NotAPartialOrder with the
+    least witness of the first failure; a == b raises SamePoint.
+    """
+    if a == b:
+        raise SamePoint(a)
+    between = space.integer_view.between
+    inside = between[a][b]
+    elements = set_bits(inside)
+    down = [between[a][y] & inside for y in elements]
+    up_at = [0] * space.n
+    for y, below in zip(elements, down):
+        for x in set_bits(below):
+            up_at[x] |= 1 << y
+    up = [between[x][b] & inside for x in elements]
+    for x, above in zip(elements, up):
+        if above != up_at[x]:
+            raise NotAPartialOrder(
+                a, b, "two-sided agreement", (x, set_bits(above ^ up_at[x])[0])
+            )
+    for x, above, below in zip(elements, up, down):
+        if above & below:
+            raise NotAPartialOrder(a, b, "antisymmetry", (x, set_bits(above & below)[0]))
+    for x, above in zip(elements, up):
+        for y in set_bits(above):
+            missing = up_at[y] & ~above
+            if missing:
+                raise NotAPartialOrder(a, b, "transitivity", (x, y, set_bits(missing)[0]))
+    return elements, up, down
+
+
+def reference_interval_homology(space, a, b):
+    """{degree: group} of I(a, b) from `reference_interval_masks`: the core's
+    order complex, its augmented columns and `groups_from_columns`, for
+    every core, one without relations included."""
+    elements, up, _ = _core_masks(*reference_interval_masks(space, a, b))
+    sizes, boundaries = _reduced_columns(_order_simplices(elements, up))
+    return groups_from_columns(-1, sizes, boundaries)

@@ -425,6 +425,18 @@ def test_huge_exponent_exits_two_with_one_line(capsys, monkeypatch, text, entry)
     )
 
 
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_length_too_long_to_print_exits_two_with_one_line(capsys, monkeypatch, fmt):
+    # 1e4300 is within the exponent bound and loads, but the length it
+    # names has 4,301 digits, past the interpreter's limit for printing
+    text = "a,b\n0,1e4300\n1e4300,0\n"
+    code, out, err = run_cli(
+        capsys, monkeypatch, ["compute", "--n-max", "1", "--format", fmt], stdin=text
+    )
+    assert (code, out) == (2, "")
+    assert err == "magh: error: cannot print rational: a term has more than 4300 digits\n"
+
+
 SUBCOMMAND_ARGS = {
     "gen": ["cycle", "4"],
     "compute": ["--l", "1,2", "--n-max", "2"],

@@ -119,6 +119,49 @@ def test_format_rational():
     assert format_rational(F(0)) == "0"
 
 
+def test_format_rational_past_the_digit_limit_is_a_metric_error():
+    # 10^4300 has 4,301 digits, one past the interpreter's default limit;
+    # a ValueError here ended `magh compute` in a traceback
+    for q in (F(10**4300), F(1, 10**4300), F(10**4300 + 1, 2)):
+        with pytest.raises(MetricError) as info:
+            format_rational(q)
+        assert str(info.value) == "cannot print rational: a term has more than 4300 digits"
+    assert format_rational(F(10**4299, 3)) == f"{10**4299}/3"
+
+
+@pytest.mark.parametrize("entry", ["1e1000000", "-1e-1000000", "0E+4301", "5e-4301"])
+def test_huge_decimal_exponent_is_refused_at_once(entry):
+    # Fraction(Decimal(...)) would build the whole power of ten
+    value = Decimal(entry)
+    start = time.perf_counter()
+    with pytest.raises(MetricError) as info:
+        validate_metric([[0, value], [value, 0]])
+    assert time.perf_counter() - start < 0.1
+    assert str(info.value) == "entry [0][1]: decimal exponent exceeds 4300 in absolute value"
+
+
+@pytest.mark.parametrize("entry", ["NaN", "sNaN", "Infinity", "-Infinity", "-NaN"])
+def test_non_finite_decimal_is_refused(entry):
+    value = Decimal(entry)
+    with pytest.raises(MetricError) as info:
+        validate_metric([[0, value], [value, 0]])
+    assert str(info.value) == f"entry [0][1] = {value!r} is not finite"
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [
+        ("2.5e-3", F(1, 400)),
+        ("1E4300", F(10**4300)),
+        ("3e-4300", F(3, 10**4300)),
+        ("12.50", F(25, 2)),
+    ],
+)
+def test_decimal_within_the_bound_loads_exactly(entry, value):
+    space = validate_metric([[0, Decimal(entry)], [Decimal(entry), 0]])
+    assert space.dist[0][1] == value
+
+
 def test_validate_single_point():
     sp = validate_metric([[0]])
     assert sp.n == 1

@@ -109,6 +109,12 @@ BROKEN_ORDERS = [
 ]
 
 
+# between[0][4] loses 2: the order every I(0, b) of path(5) restricts is no
+# longer transitive (2 < 3 < 4 but not 2 < 4), yet I(0, 3) = {1 < 2} reads
+# none of it
+BROKEN_OUTSIDE = [(0, 4, 2, False)]
+
+
 def broken_path5(edits):
     """path(5) with its betweenness table edited; validation never sees it."""
     space = path_space(5)
@@ -130,23 +136,37 @@ def test_interval_poset_refuses_a_broken_order(kind, witness, edits):
         assert (info.value.kind, info.value.witness) == (kind, witness), route.__name__
 
 
+def test_a_table_broken_outside_an_interval_still_loads_it():
+    intact = path_space(5)
+    broken = broken_path5(BROKEN_OUTSIDE)
+    assert magh.posets._start_order(intact.integer_view, 0)[1]
+    assert not magh.posets._start_order(broken.integer_view, 0)[1]
+    assert interval_poset(broken, 0, 3).less == {(1, 2)}
+    for route in (interval_poset, interval_homology, poset_component_count):
+        assert route(broken, 0, 3) == route(intact, 0, 3), route.__name__
+
+
 def test_pair_route_guards_survive_optimize():
     # the order, same-point and d^2 guards of the mask route are raises,
-    # not asserts, so they fire with asserts off too
+    # not asserts, so they fire with asserts off too; a table broken
+    # outside an interval still loads it as the intact one does
     code = (
         "from magh.algebra import groups_from_columns\n"
         "from magh.errors import NotAPartialOrder, SamePoint\n"
         "from magh.metric import path_space\n"
-        "from magh.posets import interval_homology, poset_component_count\n"
-        "from test_posets import BROKEN_ORDERS, broken_path5\n"
+        "from magh.posets import interval_homology, interval_poset, poset_component_count\n"
+        "from test_posets import BROKEN_ORDERS, BROKEN_OUTSIDE, broken_path5\n"
         "if __debug__:\n"
         "    raise SystemExit('asserts are on: not running under -O')\n"
+        "routes = (interval_poset, interval_homology, poset_component_count)\n"
         "for _, _, edits in BROKEN_ORDERS:\n"
-        "    for route in (interval_homology, poset_component_count):\n"
+        "    for route in routes:\n"
         "        try:\n"
         "            route(broken_path5(edits), 0, 4)\n"
         "        except NotAPartialOrder as exc:\n"
         "            print(exc.kind, exc.witness)\n"
+        "for route in routes:\n"
+        "    print(route(broken_path5(BROKEN_OUTSIDE), 0, 3) == route(path_space(5), 0, 3))\n"
         "try:\n"
         "    interval_homology(path_space(3), 1, 1)\n"
         "except SamePoint:\n"
@@ -165,8 +185,8 @@ def test_pair_route_guards_survive_optimize():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr + proc.stdout
-    refusals = [f"{kind} {witness}" for kind, witness, _ in BROKEN_ORDERS for _ in range(2)]
-    assert proc.stdout.splitlines() == refusals + [
+    refusals = [f"{kind} {witness}" for kind, witness, _ in BROKEN_ORDERS for _ in range(3)]
+    assert proc.stdout.splitlines() == refusals + ["True"] * 3 + [
         "same point",
         "boundary squared is nonzero at degree 2, column 0",
     ]
@@ -595,8 +615,9 @@ def test_no_compute_or_verify_route_builds_a_complex_object(monkeypatch):
 
 
 def test_a_space_is_freed_after_compute_and_verify():
-    # chain tables and pair homology live on the space, and nothing at
-    # module level keeps a space, or an equal one, alive after a run
+    # chain tables, pair homology and each start point's order live on the
+    # space's view, and nothing at module level keeps a space, its view or
+    # an equal one alive after a run, a certificate or a poset
     space = cycle_space(5)
     assert m_x(space).value == 3
     rows = magnitude_homology_rows(space, [1, 2, 3, 4], 3)
@@ -604,10 +625,14 @@ def test_a_space_is_freed_after_compute_and_verify():
         TRIVIAL, TRIVIAL, HomologyGroup(10), TRIVIAL,
     ]
     assert all(report.passed for report in run_checks([space], n_max=2))
-    ref = weakref.ref(space)
-    del space
+    assert mh2_certificate(space, 0, 2).components == 1
+    assert interval_poset(space, 1, 3).elements == (2,)
+    view = space.integer_view
+    assert view.start_orders and view.pair_homology
+    refs = [weakref.ref(space), weakref.ref(view)]
+    del space, view
     gc.collect()
-    assert ref() is None
+    assert [ref() for ref in refs] == [None, None]
 
 
 # --- certificates -----------------------------------------------------------------
