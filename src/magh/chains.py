@@ -27,9 +27,15 @@ kept: the public `enumerate_proper_chains` builds its one degree on each
 call. `ProperChain`, with its `Fraction` length, appears only at the
 public API: `enumerate_proper_chains` and `boundary` wrap the tuple
 kernel.
-`count_step` is the one chain-count dynamic program: `length_spectra`
-counts chains per length with it, without building any, and `verify`
-places a chain in the d^2 check's order with it.
+`length_spectra` counts chains per length without building any, by a
+dynamic program over (last point, length). It holds each point's counts
+as one int, a field of fixed width per scaled length, and beside it one
+int with a bit per length reached, so a degree is one shift-and-add per
+ordered pair of points (`_count_packed`). A space whose lengths span
+more fields than `PACKED_BITS` allows, such as one with large coprime
+denominators, is counted over dicts instead, one entry per length
+reached, by `count_step`, with which `verify` also places a chain in
+the d^2 check's order.
 """
 
 from __future__ import annotations
@@ -38,26 +44,37 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AsymmetricTable, CapNotAnInteger, EnumerationCapExceeded
+from .errors import AsymmetricTable, CapNotAnInteger, EnumerationCapExceeded, NegativeCap
+from .metric import set_bits
 
 DEFAULT_CAP = 5_000_000
 CAP_ENV_VAR = "MAGH_CAP"
+# the most bits one point's packed counts may take in `length_spectra`;
+# on random rational metrics the packed count was the faster in the median
+# below 2**16 bits and the slower above, so past it dicts count
+PACKED_BITS = 1 << 16
 
 
 def resolve_cap(cap=None):
     """Effective enumeration cap: explicit argument, else env var, else default.
 
-    Raises CapNotAnInteger if the env var is set to something else.
+    Raises CapNotAnInteger if the env var is set to something other than
+    an integer, and NegativeCap, naming `cap` or the env var, for a
+    negative cap.
     """
     if cap is not None:
-        return int(cap)
-    env = os.environ.get(CAP_ENV_VAR)
-    if env:
+        value, source = int(cap), "cap"
+    else:
+        env = os.environ.get(CAP_ENV_VAR)
+        if not env:
+            return DEFAULT_CAP
         try:
-            return int(env)
+            value, source = int(env), CAP_ENV_VAR
         except ValueError:
             raise CapNotAnInteger(CAP_ENV_VAR, env) from None
-    return DEFAULT_CAP
+    if value < 0:
+        raise NegativeCap(source, value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -367,7 +384,7 @@ def enumerate_proper_chains(space, n, cap=None):
         raise EnumerationCapExceeded(count, limit)
     view = space.integer_view
     # no step is over the largest distance, so every point moves everywhere
-    moves = search_moves(space, max(map(max, view.idist)))
+    moves = search_moves(space, max(map(max, view.idist), default=0))
     level = [((p,), 0) for p in range(size)]
     for _ in range(n):
         level = [(pts + (nxt,), total + d) for pts, total in level for nxt, d in moves[pts[-1]]]
@@ -394,12 +411,14 @@ class LengthSpectrum:
 
 
 def count_step(idist, states):
-    """One degree of the chain-count dynamic program.
+    """One degree of the chain-count dynamic program, over dicts.
 
     `states[x]` maps a length t, a scaled int, to the number of proper
     k-chains ending at x with length t; the result is the same for k + 1,
     each chain extended by every next point. As d is symmetric, reversal
-    makes it also the count of the chains starting at x.
+    makes it also the count of the chains starting at x. `length_spectra`
+    uses it only for spaces whose span of lengths is too wide for its
+    packed count (`PACKED_BITS`); `verify` places a chain with it.
     """
     size = len(states)
     grown = [{} for _ in range(size)]
@@ -415,40 +434,121 @@ def count_step(idist, states):
     return grown
 
 
-def length_spectra(space, n_max, cap=None):
-    """The LengthSpectrum of every degree 0..n_max (none if n_max < 0).
+def _count_by_dicts(idist, n_max, limit):
+    """(totals, counts) of each degree 0..n_max in turn, by `count_step`.
 
-    A dynamic-programming count over (last point, int length) that builds
-    no chain, one `count_step` per degree. Each (state, next point)
-    transition is one step against the cap (`resolve_cap`); before each
-    degree is counted, EnumerationCapExceeded is raised if the steps so far
-    would pass it.
+    `totals` ascend and `counts[i]` is the number of chains of length
+    `totals[i]`; the cap is counted as in `length_spectra`.
     """
-    limit = resolve_cap(cap)
-    view = space.integer_view
-    size = space.n
+    size = len(idist)
     states = [{0: 1} for _ in range(size)]
     steps = 0
-    out = []
     for n in range(n_max + 1):
         if n:
             steps += sum(len(s) for s in states) * (size - 1)
             if steps > limit:
                 raise EnumerationCapExceeded(steps, limit)
-            states = count_step(view.idist, states)
+            states = count_step(idist, states)
         counts = {}
         for by_total in states:
             for total, count in by_total.items():
                 counts[total] = counts.get(total, 0) + count
-        keys = sorted(counts)
-        out.append(
-            LengthSpectrum(
-                degree=n,
-                lengths=tuple(view.fraction(t) for t in keys),
-                counts=tuple(counts[t] for t in keys),
-            )
+        totals = sorted(counts)
+        yield totals, [counts[t] for t in totals]
+
+
+def _packed_width(idist, n_max):
+    """The field width `_count_packed` needs up to degree n_max >= 0, or
+    None when a point's counts would take more than `PACKED_BITS`.
+
+    The width is the bytes that hold N(N-1)^n_max, and N for degree 0, in
+    bits; a point's counts span the lengths 0..n_max * max d.
+    """
+    size = len(idist)
+    span = n_max * max(map(max, idist), default=0) + 1
+    # a field takes at least 8 bits, so this bounds n_max before the power
+    # (off the diagonal d > 0, so only N <= 2 has an unbounded n_max here,
+    # and there the power is at most 2)
+    if span * 8 > PACKED_BITS:
+        return None
+    width = -(-max(size, size * (size - 1) ** n_max).bit_length() // 8) * 8
+    return width if span * width <= PACKED_BITS else None
+
+
+def _count_packed(idist, n_max, limit, width):
+    """`_count_by_dicts` with each point's counts packed in one int.
+
+    The count of the chains that end at x with length t is the field of
+    `width` bits, a multiple of 8, at bit t * width of `states[x]`, and
+    bit t of `support[x]` is set iff it is not zero. A degree is one
+    shift-and-add per ordered pair of points, and its counts are read
+    off the bytes of the states' sum at the set bits of the supports'
+    union. `width` must hold N(N-1)^n_max, the chains of the top degree,
+    so that no field carries into the next.
+    """
+    size = len(idist)
+    nbytes = width // 8
+    moves = [
+        [(nxt, d * width, d) for nxt, d in enumerate(row) if nxt != last]
+        for last, row in enumerate(idist)
+    ]
+    states = [1] * size
+    support = [1] * size
+    steps = 0
+    for n in range(n_max + 1):
+        if n:
+            steps += sum(s.bit_count() for s in support) * (size - 1)
+            if steps > limit:
+                raise EnumerationCapExceeded(steps, limit)
+            grown = [0] * size
+            reach = [0] * size
+            for state, seen, row in zip(states, support, moves):
+                for nxt, shift, d in row:
+                    grown[nxt] += state << shift
+                    reach[nxt] |= seen << d
+            states, support = grown, reach
+        union = 0
+        for seen in support:
+            union |= seen
+        total = sum(states)
+        packed = total.to_bytes((total.bit_length() + 7) // 8, "little")
+        totals = set_bits(union)
+        yield totals, [
+            int.from_bytes(packed[t * nbytes : (t + 1) * nbytes], "little") for t in totals
+        ]
+
+
+def length_spectra(space, n_max, cap=None):
+    """The LengthSpectrum of every degree 0..n_max (none if n_max < 0).
+
+    A dynamic-programming count over (last point, int length) that builds
+    no chain. Each (state, next point) transition, a state being a last
+    point with a length that some chain reaches, is one step against the
+    cap (`resolve_cap`); before each degree is counted,
+    EnumerationCapExceeded is raised if the steps so far would pass it.
+    A space whose per-point counts fit in `PACKED_BITS` is counted packed
+    (`_count_packed`), any other with `count_step`; both give the same
+    spectra and steps.
+    """
+    limit = resolve_cap(cap)
+    if n_max < 0:
+        return []
+    view = space.integer_view
+    idist = view.idist
+    width = _packed_width(idist, n_max)
+    if width is None:
+        degrees = _count_by_dicts(idist, n_max, limit)
+    else:
+        degrees = _count_packed(idist, n_max, limit, width)
+    fraction = view.fraction
+    return [
+        LengthSpectrum(
+            degree=n,
+            lengths=tuple(fraction(t) for t in totals),
+            counts=tuple(counts),
         )
-    return out
+        for n, (totals, counts) in enumerate(degrees)
+    ]
 
 
 def length_spectrum(space, n, cap=None):

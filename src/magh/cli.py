@@ -209,7 +209,7 @@ def _compute_arguments(p):
     p.add_argument("--format", choices=["table", "json", "csv"], default="table")
     p.add_argument(
         "--cap",
-        type=int,
+        type=_int_at_least(0),
         default=None,
         help="cap on enumeration steps: length-count steps for the spectrum, "
         "tuples for the frame search, and for l >= m_X the chain prefixes "
@@ -226,7 +226,10 @@ def _certify_arguments(p):
 def _spectrum_arguments(p):
     p.add_argument("--n-max", type=_int_at_least(0), default=3)
     p.add_argument(
-        "--cap", type=int, default=None, help="cap on the (state, next point) steps of the count"
+        "--cap",
+        type=_int_at_least(0),
+        default=None,
+        help="cap on the (state, next point) steps of the count",
     )
     _add_io(p)
 
@@ -240,7 +243,7 @@ def _verify_arguments(p):
     )
     p.add_argument("--n-max", type=_int_at_least(0), default=3)
     p.add_argument("--seed", type=int, default=1, help="seed for the random suite spaces")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_int_at_least(0), default=None)
     _add_io(p)
 
 

@@ -97,6 +97,15 @@ class CapNotAnInteger(MaghError, ValueError):
         self.text = text
 
 
+class NegativeCap(MaghError, ValueError):
+    """An enumeration cap below zero, which no search could keep to."""
+
+    def __init__(self, source, value):
+        super().__init__(f"{source} must be >= 0, got {value}")
+        self.source = source
+        self.value = value
+
+
 class DegreeOutOfRange(MaghError, IndexError):
     def __init__(self, degree, lo, hi):
         super().__init__(f"degree {degree} outside complex range [{lo}, {hi}]")

@@ -101,7 +101,8 @@ def format_rational(q):
     MetricError, so a printed length past it is refused like any other
     malformed input.
     """
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     try:
         if q.denominator == 1:
             return str(q.numerator)
@@ -119,7 +120,8 @@ def _to_fraction(value, i, j):
     typed is the number we quantize, not its binary perturbation. A
     non-finite float or Decimal raises MetricError, and so does a Decimal
     whose exponent exceeds `MAX_EXPONENT` in absolute value, before
-    Fraction builds its power of ten, as `parse_rational` does for text.
+    Fraction builds its power of ten, or that has more than `MAX_EXPONENT`
+    digits, as `parse_rational` does for text.
     """
     if isinstance(value, Fraction):
         return value
@@ -134,10 +136,13 @@ def _to_fraction(value, i, j):
     if isinstance(value, Decimal):
         if not value.is_finite():
             raise MetricError(f"entry [{i}][{j}] = {value!r} is not finite")
-        if abs(value.as_tuple().exponent) > MAX_EXPONENT:
+        _, digits, exponent = value.as_tuple()
+        if abs(exponent) > MAX_EXPONENT:
             raise MetricError(
                 f"entry [{i}][{j}]: decimal exponent exceeds {MAX_EXPONENT} in absolute value"
             )
+        if len(digits) > MAX_EXPONENT:
+            raise MetricError(f"entry [{i}][{j}]: decimal has more than {MAX_EXPONENT} digits")
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)

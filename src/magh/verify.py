@@ -44,7 +44,7 @@ from .metric import (
     random_metric,
     set_bits,
 )
-from .posets import frame_homology_by_degree
+from .posets import _start_order, frame_homology_by_degree
 
 
 @dataclass(frozen=True)
@@ -82,17 +82,16 @@ def _first_bad_window(space):
     """(total, chain) of the first proper 4-tuple whose d^2 is not zero,
     by length then lexicographically; None if there is none.
 
-    ymask[w][x] holds the points y with x in B(w, y), so the last points z
-    of the bad windows (w, x, y, z) form one mask: A and B of
+    ymask[w][x] holds the points y with x in B(w, y), the up-mask of x in
+    the start order P_w (`posets._start_order`), so the last points z of
+    the bad windows (w, x, y, z) form one mask: A and B of
     `check_d_squared` are its bits z of ymask[x][y] & ymask[w][x] and of
     ymask[w][y] if y is in ymask[w][x].
     """
     view = space.integer_view
     idist = view.idist
     points = range(space.n)
-    ymask = [
-        [sum(1 << y for y in points if row[y] >> x & 1) for x in points] for row in view.between
-    ]
+    ymask = [_start_order(view, w)[0] for w in points]
     best = None
     for w, masks in enumerate(ymask):
         for x, wx in enumerate(masks):
@@ -166,10 +165,8 @@ def check_d_squared(space, n_max, cap=None):
     name = space.name or "space"
     size = space.n
     counts = [size * (size - 1) ** n for n in range(2, n_max + 1)]
-    over = None
-    if counts:
-        limit = resolve_cap(cap)
-        over = next((count for count in counts if count > limit), None)
+    limit = resolve_cap(cap)
+    over = next((count for count in counts if count > limit), None)
     # the windows are the degree-3 chains; counts never fall with the degree
     best = _first_bad_window(space) if n_max >= 3 and counts[1] <= limit else None
     if best is not None:

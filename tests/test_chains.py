@@ -4,6 +4,7 @@ import pytest
 
 from magh.chains import (
     ProperChain,
+    block_chains,
     boundary,
     chain_length,
     enumerate_proper_chains,
@@ -11,7 +12,7 @@ from magh.chains import (
     length_spectra,
     length_spectrum,
 )
-from magh.errors import EnumerationCapExceeded
+from magh.errors import EnumerationCapExceeded, NegativeCap
 from magh.metric import (
     complete_space,
     cycle_space,
@@ -81,6 +82,12 @@ def test_enumerate_single_point():
     assert enumerate_proper_chains(sp, 0) == {F(0): [ProperChain((0,), F(0))]}
 
 
+def test_enumerate_no_points():
+    # a space with no points loads and has no chains of any degree
+    sp = validate_metric([])
+    assert [enumerate_proper_chains(sp, n) for n in range(3)] == [{}, {}, {}]
+
+
 @pytest.mark.parametrize(
     "space",
     [path_space(4), cycle_space(4), complete_space(3), random_metric(4, seed=5)],
@@ -109,6 +116,32 @@ def test_cap_env_override(monkeypatch):
         enumerate_proper_chains(cycle_space(6), 4)
     monkeypatch.setenv("MAGH_CAP", "100000")
     enumerate_proper_chains(cycle_space(6), 4)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda cap: length_spectra(path_space(3), 2, cap),
+        lambda cap: enumerate_proper_chains(path_space(3), 2, cap),
+        lambda cap: list(block_chains(path_space(3), [2], 2, cap)),
+    ],
+    ids=["length_spectra", "enumerate_proper_chains", "block_chains"],
+)
+def test_negative_cap_is_refused_naming_its_source(monkeypatch, run):
+    with pytest.raises(NegativeCap) as exc:
+        run(-1)
+    assert (str(exc.value), exc.value.source, exc.value.value) == (
+        "cap must be >= 0, got -1",
+        "cap",
+        -1,
+    )
+    monkeypatch.setenv("MAGH_CAP", "-3")
+    with pytest.raises(NegativeCap) as exc:
+        run(None)
+    assert str(exc.value) == "MAGH_CAP must be >= 0, got -3"
+    # an explicit cap overrides the env var, 0 included
+    with pytest.raises(EnumerationCapExceeded):
+        run(0)
 
 
 def test_length_spectrum():

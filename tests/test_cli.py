@@ -172,6 +172,17 @@ def test_spectrum_cap_bounds_the_count(capsys, monkeypatch):
     assert "reaches 120 steps, past the cap of 119" in err
 
 
+def test_spectrum_and_compute_of_no_points(capsys, monkeypatch):
+    # a space with no points loads; it has no chains, so only the headers print
+    space = '{"d": []}'
+    code, out, err = run_cli(capsys, monkeypatch, ["spectrum", "--n-max", "3"], stdin=space)
+    assert (code, out, err) == (0, "n,l,count\n", "")
+    argv = ["compute", "--n-max", "2", "--l", "spectrum"]
+    code, out, err = run_cli(capsys, monkeypatch, argv, stdin=space)
+    assert code == 0 and err == ""
+    assert out.split() == ["l", "n", "betti", "torsion"]
+
+
 def test_spectrum_byte_identical_across_hash_seeds(tmp_path):
     d = [[Fraction(0)] * 6 for _ in range(6)]
     for i in range(6):
@@ -391,6 +402,38 @@ def test_bad_input_exit_two(capsys, monkeypatch):
     code, out, err = run_cli(capsys, monkeypatch, ["compute"], stdin=cycle_space(4).to_json())
     assert (code, out) == (2, "")
     assert "magh: error: MAGH_CAP must be an integer, got 'abc'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum"],
+        ["compute"],
+        ["compute", "--l", "1"],
+        ["verify", "--in", "-"],
+        ["verify", "--in", "-", "--check", "d_squared", "--n-max", "1"],
+    ],
+    ids=["spectrum", "compute", "compute-l", "verify", "verify-d-squared"],
+)
+def test_negative_cap_exits_two_before_any_work(capsys, monkeypatch, argv):
+    # a negative cap ran until the first step and then reported
+    # "enumeration reaches 1 steps, past the cap of -3"
+    space = cycle_space(4).to_json()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, monkeypatch, argv + ["--cap", "-1"], stdin=space)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"magh {argv[0]}: error: argument --cap: must be >= 0, got -1"
+    ]
+    monkeypatch.setenv("MAGH_CAP", "-3")
+    code, out, err = run_cli(capsys, monkeypatch, argv, stdin=space)
+    assert (code, out, err) == (2, "", "magh: error: MAGH_CAP must be >= 0, got -3\n")
+    # the cap is resolved before any work, so a MAGH_CAP that is not an
+    # integer is refused too, also where no degree reaches the cap
+    monkeypatch.setenv("MAGH_CAP", "abc")
+    code, out, err = run_cli(capsys, monkeypatch, argv, stdin=space)
+    assert (code, out, err) == (2, "", "magh: error: MAGH_CAP must be an integer, got 'abc'\n")
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""The README names only what the package has, and its cap example is exact."""
+"""The README names only what the package has, and its cap examples are exact."""
 
 import importlib
 import re
@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from magh.algebra import HomologyGroup
+from magh.chains import length_spectra
 from magh.errors import EnumerationCapExceeded
+from magh.metric import path_space
 from magh.posets import magnitude_homology_rows
 
 from test_posets import rp2_face_poset_space
@@ -60,3 +62,22 @@ def test_readme_rp2_cap_count_is_exact():
     assert (exc.value.count, exc.value.cap) == (count, count - 1)
     rows = magnitude_homology_rows(rp2_face_poset_space()[0], [4], 3, cap=count)
     assert rows[3].group == HomologyGroup(450, (2, 2))
+
+
+def test_readme_spectrum_cap_count_is_exact():
+    # the length count's example: its step count passes the cap and one
+    # less does not, and degree 6 has N(N-1)^6 chains
+    text = " ".join(README.read_text().split())
+    found = re.search(
+        r"`magh gen path 10 \| magh compute --n-max 6` finds its gradings in ([\d,]+) steps, "
+        r"where degree 6 alone has ([\d,]+) chains",
+        text,
+    )
+    assert found
+    count, chains = (int(g.replace(",", "")) for g in found.groups())
+    space = path_space(10)
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        length_spectra(space, 6, cap=count - 1)
+    assert (exc.value.count, exc.value.cap) == (count, count - 1)
+    spectra = length_spectra(space, 6, cap=count)
+    assert sum(spectra[6].counts) == chains == 10 * 9**6

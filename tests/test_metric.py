@@ -140,6 +140,28 @@ def test_huge_decimal_exponent_is_refused_at_once(entry):
     assert str(info.value) == "entry [0][1]: decimal exponent exceeds 4300 in absolute value"
 
 
+@pytest.mark.parametrize(
+    "entry",
+    ["1" * 20000, "-" + "9" * 4301, "1." + "1" * 4300, "1" * 4301 + "e-9"],
+    ids=["20000-digits", "negative-4301-digits", "4301-digits-point", "4301-digits-exponent"],
+)
+def test_decimal_with_too_many_digits_is_refused(entry):
+    # such a space loaded, and then no length of it printed
+    value = Decimal(entry)
+    with pytest.raises(MetricError) as info:
+        validate_metric([[0, value], [value, 0]])
+    assert str(info.value) == "entry [0][1]: decimal has more than 4300 digits"
+
+
+def test_decimal_digits_are_bounded_as_text_digits():
+    # the interpreter's limit, which `parse_rational` meets in int()
+    entry = "1" * 4300
+    space = validate_metric([[0, Decimal(entry)], [Decimal(entry), 0]])
+    assert space.dist[0][1] == int(entry) == parse_rational(entry)
+    with pytest.raises(MetricError):
+        parse_rational(entry + "1")
+
+
 @pytest.mark.parametrize("entry", ["NaN", "sNaN", "Infinity", "-Infinity", "-NaN"])
 def test_non_finite_decimal_is_refused(entry):
     value = Decimal(entry)
