@@ -1,4 +1,4 @@
-"""Exact integer linear algebra and chain complexes over Z.
+"""Exact integer linear algebra and the homology of complexes over Z.
 
 Everything here is exact: Smith normal form by integer row/column
 operations, homology of finitely generated complexes as (betti, torsion),
@@ -11,27 +11,19 @@ one reduction routine: it reads those columns into sparse rows, clears
 +-1 pivots on them and reduces only what is left densely.
 `groups_from_columns` is the one step from the boundary columns of one
 complex to its groups: it checks d^2 = 0 on them, reduces each nonempty
-boundary once and reads the nonzero groups off the invariant factors,
-with no `ChainComplexZ` in between; `posets` hands it the augmented
-columns of each interval's order complex. A chain record is (points,
-mask), with bit i of mask set iff x_i is strictly smooth, so the one
-assembly, `_assemble`, writes each column from the mask and tests no
-point for smoothness. It assembles several complexes, blocks, in one
-pass, each with its own rows. The endpoint-block engine hands it all
-the endpoint blocks of one start point at a time (`_blocks_homology`):
-d^2 = 0 checked on all of them before any is reduced, `snf` on each
-block's own columns at each degree, and betti numbers and torsion
-factors per block, summed into one group per grading and degree. The
-frame table hands the same call the new frame pieces of one start
-point. `groups_from_records` is the one-block case, and goes on to
-`groups_from_columns`.
-`groups_from_bases` and
-`complex_from_bases` take plain chains, read their masks with
-`chains.smooth_mask`, and reach the same assembly. A `ChainComplexZ` is
-built only at the public API (`complex_from_bases`,
-`posets.reduced_complex`); its `groups` reads its homology through the
-same d^2 check and factors-to-groups step. No compute or verify route
-builds one.
+boundary once and reads the nonzero groups off the invariant factors;
+`posets` hands it the augmented columns of each interval's order
+complex. A chain record is (points, mask), with bit i of mask set iff
+x_i is strictly smooth, so the one assembly, `_assemble`, writes each
+column from the mask and tests no point for smoothness. It assembles
+several complexes, blocks, in one pass, each with its own rows. The
+endpoint-block engine hands it all the endpoint blocks of one start
+point at a time (`_blocks_homology`): d^2 = 0 checked on all of them
+before any is reduced, `snf` on each block's own columns at each degree,
+and betti numbers and torsion factors per block, summed into one group
+per grading and degree. The frame table hands the same call the new
+frame pieces of one start point. No complex object is built: a complex
+is its lowest degree, its ranks and its boundary columns.
 Degrees may be negative; reduced complexes of order complexes start at
 degree -1.
 """
@@ -44,7 +36,6 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import (
-    DegreeOutOfRange,
     NegativeBetti,
     NotADivisorChain,
     NotASubcomplex,
@@ -59,10 +50,10 @@ class SparseIntMatrix:
 
     `columns[c]` maps each row with a nonzero entry in column c to that
     entry; column c of a boundary matrix is the boundary of basis element
-    c, and the basis elements past the last column have boundary zero
-    (see `ChainComplexZ`). Construction checks every entry once: a row
-    outside the matrix raises IndexError, a value that is not an int
-    TypeError, and a stored zero ValueError.
+    c, and the basis elements past the last column have boundary zero.
+    Construction checks every entry once: a row outside the matrix raises
+    IndexError, a value that is not an int TypeError, and a stored zero
+    ValueError.
 
     `_assembled` is the one constructor that skips those checks. Only the
     boundary assemblies use it (`_assemble` and `posets._reduced_columns`,
@@ -418,105 +409,14 @@ def _homology(lo, sizes, factors):
     return out
 
 
-def _nonzero_groups(lo, sizes, factors):
-    """{degree: group} of a complex, for the degrees where it is nonzero (`_homology`)."""
-    return {k: HomologyGroup(betti, torsion) for k, betti, torsion in _homology(lo, sizes, factors)}
-
-
-class ChainComplexZ:
-    """A bounded chain complex of free Z-modules.
-
-    Degrees run lo..hi inclusive. `boundaries[k]` is the map from degree k
-    to degree k-1 for lo < k <= hi; the map out of degree lo is zero by
-    convention (there is nothing below). A boundary has `size(k - 1)` rows
-    and at most `size(k)` columns: the basis elements past its last column
-    map to zero, so a basis ordered with its cycles last needs no column
-    for them. Construction checks that the square of the boundary is zero.
-    The homology is computed on the first call of `groups` or `homology`
-    and kept.
-    """
-
-    def __init__(self, lo, sizes, boundaries=None):
-        self.lo = lo
-        self.sizes = list(sizes)
-        if any(s < 0 for s in self.sizes):
-            raise ValueError("negative dimension")
-        self.boundaries = {}
-        boundaries = boundaries or {}
-        for k in range(lo + 1, lo + len(self.sizes)):
-            mat = boundaries.get(k)
-            if mat is None:
-                mat = SparseIntMatrix(self.size(k - 1), [])
-            if mat.rows != self.size(k - 1) or mat.cols > self.size(k):
-                raise ValueError(
-                    f"boundary at degree {k} is {mat.rows}x{mat.cols}, "
-                    f"expected {self.size(k - 1)} rows and at most {self.size(k)} columns"
-                )
-            self.boundaries[k] = mat
-        for k in list(boundaries):
-            if not lo < k <= self.hi:
-                raise ValueError(f"boundary at degree {k} outside range")
-        self.check_d_squared()
-        self._group_cache = None
-
-    @property
-    def hi(self):
-        return self.lo + len(self.sizes) - 1
-
-    def degrees(self):
-        return range(self.lo, self.hi + 1)
-
-    def size(self, k):
-        if not self.lo <= k <= self.hi:
-            return 0
-        return self.sizes[k - self.lo]
-
-    def boundary(self, k):
-        if not self.lo < k <= self.hi:
-            raise DegreeOutOfRange(k, self.lo + 1, self.hi)
-        return self.boundaries[k]
-
-    def check_d_squared(self):
-        """Raise ValueError naming the first column whose d(d(column)) is nonzero."""
-        _check_d_squared({k: mat.columns for k, mat in self.boundaries.items()})
-
-    def _nonzero(self):
-        if self._group_cache is None:
-            factors = {k: snf(mat) for k, mat in self.boundaries.items() if mat.nnz}
-            self._group_cache = _nonzero_groups(self.lo, self.sizes, factors)
-        return self._group_cache
-
-    def groups(self):
-        """The homology as {degree: group}, listing only the nonzero groups.
-
-        Each boundary with entries is reduced once by `snf`. A boundary
-        changed after construction makes NegativeBetti possible, and it
-        names the lowest degree where the ranks do not fit.
-        """
-        return dict(self._nonzero())
-
-    def homology(self, k):
-        """H_k as a HomologyGroup; a zero group is the shared TRIVIAL_GROUP."""
-        if not self.lo <= k <= self.hi:
-            raise DegreeOutOfRange(k, self.lo, self.hi)
-        return self._nonzero().get(k, TRIVIAL_GROUP)
-
-    def homology_or_trivial(self, k):
-        """Homology at k, with degrees outside the range counting as 0."""
-        return self._nonzero().get(k, TRIVIAL_GROUP)
-
-    def __repr__(self):
-        return f"<ChainComplexZ degrees {self.lo}..{self.hi} sizes {self.sizes}>"
-
-
 def kunneth(h, h2):
     """Homology of the tensor product of two free complexes over Z.
 
     `h` and `h2` map degrees to the nonzero homology groups of two bounded
-    complexes of free Z-modules, such as `ChainComplexZ` holds, and so
-    does the result. By the Kunneth formula, H_k of the product is the
-    direct sum of H_i (x) H'_j over i + j = k and of Tor(H_i, H'_j) over
-    i + j = k - 1. For H = Z^a + sum Z/d and H' = Z^b + sum Z/e, H (x) H'
+    complexes of free Z-modules, as `groups_from_columns` returns them,
+    and so does the result. By the Kunneth formula, H_k of the product is
+    the direct sum of H_i (x) H'_j over i + j = k and of Tor(H_i, H'_j)
+    over i + j = k - 1. For H = Z^a + sum Z/d and H' = Z^b + sum Z/e, H (x) H'
     is Z^ab + (Z/d)^b + (Z/e)^a + sum Z/gcd(d, e), and Tor(H, H') is
     sum Z/gcd(d, e). No product complex is built.
     """
@@ -556,17 +456,16 @@ def _assemble(blocks):
     between is empty. Returns, per block, (lo, sizes, boundaries): `sizes`
     lists its rank at each degree lo, lo + 1, ..., and `boundaries[k]`,
     for each degree k above lo, the column dicts of its boundary out of
-    k, in the order of `complex_from_bases`: one column per chain with a
-    smooth face, and the rows of each degree ordered the same way. The
-    column of a chain is {row of the face without x_i: (-1)^i for each
-    bit i of its mask}.
+    k: one column per chain with a smooth face, and the rows of each
+    degree ordered the same way, the chains with a face first, each in
+    the order given. The column of a chain is {row of the face without
+    x_i: (-1)^i for each bit i of its mask}.
 
     The blocks are direct summands: each indexes its own chains of each
     degree, so a face counts only in its own chain's block, and a face
     missing from the block one degree down, or a face at the block's
     bottom degree, raises NotASubcomplex. The masks are trusted: the
-    searches make them as they build the chains, and `_records` reads
-    them off given tuples.
+    searches make them as they build the chains.
     """
     signed = _SIGNED_BITS
     out = []
@@ -613,49 +512,6 @@ def _assemble(blocks):
     return out
 
 
-def _records(space, bases_by_degree):
-    """Given chains, ProperChains or tuples of points, as records by degree.
-
-    Each record is (points, mask), with the mask `chains.smooth_mask` reads
-    off the space's betweenness table.
-    """
-    between = space.integer_view.between
-    smooth_mask = _chains.smooth_mask
-    return {
-        k: [(pts, smooth_mask(between, pts)) for pts in map(tuple, chains)]
-        for k, chains in bases_by_degree.items()
-    }
-
-
-def complex_from_bases(space, bases_by_degree, lo, hi):
-    """The chain complex spanned by the given proper chains, degrees lo..hi.
-
-    `bases_by_degree[k]` lists the basis at degree k, each chain a
-    ProperChain or a tuple of points; a missing degree is empty. Every
-    boundary term of every basis chain must again lie in the basis one
-    degree down (NotASubcomplex otherwise); at the bottom degree the
-    boundary must vanish outright. Each degree is ordered faced-first: the
-    chains with a smooth face, then those without, each in the order
-    given. Column c of the boundary at degree k is the dict {row of face:
-    sign} of the faces of chain c, the ones `chains.smooth_faces` gives,
-    and a chain with no face gets no column, so those are the boundary's
-    trailing zero columns. Each chain's smooth points are read once, by
-    `chains.smooth_mask`, and the columns come from the assembly that
-    `groups_from_records` reads too. d^2 = 0 is checked on construction.
-    """
-    bases = {k: bases_by_degree.get(k, ()) for k in range(lo, hi + 1)}
-    # lo > hi spans no degree: the empty complex
-    [(_, sizes, boundaries)] = _assemble([_records(space, bases)]) if bases else [(lo, [], {})]
-    return ChainComplexZ(
-        lo,
-        sizes,
-        {
-            k: SparseIntMatrix._assembled(sizes[k - 1 - lo], columns)
-            for k, columns in boundaries.items()
-        },
-    )
-
-
 def _factors(lo, sizes, boundaries):
     """The invariant factors of each boundary with entries, by degree, from one `snf` each."""
     return {
@@ -675,28 +531,15 @@ def groups_from_columns(lo, sizes, boundaries):
     column last in its degree. This is the one step from columns to the
     groups of one complex: d^2 = 0 is checked on the columns (ValueError
     otherwise, also under `python -O`), each boundary with entries is
-    reduced once by `snf`, and `_nonzero_groups` makes the groups.
+    reduced once by `snf`, and the groups are read off by `_homology`.
     Returns {degree: group} for the degrees where the homology is
-    nonzero; no ChainComplexZ is built.
+    nonzero.
     """
     _check_d_squared(boundaries)
-    return _nonzero_groups(lo, sizes, _factors(lo, sizes, boundaries))
-
-
-def groups_from_records(records_by_degree):
-    """The nonzero homology of the complex spanned by the given chain records.
-
-    `records_by_degree[k]` lists the chains of degree k as records
-    (points, mask), bit i of mask set iff x_i is strictly smooth, as the
-    chain searches hand them on (`frames._frame_splits`). Returns
-    {degree: group} for the degrees where the homology is nonzero. The
-    complex is the one-block case of the endpoint-block engine's assembly
-    (`_assemble`): it runs over the degrees from the lowest to the highest
-    key, with the order and NotASubcomplex checks of `complex_from_bases`,
-    and its columns go to `groups_from_columns`; no ChainComplexZ is
-    built and no chain is tested for smoothness again.
-    """
-    return groups_from_columns(*_assemble([records_by_degree])[0])
+    return {
+        k: HomologyGroup(betti, torsion)
+        for k, betti, torsion in _homology(lo, sizes, _factors(lo, sizes, boundaries))
+    }
 
 
 def _blocks_homology(blocks):
@@ -721,19 +564,6 @@ def _blocks_homology(blocks):
         _homology(lo, sizes, _factors(lo, sizes, boundaries))
         for lo, sizes, boundaries in assembled
     ]
-
-
-def groups_from_bases(space, bases_by_degree):
-    """The nonzero homology of the complex spanned by the given chains.
-
-    Returns {degree: group} for the degrees where the homology is nonzero.
-    The chains, ProperChains or tuples of points by degree, are read into
-    records by `chains.smooth_mask` and go to `groups_from_records`: the
-    complex is the one `complex_from_bases` builds over the degrees from
-    the lowest to the highest key of `bases_by_degree`, with the same
-    order and checks, but no ChainComplexZ is built.
-    """
-    return groups_from_records(_records(space, bases_by_degree))
 
 
 @dataclass(frozen=True)

@@ -1,32 +1,27 @@
-"""Proper chains, smoothness, enumeration, length spectra and the boundary map.
+"""Proper chains, smoothness, the chain searches and length spectra.
 
 A proper n-chain is a tuple (x_0, ..., x_n) of point indices with
 consecutive entries distinct. Its length is the sum of consecutive
-distances. The boundary removes one interior point at a time, and only
-when that point is strictly smooth: removing it does not change the
-length of the chain.
+distances, a scaled int of the space's `IntegerView`. The boundary
+removes one interior point at a time, and only when that point is
+strictly smooth: removing it does not change the length of the chain.
 
-Inside the package a chain is a bare tuple of points and its length the
-scaled int of the space's `IntegerView`. A search hands each chain on as
-one record (points, mask): bit i of mask is set iff x_i is strictly
-smooth, so the boundary drops exactly the points of the mask, and the
-assembly (`algebra._assemble`) reads the faces off it without testing
-any point again. `start_blocks` is the engine's length-pruned search
-from a start point, which settles each point's bit as it appends the
-next: `block_chains` runs it for the endpoint blocks the engine reduces,
-only those (a, b) with a <= b, as chain reversal maps each block onto
-its reverse, carries the masks through its insertions, cancels each top
-chain that has one face against that face, and hands on the blocks of
-one start point at a time, which the engine assembles together. The frame
-code searches only geodesically simple chains, in both directions, with
-its own search (`frames._frame_search`) over the same `search_moves`,
-whose masks are the points each frame drops. `smooth_mask` reads the mask
-off a given tuple, for chains that come from no search, and `smooth_faces`
-is the boundary on tuples built on it. No whole-space table of chains is
-kept: the public `enumerate_proper_chains` builds its one degree on each
-call. `ProperChain`, with its `Fraction` length, appears only at the
-public API: `enumerate_proper_chains` and `boundary` wrap the tuple
-kernel.
+A search hands each chain on as one record (points, mask): bit i of mask
+is set iff x_i is strictly smooth, so the boundary drops exactly the
+points of the mask, and the assembly (`algebra._assemble`) reads the
+faces off it without testing any point again. `start_blocks` is the
+engine's length-pruned search from a start point, which settles each
+point's bit as it appends the next: `block_chains` runs it for the
+endpoint blocks the engine reduces, only those (a, b) with a <= b, as
+chain reversal maps each block onto its reverse, carries the masks
+through its insertions, cancels each top chain that has one face against
+that face, and hands on the blocks of one start point at a time, which
+the engine assembles together. The frame code searches only
+geodesically simple chains, in both directions, with its own search
+(`frames._frame_search`) over the same `search_moves`, whose masks are
+the points each frame drops. `smooth_mask` reads the mask off a given
+tuple, for chains that come from no search, and `smooth_faces` is the
+boundary on tuples built on it. No whole-space table of chains is kept.
 `length_spectra` counts chains per length without building any, by a
 dynamic program over (last point, length). It holds each point's counts
 as one int, a field of fixed width per scaled length, and beside it one
@@ -42,7 +37,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import AsymmetricTable, CapNotAnInteger, EnumerationCapExceeded, NegativeCap
 from .metric import set_bits
@@ -77,52 +71,10 @@ def resolve_cap(cap=None):
     return value
 
 
-@dataclass(frozen=True)
-class ProperChain:
-    """A proper chain with its exact length precomputed."""
-
-    points: tuple
-    length: Fraction
-
-    def __hash__(self):
-        # equal chains have equal points; leaving the Fraction length out of
-        # the hash saves most of the cost of keying dicts by chains
-        return hash(self.points)
-
-    @property
-    def degree(self):
-        return len(self.points) - 1
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __repr__(self):
-        body = ",".join(str(p) for p in self.points)
-        return f"ProperChain(({body}), l={self.length})"
-
-    @classmethod
-    def from_points(cls, space, points):
-        pts = tuple(points)
-        if not pts:
-            raise ValueError("a chain needs at least one point")
-        for p in pts:
-            if not 0 <= p < space.n:
-                raise ValueError(f"point index {p} out of range for n={space.n}")
-        for a, b in zip(pts, pts[1:]):
-            if a == b:
-                raise ValueError(f"chain {pts} is not proper: repeated point {a}")
-        return cls(pts, chain_length(space, pts))
-
-
 def chain_total(space, points):
     """The length of a tuple of points as a scaled int of the IntegerView."""
     idist = space.integer_view.idist
     return sum(idist[a][b] for a, b in zip(points, points[1:]))
-
-
-def chain_length(space, points):
-    """Sum of consecutive distances along the tuple; 0 for a single point."""
-    return space.integer_view.fraction(chain_total(space, points))
 
 
 def is_strictly_smooth(space, a, c, b):
@@ -365,39 +317,6 @@ def block_chains(space, totals, n_max, cap=None):
                     raise AsymmetricTable(table, b, a)
 
 
-def enumerate_proper_chains(space, n, cap=None):
-    """Map from exact length to the list of proper n-chains of that length.
-
-    Keys ascend; each list is in lexicographic order. Raises
-    EnumerationCapExceeded before doing any work if N*(N-1)^n, the number
-    of chains, exceeds the cap (`resolve_cap`). Degree k + 1 extends each
-    chain of degree k, in their lexicographic order, by every next point
-    in ascending order, so each bucket comes out lexicographic without a
-    sort. Nothing is cached: every call builds its chains anew.
-    """
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    size = space.n
-    count = size * (size - 1) ** n
-    limit = resolve_cap(cap)
-    if count > limit:
-        raise EnumerationCapExceeded(count, limit)
-    view = space.integer_view
-    # no step is over the largest distance, so every point moves everywhere
-    moves = search_moves(space, max(map(max, view.idist), default=0))
-    level = [((p,), 0) for p in range(size)]
-    for _ in range(n):
-        level = [(pts + (nxt,), total + d) for pts, total in level for nxt, d in moves[pts[-1]]]
-    buckets = {}
-    for pts, total in level:
-        buckets.setdefault(total, []).append(pts)
-    out = {}
-    for total in sorted(buckets):
-        l = view.fraction(total)
-        out[l] = [ProperChain(pts, l) for pts in buckets[total]]
-    return out
-
-
 @dataclass(frozen=True)
 class LengthSpectrum:
     """The lengths realized by proper chains of one degree, ascending.
@@ -551,21 +470,14 @@ def length_spectra(space, n_max, cap=None):
     ]
 
 
-def length_spectrum(space, n, cap=None):
-    """The LengthSpectrum of degree n; the cap counts as in `length_spectra`."""
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    return length_spectra(space, n, cap)[n]
-
-
 def smooth_mask(between, pts):
     """The smooth positions of a tuple of points, as a bit mask.
 
     `between` is the space's betweenness table. Bit i is set iff interior
     point x_i is strictly smooth in (x_{i-1}, x_i, x_{i+1}). This is the
     mask the chain searches carry with each chain they build
-    (`start_blocks`, `frames._frame_search`); `smooth_faces` and
-    `algebra.groups_from_bases` read it off given tuples.
+    (`start_blocks`, `frames._frame_search`); `smooth_faces` reads it off
+    given tuples.
     """
     mask = 0
     for i in range(1, len(pts) - 1):
@@ -589,22 +501,3 @@ def smooth_faces(between, pts):
         for i in range(1, len(pts) - 1)
         if mask >> i & 1
     ]
-
-
-def boundary(space, chain):
-    """Boundary of a proper chain, as a map term -> integer coefficient.
-
-    Interior point x_i is removed with sign (-1)^i, and only when it is
-    strictly smooth in (x_{i-1}, x_i, x_{i+1}). Endpoints are never removed,
-    so degree <= 1 chains have zero boundary. Every emitted term is again
-    proper and has the same length.
-    """
-    # removing x_i and x_j, i < j, gives one tuple only if x_i = ... = x_j,
-    # which no proper chain has, so no two faces merge; and a smooth point
-    # never sits between a point and itself (checked when the betweenness
-    # table is built), so faces are proper
-    return {
-        ProperChain(face, chain.length): sign
-        for face, sign in smooth_faces(space.integer_view.between, chain.points)
-    }
-

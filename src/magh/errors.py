@@ -67,16 +67,15 @@ class EnumerationCapExceeded(MaghError, RuntimeError):
     """Work past the enumeration cap.
 
     `count` is in the steps of whichever search refused: the chains of a
-    whole degree for `enumerate_proper_chains` and the d^2 check, checked before
-    any is built; the prefixes kept (chains of degree <= n_max no longer
-    than the largest grading, less those of degree n_max that end below
-    their start) plus the top-degree insertions kept so far into the
-    blocks (a, b) with a <= b for the endpoint-block engine; the start
-    points and geodesically simple prefixes kept so far for a frame
-    subcomplex, a whole grading's frame subcomplexes or `verify`'s frame
-    table; the tuples visited so far for the frame search;
-    the (state, next point) transitions through the degree that passes
-    the cap for the length spectrum count.
+    whole degree for the d^2 check, checked before any is built; the
+    prefixes kept (chains of degree <= n_max no longer than the largest
+    grading, less those of degree n_max that end below their start) plus
+    the top-degree insertions kept so far into the blocks (a, b) with
+    a <= b for the endpoint-block engine; the start points and
+    geodesically simple prefixes kept so far for `verify`'s frame table;
+    the tuples visited so far for the frame search below m_X; the
+    (state, next point) transitions through the degree that passes the
+    cap for the length spectrum count.
     """
 
     def __init__(self, count, cap):
@@ -104,14 +103,6 @@ class NegativeCap(MaghError, ValueError):
         super().__init__(f"{source} must be >= 0, got {value}")
         self.source = source
         self.value = value
-
-
-class DegreeOutOfRange(MaghError, IndexError):
-    def __init__(self, degree, lo, hi):
-        super().__init__(f"degree {degree} outside complex range [{lo}, {hi}]")
-        self.degree = degree
-        self.lo = lo
-        self.hi = hi
 
 
 class SamePoint(MaghError, ValueError):

@@ -23,10 +23,8 @@ other new pieces of each start point from these records in one
 point again.
 One function, `_frame_splits`, runs it once per start point for what is
 asked: whole endpoint blocks (total, a, b), or single frames, for which a
-prefix whose head starts no wanted frame is dropped too. Every route here
-reads that function: one frame for `frame_subcomplex`, every block of a
-grading for `simp_decomposition` and `simple_chains_by_frame`, and what a
-space lacks so far for `frame_table` and `frame_pieces`.
+prefix whose head starts no wanted frame is dropped too. `frame_table`
+and `frame_pieces` read that function for what a space lacks so far.
 
 `frame_table` and `frame_pieces` are the frame side of `verify`. They
 hold, per top degree n_top, the nonzero homology of every frame piece
@@ -36,12 +34,10 @@ kept. Only what is lacking is searched, and only the pieces asked for
 are reduced, each once. A block or frame already held costs no search
 and no cap step. The table files no chain of degree n_top without a
 smooth point: such a chain is a frame of its own and only adds a free
-generator at n_top, which no check reads. So a piece's betti number at
-n_top is its subcomplex's less those chains, its torsion is the
-subcomplex's, and a frame of degree n_top has no group and is listed in
-no block. The groups the table returns are its own, shared between
-pieces of equal groups, and must not be mutated. The routes that build
-complexes keep every chain.
+generator at n_top, which no check reads. So a frame of degree n_top
+has no group and is listed in no block, and every other piece has its
+subcomplex's groups. The groups the table returns are its own, shared between
+pieces of equal groups, and must not be mutated.
 """
 
 from __future__ import annotations
@@ -49,8 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import HomologyGroup, _blocks_homology, complex_from_bases
-from .chains import ProperChain, chain_total, resolve_cap, search_moves
+from .algebra import HomologyGroup, _blocks_homology
+from .chains import chain_total, resolve_cap, search_moves
 from .errors import EnumerationCapExceeded, ImproperFrame, NotASubcomplex
 from .metric import format_rational, set_bits
 
@@ -72,22 +68,31 @@ def _frame_and_total(view, pts):
 
 
 def frame(space, chain):
-    """The subtuple of singular points of a proper chain.
+    """The subtuple of singular points of a proper chain, a tuple of points.
 
     For a geodesically simple chain the frame is itself a proper chain with
     the same endpoints. Without simplicity the subtuple can fail properness
     (adjacent equal entries), so this returns a bare tuple and properness
     is only checked where the decomposition relies on it (ImproperFrame).
     """
-    pts = chain.points if isinstance(chain, ProperChain) else tuple(chain)
-    return _frame_and_total(space.integer_view, pts)[0]
+    return _frame_and_total(space.integer_view, tuple(chain))[0]
 
 
 def is_geodesically_simple(space, chain):
-    """True when the chain's length equals its frame's length."""
-    if not isinstance(chain, ProperChain):
-        chain = ProperChain.from_points(space, chain)
-    pts = chain.points
+    """True when the proper chain, a tuple of points, is as long as its frame.
+
+    A tuple that is empty, names a point outside the space or repeats a
+    point in two adjacent places is no proper chain: ValueError.
+    """
+    pts = tuple(chain)
+    if not pts:
+        raise ValueError("a chain needs at least one point")
+    for p in pts:
+        if not 0 <= p < space.n:
+            raise ValueError(f"point index {p} out of range for n={space.n}")
+    for a, b in zip(pts, pts[1:]):
+        if a == b:
+            raise ValueError(f"chain {pts} is not proper: repeated point {a}")
     return _frame_and_total(space.integer_view, pts)[1] == chain_total(space, pts)
 
 
@@ -140,7 +145,7 @@ def is_realized_frame(space, points):
     return True
 
 
-def _frame_search(view, start, moves, wanted, heads, n_top, steps, limit, faceless_top):
+def _frame_search(view, start, moves, wanted, heads, n_top, steps, limit):
     """The geodesically simple chains from `start` of degrees 1..n_top with a
     length in `wanted`, by frame.
 
@@ -156,10 +161,9 @@ def _frame_search(view, start, moves, wanted, heads, n_top, steps, limit, facele
     When `heads` is a set, a prefix whose head is not in it is dropped
     too. A prefix also carries the mask of its dropped positions, bit i
     set iff x_i is strictly smooth: the test that drops x sets its bit, so
-    each chain's mask is made with it. Unless `faceless_top` is true, a
-    chain of degree n_top with a zero mask is counted but not filed: it
-    is its own frame and only a free generator at n_top. Returns (found,
-    steps): `found` maps each frame, in the order its first chain was
+    each chain's mask is made with it. A chain of degree n_top with a
+    zero mask is counted but not filed: it is its own frame and only a
+    free generator at n_top. Returns (found, steps): `found` maps each frame, in the order its first chain was
     met, to (total, {degree: records}), with total the frame's length as
     a scaled int, which is that of each of its chains, and a record being
     (points, mask), degrees ascending and each in lexicographic order.
@@ -177,7 +181,7 @@ def _frame_search(view, start, moves, wanted, heads, n_top, steps, limit, facele
     level = [((start,), 0, (), 0, 0)]
     for n in range(1, n_top + 1):
         bit = 1 << n - 1
-        file_faceless = faceless_top or n < n_top
+        top = n == n_top
         grown = []
         for pts, total, head, head_total, mask in level:
             x = pts[-1]
@@ -204,9 +208,9 @@ def _frame_search(view, start, moves, wanted, heads, n_top, steps, limit, facele
                         continue
                 steps += 1
                 ch = pts + (nxt,)
-                if n < n_top:
+                if not top:
                     grown.append((ch, t, kept, kept_total, dropped))
-                if t in wanted and (dropped or file_faceless):
+                if t in wanted and (dropped or not top):
                     # a chain that drops nothing is its own frame
                     f = kept + (nxt,) if dropped else ch
                     filed = found.get(f)
@@ -220,7 +224,7 @@ def _frame_search(view, start, moves, wanted, heads, n_top, steps, limit, facele
     return found, steps
 
 
-def _frame_splits(space, blocks, frames, n_top, cap, faceless_top=True):
+def _frame_splits(space, blocks, frames, n_top, cap):
     """Yield (block, frame, by_degree) for the geodesically simple chains of
     degree <= n_top of every endpoint block (total, a, b) of `blocks` and of
     every frame of `frames`, one frame at a time.
@@ -228,12 +232,11 @@ def _frame_splits(space, blocks, frames, n_top, cap, faceless_top=True):
     `by_degree` maps a degree to the frame's chains as the search's
     records (points, mask), the mask holding the positions the frame
     drops, degrees ascending and each in lexicographic order; a frame with
-    no chain is not yielded. With `faceless_top` false, the chains of
-    degree n_top with no smooth point are left out (`_frame_search`), so
-    the frames of degree n_top, whose only chain each is, are not
-    yielded either.
-    Frames come by start point, then in the order their first chain was
-    met. Each start point a is searched once (`_frame_search`) over every
+    no chain is not yielded. The chains of degree n_top with no smooth
+    point are left out (`_frame_search`), so the frames of degree n_top,
+    whose only chain each is, are not yielded either. Frames come by
+    start point, then in the order their first chain was met. Each start
+    point a is searched once (`_frame_search`) over every
     length asked for from it; when only frames are asked from a, the
     search keeps only the prefixes whose head starts one of them. A
     frame's block total is the length the search filed it with. A
@@ -264,9 +267,7 @@ def _frame_splits(space, blocks, frames, n_top, cap, faceless_top=True):
         heads = None
         if not ends:
             heads = {f[:k] for f in wanted_frames for k in range(1, len(f))}
-        found, steps = _frame_search(
-            view, start, moves, totals, heads, n_top, steps, limit, faceless_top
-        )
+        found, steps = _frame_search(view, start, moves, totals, heads, n_top, steps, limit)
         for f, (total, by_degree) in found.items():
             a = f[0]
             for b in f[1:]:
@@ -275,81 +276,6 @@ def _frame_splits(space, blocks, frames, n_top, cap, faceless_top=True):
                 a = b
             if (total, f[-1]) in ends or f in wanted_frames:
                 yield (total, start, f[-1]), f, by_degree
-
-
-def _points(by_degree):
-    """Chain records by degree with their masks left off."""
-    return {n: [pts for pts, _ in records] for n, records in by_degree.items()}
-
-
-def _simple_tuples_by_frame(space, l, n_top, cap):
-    """`simple_chains_by_frame` with chains as point tuples."""
-    view = space.integer_view
-    total = view.scaled(l)
-    partition = {}
-    # degree-0 chains, the only ones of length 0, carry no frame
-    if total is None or total <= 0:
-        return partition
-    points = range(space.n)
-    blocks = [(total, a, b) for a in points for b in points]
-    for _, f, by_degree in _frame_splits(space, blocks, (), n_top, cap):
-        partition[f] = _points(by_degree)
-    return {f: partition[f] for f in sorted(partition)}
-
-
-def simple_chains_by_frame(space, l, n_top, cap=None):
-    """Geodesically simple chains of length l, keyed by frame then degree.
-
-    Degrees run 1..n_top; degree-0 chains carry no frame data and are
-    excluded. Keys are sorted lexicographically, bases lexicographically
-    within each degree. The chains come from one search per start point,
-    and the cap counts its steps: every geodesically simple chain of degree
-    <= n_top no longer than l, and each start point.
-    """
-    l = Fraction(l)
-    return {
-        f: {n: [ProperChain(pts, l) for pts in basis] for n, basis in by_degree.items()}
-        for f, by_degree in _simple_tuples_by_frame(space, l, n_top, cap).items()
-    }
-
-
-def frame_subcomplex(space, f, n_top, cap=None):
-    """The subcomplex of geodesically simple chains with the given frame.
-
-    Degrees run from the frame's own degree up to n_top. The basis at each
-    degree is every chain from f[0] that the frame search finds with frame
-    f, independently of any structure theory about where inserted points
-    may sit. The cap counts the search's steps: the start, and every
-    geodesically simple chain from f[0] of degree <= n_top, no longer than
-    the frame, whose frame less its last point starts f.
-    """
-    f = tuple(f)
-    lo = len(f) - 1
-    if lo < 1:
-        raise ValueError(f"a frame needs at least two points, got {f}")
-    if n_top < lo:
-        raise ValueError(f"n_top {n_top} below frame degree {lo}")
-    split = {g: by_degree for _, g, by_degree in _frame_splits(space, (), [f], n_top, cap)}
-    by_degree = _points(split.get(f, {}))
-    bases = {n: by_degree.get(n, []) for n in range(lo, n_top + 1)}
-    return complex_from_bases(space, bases, lo, n_top)
-
-
-def simp_decomposition(space, l, n_top, cap=None):
-    """All frame subcomplexes of one length grading, keyed by frame.
-
-    The bases partition the geodesically simple chains of length l with
-    degrees 1..n_top. For l = 0 there are no positive-degree chains and the
-    map is empty.
-    """
-    l = Fraction(l)
-    if l <= 0:
-        return {}
-    out = {}
-    for f, by_degree in _simple_tuples_by_frame(space, l, n_top, cap).items():
-        lo = len(f) - 1
-        out[f] = complex_from_bases(space, by_degree, lo, n_top)
-    return out
 
 
 # (degree, betti) -> {degree: Z^betti}, or {} for betti 0: the groups of
@@ -442,7 +368,7 @@ def _fill(space, blocks, frames, n_top, cap):
     found = {}
     start = None
     new = []
-    splits = _frame_splits(space, blocks, frames, n_top, cap, faceless_top=False)
+    splits = _frame_splits(space, blocks, frames, n_top, cap)
     for block, f, by_degree in splits:
         if block[1] != start:
             _reduce(pieces, new)
@@ -464,13 +390,11 @@ def frame_table(space, blocks, n_top, cap=None):
     `blocks` lists endpoint blocks (total, a, b): the chains from a to b
     whose length, as a scaled int, is `total` > 0. Returns {block: {frame:
     {degree: group}}} for those blocks, where a frame's groups are the
-    nonzero ones of `frame_subcomplex(space, frame, n_top)` and a block
-    lists every frame of its geodesically simple chains of degree <=
-    n_top, in order, except at degree n_top: no chain of degree n_top
-    without a smooth point is filed, so a frame's betti number there is
-    the subcomplex's less those chains (its torsion is the subcomplex's),
-    and a frame of degree n_top, whose only chain is one of them, is not
-    listed.
+    nonzero ones of its frame subcomplex, the geodesically simple chains
+    of degree <= n_top with that frame, and a block lists every frame of
+    its geodesically simple chains of degree <= n_top, in order, except
+    the frames of degree n_top: no chain of degree n_top without a smooth
+    point is filed, and such a chain is the only chain of its frame.
 
     Kept per space and n_top in `IntegerView.frame_groups`, groups only.
     The blocks not held yet go through `_frame_splits`, so each start
@@ -491,11 +415,9 @@ def frame_table(space, blocks, n_top, cap=None):
 def frame_pieces(space, frames, n_top, cap=None):
     """The homology of the frame piece of each given frame.
 
-    Returns {frame: {degree: group}}, the nonzero groups of
-    `frame_subcomplex(space, frame, n_top)`, read from the same table as
-    `frame_table` and so with its betti number at n_top less the chains
-    of degree n_top without a smooth point; a frame of degree n_top has
-    no group. A frame not held yet, and whose block (its length,
+    Returns {frame: {degree: group}}, the nonzero groups of the frame's
+    subcomplex up to degree n_top, read from the same table as
+    `frame_table`; as there, a frame of degree n_top has no group. A frame not held yet, and whose block (its length,
     f[0], f[-1]) is not held either, goes through `_frame_splits`: each
     start point is searched once for all the frames it lacks, keeping
     only the prefixes whose frame so far starts one of them, and only

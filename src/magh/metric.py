@@ -50,6 +50,8 @@ from .errors import (
 # the interpreter's default limit on the digits of an int read from text,
 # which JSON ints meet in `FiniteMetricSpace.from_json`
 MAX_EXPONENT = 4300
+# the least int with more than MAX_EXPONENT digits
+_TOO_LONG = 10**MAX_EXPONENT
 
 
 def _exponent_too_large(clean):
@@ -147,6 +149,14 @@ def _to_fraction(value, i, j):
     if isinstance(value, str):
         return parse_rational(value)
     raise MetricError(f"entry [{i}][{j}] has unsupported type {type(value).__name__}")
+
+
+def _printable(q, i, j):
+    """`q`, or MetricError naming entry [i][j] when its numerator or
+    denominator has more than MAX_EXPONENT digits and so cannot be printed."""
+    if abs(q.numerator) >= _TOO_LONG or q.denominator >= _TOO_LONG:
+        raise MetricError(f"entry [{i}][{j}]: a term has more than {MAX_EXPONENT} digits")
+    return q
 
 
 def set_bits(mask):
@@ -435,6 +445,9 @@ def _fraction_rows(matrix):
     Fraction of its first occurrence. Rows are read in order and each row
     is checked for length before its entries are converted, so the first
     malformed entry in row-major order raises, as it would with no memo.
+    An entry whose numerator or denominator has more digits than
+    `MAX_EXPONENT`, which no length of the space could print, raises
+    MetricError naming it (`_printable`).
     """
     n = len(matrix)
     parsed = {}
@@ -448,9 +461,9 @@ def _fraction_rows(matrix):
             if type(v) is str:
                 q = parsed.get(v)
                 if q is None:
-                    q = parsed[v] = parse_rational(v)
+                    q = parsed[v] = _printable(parse_rational(v), i, j)
             else:
-                q = _to_fraction(v, i, j)
+                q = _printable(_to_fraction(v, i, j), i, j)
             out.append(q)
         rows.append(out)
     return rows

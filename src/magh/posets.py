@@ -23,10 +23,7 @@ pair only checks that its two sides agree. Pair homology runs the steps
 in one pass and hands the columns to `algebra.groups_from_columns`, the
 one d^2 check, Smith normal form and groups step that the endpoint-block
 engine shares; a core with no relation, k points, is counted instead,
-its homology read off k. The public `interval_poset`, `poset_core`,
-`order_complex` and `reduced_complex` are thin wrappers over the same
-helpers, and are the only places an `IntervalPoset`, `OrderComplex` or
-`ChainComplexZ` is built here; no compute or verify route builds one.
+its homology read off k.
 
 Below m_X, magnitude homology is the direct sum of those frame homologies
 (Kaneta-Yoshinaga), so `magnitude_homology_rows` computes every grading
@@ -41,10 +38,8 @@ from fractions import Fraction
 
 from . import frames as _frames
 from .algebra import (
-    ChainComplexZ,
     HomologyGroup,
     HomologyRow,
-    SparseIntMatrix,
     TRIVIAL_GROUP,
     block_homology_rows,
     groups_from_columns,
@@ -53,33 +48,6 @@ from .algebra import (
 from .chains import resolve_cap
 from .errors import EnumerationCapExceeded, NotAPartialOrder, SamePoint, UnrealizedFrame
 from .metric import format_rational, set_bits
-
-
-@dataclass(frozen=True)
-class IntervalPoset:
-    """Strict partial order on the points strictly between a and b.
-
-    `elements` are point indices, ascending. `up[i]` and `down[i]` are int
-    bitmasks over point indices of the elements strictly above and below
-    `elements[i]`; they are the order's only stored form.
-    """
-
-    a: int
-    b: int
-    elements: tuple
-    up: tuple
-    down: tuple
-
-    @property
-    def less(self):
-        """The pairs (x, y) with x strictly below y."""
-        return frozenset((x, y) for x, up in zip(self.elements, self.up) for y in set_bits(up))
-
-    def successors(self, x):
-        return tuple(set_bits(self.up[self.elements.index(x)]))
-
-    def __len__(self):
-        return len(self.elements)
 
 
 def _start_order(view, a):
@@ -112,9 +80,10 @@ def _start_order(view, a):
 def _interval_masks(space, a, b):
     """(elements, up, down) of I(a, b), as lists, with every check made.
 
-    This is the one place the order is read and checked; `interval_poset`
-    wraps it in an `IntervalPoset`, and pair homology and the component
-    count read the lists as they are. A point c belongs iff it is strictly
+    This is the one place the order is read and checked; pair homology
+    and the component count read the lists as they are. `up[i]` and
+    `down[i]` are int bitmasks over point indices of the elements strictly
+    above and below `elements[i]`. A point c belongs iff it is strictly
     smooth between a and b. The order has two equivalent formulations,
     each one row of the space's betweenness table: from the a side, x < y
     iff x lies between a and y, which gives `down`; from the b side, x < y
@@ -154,17 +123,6 @@ def _interval_masks(space, a, b):
     return elements, up, down
 
 
-def interval_poset(space, a, b):
-    """Build I(a, b), verifying the order is well defined.
-
-    The masks and every check come from `_interval_masks`: SamePoint for
-    a == b, and NotAPartialOrder, with its least witness, where the two
-    sides of the order disagree or it is not antisymmetric or transitive.
-    """
-    elements, up, down = _interval_masks(space, a, b)
-    return IntervalPoset(a=a, b=b, elements=tuple(elements), up=tuple(up), down=tuple(down))
-
-
 def _has_least(mask, up):
     """True when the elements in `mask` have a least one, `up[z]` being above z."""
     if not mask & (mask - 1):  # no element, or a lone one
@@ -179,10 +137,19 @@ def _has_least(mask, up):
 
 
 def _core_masks(elements, up, down):
-    """The core's (elements, up, down); the arguments themselves if it is all of it.
+    """The core of a poset: what is left once no beat point remains.
 
-    See `poset_core`, which wraps this; pair homology calls it on the
-    lists `_interval_masks` reads.
+    The poset is given as `_interval_masks` reads it, and so is the
+    core's (elements, up, down), the arguments themselves if it is all of
+    it. A beat point has exactly one upper cover or exactly one lower
+    cover, that is, the elements above it have a least one or those below
+    it a greatest one. Each pass removes, in ascending order, every
+    element that is a beat point of what is left at its turn; passes
+    repeat until one removes nothing. The core's order complex is a
+    strong deformation retract of the poset's (Stong, 1966), so its
+    reduced homology over Z, torsion included, is the poset's. A nonempty
+    poset keeps at least one element, since a lone element has no cover.
+    The core's masks are the poset's restricted to what is left.
     """
     above = dict(zip(elements, up))
     below = dict(zip(elements, down))
@@ -203,41 +170,6 @@ def _core_masks(elements, up, down):
     return kept, [above[x] & left for x in kept], [below[x] & left for x in kept]
 
 
-def poset_core(poset):
-    """The core of a poset: what is left once no beat point remains.
-
-    A beat point has exactly one upper cover or exactly one lower cover,
-    that is, the elements above it have a least one or those below it a
-    greatest one. Each pass removes, in ascending order, every element
-    that is a beat point of what is left at its turn; passes repeat until
-    one removes nothing. The core's order complex is a strong deformation
-    retract of the poset's (Stong, 1966), so its reduced homology over Z,
-    torsion included, is the poset's. A nonempty poset keeps at least one
-    element, since a lone element has no cover. The core's masks are the
-    poset's restricted to what is left, and a poset with no beat point is
-    returned as it is.
-    """
-    kept, up, down = _core_masks(poset.elements, poset.up, poset.down)
-    if kept is poset.elements:
-        return poset
-    return IntervalPoset(a=poset.a, b=poset.b, elements=tuple(kept), up=tuple(up), down=tuple(down))
-
-
-@dataclass(frozen=True)
-class OrderComplex:
-    """Simplices are the totally ordered subsets of a poset.
-
-    `simplices[k]` lists the k-simplices as tuples ascending in the order,
-    in lexicographic order.
-    """
-
-    simplices: dict
-
-    @property
-    def dim(self):
-        return max(self.simplices) if self.simplices else -1
-
-
 def _order_simplices(elements, up):
     """The chains of a poset, as a list of the simplices of each dimension.
 
@@ -251,11 +183,6 @@ def _order_simplices(elements, up):
         levels.append(frontier)
         frontier = [s + (y,) for s in frontier for y in set_bits(above[s[-1]])]
     return levels
-
-
-def order_complex(poset):
-    """All chains of the poset, graded by dimension (`_order_simplices`)."""
-    return OrderComplex(simplices=dict(enumerate(_order_simplices(poset.elements, poset.up))))
 
 
 def _reduced_columns(levels):
@@ -278,26 +205,6 @@ def _reduced_columns(levels):
             for s in levels[k]
         ]
     return sizes, boundaries
-
-
-def reduced_complex(complex_):
-    """Reduced (augmented) simplicial chain complex over Z.
-
-    Degree -1 is a single copy of Z; the augmentation sends every vertex to
-    +1 times that generator. Faces of a k-simplex alternate signs in vertex
-    order. An empty complex is just Z in degree -1, whose homology there is
-    Z: the reduced homology of the empty space. The columns come from
-    `_reduced_columns`, as pair homology's do.
-    """
-    simplices = complex_.simplices
-    sizes, boundaries = _reduced_columns(
-        [simplices.get(k, []) for k in range(complex_.dim + 1)]
-    )
-    return ChainComplexZ(
-        -1,
-        sizes,
-        {k: SparseIntMatrix._assembled(sizes[k], columns) for k, columns in boundaries.items()},
-    )
 
 
 def poset_component_count(space, a, b):
@@ -354,16 +261,15 @@ def interval_homology(space, a, b):
     Only nonzero groups are listed; an empty interval gives Z in degree
     -1. The complex reduced is the order complex of the interval's core,
     a strong deformation retract of the full one (Stong), so torsion is
-    kept. Each pair goes once per space from masks to groups, with no
-    `IntervalPoset`, `OrderComplex` or `ChainComplexZ` built: the interval's
-    masks (`_interval_masks`, every order check made), its core's
-    (`_core_masks`), the core's simplices and augmented boundary columns,
-    then `algebra.groups_from_columns`, the d^2 check, Smith normal form
-    and groups step the endpoint-block engine shares. Only the groups are
-    kept, in the space's `IntegerView.pair_homology`, which the frame DFS
-    shares; this returns a copy. A core with no relation is an antichain
-    of k points and builds no simplex: Z at degree -1 for k = 0, nothing
-    for k = 1, and Z^(k-1) at degree 0 for k >= 2.
+    kept. Each pair goes once per space from masks to groups: the
+    interval's masks (`_interval_masks`, every order check made), its
+    core's (`_core_masks`), the core's simplices and augmented boundary
+    columns, then `algebra.groups_from_columns`, the d^2 check, Smith
+    normal form and groups step the endpoint-block engine shares. Only the
+    groups are kept, in the space's `IntegerView.pair_homology`, which the
+    frame DFS shares; this returns a copy. A core with no relation is an
+    antichain of k points and builds no simplex: Z at degree -1 for
+    k = 0, nothing for k = 1, and Z^(k-1) at degree 0 for k >= 2.
     """
     return dict(_interval_homology(space, a, b))
 

@@ -7,22 +7,28 @@ from a three-condition quadruple scan, triangle witnesses from a
 row-major scan, betweenness from a triple loop, and shortest-path
 closures from the textbook Floyd-Warshall loop. All distance arithmetic is on Fractions, except that
 `naive_buckets` groups `naive_chains` by length as a scaled int of the
-space's `IntegerView`, so that its keys are the package's. There are two
-exceptions. `tensor` builds the product of two package complexes basis
-element by basis element, so that reducing it checks `kunneth`, which
-never builds one. `magnitude_complex` assembles a whole grading's
-buckets as one package complex, the complex the endpoint-block engine
-splits by endpoint pair, and `endpoint_blocks` splits buckets by
-endpoint pair the way the engine's blocks are meant to come out.
-`euler_characteristic` reads a package complex's ranks.
+space's `IntegerView`, so that its keys are the package's. There are
+exceptions, on purpose. `ChainComplexZ` is a plain complex, its ranks
+and boundary columns, whose groups are the package's
+`groups_from_columns`. `complex_from_bases` builds one on given chains
+with the package's boundary on tuples, `smooth_faces`; `tensor` builds
+the product of two basis element by basis element, so that reducing it
+checks `kunneth`, which never builds one; `magnitude_complex` assembles
+a whole grading's buckets as one, the complex the endpoint-block engine
+splits by endpoint pair, and `frame_complex` one frame's subcomplex,
+whose bases `naive_frame_bases` filters out of the chains of one length
+that `pruned_chains` finds by a naive pruned search.
+`endpoint_blocks` splits buckets by endpoint pair the way the engine's
+blocks are meant to come out, and `record_groups` reduces one block of
+chain records alone, through the engine's own assembly.
+`euler_characteristic` reads a complex's ranks.
 `smooth_by_distances`, `collapsed_chains` and `kept_faces` read smooth
 points off the scaled-int distances of the space's `IntegerView`, not off
 its betweenness table.
 `d_squared_by_tables` is the boundary-of-boundary check as a walk over
 every chain of each degree's buckets, which `verify.check_d_squared`
-decides from 4-point windows without walking any chain, and
-`frame_bases_by_tables` filters the frame subcomplexes' bases out of the
-buckets. `naive_interval_order` reads an interval poset's pairs off
+decides from 4-point windows without walking any chain.
+`naive_interval_order` reads an interval poset's pairs off
 Fraction distances, and `naive_component_count`, `naive_core` and
 `naive_order_complex` work on such plain pair sets, with none of the
 package's bitmasks. `interval_complex` and `boundary_of_sum` are thin
@@ -36,22 +42,17 @@ purpose; oracle scale only.
 """
 
 import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
-from magh.algebra import ChainComplexZ, SparseIntMatrix, complex_from_bases, groups_from_columns
-from magh.chains import boundary, resolve_cap, smooth_faces
-from magh.errors import EnumerationCapExceeded, NotAPartialOrder, SamePoint
+from magh.algebra import TRIVIAL_GROUP, HomologyGroup, _blocks_homology, groups_from_columns
+from magh.chains import resolve_cap, smooth_faces
+from magh.errors import EnumerationCapExceeded, NotAPartialOrder, NotASubcomplex, SamePoint
 from magh.frames import frame
 from magh.metric import format_rational, set_bits
-from magh.posets import (
-    _core_masks,
-    _order_simplices,
-    _reduced_columns,
-    interval_poset,
-    order_complex,
-    reduced_complex,
-)
+from magh.posets import _core_masks, _order_simplices, _reduced_columns
 from magh.verify import VerificationReport
 
 
@@ -145,6 +146,81 @@ def naive_complex_groups(space, bases, n_max):
     return groups
 
 
+@dataclass
+class ChainComplexZ:
+    """A bounded chain complex of free Z-modules, degrees lo..hi.
+
+    `boundaries[k]` lists the column dicts {row: coeff} of the map out of
+    degree k, at most one per basis element of degree k: the elements past
+    the last column map to zero, and so does a degree with no key. The
+    groups are the package's `groups_from_columns`, d^2 check included,
+    computed once, when first read.
+    """
+
+    lo: int
+    sizes: list
+    boundaries: dict = field(default_factory=dict)
+
+    @property
+    def hi(self):
+        return self.lo + len(self.sizes) - 1
+
+    def degrees(self):
+        return range(self.lo, self.hi + 1)
+
+    def size(self, k):
+        return self.sizes[k - self.lo] if self.lo <= k <= self.hi else 0
+
+    @cached_property
+    def _groups(self):
+        return groups_from_columns(self.lo, self.sizes, self.boundaries)
+
+    def groups(self):
+        """{degree: group} where the homology is nonzero, a new dict."""
+        return dict(self._groups)
+
+    def homology(self, k):
+        """H_k at any degree, TRIVIAL_GROUP where it is zero."""
+        return self._groups.get(k, TRIVIAL_GROUP)
+
+
+def complex_from_bases(space, bases, lo, hi):
+    """The complex spanned by given proper chains at degrees lo..hi.
+
+    `bases[k]` lists the chains of degree k as point tuples; a missing
+    degree is empty. Column c at degree k holds the faces of chain c with
+    their signs, as the package's boundary on tuples, `smooth_faces`,
+    reads them off the betweenness table. A face outside the basis one
+    degree down, any face at lo included, raises NotASubcomplex.
+    """
+    between = space.integer_view.between
+    sizes = []
+    boundaries = {}
+    index = {}
+    for k in range(lo, hi + 1):
+        chains = [tuple(ch) for ch in bases.get(k, ())]
+        columns = []
+        for pts in chains:
+            column = {}
+            for face, sign in smooth_faces(between, pts):
+                if face not in index:
+                    raise NotASubcomplex(f"face {face} of {pts} is outside the basis")
+                column[index[face]] = sign
+            columns.append(column)
+        if k > lo:
+            boundaries[k] = columns
+        sizes.append(len(chains))
+        index = {pts: r for r, pts in enumerate(chains)}
+    return ChainComplexZ(lo, sizes, boundaries)
+
+
+def record_groups(records):
+    """{degree: group} of one block of chain records (points, mask),
+    reduced alone by the engine's own `_blocks_homology`."""
+    [homology] = _blocks_homology([records])
+    return {n: HomologyGroup(betti, torsion) for n, betti, torsion in homology}
+
+
 def magnitude_complex(space, l, n_top):
     """The chain complex of the proper chains of length l, degrees 0..n_top.
 
@@ -207,8 +283,8 @@ def kept_faces(space, pts, collapsed):
 def endpoint_blocks(by_degree, l):
     """Split the chains of length l by endpoint pair, pairs in sorted order.
 
-    `by_degree[n]` maps lengths to the chains of degree n, as point tuples
-    or ProperChains, like `naive_buckets` or enumerate_proper_chains.
+    `by_degree[n]` maps lengths to the chains of degree n, as point
+    tuples, like `naive_buckets`.
     Returns {(a, b): {n: chains from a to b}}, listing only the degrees
     where the pair has chains; each list keeps the order of its bucket.
     """
@@ -272,21 +348,63 @@ def d_squared_by_tables(space, n_max, cap=None):
     )
 
 
-def frame_bases_by_tables(space, total, n_top):
-    """The geodesically simple chains of length `total`, a scaled int, by
-    frame then degree 1..n_top, filtered out of `naive_buckets`.
+def pruned_chains(space, total, n_top):
+    """The proper chains of length `total`, a scaled int, by degree 0..n_top.
 
-    Frames and degrees ascend; each basis keeps its bucket's lexicographic
-    order.
+    A naive search from every start point that drops a prefix once it is
+    longer than `total`; it shares no code with the package's searches.
+    Each degree lists its chains in lexicographic order.
     """
-    idist = space.integer_view.idist
-    out = {}
-    for n in range(1, n_top + 1):
-        for pts in naive_buckets(space, n).get(total, ()):
-            f = frame(space, pts)
-            if sum(idist[a][b] for a, b in zip(f, f[1:])) == total:
-                out.setdefault(f, {}).setdefault(n, []).append(pts)
-    return {f: out[f] for f in sorted(out)}
+    # each point's steps no longer than `total`, next points ascending
+    near = [
+        [(x, d) for x, d in enumerate(row) if x != p and d <= total]
+        for p, row in enumerate(space.integer_view.idist)
+    ]
+    by_degree = []
+    level = [((p,), 0) for p in range(space.n)]
+    for n in range(n_top + 1):
+        by_degree.append([pts for pts, t in level if t == total])
+        if n < n_top:
+            level = [
+                (pts + (x,), t + d)
+                for pts, t in level
+                for x, d in near[pts[-1]]
+                if t + d <= total
+            ]
+    return by_degree
+
+
+_FRAME_BASES = {}
+
+
+def naive_frame_bases(space, total, n_top):
+    """The geodesically simple chains of length `total`, a scaled int, by
+    frame then degree 1..n_top, filtered out of `pruned_chains`.
+
+    Frames and degrees ascend; each basis is in lexicographic order. Kept
+    per (IntegerView, total, n_top), as `naive_buckets` is; callers must
+    not mutate them.
+    """
+    key = (space.integer_view, total, n_top)
+    found = _FRAME_BASES.get(key)
+    if found is None:
+        idist = space.integer_view.idist
+        out = {}
+        for n, chains in enumerate(pruned_chains(space, total, n_top)[1:], 1):
+            for pts in chains:
+                f = frame(space, pts)
+                if sum(idist[a][b] for a, b in zip(f, f[1:])) == total:
+                    out.setdefault(f, {}).setdefault(n, []).append(pts)
+        found = _FRAME_BASES[key] = {f: out[f] for f in sorted(out)}
+    return found
+
+
+def frame_complex(space, f, n_top):
+    """The frame subcomplex of the frame f: its chains of degrees
+    len(f) - 1..n_top, from `naive_frame_bases`."""
+    total = sum(space.integer_view.idist[a][b] for a, b in zip(f, f[1:]))
+    bases = naive_frame_bases(space, total, n_top).get(tuple(f), {})
+    return complex_from_bases(space, bases, len(f) - 1, n_top)
 
 
 def rational_rank(dense):
@@ -531,23 +649,23 @@ def tensor(a, b):
                 continue
             base = src_off[(i, j)]
             sign = 1 if i % 2 == 0 else -1
-            da = a.boundaries.get(i)
-            db = b.boundaries.get(j)
+            da = a.boundaries.get(i, ())
+            db = b.boundaries.get(j, ())
             for p in range(na):
                 for qcol in range(nb):
                     column = columns[base + p * nb + qcol]
-                    if da is not None and p < da.cols:
+                    if p < len(da):
                         dbase = dst_off.get((i - 1, j))
                         if dbase is not None:
-                            for r, v in da.columns[p].items():
+                            for r, v in da[p].items():
                                 column[dbase + r * nb + qcol] = v
-                    if db is not None and qcol < db.cols:
+                    if qcol < len(db):
                         dbase = dst_off.get((i, j - 1))
                         if dbase is not None:
                             nb1 = b.size(j - 1)
-                            for s, v in db.columns[qcol].items():
+                            for s, v in db[qcol].items():
                                 column[dbase + p * nb1 + s] = sign * v
-        boundaries[k] = SparseIntMatrix(sizes[k - 1 - lo], columns)
+        boundaries[k] = columns
     return ChainComplexZ(lo, sizes, boundaries)
 
 
@@ -566,12 +684,14 @@ def tensor_many(complexes):
 
 
 def boundary_of_sum(space, combo):
-    """Extend the package's `boundary` linearly to a formal sum {chain: coeff}."""
+    """Extend the package's boundary on tuples, `smooth_faces`, linearly to
+    a formal sum {chain: coeff} of point tuples."""
+    between = space.integer_view.between
     out = {}
     for chain, coeff in combo.items():
         if not coeff:
             continue
-        for term, sign in boundary(space, chain).items():
+        for term, sign in smooth_faces(between, chain):
             new = out.get(term, 0) + coeff * sign
             if new:
                 out[term] = new
@@ -581,8 +701,11 @@ def boundary_of_sum(space, combo):
 
 
 def interval_complex(space, a, b):
-    """Reduced chain complex of the full order complex of I(a, b), not its core's."""
-    return reduced_complex(order_complex(interval_poset(space, a, b)))
+    """Reduced chain complex of the full order complex of I(a, b), not its
+    core's: `reference_interval_masks`, then the package's order-complex
+    simplices and augmented columns."""
+    elements, up, _ = reference_interval_masks(space, a, b)
+    return ChainComplexZ(-1, *_reduced_columns(_order_simplices(elements, up)))
 
 
 def naive_interval_order(space, a, b):
@@ -630,7 +753,7 @@ def naive_core(elements, less):
 
     A beat point has one upper cover or one lower cover among what is
     left. Each pass tries the elements in ascending order, as
-    `posets.poset_core` does, and passes repeat until one removes nothing.
+    `posets._core_masks` does, and passes repeat until one removes nothing.
     """
     flipped = {(y, x) for x, y in less}
     left = sorted(elements)

@@ -23,20 +23,8 @@ import magh.algebra
 import magh.chains
 import magh.posets
 
-from magh.algebra import (
-    TRIVIAL_GROUP,
-    HomologyGroup,
-    HomologyRow,
-    block_homology_rows,
-    complex_from_bases,
-    groups_from_bases,
-)
-from magh.chains import (
-    block_chains,
-    enumerate_proper_chains,
-    length_spectrum,
-    smooth_faces,
-)
+from magh.algebra import TRIVIAL_GROUP, HomologyGroup, HomologyRow, block_homology_rows
+from magh.chains import block_chains, length_spectra, smooth_faces
 from magh.errors import AsymmetricTable, EnumerationCapExceeded
 from magh.frames import m_x
 from magh.metric import (
@@ -51,6 +39,7 @@ from magh.verify import default_suite, full_suite, random_suite
 
 from oracles import (
     collapsed_chains,
+    complex_from_bases,
     endpoint_blocks,
     kept_faces,
     magnitude_complex,
@@ -58,6 +47,7 @@ from oracles import (
     naive_chains,
     naive_complex_groups,
     naive_magnitude_group,
+    pruned_chains,
     smooth_by_distances,
 )
 from test_frames import GRID_STEPS, weighted_grid
@@ -82,10 +72,7 @@ def rational_metrics(draw, max_points):
 
 
 def realized_lengths(space, n_max):
-    lengths = set()
-    for n in range(n_max + 1):
-        lengths.update(length_spectrum(space, n).lengths)
-    return sorted(lengths)
+    return sorted({l for spectrum in length_spectra(space, n_max) for l in spectrum.lengths})
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -110,8 +97,8 @@ def test_blocks_match_naive_oracle(space):
 
 def test_cycle4_blocks_sum_to_grading():
     space = cycle_space(4)
-    by_degree = [enumerate_proper_chains(space, n) for n in range(4)]
-    blocks = endpoint_blocks(by_degree, Fraction(2))
+    by_degree = [naive_buckets(space, n) for n in range(4)]
+    blocks = endpoint_blocks(by_degree, space.integer_view.scaled(2))
     groups = {
         pair: complex_from_bases(space, bases, 0, 3).homology(2)
         for pair, bases in blocks.items()
@@ -309,25 +296,11 @@ def pruned_blocks(space, total, n_top):
     """The proper chains of length `total`, a scaled int, up to degree n_top,
     from every start point to every end point, split by endpoint pair.
 
-    A naive search that drops a prefix once it is longer than `total`;
-    it shares no code with `chains.block_chains` and skips no direction.
+    The naive search `oracles.pruned_chains`, which drops a prefix once it
+    is longer than `total`; it shares no code with `chains.block_chains`
+    and skips no direction.
     """
-    # each point's steps no longer than `total`, next points ascending
-    near = [
-        [(x, d) for x, d in enumerate(row) if x != p and d <= total]
-        for p, row in enumerate(space.integer_view.idist)
-    ]
-    by_degree = []
-    level = [((p,), 0) for p in range(space.n)]
-    for n in range(n_top + 1):
-        by_degree.append({total: [pts for pts, t in level if t == total]})
-        if n < n_top:
-            level = [
-                (pts + (x,), t + d)
-                for pts, t in level
-                for x, d in near[pts[-1]]
-                if t + d <= total
-            ]
+    by_degree = [{total: chains} for chains in pruned_chains(space, total, n_top)]
     return endpoint_blocks(by_degree, total)
 
 
@@ -388,15 +361,22 @@ def test_reversed_rp2_blocks_carry_the_torsion():
         assert cx.homology(3) == HomologyGroup(0, (2,))
 
 
+def block_groups(space, bases):
+    """The nonzero groups of the complex a block's chains span, over the
+    degrees from its lowest to its highest."""
+    return complex_from_bases(space, bases, min(bases), max(bases)).groups()
+
+
 def assert_block_groups_match_oracles(space, lengths, n_max):
-    """Per block, `groups_from_bases` equals the dense oracle up to n_max,
+    """Per block, the oracle complex's groups equal the dense oracle's up to n_max,
     and per grading the blocks sum to the whole grading's complex."""
     view = space.integer_view
     for l in lengths:
         blocks = pruned_blocks(space, view.scaled(l), n_max + 1)
         parts = {n: [] for n in range(n_max + 1)}
         for pair, bases in blocks.items():
-            groups = {n: g for n, g in groups_from_bases(space, bases).items() if n <= n_max}
+            groups = block_groups(space, bases)
+            groups = {n: g for n, g in groups.items() if n <= n_max}
             expected = naive_complex_groups(space, bases, n_max)
             assert {n: (g.betti, g.torsion) for n, g in groups.items()} == expected, (l, pair)
             for n, g in groups.items():
@@ -424,11 +404,11 @@ def test_block_groups_keep_the_rp2_torsion():
     space, bottom, top = rp2_face_poset_space()
     blocks = pruned_blocks(space, space.integer_view.scaled(4), 4)
     for pair in ((bottom, top), (top, bottom)):
-        groups = groups_from_bases(space, blocks[pair])
+        groups = block_groups(space, blocks[pair])
         assert groups[3] == HomologyGroup(0, (2,))
         assert naive_complex_groups(space, blocks[pair], 3) == {3: (0, (2,))}
     total = HomologyGroup.direct_sum(
-        groups_from_bases(space, bases).get(3, TRIVIAL_GROUP) for bases in blocks.values()
+        block_groups(space, bases).get(3, TRIVIAL_GROUP) for bases in blocks.values()
     )
     assert total == HomologyGroup(450, (2, 2))
     assert block_homology_rows(space, [4], 3)[3].group == total
@@ -480,7 +460,7 @@ def gradings_below_m_x(space, n_max):
 
 def assert_frame_route_matches_blocks(space, gradings, n_max):
     # below m_X the router must not enumerate chains
-    with mock.patch.object(magh.chains, "enumerate_proper_chains", side_effect=AssertionError):
+    with mock.patch.object(magh.chains, "block_chains", side_effect=AssertionError):
         frames = magnitude_homology_rows(space, gradings, n_max)
     blocks = block_homology_rows(space, gradings, n_max)
     assert frames == blocks, space.d

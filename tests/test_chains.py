@@ -3,16 +3,15 @@ from fractions import Fraction
 import pytest
 
 from magh.chains import (
-    ProperChain,
     block_chains,
-    boundary,
-    chain_length,
-    enumerate_proper_chains,
+    chain_total,
     is_strictly_smooth,
     length_spectra,
-    length_spectrum,
+    search_moves,
+    smooth_faces,
+    start_blocks,
 )
-from magh.errors import EnumerationCapExceeded, NegativeCap
+from magh.errors import CapNotAnInteger, EnumerationCapExceeded, NegativeCap
 from magh.metric import (
     complete_space,
     cycle_space,
@@ -20,8 +19,9 @@ from magh.metric import (
     random_metric,
     validate_metric,
 )
+from magh.posets import magnitude_homology_rows
 
-from oracles import boundary_of_sum, naive_chains
+from oracles import boundary_of_sum, naive_buckets, naive_chains
 
 F = Fraction
 
@@ -41,6 +41,36 @@ def test_smoothness_examples():
     assert not is_strictly_smooth(c6, 0, 3, 5)
 
 
+def chain_length(space, pts):
+    return space.integer_view.fraction(chain_total(space, pts))
+
+
+def searched_buckets(space, n):
+    """The proper n-chains of the engine's search, as {length: chains}.
+
+    `start_blocks` runs from every start point up to degree n + 1, so
+    that degree n is not its top, over every length naive chains of
+    degree n have. It records the chains that end at or above their
+    start; the others are their reverses, added here. Lengths ascend, and
+    each bucket is sorted.
+    """
+    view = space.integer_view
+    wanted = set(naive_buckets(space, n))
+    if not wanted:
+        return {}
+    moves = search_moves(space, max(wanted))
+    buckets = {}
+    for start in range(space.n):
+        blocks, _ = start_blocks(start, moves, view.between, wanted, n + 1, 0, 10**9)
+        for (total, end), records in blocks.items():
+            for pts, _ in records.get(n, ()):
+                found = buckets.setdefault(total, [])
+                found.append(pts)
+                if end != start:
+                    found.append(pts[::-1])
+    return {view.fraction(t): sorted(buckets[t]) for t in sorted(buckets)}
+
+
 def test_chain_length():
     p3 = path_space(3)
     assert chain_length(p3, (0, 1, 2)) == 2
@@ -49,43 +79,31 @@ def test_chain_length():
     assert chain_length(c6, (0, 1, 2, 4)) == 4
 
 
-def test_from_points_validation():
-    p3 = path_space(3)
-    ch = ProperChain.from_points(p3, (0, 1, 2))
-    assert ch.degree == 2
-    assert ch.length == 2
-    with pytest.raises(ValueError):
-        ProperChain.from_points(p3, (0, 0, 1))
-    with pytest.raises(ValueError):
-        ProperChain.from_points(p3, (0, 3))
-    with pytest.raises(ValueError):
-        ProperChain.from_points(p3, ())
-
-
 def test_enumerate_two_point_space():
     sp = two_point_space()
-    buckets = enumerate_proper_chains(sp, 2)
+    buckets = searched_buckets(sp, 2)
     assert set(buckets) == {F(2)}
-    assert [c.points for c in buckets[F(2)]] == [(0, 1, 0), (1, 0, 1)]
+    assert buckets[F(2)] == [(0, 1, 0), (1, 0, 1)]
 
 
 def test_enumerate_path3_degree1():
-    buckets = enumerate_proper_chains(path_space(3), 1)
+    buckets = searched_buckets(path_space(3), 1)
     assert {l: len(cs) for l, cs in buckets.items()} == {F(1): 4, F(2): 2}
-    # lexicographic within a bucket
-    assert [c.points for c in buckets[F(1)]] == [(0, 1), (1, 0), (1, 2), (2, 1)]
+    assert buckets[F(1)] == [(0, 1), (1, 0), (1, 2), (2, 1)]
 
 
 def test_enumerate_single_point():
     sp = path_space(1)
-    assert enumerate_proper_chains(sp, 1) == {}
-    assert enumerate_proper_chains(sp, 0) == {F(0): [ProperChain((0,), F(0))]}
+    assert searched_buckets(sp, 1) == {}
+    assert searched_buckets(sp, 0) == {F(0): [(0,)]}
+    assert [s.counts for s in length_spectra(sp, 1)] == [(1,), ()]
 
 
 def test_enumerate_no_points():
     # a space with no points loads and has no chains of any degree
     sp = validate_metric([])
-    assert [enumerate_proper_chains(sp, n) for n in range(3)] == [{}, {}, {}]
+    assert [searched_buckets(sp, n) for n in range(3)] == [{}, {}, {}]
+    assert list(block_chains(sp, [0, 1], 2)) == []
 
 
 @pytest.mark.parametrize(
@@ -95,37 +113,66 @@ def test_enumerate_no_points():
 )
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_enumeration_matches_naive(space, n):
-    buckets = enumerate_proper_chains(space, n)
-    flat = sorted(c.points for bucket in buckets.values() for c in bucket)
+    buckets = searched_buckets(space, n)
+    flat = sorted(pts for bucket in buckets.values() for pts in bucket)
     assert flat == sorted(naive_chains(space, n))
     for l, bucket in buckets.items():
-        for c in bucket:
-            assert c.length == l == chain_length(space, c.points)
+        for pts in bucket:
+            assert l == chain_length(space, pts)
+
+
+def c6_steps(n):
+    """The steps `length_spectra` counts through degree n on C_6: one per
+    (last point, length) state of each degree below n and next point."""
+    space = cycle_space(6)
+    return sum(
+        len({(pts[-1], chain_total(space, pts)) for pts in naive_chains(space, j)}) * 5
+        for j in range(n)
+    )
 
 
 def test_enumeration_cap():
+    # degree 1 takes 6 * 5 steps and degree 2 another 18 * 5: 120 > 100
+    assert (c6_steps(1), c6_steps(2)) == (30, 120)
     with pytest.raises(EnumerationCapExceeded) as exc:
-        enumerate_proper_chains(cycle_space(6), 4, cap=100)
-    assert exc.value.count == 6 * 5**4
-    assert exc.value.cap == 100
+        length_spectra(cycle_space(6), 4, cap=100)
+    assert (exc.value.count, exc.value.cap) == (120, 100)
+    # C_6 has m_X = 4, so grading 4 goes to the endpoint-block engine,
+    # which checks its count after each prefix's extensions
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        magnitude_homology_rows(cycle_space(6), [4], 4, cap=100)
+    assert exc.value.cap == 100 < exc.value.count
 
 
 def test_cap_env_override(monkeypatch):
+    runs = [
+        lambda: length_spectra(cycle_space(6), 4),
+        lambda: magnitude_homology_rows(cycle_space(6), [4], 4),
+        lambda: magnitude_homology_rows(cycle_space(6), [2], 4),
+    ]
     monkeypatch.setenv("MAGH_CAP", "10")
-    with pytest.raises(EnumerationCapExceeded):
-        enumerate_proper_chains(cycle_space(6), 4)
+    for run in runs:
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            run()
+        assert exc.value.cap == 10
+    monkeypatch.setenv("MAGH_CAP", "abc")
+    for run in runs:
+        with pytest.raises(CapNotAnInteger) as exc:
+            run()
+        assert str(exc.value) == "MAGH_CAP must be an integer, got 'abc'"
     monkeypatch.setenv("MAGH_CAP", "100000")
-    enumerate_proper_chains(cycle_space(6), 4)
+    for run in runs:
+        run()
 
 
 @pytest.mark.parametrize(
     "run",
     [
         lambda cap: length_spectra(path_space(3), 2, cap),
-        lambda cap: enumerate_proper_chains(path_space(3), 2, cap),
+        lambda cap: magnitude_homology_rows(path_space(3), [2], 2, cap),
         lambda cap: list(block_chains(path_space(3), [2], 2, cap)),
     ],
-    ids=["length_spectra", "enumerate_proper_chains", "block_chains"],
+    ids=["length_spectra", "magnitude_homology_rows", "block_chains"],
 )
 def test_negative_cap_is_refused_naming_its_source(monkeypatch, run):
     with pytest.raises(NegativeCap) as exc:
@@ -145,11 +192,11 @@ def test_negative_cap_is_refused_naming_its_source(monkeypatch, run):
 
 
 def test_length_spectrum():
-    spec = length_spectrum(path_space(3), 1)
+    spec = length_spectra(path_space(3), 1)[1]
     assert spec.degree == 1
     assert spec.lengths == (F(1), F(2))
-    assert length_spectrum(cycle_space(4), 1).lengths == (F(1), F(2))
-    assert length_spectrum(path_space(1), 1).lengths == ()
+    assert length_spectra(cycle_space(4), 1)[1].lengths == (F(1), F(2))
+    assert length_spectra(path_space(1), 1)[1].lengths == ()
 
 
 @pytest.mark.parametrize(
@@ -174,31 +221,28 @@ def test_length_spectra_cap_counts_transitions(space):
 
 
 def test_boundary_path3():
-    p3 = path_space(3)
-    ch = ProperChain.from_points(p3, (0, 1, 2))
-    assert {t.points: c for t, c in boundary(p3, ch).items()} == {(0, 2): -1}
-    back = ProperChain.from_points(p3, (0, 1, 0))
-    assert boundary(p3, back) == {}
+    between = path_space(3).integer_view.between
+    assert smooth_faces(between, (0, 1, 2)) == [((0, 2), -1)]
+    assert smooth_faces(between, (0, 1, 0)) == []
 
 
 def test_boundary_c6_degree3():
-    c6 = cycle_space(6)
-    ch = ProperChain.from_points(c6, (0, 1, 2, 3))
-    terms = {t.points: c for t, c in boundary(c6, ch).items()}
+    terms = dict(smooth_faces(cycle_space(6).integer_view.between, (0, 1, 2, 3)))
     assert terms == {(0, 2, 3): -1, (0, 1, 3): 1}
 
 
 def test_boundary_preserves_length_and_properness():
     sp = random_metric(5, seed=9)
+    between = sp.integer_view.between
     for n in (2, 3, 4):
-        for bucket in enumerate_proper_chains(sp, n).values():
-            for ch in bucket:
-                for term, coeff in boundary(sp, ch).items():
+        for total, bucket in naive_buckets(sp, n).items():
+            for pts in bucket:
+                faces = smooth_faces(between, pts)
+                assert len(dict(faces)) == len(faces)
+                for face, coeff in faces:
                     assert coeff in (-1, 1)
-                    assert term.length == ch.length
-                    assert all(
-                        a != b for a, b in zip(term.points, term.points[1:])
-                    )
+                    assert chain_total(sp, face) == total
+                    assert all(a != b for a, b in zip(face, face[1:]))
 
 
 @pytest.mark.parametrize(
@@ -207,7 +251,8 @@ def test_boundary_preserves_length_and_properness():
     ids=lambda s: s.name,
 )
 def test_boundary_squares_to_zero(space):
+    between = space.integer_view.between
     for n in (2, 3, 4):
-        for bucket in enumerate_proper_chains(space, n).values():
-            for ch in bucket:
-                assert boundary_of_sum(space, boundary(space, ch)) == {}
+        for bucket in naive_buckets(space, n).values():
+            for pts in bucket:
+                assert boundary_of_sum(space, dict(smooth_faces(between, pts))) == {}

@@ -7,11 +7,9 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
-import magh.chains
 import magh.cli
 from magh.cli import main
 from magh.metric import (
@@ -217,24 +215,6 @@ def test_compute_spectrum_gradings_enumerate_no_chains(capsys, monkeypatch):
     assert rows == json.loads(explicit)
     nonzero = [(r["l"], r["n"], r["betti"], r["torsion"]) for r in rows if r["betti"]]
     assert nonzero == [(str(l), l, 18, []) for l in range(1, 7)]
-
-
-def test_internal_callers_skip_the_proper_chain_wrappers(capsys, monkeypatch):
-    # the 5-cycle has m_X = 3, so compute takes gradings 3..6 through
-    # the block engine, and verify runs all four checks
-    space_json = cycle_space(5).to_json()
-    commands = [
-        ["spectrum", "--n-max", "4"],
-        ["verify", "--n-max", "3", "--in", "-"],
-        ["compute", "--n-max", "3", "--format", "json"],
-    ]
-    expected = [run_cli(capsys, monkeypatch, argv, stdin=space_json) for argv in commands]
-    for name in ("enumerate_proper_chains", "boundary"):
-        monkeypatch.setattr(magh.chains, name, mock.Mock(side_effect=AssertionError(name)))
-    got = [run_cli(capsys, monkeypatch, argv, stdin=space_json) for argv in commands]
-    assert got == expected
-    assert [code for code, _, _ in got] == [0, 0, 0]
-    assert len(expected[1][1].splitlines()) == 4
 
 
 def test_main_called_again_in_one_process(capsys, monkeypatch):
@@ -470,14 +450,24 @@ def test_huge_exponent_exits_two_with_one_line(capsys, monkeypatch, text, entry)
 
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
 def test_length_too_long_to_print_exits_two_with_one_line(capsys, monkeypatch, fmt):
-    # 1e4300 is within the exponent bound and loads, but the length it
-    # names has 4,301 digits, past the interpreter's limit for printing
-    text = "a,b\n0,1e4300\n1e4300,0\n"
+    # 9e4299 has 4,300 digits and loads, but the length 2 * 9e4299 of a
+    # degree-2 chain has 4,301, past the interpreter's limit for printing
+    text = "a,b\n0,9e4299\n9e4299,0\n"
     code, out, err = run_cli(
-        capsys, monkeypatch, ["compute", "--n-max", "1", "--format", fmt], stdin=text
+        capsys, monkeypatch, ["compute", "--n-max", "2", "--format", fmt], stdin=text
     )
     assert (code, out) == (2, "")
     assert err == "magh: error: cannot print rational: a term has more than 4300 digits\n"
+
+
+def test_entry_too_long_to_print_exits_two_at_load(capsys, monkeypatch):
+    # its numerator and denominator have 4,301 digits; it is refused as
+    # it loads, by a command that prints no length too
+    entry = "1." + "1" * 4300
+    text = f"a,b\n0,{entry}\n{entry},0\n"
+    code, out, err = run_cli(capsys, monkeypatch, ["mx"], stdin=text)
+    assert (code, out) == (2, "")
+    assert err == "magh: error: entry [0][1]: a term has more than 4300 digits\n"
 
 
 SUBCOMMAND_ARGS = {

@@ -33,8 +33,15 @@ def resolve(dotted):
 
 
 def test_readme_magh_names_resolve():
-    names = re.findall(r"`(magh(?:\.\w+)+)`", README.read_text())
+    text = README.read_text()
+    names = re.findall(r"`(magh(?:\.\w+)+)`", text)
     assert names
+    # the entry points are named in dotted form, so each one is checked
+    # here; a bare name could outlive its function
+    entry_points = re.search(r"Other entry points:(.*?)\n\n", text, re.S).group(1)
+    quoted = re.findall(r"`([^`]+)`", entry_points)
+    assert len(quoted) > 20
+    assert [name for name in quoted if not name.startswith("magh.")] == []
     missing = []
     for name in names:
         try:

@@ -19,18 +19,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import magh
-from magh.chains import (
-    chain_length,
-    enumerate_proper_chains,
-    is_strictly_smooth,
-    length_spectra,
-)
+from magh.chains import chain_total, is_strictly_smooth, length_spectra
 from magh.errors import TriangleViolation
 from magh.frames import four_cuts, m_x
 from magh.metric import metric_closure, validate_metric
 from magh.verify import check_d_squared
 
 from oracles import (
+    naive_buckets,
     naive_chains,
     naive_four_cuts,
     naive_m_x,
@@ -107,20 +103,17 @@ def test_between_matches_fraction_definition(space):
 @kernel_settings
 @given(metrics)
 def test_buckets_and_lengths_match_fraction_sums(space):
+    view = space.integer_view
+    spectra = length_spectra(space, 3)
     for n in range(4):
-        buckets = enumerate_proper_chains(space, n)
-        assert list(buckets) == sorted(buckets)
-        seen = []
-        for l, chains in buckets.items():
-            assert type(l) is Fraction
-            for ch in chains:
-                total = sum((space.d(a, b) for a, b in zip(ch.points, ch.points[1:])), Fraction(0))
-                assert l == ch.length == total
-                length = chain_length(space, ch.points)
-                assert type(length) is Fraction and length == total
-                seen.append(ch.points)
-            assert [ch.points for ch in chains] == sorted(ch.points for ch in chains)
-        assert sorted(seen) == naive_chains(space, n)
+        lengths = set()
+        for pts in naive_chains(space, n):
+            total = sum((space.d(a, b) for a, b in zip(pts, pts[1:])), Fraction(0))
+            length = view.fraction(chain_total(space, pts))
+            assert type(length) is Fraction and length == total
+            lengths.add(total)
+        assert all(type(l) is Fraction for l in spectra[n].lengths)
+        assert spectra[n].lengths == tuple(sorted(lengths))
 
 
 @kernel_settings
@@ -129,8 +122,8 @@ def test_length_spectra_count_the_chain_table(space):
     spectra = length_spectra(space, 4)
     assert [s.degree for s in spectra] == [0, 1, 2, 3, 4]
     for n, spectrum in enumerate(spectra):
-        buckets = enumerate_proper_chains(space, n)
-        assert spectrum.lengths == tuple(buckets)
+        buckets = naive_buckets(space, n)
+        assert spectrum.lengths == tuple(map(space.integer_view.fraction, buckets))
         assert spectrum.counts == tuple(len(b) for b in buckets.values())
     # every chain passes, so every chain of degree 2..n_max is checked
     report = check_d_squared(space, 4)
@@ -213,9 +206,9 @@ def test_triangle_witness_matches_fraction_scan(space, data):
 def test_guards_survive_optimize():
     # the betweenness table refuses a point between another and itself and
     # validate_metric a triangle violation, each with its first witness and
-    # both from the packed pass of `_between_rows`; interval_poset refuses
-    # each order that `test_posets.BROKEN_ORDERS` breaks in the table and
-    # an intransitive one, simple_chains_by_frame refuses a frame that
+    # both from the packed pass of `_between_rows`; the interval masks
+    # refuse each order that `test_posets.BROKEN_ORDERS` breaks in the
+    # table and an intransitive one, the frame table refuses a frame that
     # repeats a point, and the frame route refuses an unrealized frame
     # below m_X, all under -O; none can happen in a validated space, so
     # two spaces are built directly and the last two faults are injected
@@ -229,7 +222,7 @@ def test_guards_survive_optimize():
         "    UnrealizedFrame,\n"
         ")\n"
         "from magh.metric import FiniteMetricSpace, path_space, validate_metric\n"
-        "from magh.posets import interval_poset, magnitude_homology\n"
+        "from magh.posets import _interval_masks, magnitude_homology\n"
         "from oracles import naive_triangle_witness\n"
         "if __debug__:\n"
         "    raise SystemExit('asserts are on: not running under -O')\n"
@@ -258,7 +251,7 @@ def test_guards_survive_optimize():
         "    return {f[:1] + f: by_degree for f, by_degree in found.items()}, steps\n"
         "frames._frame_search = doubled\n"
         "try:\n"
-        "    frames.simple_chains_by_frame(path_space(3), 1, 1)\n"
+        "    frames.frame_table(path_space(3), [(1, 0, 1)], 2)\n"
         "except ImproperFrame as exc:\n"
         "    if (exc.chain, exc.frame) != ((0, 1), (0, 0, 1)):\n"
         "        raise SystemExit(f'wrong witness: {exc}')\n"
@@ -275,14 +268,14 @@ def test_guards_survive_optimize():
         "from test_posets import BROKEN_ORDERS, broken_path5\n"
         "for kind, witness, edits in BROKEN_ORDERS:\n"
         "    try:\n"
-        "        interval_poset(broken_path5(edits), 0, 4)\n"
+        "        _interval_masks(broken_path5(edits), 0, 4)\n"
         "    except NotAPartialOrder as exc:\n"
         "        if (exc.kind, exc.witness) != (kind, witness):\n"
         "            raise SystemExit(f'wrong witness: {exc}')\n"
         "    else:\n"
         "        raise SystemExit(f'a broken {kind} was accepted')\n"
         "try:\n"
-        "    interval_poset(space(rows), 0, 4)\n"
+        "    _interval_masks(space(rows), 0, 4)\n"
         "except NotAPartialOrder as exc:\n"
         "    if (exc.kind, exc.witness) != ('transitivity', (1, 2, 3)):\n"
         "        raise SystemExit(f'wrong witness: {exc}')\n"

@@ -105,9 +105,11 @@ def test_huge_exponent_is_refused_at_once(load, entry):
 
 @pytest.mark.parametrize(
     "entry, value",
-    [("1e300", F(10**300)), ("2.5e-3", F(1, 400)), ("1E4300", F(10**4300)), ("3e-4300", F(3, 10**4300))],
+    [("1e300", F(10**300)), ("2.5e-3", F(1, 400)), ("1E4299", F(10**4299)), ("3e-4299", F(3, 10**4299))],
 )
 def test_exponent_within_the_bound_loads_exactly(entry, value):
+    # an exponent of 4,300 is within the bound, but a space refuses the
+    # 4,301-digit term it makes, so the loads here stop at 4,299
     space = FiniteMetricSpace.from_csv(f"a,b\n0,{entry}\n{entry},0\n")
     assert space.dist[0][1] == value
     assert parse_rational(entry) == value
@@ -162,6 +164,42 @@ def test_decimal_digits_are_bounded_as_text_digits():
         parse_rational(entry + "1")
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "1." + "1" * 4300,
+        "1e4300",
+        "-" + "1" * 4300 + "e1",
+        "0." + "0" * 4299 + "1",
+        F(10**4300, 7),
+        F(3, 10**4300),
+        10**4300,
+        Decimal("1e4300"),
+        Decimal("1e-4300"),
+    ],
+    ids=[
+        "text-both",
+        "text-numerator",
+        "text-negative",
+        "text-denominator",
+        "fraction-numerator",
+        "fraction-denominator",
+        "int",
+        "decimal-numerator",
+        "decimal-denominator",
+    ],
+)
+def test_entry_too_long_to_print_is_refused_at_load(entry):
+    # each loaded, and then no length of its space printed; the entry is
+    # named wherever it sits, and its repeats in the matrix do not matter
+    rows = [[0, 1, entry], [1, 0, entry], [entry, entry, 0]]
+    with pytest.raises(MetricError) as info:
+        validate_metric(rows)
+    assert str(info.value) == "entry [0][2]: a term has more than 4300 digits"
+    with pytest.raises(MetricError):
+        metric_closure(rows)
+
+
 @pytest.mark.parametrize("entry", ["NaN", "sNaN", "Infinity", "-Infinity", "-NaN"])
 def test_non_finite_decimal_is_refused(entry):
     value = Decimal(entry)
@@ -174,8 +212,8 @@ def test_non_finite_decimal_is_refused(entry):
     "entry, value",
     [
         ("2.5e-3", F(1, 400)),
-        ("1E4300", F(10**4300)),
-        ("3e-4300", F(3, 10**4300)),
+        ("1E4299", F(10**4299)),
+        ("3e-4299", F(3, 10**4299)),
         ("12.50", F(25, 2)),
     ],
 )

@@ -1,6 +1,6 @@
 """The interval-poset consumers against oracles on plain pair sets.
 
-`interval_poset` keeps the order as up/down bitmasks; the oracles read
+`_interval_masks` reads the order as up/down bitmasks; the oracles read
 the pairs off Fraction distances and never see a mask. Pair homology,
 the component count and the order checks are also compared with the
 per-pair reference route of `oracles`, on valid tables and corrupted
@@ -16,12 +16,11 @@ from magh.algebra import HomologyGroup
 from magh.errors import NotAPartialOrder
 from magh.metric import cycle_space, path_space, random_metric, set_bits, validate_metric
 from magh.posets import (
+    _core_masks,
     _interval_masks,
+    _order_simplices,
     interval_homology,
-    interval_poset,
-    order_complex,
     poset_component_count,
-    poset_core,
 )
 from magh.verify import default_suite, full_suite, random_suite
 
@@ -34,22 +33,22 @@ from oracles import (
     reference_interval_masks,
 )
 from test_frames import GRID_STEPS, weighted_grid
-from test_posets import closed_rows, moore_face_poset_space, rp2_face_poset_space
+from test_posets import closed_rows, less_pairs, moore_face_poset_space, rp2_face_poset_space
 
 
 def check_against_pair_oracles(space, a, b):
     elements, less = naive_interval_order(space, a, b)
-    poset = interval_poset(space, a, b)
-    assert list(poset.elements) == elements
-    assert poset.less == less
+    poset = _interval_masks(space, a, b)
+    assert poset[0] == elements
+    assert less_pairs(*poset[:2]) == less
     assert poset_component_count(space, a, b) == naive_component_count(elements, less)
-    core = poset_core(poset)
-    assert list(core.elements) == naive_core(elements, less)
-    assert core.less == {(x, y) for x, y in less if {x, y} <= set(core.elements)}
-    simplices = order_complex(poset).simplices
+    core = _core_masks(*poset)
+    assert core[0] == naive_core(elements, less)
+    assert less_pairs(*core[:2]) == {(x, y) for x, y in less if {x, y} <= set(core[0])}
+    levels = _order_simplices(*poset[:2])
     # each dimension comes out sorted, with no sort of its own
-    assert all(found == sorted(found) for found in simplices.values())
-    assert simplices == naive_order_complex(elements, less)
+    assert all(found == sorted(found) for found in levels)
+    assert dict(enumerate(levels)) == naive_order_complex(elements, less)
 
 
 @pytest.mark.parametrize(

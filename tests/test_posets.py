@@ -12,35 +12,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import magh.posets
-from magh.algebra import TRIVIAL_GROUP as TRIVIAL, ChainComplexZ, HomologyGroup, kunneth
+from magh.algebra import TRIVIAL_GROUP as TRIVIAL, HomologyGroup, kunneth
 from magh.errors import NotAPartialOrder, SamePoint
-from magh.frames import m_x
+from magh.frames import is_realized_frame, m_x
 from magh.metric import (
     complete_space,
     cycle_space,
     metric_closure,
     path_space,
     random_metric,
+    set_bits,
     validate_metric,
 )
 from magh.posets import (
-    IntervalPoset,
-    OrderComplex,
+    _core_masks,
+    _interval_masks,
+    _order_simplices,
+    _reduced_columns,
     frame_homology_by_degree,
     frame_homology_via_posets,
     interval_homology,
-    interval_poset,
     magnitude_homology,
     magnitude_homology_rows,
     mh2_certificate,
-    order_complex,
     poset_component_count,
-    poset_core,
-    reduced_complex,
 )
-from magh.verify import CHECKS, default_suite, run_checks
+from magh.verify import default_suite, run_checks
 
-from oracles import interval_complex, naive_core, naive_order_complex
+from oracles import ChainComplexZ, frame_complex, interval_complex, naive_core, naive_order_complex
 
 F = Fraction
 
@@ -48,47 +47,47 @@ F = Fraction
 # --- interval posets ------------------------------------------------------------
 
 
+def less_pairs(elements, up):
+    """The pairs (x, y) of a poset given by its masks with x strictly below y."""
+    return {(x, y) for x, above in zip(elements, up) for y in set_bits(above)}
+
+
 def test_interval_poset_path3():
-    poset = interval_poset(path_space(3), 0, 2)
-    assert poset.elements == (1,)
-    assert poset.less == frozenset()
+    elements, up, _ = _interval_masks(path_space(3), 0, 2)
+    assert elements == [1]
+    assert less_pairs(elements, up) == set()
 
 
 def test_interval_poset_antichain():
-    poset = interval_poset(cycle_space(4), 0, 2)
-    assert poset.elements == (1, 3)
-    assert poset.less == frozenset()
-    assert poset.up == poset.down == (0, 0)
+    elements, up, down = _interval_masks(cycle_space(4), 0, 2)
+    assert elements == [1, 3]
+    assert less_pairs(elements, up) == set()
+    assert up == down == [0, 0]
 
 
 def test_interval_poset_c6_two_chains():
-    poset = interval_poset(cycle_space(6), 0, 3)
-    assert poset.elements == (1, 2, 4, 5)
+    elements, up, down = _interval_masks(cycle_space(6), 0, 3)
+    assert elements == [1, 2, 4, 5]
     # the far-side arc passes 5 first, so 5 sits below 4
-    assert poset.less == {(1, 2), (5, 4)}
-    assert poset.up == (1 << 2, 0, 0, 1 << 4)
-    assert poset.down == (0, 1 << 1, 1 << 5, 0)
-    assert poset.successors(1) == (2,)
-    assert poset.successors(5) == (4,)
-    assert poset.successors(2) == ()
-    assert len(poset) == 4
+    assert less_pairs(elements, up) == {(1, 2), (5, 4)}
+    assert up == [1 << 2, 0, 0, 1 << 4]
+    assert down == [0, 1 << 1, 1 << 5, 0]
 
 
 def test_interval_poset_three_chain():
-    poset = interval_poset(path_space(5), 0, 4)
-    assert poset.elements == (1, 2, 3)
-    assert poset.less == {(1, 2), (2, 3), (1, 3)}
-    assert poset.successors(1) == (2, 3)
+    elements, up, _ = _interval_masks(path_space(5), 0, 4)
+    assert elements == [1, 2, 3]
+    assert less_pairs(elements, up) == {(1, 2), (2, 3), (1, 3)}
+    assert set_bits(up[0]) == [2, 3]
 
 
 def test_interval_poset_adjacent_empty():
-    poset = interval_poset(path_space(3), 0, 1)
-    assert poset.elements == ()
+    assert _interval_masks(path_space(3), 0, 1) == ([], [], [])
 
 
 def test_interval_poset_same_point():
     with pytest.raises(SamePoint):
-        interval_poset(path_space(3), 1, 1)
+        _interval_masks(path_space(3), 1, 1)
 
 
 # each edit (p, q, c, on) sets or clears bit c of between[p][q] in path(5),
@@ -128,9 +127,9 @@ def broken_path5(edits):
 
 @pytest.mark.parametrize("kind, witness, edits", BROKEN_ORDERS)
 def test_interval_poset_refuses_a_broken_order(kind, witness, edits):
-    # pair homology and the component count read the masks without an
-    # IntervalPoset, and must refuse the same order with the same witness
-    for route in (interval_poset, interval_homology, poset_component_count):
+    # pair homology and the component count read the masks as they are,
+    # and must refuse the same order with the same witness
+    for route in (_interval_masks, interval_homology, poset_component_count):
         with pytest.raises(NotAPartialOrder) as info:
             route(broken_path5(edits), 0, 4)
         assert (info.value.kind, info.value.witness) == (kind, witness), route.__name__
@@ -141,8 +140,8 @@ def test_a_table_broken_outside_an_interval_still_loads_it():
     broken = broken_path5(BROKEN_OUTSIDE)
     assert magh.posets._start_order(intact.integer_view, 0)[1]
     assert not magh.posets._start_order(broken.integer_view, 0)[1]
-    assert interval_poset(broken, 0, 3).less == {(1, 2)}
-    for route in (interval_poset, interval_homology, poset_component_count):
+    assert less_pairs(*_interval_masks(broken, 0, 3)[:2]) == {(1, 2)}
+    for route in (_interval_masks, interval_homology, poset_component_count):
         assert route(broken, 0, 3) == route(intact, 0, 3), route.__name__
 
 
@@ -154,11 +153,11 @@ def test_pair_route_guards_survive_optimize():
         "from magh.algebra import groups_from_columns\n"
         "from magh.errors import NotAPartialOrder, SamePoint\n"
         "from magh.metric import path_space\n"
-        "from magh.posets import interval_homology, interval_poset, poset_component_count\n"
+        "from magh.posets import _interval_masks, interval_homology, poset_component_count\n"
         "from test_posets import BROKEN_ORDERS, BROKEN_OUTSIDE, broken_path5\n"
         "if __debug__:\n"
         "    raise SystemExit('asserts are on: not running under -O')\n"
-        "routes = (interval_poset, interval_homology, poset_component_count)\n"
+        "routes = (_interval_masks, interval_homology, poset_component_count)\n"
         "for _, _, edits in BROKEN_ORDERS:\n"
         "    for route in routes:\n"
         "        try:\n"
@@ -199,36 +198,41 @@ def test_interval_poset_builds_on_random_spaces():
         for a in range(sp.n):
             for b in range(sp.n):
                 if a != b:
-                    interval_poset(sp, a, b)
+                    _interval_masks(sp, a, b)
 
 
 # --- order complexes and reduced chains ------------------------------------------
 
 
+def interval_simplices(space, a, b):
+    """The order-complex simplices of I(a, b), by dimension."""
+    elements, up, _ = _interval_masks(space, a, b)
+    return _order_simplices(elements, up)
+
+
 def test_order_complex_shapes():
-    oc = order_complex(interval_poset(cycle_space(6), 0, 3))
-    assert oc.dim == 1
-    assert oc.simplices[0] == [(1,), (2,), (4,), (5,)]
-    assert oc.simplices[1] == [(1, 2), (5, 4)]
+    levels = interval_simplices(cycle_space(6), 0, 3)
+    assert len(levels) == 2
+    assert levels[0] == [(1,), (2,), (4,), (5,)]
+    assert levels[1] == [(1, 2), (5, 4)]
 
 
 def test_order_complex_empty():
-    oc = order_complex(interval_poset(path_space(3), 0, 1))
-    assert oc.dim == -1
-    assert oc.simplices == {}
+    assert interval_simplices(path_space(3), 0, 1) == []
 
 
 def test_order_complex_with_triangle():
-    oc = order_complex(interval_poset(path_space(5), 0, 4))
-    assert oc.dim == 2
-    assert oc.simplices[1] == [(1, 2), (1, 3), (2, 3)]
-    assert oc.simplices[2] == [(1, 2, 3)]
+    levels = interval_simplices(path_space(5), 0, 4)
+    assert len(levels) == 3
+    assert levels[1] == [(1, 2), (1, 3), (2, 3)]
+    assert levels[2] == [(1, 2, 3)]
 
 
 def test_reduced_complex_empty_is_z_at_minus_one():
     cx = interval_complex(path_space(3), 0, 1)
     assert cx.lo == -1 and cx.sizes == [1]
     assert cx.homology(-1) == HomologyGroup(1)
+    assert _reduced_columns([]) == ([1], {})
 
 
 def test_reduced_complex_point_is_acyclic():
@@ -292,8 +296,6 @@ def test_frame_homology_rejects_short_tuple():
 
 
 def test_frame_homology_matches_subcomplex_on_realized_frames():
-    from magh.frames import frame_subcomplex, is_realized_frame
-
     c5 = cycle_space(5)
     checked = 0
     for a in range(5):
@@ -302,7 +304,7 @@ def test_frame_homology_matches_subcomplex_on_realized_frames():
                 continue
             if not is_realized_frame(c5, (a, b)):
                 continue
-            sub = frame_subcomplex(c5, (a, b), 4)
+            sub = frame_complex(c5, (a, b), 4)
             for n in range(1, 4):
                 assert sub.homology(n) == frame_homology_via_posets(c5, (a, b), n)
             checked += 1
@@ -432,11 +434,6 @@ def test_kunneth_rp2_intervals_tor_term():
 # --- cores -----------------------------------------------------------------------
 
 
-def nonzero_homology(cx):
-    groups = {k: cx.homology(k) for k in cx.degrees()}
-    return {k: g for k, g in groups.items() if not g.is_trivial()}
-
-
 def rational_grid_space(rows, cols):
     """L1 metric on a grid whose column and row steps are non-integer rationals."""
     xs = [F(0), F(3, 2), F(19, 6), F(17, 4)][:cols]
@@ -455,7 +452,7 @@ def test_core_route_matches_full_order_complex(space):
     for a in range(space.n):
         for b in range(space.n):
             if a != b:
-                full = nonzero_homology(interval_complex(space, a, b))
+                full = interval_complex(space, a, b).groups()
                 assert interval_homology(space, a, b) == full, (a, b)
 
 
@@ -477,23 +474,21 @@ def rp2_with_beat_point():
 def test_core_keeps_rp2_torsion_past_a_beat_point():
     space, bottom, top = rp2_with_beat_point()
     assert space.d(bottom, top) == 4
-    poset = interval_poset(space, bottom, top)
-    assert len(poset) == 32
+    elements, up, down = _interval_masks(space, bottom, top)
+    assert len(elements) == 32
     assert interval_complex(space, bottom, top).sizes == [1, 32, 93, 62]
-    core = poset_core(poset)
-    assert core.elements == tuple(x for x in poset.elements if x != space.n - 1)
-    assert core.a == bottom and core.b == top
+    core = _core_masks(elements, up, down)[0]
+    assert core == [x for x in elements if x != space.n - 1]
     assert interval_homology(space, bottom, top) == {1: HomologyGroup(0, (2,))}
 
 
 def test_core_of_small_posets():
-    chain = interval_poset(path_space(5), 0, 4)
-    assert poset_core(chain).elements == (3,)
-    assert poset_core(chain).less == frozenset()
-    antichain = interval_poset(cycle_space(4), 0, 2)
-    assert poset_core(antichain) is antichain
-    empty = interval_poset(path_space(3), 0, 1)
-    assert poset_core(empty) is empty
+    assert _core_masks(*_interval_masks(path_space(5), 0, 4)) == ([3], [0], [0])
+    # a poset with no beat point is its own core, returned as it is
+    antichain = _interval_masks(cycle_space(4), 0, 2)
+    assert _core_masks(*antichain)[0] is antichain[0]
+    empty = _interval_masks(path_space(3), 0, 1)
+    assert _core_masks(*empty)[0] is empty[0]
 
 
 @st.composite
@@ -519,41 +514,39 @@ def strict_orders(draw):
         for j in reach[i]:
             up[labels[i]] |= 1 << labels[j]
             down[labels[j]] |= 1 << labels[i]
-    elements = tuple(sorted(labels))
-    return IntervalPoset(
-        a=-1,
-        b=-2,
-        elements=elements,
-        up=tuple(up[x] for x in elements),
-        down=tuple(down[x] for x in elements),
-    )
+    elements = sorted(labels)
+    return elements, [up[x] for x in elements], [down[x] for x in elements]
 
 
-def has_beat_point(poset):
-    less = poset.less
-
+def has_beat_point(elements, less):
     def covers(x, up):
-        beyond = {y for y in poset.elements if ((x, y) if up else (y, x)) in less}
+        beyond = {y for y in elements if ((x, y) if up else (y, x)) in less}
         return {y for y in beyond if not any(((z, y) if up else (y, z)) in less for z in beyond)}
 
-    return any(len(covers(x, True)) == 1 or len(covers(x, False)) == 1 for x in poset.elements)
+    return any(len(covers(x, True)) == 1 or len(covers(x, False)) == 1 for x in elements)
+
+
+def reduced_groups(elements, up):
+    """The nonzero reduced homology of a poset's order complex."""
+    return ChainComplexZ(-1, *_reduced_columns(_order_simplices(elements, up))).groups()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(strict_orders())
 def test_poset_core_on_strict_orders(poset):
-    core = poset_core(poset)
-    assert set(core.elements) <= set(poset.elements)
-    assert core.less == {(x, y) for x, y in poset.less if {x, y} <= set(core.elements)}
-    assert not has_beat_point(core)
-    assert poset_core(core) == core
-    assert bool(core.elements) == bool(poset.elements)
-    assert nonzero_homology(reduced_complex(order_complex(core))) == nonzero_homology(
-        reduced_complex(order_complex(poset))
-    )
-    elements, less = list(poset.elements), set(poset.less)
-    assert list(core.elements) == naive_core(elements, less)
-    assert order_complex(poset).simplices == naive_order_complex(elements, less)
+    elements, up, _ = poset
+    less = less_pairs(elements, up)
+    core = _core_masks(*poset)
+    kept = core[0]
+    assert set(kept) <= set(elements)
+    assert less_pairs(*core[:2]) == {(x, y) for x, y in less if {x, y} <= set(kept)}
+    assert not has_beat_point(kept, less_pairs(*core[:2]))
+    assert _core_masks(*core) == core
+    assert bool(kept) == bool(elements)
+    assert reduced_groups(*core[:2]) == reduced_groups(elements, up)
+    assert kept == naive_core(elements, less)
+    levels = _order_simplices(elements, up)
+    assert dict(enumerate(levels)) == naive_order_complex(elements, less)
 
 
 def test_interval_homology_is_cached_as_a_copy():
@@ -591,33 +584,10 @@ def test_pair_homology_cache_outlives_a_run(monkeypatch):
     assert built == []
 
 
-def test_no_compute_or_verify_route_builds_a_complex_object(monkeypatch):
-    # pair homology goes from masks to groups, and blocks and frame pieces
-    # from records to groups: IntervalPoset, OrderComplex and ChainComplexZ
-    # are built only at the public API
-    gradings = [0, 1, 2, 3, 4]
-    expected = magnitude_homology_rows(cycle_space(5), gradings, 3)
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError(f"{type(self).__name__} built on a compute or verify route")
-
-    for cls in (ChainComplexZ, IntervalPoset, OrderComplex):
-        monkeypatch.setattr(cls, "__init__", refuse)
-    space = validate_metric(cycle_space(5).dist, name="C5")
-    assert m_x(space).value == 3  # gradings 1, 2 below m_X, 3, 4 at or above
-    assert magnitude_homology_rows(space, gradings, 3) == expected
-    assert any(row.l >= 3 and not row.group.is_trivial() for row in expected)
-    fresh = validate_metric(cycle_space(5).dist, name="C5")
-    reports = run_checks([fresh], n_max=3)
-    assert [r.check for r in reports] == list(CHECKS)
-    assert all(r.passed for r in reports)
-    assert [mh2_certificate(fresh, 0, b).components for b in range(1, 5)] == [0, 1, 1, 0]
-
-
 def test_a_space_is_freed_after_compute_and_verify():
     # chain tables, pair homology and each start point's order live on the
     # space's view, and nothing at module level keeps a space, its view or
-    # an equal one alive after a run, a certificate or a poset
+    # an equal one alive after a run, a certificate or an interval's masks
     space = cycle_space(5)
     assert m_x(space).value == 3
     rows = magnitude_homology_rows(space, [1, 2, 3, 4], 3)
@@ -626,7 +596,7 @@ def test_a_space_is_freed_after_compute_and_verify():
     ]
     assert all(report.passed for report in run_checks([space], n_max=2))
     assert mh2_certificate(space, 0, 2).components == 1
-    assert interval_poset(space, 1, 3).elements == (2,)
+    assert _interval_masks(space, 1, 3)[0] == [2]
     view = space.integer_view
     assert view.start_orders and view.pair_homology
     refs = [weakref.ref(space), weakref.ref(view)]
@@ -682,7 +652,7 @@ def test_certificate_bound_equals_reduced_h0():
                 if a == b:
                     continue
                 cert = mh2_certificate(space, a, b)
-                h0 = interval_complex(space, a, b).homology_or_trivial(0)
+                h0 = interval_complex(space, a, b).homology(0)
                 assert cert.mh2_lower_bound == h0.betti
                 assert h0.torsion == ()
 

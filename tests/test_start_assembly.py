@@ -4,7 +4,7 @@
 together (`algebra._blocks_homology`): each block with its own rows,
 d^2 = 0 checked on all of them before any is reduced, and Smith normal
 form on each block's own columns. Here every
-start's assembly is compared block by block with `groups_from_records`
+start's assembly is compared block by block with `oracles.record_groups`
 on the same records, which assembles and reduces each block alone, and
 the engine's rows with the direct sum of those per-block groups, torsion
 included. Two guards are checked under `python -O`: a face found in a
@@ -23,17 +23,12 @@ import pytest
 
 import magh
 import magh.chains
-from magh.algebra import (
-    HomologyGroup,
-    HomologyRow,
-    _blocks_homology,
-    block_homology_rows,
-    groups_from_records,
-)
+from magh.algebra import HomologyGroup, HomologyRow, _blocks_homology, block_homology_rows
 from magh.chains import block_chains
 from magh.metric import random_metric
 from magh.verify import full_suite, random_suite
 
+from oracles import record_groups
 from test_blocks import realized_lengths
 from test_collapse import torsion_spaces
 from test_posets import rational_grid_space
@@ -43,7 +38,7 @@ def assert_start_assembly_matches(space, gradings, n_max):
     """Assert the engine's rows are the sums of its blocks reduced alone.
 
     Each start's assembly must give each of its blocks the groups
-    `groups_from_records` gives it alone, and the engine's rows must be
+    `record_groups` gives it alone, and the engine's rows must be
     the direct sums of those, an a < b block counted twice. The engine
     reduces the blocks searched here, not a search of its own. Returns the
     rows and the most blocks any one start point has.
@@ -57,7 +52,7 @@ def assert_start_assembly_matches(space, gradings, n_max):
         together = _blocks_homology([records for _, _, records in blocks])
         assert len(together) == len(blocks)
         for (total, (a, b), records), homology in zip(blocks, together):
-            alone = groups_from_records(records)
+            alone = record_groups(records)
             assert {n: HomologyGroup(rank, t) for n, rank, t in homology} == alone
             for n, group in alone.items():
                 if n <= n_max:
@@ -120,7 +115,7 @@ def test_face_in_a_sibling_block_is_refused_under_O():
     # sibling block: the assembly must refuse it, as it does when each
     # block is reduced alone
     code = (
-        "from magh.algebra import _blocks_homology, groups_from_records\n"
+        "from magh.algebra import _blocks_homology\n"
         "from magh.errors import NotASubcomplex\n"
         "if __debug__:\n"
         "    raise SystemExit('asserts are on: not running under -O')\n"
@@ -129,7 +124,7 @@ def test_face_in_a_sibling_block_is_refused_under_O():
         "print(_blocks_homology([first, second]))\n"
         "second[2].append(((0, 3, 1), 0b10))\n"
         "for run in (lambda: _blocks_homology([first, second]),\n"
-        "            lambda: groups_from_records(second)):\n"
+        "            lambda: _blocks_homology([second])):\n"
         "    try:\n"
         "        run()\n"
         "    except NotASubcomplex as exc:\n"
