@@ -103,6 +103,9 @@ def _gradings(space, args):
 def _cmd_compute(args):
     space = _load_space(args)
     gradings = _gradings(space, args)
+    # a grading too long to print is refused before any homology is computed
+    for l in gradings:
+        format_rational(l)
     table = HomologyTable(
         magnitude_homology_rows(space, gradings, args.n_max, resolve_cap(args.cap))
     )
@@ -133,6 +136,11 @@ def _cmd_certify(args):
 
 def _cmd_spectrum(args):
     space = _load_space(args)
+    if args.n_max and space.n > 1:
+        # the longest length, n_max steps back and forth between two
+        # farthest points, is always printed: refuse it before the count
+        view = space.integer_view
+        format_rational(view.fraction(args.n_max * max(map(max, view.idist))))
     lines = ["n,l,count"]
     for spectrum in length_spectra(space, args.n_max, args.cap):
         for l, count in zip(spectrum.lengths, spectrum.counts):

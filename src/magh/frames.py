@@ -11,33 +11,25 @@ A frame subcomplex's chains come from one search, `_frame_search`, that
 keeps only geodesically simple chains. Each prefix carries its frame head,
 the kept points before its last one, so the frame of every chain is known
 as it is built, and a prefix is dropped once it is longer than its frame:
-that gap never shrinks as the chain grows, so no simple chain is lost.
+that gap never shrinks as the chain grows, so no simple chain is lost. A
+prefix whose head starts no frame asked for is dropped too.
 The points a frame drops are exactly the strictly smooth ones, so each
 chain is filed as a record (points, mask) with those positions as its
-mask, under its frame and with the frame's length, which the search has
-summed already: a simple chain is as long as its frame. The frame table
-reads the groups of a single-row piece, a frame with at most its
-one-point insertions, off the number of insertions, and reduces the
-other new pieces of each start point from these records in one
-`algebra._blocks_homology` call, the engine's own, without testing any
-point again.
-One function, `_frame_splits`, runs it once per start point for what is
-asked: whole endpoint blocks (total, a, b), or single frames, for which a
-prefix whose head starts no wanted frame is dropped too. `frame_table`
-and `frame_pieces` read that function for what a space lacks so far.
+mask, under its frame. `frame_pieces` reads the groups of a single-row
+piece, a frame with at most its one-point insertions, off the number of
+insertions, and reduces the other new pieces of each start point from
+these records in one `algebra._blocks_homology` call, the engine's own,
+without testing any point again. `_frame_splits` runs the search once
+per start point for the frames asked for from it.
 
-`frame_table` and `frame_pieces` are the frame side of `verify`. They
-hold, per top degree n_top, the nonzero homology of every frame piece
-found so far, keyed by frame, and the endpoint blocks whose every frame
-is among them, on the space's `IntegerView.frame_groups`; no chains are
-kept. Only what is lacking is searched, and only the pieces asked for
-are reduced, each once. A block or frame already held costs no search
-and no cap step. The table files no chain of degree n_top without a
-smooth point: such a chain is a frame of its own and only adds a free
-generator at n_top, which no check reads. So a frame of degree n_top
-has no group and is listed in no block, and every other piece has its
-subcomplex's groups. The groups the table returns are its own, shared between
-pieces of equal groups, and must not be mutated.
+`frame_pieces` is the chain-level frame route, which `verify`'s
+`tensor_route` check compares with the interval-poset route of `posets`,
+the one `compute` prints below m_X. It holds, per top degree n_top, the
+nonzero homology of every frame piece asked for so far, keyed by frame,
+on the space's `IntegerView.frame_groups`; no chains are kept. Only what
+is lacking is searched and reduced, each piece once, and a frame already
+held costs no search and no cap step. The groups it returns are its own,
+shared between pieces of equal groups, and must not be mutated.
 """
 
 from __future__ import annotations
@@ -147,7 +139,7 @@ def is_realized_frame(space, points):
 
 def _frame_search(view, start, moves, wanted, heads, n_top, steps, limit):
     """The geodesically simple chains from `start` of degrees 1..n_top with a
-    length in `wanted`, by frame.
+    length in `wanted` and a frame that `heads` can start, by frame.
 
     Each chain is extended by every next point of `moves` (from
     `chains.search_moves`) in ascending order. A prefix carries its head,
@@ -157,15 +149,14 @@ def _frame_search(view, start, moves, wanted, heads, n_top, steps, limit):
     leaves the prefix exactly as long as its frame, and a dropped x leaves
     it longer unless d(head end, nxt) = d(head end, x) + d(x, nxt), by
     the triangle inequality; a prefix longer than its frame, or than the
-    largest of `wanted`, is dropped, as no extension of it is simple.
-    When `heads` is a set, a prefix whose head is not in it is dropped
-    too. A prefix also carries the mask of its dropped positions, bit i
-    set iff x_i is strictly smooth: the test that drops x sets its bit, so
-    each chain's mask is made with it. A chain of degree n_top with a
-    zero mask is counted but not filed: it is its own frame and only a
-    free generator at n_top. Returns (found, steps): `found` maps each frame, in the order its first chain was
-    met, to (total, {degree: records}), with total the frame's length as
-    a scaled int, which is that of each of its chains, and a record being
+    largest of `wanted`, is dropped, as no extension of it is simple, and
+    so is a prefix whose head is not in the set `heads`. A prefix also
+    carries the mask of its dropped positions, bit i set iff x_i is
+    strictly smooth: the test that drops x sets its bit, so each chain's
+    mask is made with it. A chain of degree n_top with a zero mask is
+    counted but not filed: it is its own frame and only a free generator
+    at n_top. Returns (found, steps): `found` maps each frame, in the
+    order its first chain was met, to {degree: records}, a record being
     (points, mask), degrees ascending and each in lexicographic order.
     `steps` is the given count plus one for the start and one per prefix
     kept, and EnumerationCapExceeded is raised as soon as it passes
@@ -204,7 +195,7 @@ def _frame_search(view, start, moves, wanted, heads, n_top, steps, limit):
                     kept = head + (x,)
                     kept_total = total
                     dropped = mask
-                    if heads is not None and kept not in heads:
+                    if kept not in heads:
                         continue
                 steps += 1
                 ch = pts + (nxt,)
@@ -213,21 +204,16 @@ def _frame_search(view, start, moves, wanted, heads, n_top, steps, limit):
                 if t in wanted and (dropped or not top):
                     # a chain that drops nothing is its own frame
                     f = kept + (nxt,) if dropped else ch
-                    filed = found.get(f)
-                    if filed is None:
-                        found[f] = t, {n: [(ch, dropped)]}
-                    else:
-                        filed[1].setdefault(n, []).append((ch, dropped))
+                    found.setdefault(f, {}).setdefault(n, []).append((ch, dropped))
             if steps > limit:
                 raise EnumerationCapExceeded(steps, limit)
         level = grown
     return found, steps
 
 
-def _frame_splits(space, blocks, frames, n_top, cap):
-    """Yield (block, frame, by_degree) for the geodesically simple chains of
-    degree <= n_top of every endpoint block (total, a, b) of `blocks` and of
-    every frame of `frames`, one frame at a time.
+def _frame_splits(space, frames, n_top, cap):
+    """Yield (frame, by_degree) for the geodesically simple chains of degree
+    <= n_top of every frame of `frames`, one frame at a time.
 
     `by_degree` maps a degree to the frame's chains as the search's
     records (points, mask), the mask holding the positions the frame
@@ -236,46 +222,35 @@ def _frame_splits(space, blocks, frames, n_top, cap):
     point are left out (`_frame_search`), so the frames of degree n_top,
     whose only chain each is, are not yielded either. Frames come by
     start point, then in the order their first chain was met. Each start
-    point a is searched once (`_frame_search`) over every
-    length asked for from it; when only frames are asked from a, the
-    search keeps only the prefixes whose head starts one of them. A
-    frame's block total is the length the search filed it with. A
-    simple chain whose frame is not proper raises ImproperFrame. The steps
-    of all the searches count against one cap (`resolve_cap`).
+    point a is searched once (`_frame_search`) over the lengths of the
+    frames asked for from it, keeping only the prefixes whose head starts
+    one of them. A simple chain whose frame is not proper raises
+    ImproperFrame. The steps of all the searches count against one cap
+    (`resolve_cap`).
     """
     wanted = {}
-    for total, a, b in blocks:
-        if a not in wanted:
-            wanted[a] = (set(), set(), set())
-        totals, ends, _ = wanted[a]
-        totals.add(total)
-        ends.add((total, b))
     for f in frames:
-        if f[0] not in wanted:
-            wanted[f[0]] = (set(), set(), set())
-        totals, _, wanted_frames = wanted[f[0]]
+        totals, wanted_frames = wanted.setdefault(f[0], (set(), set()))
         totals.add(chain_total(space, f))
         wanted_frames.add(f)
     if not wanted:
         return
     view = space.integer_view
     limit = resolve_cap(cap)
-    moves = search_moves(space, max(max(totals) for totals, _, _ in wanted.values()))
+    moves = search_moves(space, max(max(totals) for totals, _ in wanted.values()))
     steps = 0
     for start in sorted(wanted):
-        totals, ends, wanted_frames = wanted[start]
-        heads = None
-        if not ends:
-            heads = {f[:k] for f in wanted_frames for k in range(1, len(f))}
+        totals, wanted_frames = wanted[start]
+        heads = {f[:k] for f in wanted_frames for k in range(1, len(f))}
         found, steps = _frame_search(view, start, moves, totals, heads, n_top, steps, limit)
-        for f, (total, by_degree) in found.items():
+        for f, by_degree in found.items():
             a = f[0]
             for b in f[1:]:
                 if a == b:
                     raise ImproperFrame(by_degree[min(by_degree)][0][0], f)
                 a = b
-            if (total, f[-1]) in ends or f in wanted_frames:
-                yield (total, start, f[-1]), f, by_degree
+            if f in wanted_frames:
+                yield f, by_degree
 
 
 # (degree, betti) -> {degree: Z^betti}, or {} for betti 0: the groups of
@@ -349,92 +324,42 @@ def _reduce(pieces, new):
             pieces[f] = {n: HomologyGroup(betti, torsion) for n, betti, torsion in groups}
 
 
-def _held(space, n_top):
-    """The space's frame table for `n_top`: (groups by frame, complete blocks)."""
-    return space.integer_view.frame_groups.setdefault(n_top, ({}, {}))
-
-
-def _fill(space, blocks, frames, n_top, cap):
-    """Search and reduce what `blocks` and `frames` ask for into the table.
-
-    Only the pieces asked for and not held yet are reduced, those of one
-    start point together (`_reduce`). A chain of degree n_top with no
-    smooth point is not filed, so no block lists a frame of degree n_top.
-    A block searched is held with its sorted frames, and a frame searched
-    without a chain filed, such as one of degree n_top, with its empty
-    groups.
-    """
-    pieces, complete = _held(space, n_top)
-    found = {}
-    start = None
-    new = []
-    splits = _frame_splits(space, blocks, frames, n_top, cap)
-    for block, f, by_degree in splits:
-        if block[1] != start:
-            _reduce(pieces, new)
-            start = block[1]
-            new = []
-        if f not in pieces:
-            new.append((f, by_degree))
-        found.setdefault(block, []).append(f)
-    _reduce(pieces, new)
-    for key in blocks:
-        complete[key] = tuple(sorted(found.get(key, ())))
-    for f in frames:
-        pieces.setdefault(f, {})
-
-
-def frame_table(space, blocks, n_top, cap=None):
-    """The homology of every frame piece of the given endpoint blocks.
-
-    `blocks` lists endpoint blocks (total, a, b): the chains from a to b
-    whose length, as a scaled int, is `total` > 0. Returns {block: {frame:
-    {degree: group}}} for those blocks, where a frame's groups are the
-    nonzero ones of its frame subcomplex, the geodesically simple chains
-    of degree <= n_top with that frame, and a block lists every frame of
-    its geodesically simple chains of degree <= n_top, in order, except
-    the frames of degree n_top: no chain of degree n_top without a smooth
-    point is filed, and such a chain is the only chain of its frame.
-
-    Kept per space and n_top in `IntegerView.frame_groups`, groups only.
-    The blocks not held yet go through `_frame_splits`, so each start
-    point is searched once over every total it lacks, and each piece not
-    held yet is reduced once, with the others of its start point. The
-    steps of all those searches count against one cap (`resolve_cap`),
-    the chains not filed included; a held block costs none. The groups
-    returned are the table's own, shared between pieces, and must not be
-    mutated.
-    """
-    pieces, complete = _held(space, n_top)
-    lacking = [key for key in blocks if key not in complete]
-    if lacking:
-        _fill(space, lacking, (), n_top, cap)
-    return {key: {f: pieces[f] for f in complete[key]} for key in blocks}
-
-
 def frame_pieces(space, frames, n_top, cap=None):
     """The homology of the frame piece of each given frame.
 
     Returns {frame: {degree: group}}, the nonzero groups of the frame's
-    subcomplex up to degree n_top, read from the same table as
-    `frame_table`; as there, a frame of degree n_top has no group. A frame not held yet, and whose block (its length,
-    f[0], f[-1]) is not held either, goes through `_frame_splits`: each
-    start point is searched once for all the frames it lacks, keeping
-    only the prefixes whose frame so far starts one of them, and only
-    those frames' pieces are reduced. The cap counts as there; a held
-    frame costs none. As there, the groups returned are the table's own
-    and must not be mutated.
+    subcomplex, the geodesically simple chains of degree <= n_top with
+    that frame. No chain of degree n_top without a smooth point is filed:
+    such a chain is the only chain of its frame and only adds a free
+    generator at n_top, so a frame of degree n_top has no group.
+
+    Kept per space and n_top in `IntegerView.frame_groups`, groups only.
+    The frames not held yet go through `_frame_splits`: each start point
+    is searched once for all the frames it lacks, keeping only the
+    prefixes whose frame so far starts one of them, and only those
+    frames' pieces are reduced, the pieces of one start point together
+    (`_reduce`). The steps of those searches count against one cap
+    (`resolve_cap`), the chains not filed included; a held frame costs
+    none. A frame searched without a chain filed, such as one of degree
+    n_top, is held with no group. The groups returned are the table's
+    own, shared between pieces of equal groups, and must not be mutated.
     """
     frames = [tuple(f) for f in frames]
-    pieces, complete = _held(space, n_top)
-    lacking = [
-        f
-        for f in frames
-        if f not in pieces and (chain_total(space, f), f[0], f[-1]) not in complete
-    ]
+    pieces = space.integer_view.frame_groups.setdefault(n_top, {})
+    lacking = [f for f in frames if f not in pieces]
     if lacking:
-        _fill(space, (), lacking, n_top, cap)
-    return {f: pieces.get(f, {}) for f in frames}
+        start = None
+        new = []
+        for f, by_degree in _frame_splits(space, lacking, n_top, cap):
+            if f[0] != start:
+                _reduce(pieces, new)
+                start = f[0]
+                new = []
+            new.append((f, by_degree))
+        _reduce(pieces, new)
+        for f in lacking:
+            pieces.setdefault(f, {})
+    return {f: pieces[f] for f in frames}
 
 
 @dataclass(frozen=True)

@@ -270,10 +270,8 @@ class IntegerView:
     to the groups of degrees 0..n_max of each length grading the block
     engine (`algebra.block_homology_rows`) has reduced, keyed by scaled
     length; and `frame_groups` maps a top degree to the frame table of
-    `frames.frame_table` and `frames.frame_pieces`, which `verify` reads,
-    a pair (pieces, blocks): `pieces` maps each frame found or asked for
-    to the nonzero homology of its frame piece, and `blocks` maps each
-    endpoint block (total, a, b) searched whole to its frames, sorted.
+    `frames.frame_pieces`, which `verify` reads: each frame asked for, to
+    the nonzero homology of its frame piece.
     All fill as they are asked for and live exactly as long as the space.
     No chains are kept on the view.
     """

@@ -29,6 +29,9 @@ Below m_X, magnitude homology is the direct sum of those frame homologies
 (Kaneta-Yoshinaga), so `magnitude_homology_rows` computes every grading
 0 < l < m_X from the reduced homology of interval posets, with no chain
 enumeration, and leaves gradings l >= m_X to the endpoint-block engine.
+The frames are counted, not listed (`_frame_groups`): level by level over
+states that hold a frame's last two points, its length, its Kunneth
+product and whether it is realized, each with how many frames reach it.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .algebra import (
     block_homology_rows,
     groups_from_columns,
     kunneth,
+    merge_invariant_factors,
 )
 from .chains import resolve_cap
 from .errors import EnumerationCapExceeded, NotAPartialOrder, SamePoint, UnrealizedFrame
@@ -170,18 +174,27 @@ def _core_masks(elements, up, down):
     return kept, [above[x] & left for x in kept], [below[x] & left for x in kept]
 
 
-def _order_simplices(elements, up):
+def _order_simplices(elements, up, steps=None):
     """The chains of a poset, as a list of the simplices of each dimension.
 
     Each chain grows by the set bits of its top element's `up` mask, in
     ascending order, so each dimension comes out in lexicographic order.
+    With `steps`, a `_Steps`, every simplex is counted against its cap as
+    it is built, so a large interval stops at the cap, not after it.
     """
     above = dict(zip(elements, up))
     levels = []
     frontier = [(v,) for v in elements]
+    if steps is not None:
+        steps.take(len(frontier))
     while frontier:
         levels.append(frontier)
-        frontier = [s + (y,) for s in frontier for y in set_bits(above[s[-1]])]
+        frontier = []
+        for s in levels[-1]:
+            grown = [s + (y,) for y in set_bits(above[s[-1]])]
+            if steps is not None:
+                steps.take(len(grown))
+            frontier += grown
     return levels
 
 
@@ -229,14 +242,18 @@ def poset_component_count(space, a, b):
     return count
 
 
-def _interval_homology(space, a, b):
-    """`interval_homology` without the copy; callers must not mutate it."""
+def _interval_homology(space, a, b, steps=None):
+    """`interval_homology` without the copy; callers must not mutate it.
+
+    With `steps`, the simplices of a pair not held yet count against its
+    cap (`_order_simplices`).
+    """
     table = space.integer_view.pair_homology
     groups = table.get((a, b))
     if groups is None:
         elements, up, _ = _core_masks(*_interval_masks(space, a, b))
         if any(up):
-            sizes, boundaries = _reduced_columns(_order_simplices(elements, up))
+            sizes, boundaries = _reduced_columns(_order_simplices(elements, up, steps))
             groups = groups_from_columns(-1, sizes, boundaries)
         else:
             groups = _antichain_homology(len(elements))
@@ -267,7 +284,7 @@ def interval_homology(space, a, b):
     columns, then `algebra.groups_from_columns`, the d^2 check, Smith
     normal form and groups step the endpoint-block engine shares. Only the
     groups are kept, in the space's `IntegerView.pair_homology`, which the
-    frame DFS shares; this returns a copy. A core with no relation is an
+    frame count shares; this returns a copy. A core with no relation is an
     antichain of k points and builds no simplex: Z at degree -1 for
     k = 0, nothing for k = 1, and Z^(k-1) at degree 0 for k >= 2.
     """
@@ -301,19 +318,61 @@ def frame_homology_via_posets(space, f, n):
     return frame_homology_by_degree(space, f).get(n, TRIVIAL_GROUP)
 
 
-def _frame_groups(space, gradings, n_max, cap):
-    """{(l, n): MH_n^l} for gradings 0 < l < m_X, by a DFS over frames.
+class _Steps:
+    """A running step count against a cap.
 
-    A tuple grows one point at a time, and only where the junction it
-    leaves behind is not strictly smooth, so every tuple visited is its
-    own frame. Each carries the Kunneth product of its pairs' interval
-    homology; a frame of degree m and length l adds H_k of that product
-    to MH_{2m+k}^l. A branch stops once it is longer than the largest
-    grading, once its least degree 2m + min k passes n_max (neither can
-    shrink as the tuple grows), or when its product is zero, which a pair
-    with zero reduced homology forces. Visited tuples count against the
-    enumeration cap. Every frame that contributes must pass
-    `is_realized_frame` (UnrealizedFrame otherwise, also under -O).
+    `take(k)` adds k steps and raises EnumerationCapExceeded(limit + 1,
+    limit) once the count passes `limit`: the step that passes it is
+    always the (limit + 1)-th, however many are taken at once.
+    """
+
+    __slots__ = ("count", "limit")
+
+    def __init__(self, limit):
+        self.count = 0
+        self.limit = limit
+
+    def take(self, k):
+        self.count += k
+        if self.count > self.limit:
+            raise EnumerationCapExceeded(self.limit + 1, self.limit)
+
+
+def _frame_groups(space, gradings, n_max, cap):
+    """{(l, n): MH_n^l} for gradings 0 < l < m_X, counted level by level over states.
+
+    A frame of degree m is a tuple of m + 1 points that grows one point
+    at a time, and only where the junction it leaves behind is not
+    strictly smooth, so it is its own frame. Its homology is the Kunneth
+    product of its pairs' interval homology, and a frame of length l adds
+    H_k of that product to MH_{2m+k}^l. Whether a tuple can grow, and
+    what it then adds, depends only on a state (prev, last, total,
+    product, realized): its last two points, its length as a scaled int,
+    its product, interned by value, and whether its pair and each of its
+    junction triples pass `frames.is_realized_frame`, which a frame does
+    exactly when all of them do. So each level keeps its states with a
+    multiplicity, and one transition stands for that many tuples: it
+    takes one `kunneth` per (product, pair homology) and tests each pair
+    and each junction triple once, through the module attribute, so a
+    patch of it takes effect. A branch stops once it is longer than the
+    largest grading, once its least degree 2m + min k passes n_max
+    (neither can shrink as the tuple grows), or when its product is zero,
+    which a pair with zero reduced homology forces.
+
+    Each state keeps its lexicographically least tuple. A level is filled
+    from the states of the one before in the order of their least tuples,
+    and each state by ascending next point, so a state is first met with
+    its least tuple and every level comes out in that order. Every frame
+    that contributes must be realized: otherwise UnrealizedFrame names the
+    lexicographically least one that is not, once every level is counted
+    (also under -O), which is the first one a depth-first search over the
+    tuples would meet.
+
+    The cap counts every tuple reached, a transition as many as its
+    state stands for, and the simplices `_order_simplices` builds for a
+    pair whose homology the space does not hold yet. It raises
+    EnumerationCapExceeded(cap + 1, cap) as soon as the count passes the
+    cap, before any UnrealizedFrame.
     """
     view = space.integer_view
     idist = view.idist
@@ -326,46 +385,92 @@ def _frame_groups(space, gradings, n_max, cap):
     if not wanted:
         return {}
     top = max(wanted)
-    limit = resolve_cap(cap)
+    steps = _Steps(resolve_cap(cap))
     size = space.n
-    parts = {}
-    visited = 0
+    # products interned by value: key -> id, and id -> (product, least degree)
+    ids = {}
+    products = []
+    pair_ids = {}  # (a, b) -> id of its nonzero interval homology, or None
+    folds = {}  # (product id, pair id) -> id of their Kunneth product, or None
+    realized = {}  # a pair or a junction triple -> is_realized_frame of it
 
-    def extend(pts, length, product):
-        nonlocal visited
-        last = pts[-1]
-        prev = pts[-2] if len(pts) > 1 else None
-        m = len(pts)  # degree of each extension
-        row = idist[last]
-        for nxt in range(size):
-            total = length + row[nxt]
-            if nxt == last or total > top:
-                continue
-            if prev is not None and between[prev][nxt] >> last & 1:
-                continue
-            h = _interval_homology(space, last, nxt)
-            if not h:
-                continue
-            visited += 1
-            if visited > limit:
-                raise EnumerationCapExceeded(visited, limit)
-            grown = h if prev is None else kunneth(product, h)
-            if not grown or 2 * m + min(grown) > n_max:
-                continue
-            pts.append(nxt)
-            l = wanted.get(total)
-            if l is not None:
-                if not _frames.is_realized_frame(space, pts):
-                    raise UnrealizedFrame(pts, l)
-                for k, group in grown.items():
-                    if 2 * m + k <= n_max:
-                        parts.setdefault((l, 2 * m + k), []).append(group)
-            extend(pts, total, grown)
-            pts.pop()
+    def intern(product):
+        if not product:
+            return None
+        key = tuple(product.items())
+        pid = ids.get(key)
+        if pid is None:
+            pid = ids[key] = len(products)
+            products.append((product, min(product)))
+        return pid
 
-    for start in range(size):
-        extend([start], 0, None)
-    return {key: HomologyGroup.direct_sum(groups) for key, groups in parts.items()}
+    def pair_id(a, b):
+        pid = pair_ids.get((a, b), -1)
+        if pid == -1:
+            pid = pair_ids[a, b] = intern(_interval_homology(space, a, b, steps))
+        return pid
+
+    def is_realized(pts):
+        ok = realized.get(pts)
+        if ok is None:
+            ok = realized[pts] = _frames.is_realized_frame(space, pts)
+        return ok
+
+    betti = {}
+    torsion = {}
+    unrealized = None
+    # degree 0: each point alone, with the product of no pair; prev is the
+    # point itself, as no point lies strictly between a point and another
+    unit = intern({0: HomologyGroup(1)})
+    level = {(a, a, 0, unit, True): [1, (a,)] for a in range(size)}
+    m = 0
+    while level:
+        m += 1
+        grown = {}
+        for (prev, last, total, pid, ok), (count, least) in level.items():
+            row = idist[last]
+            smooth = between[prev]
+            for nxt in range(size):
+                t = total + row[nxt]
+                if nxt == last or t > top or smooth[nxt] >> last & 1:
+                    continue
+                hid = pair_id(last, nxt)
+                if hid is None:
+                    continue
+                steps.take(count)
+                fold = pid, hid
+                gid = folds.get(fold, -1)
+                if gid == -1:
+                    gid = folds[fold] = intern(kunneth(products[pid][0], products[hid][0]))
+                if gid is None or 2 * m + products[gid][1] > n_max:
+                    continue
+                # the new pair, or junction triple, of every tuple of the state
+                key = last, nxt, t, gid, ok and is_realized(least[-2:] + (nxt,))
+                state = grown.get(key)
+                if state is None:
+                    grown[key] = [count, least + (nxt,)]
+                else:
+                    state[0] += count
+        level = grown
+        for (_, _, total, pid, ok), (count, least) in level.items():
+            if total not in wanted:
+                continue
+            if not ok:
+                if unrealized is None or least < unrealized[0]:
+                    unrealized = least, wanted[total]
+                continue
+            for k, group in products[pid][0].items():
+                key = total, 2 * m + k
+                if key[1] <= n_max:
+                    betti[key] = betti.get(key, 0) + group.betti * count
+                    if group.torsion:
+                        torsion.setdefault(key, []).append(group.torsion * count)
+    if unrealized is not None:
+        raise UnrealizedFrame(*unrealized)
+    return {
+        (wanted[total], n): HomologyGroup(b, merge_invariant_factors(torsion.get((total, n), ())))
+        for (total, n), b in betti.items()
+    }
 
 
 def magnitude_homology_rows(space, gradings, n_max, cap=None):
@@ -373,7 +478,7 @@ def magnitude_homology_rows(space, gradings, n_max, cap=None):
 
     Grading 0 is Z^N at degree 0 and 0 above. Every grading 0 < l < m_X,
     which is every positive one when m_X is infinite, comes from the frame
-    DFS of `_frame_groups`; the gradings l >= m_X go to the endpoint-block
+    count of `_frame_groups`; the gradings l >= m_X go to the endpoint-block
     engine, the only place chains are enumerated. Rows come grading by
     grading in the order given, degrees ascending.
     """

@@ -8,34 +8,29 @@ walks none: d^2 of a chain is a sum of terms that each read one window
 of four consecutive points, so one scan of the windows decides every
 degree (see `check_d_squared`), and a failing window is placed in the
 chain order with the chain-count dynamic program (`chains.count_step`).
-`simp_iso`, `frame_injectivity` and `tensor_route` read their frame side
-from one frame table per space. It keeps the homology of each frame piece
-and no chains: `simp_iso` asks it for whole endpoint blocks
-(`frames.frame_table`), the other two for single frames
-(`frames.frame_pieces`), whose search keeps only the chains that can end
-with one of them and reduces only their pieces. A block or frame one
-check has filled costs the next no search and no cap step. The full side
-of `simp_iso` and `frame_injectivity`, the block engine, likewise keeps
-each grading's groups on the space, so a grading both ask for is
-reduced once.
+`simp_iso` and `frame_injectivity` check the route `compute` prints
+below m_X, interval posets folded by the Kunneth formula
+(`posets._frame_groups`, `posets.frame_homology_by_degree`), against the
+endpoint-block engine, which keeps every chain; the two share only `snf`
+and the betweenness table. The engine keeps each grading's groups on the
+space, so a grading both ask for is reduced once. `tensor_route` is the
+one chain-level cross-check: it compares the frame subcomplexes of the
+realized frames of low degree (`frames.frame_pieces`), whose search
+keeps only the chains that can end with one of them, with the
+interval-poset route, frame by frame.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import (
-    TRIVIAL_GROUP,
-    HomologyGroup,
-    block_homology_rows,
-    merge_invariant_factors,
-)
+from . import posets as _posets
+from .algebra import TRIVIAL_GROUP, block_homology_rows
 from .chains import count_step, length_spectra, resolve_cap, smooth_faces
 from .errors import EnumerationCapExceeded
-from .frames import frame_pieces, frame_table, is_realized_frame, m_x
+from .frames import frame_pieces, is_realized_frame, m_x
 from .metric import (
     complete_space,
     cycle_space,
@@ -44,7 +39,6 @@ from .metric import (
     random_metric,
     set_bits,
 )
-from .posets import _start_order, frame_homology_by_degree
 
 
 @dataclass(frozen=True)
@@ -91,7 +85,7 @@ def _first_bad_window(space):
     view = space.integer_view
     idist = view.idist
     points = range(space.n)
-    ymask = [_start_order(view, w)[0] for w in points]
+    ymask = [_posets._start_order(view, w)[0] for w in points]
     best = None
     for w, masks in enumerate(ymask):
         for x, wx in enumerate(masks):
@@ -223,17 +217,16 @@ def _full_groups(space, gradings, totals, n_max, cap):
 
 
 def check_simp_iso(space, n_max, cap=None):
-    """Frame decomposition agrees with the full complex below m_X.
+    """The route `compute` prints below m_X agrees with the full complex.
 
     For every grading 0 < l < m_X realized up to degree n_max, the direct
-    sum of frame subcomplex homologies must equal magnitude homology in
-    degrees 1..n_max, betti and torsion both. The two sides share the
-    assembly of complexes from bases: one keeps the geodesically simple
-    chains and splits them by frame, reading every endpoint block of
-    every grading from the frame table, the other keeps every chain and
-    splits only by endpoint pair, in one block-engine call for every
-    grading. The pieces' betti numbers are summed and their torsion
-    factors gathered per grading and degree, and each group is made once.
+    sum of frame homologies, as `compute` prints it (`posets._frame_groups`:
+    the reduced homology of interval posets folded by the Kunneth formula,
+    with no chains), must equal magnitude homology in degrees 1..n_max,
+    betti and torsion both. The full side keeps every chain and splits
+    only by endpoint pair, in one block-engine call for every grading. On
+    a failure the witness names the first grading and degree (l, n) that
+    differ, with both groups. Each side counts against the cap on its own.
     """
     mx = m_x(space)
     gradings = _grading_values(space, n_max, mx.value, cap)
@@ -245,25 +238,11 @@ def check_simp_iso(space, n_max, cap=None):
     name = space.name or "space"
     totals = [space.integer_view.scaled(l) for l in gradings]
     full = _full_groups(space, gradings, totals, n_max, cap)
-    points = range(space.n)
-    table = frame_table(space, list(itertools.product(totals, points, points)), n_max + 1, cap)
-    # (total, n) -> the betti number and the torsion factor lists summed
-    betti = {}
-    torsion = {}
-    for (total, _, _), pieces in table.items():
-        for groups in pieces.values():
-            for n, group in groups.items():
-                key = total, n
-                betti[key] = betti.get(key, 0) + group.betti
-                if group.torsion:
-                    torsion.setdefault(key, []).append(group.torsion)
+    printed = _posets._frame_groups(space, gradings, n_max, cap)
     for l, total in zip(gradings, totals):
         for n in range(1, n_max + 1):
-            key = total, n
-            summed = HomologyGroup(
-                betti.get(key, 0), merge_invariant_factors(torsion.get(key, ()))
-            )
-            if summed != full[key]:
+            summed = printed.get((l, n), TRIVIAL_GROUP)
+            if summed != full[total, n]:
                 return VerificationReport(
                     check="simp_iso",
                     space=name,
@@ -273,7 +252,7 @@ def check_simp_iso(space, n_max, cap=None):
                         "l": format_rational(l),
                         "n": n,
                         "decomposition": _group_json(summed),
-                        "full": _group_json(full[key]),
+                        "full": _group_json(full[total, n]),
                     },
                 )
     return VerificationReport(check="simp_iso", space=name, status="pass", params=params)
@@ -287,7 +266,9 @@ def check_frame_injectivity(space, n_max, cap=None):
     homology at grading d(a, b). This is a one-sided shadow of the
     decomposition that holds at every grading, not only below m_X. One
     block-engine call gives the full side of every distance at once, and
-    the frame table the pair frames' side, one frame request each.
+    the pair frames' side is the route `compute` prints below m_X, the
+    reduced homology of the interval I(a, b) shifted by 2
+    (`posets.frame_homology_by_degree`), with no chains and no cap step.
     """
     name = space.name or "space"
     idist = space.integer_view.idist
@@ -297,10 +278,9 @@ def check_frame_injectivity(space, n_max, cap=None):
     totals = sorted(lengths)
     full = _full_groups(space, [lengths[t] for t in totals], totals, n_max, cap)
     frames = [(a, b) for a in range(space.n) for b in range(space.n) if a != b]
-    table = frame_pieces(space, frames, n_max + 1, cap)
     for pairs, (a, b) in enumerate(frames, start=1):
         total = idist[a][b]
-        groups = table[a, b]
+        groups = _posets.frame_homology_by_degree(space, (a, b))
         for n in range(1, n_max + 1):
             fb = groups.get(n, TRIVIAL_GROUP).betti
             if fb > full[total, n].betti:
@@ -363,10 +343,10 @@ def check_tensor_route(space, n_max, m_max=2, cap=None):
     For every realized frame of degree <= m_max, compare the homology of
     the chain-level subcomplex against the tensor product of reduced
     interval complexes (shifted by twice the frame degree), at each degree
-    up to n_max. The subcomplex side is read from the frame table, which
-    reduces only these frames' pieces; the tensor side folds each frame's
-    intervals once for every degree. The two routes share no code past
-    the metric. Frames
+    up to n_max. The subcomplex side is read from the frame table
+    (`frames.frame_pieces`), which searches and reduces only these frames'
+    pieces; the tensor side folds each frame's intervals once for every
+    degree. The two routes share no code past the metric. Frames
     with a smoothable junction are excluded: insertion does not preserve
     them and the equivalence genuinely fails there (see is_realized_frame).
     Frames of degree above n_max + 1 are left out: the subcomplex of a
@@ -378,7 +358,7 @@ def check_tensor_route(space, n_max, m_max=2, cap=None):
     table = frame_pieces(space, frames, n_max + 1, cap)
     for f in frames:
         groups = table[f]
-        vias = frame_homology_by_degree(space, f)
+        vias = _posets.frame_homology_by_degree(space, f)
         for n in range(n_max + 1):
             direct = groups.get(n, TRIVIAL_GROUP)
             via = vias.get(n, TRIVIAL_GROUP)

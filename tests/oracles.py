@@ -37,8 +37,12 @@ the boundary extended to a formal sum. `reference_interval_masks` is the
 per-pair route to an interval's masks, each pair transposing its own
 a-side rows and checking its own order, and `reference_interval_homology`
 reduces every core through the package's order-complex columns and
-`groups_from_columns`, a core without relations included. Slow on
-purpose; oracle scale only.
+`groups_from_columns`, a core without relations included.
+`self_framed_tuples` lists the tuples that are their own frame, by
+distances, and `dfs_frame_groups` is the depth-first search over frame
+tuples that `posets._frame_groups` replaced: one Kunneth fold and one
+`is_realized_frame` call per tuple, on the package's pair homology.
+Slow on purpose; oracle scale only.
 """
 
 import itertools
@@ -47,12 +51,25 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from magh.algebra import TRIVIAL_GROUP, HomologyGroup, _blocks_homology, groups_from_columns
+import magh.frames
+from magh.algebra import (
+    TRIVIAL_GROUP,
+    HomologyGroup,
+    _blocks_homology,
+    groups_from_columns,
+    kunneth,
+)
 from magh.chains import resolve_cap, smooth_faces
-from magh.errors import EnumerationCapExceeded, NotAPartialOrder, NotASubcomplex, SamePoint
+from magh.errors import (
+    EnumerationCapExceeded,
+    NotAPartialOrder,
+    NotASubcomplex,
+    SamePoint,
+    UnrealizedFrame,
+)
 from magh.frames import frame
 from magh.metric import format_rational, set_bits
-from magh.posets import _core_masks, _order_simplices, _reduced_columns
+from magh.posets import _core_masks, _interval_homology, _order_simplices, _reduced_columns
 from magh.verify import VerificationReport
 
 
@@ -834,3 +851,102 @@ def reference_interval_homology(space, a, b):
     elements, up, _ = _core_masks(*reference_interval_masks(space, a, b))
     sizes, boundaries = _reduced_columns(_order_simplices(elements, up))
     return groups_from_columns(-1, sizes, boundaries)
+
+
+def dfs_frame_visits(space, gradings, n_max, cap=None, realized=True):
+    """(groups, visited, first) of the depth-first frame search below m_X.
+
+    A tuple grows one point at a time, next points ascending, and only
+    where the junction it leaves behind is not strictly smooth. Each
+    carries the Kunneth product of its pairs' interval homology
+    (`posets._interval_homology`, which reads the space's pair homology
+    table); a frame of degree m and length l adds H_k of that product to
+    MH_{2m+k}^l. A branch stops once it is longer than the largest
+    grading, once 2m + min k passes n_max, or when its product is zero.
+    Each tuple visited is one step: EnumerationCapExceeded(visited, cap)
+    once the count passes the cap. A contributing tuple that fails
+    `magh.frames.is_realized_frame` raises UnrealizedFrame at once with
+    `realized`, so the first one in lexicographic order; without it, the
+    search runs on, and `first` is (frame, l, visited) of the first such
+    tuple, visited counting it, or None. `groups` maps (l, n) to the
+    direct sum of the contributions, and `visited` counts every tuple.
+    """
+    view = space.integer_view
+    wanted = {view.scaled(l): l for l in gradings if view.scaled(l) is not None}
+    if not wanted:
+        return {}, 0, None
+    top = max(wanted)
+    limit = resolve_cap(cap)
+    parts = {}
+    visited = 0
+    first = None
+
+    def extend(pts, length, product):
+        nonlocal visited, first
+        last = pts[-1]
+        prev = pts[-2] if len(pts) > 1 else None
+        m = len(pts)
+        for nxt in range(space.n):
+            total = length + view.idist[last][nxt]
+            if nxt == last or total > top:
+                continue
+            if prev is not None and view.between[prev][nxt] >> last & 1:
+                continue
+            h = _interval_homology(space, last, nxt)
+            if not h:
+                continue
+            visited += 1
+            if visited > limit:
+                raise EnumerationCapExceeded(visited, limit)
+            grown = h if prev is None else kunneth(product, h)
+            if not grown or 2 * m + min(grown) > n_max:
+                continue
+            pts.append(nxt)
+            l = wanted.get(total)
+            if l is not None:
+                if not magh.frames.is_realized_frame(space, pts):
+                    if realized:
+                        raise UnrealizedFrame(pts, l)
+                    if first is None:
+                        first = tuple(pts), l, visited
+                for k, group in grown.items():
+                    if 2 * m + k <= n_max:
+                        parts.setdefault((l, 2 * m + k), []).append(group)
+            extend(pts, total, grown)
+            pts.pop()
+
+    for start in range(space.n):
+        extend([start], 0, None)
+    groups = {key: HomologyGroup.direct_sum(found) for key, found in parts.items()}
+    return groups, visited, first
+
+
+def dfs_frame_groups(space, gradings, n_max, cap=None):
+    """The groups of `dfs_frame_visits`, each contributing frame tested."""
+    return dfs_frame_visits(space, gradings, n_max, cap)[0]
+
+
+def self_framed_tuples(space, totals, m_max, starts=None):
+    """The tuples of degree 1..m_max that are their own frame, with a length
+    in `totals` (scaled ints), from the points of `starts` (every point by
+    default), in (degree, lexicographic) order.
+
+    Proper tuples with no point smooth by `smooth_by_distances`, grown one
+    point at a time and dropped once longer than the largest of `totals`.
+    """
+    d = space.integer_view.idist
+    longest = max(totals, default=-1)
+    points = range(space.n)
+    level = [((a,), 0) for a in (points if starts is None else sorted(starts))]
+    out = []
+    for _ in range(m_max):
+        level = [
+            (pts + (x,), t + d[pts[-1]][x])
+            for pts, t in level
+            for x in points
+            if x != pts[-1]
+            and t + d[pts[-1]][x] <= longest
+            and not smooth_by_distances(space, pts[-2:] + (x,))
+        ]
+        out += [pts for pts, t in level if t in totals]
+    return out

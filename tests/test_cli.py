@@ -460,6 +460,36 @@ def test_length_too_long_to_print_exits_two_with_one_line(capsys, monkeypatch, f
     assert err == "magh: error: cannot print rational: a term has more than 4300 digits\n"
 
 
+def far_cycle7():
+    """cycle(7) with each distance k written as "ke4299": every entry
+    loads, and the length 12e4299 of degree 4 has 4,301 digits."""
+    rows = [[f"{min(abs(i - j), 7 - abs(i - j))}e4299" for j in range(7)] for i in range(7)]
+    return json.dumps({"d": rows})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--n-max", "4"],
+        ["compute", "--n-max", "4", "--format", "json", "--l", "1e4299,12e4299"],
+        ["spectrum", "--n-max", "4"],
+    ],
+    ids=["compute-spectrum", "compute-list", "spectrum"],
+)
+def test_length_too_long_to_print_exits_before_any_work(capsys, monkeypatch, argv):
+    # each wanted grading is formatted before the first search, and the
+    # longest length of the spectrum before the count
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began on a length that cannot be printed")
+
+    monkeypatch.setattr(magh.cli, "magnitude_homology_rows", refuse)
+    if argv[0] == "spectrum":
+        monkeypatch.setattr(magh.cli, "length_spectra", refuse)
+    code, out, err = run_cli(capsys, monkeypatch, argv, stdin=far_cycle7())
+    assert (code, out) == (2, "")
+    assert err == "magh: error: cannot print rational: a term has more than 4300 digits\n"
+
+
 def test_entry_too_long_to_print_exits_two_at_load(capsys, monkeypatch):
     # its numerator and denominator have 4,301 digits; it is refused as
     # it loads, by a command that prints no length too

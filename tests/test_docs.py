@@ -9,7 +9,7 @@ import pytest
 from magh.algebra import HomologyGroup
 from magh.chains import length_spectra
 from magh.errors import EnumerationCapExceeded
-from magh.metric import path_space
+from magh.metric import complete_space, path_space
 from magh.posets import magnitude_homology_rows
 
 from test_posets import rp2_face_poset_space
@@ -88,3 +88,20 @@ def test_readme_spectrum_cap_count_is_exact():
     assert (exc.value.count, exc.value.cap) == (count, count - 1)
     spectra = length_spectra(space, 6, cap=count)
     assert sum(spectra[6].counts) == chains == 10 * 9**6
+
+
+def test_readme_frame_count_cap_count_is_exact():
+    # the frame count's example: m_X of K_5 is infinite, so every grading
+    # is counted over frames; its tuples pass the cap and one less does not
+    text = " ".join(README.read_text().split())
+    found = re.search(
+        r"`magh gen complete 5 \| magh compute --n-max 4` reaches ([\d,]+) frame tuples", text
+    )
+    assert found
+    count = int(found.group(1).replace(",", ""))
+    space = complete_space(5)
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        magnitude_homology_rows(space, [1, 2, 3, 4], 4, cap=count - 1)
+    assert (exc.value.count, exc.value.cap) == (count, count - 1)
+    rows = magnitude_homology_rows(complete_space(5), [1, 2, 3, 4], 4, cap=count)
+    assert rows == magnitude_homology_rows(space, [1, 2, 3, 4], 4)

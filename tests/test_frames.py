@@ -18,7 +18,6 @@ from magh.frames import (
     four_cuts,
     frame,
     frame_pieces,
-    frame_table,
     is_frame,
     is_geodesically_simple,
     is_realized_frame,
@@ -43,6 +42,7 @@ from oracles import (
     naive_frame_bases,
     naive_m_x,
     record_groups,
+    self_framed_tuples,
     smooth_by_distances,
 )
 from test_posets import rational_grid_space, rp2_face_poset_space
@@ -146,37 +146,32 @@ def test_frame_subcomplex_c4_diagonal_pair():
 
 def test_simp_decomposition_path3():
     p3 = path_space(3)
-    table = frame_table(p3, [(2, a, b) for a in range(3) for b in range(3)], 3)
-    frames = sorted(f for pieces in table.values() for f in pieces)
-    assert frames == [(0, 1, 0), (0, 2), (1, 0, 1), (1, 2, 1), (2, 0), (2, 1, 2)]
-    assert list(naive_frame_bases(p3, 2, 3)) == frames
+    frames = self_framed_tuples(p3, {2}, 2)
+    assert frames == [(0, 2), (2, 0), (0, 1, 0), (1, 0, 1), (1, 2, 1), (2, 1, 2)]
+    assert list(naive_frame_bases(p3, 2, 3)) == sorted(frames)
+    table = frame_pieces(p3, frames, 3)
     # (0, 2) holds the chain (0, 1, 2) too, (0, 1, 0) only itself
-    assert split_by_frame(p3, [(2, 0, 2), (2, 0, 0)], (), 3) == {
+    assert split_by_frame(p3, [(0, 2), (0, 1, 0)], 3) == {
         (0, 1, 0): {2: [(0, 1, 0)]},
         (0, 2): {1: [(0, 2)], 2: [(0, 1, 2)]},
     }
-    assert table[2, 0, 2] == {(0, 2): {}}
-    assert table[2, 0, 0] == {(0, 1, 0): {2: HomologyGroup(1)}}
+    assert table[0, 2] == {}
+    assert table[0, 1, 0] == {2: HomologyGroup(1)}
 
 
 def test_simp_decomposition_two_points():
     sp = validate_metric([[0, 1], [1, 0]])
-    table = frame_table(sp, [(2, a, b) for a in range(2) for b in range(2)], 3)
+    frames = self_framed_tuples(sp, {2}, 2)
     z = {2: HomologyGroup(1)}
-    assert table == {
-        (2, 0, 0): {(0, 1, 0): z},
-        (2, 0, 1): {},
-        (2, 1, 0): {},
-        (2, 1, 1): {(1, 0, 1): z},
-    }
+    assert frame_pieces(sp, frames, 3) == {(0, 1, 0): z, (1, 0, 1): z}
 
 
-def split_by_frame(space, blocks, frames, n_top):
-    """The chains `_frame_splits` files for the given blocks and frames, as
+def split_by_frame(space, frames, n_top):
+    """The chains `_frame_splits` files for the given frames, as
     {frame: {degree: point tuples}}, frames sorted."""
     split = {
         f: {n: [pts for pts, _ in records] for n, records in by_degree.items()}
-        for _, f, by_degree in _frame_splits(space, blocks, frames, n_top, None)
+        for f, by_degree in _frame_splits(space, frames, n_top, None)
     }
     return {f: split[f] for f in sorted(split)}
 
@@ -202,12 +197,12 @@ def filed_bases(space, total, n_top):
 )
 def test_partition_of_simple_chains(space):
     n_top = 3
-    points = range(space.n)
     totals = {chain_total(space, pts) for n in range(1, n_top + 1) for pts in naive_chains(space, n)}
     for total in sorted(totals):
-        blocks = [(total, a, b) for a in points for b in points]
+        # every tuple that can be a frame, those of degree n_top included
+        frames = self_framed_tuples(space, {total}, n_top)
         seen = {}
-        for f, by_degree in split_by_frame(space, blocks, (), n_top).items():
+        for f, by_degree in split_by_frame(space, frames, n_top).items():
             assert is_frame(space, f)
             assert chain_total(space, f) == total
             for n, chains in by_degree.items():
@@ -257,15 +252,14 @@ def test_frame_bases_match_table_filter(space):
         }
         for total in sorted(totals):
             oracle = filed_bases(space, total, n_top)
-            blocks = [(total, a, b) for a in points for b in points]
-            assert split_by_frame(space, blocks, (), n_top) == oracle
-            assert split_by_frame(space, (), list(oracle), n_top) == oracle
-        # every pair is its own frame, as check_frame_injectivity asks
+            assert split_by_frame(space, self_framed_tuples(space, {total}, n_top), n_top) == oracle
+            assert split_by_frame(space, list(oracle), n_top) == oracle
+        # every pair is its own frame, as tensor_route asks
         for a in points:
             for b in points:
                 if a != b:
                     oracle = filed_bases(space, view.idist[a][b], n_top)
-                    got = split_by_frame(space, (), [(a, b)], n_top)
+                    got = split_by_frame(space, [(a, b)], n_top)
                     assert got == {(a, b): oracle[a, b]}
 
 
@@ -286,11 +280,16 @@ def test_frame_cap_counts_prefixes_kept():
     from_zero = [pts for pts in simple if pts[0] == 0]
     for_f = [pts for pts in from_zero if frame(space, pts)[:-1] in heads]
     assert (len(short), len(simple), len(from_zero), len(for_f)) == (438, 390, 65, 20)
-    blocks = [(4, a, b) for a in range(6) for b in range(6)]
+    # every frame of length 4 starts the frame of each simple chain no
+    # longer, so a request for all of them keeps every simple prefix
+    every = self_framed_tuples(space, {4}, 4)
+    assert {g[:k] for g in every for k in range(1, len(g))} >= {
+        frame(space, pts)[:-1] for pts in simple
+    }
     # a fresh space per call, so that nothing is read from a held table
     for call, count in [
         (lambda cap: frame_pieces(cycle_space(6), [f], 4, cap), 1 + len(for_f)),
-        (lambda cap: frame_table(cycle_space(6), blocks, 4, cap), space.n + len(simple)),
+        (lambda cap: frame_pieces(cycle_space(6), every, 4, cap), space.n + len(simple)),
     ]:
         with pytest.raises(EnumerationCapExceeded) as exc:
             call(count - 1)
@@ -302,34 +301,34 @@ def test_frame_cap_counts_prefixes_kept():
 
 
 def compare_with_subcomplexes(space, blocks, n_top):
-    """Check `frame_table` on the given blocks against `oracles.frame_complex`,
-    frame by frame, and return the frames of degree n_top of the blocks.
+    """Check `frame_pieces` on the frames of the given blocks against
+    `oracles.frame_complex`, frame by frame, and return the frames of
+    degree n_top of the blocks.
 
-    The frames of a block and their chains are those of
-    `naive_frame_bases`. Below n_top every frame's groups are its
-    subcomplex's. The table files no chain of degree n_top without a
-    smooth point: such a chain is its own frame, so at n_top a listed
-    frame's groups are its subcomplex's too, and a frame of degree n_top
-    is not listed.
+    A block (total, a, b) lists the frames from a to b of
+    `naive_frame_bases` at that length, and their chains are its chains.
+    Below n_top every frame's groups are its subcomplex's. The table files
+    no chain of degree n_top without a smooth point: such a chain is its
+    own frame, so at n_top a frame's groups are its subcomplex's too, and
+    a frame of degree n_top has no group.
     """
-    table = frame_table(space, blocks, n_top)
-    assert list(table) == blocks
-    top_frames = []
-    for total, a, b in blocks:
-        listed = []
-        for f in naive_frame_bases(space, total, n_top):
-            if (f[0], f[-1]) == (a, b):
-                if len(f) - 1 == n_top:
-                    top_frames.append(f)
-                else:
-                    listed.append(f)
-        frames = table[total, a, b]
-        assert list(frames) == listed
-        for f, groups in frames.items():
-            assert all(not g.is_trivial() for g in groups.values())
-            sub = frame_complex(space, f, n_top)
-            for n in range(n_top + 2):
-                assert groups.get(n, TRIVIAL_GROUP) == sub.homology(n), (f, n)
+    frames = [
+        f
+        for total, a, b in blocks
+        for f in naive_frame_bases(space, total, n_top)
+        if (f[0], f[-1]) == (a, b)
+    ]
+    table = frame_pieces(space, frames, n_top)
+    assert list(table) == frames
+    top_frames = [f for f in frames if len(f) - 1 == n_top]
+    for f, groups in table.items():
+        if f in top_frames:
+            assert groups == {}
+            continue
+        assert all(not g.is_trivial() for g in groups.values())
+        sub = frame_complex(space, f, n_top)
+        for n in range(n_top + 2):
+            assert groups.get(n, TRIVIAL_GROUP) == sub.homology(n), (f, n)
     return top_frames
 
 
@@ -345,18 +344,11 @@ def test_frame_table_matches_frame_subcomplexes(space):
         )
         blocks = [(t, a, b) for t in totals for a in points for b in points]
         top_frames = compare_with_subcomplexes(space, blocks, n_top)
-        table = frame_table(space, blocks, n_top)
         for total in totals:
             pieces = {f: frame_complex(space, f, n_top) for f in naive_frame_bases(space, total, n_top)}
-            by_frame = {
-                f: groups
-                for (t, _, _), frames in table.items()
-                if t == total
-                for f, groups in frames.items()
-            }
-            omitted = [f for f in pieces if f not in by_frame]
-            assert all(f in top_frames for f in omitted)
-            assert sorted(by_frame) == [f for f in pieces if f not in omitted]
+            by_frame = frame_pieces(space, list(pieces), n_top)
+            omitted = [f for f in pieces if f in top_frames]
+            assert all(by_frame[f] == {} for f in omitted)
             for n in range(n_top + 2):
                 want = HomologyGroup.direct_sum(cx.homology(n) for cx in pieces.values())
                 if n == n_top:
@@ -375,16 +367,15 @@ def test_frame_table_matches_frame_subcomplexes_on_rp2():
     total = space.integer_view.idist[bottom][top]
     blocks = [(total, bottom, b) for b in range(space.n)]
     assert compare_with_subcomplexes(space, blocks, 4)
-    table = frame_table(space, blocks, 4)
-    assert table[total, bottom, top][bottom, top][3] == HomologyGroup(0, (2,))
+    table = frame_pieces(space, [(bottom, top)], 4)
+    assert table[bottom, top][3] == HomologyGroup(0, (2,))
 
 
 def test_frame_table_keeps_rp2_torsion():
     # the pair frame (bottom, top) of RP^2's face poset reads reduced
     # H_1(RP^2) = Z/2 at n = 3, as the interval route does
     space, bottom, top = rp2_face_poset_space()
-    block = (space.integer_view.idist[bottom][top], bottom, top)
-    groups = frame_table(space, [block], 4)[block][bottom, top]
+    groups = frame_pieces(space, [(bottom, top)], 4)[bottom, top]
     assert groups[3] == HomologyGroup(0, (2,))
     assert 2 not in groups
     assert groups[3] == frame_homology_via_posets(space, (bottom, top), 3)
@@ -400,20 +391,19 @@ def test_frame_alone_builds_no_complex(monkeypatch):
 
     monkeypatch.setattr(magh.frames, "_blocks_homology", counting)
     space = path_space(3)
-    table = frame_table(space, [(1, 0, 1), (2, 0, 0), (2, 0, 2)], 3)
+    table = frame_pieces(space, [(0, 1), (0, 1, 0), (0, 2)], 3)
     assert table == {
-        (1, 0, 1): {(0, 1): {1: HomologyGroup(1)}},
-        (2, 0, 0): {(0, 1, 0): {2: HomologyGroup(1)}},
+        (0, 1): {1: HomologyGroup(1)},
+        (0, 1, 0): {2: HomologyGroup(1)},
         # (0, 2) holds (0, 1, 2) as well as itself
-        (2, 0, 2): {(0, 2): {}},
+        (0, 2): {},
     }
     # every piece is a frame with at most its one-point insertions, whose
     # groups are read off their count: nothing is assembled
     assert built == []
     # on C_6 some pieces are assembled, none of them a single-row one
     c6 = cycle_space(6)
-    points = range(c6.n)
-    frame_table(c6, [(t, a, b) for t in (2, 3, 4) for a in points for b in points], 4)
+    frame_pieces(c6, self_framed_tuples(c6, {2, 3, 4}, 3), 4)
     assert built
     for blocks in built:
         for by_degree in blocks:
@@ -421,7 +411,7 @@ def test_frame_alone_builds_no_complex(monkeypatch):
     del built[:]
     # the lone chain's boundary is still checked, as at a complex's bottom:
     # the search files (0, 1, 2) with its smooth point 1 in its mask
-    [(_, f, by_degree)] = _frame_splits(space, [(2, 0, 2)], (), 2, None)
+    [(f, by_degree)] = _frame_splits(space, [(0, 2)], 2, None)
     assert f == (0, 2) and by_degree[2] == [((0, 1, 2), 0b10)]
     with pytest.raises(NotASubcomplex):
         magh.frames._reduce({}, [(f, {2: by_degree[2]})])
@@ -456,12 +446,11 @@ def is_single_row(space, chains_by_degree):
 def single_row_spaces():
     spaces = default_suite() + random_suite(8) + [rational_grid_space(2, 3)]
     params = [pytest.param(space, None, id=space.name) for space in spaces]
-    # RP^2's face poset: the blocks from the bottom at the length of its
+    # RP^2's face poset: the frames from the bottom at the length of its
     # torsion frame
     space, bottom, top = rp2_face_poset_space()
-    total = space.integer_view.idist[bottom][top]
-    blocks = [(total, bottom, b) for b in range(space.n)]
-    return params + [pytest.param(space, blocks, id=space.name)]
+    frames = self_framed_tuples(space, {space.integer_view.idist[bottom][top]}, 3, [bottom])
+    return params + [pytest.param(space, frames, id=space.name)]
 
 
 def recorded_single_rows(monkeypatch):
@@ -479,18 +468,19 @@ def recorded_single_rows(monkeypatch):
     return read
 
 
-def every_block(space):
-    points = range(space.n)
-    totals = sorted({t for row in space.integer_view.idist for t in row if t})
-    return [(t, a, b) for t in totals for a in points for b in points]
+def every_frame(space):
+    """Every tuple of degree < 4 that is its own frame and as long as some
+    distance."""
+    totals = {t for row in space.integer_view.idist for t in row if t}
+    return self_framed_tuples(space, totals, 3)
 
 
-@pytest.mark.parametrize("space, blocks", single_row_spaces())
-def test_single_row_pieces_match_their_assembly(monkeypatch, space, blocks):
+@pytest.mark.parametrize("space, frames", single_row_spaces())
+def test_single_row_pieces_match_their_assembly(monkeypatch, space, frames):
     # the groups a single-row piece is given are those of its own records
     # assembled and reduced as a one-block complex
     read = recorded_single_rows(monkeypatch)
-    frame_table(space, every_block(space) if blocks is None else blocks, 4)
+    frame_pieces(space, every_frame(space) if frames is None else frames, 4)
     assert read
     for f, by_degree, groups in read:
         chains = {n: [pts for pts, _ in records] for n, records in by_degree.items()}
@@ -502,7 +492,7 @@ def test_single_row_rule_meets_every_count(monkeypatch):
     # pieces of 0, 1 and several insertions all occur in the default suite
     read = recorded_single_rows(monkeypatch)
     for space in default_suite():
-        frame_table(space, every_block(space), 4)
+        frame_pieces(space, every_frame(space), 4)
     counts = {len(by_degree.get(len(f), ())) for f, by_degree, _ in read}
     assert {0, 1, 2, 3} <= counts
 
@@ -593,16 +583,19 @@ def test_realized_frame_in_one_pass(space):
 def test_corrupted_betweenness_fails_the_frame_table_under_O():
     # the corruption of test_corrupted_betweenness_fails_the_block_engine_under_O:
     # point 2 counted as strictly between 0 and 1 in C_4; the frame table
-    # must refuse each block it breaks, also with asserts off, both where
-    # a piece is a lone chain and where a piece is assembled
+    # must refuse the frames of each block it breaks, read off the
+    # corrupted table, also with asserts off, both where a piece is a lone
+    # chain and where a piece is assembled
     code = (
         "from dataclasses import replace\n"
         "from magh.errors import NotASubcomplex\n"
-        "from magh.frames import frame_table\n"
+        "from magh.frames import frame_pieces\n"
         "from magh.metric import cycle_space\n"
+        "from oracles import naive_frame_bases\n"
         "if __debug__:\n"
         "    raise SystemExit('asserts are on: not running under -O')\n"
         "for block in [(2, 0, 2), (3, 0, 1), (4, 0, 0), (4, 0, 2)]:\n"
+        "    total, a, b = block\n"
         "    space = cycle_space(4)\n"
         "    view = space.integer_view\n"
         "    between = [list(row) for row in view.between]\n"
@@ -610,14 +603,16 @@ def test_corrupted_betweenness_fails_the_frame_table_under_O():
         "    vars(space)['integer_view'] = replace(\n"
         "        view, between=tuple(tuple(row) for row in between)\n"
         "    )\n"
+        "    frames = naive_frame_bases(space, total, 4)\n"
         "    try:\n"
-        "        frame_table(space, [block], 4)\n"
+        "        frame_pieces(space, [f for f in frames if (f[0], f[-1]) == (a, b)], 4)\n"
         "    except NotASubcomplex as exc:\n"
         "        print(*block, exc)\n"
         "    else:\n"
         "        print(*block, 'computed')\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(magh.__file__).resolve().parents[1]))
+    paths = (Path(magh.__file__).resolve().parents[1], Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
     )
@@ -655,23 +650,18 @@ def test_frame_table_searches_only_what_it_lacks(monkeypatch):
 
     monkeypatch.setattr(magh.frames, "_reduce", recording_pieces)
     space = cycle_space(5)
-    first = frame_table(space, [(2, 0, 2), (1, 0, 1), (2, 3, 0)], 3)
-    assert searches == [(0, [1, 2], None), (3, [2], None)]
+    first = frame_pieces(space, [(0, 2), (0, 1), (3, 0), (0, 1, 0)], 3)
+    assert searches == [(0, [1, 2], {(0,), (0, 1)}), (3, [2], {(3,)})]
+    assert sorted(reduced) == [(0, 1), (0, 1, 0), (0, 2), (3, 0)]
     del searches[:]
-    # a held block costs no search and no cap step
-    again = frame_table(space, [(2, 3, 0), (2, 0, 2)], 3, cap=0)
+    # a held frame costs no search and no cap step
+    again = frame_pieces(space, [(3, 0), (0, 2)], 3, cap=0)
     assert searches == []
-    assert again == {key: first[key] for key in again}
-    # nor does a frame of a held block; (0, 1, 2) is none of its frames
-    assert frame_pieces(space, [(0, 2), (3, 0), (0, 1, 2)], 3, cap=0) == {
-        (0, 2): first[2, 0, 2][0, 2],
-        (3, 0): first[2, 3, 0][3, 0],
-        (0, 1, 2): {},
-    }
-    assert searches == []
-    # a block from a start already searched for that total is searched anew
-    frame_table(space, [(2, 0, 3), (1, 0, 1)], 3)
-    assert searches == [(0, [2], None)]
+    assert again == {f: first[f] for f in again}
+    # a start already searched is searched anew for what it lacks alone;
+    # (0, 1, 2) is no frame, and is held with no group
+    assert frame_pieces(space, [(0, 3), (0, 1), (0, 1, 2)], 3)[0, 1, 2] == {}
+    assert searches == [(0, [2], {(0,), (0, 1)})]
     del searches[:]
     # a frame request keeps only the heads that start a wanted frame, and
     # reduces only the wanted pieces, each once
@@ -679,14 +669,12 @@ def test_frame_table_searches_only_what_it_lacks(monkeypatch):
     pieces = frame_pieces(space, [(1, 3), (1, 2, 1)], 3)
     assert searches == [(1, [2], {(1,), (1, 2)})]
     assert sorted(reduced) == [(1, 2, 1), (1, 3)]
-    assert pieces == {f: frame_table(space, [(2, 1, f[-1])], 3)[2, 1, f[-1]][f] for f in pieces}
-    assert sorted(reduced) == [(1, 0, 1), (1, 2, 1), (1, 3)]
     del searches[:]
-    frame_pieces(space, [(1, 3)], 3, cap=0)
+    assert frame_pieces(space, [(1, 3)], 3, cap=0) == {(1, 3): pieces[1, 3]}
     assert searches == []
     # and each top degree has its own table
-    frame_table(space, [(2, 0, 2)], 4)
-    assert searches == [(0, [2], None)]
+    frame_pieces(space, [(0, 2)], 4)
+    assert searches == [(0, [2], {(0,)})]
     assert sorted(space.integer_view.frame_groups) == [3, 4]
 
 
@@ -703,19 +691,24 @@ def frame_search_spaces():
 @pytest.mark.parametrize("space", frame_search_spaces(), ids=lambda s: s.name)
 def test_carried_frame_is_the_frame(space):
     # every chain the search gives is simple, has the frame it is filed
-    # under, and lies in the block it is yielded with
+    # under, and lies in that frame's block: its length and endpoints
     view = space.integer_view
     n_top = 3 if space.n > 10 else 4
     totals = sorted({t for t in view.idist[0] if t} | {t for t in view.idist[1] if t})
-    points = range(space.n)
-    blocks = [(t, a, b) for t in totals for a in points for b in points]
+    frames = self_framed_tuples(space, set(totals), n_top - 1)
     seen = 0
-    for (total, a, b), f, by_degree in _frame_splits(space, blocks, (), n_top, None):
+    for f, by_degree in _frame_splits(space, frames, n_top, None):
+        assert f in frames
         for n, records in by_degree.items():
             for pts, _ in records:
                 assert frame(space, pts) == f
                 assert is_geodesically_simple(space, pts)
-                assert (chain_total(space, pts), pts[0], pts[-1], len(pts) - 1) == (total, a, b, n)
+                assert (chain_total(space, pts), pts[0], pts[-1], len(pts) - 1) == (
+                    chain_total(space, f),
+                    f[0],
+                    f[-1],
+                    n,
+                )
                 seen += 1
     assert seen
 
@@ -740,28 +733,29 @@ def test_frame_search_matches_table_filter_at_and_above_m_x(space, totals):
             {t for n in range(1, n_top + 1) for t in naive_buckets(space, n) if t >= mx}
         )
     assert totals
-    points = range(space.n)
     for total in totals:
         assert naive_frame_bases(space, total, n_top)
         oracle = filed_bases(space, total, n_top)
-        blocks = [(total, a, b) for a in points for b in points]
-        assert split_by_frame(space, blocks, (), n_top) == oracle
-        assert split_by_frame(space, (), list(oracle), n_top) == oracle
+        assert split_by_frame(space, self_framed_tuples(space, {total}, n_top), n_top) == oracle
+        assert split_by_frame(space, list(oracle), n_top) == oracle
 
 
 @pytest.mark.parametrize("make", frame_search_spaces()[:4], ids=lambda s: s.name)
 def test_frame_and_block_requests_agree(make):
-    # one table filled by whole blocks, one by single frames, on two
-    # instances of the space, so neither reads the other's
+    # one table filled by every frame at once, one by the frames of one
+    # endpoint block (length, a, b) at a time, on two instances of the
+    # space, so neither reads the other's
     first, second = (validate_metric(make.dist, name=make.name) for _ in range(2))
-    view = first.integer_view
-    points = range(first.n)
-    totals = sorted({t for row in view.idist for t in row if t})
-    blocks = [(t, a, b) for t in totals for a in points for b in points]
-    by_block = frame_table(first, blocks, 3)
-    frames = [f for pieces in by_block.values() for f in pieces]
-    by_frame = frame_pieces(second, frames, 3)
-    assert frames and by_frame == {f: g for pieces in by_block.values() for f, g in pieces.items()}
+    frames = every_frame(first)
+    blocks = {}
+    for f in frames:
+        blocks.setdefault((chain_total(first, f), f[0], f[-1]), []).append(f)
+    by_frame = frame_pieces(first, frames, 3)
+    by_block = {}
+    for block in sorted(blocks):
+        by_block.update(frame_pieces(second, blocks[block], 3))
+    assert len(blocks) > 1 and any(by_frame.values())
+    assert by_block == by_frame
 
 
 # --- four-cuts and m_X ----------------------------------------------------------

@@ -251,7 +251,7 @@ def test_guards_survive_optimize():
         "    return {f[:1] + f: by_degree for f, by_degree in found.items()}, steps\n"
         "frames._frame_search = doubled\n"
         "try:\n"
-        "    frames.frame_table(path_space(3), [(1, 0, 1)], 2)\n"
+        "    frames.frame_pieces(path_space(3), [(0, 1)], 2)\n"
         "except ImproperFrame as exc:\n"
         "    if (exc.chain, exc.frame) != ((0, 1), (0, 0, 1)):\n"
         "        raise SystemExit(f'wrong witness: {exc}')\n"

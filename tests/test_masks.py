@@ -19,11 +19,11 @@ import pytest
 import magh.frames
 from magh.algebra import SparseIntMatrix, block_homology_rows
 from magh.chains import block_chains, smooth_faces, smooth_mask
-from magh.frames import frame_table
+from magh.frames import frame_pieces
 from magh.metric import cycle_space, random_metric, validate_metric
 from magh.verify import default_suite
 
-from oracles import collapsed_chains, kept_faces, smooth_by_distances
+from oracles import collapsed_chains, kept_faces, self_framed_tuples, smooth_by_distances
 from test_blocks import realized_lengths
 from test_collapse import uncollapsed_blocks
 from test_posets import rational_grid_space, rp2_face_poset_space
@@ -102,10 +102,9 @@ def test_search_masks_are_the_smooth_positions(space, l, n_max):
     assert top == len(tops)
     # insertion-made top chains are checked too, wherever a point is smooth
     assert blocks and (top or not smooth)
-    points = range(space.n)
-    wanted = [(t, a, b) for t in totals for a in points for b in points]
+    frames = self_framed_tuples(space, totals, n_max)
     filed = 0
-    for _, f, by_degree in magh.frames._frame_splits(space, wanted, (), n_max, None):
+    for f, by_degree in magh.frames._frame_splits(space, frames, n_max, None):
         filed += check_records(space, by_degree)
         # the frame search's mask is the positions its frame drops
         for records in by_degree.values():
@@ -123,18 +122,19 @@ def test_engine_and_frame_table_take_no_face_again(monkeypatch):
     for space in spaces:
         lengths = realized_lengths(space, 3)
         view = space.integer_view
-        blocks = sorted({(view.scaled(l), 0, b) for l in lengths if l for b in range(space.n)})
+        totals = {view.scaled(l) for l in lengths if l}
+        frames = self_framed_tuples(space, totals, 3, [0])
         rows = block_homology_rows(space, lengths, 3)
-        expected.append((lengths, blocks, rows, frame_table(space, blocks, 3)))
+        expected.append((lengths, frames, rows, frame_pieces(space, frames, 3)))
     # wherever the package holds them, under any name
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "magh"]:
         for key, value in list(vars(module).items()):
             if value is smooth_faces or value is smooth_mask:
                 monkeypatch.setattr(module, key, refuse)
-    for space, (lengths, blocks, rows, table) in zip(spaces, expected):
+    for space, (lengths, frames, rows, table) in zip(spaces, expected):
         fresh = validate_metric(space.dist, name=space.name)
         assert block_homology_rows(fresh, lengths, 3) == rows
-        assert frame_table(fresh, blocks, 3) == table
+        assert frame_pieces(fresh, frames, 3) == table
 
 
 def test_assembled_matrices_equal_checked_ones(monkeypatch):
@@ -151,9 +151,8 @@ def test_assembled_matrices_equal_checked_ones(monkeypatch):
         lengths = realized_lengths(space, 3)
         block_homology_rows(space, lengths, 3)
         view = space.integer_view
-        points = range(space.n)
         totals = {view.scaled(l) for l in lengths if l}
-        frame_table(space, [(t, a, b) for t in totals for a in points for b in points], 3)
+        frame_pieces(space, self_framed_tuples(space, totals, 2), 3)
     assert len(built) > 100
     for unchecked, checked in built:
         assert unchecked == checked

@@ -13,9 +13,10 @@ import pytest
 import magh
 import magh.chains
 import magh.frames
+import magh.posets
 import magh.verify as verify_module
 from magh.algebra import HomologyGroup, HomologyRow, block_homology_rows
-from magh.chains import chain_total, is_strictly_smooth
+from magh.chains import is_strictly_smooth
 from magh.errors import EnumerationCapExceeded
 from magh.frames import is_frame, is_realized_frame
 from magh.metric import (
@@ -25,6 +26,7 @@ from magh.metric import (
     random_metric,
     validate_metric,
 )
+from magh.posets import magnitude_homology_rows
 from magh.verify import (
     CHECKS,
     _realized_frames,
@@ -330,6 +332,54 @@ def test_frame_injectivity_reads_the_pair_frames(monkeypatch):
     }
 
 
+def test_simp_iso_checks_the_printed_route(monkeypatch):
+    # one Z more in the groups `compute` prints below m_X changes its
+    # table, and simp_iso fails at that grading and degree
+    real = magh.posets._frame_groups
+
+    def one_z_more(space, gradings, n_max, cap):
+        groups = real(space, gradings, n_max, cap)
+        if gradings:
+            group = groups.get((gradings[-1], 2), HomologyGroup(0))
+            groups[gradings[-1], 2] = HomologyGroup(group.betti + 1, group.torsion)
+        return groups
+
+    before = magnitude_homology_rows(cycle_space(5), [2], 3)
+    monkeypatch.setattr(magh.posets, "_frame_groups", one_z_more)
+    after = magnitude_homology_rows(cycle_space(5), [2], 3)
+    assert [row.group.betti for row in after] == [
+        row.group.betti + (row.n == 2) for row in before
+    ]
+    report = check_simp_iso(cycle_space(5), 3)
+    assert not report.passed
+    assert report.witness == {
+        "l": "2",
+        "n": 2,
+        "decomposition": {"betti": before[2].group.betti + 1, "torsion": []},
+        "full": {"betti": before[2].group.betti, "torsion": []},
+    }
+
+
+def test_frame_injectivity_checks_the_printed_route(monkeypatch):
+    # one Z more at degree 2 in the pair frames' interval route fails the
+    # first pair: MH_2 at grading 1 is zero on two points
+    real = magh.posets.frame_homology_by_degree
+
+    def one_z_more(space, f):
+        groups = real(space, f)
+        group = groups.get(2, HomologyGroup(0))
+        groups[2] = HomologyGroup(group.betti + 1, group.torsion)
+        return groups
+
+    monkeypatch.setattr(magh.posets, "frame_homology_by_degree", one_z_more)
+    report = check_frame_injectivity(path_space(2), 2)
+    assert not report.passed
+    assert report.params == {"n_max": 2, "pairs": 1}
+    assert report.witness == {
+        "frame": [0, 1], "l": "1", "n": 2, "frame_betti": 1, "full_betti": 0,
+    }
+
+
 def test_deeper_tensor_route_with_three_segment_frames():
     # at n_max = 0 the frames of degree 2 and 3 lie above every degree checked
     for n_max in (4, 0):
@@ -384,17 +434,14 @@ def test_default_suite_all_green():
     reports = run_checks(spaces, n_max=3)
     assert all(r.passed for r in reports), [r.to_json() for r in reports if not r.passed]
     assert len(reports) == 14 * 4
-    # the frame table keeps groups by frame and the blocks searched whole,
-    # not chains, and the block table each grading's groups
+    # the frame table keeps groups by frame, not chains: those of the
+    # realized frames tensor_route asks for, and the block table each
+    # grading's groups
     for space in spaces:
         view = space.integer_view
         assert list(view.frame_groups) == [4]
-        pieces, blocks = view.frame_groups[4]
-        for (total, a, b), frames in blocks.items():
-            assert list(frames) == sorted(frames)
-            for f in frames:
-                assert (chain_total(space, f), f[0], f[-1]) == (total, a, b)
-                assert f in pieces
+        pieces = view.frame_groups[4]
+        assert sorted(pieces) == sorted(_realized_frames(space, 2)[0])
         for groups in pieces.values():
             assert all(isinstance(g, HomologyGroup) for g in groups.values())
             assert all(isinstance(n, int) for n in groups)
@@ -406,8 +453,8 @@ def test_default_suite_all_green():
 
 def recorded_frame_searches(monkeypatch, space):
     """Record each frame search as (request, start, wanted totals, heads),
-    and each call of `_frame_splits` as (blocks, frames, frames held, blocks
-    held) at the time it was made."""
+    and each call of `_frame_splits` as (frames, frames held) at the time
+    it was made."""
     searches, requests = [], []
     search, splits = magh.frames._frame_search, magh.frames._frame_splits
 
@@ -415,23 +462,23 @@ def recorded_frame_searches(monkeypatch, space):
         searches.append((len(requests) - 1, start, set(wanted), heads))
         return search(view, start, moves, wanted, heads, *rest)
 
-    def recording_splits(space_, blocks, frames, n_top, *rest, **options):
-        pieces, complete = space.integer_view.frame_groups.get(n_top, ({}, {}))
-        requests.append((list(blocks), list(frames), set(pieces), set(complete)))
-        return splits(space_, blocks, frames, n_top, *rest, **options)
+    def recording_splits(space_, frames, n_top, *rest):
+        requests.append((list(frames), set(space.integer_view.frame_groups.get(n_top, {}))))
+        return splits(space_, frames, n_top, *rest)
 
     monkeypatch.setattr(magh.frames, "_frame_search", recording_search)
     monkeypatch.setattr(magh.frames, "_frame_splits", recording_splits)
     return searches, requests
 
 
-def test_simp_iso_searches_each_start_once(monkeypatch):
+def test_simp_iso_runs_no_frame_search(monkeypatch):
+    # the decomposition side is the route compute prints: interval posets
+    # and Kunneth folds, with no chain of its own
     space = cycle_space(5)
-    searches, _ = recorded_frame_searches(monkeypatch, space)
+    searches, requests = recorded_frame_searches(monkeypatch, space)
     report = check_simp_iso(space, n_max=4)
     assert report.params["gradings"] == ["1", "2"]
-    assert sorted(start for _, start, _, _ in searches) == list(range(5))
-    assert all(wanted == {1, 2} and heads is None for _, _, wanted, heads in searches)
+    assert searches == [] and requests == []
 
 
 @pytest.mark.parametrize(
@@ -440,21 +487,15 @@ def test_simp_iso_searches_each_start_once(monkeypatch):
     ids=lambda s: s.name,
 )
 def test_run_checks_never_searches_a_held_block(monkeypatch, space):
+    # only tensor_route searches, in one request for its realized frames;
+    # nothing asked for is held, and each start is searched once
     searches, requests = recorded_frame_searches(monkeypatch, space)
     run_checks([space], n_max=3)
-    # simp_iso asks for blocks; frame_injectivity and tensor_route only for
-    # frames, and only when some are not held
-    assert requests and requests[0][0]
-    assert all(frames and not blocks for blocks, frames, _, _ in requests[1:])
-    for blocks, frames, pieces, complete in requests:
-        # nothing asked for was held
-        assert not set(blocks) & complete
-        for f in frames:
-            assert f not in pieces
-            assert (chain_total(space, f), f[0], f[-1]) not in complete
-    # each request searches each start once
-    starts = [(request, start) for request, start, _, _ in searches]
-    assert starts and len(starts) == len(set(starts))
+    [(frames, held)] = requests
+    assert frames == _realized_frames(space, 2)[0]
+    assert not held
+    starts = [start for _, start, _, _ in searches]
+    assert starts == sorted(set(starts)) == sorted({f[0] for f in frames})
 
 
 @pytest.mark.parametrize(
@@ -475,7 +516,7 @@ def test_second_run_checks_searches_nothing(monkeypatch, space):
     first = run_checks([space], n_max=3)
     assert searches and engine
     del searches[:], engine[:]
-    # every block, frame and grading is held
+    # every frame and grading is held
     assert run_checks([space], n_max=3) == first
     assert searches == [] and engine == []
 
