@@ -7,7 +7,7 @@ The public surface:
   on tuples of points
 - `algebra`: Smith normal form, homology over Z from boundary columns,
   the Kunneth formula, the endpoint-block engine
-- `frames`: frames, the chain-level frame table, four-cuts and m_X
+- `frames`: frames, the chain-level frame route, four-cuts and m_X
 - `posets`: interval posets, certificates, and magnitude homology: the
   frame route below m_X, the endpoint-block engine above
 - `verify`: cross-checks between independent computation routes

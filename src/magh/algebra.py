@@ -21,7 +21,7 @@ endpoint-block engine hands it all the endpoint blocks of one start
 point at a time (`_blocks_homology`): d^2 = 0 checked on all of them
 before any is reduced, `snf` on each block's own columns at each degree,
 and betti numbers and torsion factors per block, summed into one group
-per grading and degree. The frame table hands the same call the new
+per grading and degree. `frames.frame_pieces` hands the same call the
 frame pieces of one start point. No complex object is built: a complex
 is its lowest degree, its ranks and its boundary columns.
 Degrees may be negative; reduced complexes of order complexes start at
@@ -546,8 +546,8 @@ def _blocks_homology(blocks):
     """The homology of each of several complexes of chain records, assembled together.
 
     `blocks` lists complexes as `_assemble` takes them: the endpoint
-    blocks of one start point in the engine, the new frame pieces of one
-    start point in the frame table. They are assembled in one
+    blocks of one start point in the engine, the frame pieces of one
+    start point in `frames.frame_pieces`. They are assembled in one
     pass, d^2 = 0 is checked on every block before any is reduced
     (ValueError otherwise, also under `python -O`), and `snf` reduces
     each block's boundary at each degree on its own: elimination never

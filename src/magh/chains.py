@@ -16,8 +16,8 @@ endpoint blocks the engine reduces, only those (a, b) with a <= b, as
 chain reversal maps each block onto its reverse, carries the masks
 through its insertions, cancels each top chain that has one face against
 that face, and hands on the blocks of one start point at a time, which
-the engine assembles together. The frame code searches only
-geodesically simple chains, in both directions, with its own search
+the engine assembles together. The chain-level frame route searches
+only geodesically simple chains, in both directions, per call
 (`frames._frame_search`) over the same `search_moves`, whose masks are
 the points each frame drops. `smooth_mask` reads the mask off a given
 tuple, for chains that come from no search, and `smooth_faces` is the

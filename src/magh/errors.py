@@ -72,8 +72,8 @@ class EnumerationCapExceeded(MaghError, RuntimeError):
     grading, less those of degree n_max that end below their start) plus
     the top-degree insertions kept so far into the blocks (a, b) with
     a <= b for the endpoint-block engine; the start points and
-    geodesically simple prefixes kept so far for `verify`'s frame table
-    (`frames.frame_pieces`); the frame tuples reached so far, each state's
+    geodesically simple prefixes kept so far for `verify`'s chain-level
+    frame route (`frames.frame_pieces`); the frame tuples reached so far, each state's
     transition counting as many as reach the state, plus the simplices
     of the order complexes built so far for pairs the space did not hold,
     for the frame count below m_X; the (state, next point) transitions

@@ -15,21 +15,11 @@ that gap never shrinks as the chain grows, so no simple chain is lost. A
 prefix whose head starts no frame asked for is dropped too.
 The points a frame drops are exactly the strictly smooth ones, so each
 chain is filed as a record (points, mask) with those positions as its
-mask, under its frame. `frame_pieces` reads the groups of a single-row
-piece, a frame with at most its one-point insertions, off the number of
-insertions, and reduces the other new pieces of each start point from
-these records in one `algebra._blocks_homology` call, the engine's own,
-without testing any point again. `_frame_splits` runs the search once
-per start point for the frames asked for from it.
-
-`frame_pieces` is the chain-level frame route, which `verify`'s
-`tensor_route` check compares with the interval-poset route of `posets`,
-the one `compute` prints below m_X. It holds, per top degree n_top, the
-nonzero homology of every frame piece asked for so far, keyed by frame,
-on the space's `IntegerView.frame_groups`; no chains are kept. Only what
-is lacking is searched and reduced, each piece once, and a frame already
-held costs no search and no cap step. The groups it returns are its own,
-shared between pieces of equal groups, and must not be mutated.
+mask, under its frame, and reduced by the engine's own assembly without
+testing any point again. `frame_pieces` is this chain-level frame route,
+which `verify`'s `tensor_route` check compares with the interval-poset
+route of `posets`, the one `compute` prints below m_X. Nothing of it is
+kept on the space.
 """
 
 from __future__ import annotations
@@ -212,21 +202,16 @@ def _frame_search(view, start, moves, wanted, heads, n_top, steps, limit):
 
 
 def _frame_splits(space, frames, n_top, cap):
-    """Yield (frame, by_degree) for the geodesically simple chains of degree
-    <= n_top of every frame of `frames`, one frame at a time.
+    """Yield, per start point of `frames` in ascending order, the list
+    [(frame, by_degree), ...] of its frames of `frames` with a filed chain.
 
-    `by_degree` maps a degree to the frame's chains as the search's
-    records (points, mask), the mask holding the positions the frame
-    drops, degrees ascending and each in lexicographic order; a frame with
-    no chain is not yielded. The chains of degree n_top with no smooth
-    point are left out (`_frame_search`), so the frames of degree n_top,
-    whose only chain each is, are not yielded either. Frames come by
-    start point, then in the order their first chain was met. Each start
-    point a is searched once (`_frame_search`) over the lengths of the
-    frames asked for from it, keeping only the prefixes whose head starts
-    one of them. A simple chain whose frame is not proper raises
-    ImproperFrame. The steps of all the searches count against one cap
-    (`resolve_cap`).
+    Each start point is searched once (`_frame_search`) over the lengths
+    of its frames, for the prefixes whose head starts one of them;
+    `by_degree` is as the search files it, so a frame of degree n_top is
+    not listed. Every frame the search meets is checked for properness
+    before the list is yielded: a simple chain whose frame is not proper
+    raises ImproperFrame. The steps of all the searches count against one
+    cap (`resolve_cap`).
     """
     wanted = {}
     for f in frames:
@@ -249,28 +234,21 @@ def _frame_splits(space, frames, n_top, cap):
                 if a == b:
                     raise ImproperFrame(by_degree[min(by_degree)][0][0], f)
                 a = b
-            if f in wanted_frames:
-                yield f, by_degree
-
-
-# (degree, betti) -> {degree: Z^betti}, or {} for betti 0: the groups of
-# the single-row pieces (`_single_row`), shared by every table that holds
-# one and never mutated
-_FREE = {}
+        yield [(f, by_degree) for f, by_degree in found.items() if f in wanted_frames]
 
 
 def _single_row(by_degree):
-    """(degree, betti) of the one free group of a single-row piece, or None.
+    """The groups of a single-row piece, {degree: group}, or None.
 
     A single-row piece has one chain at its bottom degree lo, the frame,
     with no smooth point, and above it only k >= 0 chains of degree
     lo + 1 with exactly one smooth point each, whose removal gives the
     frame: one-point insertions. Its boundary is a 1 x k row of +-1, so
     its homology is Z at lo for k = 0, zero for k = 1, and Z^(k-1) at
-    lo + 1 for k >= 2, with no assembly and no `snf`. Betti 0 stands for
-    no group. A lone chain with a smooth point raises NotASubcomplex, as
-    at a complex's bottom; any other piece that fits no part of the rule
-    gives None, so the assembly meets it and raises what it raises.
+    lo + 1 for k >= 2, with no assembly and no `snf`. A lone chain with
+    a smooth point raises NotASubcomplex, as at a complex's bottom; any
+    other piece that fits no part of the rule gives None, so the
+    assembly meets it and raises what it raises.
     """
     lo = min(by_degree)
     bottom = by_degree[lo]
@@ -280,7 +258,7 @@ def _single_row(by_degree):
     if len(by_degree) == 1:
         if mask:
             raise NotASubcomplex(f"chain {base} at bottom degree {lo} has nonzero boundary")
-        return lo, 1
+        return {lo: HomologyGroup(1)}
     above = by_degree.get(lo + 1)
     if mask or not above:
         return None
@@ -288,78 +266,41 @@ def _single_row(by_degree):
         i = bits.bit_length() - 1
         if not bits or bits & bits - 1 or pts[:i] + pts[i + 1 :] != base:
             return None
-    return lo + 1, len(above) - 1
-
-
-def _reduce(pieces, new):
-    """Reduce the new frame pieces of one start point into `pieces`.
-
-    `new` lists (frame, by_degree), the chain records as `_frame_splits`
-    hands them on. A single-row piece, a frame with only its one-point
-    insertions one degree up, or none, has its groups read off the number
-    of insertions (`_single_row`), from dicts shared by all such pieces
-    of equal groups. The others go to one `algebra._blocks_homology`
-    call: one assembly, d^2 = 0 checked on every piece before any is
-    reduced, and `snf` on each piece's own boundary at each degree. A
-    lone chain with a smooth point is at its piece's bottom degree, and
-    raises NotASubcomplex before any piece of the start is assembled. A
-    frame's groups are the nonzero ones, at the degrees where its piece
-    has chains; every degree of the frame subcomplex below its first
-    chain is zero.
-    """
-    assembled = []
-    for f, by_degree in new:
-        key = _single_row(by_degree)
-        if key is None:
-            assembled.append((f, by_degree))
-            continue
-        groups = _FREE.get(key)
-        if groups is None:
-            n, betti = key
-            groups = _FREE[key] = {n: HomologyGroup(betti)} if betti else {}
-        pieces[f] = groups
-    if assembled:
-        homology = _blocks_homology([by_degree for _, by_degree in assembled])
-        for (f, _), groups in zip(assembled, homology):
-            pieces[f] = {n: HomologyGroup(betti, torsion) for n, betti, torsion in groups}
+    betti = len(above) - 1
+    return {lo + 1: HomologyGroup(betti)} if betti else {}
 
 
 def frame_pieces(space, frames, n_top, cap=None):
-    """The homology of the frame piece of each given frame.
+    """The homology of the frame piece of each given frame, in fresh dicts.
 
     Returns {frame: {degree: group}}, the nonzero groups of the frame's
     subcomplex, the geodesically simple chains of degree <= n_top with
     that frame. No chain of degree n_top without a smooth point is filed:
     such a chain is the only chain of its frame and only adds a free
-    generator at n_top, so a frame of degree n_top has no group.
+    generator at n_top, so a frame of degree n_top has no group, and
+    neither has a frame with no simple chain.
 
-    Kept per space and n_top in `IntegerView.frame_groups`, groups only.
-    The frames not held yet go through `_frame_splits`: each start point
-    is searched once for all the frames it lacks, keeping only the
-    prefixes whose frame so far starts one of them, and only those
-    frames' pieces are reduced, the pieces of one start point together
-    (`_reduce`). The steps of those searches count against one cap
-    (`resolve_cap`), the chains not filed included; a held frame costs
-    none. A frame searched without a chain filed, such as one of degree
-    n_top, is held with no group. The groups returned are the table's
-    own, shared between pieces of equal groups, and must not be mutated.
+    Per start point (`_frame_splits`), single-row pieces are read off
+    `_single_row` and the rest go to one `algebra._blocks_homology` call:
+    d^2 = 0 checked on every piece before any is reduced, and `snf` on
+    each piece's own boundary. Every call searches anew and counts its
+    steps against the cap, the chains not filed included.
     """
     frames = [tuple(f) for f in frames]
-    pieces = space.integer_view.frame_groups.setdefault(n_top, {})
-    lacking = [f for f in frames if f not in pieces]
-    if lacking:
-        start = None
-        new = []
-        for f, by_degree in _frame_splits(space, lacking, n_top, cap):
-            if f[0] != start:
-                _reduce(pieces, new)
-                start = f[0]
-                new = []
-            new.append((f, by_degree))
-        _reduce(pieces, new)
-        for f in lacking:
-            pieces.setdefault(f, {})
-    return {f: pieces[f] for f in frames}
+    pieces = {}
+    for new in _frame_splits(space, frames, n_top, cap):
+        assembled = []
+        for f, by_degree in new:
+            groups = _single_row(by_degree)
+            if groups is None:
+                assembled.append((f, by_degree))
+            else:
+                pieces[f] = groups
+        if assembled:
+            homology = _blocks_homology([by_degree for _, by_degree in assembled])
+            for (f, _), groups in zip(assembled, homology):
+                pieces[f] = {n: HomologyGroup(betti, torsion) for n, betti, torsion in groups}
+    return {f: pieces.get(f, {}) for f in frames}
 
 
 @dataclass(frozen=True)

@@ -269,9 +269,7 @@ class IntegerView:
     partial-order test (`posets._start_order`); `block_groups` maps n_max
     to the groups of degrees 0..n_max of each length grading the block
     engine (`algebra.block_homology_rows`) has reduced, keyed by scaled
-    length; and `frame_groups` maps a top degree to the frame table of
-    `frames.frame_pieces`, which `verify` reads: each frame asked for, to
-    the nonzero homology of its frame piece.
+    length.
     All fill as they are asked for and live exactly as long as the space.
     No chains are kept on the view.
     """
@@ -282,7 +280,6 @@ class IntegerView:
     pair_homology: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     start_orders: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     block_groups: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    frame_groups: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def of(cls, dist, scaled=None, between=None):
@@ -550,10 +547,23 @@ def metric_closure(matrix):
     lists of Fractions; input rows are not mutated. Entries are read as
     `validate_metric` reads them (ints, Fractions, Decimals, finite floats
     by their shortest repr, and "p/q" strings), so a row of the wrong
-    length raises NotSquare. Floyd-Warshall runs on the entries scaled to
-    ints by the lcm of their denominators, which is exact.
+    length raises NotSquare. What no closure repairs is refused, each
+    with its first witness in row-major order: a negative entry
+    (NegativeEntry), then an asymmetric pair (AsymmetricAt), then a
+    nonzero diagonal entry (NonzeroDiagonal). A zero off-diagonal entry
+    is closed like any other. Floyd-Warshall runs on the entries scaled
+    to ints by the lcm of their denominators, which is exact.
     """
-    scale, scaled = _scaled(_fraction_rows(matrix))
+    rows = _fraction_rows(matrix)
+    scale, scaled = _scaled(rows)
+    for i, row in enumerate(scaled):
+        for j, v in enumerate(row):
+            if v < 0:
+                raise NegativeEntry(i, j, rows[i][j])
+    _check_symmetric(scaled)
+    for i, row in enumerate(scaled):
+        if row[i]:
+            raise NonzeroDiagonal(i)
     d = [list(row) for row in scaled]
     for k, dk in enumerate(d):
         for row in d:

@@ -98,8 +98,13 @@ def _interval_masks(space, a, b):
     transitivity are checked per pair only where P_a failed its test,
     since a restriction of a partial order is one. A failure raises
     NotAPartialOrder, also under `python -O`, with the least witness.
+    A point outside 0..n-1 raises ValueError, as no index wraps, and
     a == b raises SamePoint.
     """
+    n = space.n
+    if not (0 <= a < n and 0 <= b < n):
+        bad = b if 0 <= a < n else a
+        raise ValueError(f"point index {bad} out of range for n={n}")
     if a == b:
         raise SamePoint(a)
     view = space.integer_view
@@ -535,8 +540,6 @@ class Certificate:
 
 def mh2_certificate(space, a, b):
     """Certificate for MH_2 at grading d(a, b) from the pair (a, b)."""
-    if a == b:
-        raise SamePoint(a)
     components = poset_component_count(space, a, b)
     return Certificate(
         pair=(a, b),

@@ -343,9 +343,9 @@ def check_tensor_route(space, n_max, m_max=2, cap=None):
     For every realized frame of degree <= m_max, compare the homology of
     the chain-level subcomplex against the tensor product of reduced
     interval complexes (shifted by twice the frame degree), at each degree
-    up to n_max. The subcomplex side is read from the frame table
-    (`frames.frame_pieces`), which searches and reduces only these frames'
-    pieces; the tensor side folds each frame's intervals once for every
+    up to n_max. The subcomplex side comes from `frames.frame_pieces`,
+    which searches and reduces only these frames' pieces, on every run;
+    the tensor side folds each frame's intervals once for every
     degree. The two routes share no code past the metric. Frames
     with a smoothable junction are excluded: insertion does not preserve
     them and the equivalence genuinely fails there (see is_realized_frame).
@@ -355,9 +355,9 @@ def check_tensor_route(space, n_max, m_max=2, cap=None):
     """
     name = space.name or "space"
     frames, excluded = _realized_frames(space, min(m_max, n_max + 1))
-    table = frame_pieces(space, frames, n_max + 1, cap)
+    pieces = frame_pieces(space, frames, n_max + 1, cap)
     for f in frames:
-        groups = table[f]
+        groups = pieces[f]
         vias = _posets.frame_homology_by_degree(space, f)
         for n in range(n_max + 1):
             direct = groups.get(n, TRIVIAL_GROUP)

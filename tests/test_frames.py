@@ -140,7 +140,7 @@ def test_frame_subcomplex_c4_diagonal_pair():
         HomologyGroup(1),
         HomologyGroup(0),
     ]
-    # the frame table reads the same groups off the package's search
+    # the chain-level frame route reads the same groups off the package's search
     assert frame_pieces(c4, [(0, 2)], 3) == {(0, 2): {2: HomologyGroup(1)}}
 
 
@@ -171,7 +171,8 @@ def split_by_frame(space, frames, n_top):
     {frame: {degree: point tuples}}, frames sorted."""
     split = {
         f: {n: [pts for pts, _ in records] for n, records in by_degree.items()}
-        for f, by_degree in _frame_splits(space, frames, n_top, None)
+        for new in _frame_splits(space, frames, n_top, None)
+        for f, by_degree in new
     }
     return {f: split[f] for f in sorted(split)}
 
@@ -286,10 +287,9 @@ def test_frame_cap_counts_prefixes_kept():
     assert {g[:k] for g in every for k in range(1, len(g))} >= {
         frame(space, pts)[:-1] for pts in simple
     }
-    # a fresh space per call, so that nothing is read from a held table
     for call, count in [
-        (lambda cap: frame_pieces(cycle_space(6), [f], 4, cap), 1 + len(for_f)),
-        (lambda cap: frame_pieces(cycle_space(6), every, 4, cap), space.n + len(simple)),
+        (lambda cap: frame_pieces(space, [f], 4, cap), 1 + len(for_f)),
+        (lambda cap: frame_pieces(space, every, 4, cap), space.n + len(simple)),
     ]:
         with pytest.raises(EnumerationCapExceeded) as exc:
             call(count - 1)
@@ -297,7 +297,7 @@ def test_frame_cap_counts_prefixes_kept():
         call(count)
 
 
-# --- the frame table ---------------------------------------------------------------
+# --- frame pieces ----------------------------------------------------------------
 
 
 def compare_with_subcomplexes(space, blocks, n_top):
@@ -411,10 +411,10 @@ def test_frame_alone_builds_no_complex(monkeypatch):
     del built[:]
     # the lone chain's boundary is still checked, as at a complex's bottom:
     # the search files (0, 1, 2) with its smooth point 1 in its mask
-    [(f, by_degree)] = _frame_splits(space, [(0, 2)], 2, None)
+    [[(f, by_degree)]] = _frame_splits(space, [(0, 2)], 2, None)
     assert f == (0, 2) and by_degree[2] == [((0, 1, 2), 0b10)]
     with pytest.raises(NotASubcomplex):
-        magh.frames._reduce({}, [(f, {2: by_degree[2]})])
+        reduce_pieces(monkeypatch, [(f, {2: by_degree[2]})])
     assert built == []
     # as the engine's assembly refuses it, with the mask read off the tuple
     mask = smooth_mask(space.integer_view.between, (0, 1, 2))
@@ -453,19 +453,38 @@ def single_row_spaces():
     return params + [pytest.param(space, frames, id=space.name)]
 
 
-def recorded_single_rows(monkeypatch):
-    """Record (frame, records, groups) of each piece the single-row rule reads."""
-    read = []
-    reduce = magh.frames._reduce
+def reduce_pieces(monkeypatch, new):
+    """`frame_pieces` on the pieces `new` of one start point, (frame,
+    records) each, as if `_frame_splits` had filed them."""
+    monkeypatch.setattr(magh.frames, "_frame_splits", lambda *args: iter([new]))
+    return frame_pieces(None, [f for f, _ in new], 2)
 
-    def recording(pieces, new):
-        reduce(pieces, new)
-        for f, by_degree in new:
-            if magh.frames._single_row(by_degree) is not None:
-                read.append((f, by_degree, pieces[f]))
 
-    monkeypatch.setattr(magh.frames, "_reduce", recording)
-    return read
+def recorded_splits(monkeypatch):
+    """Record each list of pieces `_frame_splits` hands on."""
+    lists = []
+    splits = magh.frames._frame_splits
+
+    def recording(*args):
+        for new in splits(*args):
+            lists.append(new)
+            yield new
+
+    monkeypatch.setattr(magh.frames, "_frame_splits", recording)
+    return lists
+
+
+def single_row_reads(monkeypatch, space, frames):
+    """(frame, records, groups) of each piece the single-row rule reads in
+    `frame_pieces(space, frames, 4)`."""
+    lists = recorded_splits(monkeypatch)
+    pieces = frame_pieces(space, frames, 4)
+    return [
+        (f, by_degree, pieces[f])
+        for new in lists
+        for f, by_degree in new
+        if magh.frames._single_row(by_degree) is not None
+    ]
 
 
 def every_frame(space):
@@ -479,8 +498,7 @@ def every_frame(space):
 def test_single_row_pieces_match_their_assembly(monkeypatch, space, frames):
     # the groups a single-row piece is given are those of its own records
     # assembled and reduced as a one-block complex
-    read = recorded_single_rows(monkeypatch)
-    frame_pieces(space, every_frame(space) if frames is None else frames, 4)
+    read = single_row_reads(monkeypatch, space, every_frame(space) if frames is None else frames)
     assert read
     for f, by_degree, groups in read:
         chains = {n: [pts for pts, _ in records] for n, records in by_degree.items()}
@@ -490,9 +508,11 @@ def test_single_row_pieces_match_their_assembly(monkeypatch, space, frames):
 
 def test_single_row_rule_meets_every_count(monkeypatch):
     # pieces of 0, 1 and several insertions all occur in the default suite
-    read = recorded_single_rows(monkeypatch)
-    for space in default_suite():
-        frame_pieces(space, every_frame(space), 4)
+    read = [
+        piece
+        for space in default_suite()
+        for piece in single_row_reads(monkeypatch, space, every_frame(space))
+    ]
     counts = {len(by_degree.get(len(f), ())) for f, by_degree, _ in read}
     assert {0, 1, 2, 3} <= counts
 
@@ -524,7 +544,7 @@ def test_corrupted_single_row_pieces_reach_the_assembly(monkeypatch, above, mess
     piece = {1: [((0, 2), 0)], 2: above}
     assert magh.frames._single_row(piece) is None
     with pytest.raises(NotASubcomplex) as info:
-        magh.frames._reduce({}, [((0, 2), piece)])
+        reduce_pieces(monkeypatch, [((0, 2), piece)])
     assert str(info.value) == message
     assert built == [[piece]]
     # as the one-block assembly refuses it
@@ -582,7 +602,7 @@ def test_realized_frame_in_one_pass(space):
 
 def test_corrupted_betweenness_fails_the_frame_table_under_O():
     # the corruption of test_corrupted_betweenness_fails_the_block_engine_under_O:
-    # point 2 counted as strictly between 0 and 1 in C_4; the frame table
+    # point 2 counted as strictly between 0 and 1 in C_4; `frame_pieces`
     # must refuse the frames of each block it breaks, read off the
     # corrupted table, also with asserts off, both where a piece is a lone
     # chain and where a piece is assembled
@@ -639,43 +659,46 @@ def recorded_searches(monkeypatch):
     return searches
 
 
-def test_frame_table_searches_only_what_it_lacks(monkeypatch):
+def test_frame_pieces_search_only_what_is_asked(monkeypatch):
     searches = recorded_searches(monkeypatch)
-    reduced = []
-    reduce = magh.frames._reduce
+    lists = recorded_splits(monkeypatch)
 
-    def recording_pieces(pieces, new):
-        reduced.extend(by_degree[min(by_degree)][0][0] for _, by_degree in new)
-        return reduce(pieces, new)
+    def reduced():
+        return sorted(by_degree[min(by_degree)][0][0] for new in lists for _, by_degree in new)
 
-    monkeypatch.setattr(magh.frames, "_reduce", recording_pieces)
     space = cycle_space(5)
     first = frame_pieces(space, [(0, 2), (0, 1), (3, 0), (0, 1, 0)], 3)
     assert searches == [(0, [1, 2], {(0,), (0, 1)}), (3, [2], {(3,)})]
-    assert sorted(reduced) == [(0, 1), (0, 1, 0), (0, 2), (3, 0)]
+    assert reduced() == [(0, 1), (0, 1, 0), (0, 2), (3, 0)]
+    # one list per start point, in ascending order
+    assert [{f[0] for f, _ in new} for new in lists] == [{0}, {3}]
+    del searches[:], lists[:]
+    # nothing is kept between calls: a repeat call searches again, counts
+    # its steps against the cap again, and gives equal, fresh groups
+    with pytest.raises(EnumerationCapExceeded):
+        frame_pieces(space, [(3, 0), (0, 2)], 3, cap=0)
     del searches[:]
-    # a held frame costs no search and no cap step
-    again = frame_pieces(space, [(3, 0), (0, 2)], 3, cap=0)
-    assert searches == []
+    again = frame_pieces(space, [(3, 0), (0, 2)], 3)
+    assert searches == [(0, [2], {(0,)}), (3, [2], {(3,)})]
     assert again == {f: first[f] for f in again}
-    # a start already searched is searched anew for what it lacks alone;
-    # (0, 1, 2) is no frame, and is held with no group
-    assert frame_pieces(space, [(0, 3), (0, 1), (0, 1, 2)], 3)[0, 1, 2] == {}
-    assert searches == [(0, [2], {(0,), (0, 1)})]
+    assert all(again[f] is not first[f] for f in again)
     del searches[:]
+    # (0, 1, 2) is no frame, and has no group
+    assert frame_pieces(space, [(0, 3), (0, 1), (0, 1, 2)], 3)[0, 1, 2] == {}
+    assert searches == [(0, [1, 2], {(0,), (0, 1)})]
+    del searches[:], lists[:]
     # a frame request keeps only the heads that start a wanted frame, and
     # reduces only the wanted pieces, each once
-    del reduced[:]
     pieces = frame_pieces(space, [(1, 3), (1, 2, 1)], 3)
     assert searches == [(1, [2], {(1,), (1, 2)})]
-    assert sorted(reduced) == [(1, 2, 1), (1, 3)]
+    assert reduced() == [(1, 2, 1), (1, 3)]
     del searches[:]
-    assert frame_pieces(space, [(1, 3)], 3, cap=0) == {(1, 3): pieces[1, 3]}
-    assert searches == []
-    # and each top degree has its own table
+    assert frame_pieces(space, [(1, 3)], 3) == {(1, 3): pieces[1, 3]}
+    assert searches == [(1, [2], {(1,)})]
+    del searches[:]
+    # a call at another top degree searches for its own chains
     frame_pieces(space, [(0, 2)], 4)
     assert searches == [(0, [2], {(0,)})]
-    assert sorted(space.integer_view.frame_groups) == [3, 4]
 
 
 def frame_search_spaces():
@@ -697,7 +720,7 @@ def test_carried_frame_is_the_frame(space):
     totals = sorted({t for t in view.idist[0] if t} | {t for t in view.idist[1] if t})
     frames = self_framed_tuples(space, set(totals), n_top - 1)
     seen = 0
-    for f, by_degree in _frame_splits(space, frames, n_top, None):
+    for f, by_degree in itertools.chain.from_iterable(_frame_splits(space, frames, n_top, None)):
         assert f in frames
         for n, records in by_degree.items():
             for pts, _ in records:
@@ -740,20 +763,18 @@ def test_frame_search_matches_table_filter_at_and_above_m_x(space, totals):
         assert split_by_frame(space, list(oracle), n_top) == oracle
 
 
-@pytest.mark.parametrize("make", frame_search_spaces()[:4], ids=lambda s: s.name)
-def test_frame_and_block_requests_agree(make):
-    # one table filled by every frame at once, one by the frames of one
-    # endpoint block (length, a, b) at a time, on two instances of the
-    # space, so neither reads the other's
-    first, second = (validate_metric(make.dist, name=make.name) for _ in range(2))
-    frames = every_frame(first)
+@pytest.mark.parametrize("space", frame_search_spaces()[:4], ids=lambda s: s.name)
+def test_frame_and_block_requests_agree(space):
+    # every frame in one call, and the frames of one endpoint block
+    # (length, a, b) per call, give equal groups
+    frames = every_frame(space)
     blocks = {}
     for f in frames:
-        blocks.setdefault((chain_total(first, f), f[0], f[-1]), []).append(f)
-    by_frame = frame_pieces(first, frames, 3)
+        blocks.setdefault((chain_total(space, f), f[0], f[-1]), []).append(f)
+    by_frame = frame_pieces(space, frames, 3)
     by_block = {}
     for block in sorted(blocks):
-        by_block.update(frame_pieces(second, blocks[block], 3))
+        by_block.update(frame_pieces(space, blocks[block], 3))
     assert len(blocks) > 1 and any(by_frame.values())
     assert by_block == by_frame
 

@@ -208,7 +208,7 @@ def test_guards_survive_optimize():
     # validate_metric a triangle violation, each with its first witness and
     # both from the packed pass of `_between_rows`; the interval masks
     # refuse each order that `test_posets.BROKEN_ORDERS` breaks in the
-    # table and an intransitive one, the frame table refuses a frame that
+    # table and an intransitive one, `frames.frame_pieces` refuses a frame that
     # repeats a point, and the frame route refuses an unrealized frame
     # below m_X, all under -O; none can happen in a validated space, so
     # two spaces are built directly and the last two faults are injected

@@ -104,7 +104,7 @@ def test_search_masks_are_the_smooth_positions(space, l, n_max):
     assert blocks and (top or not smooth)
     frames = self_framed_tuples(space, totals, n_max)
     filed = 0
-    for f, by_degree in magh.frames._frame_splits(space, frames, n_max, None):
+    for f, by_degree in chain.from_iterable(magh.frames._frame_splits(space, frames, n_max, None)):
         filed += check_records(space, by_degree)
         # the frame search's mask is the positions its frame drops
         for records in by_degree.values():

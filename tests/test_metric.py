@@ -326,6 +326,32 @@ def test_metric_closure_repairs_triangle():
             assert closed[i][j] <= matrix[i][j]
 
 
+@pytest.mark.parametrize(
+    "matrix, error, witness",
+    [
+        ([[0, -1], [-1, 0]], NegativeEntry, (0, 1)),
+        ([[0, 1, 2], [1, 0, "-1/2"], [2, 1, 0]], NegativeEntry, (1, 2)),
+        ([[0, 1], [3, 0]], AsymmetricAt, (0, 1)),
+        ([[0, 1, 1], [1, 0, 2], [1, 1, 0]], AsymmetricAt, (1, 2)),
+        ([[5, 1], [1, 0]], NonzeroDiagonal, (0,)),
+        ([[0, 1, 1], [1, 0, 1], [1, 1, "1/3"]], NonzeroDiagonal, (2,)),
+        # a negative entry is named before an asymmetric pair, and that
+        # before a nonzero diagonal entry
+        ([[1, 2], [-1, 0]], NegativeEntry, (1, 0)),
+        ([[1, 2], [1, 0]], AsymmetricAt, (0, 1)),
+    ],
+)
+def test_metric_closure_refuses_what_no_closure_repairs(matrix, error, witness):
+    # the largest metric dominated by such a matrix does not exist, or is
+    # not what shortest paths give: each is refused with its first witness
+    # in row-major order, never closed into a non-metric
+    with pytest.raises(error) as info:
+        metric_closure(matrix)
+    assert tuple(vars(info.value)[k] for k in ("i", "j")[: len(witness)]) == witness
+    # zero off-diagonal entries stay allowed, and close like any other
+    assert metric_closure([[0, 0, 3], [0, 0, 1], [3, 1, 0]]) == [[0, 0, 1], [0, 0, 1], [1, 1, 0]]
+
+
 def test_metric_closure_returns_fractions_for_int_input():
     # entries are read as validate_metric reads them, so ints come back as
     # equal Fractions and a ragged row is refused like a ragged metric

@@ -644,6 +644,29 @@ def test_certificate_same_point():
         mh2_certificate(cycle_space(4), 2, 2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c5, a, b: mh2_certificate(c5, a, b),
+        lambda c5, a, b: poset_component_count(c5, a, b),
+        lambda c5, a, b: frame_homology_via_posets(c5, (a, b), 2),
+        lambda c5, a, b: interval_homology(c5, a, b),
+    ],
+    ids=["certificate", "components", "frame-homology", "interval-homology"],
+)
+def test_pair_apis_refuse_points_out_of_range(call):
+    # a negative index would wrap to another point of the space, and
+    # (0, -2) would be answered on I(0, 3); both ends are checked
+    c5 = cycle_space(5)
+    for a, b, p in [(0, -2, -2), (0, -1, -1), (-1, 0, -1), (0, 5, 5), (5, 5, 5)]:
+        with pytest.raises(ValueError) as info:
+            call(c5, a, b)
+        assert str(info.value) == f"point index {p} out of range for n=5"
+    assert c5.integer_view.pair_homology == {}
+    # in range, the pair is answered as before
+    assert mh2_certificate(c5, 0, 3).pair == (0, 3)
+
+
 def test_certificate_bound_equals_reduced_h0():
     for space in (cycle_space(4), cycle_space(6), path_space(4),
                   random_metric(5, seed=31)):

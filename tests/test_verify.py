@@ -434,27 +434,18 @@ def test_default_suite_all_green():
     reports = run_checks(spaces, n_max=3)
     assert all(r.passed for r in reports), [r.to_json() for r in reports if not r.passed]
     assert len(reports) == 14 * 4
-    # the frame table keeps groups by frame, not chains: those of the
-    # realized frames tensor_route asks for, and the block table each
-    # grading's groups
+    # the block table keeps each grading's groups, not chains
     for space in spaces:
         view = space.integer_view
-        assert list(view.frame_groups) == [4]
-        pieces = view.frame_groups[4]
-        assert sorted(pieces) == sorted(_realized_frames(space, 2)[0])
-        for groups in pieces.values():
-            assert all(isinstance(g, HomologyGroup) for g in groups.values())
-            assert all(isinstance(n, int) for n in groups)
         assert list(view.block_groups) == [3]
         for total, groups in view.block_groups[3].items():
             assert isinstance(total, int) and len(groups) == 4
             assert all(isinstance(g, HomologyGroup) for g in groups)
 
 
-def recorded_frame_searches(monkeypatch, space):
+def recorded_frame_searches(monkeypatch):
     """Record each frame search as (request, start, wanted totals, heads),
-    and each call of `_frame_splits` as (frames, frames held) at the time
-    it was made."""
+    and the frames of each call of `_frame_splits`."""
     searches, requests = [], []
     search, splits = magh.frames._frame_search, magh.frames._frame_splits
 
@@ -462,9 +453,9 @@ def recorded_frame_searches(monkeypatch, space):
         searches.append((len(requests) - 1, start, set(wanted), heads))
         return search(view, start, moves, wanted, heads, *rest)
 
-    def recording_splits(space_, frames, n_top, *rest):
-        requests.append((list(frames), set(space.integer_view.frame_groups.get(n_top, {}))))
-        return splits(space_, frames, n_top, *rest)
+    def recording_splits(space, frames, *rest):
+        requests.append(list(frames))
+        return splits(space, frames, *rest)
 
     monkeypatch.setattr(magh.frames, "_frame_search", recording_search)
     monkeypatch.setattr(magh.frames, "_frame_splits", recording_splits)
@@ -475,7 +466,7 @@ def test_simp_iso_runs_no_frame_search(monkeypatch):
     # the decomposition side is the route compute prints: interval posets
     # and Kunneth folds, with no chain of its own
     space = cycle_space(5)
-    searches, requests = recorded_frame_searches(monkeypatch, space)
+    searches, requests = recorded_frame_searches(monkeypatch)
     report = check_simp_iso(space, n_max=4)
     assert report.params["gradings"] == ["1", "2"]
     assert searches == [] and requests == []
@@ -487,13 +478,12 @@ def test_simp_iso_runs_no_frame_search(monkeypatch):
     ids=lambda s: s.name,
 )
 def test_run_checks_never_searches_a_held_block(monkeypatch, space):
-    # only tensor_route searches, in one request for its realized frames;
-    # nothing asked for is held, and each start is searched once
-    searches, requests = recorded_frame_searches(monkeypatch, space)
+    # only tensor_route searches, in one request for its realized frames,
+    # and each start is searched once
+    searches, requests = recorded_frame_searches(monkeypatch)
     run_checks([space], n_max=3)
-    [(frames, held)] = requests
+    [frames] = requests
     assert frames == _realized_frames(space, 2)[0]
-    assert not held
     starts = [start for _, start, _, _ in searches]
     assert starts == sorted(set(starts)) == sorted({f[0] for f in frames})
 
@@ -504,7 +494,7 @@ def test_run_checks_never_searches_a_held_block(monkeypatch, space):
     ids=lambda s: s.name,
 )
 def test_second_run_checks_searches_nothing(monkeypatch, space):
-    searches, _ = recorded_frame_searches(monkeypatch, space)
+    searches, _ = recorded_frame_searches(monkeypatch)
     engine = []
     block_chains = magh.chains.block_chains
 
@@ -515,15 +505,18 @@ def test_second_run_checks_searches_nothing(monkeypatch, space):
     monkeypatch.setattr(magh.chains, "block_chains", recording_blocks)
     first = run_checks([space], n_max=3)
     assert searches and engine
+    searched = [search[1:] for search in searches]
     del searches[:], engine[:]
-    # every frame and grading is held
+    # every grading is held, and the frame search, which keeps nothing on
+    # the space, runs again as it ran the first time
     assert run_checks([space], n_max=3) == first
-    assert searches == [] and engine == []
+    assert engine == []
+    assert [search[1:] for search in searches] == searched
 
 
 def test_verify_output_ignores_hash_seed():
-    # the frame table gathers its blocks in sets and dicts, and the output
-    # must not depend on their hash order
+    # the frame search gathers its frames and heads in sets and dicts, and
+    # the output must not depend on their hash order
     env = dict(os.environ, PYTHONPATH=str(Path(magh.__file__).resolve().parents[1]))
     argv = [sys.executable, "-m", "magh", "verify", "--n-max", "3"]
     outputs = set()
