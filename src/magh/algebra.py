@@ -622,7 +622,8 @@ def block_homology_rows(space, gradings, n_max, cap=None):
 
     Each grading's groups are kept per n_max on the space's
     `IntegerView.block_groups`, so a grading already held costs no search
-    and no cap step; only the gradings lacking are searched, together.
+    and no cap step; only the gradings lacking are searched, together
+    (`_block_groups`, which `verify` reads by scaled length).
 
     `posets.magnitude_homology_rows` sends only gradings l >= m_X here;
     `verify` compares the frame decomposition against this full complex.
@@ -634,8 +635,24 @@ def block_homology_rows(space, gradings, n_max, cap=None):
     if n_max < -1:
         raise ValueError(f"n_max must be >= -1, got {n_max}")
     view = space.integer_view
-    held = view.block_groups.setdefault(n_max, {})
     totals = [view.scaled(l) for l in gradings]
+    rows = []
+    for l, groups in zip(gradings, _block_groups(space, totals, n_max, cap)):
+        rows.extend(HomologyRow(l, n, group) for n, group in enumerate(groups))
+    return rows
+
+
+def _block_groups(space, totals, n_max, cap=None):
+    """The engine's groups of degrees 0..n_max at each length of `totals`.
+
+    `totals` are lengths as scaled ints of the space's IntegerView, or
+    None for a length that is no scaled int, the length of no chain.
+    Returns, for each in the order given, the tuple of its n_max + 1
+    groups as `block_homology_rows` describes them, read off the space's
+    `IntegerView.block_groups` after the lengths it lacks are searched
+    together; no Fraction and no row is made.
+    """
+    held = space.integer_view.block_groups.setdefault(n_max, {})
     # a length that is no scaled int (None) is that of no chain
     lacking = set(totals) - held.keys() - {None}
     if lacking:
@@ -661,11 +678,7 @@ def block_homology_rows(space, gradings, n_max, cap=None):
                 for n in range(n_max + 1)
             )
     none = (TRIVIAL_GROUP,) * (n_max + 1)
-    rows = []
-    for l, total in zip(gradings, totals):
-        groups = held.get(total, none)
-        rows.extend(HomologyRow(l, n, groups[n]) for n in range(n_max + 1))
-    return rows
+    return [held.get(total, none) for total in totals]
 
 
 class HomologyTable:

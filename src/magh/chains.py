@@ -30,7 +30,9 @@ ordered pair of points (`_count_packed`). A space whose lengths span
 more fields than `PACKED_BITS` allows, such as one with large coprime
 denominators, is counted over dicts instead, one entry per length
 reached, by `count_step`, with which `verify` also places a chain in
-the d^2 check's order.
+the d^2 check's order. `realized_totals` reads the lengths the same count
+reaches up to a degree as scaled ints, the gradings of `compute --l
+spectrum` and of `verify`'s `simp_iso`, with no Fraction per length.
 """
 
 from __future__ import annotations
@@ -437,6 +439,22 @@ def _count_packed(idist, n_max, limit, width):
         ]
 
 
+def _degree_counts(space, n_max, cap):
+    """(totals, counts) of each degree 0..n_max in turn, packed where the
+    span fits `PACKED_BITS` and over dicts otherwise; none if n_max < 0.
+
+    The cap is resolved first, so a bad cap is refused at any n_max.
+    """
+    limit = resolve_cap(cap)
+    if n_max < 0:
+        return iter(())
+    idist = space.integer_view.idist
+    width = _packed_width(idist, n_max)
+    if width is None:
+        return _count_by_dicts(idist, n_max, limit)
+    return _count_packed(idist, n_max, limit, width)
+
+
 def length_spectra(space, n_max, cap=None):
     """The LengthSpectrum of every degree 0..n_max (none if n_max < 0).
 
@@ -449,25 +467,30 @@ def length_spectra(space, n_max, cap=None):
     (`_count_packed`), any other with `count_step`; both give the same
     spectra and steps.
     """
-    limit = resolve_cap(cap)
-    if n_max < 0:
-        return []
-    view = space.integer_view
-    idist = view.idist
-    width = _packed_width(idist, n_max)
-    if width is None:
-        degrees = _count_by_dicts(idist, n_max, limit)
-    else:
-        degrees = _count_packed(idist, n_max, limit, width)
-    fraction = view.fraction
+    fraction = space.integer_view.fraction
     return [
         LengthSpectrum(
             degree=n,
             lengths=tuple(fraction(t) for t in totals),
             counts=tuple(counts),
         )
-        for n, (totals, counts) in enumerate(degrees)
+        for n, (totals, counts) in enumerate(_degree_counts(space, n_max, cap))
     ]
+
+
+def realized_totals(space, n_max, cap=None):
+    """The lengths of the proper chains of degree <= n_max, as sorted scaled ints.
+
+    The union of the lengths of `length_spectra`, from the same count and
+    with the same cap steps, but with no Fraction and no spectrum made:
+    0 for a space with a point, and every length a chain of degree
+    1..n_max reaches. `compute --l spectrum` prints these lengths, and
+    `verify`'s `simp_iso` checks those between 0 and m_X.
+    """
+    lengths = set()
+    for totals, _ in _degree_counts(space, n_max, cap):
+        lengths.update(totals)
+    return sorted(lengths)
 
 
 def smooth_mask(between, pts):

@@ -15,7 +15,7 @@ import sys
 
 from . import __version__
 from .algebra import HomologyTable
-from .chains import length_spectra, resolve_cap
+from .chains import length_spectra, realized_totals, resolve_cap
 from .errors import MaghError
 from .frames import m_x
 from .metric import (
@@ -85,10 +85,8 @@ def _cmd_gen(args):
 
 def _gradings(space, args):
     if args.l.strip() == "spectrum":
-        values = set()
-        for spectrum in length_spectra(space, args.n_max, args.cap):
-            values.update(spectrum.lengths)
-        out = sorted(values)
+        fraction = space.integer_view.fraction
+        out = [fraction(t) for t in realized_totals(space, args.n_max, args.cap)]
     else:
         out = sorted({parse_rational(part) for part in args.l.split(",") if part.strip()})
     if args.l_max is not None:

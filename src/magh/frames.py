@@ -20,6 +20,14 @@ testing any point again. `frame_pieces` is this chain-level frame route,
 which `verify`'s `tensor_route` check compares with the interval-poset
 route of `posets`, the one `compute` prints below m_X. Nothing of it is
 kept on the space.
+
+A frame is realized when no insertion can smooth one of its junctions.
+That is one bit mask per junction (prev, x), `_junction_mask`: the OR of
+the up-masks of x in the start orders P_L (`IntegerView.start_order`,
+the transposed betweenness rows) over L = prev and the points between
+prev and x, tested against nxt and the points between x and nxt.
+`is_realized_frame` makes that test at each junction, and `verify`
+grows its realized frames with one mask per (prev, last).
 """
 
 from __future__ import annotations
@@ -93,6 +101,23 @@ def is_frame(space, points):
     return frame(space, pts) == pts
 
 
+def _junction_mask(view, prev, x):
+    """The points R that smooth x after `prev` by insertions, as a bit mask.
+
+    The OR of `up_L[x]` over L in {prev} and the points strictly between
+    prev and x, `up_L` being the up-masks of the start order P_L
+    (`IntegerView.start_order`): bit R is set iff x lies strictly between
+    some such L and R. So the junction (prev, x, nxt) is realized iff no
+    bit of the mask is nxt or a point strictly between x and nxt; with
+    L = prev and R = nxt that includes the test that x is not strictly
+    smooth. This reads the table as it is, with no symmetry assumed.
+    """
+    bad = 0
+    for lpt in set_bits(view.between[prev][x] | 1 << prev):
+        bad |= view.start_order(lpt)[0][x]
+    return bad
+
+
 def is_realized_frame(space, points):
     """True when inserting interval points into segments preserves the frame.
 
@@ -108,22 +133,19 @@ def is_realized_frame(space, points):
     disagree at degree 3. Pair frames have no junctions and always
     qualify.
 
-    One pass over the betweenness rows decides both: the tuple must be
-    proper, and the pair (L, R) = (x_{i-1}, x_{i+1}) is the test that x_i
-    is not strictly smooth, so the tuple is its own frame exactly when
-    that pair fails at every junction.
+    The tuple must be proper, and then each junction is one test of its
+    mask (`_junction_mask`): the pair (L, R) = (x_{i-1}, x_{i+1}) is the
+    test that x_i is not strictly smooth, so the tuple is its own frame
+    exactly when that pair fails at every junction.
     """
     pts = tuple(points)
     if len(pts) < 2 or any(a == b for a, b in zip(pts, pts[1:])):
         return False
-    between = space.integer_view.between
+    view = space.integer_view
+    between = view.between
     for prev, xi, nxt in zip(pts, pts[1:], pts[2:]):
-        right = set_bits(between[xi][nxt] | 1 << nxt)
-        for lpt in set_bits(between[prev][xi] | 1 << prev):
-            row = between[lpt]
-            for rpt in right:
-                if row[rpt] >> xi & 1:
-                    return False
+        if _junction_mask(view, prev, xi) & (between[xi][nxt] | 1 << nxt):
+            return False
     return True
 
 
@@ -206,21 +228,23 @@ def _frame_splits(space, frames, n_top, cap):
     [(frame, by_degree), ...] of its frames of `frames` with a filed chain.
 
     Each start point is searched once (`_frame_search`) over the lengths
-    of its frames, for the prefixes whose head starts one of them;
+    of its frames, read off `idist` as the frames are grouped by start,
+    for the prefixes whose head starts one of them;
     `by_degree` is as the search files it, so a frame of degree n_top is
     not listed. Every frame the search meets is checked for properness
     before the list is yielded: a simple chain whose frame is not proper
     raises ImproperFrame. The steps of all the searches count against one
     cap (`resolve_cap`).
     """
+    view = space.integer_view
+    idist = view.idist
     wanted = {}
     for f in frames:
         totals, wanted_frames = wanted.setdefault(f[0], (set(), set()))
-        totals.add(chain_total(space, f))
+        totals.add(sum(idist[a][b] for a, b in zip(f, f[1:])))
         wanted_frames.add(f)
     if not wanted:
         return
-    view = space.integer_view
     limit = resolve_cap(cap)
     moves = search_moves(space, max(max(totals) for totals, _ in wanted.values()))
     steps = 0

@@ -266,7 +266,7 @@ class IntegerView:
     its interval poset, which the engine reads; `start_orders` maps a
     start point a to the up-masks of the order every interval I(a, b)
     restricts, one int per point, and whether that order passed its
-    partial-order test (`posets._start_order`); `block_groups` maps n_max
+    partial-order test (`start_order`); `block_groups` maps n_max
     to the groups of degrees 0..n_max of each length grading the block
     engine (`algebra.block_homology_rows`) has reduced, keyed by scaled
     length.
@@ -304,6 +304,33 @@ class IntegerView:
             if row[a]:
                 raise SelfBetweenness(a, set_bits(row[a])[0])
         return cls(scale=scale, idist=idist, between=between)
+
+    def start_order(self, a):
+        """(up, is_order) of the order P_a on the points, x < y iff x is between a and y.
+
+        `between[a][y]` is y's down-mask in P_a; `up[x]` is the mask of
+        the points above x, the transpose of that row, built once per
+        start point and kept in `start_orders`. Bit y of `up[x]` is set
+        iff x lies strictly between a and y, whatever the table holds.
+        `is_order` is True when P_a is a strict partial order: no point
+        lies below itself, and whatever lies below x lies below each y
+        above x. Those two give antisymmetry, since x < y < x would put x
+        below itself. A validated space's table always passes: a point
+        between a and x lies between a and whatever lies beyond x.
+        """
+        order = self.start_orders.get(a)
+        if order is None:
+            row = self.between[a]
+            up = [0] * len(row)
+            broken = 0
+            for y, below in enumerate(row):
+                bit = 1 << y
+                broken |= below & bit
+                for x in set_bits(below):
+                    up[x] |= bit
+                    broken |= row[x] & ~below
+            order = self.start_orders[a] = (up, not broken)
+        return order
 
     def between_points(self, a, b):
         """The points strictly between a and b, ascending."""

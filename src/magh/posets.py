@@ -18,12 +18,12 @@ and checks the order, `_core_masks` strips beat points, `_order_simplices`
 grows the chains from the `up` masks and `_reduced_columns` writes the
 augmented boundary columns. Every interval I(a, b) with the same a is a
 restriction of one order on the points, x < y iff x lies between a and
-y; `_start_order` transposes and tests it once per start point, so each
-pair only checks that its two sides agree. Pair homology runs the steps
-in one pass and hands the columns to `algebra.groups_from_columns`, the
-one d^2 check, Smith normal form and groups step that the endpoint-block
-engine shares; a core with no relation, k points, is counted instead,
-its homology read off k.
+y; `IntegerView.start_order` transposes and tests it once per start
+point, so each pair only checks that its two sides agree. Pair homology
+runs the steps in one pass and hands the columns to
+`algebra.groups_from_columns`, the one d^2 check, Smith normal form and
+groups step that the endpoint-block engine shares; a core with no
+relation, k points, is counted instead, its homology read off k.
 
 Below m_X, magnitude homology is the direct sum of those frame homologies
 (Kaneta-Yoshinaga), so `magnitude_homology_rows` computes every grading
@@ -54,33 +54,6 @@ from .errors import EnumerationCapExceeded, NotAPartialOrder, SamePoint, Unreali
 from .metric import format_rational, set_bits
 
 
-def _start_order(view, a):
-    """(up, is_order) of the order P_a on the points, x < y iff x is between a and y.
-
-    `view.between[a][y]` is y's down-mask in P_a; `up[x]` is the mask of
-    the points above x, the transpose of that row, built once per start
-    point and kept in `view.start_orders`. `is_order` is True when P_a is
-    a strict partial order: no point lies below itself, and whatever lies
-    below x lies below each y above x. Those two give antisymmetry, since
-    x < y < x would put x below itself. A validated space's table always
-    passes: a point between a and x lies between a and whatever lies
-    beyond x.
-    """
-    order = view.start_orders.get(a)
-    if order is None:
-        row = view.between[a]
-        up = [0] * len(row)
-        broken = 0
-        for y, below in enumerate(row):
-            bit = 1 << y
-            broken |= below & bit
-            for x in set_bits(below):
-                up[x] |= bit
-                broken |= row[x] & ~below
-        order = view.start_orders[a] = (up, not broken)
-    return order
-
-
 def _interval_masks(space, a, b):
     """(elements, up, down) of I(a, b), as lists, with every check made.
 
@@ -92,14 +65,14 @@ def _interval_masks(space, a, b):
     each one row of the space's betweenness table: from the a side, x < y
     iff x lies between a and y, which gives `down`; from the b side, x < y
     iff y lies between x and b, which gives `up`. The a side is the
-    restriction of the order P_a of `_start_order`, whose up-masks are
-    built and tested once per start point. The two sides must agree (`up`
-    is the transpose of `down`), checked for every pair. Antisymmetry and
-    transitivity are checked per pair only where P_a failed its test,
-    since a restriction of a partial order is one. A failure raises
-    NotAPartialOrder, also under `python -O`, with the least witness.
-    A point outside 0..n-1 raises ValueError, as no index wraps, and
-    a == b raises SamePoint.
+    restriction of the order P_a of `IntegerView.start_order`, whose
+    up-masks are built and tested once per start point. The two sides
+    must agree (`up` is the transpose of `down`), checked for every pair.
+    Antisymmetry and transitivity are checked per pair only where P_a
+    failed its test, since a restriction of a partial order is one. A
+    failure raises NotAPartialOrder, also under `python -O`, with the
+    least witness. A point outside 0..n-1 raises ValueError, as no index
+    wraps, and a == b raises SamePoint.
     """
     n = space.n
     if not (0 <= a < n and 0 <= b < n):
@@ -111,7 +84,7 @@ def _interval_masks(space, a, b):
     between = view.between
     inside = between[a][b]
     elements = set_bits(inside)
-    up_a, is_order = _start_order(view, a)
+    up_a, is_order = view.start_order(a)
     row_a = between[a]
     down = [row_a[y] & inside for y in elements]
     up = [between[x][b] & inside for x in elements]
@@ -343,6 +316,53 @@ class _Steps:
             raise EnumerationCapExceeded(self.limit + 1, self.limit)
 
 
+class _Products:
+    """Kunneth products of interval homology, interned by value.
+
+    A product is a {degree: group} dict of nonzero groups. `intern` gives
+    equal products one id, and the zero product None; `products[id]` is
+    (product, least degree). `pair(a, b)` is the id of the reduced
+    homology of I(a, b), read once per pair, and `fold(pid, hid)` the id
+    of the Kunneth product of two ids, made once per pair of ids. With
+    `steps`, a `_Steps`, the simplices of a pair whose homology the space
+    does not hold yet count against its cap (`_interval_homology`).
+    """
+
+    __slots__ = ("space", "steps", "ids", "products", "pairs", "folds")
+
+    def __init__(self, space, steps=None):
+        self.space = space
+        self.steps = steps
+        self.ids = {}  # product key -> id
+        self.products = []
+        self.pairs = {}  # (a, b) -> id of its interval homology, or None
+        self.folds = {}  # (product id, pair id) -> id of their product, or None
+
+    def intern(self, product):
+        if not product:
+            return None
+        key = tuple(product.items())
+        pid = self.ids.get(key)
+        if pid is None:
+            pid = self.ids[key] = len(self.products)
+            self.products.append((product, min(product)))
+        return pid
+
+    def pair(self, a, b):
+        pid = self.pairs.get((a, b), -1)
+        if pid == -1:
+            homology = _interval_homology(self.space, a, b, self.steps)
+            pid = self.pairs[a, b] = self.intern(homology)
+        return pid
+
+    def fold(self, pid, hid):
+        gid = self.folds.get((pid, hid), -1)
+        if gid == -1:
+            product = kunneth(self.products[pid][0], self.products[hid][0])
+            gid = self.folds[pid, hid] = self.intern(product)
+        return gid
+
+
 def _frame_groups(space, gradings, n_max, cap):
     """{(l, n): MH_n^l} for gradings 0 < l < m_X, counted level by level over states.
 
@@ -357,9 +377,9 @@ def _frame_groups(space, gradings, n_max, cap):
     junction triples pass `frames.is_realized_frame`, which a frame does
     exactly when all of them do. So each level keeps its states with a
     multiplicity, and one transition stands for that many tuples: it
-    takes one `kunneth` per (product, pair homology) and tests each pair
-    and each junction triple once, through the module attribute, so a
-    patch of it takes effect. A branch stops once it is longer than the
+    takes one `kunneth` per (product, pair homology), interned by
+    `_Products`, and tests each pair and each junction triple once,
+    through the module attribute, so a patch of it takes effect. A branch stops once it is longer than the
     largest grading, once its least degree 2m + min k passes n_max
     (neither can shrink as the tuple grows), or when its product is zero,
     which a pair with zero reduced homology forces.
@@ -392,28 +412,9 @@ def _frame_groups(space, gradings, n_max, cap):
     top = max(wanted)
     steps = _Steps(resolve_cap(cap))
     size = space.n
-    # products interned by value: key -> id, and id -> (product, least degree)
-    ids = {}
-    products = []
-    pair_ids = {}  # (a, b) -> id of its nonzero interval homology, or None
-    folds = {}  # (product id, pair id) -> id of their Kunneth product, or None
+    interned = _Products(space, steps)
+    products = interned.products
     realized = {}  # a pair or a junction triple -> is_realized_frame of it
-
-    def intern(product):
-        if not product:
-            return None
-        key = tuple(product.items())
-        pid = ids.get(key)
-        if pid is None:
-            pid = ids[key] = len(products)
-            products.append((product, min(product)))
-        return pid
-
-    def pair_id(a, b):
-        pid = pair_ids.get((a, b), -1)
-        if pid == -1:
-            pid = pair_ids[a, b] = intern(_interval_homology(space, a, b, steps))
-        return pid
 
     def is_realized(pts):
         ok = realized.get(pts)
@@ -426,7 +427,7 @@ def _frame_groups(space, gradings, n_max, cap):
     unrealized = None
     # degree 0: each point alone, with the product of no pair; prev is the
     # point itself, as no point lies strictly between a point and another
-    unit = intern({0: HomologyGroup(1)})
+    unit = interned.intern({0: HomologyGroup(1)})
     level = {(a, a, 0, unit, True): [1, (a,)] for a in range(size)}
     m = 0
     while level:
@@ -439,14 +440,11 @@ def _frame_groups(space, gradings, n_max, cap):
                 t = total + row[nxt]
                 if nxt == last or t > top or smooth[nxt] >> last & 1:
                     continue
-                hid = pair_id(last, nxt)
+                hid = interned.pair(last, nxt)
                 if hid is None:
                     continue
                 steps.take(count)
-                fold = pid, hid
-                gid = folds.get(fold, -1)
-                if gid == -1:
-                    gid = folds[fold] = intern(kunneth(products[pid][0], products[hid][0]))
+                gid = interned.fold(pid, hid)
                 if gid is None or 2 * m + products[gid][1] > n_max:
                     continue
                 # the new pair, or junction triple, of every tuple of the state

@@ -13,24 +13,28 @@ below m_X, interval posets folded by the Kunneth formula
 (`posets._frame_groups`, `posets.frame_homology_by_degree`), against the
 endpoint-block engine, which keeps every chain; the two share only `snf`
 and the betweenness table. The engine keeps each grading's groups on the
-space, so a grading both ask for is reduced once. `tensor_route` is the
-one chain-level cross-check: it compares the frame subcomplexes of the
+space, so a grading both ask for is reduced once. Both read the engine
+by scaled length (`algebra._block_groups`) and `simp_iso` takes its
+gradings as scaled ints (`chains.realized_totals`), so only the
+gradings a report prints become Fractions. `tensor_route` is the one
+chain-level cross-check: it compares the frame subcomplexes of the
 realized frames of low degree (`frames.frame_pieces`), whose search
 keeps only the chains that can end with one of them, with the
-interval-poset route, frame by frame.
+interval-poset route, frame by frame. Its frames grow with one junction
+mask per pair of last points (`frames._junction_mask`), and its
+interval side folds each distinct pair of Kunneth products once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import posets as _posets
-from .algebra import TRIVIAL_GROUP, block_homology_rows
-from .chains import count_step, length_spectra, resolve_cap, smooth_faces
+from .algebra import TRIVIAL_GROUP, _block_groups
+from .chains import count_step, realized_totals, resolve_cap, smooth_faces
 from .errors import EnumerationCapExceeded
-from .frames import frame_pieces, is_realized_frame, m_x
+from .frames import _junction_mask, frame_pieces, m_x
 from .metric import (
     complete_space,
     cycle_space,
@@ -77,7 +81,7 @@ def _first_bad_window(space):
     by length then lexicographically; None if there is none.
 
     ymask[w][x] holds the points y with x in B(w, y), the up-mask of x in
-    the start order P_w (`posets._start_order`), so the last points z of
+    the start order P_w (`IntegerView.start_order`), so the last points z of
     the bad windows (w, x, y, z) form one mask: A and B of
     `check_d_squared` are its bits z of ymask[x][y] & ymask[w][x] and of
     ymask[w][y] if y is in ymask[w][x].
@@ -85,7 +89,7 @@ def _first_bad_window(space):
     view = space.integer_view
     idist = view.idist
     points = range(space.n)
-    ymask = [_posets._start_order(view, w)[0] for w in points]
+    ymask = [view.start_order(w)[0] for w in points]
     best = None
     for w, masks in enumerate(ymask):
         for x, wx in enumerate(masks):
@@ -195,27 +199,6 @@ def check_d_squared(space, n_max, cap=None):
     )
 
 
-def _grading_values(space, n_max, mx_value, cap=None):
-    """Gradings 0 < l < m_X realized by chains of degree <= n_max."""
-    lengths = set()
-    for spectrum in length_spectra(space, n_max, cap)[1:]:
-        lengths.update(spectrum.lengths)
-    out = [l for l in sorted(lengths) if l > 0]
-    if mx_value is not None:
-        out = [l for l in out if l < mx_value]
-    return out
-
-
-def _full_groups(space, gradings, totals, n_max, cap):
-    """(total, n) -> the full complex's group at each grading and degree
-    0..n_max, from one block-engine call; `totals` are the gradings as
-    scaled ints, so no lookup hashes a Fraction.
-    """
-    width = n_max + 1
-    rows = block_homology_rows(space, gradings, n_max, cap)
-    return {(totals[i // width], row.n): row.group for i, row in enumerate(rows)}
-
-
 def check_simp_iso(space, n_max, cap=None):
     """The route `compute` prints below m_X agrees with the full complex.
 
@@ -223,26 +206,31 @@ def check_simp_iso(space, n_max, cap=None):
     sum of frame homologies, as `compute` prints it (`posets._frame_groups`:
     the reduced homology of interval posets folded by the Kunneth formula,
     with no chains), must equal magnitude homology in degrees 1..n_max,
-    betti and torsion both. The full side keeps every chain and splits
-    only by endpoint pair, in one block-engine call for every grading. On
-    a failure the witness names the first grading and degree (l, n) that
-    differ, with both groups. Each side counts against the cap on its own.
+    betti and torsion both. The gradings are read as scaled ints
+    (`chains.realized_totals`), and only those reported become Fractions.
+    The full side keeps every chain and splits only by endpoint pair, in
+    one block-engine call for every grading, read by scaled length
+    (`algebra._block_groups`). On a failure the witness names the first
+    grading and degree (l, n) that differ, with both groups. Each side
+    counts against the cap on its own.
     """
     mx = m_x(space)
-    gradings = _grading_values(space, n_max, mx.value, cap)
+    view = space.integer_view
+    top = None if mx.value is None else view.scaled(mx.value)
+    totals = [t for t in realized_totals(space, n_max, cap) if t and (top is None or t < top)]
+    gradings = [view.fraction(t) for t in totals]
     params = {
         "n_max": n_max,
         "m_x": "inf" if mx.value is None else format_rational(mx.value),
         "gradings": [format_rational(l) for l in gradings],
     }
     name = space.name or "space"
-    totals = [space.integer_view.scaled(l) for l in gradings]
-    full = _full_groups(space, gradings, totals, n_max, cap)
+    full = _block_groups(space, totals, n_max, cap)
     printed = _posets._frame_groups(space, gradings, n_max, cap)
-    for l, total in zip(gradings, totals):
+    for l, groups in zip(gradings, full):
         for n in range(1, n_max + 1):
             summed = printed.get((l, n), TRIVIAL_GROUP)
-            if summed != full[total, n]:
+            if summed != groups[n]:
                 return VerificationReport(
                     check="simp_iso",
                     space=name,
@@ -252,7 +240,7 @@ def check_simp_iso(space, n_max, cap=None):
                         "l": format_rational(l),
                         "n": n,
                         "decomposition": _group_json(summed),
-                        "full": _group_json(full[total, n]),
+                        "full": _group_json(groups[n]),
                     },
                 )
     return VerificationReport(check="simp_iso", space=name, status="pass", params=params)
@@ -272,18 +260,16 @@ def check_frame_injectivity(space, n_max, cap=None):
     """
     name = space.name or "space"
     idist = space.integer_view.idist
-    # each off-diagonal distance, the only nonzero ones, as a scaled int,
-    # with its Fraction
-    lengths = {t: l for irow, row in zip(idist, space.dist) for t, l in zip(irow, row) if t}
-    totals = sorted(lengths)
-    full = _full_groups(space, [lengths[t] for t in totals], totals, n_max, cap)
+    # each off-diagonal distance, the only nonzero ones, as a scaled int
+    totals = sorted({t for row in idist for t in row if t})
+    full = dict(zip(totals, _block_groups(space, totals, n_max, cap)))
     frames = [(a, b) for a in range(space.n) for b in range(space.n) if a != b]
     for pairs, (a, b) in enumerate(frames, start=1):
         total = idist[a][b]
         groups = _posets.frame_homology_by_degree(space, (a, b))
         for n in range(1, n_max + 1):
             fb = groups.get(n, TRIVIAL_GROUP).betti
-            if fb > full[total, n].betti:
+            if fb > full[total][n].betti:
                 return VerificationReport(
                     check="frame_injectivity",
                     space=name,
@@ -294,7 +280,7 @@ def check_frame_injectivity(space, n_max, cap=None):
                         "l": format_rational(space.d(a, b)),
                         "n": n,
                         "frame_betti": fb,
-                        "full_betti": full[total, n].betti,
+                        "full_betti": full[total][n].betti,
                     },
                 )
     return VerificationReport(
@@ -314,27 +300,79 @@ def _realized_frames(space, m_max):
     proper and no interior point is strictly smooth, so the frames of
     degree m + 1 are those of degree m extended by a point that leaves
     the old last point not strictly smooth; grown degree by degree in
-    lexicographic order, each degree comes out sorted.
+    lexicographic order, each degree comes out sorted. A frame is
+    realized when each of its junctions is (`frames.is_realized_frame`),
+    so an extension is realized iff the frame it extends is and so is
+    its new junction (prev, last, x): a test of the junction mask of
+    (prev, last) (`frames._junction_mask`), which is made once per
+    (prev, last), with the points that extend it, not once per tuple.
     """
-    between = space.integer_view.between
+    view = space.integer_view
+    between = view.between
     points = range(space.n)
-    level = [(a, b) for a in points for b in points if a != b]
+    # (prev, last) -> [(x, whether the junction (prev, last, x) is
+    # realized)] for each x that leaves last not strictly smooth
+    extensions = {}
+    level = [((a, b), True) for a in points for b in points if a != b]
     realized = []
     excluded = 0
     for m in range(1, m_max + 1):
         if m > 1:
-            level = [
-                pts + (x,)
-                for pts in level
-                for x in points
-                if x != pts[-1] and not between[pts[-2]][x] >> pts[-1] & 1
-            ]
-        for pts in level:
-            if is_realized_frame(space, pts):
+            grown = []
+            for pts, ok in level:
+                key = pts[-2:]
+                nexts = extensions.get(key)
+                if nexts is None:
+                    prev, last = key
+                    bad = _junction_mask(view, prev, last)
+                    row = between[last]
+                    nexts = extensions[key] = [
+                        (x, not bad & (row[x] | 1 << x))
+                        for x in points
+                        if x != last and not between[prev][x] >> last & 1
+                    ]
+                grown += [(pts + (x,), ok and good) for x, good in nexts]
+            level = grown
+        for pts, ok in level:
+            if ok:
                 realized.append(pts)
             else:
                 excluded += 1
     return realized, excluded
+
+
+def _tensor_groups(space, frames, n_max):
+    """The interval-poset groups of degrees <= n_max of each frame, in order.
+
+    A frame of degree m has the Kunneth fold of its pairs' interval
+    homology, shifted by 2m, as `posets.frame_homology_by_degree` computes
+    it. Products are interned by value, as `posets._frame_groups` interns
+    them (`posets._Products`), so each distinct (product, pair homology)
+    is folded once per call, and each product is shifted and cut at n_max
+    once per degree m. Every pair's homology is read, as the one-frame
+    fold reads it, before a zero pair makes the product zero. Frames with
+    the same groups share one dict; callers must not mutate it.
+    """
+    interned = _posets._Products(space)
+    shifted = {}  # (product id, m) -> its groups by frame degree, up to n_max
+    out = []
+    for f in frames:
+        pid, *rest = [interned.pair(a, b) for a, b in zip(f, f[1:])]
+        for hid in rest:
+            if pid is None or hid is None:
+                pid = None
+                break
+            pid = interned.fold(pid, hid)
+        key = pid, len(f) - 1
+        groups = shifted.get(key)
+        if groups is None:
+            shift = 2 * key[1]
+            product = {} if pid is None else interned.products[pid][0]
+            groups = shifted[key] = {
+                shift + k: group for k, group in product.items() if shift + k <= n_max
+            }
+        out.append(groups)
+    return out
 
 
 def check_tensor_route(space, n_max, m_max=2, cap=None):
@@ -345,8 +383,11 @@ def check_tensor_route(space, n_max, m_max=2, cap=None):
     interval complexes (shifted by twice the frame degree), at each degree
     up to n_max. The subcomplex side comes from `frames.frame_pieces`,
     which searches and reduces only these frames' pieces, on every run;
-    the tensor side folds each frame's intervals once for every
-    degree. The two routes share no code past the metric. Frames
+    the tensor side folds each distinct pair of products once per call
+    (`_tensor_groups`). Each frame's groups of degrees 0..n_max are
+    compared as one dict, and only on a mismatch are the degrees walked
+    for the witness, the first degree that differs. The two routes share
+    no code past the metric. Frames
     with a smoothable junction are excluded: insertion does not preserve
     them and the equivalence genuinely fails there (see is_realized_frame).
     Frames of degree above n_max + 1 are left out: the subcomplex of a
@@ -356,9 +397,10 @@ def check_tensor_route(space, n_max, m_max=2, cap=None):
     name = space.name or "space"
     frames, excluded = _realized_frames(space, min(m_max, n_max + 1))
     pieces = frame_pieces(space, frames, n_max + 1, cap)
-    for f in frames:
-        groups = pieces[f]
-        vias = _posets.frame_homology_by_degree(space, f)
+    for f, vias in zip(frames, _tensor_groups(space, frames, n_max)):
+        groups = {n: group for n, group in pieces[f].items() if n <= n_max}
+        if groups == vias:
+            continue
         for n in range(n_max + 1):
             direct = groups.get(n, TRIVIAL_GROUP)
             via = vias.get(n, TRIVIAL_GROUP)

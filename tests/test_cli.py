@@ -20,6 +20,8 @@ from magh.metric import (
     validate_metric,
 )
 
+from test_spectra import wide_grid
+
 
 def run_cli(capsys, monkeypatch, argv, stdin=""):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
@@ -217,6 +219,21 @@ def test_compute_spectrum_gradings_enumerate_no_chains(capsys, monkeypatch):
     assert nonzero == [(str(l), l, 18, []) for l in range(1, 7)]
 
 
+@pytest.mark.parametrize("space", [cycle_space(5), wide_grid()], ids=lambda s: s.name)
+def test_compute_spectrum_gradings_are_the_spectrum_lengths(capsys, monkeypatch, space):
+    # `compute --l spectrum` grades by the lengths `spectrum` prints, for
+    # the packed count and, on the wide grid at n_max 3, the dict count
+    for n_max in ("1", "3"):
+        _, spectrum, _ = run_cli(
+            capsys, monkeypatch, ["spectrum", "--n-max", n_max], stdin=space.to_json()
+        )
+        lengths = {line.split(",")[1] for line in spectrum.splitlines()[1:]}
+        argv = ["compute", "--n-max", n_max, "--format", "json"]
+        code, out, _ = run_cli(capsys, monkeypatch, argv, stdin=space.to_json())
+        assert code == 0
+        assert {row["l"] for row in json.loads(out)} == lengths
+
+
 def test_main_called_again_in_one_process(capsys, monkeypatch):
     # main keeps each command's parser for the process; each call must
     # print what a single call in a fresh process prints, and a repeated
@@ -347,9 +364,10 @@ def test_verify_default_suite_exit_zero(capsys, monkeypatch):
 
 def test_verify_failure_exit_one(capsys, monkeypatch):
     import magh.verify as verify_module
-    from magh.frames import is_frame
 
-    monkeypatch.setattr(verify_module, "is_realized_frame", is_frame)
+    # with no junction mask every self-framed tuple is realized, and the
+    # six-cycle's frame (0, 1, 4) fails
+    monkeypatch.setattr(verify_module, "_junction_mask", lambda view, prev, x: 0)
     _, space_json, _ = run_cli(capsys, monkeypatch, ["gen", "cycle", "6"])
     code, out, err = run_cli(
         capsys,

@@ -138,8 +138,8 @@ def test_interval_poset_refuses_a_broken_order(kind, witness, edits):
 def test_a_table_broken_outside_an_interval_still_loads_it():
     intact = path_space(5)
     broken = broken_path5(BROKEN_OUTSIDE)
-    assert magh.posets._start_order(intact.integer_view, 0)[1]
-    assert not magh.posets._start_order(broken.integer_view, 0)[1]
+    assert intact.integer_view.start_order(0)[1]
+    assert not broken.integer_view.start_order(0)[1]
     assert less_pairs(*_interval_masks(broken, 0, 3)[:2]) == {(1, 2)}
     for route in (_interval_masks, interval_homology, poset_component_count):
         assert route(broken, 0, 3) == route(intact, 0, 3), route.__name__

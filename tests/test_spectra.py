@@ -2,7 +2,8 @@
 
 `length_spectra` counts a space packed (`chains._count_packed`) when its
 per-point counts fit in `chains.PACKED_BITS`, and with `count_step`
-otherwise. Both must give the same lengths, counts and cap counts.
+otherwise. Both must give the same lengths, counts and cap counts, and
+`realized_totals` the lengths of the spectra, from the same count.
 """
 
 import random
@@ -17,10 +18,11 @@ from magh.chains import (
     _packed_width,
     chain_total,
     length_spectra,
+    realized_totals,
 )
-from magh.errors import EnumerationCapExceeded
+from magh.errors import EnumerationCapExceeded, NegativeCap
 from magh.metric import path_space, validate_metric
-from magh.verify import full_suite, random_suite
+from magh.verify import default_suite, full_suite, random_suite
 
 from oracles import naive_chains
 from test_posets import rational_grid_space
@@ -159,3 +161,43 @@ def test_edge_degrees_and_one_point():
         ((), ()),
         ((), ()),
     ]
+
+
+def wide_grid():
+    """An L1 grid with coprime denominators (scale 1001): its span passes
+    `PACKED_BITS` from n_max 3, so it is counted over dicts there."""
+    xs = [Fraction(0), Fraction(8, 7), Fraction(8, 7) + Fraction(12, 11)]
+    ys = [Fraction(0), Fraction(14, 13)]
+    coords = [(x, y) for y in ys for x in xs]
+    d = [[abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in coords] for p in coords]
+    return validate_metric(d, name="wide-grid-2x3")
+
+
+def spectra_totals(space, n_max, cap):
+    """The lengths of `length_spectra`, as scaled ints, sorted."""
+    scaled = space.integer_view.scaled
+    return sorted({scaled(l) for s in length_spectra(space, n_max, cap) for l in s.lengths})
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 4])
+@pytest.mark.parametrize("space", default_suite() + [wide_grid()], ids=lambda s: s.name)
+def test_realized_totals_are_the_spectra_lengths(space, n_max):
+    # the same lengths, and the same EnumerationCapExceeded count at every
+    # cap that stops a degree and one less
+    if space.name == "wide-grid-2x3":
+        assert (_packed_width(space.integer_view.idist, n_max) is None) == (n_max == 4)
+    got = sweep(lambda limit: realized_totals(space, n_max, limit))
+    assert got == sweep(lambda limit: spectra_totals(space, n_max, limit))
+    assert got[max(got)] == realized_totals(space, n_max)
+    assert sum(isinstance(v, int) for v in got.values()) == 2 * n_max
+
+
+def test_realized_totals_of_no_point_and_negative_degrees():
+    none = validate_metric([], name="empty")
+    assert realized_totals(none, 3, cap=0) == []
+    assert realized_totals(path_space(3), -1, cap=0) == []
+    with pytest.raises(EnumerationCapExceeded):
+        realized_totals(path_space(3), 1, cap=0)
+    # the cap is resolved before anything is counted, as for the spectra
+    with pytest.raises(NegativeCap):
+        realized_totals(path_space(3), -1, cap=-1)

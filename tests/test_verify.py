@@ -15,7 +15,7 @@ import magh.chains
 import magh.frames
 import magh.posets
 import magh.verify as verify_module
-from magh.algebra import HomologyGroup, HomologyRow, block_homology_rows
+from magh.algebra import HomologyGroup, _block_groups
 from magh.chains import is_strictly_smooth
 from magh.errors import EnumerationCapExceeded
 from magh.frames import is_frame, is_realized_frame
@@ -26,10 +26,11 @@ from magh.metric import (
     random_metric,
     validate_metric,
 )
-from magh.posets import magnitude_homology_rows
+from magh.posets import frame_homology_by_degree, magnitude_homology_rows
 from magh.verify import (
     CHECKS,
     _realized_frames,
+    _tensor_groups,
     check_d_squared,
     check_frame_injectivity,
     check_simp_iso,
@@ -41,6 +42,8 @@ from magh.verify import (
 )
 
 from oracles import d_squared_by_tables
+from test_frames import corrupted_c5
+from test_posets import rational_grid_space, rp2_face_poset_space
 
 
 def rational_grid(rows, cols):
@@ -263,8 +266,9 @@ def test_d_squared_failure_below_the_cap_is_reported():
 
 def test_tensor_route_catches_unrealized_frame(monkeypatch):
     # widening "realized" to every self-framed tuple must expose the known
-    # counterexample frame (0, 1, 4) on the six-cycle
-    monkeypatch.setattr(verify_module, "is_realized_frame", is_frame)
+    # counterexample frame (0, 1, 4) on the six-cycle: with no junction
+    # mask, every junction that leaves its point unsmooth is realized
+    monkeypatch.setattr(verify_module, "_junction_mask", lambda view, prev, x: 0)
     report = check_tensor_route(cycle_space(6), n_max=3, m_max=2)
     assert not report.passed
     assert report.witness["frame"] == [0, 1, 4]
@@ -297,10 +301,33 @@ def test_realized_frames_match_every_tuple():
                     excluded += 1
         return realized, excluded
 
-    for space in default_suite():
+    # the grid has rational steps, and the corrupted C_5's start order
+    # fails its partial-order test
+    for space in default_suite() + [rational_grid_space(2, 3), corrupted_c5()]:
         for m_max in range(4):
             assert _realized_frames(space, m_max) == every_tuple(space, m_max), space.name
     assert _realized_frames(cycle_space(6), 2)[1] > 0
+
+
+def test_tensor_side_folds_torsion_as_the_frame_route():
+    # on the RP^2 face-poset space I(bottom, top) and I(top, bottom) are
+    # both Z/2 at degree 1, so frames through them fold Tor(Z/2, Z/2);
+    # each frame's groups must be those of the one-frame fold
+    space, bottom, top = rp2_face_poset_space()
+    frames = [f for f in _realized_frames(space, 2)[0] if bottom in f or top in f]
+    frames += [(bottom, top, bottom), (top, bottom, top, bottom)]
+    n_max = 12
+    folded = _tensor_groups(space, frames, n_max)
+    assert len(folded) == len(frames)
+    for f, groups in zip(frames, folded):
+        want = frame_homology_by_degree(space, f)
+        assert groups == {n: g for n, g in want.items() if n <= n_max}, f
+    z2 = HomologyGroup(0, (2,))
+    # (Z/2 (x) Z/2) at 2 and Tor(Z/2, Z/2) at 3, shifted by 4
+    assert folded[-2] == {6: z2, 7: z2}
+    assert any(g.torsion for groups in folded[:-2] for g in groups.values())
+    # at a lower n_max the same products are cut there
+    assert _tensor_groups(space, frames[-2:], 6) == [{6: z2}, {}]
 
 
 def test_simp_iso_grading_window():
@@ -320,10 +347,10 @@ def test_frame_injectivity_counts_ordered_pairs():
 
 def test_frame_injectivity_reads_the_pair_frames(monkeypatch):
     # with the full side zeroed, the first pair frame with homology fails
-    def zeros(space, gradings, n_max, cap=None):
-        return [HomologyRow(l, n, HomologyGroup(0)) for l in gradings for n in range(n_max + 1)]
+    def zeros(space, totals, n_max, cap=None):
+        return [(HomologyGroup(0),) * (n_max + 1) for _ in totals]
 
-    monkeypatch.setattr(verify_module, "block_homology_rows", zeros)
+    monkeypatch.setattr(verify_module, "_block_groups", zeros)
     report = check_frame_injectivity(cycle_space(4), 2)
     assert not report.passed
     assert report.params == {"n_max": 2, "pairs": 1}
@@ -536,11 +563,12 @@ def test_full_side_is_the_block_engine(monkeypatch, check):
 
     def blocks(*args):
         calls.append(args[1])
-        return block_homology_rows(*args)
+        return _block_groups(*args)
 
-    monkeypatch.setattr(verify_module, "block_homology_rows", blocks)
+    monkeypatch.setattr(verify_module, "_block_groups", blocks)
     report = check(cycle_space(5), n_max=3)
     assert report.passed
-    # one call holds every grading the check compares: those below m_X = 3
-    # for simp_iso, the distances 1 and 2 for frame_injectivity
-    assert calls == [[Fraction(1), Fraction(2)]]
+    # one call holds every grading the check compares, as scaled ints
+    # (C_5 has scale 1): those below m_X = 3 for simp_iso, the distances
+    # 1 and 2 for frame_injectivity
+    assert calls == [[1, 2]]
