@@ -17,8 +17,8 @@ complex. A chain record is (points, mask), with bit i of mask set iff
 x_i is strictly smooth, so the one assembly, `_assemble`, writes each
 column from the mask and tests no point for smoothness. It assembles
 several complexes, blocks, in one pass, each with its own rows. The
-endpoint-block engine hands it all the endpoint blocks of one start
-point at a time (`_blocks_homology`): d^2 = 0 checked on all of them
+endpoint-block engine hands it the representative endpoint blocks of
+one start point at a time (`_blocks_homology`): d^2 = 0 checked on all of them
 before any is reduced, `snf` on each block's own columns at each degree,
 and betti numbers and torsion factors per block, summed into one group
 per grading and degree. `frames.frame_pieces` hands the same call the
@@ -603,22 +603,24 @@ def block_homology_rows(space, gradings, n_max, cap=None):
     n_max + 1, whose only role is the incoming boundary at n_max, just the
     chains with a face that is not cancelled, whose masks hold only those
     faces. The cancelled pairs change only H_{n_max + 1}, and a block
-    whose chains all cancel is not given. It gives only the blocks with
-    a <= b: reversing chains maps block (l, a, b) isomorphically onto
-    (l, b, a), so the groups of an a < b block are counted twice and
-    those of an a = b block once. The search hands on the blocks of one
-    start point a at a time, and they go, with the smooth-position masks
-    the search made, to `_blocks_homology`, which assembles them in one
-    pass, each over the degrees from its lowest to its highest with
-    chains and with no column for a chain without a face, checks d^2 = 0
-    on every block before reducing any, and reduces each block on its
-    own. Their betti numbers up to n_max are summed and their torsion
-    factors gathered per grading and degree, and each group is made once,
-    from the sums: no group is made per block. A block counts as zero at
-    the degrees outside its own. The cap counts the steps of that search,
-    which searches both directions but counts top chains only for the
-    blocks it gives, and only those it hands on. Rows come grading by
-    grading in the order given, degrees ascending.
+    whose chains all cancel is not given. It gives only the orbit
+    representatives of `IntegerView.pair_orbits`: an isometry g maps
+    block (l, a, b) isomorphically onto (l, g a, g b), and reversing
+    chains maps it onto (l, b, a), so the groups of a representative are
+    counted as many times as its orbit has pairs. The search hands on the
+    blocks of one start point a at a time, and they go, with the
+    smooth-position masks the search made, to `_blocks_homology`, which
+    assembles them in one pass, each over the degrees from its lowest to
+    its highest with chains and with no column for a chain without a
+    face, checks d^2 = 0 on every block before reducing any, and reduces
+    each block on its own. Their betti numbers up to n_max, times the
+    orbit weights, are summed and their torsion factors gathered as many
+    times per grading and degree, and each group is made once, from the
+    sums: no group is made per block. A block counts as zero at the
+    degrees outside its own. The cap counts the steps of that search,
+    which searches only from the representatives' start points and counts
+    top chains only for the blocks it gives, and only those it hands on.
+    Rows come grading by grading in the order given, degrees ascending.
 
     Each grading's groups are kept per n_max on the space's
     `IntegerView.block_groups`, so a grading already held costs no search
@@ -650,19 +652,22 @@ def _block_groups(space, totals, n_max, cap=None):
     Returns, for each in the order given, the tuple of its n_max + 1
     groups as `block_homology_rows` describes them, read off the space's
     `IntegerView.block_groups` after the lengths it lacks are searched
-    together; no Fraction and no row is made.
+    together; no Fraction and no row is made. Each orbit representative's
+    groups count by its orbit's size, `pair_orbits.weights`.
     """
-    held = space.integer_view.block_groups.setdefault(n_max, {})
+    view = space.integer_view
+    held = view.block_groups.setdefault(n_max, {})
     # a length that is no scaled int (None) is that of no chain
     lacking = set(totals) - held.keys() - {None}
     if lacking:
         # (total, n) -> the betti number and the torsion factor lists summed
         betti = {}
         torsion = {}
+        weights = view.pair_orbits.weights
         for blocks in _chains.block_chains(space, lacking, n_max, cap):
             homology = _blocks_homology([records for _, _, records in blocks])
-            for (total, (a, b), _), groups in zip(blocks, homology):
-                times = 2 if a < b else 1
+            for (total, pair, _), groups in zip(blocks, homology):
+                times = weights[pair]
                 for n, rank, factors in groups:
                     if n <= n_max:
                         key = total, n

@@ -12,11 +12,13 @@ points of the mask, and the assembly (`algebra._assemble`) reads the
 faces off it without testing any point again. `start_blocks` is the
 engine's length-pruned search from a start point, which settles each
 point's bit as it appends the next: `block_chains` runs it for the
-endpoint blocks the engine reduces, only those (a, b) with a <= b, as
-chain reversal maps each block onto its reverse, carries the masks
-through its insertions, cancels each top chain that has one face against
-that face, and hands on the blocks of one start point at a time, which
-the engine assembles together. The chain-level frame route searches
+endpoint blocks the engine reduces, only the orbit representatives of
+`IntegerView.pair_orbits`, as an isometry or chain reversal maps a block
+isomorphically onto another of its orbit, so it searches only from the
+representatives' start points; it carries the masks through its
+insertions, cancels each top chain that has one face against that face,
+and hands on the blocks of one start point at a time, which the engine
+assembles together. The chain-level frame route searches
 only geodesically simple chains, in both directions, per call
 (`frames._frame_search`) over the same `search_moves`, whose masks are
 the points each frame drops. `smooth_mask` reads the mask off a given
@@ -32,7 +34,8 @@ denominators, is counted over dicts instead, one entry per length
 reached, by `count_step`, with which `verify` also places a chain in
 the d^2 check's order. `realized_totals` reads the lengths the same count
 reaches up to a degree as scaled ints, the gradings of `compute --l
-spectrum` and of `verify`'s `simp_iso`, with no Fraction per length.
+spectrum` and of `verify`'s `simp_iso`, with no Fraction per length; on
+the packed side it walks the supports alone and keeps no count.
 """
 
 from __future__ import annotations
@@ -101,21 +104,22 @@ def search_moves(space, longest):
     ]
 
 
-def start_blocks(start, moves, between, wanted, n_top, steps, limit):
+def start_blocks(start, ends, moves, between, wanted, n_top, steps, limit):
     """The chains from `start` of degree <= n_top with a length in `wanted`
-    that do not end below `start`, each with its smooth-position mask.
+    that end at a point of the bitmask `ends`, each with its smooth-position
+    mask.
 
     One length-pruned search: each chain is extended by every next point
     of `moves` (from `search_moves` with the largest of `wanted`) in
     ascending order, and a prefix is dropped once it is longer than the
     largest wanted length. At degree n_top, the top of the search, a chain
-    that ends below `start` is not built at all. A chain carries the mask
+    that ends outside `ends` is not built at all. A chain carries the mask
     whose bit i is set iff x_i is strictly smooth; appending `nxt` to a
     chain of degree n - 1 settles only x_{n-1}, whose bit comes from the
     betweenness table `between` as `between[x_{n-2}][nxt] >> x_{n-1} & 1`.
     Returns (blocks, steps). `blocks` maps (total, end point) to {degree:
     records}, a record being (points, mask), each degree in lexicographic
-    order, for the end points >= `start` only; a degree with no chain is
+    order, for the end points in `ends` only; a degree with no chain is
     absent. `steps` is the given count plus one for the start and one per
     prefix kept, and EnumerationCapExceeded is raised as soon as it passes
     `limit`.
@@ -124,8 +128,10 @@ def start_blocks(start, moves, between, wanted, n_top, steps, limit):
     if steps > limit:
         raise EnumerationCapExceeded(steps, limit)
     longest = max(wanted)
+    # kept[b] is bit b of `ends`, read off a list in the inner loop
+    kept = [ends >> b & 1 for b in range(len(moves))]
     blocks = {}
-    if 0 in wanted:
+    if 0 in wanted and kept[start]:
         blocks[0, start] = {0: [((start,), 0)]}
     level = [((start,), 0, 0)]
     for n in range(1, n_top + 1):
@@ -138,14 +144,14 @@ def start_blocks(start, moves, between, wanted, n_top, steps, limit):
             row = between[pts[-2] if n > 1 else x]
             for nxt, d in moves[x]:
                 t = total + d
-                if t > longest or top and nxt < start:
+                if t > longest or top and not kept[nxt]:
                     continue
                 steps += 1
                 ch = pts + (nxt,)
                 m = mask | bit if row[nxt] >> x & 1 else mask
                 if not top:
                     grown.append((ch, t, m))
-                if t in wanted and nxt >= start:
+                if t in wanted and kept[nxt]:
                     blocks.setdefault((t, nxt), {}).setdefault(n, []).append((ch, m))
             if steps > limit:
                 raise EnumerationCapExceeded(steps, limit)
@@ -154,45 +160,49 @@ def start_blocks(start, moves, between, wanted, n_top, steps, limit):
 
 
 def block_chains(space, totals, n_max, cap=None):
-    """The chains of each endpoint block (a, b), a <= b, whose length is in `totals`.
+    """The chains of each representative endpoint block whose length is in `totals`.
 
     `totals` holds lengths as scaled ints of the space's IntegerView.
     Yields, for each start point a in ascending order that has a block,
     the list of its blocks (total, (a, b), records): one for every end
-    point b >= a joined to a by a proper chain of degree <= n_max and
-    length `total`, by total, then b, except a block whose chains all
-    collapse (below). A start's blocks come together because the engine
-    assembles them together. `records` maps a degree k to the block's
-    chains as records (points, mask), where bit i of mask is set iff x_i
-    is strictly smooth, as `smooth_mask` reads it, in lexicographic order:
-    every chain for k < n_max, and at k = n_max every chain but the
-    collapsed ones. At k = n_max + 1 the mask holds only the faces kept,
-    the smooth positions whose face is not collapsed, and only the chains
-    with such a face are there. A degree with no chain is absent. The
-    masks are made as the chains are, so no chain is tested for
-    smoothness again.
+    point b with (a, b) a representative of `IntegerView.pair_orbits`
+    joined to a by a proper chain of degree <= n_max and length `total`,
+    by total, then b, except a block whose chains all collapse (below). A
+    start's blocks come together because the engine assembles them
+    together. `records` maps a degree k to the block's chains as records
+    (points, mask), where bit i of mask is set iff x_i is strictly smooth,
+    as `smooth_mask` reads it, in lexicographic order: every chain for
+    k < n_max, and at k = n_max every chain but the collapsed ones. At
+    k = n_max + 1 the mask holds only the faces kept, the smooth positions
+    whose face is not collapsed, and only the chains with such a face are
+    there. A degree with no chain is absent. The masks are made as the
+    chains are, so no chain is tested for smoothness again.
 
-    The block (total, b, a) is not yielded for a < b: it has the groups of
-    (total, a, b), so a caller summing over all blocks counts each a < b
-    block twice. Reversal, (x_0, ..., x_n) -> (x_n, ..., x_0), maps the
-    chains of one block one to one onto those of the other, and as d and
-    the betweenness table are symmetric it keeps each chain's length and
-    smooth points and sends the face that drops x_i to the face that
-    drops x_{n-i}. The signs (-1)^i and (-1)^(n-i) differ by (-1)^n, so
-    reversal times the sign e_n = (-1)^n e_{n-1} in degree n is an
-    isomorphism of chain complexes, torsion included, and it maps the top
-    chains with a smooth face onto each other. Both tables are checked
-    for symmetry once per call, after the last block, so an error a
-    corrupted table causes inside a block is reported first with its
-    chain; an asymmetric one raises AsymmetricTable, under `python -O`
-    too.
+    The other blocks of an orbit are not yielded: each has the groups of
+    its representative, so a caller summing over all blocks counts each
+    block by its orbit's weight, `pair_orbits.weights[a, b]`. An isometry
+    g maps the chains of (total, a, b) one to one onto those of (total,
+    g a, g b), keeping each chain's length, smooth points and face
+    positions, so it is a chain isomorphism with no sign. Reversal,
+    (x_0, ..., x_n) -> (x_n, ..., x_0), maps the chains of (total, a, b)
+    onto those of (total, b, a), and as d and the betweenness table are
+    symmetric it keeps each chain's length and smooth points and sends the
+    face that drops x_i to the face that drops x_{n-i}. The signs (-1)^i
+    and (-1)^(n-i) differ by (-1)^n, so reversal times the sign e_n =
+    (-1)^n e_{n-1} in degree n is an isomorphism of chain complexes. Both
+    keep torsion. With no isometry found the representatives are the
+    blocks with a <= b. Both tables are checked for symmetry once per
+    call, after the last block, so an error a corrupted table causes
+    inside a block is reported first with its chain; an asymmetric one
+    raises AsymmetricTable, under `python -O` too.
 
     Degrees 0..n_max come from `start_blocks`, one search per start
-    point, which records no chain that ends below its start and builds
-    none at degree n_max. Degree n_max + 1 is built by insertion: a point
-    c strictly between x_{i-1} and x_i of a degree-n_max chain x of the
-    block is inserted at position i, and the result is kept only if i is
-    its first smooth position. Removing that point gives x back, so every
+    point of a representative, which records no chain that ends outside
+    the start's representative ends and builds none at degree n_max.
+    Degree n_max + 1 is built by insertion: a point c strictly between
+    x_{i-1} and x_i of a degree-n_max chain x of the block is inserted at
+    position i, and the result is kept only if i is its first smooth
+    position. Removing that point gives x back, so every
     top chain with a smooth face is made exactly once; one without a face
     changes only H_{n_max + 1} and is never built. The first smooth
     position of x is its mask's lowest set bit. The mask of an insertion
@@ -218,9 +228,10 @@ def block_chains(space, totals, n_max, cap=None):
     i + 1 of a y with no smooth point past i + 2 can be collapsed.
 
     Steps counted against the cap (`resolve_cap`): those of the searches,
-    that is every proper chain of degree <= n_max no longer than the
-    largest total, degree 0 included, less those of degree n_max that end
-    below their start, and every top chain a block with a <= b keeps.
+    that is one per start searched and every proper chain from it of
+    degree <= n_max no longer than the largest total, degree 0 included,
+    less those of degree n_max that end outside its representative ends,
+    and every top chain a representative block keeps.
     EnumerationCapExceeded is raised as soon as the steps pass the cap,
     checked after the top chains of each parent are kept.
     """
@@ -234,8 +245,10 @@ def block_chains(space, totals, n_max, cap=None):
     moves = search_moves(space, max(wanted))
     inner = [[view.between_points(a, b) for b in range(size)] for a in range(size)]
     steps = 0
-    for start in range(size):
-        blocks, steps = start_blocks(start, moves, between, wanted, n_max, steps, limit)
+    for start, ends in enumerate(view.pair_orbits.ends):
+        if not ends:
+            continue
+        blocks, steps = start_blocks(start, ends, moves, between, wanted, n_max, steps, limit)
         out = []
         for key in sorted(blocks):
             records = blocks.pop(key)
@@ -405,12 +418,14 @@ def _count_packed(idist, n_max, limit, width):
     shift-and-add per ordered pair of points, and its counts are read
     off the bytes of the states' sum at the set bits of the supports'
     union. `width` must hold N(N-1)^n_max, the chains of the top degree,
-    so that no field carries into the next.
+    so that no field carries into the next. With `width` None only the
+    supports are walked, with the same steps, and each degree's counts
+    are None.
     """
     size = len(idist)
-    nbytes = width // 8
+    counted = width is not None
     moves = [
-        [(nxt, d * width, d) for nxt, d in enumerate(row) if nxt != last]
+        [(nxt, d * width if counted else 0, d) for nxt, d in enumerate(row) if nxt != last]
         for last, row in enumerate(idist)
     ]
     states = [1] * size
@@ -421,29 +436,42 @@ def _count_packed(idist, n_max, limit, width):
             steps += sum(s.bit_count() for s in support) * (size - 1)
             if steps > limit:
                 raise EnumerationCapExceeded(steps, limit)
-            grown = [0] * size
             reach = [0] * size
-            for state, seen, row in zip(states, support, moves):
-                for nxt, shift, d in row:
-                    grown[nxt] += state << shift
-                    reach[nxt] |= seen << d
-            states, support = grown, reach
+            if counted:
+                grown = [0] * size
+                for state, seen, row in zip(states, support, moves):
+                    for nxt, shift, d in row:
+                        grown[nxt] += state << shift
+                        reach[nxt] |= seen << d
+                states = grown
+            else:
+                for seen, row in zip(support, moves):
+                    for nxt, _, d in row:
+                        reach[nxt] |= seen << d
+            support = reach
         union = 0
         for seen in support:
             union |= seen
+        totals = set_bits(union)
+        if not counted:
+            yield totals, None
+            continue
+        nbytes = width // 8
         total = sum(states)
         packed = total.to_bytes((total.bit_length() + 7) // 8, "little")
-        totals = set_bits(union)
         yield totals, [
             int.from_bytes(packed[t * nbytes : (t + 1) * nbytes], "little") for t in totals
         ]
 
 
-def _degree_counts(space, n_max, cap):
+def _degree_counts(space, n_max, cap, counted=True):
     """(totals, counts) of each degree 0..n_max in turn, packed where the
     span fits `PACKED_BITS` and over dicts otherwise; none if n_max < 0.
 
-    The cap is resolved first, so a bad cap is refused at any n_max.
+    `counts` is None on the packed side unless `counted`, which walks the
+    supports alone with the same steps: only `length_spectra` reads the
+    counts. The cap is resolved first, so a bad cap is refused at any
+    n_max.
     """
     limit = resolve_cap(cap)
     if n_max < 0:
@@ -452,7 +480,7 @@ def _degree_counts(space, n_max, cap):
     width = _packed_width(idist, n_max)
     if width is None:
         return _count_by_dicts(idist, n_max, limit)
-    return _count_packed(idist, n_max, limit, width)
+    return _count_packed(idist, n_max, limit, width if counted else None)
 
 
 def length_spectra(space, n_max, cap=None):
@@ -482,13 +510,14 @@ def realized_totals(space, n_max, cap=None):
     """The lengths of the proper chains of degree <= n_max, as sorted scaled ints.
 
     The union of the lengths of `length_spectra`, from the same count and
-    with the same cap steps, but with no Fraction and no spectrum made:
+    with the same cap steps, but with no count decoded, on the packed
+    side none kept, and no Fraction and no spectrum made:
     0 for a space with a point, and every length a chain of degree
     1..n_max reaches. `compute --l spectrum` prints these lengths, and
     `verify`'s `simp_iso` checks those between 0 and m_X.
     """
     lengths = set()
-    for totals, _ in _degree_counts(space, n_max, cap):
+    for totals, _ in _degree_counts(space, n_max, cap, counted=False):
         lengths.update(totals)
     return sorted(lengths)
 

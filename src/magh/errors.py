@@ -68,16 +68,18 @@ class EnumerationCapExceeded(MaghError, RuntimeError):
 
     `count` is in the steps of whichever search refused: the chains of a
     whole degree for the d^2 check, checked before any is built; the
-    prefixes kept (chains of degree <= n_max no longer than the largest
-    grading, less those of degree n_max that end below their start) plus
-    the top-degree insertions kept so far into the blocks (a, b) with
-    a <= b for the endpoint-block engine; the start points and
-    geodesically simple prefixes kept so far for `verify`'s chain-level
-    frame route (`frames.frame_pieces`); the frame tuples reached so far, each state's
-    transition counting as many as reach the state, plus the simplices
-    of the order complexes built so far for pairs the space did not hold,
-    for the frame count below m_X; the (state, next point) transitions
-    through the degree that passes the cap for the length spectrum count.
+    representative start points searched and the prefixes kept (chains
+    of degree <= n_max from those starts no longer than the largest
+    grading, less those of degree n_max that end at no representative
+    end) plus the top-degree insertions kept so far into the
+    representative blocks for the endpoint-block engine; the start
+    points and geodesically simple prefixes kept so far for `verify`'s
+    chain-level frame route (`frames.frame_pieces`); the frame tuples
+    reached so far, each state's transition counting as many as reach
+    the state, plus the simplices of the order complexes built so far for
+    pairs the space did not hold, for the frame count below m_X; the
+    (state, next point) transitions through the degree that passes the
+    cap for the length spectrum count.
     A count that steps by more than one at a time reports `cap + 1`, the
     step that passed the cap.
     """
@@ -204,7 +206,8 @@ class AsymmetricTable(MaghError, AssertionError):
 
     `table` names it ("idist" or "between"), and entry [i][j] differs from
     [j][i]. A validated space has symmetric tables; the endpoint-block
-    engine relies on it to reduce one block of each reversed pair.
+    engine relies on it to reduce one block per orbit of pairs under the
+    isometries and reversal.
     """
 
     def __init__(self, table, i, j):
@@ -212,6 +215,29 @@ class AsymmetricTable(MaghError, AssertionError):
         self.table = table
         self.i = i
         self.j = j
+
+
+class NotAnIsometry(MaghError, AssertionError):
+    """A map the isometry search found that does not keep the distances.
+
+    `isometry` is the map as a tuple, point x going to isometry[x]. `a`
+    and `b` are the first pair in row-major order whose distance it
+    changes, or `a` is the first entry outside the points and `b` None
+    for a map that is no permutation. The endpoint-block engine reduces
+    one block per orbit of point pairs under the isometries found, which
+    is exact only if each one is an isometry.
+    """
+
+    def __init__(self, isometry, a, b):
+        isometry = tuple(isometry)
+        if b is None:
+            detail = f"entry {a} is not a point, or repeats one"
+        else:
+            detail = f"d({a}, {b}) != d({isometry[a]}, {isometry[b]})"
+        super().__init__(f"map {isometry} is not an isometry: {detail}")
+        self.isometry = isometry
+        self.a = a
+        self.b = b
 
 
 class NotAPartialOrder(MaghError, AssertionError):

@@ -40,6 +40,7 @@ from .errors import (
     NegativeEntry,
     NegativeOrZeroOffDiagonal,
     NonzeroDiagonal,
+    NotAnIsometry,
     NotSquare,
     NTooSmall,
     SelfBetweenness,
@@ -249,6 +250,234 @@ def _between_rows(idist):
     return tuple(map(tuple, rows)), short
 
 
+# the most nodes `_isometry_generators` visits in one space; past it the
+# generators found so far are kept, which splits some orbits but merges
+# no pair wrongly
+ISOMETRY_NODES = 20_000
+
+
+def _isometry_generators(idist):
+    """Isometries of a symmetric int distance matrix that generate its group,
+    as tuples mapping point x to g[x]; none when only the identity is found.
+
+    A backtracking search in the manner of McKay's *Practical graph
+    isomorphism* (1981), with each point's sorted distance row as the
+    invariant. A base b_0, b_1, ... is chosen until fixing it leaves every
+    point alone in its cell, a cell being the points with the same
+    invariant and the same distance to each base point. Level by level,
+    deepest first, the search looks for an isometry that fixes b_0 ..
+    b_{i-1} and sends b_i to each point of b_i's cell not yet in b_i's
+    orbit under the generators found, all of which fix b_0 .. b_{i-1}.
+    As the stabilizer of b_0 .. b_i is generated already, that adds a
+    map from every coset of it in the stabilizer of b_0 .. b_{i-1}, so
+    at level 0 the generators found generate the whole group, and no
+    group is listed.
+    A map is grown one point at a time (`_extend_isometry`), each
+    candidate keeping every distance to the points already mapped. Past
+    `ISOMETRY_NODES` nodes in all the search stops, keeping what it
+    found. An asymmetric matrix gets no isometry.
+    """
+    n = len(idist)
+    if n < 2 or tuple(zip(*idist)) != tuple(idist):
+        return []
+    keys = [tuple(sorted(row)) for row in idist]
+    kinds = {}
+    for x, key in enumerate(keys):
+        kinds[key] = kinds.get(key, 0) | 1 << x
+    if len(kinds) == n:
+        return []
+    invariant = [kinds[key] for key in keys]
+    # at[y][d]: the points at distance d from y
+    at = []
+    for row in idist:
+        by = {}
+        for v, d in enumerate(row):
+            by[d] = by.get(d, 0) | 1 << v
+        at.append(by)
+    base = []
+    level_cells = []
+    cells = invariant
+    while True:
+        b = next((u for u, c in enumerate(cells) if c & c - 1), None)
+        if b is None:
+            break
+        base.append(b)
+        level_cells.append(cells[b])
+        row, by = idist[b], at[b]
+        cells = [c & by[d] for c, d in zip(cells, row)]
+    left = ISOMETRY_NODES
+    generators = []
+    for i in range(len(base) - 1, -1, -1):
+        b = base[i]
+        orbit = 1 << b
+        for v in set_bits(level_cells[i] & ~orbit):
+            if orbit >> v & 1:
+                continue
+            image = [-1] * n
+            cand = invariant
+            used = 0
+            for u, y in zip(base[: i + 1], base[:i] + [v]):
+                image[u] = y
+                used |= 1 << y
+                by = at[y]
+                cand = [c & by.get(d, 0) for c, d in zip(cand, idist[u])]
+            found, left = _extend_isometry(idist, at, image, cand, used, left)
+            if left < 0:
+                return generators
+            if found is not None:
+                generators.append(found)
+                orbit = _point_orbit(b, generators)
+    return generators
+
+
+def _extend_isometry(idist, at, image, cand, used, left):
+    """(the first isometry extending a partial map, or None, nodes left).
+
+    `image[u]` is u's image, or -1 for a point not mapped yet; `cand[u]`
+    is the bitmask of the points with u's invariant and u's distance to
+    each point mapped, from its image; `used` is the bitmask of the
+    images; `at[y][d]` the points at distance d from y. A depth-first
+    search over an explicit stack, so a space of any size fits: each node
+    maps the free point with the fewest free candidates to each of them
+    in turn, and costs one of `left`; the search gives up, with `left`
+    below 0, when they run out.
+    """
+    n = len(image)
+    stack = []
+    while True:
+        left -= 1
+        if left < 0:
+            return None, left
+        best = None
+        fewest = n + 1
+        for u, y in enumerate(image):
+            if y < 0:
+                free = cand[u] & ~used
+                count = free.bit_count()
+                if count < fewest:
+                    best, fewest, choices = u, count, free
+                    if not count:
+                        break
+        if best is None:
+            return tuple(image), left
+        if fewest:
+            stack.append((best, set_bits(choices)[::-1], cand, used))
+        while stack:
+            u, options, below, taken = stack[-1]
+            if options:
+                y = options.pop()
+                image[u] = y
+                by = at[y]
+                cand = [c & by.get(d, 0) for c, d in zip(below, idist[u])]
+                used = taken | 1 << y
+                break
+            image[u] = -1
+            stack.pop()
+        else:
+            return None, left
+
+
+def _point_orbit(x, generators):
+    """The orbit of point x under maps given as tuples, as a bitmask."""
+    orbit = 1 << x
+    todo = [x]
+    while todo:
+        y = todo.pop()
+        for g in generators:
+            z = g[y]
+            if not orbit >> z & 1:
+                orbit |= 1 << z
+                todo.append(z)
+    return orbit
+
+
+def _check_isometry(idist, g):
+    """Raise NotAnIsometry unless g is a permutation of the points that
+    keeps all N^2 distances; under `python -O` too."""
+    n = len(idist)
+    seen = 0
+    for a, y in enumerate(g):
+        if a >= n or not 0 <= y < n or seen >> y & 1:
+            raise NotAnIsometry(g, a, None)
+        seen |= 1 << y
+    if len(g) < n:
+        raise NotAnIsometry(g, len(g), None)
+    for a, row in enumerate(idist):
+        moved = idist[g[a]]
+        if tuple(map(moved.__getitem__, g)) != row:
+            b = next(b for b, d in enumerate(row) if moved[g[b]] != d)
+            raise NotAnIsometry(g, a, b)
+
+
+def _keeps_between(between, g):
+    """True when the map g sends each betweenness mask between[a][b] onto
+    between[g a][g b], point by point."""
+    for a, row in enumerate(between):
+        moved = between[g[a]]
+        for b, mask in enumerate(row):
+            image = 0
+            while mask:
+                low = mask & -mask
+                image |= 1 << g[low.bit_length() - 1]
+                mask ^= low
+            if moved[g[b]] != image:
+                return False
+    return True
+
+
+@dataclass(frozen=True)
+class PairOrbits:
+    """The orbits of ordered point pairs under isometries and reversal.
+
+    `generators` are the isometries found (`_isometry_generators`), each
+    checked on every distance. Two pairs share an orbit when a product of
+    generators and the reversal (a, b) -> (b, a) maps one onto the other;
+    each orbit is represented by its lexicographically least pair, so a
+    <= b in every representative. `ends[a]` is the bitmask of the points b
+    with (a, b) a representative, 0 when a starts none, and
+    `weights[a, b]` the size of the orbit of the representative (a, b).
+    The weights sum to N^2. With no generator the representatives are the
+    pairs with a <= b, of weight 2 when a < b and 1 when a = b.
+    """
+
+    generators: tuple
+    ends: tuple
+    weights: dict
+
+
+def _orbits_of_pairs(idist, generators):
+    """The `PairOrbits` of maps already checked to be isometries of `idist`.
+
+    The orbits are walked over flat pair indices a * N + b in ascending
+    order, so the first pair met of each orbit is its least.
+    """
+    n = len(idist)
+    perms = [[b * n + a for a in range(n) for b in range(n)]]
+    for g in generators:
+        perms.append([x + y for x in [y * n for y in g] for y in g])
+    seen = bytearray(n * n)
+    ends = [0] * n
+    weights = {}
+    for p in range(n * n):
+        if seen[p]:
+            continue
+        seen[p] = 1
+        todo = [p]
+        size = 0
+        while todo:
+            q = todo.pop()
+            size += 1
+            for perm in perms:
+                r = perm[q]
+                if not seen[r]:
+                    seen[r] = 1
+                    todo.append(r)
+        a, b = divmod(p, n)
+        ends[a] |= 1 << b
+        weights[a, b] = size
+    return PairOrbits(tuple(generators), tuple(ends), weights)
+
+
 @dataclass(frozen=True)
 class IntegerView:
     """A space's distances scaled to ints, with betweenness tabulated once.
@@ -269,7 +498,9 @@ class IntegerView:
     partial-order test (`start_order`); `block_groups` maps n_max
     to the groups of degrees 0..n_max of each length grading the block
     engine (`algebra.block_homology_rows`) has reduced, keyed by scaled
-    length.
+    length; `pair_orbits` holds the orbits of point pairs under the
+    isometries found and reversal, whose representatives are the only
+    blocks the engine searches and reduces.
     All fill as they are asked for and live exactly as long as the space.
     No chains are kept on the view.
     """
@@ -331,6 +562,25 @@ class IntegerView:
                     broken |= row[x] & ~below
             order = self.start_orders[a] = (up, not broken)
         return order
+
+    @cached_property
+    def pair_orbits(self):
+        """The `PairOrbits` of this space, worked out on first use.
+
+        Every map `_isometry_generators` gives is checked on all N^2
+        distances first (`_check_isometry`, NotAnIsometry otherwise). The
+        betweenness table is made from the distances, so an isometry
+        keeps it too; a map that does not keep this view's table, which
+        only a corrupted table allows, is left out, so that the engine's
+        guards see every fault such a table causes in some
+        representative block.
+        """
+        generators = []
+        for g in _isometry_generators(self.idist):
+            _check_isometry(self.idist, g)
+            if _keeps_between(self.between, g):
+                generators.append(g)
+        return _orbits_of_pairs(self.idist, generators)
 
     def between_points(self, a, b):
         """The points strictly between a and b, ascending."""

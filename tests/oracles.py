@@ -38,6 +38,9 @@ per-pair route to an interval's masks, each pair transposing its own
 a-side rows and checking its own order, and `reference_interval_homology`
 reduces every core through the package's order-complex columns and
 `groups_from_columns`, a core without relations included.
+`naive_isometries` lists a space's whole isometry group, point by point
+on Fraction distances, and `naive_pair_orbits` the orbits of ordered
+pairs under it and reversal, as sets.
 `self_framed_tuples` lists the tuples that are their own frame, by
 distances, and `dfs_frame_groups` is the depth-first search over frame
 tuples that `posets._frame_groups` replaced: one Kunneth fold and one
@@ -950,3 +953,41 @@ def self_framed_tuples(space, totals, m_max, starts=None):
         ]
         out += [pts for pts, t in level if t in totals]
     return out
+
+
+def naive_isometries(space):
+    """Every isometry of the space, as tuples g with point x going to g[x].
+
+    Partial maps grow one point at a time in index order; an image is
+    kept when it is unused and has the Fraction distances to the images
+    so far that the point has to the points so far. Lists the whole
+    group, so small spaces only.
+    """
+    d = space.dist
+    n = space.n
+    found = []
+
+    def grow(image):
+        x = len(image)
+        if x == n:
+            found.append(tuple(image))
+            return
+        for y in range(n):
+            if y not in image and all(d[y][image[w]] == d[x][w] for w in range(x)):
+                grow(image + [y])
+
+    grow([])
+    return found
+
+
+def naive_pair_orbits(space, isometries):
+    """The orbits of ordered point pairs under a whole group of isometries
+    and reversal, as a list of frozensets, in order of their least pair."""
+    orbits = {}
+    for a in range(space.n):
+        for b in range(space.n):
+            orbit = frozenset(
+                pair for g in isometries for pair in ((g[a], g[b]), (g[b], g[a]))
+            )
+            orbits[min(orbit)] = orbit
+    return [orbits[key] for key in sorted(orbits)]

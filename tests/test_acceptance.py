@@ -168,8 +168,9 @@ def test_criterion_10_rp2_torsion_above_m_x(acceptance, tmp_path):
         # every chain of length d(a, b) = 4 from a to b is geodesic, so the
         # block of each such pair is its pair frame's subcomplex, whose
         # homology the interval posets give by a route with no chains; the
-        # engine builds only the (min, max) block, and reversal maps it
-        # onto the other, so it must match both pair frames
+        # engine builds only the (min, max) block, its orbit's
+        # representative, and reversal maps it onto the other, so it must
+        # match both pair frames
         total = space.integer_view.scaled(4)
         ends = (min(bottom, top), max(bottom, top))
         blocks = [

@@ -115,11 +115,13 @@ def test_blocks_reduce_only_degrees_with_chains():
     # the engine builds every chain of the wanted lengths below n_max, at
     # n_max all but those it collapses against a one-face top chain, and at
     # n_max + 1 only those with a face it keeps, and stores no empty column,
-    # all only for the blocks (a, b) with a <= b; what it leaves out
-    # changes no group up to n_max
+    # all only for the representative blocks, here, as the space has no
+    # isometry, those (a, b) with a <= b; what it leaves out changes no
+    # group up to n_max
     space = random_metric(5, seed=3)
     lengths = realized_lengths(space, 3)
     view = space.integer_view
+    assert not view.pair_orbits.generators
     assembled = []
     built = {}
 
@@ -171,25 +173,34 @@ def test_blocks_reduce_only_degrees_with_chains():
 
 
 def test_block_cap_counts_prefixes_and_kept_insertions():
-    # C_5 has m_X = 3; at gradings 3 and 4 the search keeps every proper
-    # chain of degree <= 2 and length <= 4, in both directions, every one
-    # of degree 3 and length <= 4 that does not end below its start, and
-    # every chain of degree 4 and length 3 or 4 that does not end below
-    # its start and has a smooth interior point whose face the engine does
-    # not collapse
+    # C_5 has m_X = 3, and its rotations and reflections leave one pair
+    # orbit per distance 0, 1 and 2, represented by (0, 0), (0, 1) and
+    # (0, 2). At gradings 3 and 4 the search, from start 0 alone, keeps
+    # every proper chain from 0 of degree <= 2 and length <= 4, every one
+    # of degree 3 and length <= 4 that ends at 0, 1 or 2, and every chain
+    # of degree 4 and length 3 or 4 of those blocks that has a smooth
+    # interior point whose face the engine does not collapse
     space = cycle_space(5)
+    orbits = space.integer_view.pair_orbits
+    assert orbits.ends == (0b111, 0, 0, 0, 0)
+    assert orbits.weights == {(0, 0): 5, (0, 1): 10, (0, 2): 10}
     gradings = [Fraction(3), Fraction(4)]
+
+    def kept(pts):
+        return (pts[0], pts[-1]) in orbits.weights
+
     prefixes = sum(
         1
         for n in range(4)
         for pts in naive_chains(space, n)
         if sum(space.d(a, b) for a, b in zip(pts, pts[1:])) <= 4
-        and (n < 3 or pts[0] <= pts[-1])
+        and pts[0] == 0
+        and (n < 3 or kept(pts))
     )
     collapsed = collapsed_chains(
-        space, [pts for l in gradings for pts in naive_chains(space, 3, l) if pts[0] <= pts[-1]]
+        space, [pts for l in gradings for pts in naive_chains(space, 3, l) if kept(pts)]
     )
-    tops = [pts for l in gradings for pts in naive_chains(space, 4, l) if pts[0] <= pts[-1]]
+    tops = [pts for l in gradings for pts in naive_chains(space, 4, l) if kept(pts)]
     faced = sum(1 for pts in tops if smooth_by_distances(space, pts))
     insertions = sum(1 for pts in tops if kept_faces(space, pts, collapsed))
     count = prefixes + insertions
@@ -245,8 +256,9 @@ def test_corrupted_betweenness_fails_the_block_engine_under_O():
 
 def test_asymmetric_between_fails_the_block_engine_under_O():
     # count point 2 as strictly between 1 and 0 in C_4, but not between 0
-    # and 1: the engine reduces only blocks (a, b) with a <= b and reads
-    # the other direction off them, so it must refuse a table that is not
+    # and 1: the engine reduces one block per orbit of pairs under the
+    # isometries and reversal, and reads the other blocks off it, so it
+    # must refuse a table that is not
     # symmetric, also with asserts off; at gradings 1 and 2 no chain runs
     # through the corrupted triple, so only the symmetry check can refuse
     code = (

@@ -210,10 +210,12 @@ def test_guards_survive_optimize():
     # refuse each order that `test_posets.BROKEN_ORDERS` breaks in the
     # table and an intransitive one, `frames.frame_pieces` refuses a frame that
     # repeats a point, and the frame route refuses an unrealized frame
-    # below m_X, all under -O; none can happen in a validated space, so
-    # two spaces are built directly and the last two faults are injected
-    # by replacing `_frame_search`, the one search that gives the frame
-    # side its chains and their frames, and `is_realized_frame`
+    # below m_X, and the endpoint-block engine refuses a map the isometry
+    # search gives that is no isometry, with its first wrong pair, all
+    # under -O; none can happen in a validated space, so two spaces are
+    # built directly and the last three faults are injected by replacing
+    # `_frame_search`, the one search that gives the frame side its chains
+    # and their frames, `is_realized_frame` and `_isometry_generators`
     code = (
         "from fractions import Fraction\n"
         "import magh.frames as frames\n"
@@ -265,6 +267,17 @@ def test_guards_survive_optimize():
         "        raise SystemExit(f'wrong witness: {exc}')\n"
         "else:\n"
         "    raise SystemExit('an unrealized frame was used')\n"
+        "import magh.metric\n"
+        "from magh.algebra import block_homology_rows\n"
+        "from magh.errors import NotAnIsometry\n"
+        "magh.metric._isometry_generators = lambda idist: [(1, 0, 2, 3)]\n"
+        "try:\n"
+        "    block_homology_rows(path_space(4), [3], 2)\n"
+        "except NotAnIsometry as exc:\n"
+        "    if (exc.isometry, exc.a, exc.b) != ((1, 0, 2, 3), 0, 2):\n"
+        "        raise SystemExit(f'wrong witness: {exc}')\n"
+        "else:\n"
+        "    raise SystemExit('a map that is no isometry was used')\n"
         "from test_posets import BROKEN_ORDERS, broken_path5\n"
         "for kind, witness, edits in BROKEN_ORDERS:\n"
         "    try:\n"

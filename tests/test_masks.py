@@ -65,13 +65,14 @@ def test_search_masks_are_the_smooth_positions(space, l, n_max):
     view = space.integer_view
     lengths = [l] if l is not None else [x for x in realized_lengths(space, n_max) if x]
     totals = {view.scaled(x) for x in lengths}
-    # the chains of degrees n_max and n_max + 1 of the blocks (a, b),
-    # a <= b, by a naive search, and the ones the engine collapses
+    # the chains of degrees n_max and n_max + 1 of the representative
+    # blocks, by a naive search, and the ones the engine collapses
+    representatives = view.pair_orbits.weights
     naive = [
         bases
         for t in totals
-        for (a, b), bases in uncollapsed_blocks(space, t, n_max).items()
-        if a <= b
+        for pair, bases in uncollapsed_blocks(space, t, n_max).items()
+        if pair in representatives
     ]
     expected = {pts for bases in naive for pts in bases.get(n_max, ())}
     collapsed = collapsed_chains(space, expected)

@@ -338,6 +338,9 @@ def closed_rows(d):
     return rows
 
 
+_BUILT = {}
+
+
 def face_poset_space(facets, name):
     """Hasse-graph metric of a simplicial complex's face poset, with a
     bottom and a top added.
@@ -351,8 +354,22 @@ def face_poset_space(facets, name):
     complex is the barycentric subdivision of the complex, so the
     (bottom, top) frame carries its reduced homology shifted up by 2.
     Returns (space, bottom, top).
+
+    Each space is built and validated once per session and kept; every
+    call gets a copy of it (`dataclasses.replace`) whose integer view,
+    and every table the package keeps on it, is its own, so a test that
+    fills or corrupts one leaves the others as they were.
     """
-    facets = [tuple(sorted(f)) for f in facets]
+    facets = tuple(tuple(sorted(f)) for f in facets)
+    built = _BUILT.get((facets, name))
+    if built is None:
+        built = _BUILT[facets, name] = _face_poset_space(facets, name)
+    space, bottom, top = built
+    return replace(space), bottom, top
+
+
+def _face_poset_space(facets, name):
+    """`face_poset_space`, built anew."""
     dim = max(map(len, facets))
     faces = sorted(
         {face for f in facets for k in range(1, len(f) + 1) for face in itertools.combinations(f, k)},

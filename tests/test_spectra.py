@@ -91,6 +91,12 @@ def test_packed_count_matches_the_dict_count(space, n_max):
     packed = sweep(lambda limit: _count_packed(idist, n_max, limit, width))
     by_dicts = sweep(lambda limit: _count_by_dicts(idist, n_max, limit))
     assert packed == by_dicts
+    # the walk over the supports alone reaches the same lengths in the
+    # same steps, and decodes no count
+    supports = sweep(lambda limit: _count_packed(idist, n_max, limit, None))
+    assert supports == {
+        limit: v if isinstance(v, int) else [(t, None) for t, _ in v] for limit, v in packed.items()
+    }
     # two refusals per degree 1..n_max, at its steps and one less; a
     # point alone has no step
     assert sum(isinstance(v, int) for v in packed.values()) == (2 * n_max if space.n > 1 else 0)
@@ -180,12 +186,18 @@ def spectra_totals(space, n_max, cap):
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 4])
-@pytest.mark.parametrize("space", default_suite() + [wide_grid()], ids=lambda s: s.name)
+@pytest.mark.parametrize(
+    "space", default_suite() + [wide_grid(), prime_metric(5)], ids=lambda s: s.name
+)
 def test_realized_totals_are_the_spectra_lengths(space, n_max):
     # the same lengths, and the same EnumerationCapExceeded count at every
-    # cap that stops a degree and one less
+    # cap that stops a degree and one less, packed, where only the
+    # supports are walked, and over dicts: the wide grid from n_max 4, the
+    # coprime denominators from n_max 1
     if space.name == "wide-grid-2x3":
         assert (_packed_width(space.integer_view.idist, n_max) is None) == (n_max == 4)
+    if space.name == "primes(5)":
+        assert (_packed_width(space.integer_view.idist, n_max) is None) == (n_max > 0)
     got = sweep(lambda limit: realized_totals(space, n_max, limit))
     assert got == sweep(lambda limit: spectra_totals(space, n_max, limit))
     assert got[max(got)] == realized_totals(space, n_max)

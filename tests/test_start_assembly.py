@@ -39,24 +39,26 @@ def assert_start_assembly_matches(space, gradings, n_max):
 
     Each start's assembly must give each of its blocks the groups
     `record_groups` gives it alone, and the engine's rows must be
-    the direct sums of those, an a < b block counted twice. The engine
+    the direct sums of those, each block counted by its orbit's weight
+    (`IntegerView.pair_orbits`). The engine
     reduces the blocks searched here, not a search of its own. Returns the
     rows and the most blocks any one start point has.
     """
     view = space.integer_view
     totals = {view.scaled(l) for l in gradings} - {None}
     starts = list(block_chains(space, totals, n_max))
+    weights = view.pair_orbits.weights
     parts = {}
     for blocks in starts:
         assert len({a for _, (a, _), _ in blocks}) == 1
         together = _blocks_homology([records for _, _, records in blocks])
         assert len(together) == len(blocks)
-        for (total, (a, b), records), homology in zip(blocks, together):
+        for (total, pair, records), homology in zip(blocks, together):
             alone = record_groups(records)
             assert {n: HomologyGroup(rank, t) for n, rank, t in homology} == alone
             for n, group in alone.items():
                 if n <= n_max:
-                    parts.setdefault((total, n), []).extend((group,) * (2 if a < b else 1))
+                    parts.setdefault((total, n), []).extend((group,) * weights[pair])
     want = [
         HomologyRow(l, n, HomologyGroup.direct_sum(parts.get((view.scaled(l), n), ())))
         for l in gradings
