@@ -3,12 +3,15 @@
 Everything here is exact: Smith normal form by integer row/column
 operations, homology of finitely generated complexes as (betti, torsion),
 the Kunneth formula for the homology of a product of complexes, and the
-endpoint-block engine for magnitude homology. A boundary matrix is a
-`SparseIntMatrix`, one dict {row: coeff} per basis chain with a smooth
-face; those chains come first in each degree, so the chains without one
-are trailing zero columns and are not stored. `snf` is the
-one reduction routine: it reads those columns into sparse rows, clears
-+-1 pivots on them and reduces only what is left densely.
+endpoint-block engine for magnitude homology. A boundary is a list of
+column dicts {row: coeff}, one per basis chain with a smooth face; those
+chains come first in each degree, so the chains without one are
+trailing zero columns and are not stored. `snf` is the one reduction
+routine, and `_eliminate` the one elimination behind it: it takes a
+matrix held both by sparse rows and by columns, reads a single row or
+column off as the gcd of its entries, clears +-1 pivots on the rows and
+reduces only what is left densely. `snf` reads a `SparseIntMatrix`'s
+columns into rows for it, unless the matrix came with its rows.
 `groups_from_columns` is the one step from the boundary columns of one
 complex to its groups: it checks d^2 = 0 on them, reduces each nonempty
 boundary once and reads the nonzero groups off the invariant factors;
@@ -16,14 +19,17 @@ boundary once and reads the nonzero groups off the invariant factors;
 complex. A chain record is (points, mask), with bit i of mask set iff
 x_i is strictly smooth, so the one assembly, `_assemble`, writes each
 column from the mask and tests no point for smoothness. It assembles
-several complexes, blocks, in one pass, each with its own rows. The
-endpoint-block engine hands it the representative endpoint blocks of
-one start point at a time (`_blocks_homology`): d^2 = 0 checked on all of them
-before any is reduced, `snf` on each block's own columns at each degree,
-and betti numbers and torsion factors per block, summed into one group
-per grading and degree. `frames.frame_pieces` hands the same call the
-frame pieces of one start point. No complex object is built: a complex
-is its lowest degree, its ranks and its boundary columns.
+several complexes, blocks, in one pass, each with its own rows, and
+writes each boundary entry once into its column and once into its row,
+so `snf` gets each boundary's rows as they were made. The endpoint-block
+engine hands it the representative endpoint blocks of one start point
+at a time (`_blocks_homology`): d^2 = 0 checked on the columns of all
+of them before any is reduced, each block's boundary at each degree
+reduced on its own, and betti numbers and torsion factors per block,
+summed into one group per grading and degree. `frames.frame_pieces`
+hands the same call the frame pieces of one start point. No complex
+object is built: a complex is its lowest degree, its ranks and its
+boundaries.
 Degrees may be negative; reduced complexes of order complexes start at
 degree -1.
 """
@@ -59,10 +65,13 @@ class SparseIntMatrix:
     boundary assemblies use it (`_assemble` and `posets._reduced_columns`,
     through their callers), on columns they made themselves: each entry is
     a sign +-1 at the row of a face found in the index of the degree
-    below, so the checks could not fail there, and on the endpoint-block
-    engine they took about 8 % of a profiled run. Every other caller goes
+    below, so the checks could not fail there. Every other caller goes
     through `SparseIntMatrix(rows, columns)`.
     """
+
+    # the sparse rows {row: {col: value}} an assembly wrote beside the
+    # columns (`_assembled`); None when `snf` reads them off the columns
+    _by_rows = None
 
     def __init__(self, rows, columns):
         if rows < 0:
@@ -81,17 +90,21 @@ class SparseIntMatrix:
                     raise ValueError(f"zero stored at ({r}, {c})")
 
     @classmethod
-    def _assembled(cls, rows, columns):
+    def _assembled(cls, rows, columns, by_rows=None):
         """The matrix of columns an assembly made, without the entry checks.
 
         `columns` is a list of nonempty dicts {row: +-1} with every row in
-        range(rows); it is kept, not copied.
+        range(rows); it is kept, not copied. `by_rows`, if given, holds
+        the same entries by rows, {row: {col: +-1}} for each row with one:
+        `snf` then reduces those rows and the columns in place instead of
+        copying them, and the matrix is spent, its columns None.
         """
         matrix = cls.__new__(cls)
         matrix.rows = rows
         matrix.columns = columns
         matrix.cols = len(columns)
         matrix.nnz = sum(map(len, columns))
+        matrix._by_rows = by_rows
         return matrix
 
     @classmethod
@@ -118,42 +131,60 @@ def snf(matrix):
 
     Returns a tuple (d_1, ..., d_r) of positive integers with d_i | d_{i+1};
     r is the rank. A dense list of rows is read through
-    `SparseIntMatrix.from_dense`.
-
-    The column dicts are read once into sparse rows {col: value}, with an
-    index from each column to the rows that have an entry in it. (Reducing
-    the transpose instead, each column as a row, gives the same factors
-    but took 5.7 times as many elimination steps on the endpoint blocks
-    of the compute-dense benchmark.) The sparse stage clears unit pivots.
-    It passes over the rows, shortest first, and in each row takes the +-1
-    entry whose column has the fewest entries. Subtracting multiples of
-    that row clears the rest of its column, after which column operations
-    clear the row without touching anything else: the pivot row and
-    column are dropped and count as one invariant factor 1. Boundary
-    matrices have few entries per column, nearly all +-1, so this usually
-    reduces most of the matrix. It stops when no row is left or a pass
-    finds no unit entry. The rows and columns that still have
-    entries go to `_smith_dense`, whose factors follow the units. A
-    matrix with no entries has no factors and builds no index, and one
-    with a single row or column has the gcd of its entries as its one
-    factor.
+    `SparseIntMatrix.from_dense`. A copy of each column with entries and
+    the sparse rows read off them go to `_eliminate`; dropping the empty
+    columns changes no factor. A matrix assembled with its rows
+    (`SparseIntMatrix._assembled`) hands both over as they are, to be
+    reduced in place.
     """
     if not isinstance(matrix, SparseIntMatrix):
         matrix = SparseIntMatrix.from_dense(matrix)
-    if not matrix.nnz:
+    rows = matrix._by_rows
+    if rows is not None:
+        columns = matrix.columns
+        matrix._by_rows = matrix.columns = None
+        return _eliminate(rows, columns)
+    columns = [dict(column) for column in matrix.columns if column]
+    rows = {}
+    for c, column in enumerate(columns):
+        for r, v in column.items():
+            rows.setdefault(r, {})[c] = v
+    return _eliminate(rows, columns)
+
+
+def _eliminate(rows, columns):
+    """Invariant factors of a sparse integer matrix, reducing it in place.
+
+    The matrix is held twice, by rows and by columns: `rows` maps each
+    row with an entry to its dict {col: value}, and `columns` lists the
+    columns, each with an entry, as dicts {row: value}. `snf` reads a
+    matrix's columns into them, or takes both from a matrix the
+    endpoint-block assembly (`_assemble`) wrote each entry of twice.
+    Both are reduced together. A matrix with no entries has no factors,
+    and one with a single row or column has the gcd of its entries as
+    its one factor.
+
+    (Reducing the transpose instead, each column as a row, gives the same
+    factors but took 5.7 times as many elimination steps on the endpoint
+    blocks of the compute-dense benchmark.) The sparse stage clears unit
+    pivots. It passes over the rows, shortest first, and in each row takes
+    the +-1 entry whose column has the fewest entries. Subtracting
+    multiples of that row clears the rest of its column, after which
+    column operations clear the row without touching anything else: the
+    pivot row and column are dropped and count as one invariant factor 1.
+    Boundary matrices have few entries per column, nearly all +-1, so this
+    usually reduces most of the matrix. It stops when no row is left or a
+    pass finds no unit entry. The rows and columns that still have
+    entries go to `_smith_dense`, whose factors follow the units.
+    """
+    if not rows:
         return ()
     # a single row or column has one factor, the gcd of its entries
-    if matrix.cols == 1:
-        return (gcd(*matrix.columns[0].values()),)
-    if matrix.rows == 1:
-        return (gcd(*[v for column in matrix.columns for v in column.values()]),)
-    rows = {}
-    cols = {}
-    for c, column in enumerate(matrix.columns):
-        if column:
-            cols[c] = set(column)
-            for r, v in column.items():
-                rows.setdefault(r, {})[c] = v
+    if len(columns) == 1:
+        return (gcd(*columns[0].values()),)
+    if len(rows) == 1:
+        [row] = rows.values()
+        return (gcd(*row.values()),)
     units = 0
     found = True
     while found and rows:
@@ -164,7 +195,7 @@ def snf(matrix):
                 continue
             pc = None
             for c, v in row.items():
-                if (v == 1 or v == -1) and (pc is None or len(cols[c]) < len(cols[pc])):
+                if (v == 1 or v == -1) and (pc is None or len(columns[c]) < len(columns[pc])):
                     pc = c
             if pc is None:
                 continue
@@ -172,21 +203,21 @@ def snf(matrix):
             units += 1
             del rows[r]
             for c in row:
-                cols[c].discard(r)
+                del columns[c][r]
             p = row[pc]
-            for i in cols.pop(pc):
+            pivot = columns[pc]
+            columns[pc] = None
+            for i in pivot:
                 target = rows[i]
                 q = target[pc] * p  # target[pc] / p, as p is +-1
                 for c, v in row.items():
                     new = target.get(c, 0) - q * v
                     if new:
-                        if c not in target:
-                            cols[c].add(i)
-                        target[c] = new
+                        target[c] = columns[c][i] = new
                     else:
                         del target[c]
                         if c != pc:
-                            cols[c].discard(i)
+                            del columns[c][i]
                 if not target:
                     del rows[i]
     factors = (1,) * units
@@ -210,8 +241,8 @@ def _smith_dense(a):
     """Invariant factors of a dense matrix, reducing the list of rows in place.
 
     Pivoting always picks a minimum-magnitude nonzero entry, which keeps
-    intermediate integers small. `snf` calls this on what its unit pivots
-    leave; the divisor-chain check is left to `snf`.
+    intermediate integers small. `_eliminate` calls this on what its unit
+    pivots leave; the divisor-chain check is left to `_eliminate`.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -447,19 +478,22 @@ _SIGNED_BITS = {}
 
 
 def _assemble(blocks):
-    """The sizes and boundary columns of complexes spanned by given chains.
+    """The sizes and boundaries of complexes spanned by given chains.
 
     `blocks` lists complexes, each as chain records by degree:
     `records[k]` lists its chains of degree k as records (points, mask),
     bit i of mask set iff x_i is strictly smooth. A block runs over the
     degrees from its lowest to its highest key, and a degree missing in
-    between is empty. Returns, per block, (lo, sizes, boundaries): `sizes`
-    lists its rank at each degree lo, lo + 1, ..., and `boundaries[k]`,
-    for each degree k above lo, the column dicts of its boundary out of
-    k: one column per chain with a smooth face, and the rows of each
-    degree ordered the same way, the chains with a face first, each in
-    the order given. The column of a chain is {row of the face without
-    x_i: (-1)^i for each bit i of its mask}.
+    between is empty. Returns, per block, (lo, sizes, boundaries, rows):
+    `sizes` lists its rank at each degree lo, lo + 1, ..., and
+    `boundaries[k]`, for each degree k above lo, the column dicts of its
+    boundary out of k: one column per chain with a smooth face, and the
+    rows of each degree ordered the same way, the chains with a face
+    first, each in the order given. The column of a chain is {row of the
+    face without x_i: (-1)^i for each bit i of its mask}. Each entry is
+    written once more, into the sparse rows {row: {col: sign}} of its
+    boundary, `rows[k]` for each boundary with a column, so each boundary
+    goes to `_eliminate` as its rows and columns as they are made.
 
     The blocks are direct summands: each indexes its own chains of each
     degree, so a face counts only in its own chain's block, and a face
@@ -472,19 +506,25 @@ def _assemble(blocks):
     for records in blocks:
         lo = min(records)
         hi = max(records)
-        bottom = records[lo]
-        for pts, mask in bottom:
+        # index: each chain of the degree last assembled to its row
+        index = {}
+        for r, (pts, mask) in enumerate(records[lo]):
             if mask:
                 raise NotASubcomplex(f"chain {pts} at bottom degree {lo} has nonzero boundary")
-        sizes = [len(bottom)]
+            index[pts] = r
+        sizes = [len(index)]
         boundaries = {}
-        out.append((lo, sizes, boundaries))
-        if lo < hi:
-            index = {pts: r for r, (pts, _) in enumerate(bottom)}
+        by_rows = {}
+        out.append((lo, sizes, boundaries, by_rows))
         for k in range(lo + 1, hi + 1):
-            faced = []
+            # the top degree's rows are never looked up
+            keep = k < hi
+            below = index
+            index = {}
             faceless = []
             columns = []
+            rows = {}
+            c = 0
             for pts, mask in records.get(k, ()):
                 if not mask:
                     faceless.append(pts)
@@ -495,30 +535,29 @@ def _assemble(blocks):
                 column = {}
                 for i, sign in spots:
                     face = pts[:i] + pts[i + 1 :]
-                    r = index.get(face)
+                    r = below.get(face)
                     if r is None:
                         raise NotASubcomplex(
                             f"boundary term {face} of {pts} "
                             f"is outside the subcomplex basis at degree {k - 1}"
                         )
                     column[r] = sign
-                faced.append(pts)
+                    row = rows.get(r)
+                    if row is None:
+                        rows[r] = {c: sign}
+                    else:
+                        row[c] = sign
                 columns.append(column)
+                if keep:
+                    index[pts] = c
+                c += 1
             boundaries[k] = columns
-            faced += faceless
-            sizes.append(len(faced))
-            if k < hi:
-                index = {pts: r for r, pts in enumerate(faced)}
+            if columns:
+                by_rows[k] = rows
+            if keep:
+                index.update(zip(faceless, range(c, c + len(faceless))))
+            sizes.append(c + len(faceless))
     return out
-
-
-def _factors(lo, sizes, boundaries):
-    """The invariant factors of each boundary with entries, by degree, from one `snf` each."""
-    return {
-        k: snf(SparseIntMatrix._assembled(sizes[k - 1 - lo], columns))
-        for k, columns in boundaries.items()
-        if columns
-    }
 
 
 def groups_from_columns(lo, sizes, boundaries):
@@ -536,10 +575,12 @@ def groups_from_columns(lo, sizes, boundaries):
     nonzero.
     """
     _check_d_squared(boundaries)
-    return {
-        k: HomologyGroup(betti, torsion)
-        for k, betti, torsion in _homology(lo, sizes, _factors(lo, sizes, boundaries))
+    factors = {
+        k: snf(SparseIntMatrix._assembled(sizes[k - 1 - lo], columns))
+        for k, columns in boundaries.items()
+        if columns
     }
+    return {k: HomologyGroup(betti, torsion) for k, betti, torsion in _homology(lo, sizes, factors)}
 
 
 def _blocks_homology(blocks):
@@ -550,19 +591,26 @@ def _blocks_homology(blocks):
     start point in `frames.frame_pieces`. They are assembled in one
     pass, d^2 = 0 is checked on every block before any is reduced
     (ValueError otherwise, also under `python -O`), and `snf` reduces
-    each block's boundary at each degree on its own: elimination never
-    crosses blocks. Returns, per block, [(degree, betti, torsion)] for
-    the degrees where its homology is nonzero, as `_homology` reads them;
+    each block's boundary at each degree on its own, from the rows and
+    columns the assembly wrote: elimination never crosses blocks. Returns, per block, [(degree, betti, torsion)] for the
+    degrees where its homology is nonzero, as `_homology` reads them;
     a negative betti number in any block raises NegativeBetti, so no
     block's can hide in a sum. No HomologyGroup is built.
     """
     assembled = _assemble(blocks)
-    for _, _, boundaries in assembled:
+    for _, _, boundaries, _ in assembled:
         if len(boundaries) > 1:  # one map composes with nothing
             _check_d_squared(boundaries)
     return [
-        _homology(lo, sizes, _factors(lo, sizes, boundaries))
-        for lo, sizes, boundaries in assembled
+        _homology(
+            lo,
+            sizes,
+            {
+                k: snf(SparseIntMatrix._assembled(sizes[k - 1 - lo], boundaries[k], rows))
+                for k, rows in by_rows.items()
+            },
+        )
+        for lo, sizes, boundaries, by_rows in assembled
     ]
 
 

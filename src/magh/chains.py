@@ -112,8 +112,10 @@ def start_blocks(start, ends, moves, between, wanted, n_top, steps, limit):
     One length-pruned search: each chain is extended by every next point
     of `moves` (from `search_moves` with the largest of `wanted`) in
     ascending order, and a prefix is dropped once it is longer than the
-    largest wanted length. At degree n_top, the top of the search, a chain
-    that ends outside `ends` is not built at all. A chain carries the mask
+    largest wanted length. Degree n_top, the top of the search, has a loop
+    of its own: a chain that ends outside `ends` is not built and takes no
+    step, and one that ends in `ends` takes a step but is built only if
+    its length is wanted. A chain carries the mask
     whose bit i is set iff x_i is strictly smooth; appending `nxt` to a
     chain of degree n - 1 settles only x_{n-1}, whose bit comes from the
     betweenness table `between` as `between[x_{n-2}][nxt] >> x_{n-1} & 1`.
@@ -121,8 +123,9 @@ def start_blocks(start, ends, moves, between, wanted, n_top, steps, limit):
     records}, a record being (points, mask), each degree in lexicographic
     order, for the end points in `ends` only; a degree with no chain is
     absent. `steps` is the given count plus one for the start and one per
-    prefix kept, and EnumerationCapExceeded is raised as soon as it passes
-    `limit`.
+    prefix kept, at n_top one per chain that ends in `ends`, and
+    EnumerationCapExceeded is raised as soon as it passes `limit`, checked
+    after the extensions of each prefix.
     """
     steps += 1
     if steps > limit:
@@ -134,8 +137,7 @@ def start_blocks(start, ends, moves, between, wanted, n_top, steps, limit):
     if 0 in wanted and kept[start]:
         blocks[0, start] = {0: [((start,), 0)]}
     level = [((start,), 0, 0)]
-    for n in range(1, n_top + 1):
-        top = n == n_top
+    for n in range(1, n_top):
         # x_0 is an endpoint: degree 1 settles no interior point
         bit = 1 << n - 1 if n > 1 else 0
         grown = []
@@ -144,19 +146,63 @@ def start_blocks(start, ends, moves, between, wanted, n_top, steps, limit):
             row = between[pts[-2] if n > 1 else x]
             for nxt, d in moves[x]:
                 t = total + d
-                if t > longest or top and not kept[nxt]:
+                if t > longest:
                     continue
                 steps += 1
                 ch = pts + (nxt,)
                 m = mask | bit if row[nxt] >> x & 1 else mask
-                if not top:
-                    grown.append((ch, t, m))
+                grown.append((ch, t, m))
                 if t in wanted and kept[nxt]:
                     blocks.setdefault((t, nxt), {}).setdefault(n, []).append((ch, m))
             if steps > limit:
                 raise EnumerationCapExceeded(steps, limit)
         level = grown
+    if n_top > 0:
+        # the top degree: a step for every chain that ends at a kept end,
+        # and only those of a wanted length are built
+        n = n_top
+        bit = 1 << n - 1 if n > 1 else 0
+        for pts, total, mask in level:
+            x = pts[-1]
+            row = between[pts[-2] if n > 1 else x]
+            for nxt, d in moves[x]:
+                t = total + d
+                if t > longest or not kept[nxt]:
+                    continue
+                steps += 1
+                if t in wanted:
+                    m = mask | bit if row[nxt] >> x & 1 else mask
+                    blocks.setdefault((t, nxt), {}).setdefault(n, []).append((pts + (nxt,), m))
+            if steps > limit:
+                raise EnumerationCapExceeded(steps, limit)
     return blocks, steps
+
+
+def _uncollapsed(made, collapsed):
+    """The insertions `made` that keep a face, each without its collapsed faces.
+
+    `made` lists insertions (y, m), c inserted at position i, the lowest
+    bit of m, except that one into a collapsed x has that bit cleared
+    already, leaving bit i + 1 alone. Besides x, only the face at bit
+    i + 1 can be collapsed, and only when y has no smooth point past
+    i + 2: any other face keeps one. So a y with one face left is dropped
+    when that face is collapsed, which for an insertion into a kept x is
+    never the case, as its one face is x, and any other y keeps bit i and
+    loses bit i + 1 when that face is collapsed. `made` itself is returned
+    when nothing is collapsed.
+    """
+    if not collapsed:
+        return made
+    top = []
+    for y, m in made:
+        i = (m & -m).bit_length() - 1
+        if m == 1 << i:
+            if y[:i] + y[i + 1 :] in collapsed:
+                continue
+        elif m >> i + 1 & 1 and not m >> i + 3 and y[: i + 1] + y[i + 2 :] in collapsed:
+            m &= ~(2 << i)
+        top.append((y, m))
+    return top
 
 
 def block_chains(space, totals, n_max, cap=None):
@@ -233,7 +279,17 @@ def block_chains(space, totals, n_max, cap=None):
     less those of degree n_max that end outside its representative ends,
     and every top chain a representative block keeps.
     EnumerationCapExceeded is raised as soon as the steps pass the cap,
-    checked after the top chains of each parent are kept.
+    checked after the top chains of each parent are kept. A block's
+    insertions are made in one pass over its parents, which keeps the
+    parents that are not collapsed as it meets them; the faces collapsed
+    are known only after it (`_uncollapsed`). The block's kept top chains
+    are then counted in one step; only when that count passes the cap are
+    they counted again parent by parent, to raise at the parent where the
+    count first passes it. So the step counts, and the count an
+    EnumerationCapExceeded carries, equal those of a count made after
+    each parent. The windows of
+    points between two points are read off the betweenness table the
+    first time an insertion needs them.
     """
     wanted = set(totals)
     if n_max < 0 or not wanted:
@@ -243,7 +299,9 @@ def block_chains(space, totals, n_max, cap=None):
     between = view.between
     size = space.n
     moves = search_moves(space, max(wanted))
-    inner = [[view.between_points(a, b) for b in range(size)] for a in range(size)]
+    # windows[a][b]: the points strictly between a and b, read off the
+    # betweenness table the first time an insertion needs them
+    windows = [[None] * size for _ in range(size)]
     steps = 0
     for start, ends in enumerate(view.pair_orbits.ends):
         if not ends:
@@ -252,74 +310,69 @@ def block_chains(space, totals, n_max, cap=None):
         out = []
         for key in sorted(blocks):
             records = blocks.pop(key)
-            parents = records.get(n_max, ())
-            insertions = []
-            collapsed = set()
-            for pts, mask in parents:
-                # a point inserted after the first smooth point x_j lies
-                # between x_j and x_{j+1}, so x_j stays smooth: only
-                # positions up to j can become the first smooth one
-                last = (mask & -mask).bit_length() - 1 if mask else n_max
+            parents = records.get(n_max)
+            if parents:
+                kept = []
                 made = []
-                # set once a faceless x has a one-face insertion y, d y =
-                # +-x; such a y is dropped whatever else x has, so none is
-                # built
-                lone = False
-                for i in range(1, last + 1):
-                    left = pts[i - 1]
-                    right = pts[i]
-                    window = inner[left][right]
-                    if not window:
-                        continue
-                    above = mask >> i + 1 << i + 2 | 1 << i
-                    after = pts[i + 1] if i < n_max else None
-                    for c in window:
-                        # x_{i-1} must not turn smooth between x_{i-2} and c
-                        if i > 1 and between[pts[i - 2]][c] >> left & 1:
+                bounds = []
+                collapsed = set()
+                for record in parents:
+                    pts, mask = record
+                    # a point inserted after the first smooth point x_j lies
+                    # between x_j and x_{j+1}, so x_j stays smooth: only
+                    # positions up to j can become the first smooth one
+                    last = (mask & -mask).bit_length() - 1 if mask else n_max
+                    first = len(made)
+                    # set once a faceless x has a one-face insertion y, d y =
+                    # +-x; such a y is dropped whatever else x has, so none is
+                    # built
+                    lone = False
+                    for i in range(1, last + 1):
+                        left = pts[i - 1]
+                        right = pts[i]
+                        window = windows[left][right]
+                        if window is None:
+                            window = windows[left][right] = set_bits(between[left][right])
+                        if not window:
                             continue
-                        m = above
-                        if after is not None and between[c][after] >> right & 1:
-                            m |= 2 << i
-                        elif not mask:
-                            lone = True
-                            continue
-                        made.append((pts[:i] + (c,) + pts[i:], m))
-                if lone:
-                    collapsed.add(pts)
-                insertions.append((lone, made))
-            top = []
-            for gone, made in insertions:
-                count = len(top)
-                if not collapsed:
-                    top += made
-                else:
-                    for y, m in made:
-                        i = (m & -m).bit_length() - 1
-                        if gone:
-                            # the face at bit i is x itself
-                            m &= m - 1
-                        # besides x, only the face at bit i + 1 can be
-                        # faceless, and only when y has no smooth point
-                        # past i + 2: any other face keeps one
-                        if (
-                            m >> i + 1 & 1
-                            and not m >> i + 3
-                            and y[: i + 1] + y[i + 2 :] in collapsed
-                        ):
-                            m &= ~(2 << i)
-                        if m:
-                            top.append((y, m))
-                steps += len(top) - count
-                if steps > limit:
-                    raise EnumerationCapExceeded(steps, limit)
-            if collapsed:
-                kept = [x for x, (gone, _) in zip(parents, insertions) if not gone]
-                if kept:
-                    records[n_max] = kept
-                else:
-                    del records[n_max]
-            if top:
-                records[n_max + 1] = top
+                        above = mask >> i + 1 << i + 2 | 1 << i
+                        after = pts[i + 1] if i < n_max else None
+                        for c in window:
+                            # x_{i-1} must not turn smooth between x_{i-2} and c
+                            if i > 1 and between[pts[i - 2]][c] >> left & 1:
+                                continue
+                            m = above
+                            if after is not None and between[c][after] >> right & 1:
+                                m |= 2 << i
+                            elif not mask:
+                                lone = True
+                                continue
+                            made.append((pts[:i] + (c,) + pts[i:], m))
+                    if lone:
+                        collapsed.add(pts)
+                        if len(made) > first:
+                            # the face at bit i of each, x itself, is collapsed
+                            made[first:] = [(y, m & m - 1) for y, m in made[first:]]
+                    else:
+                        kept.append(record)
+                    bounds.append(len(made))
+                top = _uncollapsed(made, collapsed)
+                if steps + len(top) > limit:
+                    # the count passes the cap: find the parent it passes at
+                    first = 0
+                    for end in bounds:
+                        steps += len(_uncollapsed(made[first:end], collapsed))
+                        first = end
+                        if steps > limit:
+                            raise EnumerationCapExceeded(steps, limit)
+                steps += len(top)
+                if collapsed:
+                    if kept:
+                        records[n_max] = kept
+                    else:
+                        del records[n_max]
+                if top:
+                    records[n_max + 1] = top
             if records:
                 out.append((key[0], (start, key[1]), records))
         if out:

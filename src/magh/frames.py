@@ -307,8 +307,9 @@ def frame_pieces(space, frames, n_top, cap=None):
     Per start point (`_frame_splits`), single-row pieces are read off
     `_single_row` and the rest go to one `algebra._blocks_homology` call:
     d^2 = 0 checked on every piece before any is reduced, and `snf` on
-    each piece's own boundary. Every call searches anew and counts its
-    steps against the cap, the chains not filed included.
+    each piece's own boundary, from the rows the assembly wrote. Every
+    call searches anew and counts its steps against the cap, the chains
+    not filed included.
     """
     frames = [tuple(f) for f in frames]
     pieces = {}

@@ -21,6 +21,9 @@ that `pruned_chains` finds by a naive pruned search.
 `endpoint_blocks` splits buckets by endpoint pair the way the engine's
 blocks are meant to come out, and `record_groups` reduces one block of
 chain records alone, through the engine's own assembly.
+`per_parent_cap_outcomes` is `chains.block_chains` as it counted its top
+chains against the cap before they were counted per block, one parent at
+a time on the package's own search, for every cap from one run.
 `euler_characteristic` reads a complex's ranks.
 `smooth_by_distances`, `collapsed_chains` and `kept_faces` read smooth
 points off the scaled-int distances of the space's `IntegerView`, not off
@@ -62,7 +65,7 @@ from magh.algebra import (
     groups_from_columns,
     kunneth,
 )
-from magh.chains import resolve_cap, smooth_faces
+from magh.chains import resolve_cap, search_moves, smooth_faces, start_blocks
 from magh.errors import (
     EnumerationCapExceeded,
     NotAPartialOrder,
@@ -298,6 +301,105 @@ def kept_faces(space, pts, collapsed):
         if mask >> i & 1 and pts[:i] + pts[i + 1 :] in collapsed:
             mask &= ~(1 << i)
     return mask
+
+
+def per_parent_cap_outcomes(space, totals, n_max):
+    """`chains.block_chains` with its top chains counted parent by parent,
+    for every cap at once.
+
+    The same search (`start_blocks`, by the package) and the same
+    insertions, read off a whole table of `between_points` windows, but
+    each degree-n_max parent's insertions are kept together and walked a
+    second time once the block's collapsed parents are known, and the
+    steps are checked against the cap after each parent's kept top chains
+    are counted. One run with no cap records each point where the steps
+    are checked: the end of each start's search and the end of each
+    parent. Returns a function of the cap that gives what `block_chains`
+    yields under it, as a list, or the step count its
+    EnumerationCapExceeded carries: that of the first check the steps
+    pass, and for a search the count `start_blocks` raises when it is run
+    again alone under the cap.
+    """
+    wanted = set(totals)
+    view = space.integer_view
+    between = view.between
+    moves = search_moves(space, max(wanted))
+    inner = [[view.between_points(a, b) for b in range(space.n)] for a in range(space.n)]
+    steps = 0
+    starts = []
+    # (steps at a check, the search (start, ends, steps before it) or None)
+    checks = []
+    for start, ends in enumerate(view.pair_orbits.ends):
+        if not ends:
+            continue
+        before = steps
+        blocks, steps = start_blocks(
+            start, ends, moves, between, wanted, n_max, steps, float("inf")
+        )
+        checks.append((steps, (start, ends, before)))
+        out = []
+        for key in sorted(blocks):
+            records = blocks[key]
+            parents = records.get(n_max, ())
+            insertions = []
+            for pts, mask in parents:
+                last = (mask & -mask).bit_length() - 1 if mask else n_max
+                made = []
+                lone = False
+                for i in range(1, last + 1):
+                    left, right = pts[i - 1], pts[i]
+                    above = mask >> i + 1 << i + 2 | 1 << i
+                    for c in inner[left][right]:
+                        if i > 1 and between[pts[i - 2]][c] >> left & 1:
+                            continue
+                        m = above
+                        if i < n_max and between[c][pts[i + 1]] >> right & 1:
+                            m |= 2 << i
+                        elif not mask:
+                            lone = True
+                            continue
+                        made.append((pts[:i] + (c,) + pts[i:], m))
+                insertions.append((lone, made))
+            collapsed = {pts for (pts, _), (lone, _) in zip(parents, insertions) if lone}
+            top = []
+            for gone, made in insertions:
+                for y, m in made:
+                    i = (m & -m).bit_length() - 1
+                    if gone:
+                        m &= m - 1
+                    if m >> i + 1 & 1 and not m >> i + 3 and y[: i + 1] + y[i + 2 :] in collapsed:
+                        m &= ~(2 << i)
+                    if m:
+                        top.append((y, m))
+                        steps += 1
+                checks.append((steps, None))
+            if collapsed:
+                kept = [x for x, (gone, _) in zip(parents, insertions) if not gone]
+                if kept:
+                    records[n_max] = kept
+                else:
+                    del records[n_max]
+            if top:
+                records[n_max + 1] = top
+            if records:
+                out.append((key[0], (start, key[1]), records))
+        if out:
+            starts.append(out)
+
+    def outcome(cap):
+        for count, search in checks:
+            if count > cap:
+                if search is None:
+                    return count
+                start, ends, before = search
+                try:
+                    start_blocks(start, ends, moves, between, wanted, n_max, before, cap)
+                except EnumerationCapExceeded as exc:
+                    return exc.count
+                raise AssertionError(f"start {start} ends at {count} without passing {cap}")
+        return starts
+
+    return outcome
 
 
 def endpoint_blocks(by_degree, l):

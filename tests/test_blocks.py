@@ -126,7 +126,7 @@ def test_blocks_reduce_only_degrees_with_chains():
     built = {}
 
     def recording_reduction(blocks):
-        for records, (_, _, boundaries) in zip(blocks, magh.algebra._assemble(blocks)):
+        for records, (_, _, boundaries, _) in zip(blocks, magh.algebra._assemble(blocks)):
             lo, hi = min(records), max(records)
             assert sorted(records) == list(range(lo, hi + 1))
             for k, columns in boundaries.items():

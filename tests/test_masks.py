@@ -6,8 +6,9 @@ would drop a point that is not smooth, or keep one that is, so every mask
 is checked here against the faces `smooth_faces` takes and against the
 distances themselves. At the engine's top degree n_max + 1 a mask holds
 only the faces that are not collapsed (`oracles.collapsed_chains`). The
-assembly's matrices skip the entry checks of `SparseIntMatrix`, so they
-are checked against the checked constructor.
+assembly writes each boundary into its columns and its sparse rows, and
+wraps them for `snf`, with no entry check, so each is checked against
+the checked `SparseIntMatrix` of its columns.
 """
 
 import sys
@@ -16,6 +17,7 @@ from itertools import chain
 
 import pytest
 
+import magh.algebra
 import magh.frames
 from magh.algebra import SparseIntMatrix, block_homology_rows
 from magh.chains import block_chains, smooth_faces, smooth_mask
@@ -140,14 +142,28 @@ def test_engine_and_frame_table_take_no_face_again(monkeypatch):
 
 def test_assembled_matrices_equal_checked_ones(monkeypatch):
     built = []
-    real = SparseIntMatrix._assembled
+    real = magh.algebra._assemble
 
-    def recording(cls, rows, columns):
-        matrix = real(rows, columns)
-        built.append((matrix, SparseIntMatrix(rows, columns)))
+    def recording(blocks):
+        assembled = real(blocks)
+        for lo, sizes, boundaries, by_rows in assembled:
+            for k, columns in boundaries.items():
+                checked = SparseIntMatrix(sizes[k - 1 - lo], [dict(c) for c in columns])
+                # the rows as assembled, before elimination reduces them
+                rows = {r: dict(row) for r, row in by_rows.get(k, {}).items()}
+                built.append((checked, rows))
+        return assembled
+
+    shapes = []
+    wrap = SparseIntMatrix._assembled
+
+    def recording_wrap(cls, rows, columns, by_rows=None):
+        matrix = wrap(rows, columns, by_rows)
+        shapes.append((matrix.rows, matrix.cols, matrix.nnz))
         return matrix
 
-    monkeypatch.setattr(SparseIntMatrix, "_assembled", classmethod(recording))
+    monkeypatch.setattr(magh.algebra, "_assemble", recording)
+    monkeypatch.setattr(SparseIntMatrix, "_assembled", classmethod(recording_wrap))
     for space in default_suite():
         lengths = realized_lengths(space, 3)
         block_homology_rows(space, lengths, 3)
@@ -155,11 +171,13 @@ def test_assembled_matrices_equal_checked_ones(monkeypatch):
         totals = {view.scaled(l) for l in lengths if l}
         frame_pieces(space, self_framed_tuples(space, totals, 2), 3)
     assert len(built) > 100
-    for unchecked, checked in built:
-        assert unchecked == checked
-        assert (unchecked.rows, unchecked.cols, unchecked.nnz) == (
-            checked.rows,
-            checked.cols,
-            checked.nnz,
-        )
-        assert unchecked.nnz == sum(1 for column in checked.columns for _ in column)
+    for checked, rows in built:
+        transposed = {}
+        for c, column in enumerate(checked.columns):
+            assert column
+            for r, v in column.items():
+                transposed.setdefault(r, {})[c] = v
+        assert rows == transposed
+        assert checked.nnz == sum(map(len, rows.values()))
+    # each boundary with a column reaches `snf` with the shape it has
+    assert shapes == [(m.rows, m.cols, m.nnz) for m, _ in built if m.cols]

@@ -142,10 +142,11 @@ def test_face_in_a_sibling_block_is_refused_under_O():
 
 
 def test_negative_betti_in_one_block_is_refused_under_O():
-    # a reduction that reports one rank too many on the second block's
-    # boundary leaves that block betti -1 at degree 1, while the first
-    # block's three cycles there would hide it in a sum over the start:
-    # the betti numbers are checked block by block
+    # an elimination that reports one rank too many on the second block's
+    # one-column boundary, which it reads off itself, leaves that block
+    # betti -1 at degree 1, while the first block's three cycles there
+    # would hide it in a sum over the start: the betti numbers are checked
+    # block by block
     code = (
         "import magh.algebra\n"
         "from magh.errors import NegativeBetti\n"
@@ -154,7 +155,7 @@ def test_negative_betti_in_one_block_is_refused_under_O():
         "cycles = {1: [((0, 1), 0), ((0, 2), 0), ((0, 3), 0)]}\n"
         "edge = {1: [((0, 4), 0)], 2: [((0, 5, 4), 0b10)]}\n"
         "print(magh.algebra._blocks_homology([cycles, edge]))\n"
-        "magh.algebra.snf = lambda matrix: (1,) * (matrix.nnz + 1)\n"
+        "magh.algebra._eliminate = lambda rows, columns: (1,) * (len(rows) + 1)\n"
         "try:\n"
         "    magh.algebra._blocks_homology([cycles, edge])\n"
         "except NegativeBetti as exc:\n"

@@ -9,7 +9,8 @@ merge. Glued at its top to the RP^2 space's, the mod-3 space's Z/3
 meets RP^2's Z/2 in one grading, and the engine must merge them into
 the factors (6, 6). Each space's (bottom, top) block is checked against
 the interval-poset route as well, as acceptance criterion 10 does for
-RP^2.
+RP^2, and every boundary the engine hands to elimination for RP^2 and
+the mod-3 space against `snf` of the checked matrix of its columns.
 """
 
 import json
@@ -20,12 +21,14 @@ from fractions import Fraction
 
 import pytest
 
-from magh.algebra import HomologyGroup, block_homology_rows
+import magh.algebra
+from magh.algebra import HomologyGroup, SparseIntMatrix, block_homology_rows, snf
 from magh.chains import CAP_ENV_VAR, block_chains
 from magh.frames import m_x
 from magh.posets import frame_homology_via_posets, interval_homology
 
 from oracles import complex_from_bases
+from test_collapse import torsion_spaces
 from test_posets import moore_face_poset_space, rp2_face_poset_space
 from test_wedge import wedge
 
@@ -112,3 +115,36 @@ def test_moore3_cli_torsion_above_m_x(tmp_path):
         {"betti": 540, "l": "4", "n": 2, "torsion": []},
         {"betti": 2046, "l": "4", "n": 3, "torsion": [3, 3]},
     ]
+
+
+@pytest.mark.parametrize(
+    "space, mh3", torsion_spaces()[:2], ids=lambda v: getattr(v, "name", str(v))
+)
+def test_assembled_rows_reduce_as_their_columns(space, mh3, monkeypatch):
+    # every boundary the engine reduces at l = 4 reaches `_eliminate` as
+    # the rows and columns the assembly wrote; its factors must be those
+    # `snf` gives the checked matrix of the same columns, torsion and the
+    # dense residual included, and the groups they sum to the corpus's
+    reduced = []
+    eliminate = magh.algebra._eliminate
+
+    def recording(rows, columns):
+        height = 1 + max(rows)
+        matrix = SparseIntMatrix(height, [dict(column) for column in columns])
+        factors = eliminate(rows, columns)
+        reduced.append((matrix, factors))
+        return factors
+
+    monkeypatch.setattr(magh.algebra, "_eliminate", recording)
+    rows = block_homology_rows(space, [4], 3)
+    monkeypatch.undo()
+    assert rows[3].group == mh3
+    assert len(reduced) > 30
+    for matrix, factors in reduced:
+        assert factors == snf(matrix), matrix
+    # the torsion comes out of a boundary of more than one row and column,
+    # which elimination leaves to its dense stage
+    assert any(
+        matrix.cols > 1 and len(set().union(*matrix.columns)) > 1 and factors[-1] > 1
+        for matrix, factors in reduced
+    )
