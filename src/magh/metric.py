@@ -12,6 +12,13 @@ summed as ints and turn back into `Fraction`s only where they leave the
 package's internals, so the results are exactly those of rational
 arithmetic.
 
+A matrix is read in one pass over its rows (`_fraction_rows`), each
+distinct text parsed once, and each row of texts mapped to its Fractions
+and to its scaled ints through the text -> value dicts (`_scaled`).
+Symmetry, positivity and the zero diagonal are each checked as one pass
+per row; only a matrix that fails one is scanned entry by entry for its
+first witness in row-major order.
+
 The triangle axiom and betweenness read the same sum d(a, c) + d(c, b)
 against d(a, b): short of it is a triangle violation, equal to it puts c
 between a and b. `_between_rows` works out both in one packed pass, a
@@ -170,23 +177,35 @@ def set_bits(mask):
     return bits
 
 
-def _scaled(rows):
-    """(scale, int rows): Fraction rows times the lcm of their denominators.
+def _scaled(rows, values=None):
+    """(scale, int rows): a matrix's entries times the lcm of their denominators.
 
-    Each distinct entry object is scaled once and shared by every place it
-    fills; `_fraction_rows` gives a repeated text one Fraction, so a
-    loaded matrix has as many objects to scale as it has distinct texts.
+    With `values`, `rows` holds keys, such as the ones `_fraction_rows`
+    gives, and `values` maps each key to its Fraction; otherwise `rows`
+    holds the Fractions themselves, keyed by object. Each key is scaled
+    once and its int shared by every place it fills, each row mapped
+    through the key -> int dict in one C-level pass, so a loaded matrix
+    has as many values to scale as it has distinct texts.
     """
-    flat = list(chain.from_iterable(rows))
-    distinct = dict(zip(map(id, flat), flat))
-    scale = math.lcm(*[v.denominator for v in distinct.values()])
-    ints = {key: v.numerator * (scale // v.denominator) for key, v in distinct.items()}
-    return scale, tuple([tuple(map(ints.__getitem__, map(id, row))) for row in rows])
+    if values is None:
+        flat = list(chain.from_iterable(rows))
+        values = dict(zip(map(id, flat), flat))
+        rows = [map(id, row) for row in rows]
+    scale = math.lcm(*[v.denominator for v in values.values()])
+    ints = {key: v.numerator * (scale // v.denominator) for key, v in values.items()}
+    return scale, tuple([tuple(map(ints.__getitem__, row)) for row in rows])
 
 
 def _check_symmetric(idist):
     """Raise AsymmetricAt at the first (i, j), i < j, in row-major order
-    where idist[i][j] != idist[j][i]."""
+    where idist[i][j] != idist[j][i].
+
+    A symmetric matrix, the usual case, is told by one comparison of its
+    rows with its columns; only an asymmetric one is scanned for the
+    witness.
+    """
+    if tuple(zip(*idist)) == tuple(idist):
+        return
     for i, row_i in enumerate(idist):
         for j in range(i + 1, len(idist)):
             if row_i[j] != idist[j][i]:
@@ -228,12 +247,11 @@ def _between_rows(idist):
     size = k * n
     ones = int.from_bytes(b"\1".ljust(k, b"\0") * n, "little")
     guards = ones << 8 * k - 1
-    # each row with its entries moved up by -lo >= 0 to pack them as bytes;
-    # `lift` puts 2 lo back and adds H at every field
-    packed = [
-        int.from_bytes(b"".join([(v - lo).to_bytes(k, "little") for v in row]), "little")
-        for row in idist
-    ]
+    # each row with its entries moved up by -lo >= 0 to pack them as bytes,
+    # each distinct entry encoded once; `lift` puts 2 lo back and adds H at
+    # every field
+    fields = {v: (v - lo).to_bytes(k, "little") for v in set(chain.from_iterable(idist))}
+    packed = [int.from_bytes(b"".join(map(fields.__getitem__, row)), "little") for row in idist]
     lift = 2 * lo * ones + guards
     rows = [[0] * n for _ in range(n)]
     short = False
@@ -711,34 +729,37 @@ class FiniteMetricSpace:
 
 
 def _fraction_rows(matrix):
-    """The matrix's entries as Fraction rows, checked square row by row.
+    """(keys, values): the matrix's entries read once each, checked square
+    row by row.
 
-    Each distinct string entry is parsed once; a repeated text reuses the
-    Fraction of its first occurrence. Rows are read in order and each row
-    is checked for length before its entries are converted, so the first
-    malformed entry in row-major order raises, as it would with no memo.
-    An entry whose numerator or denominator has more digits than
-    `MAX_EXPONENT`, which no length of the space could print, raises
-    MetricError naming it (`_printable`).
+    `keys` holds one key per entry, in rows, and `values` maps each key to
+    its Fraction. A string entry is its own key, parsed once however often
+    it repeats, so a row of strings only, the usual JSON or CSV row, is its
+    own row of keys. Any other entry is read as `_to_fraction` reads it
+    and keyed by the Fraction's id, which `values` keeps alive. An entry's
+    type is checked before it is hashed, as some Decimals refuse to be.
+    Rows are read in order and each row is checked for length before its
+    entries are converted, so the first malformed entry in row-major order
+    raises, as it would with no memo. An entry whose numerator or
+    denominator has more digits than `MAX_EXPONENT`, which no length of
+    the space could print, raises MetricError naming it (`_printable`).
     """
     n = len(matrix)
-    parsed = {}
-    rows = []
+    values = {}
+    keys = []
     for i, raw_row in enumerate(matrix):
         row = list(raw_row)
         if len(row) != n:
             raise NotSquare(n, len(row))
-        out = []
         for j, v in enumerate(row):
-            if type(v) is str:
-                q = parsed.get(v)
-                if q is None:
-                    q = parsed[v] = _printable(parse_rational(v), i, j)
-            else:
+            if type(v) is not str:
                 q = _printable(_to_fraction(v, i, j), i, j)
-            out.append(q)
-        rows.append(out)
-    return rows
+                row[j] = v = id(q)
+                values[v] = q
+            elif v not in values:
+                values[v] = _printable(parse_rational(v), i, j)
+        keys.append(row)
+    return keys, values
 
 
 def validate_metric(matrix, labels=None, name=""):
@@ -751,11 +772,13 @@ def validate_metric(matrix, labels=None, name=""):
     once. Every check after squareness compares the distances scaled to
     ints, which keep the signs and the order of the Fractions exactly. The
     triangle inequality is tested by `_between_rows`, whose betweenness
-    table the space keeps for its view; only a matrix it finds short
-    somewhere is scanned point by point for the first witness (i, j, k).
+    table the space keeps for its view. Each check first runs as one pass
+    per row, and only a matrix that fails it is scanned entry by entry,
+    or, for the triangle inequality, point by point, for the first
+    witness (i, j, k).
     """
     n = len(matrix)
-    rows = _fraction_rows(matrix)
+    keys, values = _fraction_rows(matrix)
 
     if labels is None:
         labels = [str(i) for i in range(n)]
@@ -764,16 +787,19 @@ def validate_metric(matrix, labels=None, name=""):
         if len(labels) != n:
             raise MetricError(f"{len(labels)} labels for {n} points")
 
-    scaled = _scaled(rows)
+    scaled = _scaled(keys, values)
     idist = scaled[1]
     _check_symmetric(idist)
-    for i, row_i in enumerate(idist):
-        for j, dij in enumerate(row_i):
-            if i != j and dij <= 0:
-                raise NegativeOrZeroOffDiagonal(i, j)
-    for i, row_i in enumerate(idist):
-        if row_i[i]:
-            raise NonzeroDiagonal(i)
+    # row i is zero at i and positive elsewhere iff its one zero is at i
+    # and it has no negative entry
+    if not all(row[i] == 0 and row.count(0) == 1 and min(row) >= 0 for i, row in enumerate(idist)):
+        for i, row_i in enumerate(idist):
+            for j, dij in enumerate(row_i):
+                if i != j and dij <= 0:
+                    raise NegativeOrZeroOffDiagonal(i, j)
+        for i, row_i in enumerate(idist):
+            if row_i[i]:
+                raise NonzeroDiagonal(i)
     between, short = _between_rows(idist)
     if short:
         for i, row_i in enumerate(idist):
@@ -782,7 +808,7 @@ def validate_metric(matrix, labels=None, name=""):
                     if row_i[k] > row_i[j] + row_j[k]:
                         raise TriangleViolation(i, j, k)
 
-    dist = tuple(tuple(row) for row in rows)
+    dist = tuple([tuple(map(values.__getitem__, row)) for row in keys])
     return FiniteMetricSpace(
         labels=tuple(labels), dist=dist, name=name, scaled=scaled, between=between
     )
@@ -831,12 +857,12 @@ def metric_closure(matrix):
     is closed like any other. Floyd-Warshall runs on the entries scaled
     to ints by the lcm of their denominators, which is exact.
     """
-    rows = _fraction_rows(matrix)
-    scale, scaled = _scaled(rows)
+    keys, values = _fraction_rows(matrix)
+    scale, scaled = _scaled(keys, values)
     for i, row in enumerate(scaled):
         for j, v in enumerate(row):
             if v < 0:
-                raise NegativeEntry(i, j, rows[i][j])
+                raise NegativeEntry(i, j, values[keys[i][j]])
     _check_symmetric(scaled)
     for i, row in enumerate(scaled):
         if row[i]:

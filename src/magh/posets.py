@@ -23,7 +23,12 @@ point, so each pair only checks that its two sides agree. Pair homology
 runs the steps in one pass and hands the columns to
 `algebra.groups_from_columns`, the one d^2 check, Smith normal form and
 groups step that the endpoint-block engine shares; a core with no
-relation, k points, is counted instead, its homology read off k.
+relation, k points, is counted instead, its homology read off k. An
+interval with no relation from either side, an empty, one-point or
+antichain one, is answered from its size once its masks are checked:
+`_interval_masks` reads no start order for it, it is its own core, its
+component count is its size, and a frame of its two points reads its
+groups with no Kunneth fold.
 
 Below m_X, magnitude homology is the direct sum of those frame homologies
 (Kaneta-Yoshinaga), so `magnitude_homology_rows` computes every grading
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import or_
 
 from . import frames as _frames
 from .algebra import (
@@ -69,7 +75,9 @@ def _interval_masks(space, a, b):
     up-masks are built and tested once per start point. The two sides
     must agree (`up` is the transpose of `down`), checked for every pair.
     Antisymmetry and transitivity are checked per pair only where P_a
-    failed its test, since a restriction of a partial order is one. A
+    failed its test, since a restriction of a partial order is one. An
+    interval with no relation from either side needs neither: its sides
+    agree, and it is a partial order, so it returns before P_a is read. A
     failure raises NotAPartialOrder, also under `python -O`, with the
     least witness. A point outside 0..n-1 raises ValueError, as no index
     wraps, and a == b raises SamePoint.
@@ -82,12 +90,14 @@ def _interval_masks(space, a, b):
         raise SamePoint(a)
     view = space.integer_view
     between = view.between
-    inside = between[a][b]
-    elements = set_bits(inside)
-    up_a, is_order = view.start_order(a)
     row_a = between[a]
-    down = [row_a[y] & inside for y in elements]
+    inside = row_a[b]
+    elements = set_bits(inside)
     up = [between[x][b] & inside for x in elements]
+    if not any(up) and not any(map(inside.__and__, map(row_a.__getitem__, elements))):
+        return elements, up, up[:]
+    up_a, is_order = view.start_order(a)
+    down = [row_a[y] & inside for y in elements]
     seen = [up_a[x] & inside for x in elements]  # the up-masks as the a side sees them
     if up != seen:
         for x, above, mask in zip(elements, up, seen):
@@ -106,9 +116,8 @@ def _interval_masks(space, a, b):
 
 
 def _has_least(mask, up):
-    """True when the elements in `mask` have a least one, `up[z]` being above z."""
-    if not mask & (mask - 1):  # no element, or a lone one
-        return bool(mask)
+    """True when the elements in `mask`, two or more, have a least one,
+    `up[z]` being above z."""
     rest = mask
     while rest:
         low = rest & -rest
@@ -131,20 +140,29 @@ def _core_masks(elements, up, down):
     strong deformation retract of the poset's (Stong, 1966), so its
     reduced homology over Z, torsion included, is the poset's. A nonempty
     poset keeps at least one element, since a lone element has no cover.
-    The core's masks are the poset's restricted to what is left.
+    The core's masks are the poset's restricted to what is left. A
+    poset with no relation has no beat point and is its own core.
     """
+    if not any(up):
+        return elements, up, down
     above = dict(zip(elements, up))
     below = dict(zip(elements, down))
     left = start = sum(1 << x for x in elements)
     removed = True
-    while removed:
+    # a lone element has no cover, so a pass over it would remove nothing
+    while removed and left & (left - 1):
         removed = False
-        for x in elements:
-            bit = 1 << x
-            if left & bit and (
-                _has_least(above[x] & left, above) or _has_least(below[x] & left, below)
+        for x, over, under in zip(elements, up, down):
+            if not left >> x & 1:
+                continue
+            # x is a beat point when what is left above it, or below it, is
+            # one element, or several with a least (greatest) one
+            over &= left
+            under &= left
+            if (over and (not over & (over - 1) or _has_least(over, above))) or (
+                under and (not under & (under - 1) or _has_least(under, below))
             ):
-                left ^= bit
+                left ^= 1 << x
                 removed = True
     if left == start:
         return elements, up, down
@@ -202,20 +220,26 @@ def poset_component_count(space, a, b):
     """Number of connected components of the comparability graph of I(a, b).
 
     Each component is flooded from its least element over `up | down`,
-    read off `_interval_masks` with its checks.
+    read off `_interval_masks` with its checks; with no relation, each
+    element is a component of its own.
     """
     elements, up, down = _interval_masks(space, a, b)
-    near = {x: above | below for x, above, below in zip(elements, up, down)}
-    left = sum(1 << x for x in elements)
+    if not any(up):
+        return len(elements)
+    # each element's neighbours, keyed by its bit; the keys sum to the interval
+    near = dict(zip(map((1).__lshift__, elements), map(or_, up, down)))
+    left = sum(near)
     count = 0
     while left:
         count += 1
         frontier = left & -left
         while frontier:
-            left &= ~frontier
+            left ^= frontier
             reached = 0
-            for x in set_bits(frontier):
-                reached |= near[x]
+            while frontier:
+                low = frontier & -frontier
+                reached |= near[low]
+                frontier ^= low
             frontier = reached & left
     return count
 
@@ -239,15 +263,22 @@ def _interval_homology(space, a, b, steps=None):
     return groups
 
 
+# the reduced homology of the empty poset and of a point, shared by every
+# pair with no element or one; no caller mutates them
+_EMPTY_HOMOLOGY = {-1: HomologyGroup(1)}
+_POINT_HOMOLOGY = {}
+
+
 def _antichain_homology(k):
     """The nonzero reduced homology of k points with no relation.
 
     Its complex has one boundary map, the augmentation, so there is no
     d^2 to check: Z at -1 for no point, nothing for one, and Z^(k-1) at 0.
+    The dicts for no point and one are shared constants.
     """
-    if k == 0:
-        return {-1: HomologyGroup(1)}
-    return {0: HomologyGroup(k - 1)} if k > 1 else {}
+    if k < 2:
+        return _POINT_HOMOLOGY if k else _EMPTY_HOMOLOGY
+    return {0: HomologyGroup(k - 1)}
 
 
 def interval_homology(space, a, b):
@@ -292,7 +323,14 @@ def frame_homology_by_degree(space, f):
 
 
 def frame_homology_via_posets(space, f, n):
-    """Degree n of `frame_homology_by_degree`: TRIVIAL_GROUP where it is zero."""
+    """Degree n of `frame_homology_by_degree`: TRIVIAL_GROUP where it is zero.
+
+    A frame of two points, a single pair, reads degree n - 2 of its
+    interval's groups as the space holds them, with no product built.
+    """
+    f = tuple(f)
+    if len(f) == 2:
+        return _interval_homology(space, *f).get(n - 2, TRIVIAL_GROUP)
     return frame_homology_by_degree(space, f).get(n, TRIVIAL_GROUP)
 
 

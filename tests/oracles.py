@@ -25,6 +25,9 @@ chain records alone, through the engine's own assembly.
 chains against the cap before they were counted per block, one parent at
 a time on the package's own search, for every cap from one run.
 `euler_characteristic` reads a complex's ranks.
+`row_by_row_metric` is the loader one entry at a time, on the package's
+own entry parsers, each check a row-major scan: the reference for
+`validate_metric`'s row-wide passes.
 `smooth_by_distances`, `collapsed_chains` and `kept_faces` read smooth
 points off the scaled-int distances of the space's `IntegerView`, not off
 its betweenness table.
@@ -55,7 +58,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 import magh.frames
 from magh.algebra import (
@@ -67,14 +70,19 @@ from magh.algebra import (
 )
 from magh.chains import resolve_cap, search_moves, smooth_faces, start_blocks
 from magh.errors import (
+    AsymmetricAt,
     EnumerationCapExceeded,
+    NegativeOrZeroOffDiagonal,
+    NonzeroDiagonal,
     NotAPartialOrder,
     NotASubcomplex,
+    NotSquare,
     SamePoint,
+    TriangleViolation,
     UnrealizedFrame,
 )
 from magh.frames import frame
-from magh.metric import format_rational, set_bits
+from magh.metric import _printable, _to_fraction, format_rational, parse_rational, set_bits
 from magh.posets import _core_masks, _interval_homology, _order_simplices, _reduced_columns
 from magh.verify import VerificationReport
 
@@ -729,6 +737,62 @@ def naive_betweenness(matrix):
         )
         for a in range(n)
     )
+
+
+def row_by_row_metric(matrix):
+    """(dist, (scale, idist), between) of a matrix, read and checked one
+    entry at a time, the reference for `metric.validate_metric`.
+
+    Rows are read in order, each checked for length before its entries
+    are converted; a repeated text reuses its first Fraction. The checks
+    are row-major scans in `validate_metric`'s order, each raising at its
+    first witness: symmetry, positivity off the diagonal, zero diagonal,
+    triangle inequality. The distances are scaled entry by entry, and
+    betweenness comes from a triple loop on the scaled ints.
+    """
+    n = len(matrix)
+    parsed = {}
+    rows = []
+    for i, raw_row in enumerate(matrix):
+        row = list(raw_row)
+        if len(row) != n:
+            raise NotSquare(n, len(row))
+        out = []
+        for j, v in enumerate(row):
+            if type(v) is str:
+                q = parsed.get(v)
+                if q is None:
+                    q = parsed[v] = _printable(parse_rational(v), i, j)
+            else:
+                q = _printable(_to_fraction(v, i, j), i, j)
+            out.append(q)
+        rows.append(out)
+    scale = lcm(*[q.denominator for row in rows for q in row])
+    d = tuple(tuple(int(q * scale) for q in row) for row in rows)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i][j] != d[j][i]:
+                raise AsymmetricAt(i, j)
+    for i in range(n):
+        for j in range(n):
+            if i != j and d[i][j] <= 0:
+                raise NegativeOrZeroOffDiagonal(i, j)
+    for i in range(n):
+        if d[i][i]:
+            raise NonzeroDiagonal(i)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if d[i][k] > d[i][j] + d[j][k]:
+                    raise TriangleViolation(i, j, k)
+    between = tuple(
+        tuple(
+            sum(1 << c for c in range(n) if c != a and c != b and d[a][c] + d[c][b] == d[a][b])
+            for b in range(n)
+        )
+        for a in range(n)
+    )
+    return tuple(map(tuple, rows)), (scale, d), between
 
 
 def tensor(a, b):

@@ -37,7 +37,7 @@ from magh.metric import (
     validate_metric,
 )
 
-from oracles import naive_betweenness, naive_triangle_witness
+from oracles import naive_betweenness, naive_triangle_witness, row_by_row_metric
 from test_frames import GRID_STEPS, weighted_grid
 from test_kernel import kernel_settings, metrics
 from test_posets import rational_grid_space
@@ -522,6 +522,84 @@ def test_loading_scales_the_matrix_once():
     assert scaled.call_count == 1
     assert view == IntegerView.of(space.dist)
     assert view.scale == 6 and view.idist[0] == (0, 9, 2)
+
+
+# spellings of 1, 3/2 and 2: any symmetric matrix of them with a zero
+# diagonal is a metric, with betweenness wherever 1 + 1 = 2
+SPELLINGS = {
+    F(1): ["1", "1.0", " 1", "2/2"],
+    F(3, 2): ["3/2", "1.5", "6/4"],
+    F(2): ["2", "4/2", "2e0"],
+}
+ZEROS = ["0", "0/1", "0.0"]
+# texts refused by the parser, or past MAX_EXPONENT digits once parsed
+MALFORMED = ["sNaN", "inf", "1e5000", "1e4300", "1" + "0" * MAX_EXPONENT, "abc", "1/0"]
+MALFORMED_OBJECTS = [Decimal("sNaN"), Decimal("NaN"), float("inf"), True, None]
+DEFECTS = [None, "short", "malformed", "asymmetric", "zero", "negative", "diagonal", "triangle"]
+
+
+@st.composite
+def defective_matrices(draw):
+    """A metric matrix of texts, a few entries objects of the same value,
+    with one or two defects at drawn positions, or none."""
+    n = draw(st.integers(1, 6))
+    values = sorted(SPELLINGS)
+    value = {(i, i): F(0) for i in range(n)}
+    d = [[None] * n for _ in range(n)]
+    for i in range(n):
+        d[i][i] = draw(st.sampled_from(ZEROS))
+        for j in range(i + 1, n):
+            q = value[i, j] = value[j, i] = draw(st.sampled_from(values))
+            # the two halves of a pair spelled independently
+            d[i][j] = draw(st.sampled_from(SPELLINGS[q]))
+            d[j][i] = draw(st.sampled_from(SPELLINGS[q]))
+    cells = sorted(value)
+    # entries given as Fractions or ints, which are read one by one
+    for i, j in draw(st.lists(st.sampled_from(cells), max_size=3)):
+        q = value[i, j]
+        d[i][j] = draw(st.sampled_from([q, int(q)] if q.denominator == 1 else [q]))
+    # one defect, or two, whose order the readers must agree on
+    for defect in draw(st.lists(st.sampled_from(DEFECTS), min_size=1, max_size=2)):
+        i, j = draw(st.sampled_from(cells))
+        if i == j and defect in ("asymmetric", "zero", "negative", "triangle"):
+            if n < 2:
+                continue
+            j = (i + 1) % n
+        if defect == "short":
+            d[i] = d[i][:-1]
+        elif any(len(d[k]) < n for k in (i, j)):
+            continue
+        elif defect == "malformed":
+            d[i][j] = draw(st.sampled_from(MALFORMED + MALFORMED_OBJECTS))
+        elif defect == "asymmetric":
+            other = [q for q in values if q != value[i, j]]
+            d[i][j] = draw(st.sampled_from([t for q in other for t in SPELLINGS[q]]))
+        elif defect in ("zero", "negative"):
+            d[i][j] = d[j][i] = "0" if defect == "zero" else "-3/2"
+        elif defect == "diagonal":
+            d[i][i] = "3/2"
+        elif defect == "triangle" and n >= 3:
+            d[i][j] = d[j][i] = "5"
+    return d
+
+
+def read_outcome(read, matrix):
+    try:
+        return read(matrix)
+    except MaghError as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+def package_read(matrix):
+    space = validate_metric(matrix)
+    return space.dist, space.scaled, space.between
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(defective_matrices())
+def test_loader_matches_the_row_by_row_reader(matrix):
+    # the same space, or the same error with the same first witness
+    assert read_outcome(package_read, matrix) == read_outcome(row_by_row_metric, matrix)
 
 
 def test_repeated_string_entries_parse_once():

@@ -39,7 +39,15 @@ from magh.posets import (
 )
 from magh.verify import default_suite, run_checks
 
-from oracles import ChainComplexZ, frame_complex, interval_complex, naive_core, naive_order_complex
+from oracles import (
+    ChainComplexZ,
+    frame_complex,
+    interval_complex,
+    naive_component_count,
+    naive_core,
+    naive_interval_order,
+    naive_order_complex,
+)
 
 F = Fraction
 
@@ -105,6 +113,13 @@ BROKEN_ORDERS = [
     ),
     # 1 < 2 < 3 but not 1 < 3, from both sides
     ("transitivity", (1, 2, 3), [(0, 3, 1, False), (1, 4, 3, False)]),
+    # 1 < 2 < 3 seen from a only: from the b side alone the interval has no
+    # relation, which must not pass for an antichain
+    (
+        "two-sided agreement",
+        (1, 2),
+        [(1, 4, 2, False), (1, 4, 3, False), (2, 4, 3, False)],
+    ),
 ]
 
 
@@ -125,11 +140,19 @@ def broken_path5(edits):
     return space
 
 
+def pair_frame_homology(space, a, b):
+    """The groups of the pair frame (a, b) at degrees 0..4, by the frame route."""
+    return [frame_homology_via_posets(space, (a, b), n) for n in range(5)]
+
+
+PAIR_ROUTES = (_interval_masks, interval_homology, poset_component_count, pair_frame_homology)
+
+
 @pytest.mark.parametrize("kind, witness, edits", BROKEN_ORDERS)
 def test_interval_poset_refuses_a_broken_order(kind, witness, edits):
-    # pair homology and the component count read the masks as they are,
-    # and must refuse the same order with the same witness
-    for route in (_interval_masks, interval_homology, poset_component_count):
+    # pair homology, the component count and the pair frame read the masks
+    # as they are, and must refuse the same order with the same witness
+    for route in PAIR_ROUTES:
         with pytest.raises(NotAPartialOrder) as info:
             route(broken_path5(edits), 0, 4)
         assert (info.value.kind, info.value.witness) == (kind, witness), route.__name__
@@ -141,7 +164,7 @@ def test_a_table_broken_outside_an_interval_still_loads_it():
     assert intact.integer_view.start_order(0)[1]
     assert not broken.integer_view.start_order(0)[1]
     assert less_pairs(*_interval_masks(broken, 0, 3)[:2]) == {(1, 2)}
-    for route in (_interval_masks, interval_homology, poset_component_count):
+    for route in PAIR_ROUTES:
         assert route(broken, 0, 3) == route(intact, 0, 3), route.__name__
 
 
@@ -153,18 +176,17 @@ def test_pair_route_guards_survive_optimize():
         "from magh.algebra import groups_from_columns\n"
         "from magh.errors import NotAPartialOrder, SamePoint\n"
         "from magh.metric import path_space\n"
-        "from magh.posets import _interval_masks, interval_homology, poset_component_count\n"
-        "from test_posets import BROKEN_ORDERS, BROKEN_OUTSIDE, broken_path5\n"
+        "from magh.posets import interval_homology\n"
+        "from test_posets import BROKEN_ORDERS, BROKEN_OUTSIDE, PAIR_ROUTES, broken_path5\n"
         "if __debug__:\n"
         "    raise SystemExit('asserts are on: not running under -O')\n"
-        "routes = (_interval_masks, interval_homology, poset_component_count)\n"
         "for _, _, edits in BROKEN_ORDERS:\n"
-        "    for route in routes:\n"
+        "    for route in PAIR_ROUTES:\n"
         "        try:\n"
         "            route(broken_path5(edits), 0, 4)\n"
         "        except NotAPartialOrder as exc:\n"
         "            print(exc.kind, exc.witness)\n"
-        "for route in routes:\n"
+        "for route in PAIR_ROUTES:\n"
         "    print(route(broken_path5(BROKEN_OUTSIDE), 0, 3) == route(path_space(5), 0, 3))\n"
         "try:\n"
         "    interval_homology(path_space(3), 1, 1)\n"
@@ -184,8 +206,9 @@ def test_pair_route_guards_survive_optimize():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr + proc.stdout
-    refusals = [f"{kind} {witness}" for kind, witness, _ in BROKEN_ORDERS for _ in range(3)]
-    assert proc.stdout.splitlines() == refusals + ["True"] * 3 + [
+    routes = len(PAIR_ROUTES)
+    refusals = [f"{kind} {witness}" for kind, witness, _ in BROKEN_ORDERS for _ in range(routes)]
+    assert proc.stdout.splitlines() == refusals + ["True"] * routes + [
         "same point",
         "boundary squared is nonzero at degree 2, column 0",
     ]
@@ -453,8 +476,8 @@ def test_kunneth_rp2_intervals_tor_term():
 
 def rational_grid_space(rows, cols):
     """L1 metric on a grid whose column and row steps are non-integer rationals."""
-    xs = [F(0), F(3, 2), F(19, 6), F(17, 4)][:cols]
-    ys = [F(0), F(7, 5), F(9, 5)][:rows]
+    xs = [F(0), F(3, 2), F(19, 6), F(17, 4), F(139, 28)][:cols]
+    ys = [F(0), F(7, 5), F(9, 5), F(79, 30)][:rows]
     coords = [(x, y) for y in ys for x in xs]
     d = [[abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in coords] for p in coords]
     return validate_metric(d, name=f"rational-grid-{rows}x{cols}")
@@ -471,6 +494,28 @@ def test_core_route_matches_full_order_complex(space):
             if a != b:
                 full = interval_complex(space, a, b).groups()
                 assert interval_homology(space, a, b) == full, (a, b)
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 3), (3, 3), (3, 4), (4, 5)])
+def test_pair_routes_match_oracles_on_rational_grids(rows, cols):
+    # an L1 grid's intervals are boxes under the product order; most pairs
+    # of a row or a column, and of a box one step wide, have no relation
+    space = rational_grid_space(rows, cols)
+    relation_free = 0
+    for a in range(space.n):
+        for b in range(space.n):
+            if a == b:
+                continue
+            elements, less = naive_interval_order(space, a, b)
+            relation_free += not less
+            full = interval_complex(space, a, b)
+            # the frame route meets each pair first, before its groups are held
+            for n in range(6):
+                assert frame_homology_via_posets(space, (a, b), n) == full.homology(n - 2)
+            assert interval_homology(space, a, b) == full.groups(), (a, b)
+            assert poset_component_count(space, a, b) == naive_component_count(elements, less)
+            assert _core_masks(*_interval_masks(space, a, b))[0] == naive_core(elements, less)
+    assert 0 < relation_free < space.n * (space.n - 1)
 
 
 def rp2_with_beat_point():
