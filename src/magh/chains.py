@@ -82,12 +82,29 @@ def chain_total(space, points):
     return sum(idist[a][b] for a, b in zip(points, points[1:]))
 
 
+def _in_range(space, points):
+    """The points as a tuple, once each is a point index of the space.
+
+    The first point outside 0..n-1 raises ValueError, so no index wraps
+    round or reads past a table. This is the one range check of the
+    public chain, frame and pair helpers.
+    """
+    pts = tuple(points)
+    n = space.n
+    for p in pts:
+        if not 0 <= p < n:
+            raise ValueError(f"point index {p} out of range for n={n}")
+    return pts
+
+
 def is_strictly_smooth(space, a, c, b):
     """True when c sits strictly between a and b on a geodesic.
 
     Requires c distinct from both endpoints and d(a,b) = d(a,c) + d(c,b),
-    all compared exactly; this reads the space's betweenness table.
+    all compared exactly; this reads the space's betweenness table. A
+    point outside the space raises ValueError (`_in_range`).
     """
+    _in_range(space, (a, c, b))
     return space.integer_view.between[a][b] >> c & 1 == 1
 
 

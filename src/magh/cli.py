@@ -218,8 +218,9 @@ def _compute_arguments(p):
         type=_int_at_least(0),
         default=None,
         help="cap on enumeration steps: length-count steps for the spectrum, "
-        "tuples for the frame search, and for l >= m_X the chain prefixes "
-        "kept plus the top-degree chains kept by insertion",
+        "for l < m_X the frame tuples counted plus the order-complex simplices "
+        "of pairs not yet held, and for l >= m_X the chain prefixes kept plus "
+        "the top-degree chains kept by insertion",
     )
     _add_io(p)
 

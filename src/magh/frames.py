@@ -26,8 +26,11 @@ That is one bit mask per junction (prev, x), `_junction_mask`: the OR of
 the up-masks of x in the start orders P_L (`IntegerView.start_order`,
 the transposed betweenness rows) over L = prev and the points between
 prev and x, tested against nxt and the points between x and nxt.
-`is_realized_frame` makes that test at each junction, and `verify`
-grows its realized frames with one mask per (prev, last).
+`is_realized_frame` makes that test at each junction. Both frame walks,
+the frame count of `posets` and the realized frames of `verify`, grow a
+frame through one rule, `_extensions`: the points that extend a frame
+ending in (prev, last), each with whether its new junction is realized,
+from one mask per (prev, last).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import HomologyGroup, _blocks_homology
-from .chains import chain_total, resolve_cap, search_moves
+from .chains import _in_range, chain_total, resolve_cap, search_moves
 from .errors import EnumerationCapExceeded, ImproperFrame, NotASubcomplex
 from .metric import format_rational, set_bits
 
@@ -64,8 +67,12 @@ def frame(space, chain):
     the same endpoints. Without simplicity the subtuple can fail properness
     (adjacent equal entries), so this returns a bare tuple and properness
     is only checked where the decomposition relies on it (ImproperFrame).
+    An empty tuple, or a point outside the space, raises ValueError.
     """
-    return _frame_and_total(space.integer_view, tuple(chain))[0]
+    pts = _in_range(space, chain)
+    if not pts:
+        raise ValueError("a chain needs at least one point")
+    return _frame_and_total(space.integer_view, pts)[0]
 
 
 def is_geodesically_simple(space, chain):
@@ -74,12 +81,9 @@ def is_geodesically_simple(space, chain):
     A tuple that is empty, names a point outside the space or repeats a
     point in two adjacent places is no proper chain: ValueError.
     """
-    pts = tuple(chain)
+    pts = _in_range(space, chain)
     if not pts:
         raise ValueError("a chain needs at least one point")
-    for p in pts:
-        if not 0 <= p < space.n:
-            raise ValueError(f"point index {p} out of range for n={space.n}")
     for a, b in zip(pts, pts[1:]):
         if a == b:
             raise ValueError(f"chain {pts} is not proper: repeated point {a}")
@@ -91,14 +95,14 @@ def is_frame(space, points):
 
     Exactly these tuples appear as frames of geodesically simple chains,
     and only for them does the frame subcomplex have the chain itself as
-    bottom generator.
+    bottom generator. A point outside the space raises ValueError.
     """
-    pts = tuple(points)
+    pts = _in_range(space, points)
     if len(pts) < 2:
         return False
     if any(a == b for a, b in zip(pts, pts[1:])):
         return False
-    return frame(space, pts) == pts
+    return _frame_and_total(space.integer_view, pts)[0] == pts
 
 
 def _junction_mask(view, prev, x):
@@ -116,6 +120,30 @@ def _junction_mask(view, prev, x):
     for lpt in set_bits(view.between[prev][x] | 1 << prev):
         bad |= view.start_order(lpt)[0][x]
     return bad
+
+
+def _extensions(view, prev, last):
+    """[(x, realized)], x ascending, for each x that extends a frame ending
+    in (prev, last).
+
+    This is the one rule by which a frame grows. x extends it iff x is
+    not `last` and leaves `last` not strictly smooth between prev and x,
+    so the grown tuple is still its own frame; the new junction
+    (prev, last, x) is realized iff no bit of the junction mask of
+    (prev, last) is x or a point strictly between last and x, the test
+    `is_realized_frame` makes. With prev == last, the start of a frame,
+    every other point extends it, and in a valid table every pair is
+    realized. The mask is made once, through the module attribute, so a
+    patch of `_junction_mask` reaches every frame walk.
+    """
+    bad = _junction_mask(view, prev, last)
+    smooth = view.between[prev]
+    row = view.between[last]
+    return [
+        (x, not bad & (row[x] | 1 << x))
+        for x in range(len(row))
+        if x != last and not smooth[x] >> last & 1
+    ]
 
 
 def is_realized_frame(space, points):
@@ -136,9 +164,10 @@ def is_realized_frame(space, points):
     The tuple must be proper, and then each junction is one test of its
     mask (`_junction_mask`): the pair (L, R) = (x_{i-1}, x_{i+1}) is the
     test that x_i is not strictly smooth, so the tuple is its own frame
-    exactly when that pair fails at every junction.
+    exactly when that pair fails at every junction. A point outside the
+    space raises ValueError.
     """
-    pts = tuple(points)
+    pts = _in_range(space, points)
     if len(pts) < 2 or any(a == b for a, b in zip(pts, pts[1:])):
         return False
     view = space.integer_view

@@ -510,13 +510,14 @@ class IntegerView:
 
     The view also owns what is derived from it once per space and reused:
     `pair_homology` maps a pair (a, b) to the nonzero reduced homology of
-    its interval poset, which the engine reads; `start_orders` maps a
-    start point a to the up-masks of the order every interval I(a, b)
-    restricts, one int per point, and whether that order passed its
-    partial-order test (`start_order`); `block_groups` maps n_max
-    to the groups of degrees 0..n_max of each length grading the block
-    engine (`algebra.block_homology_rows`) has reduced, keyed by scaled
-    length; `pair_orbits` holds the orbits of point pairs under the
+    its interval poset, which `posets` fills and reads for the pair and
+    frame routes below m_X (the engine at l >= m_X never reads it);
+    `start_orders` maps a start point a to the up-masks of the order
+    every interval I(a, b) restricts, one int per point, and whether that
+    order passed its partial-order test (`start_order`); `block_groups`
+    maps n_max to the groups of degrees 0..n_max of each length grading
+    the block engine (`algebra.block_homology_rows`) has reduced, keyed
+    by scaled length; `pair_orbits` holds the orbits of point pairs under the
     isometries found and reversal, whose representatives are the only
     blocks the engine searches and reduces.
     All fill as they are asked for and live exactly as long as the space.

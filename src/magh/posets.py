@@ -37,6 +37,9 @@ enumeration, and leaves gradings l >= m_X to the endpoint-block engine.
 The frames are counted, not listed (`_frame_groups`): level by level over
 states that hold a frame's last two points, its length, its Kunneth
 product and whether it is realized, each with how many frames reach it.
+A state grows by `frames._extensions`, the one rule for which points
+extend a frame and whether the new junction is realized, which `verify`
+grows its realized frames by too.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .algebra import (
     kunneth,
     merge_invariant_factors,
 )
-from .chains import resolve_cap
+from .chains import _in_range, resolve_cap
 from .errors import EnumerationCapExceeded, NotAPartialOrder, SamePoint, UnrealizedFrame
 from .metric import format_rational, set_bits
 
@@ -82,10 +85,7 @@ def _interval_masks(space, a, b):
     least witness. A point outside 0..n-1 raises ValueError, as no index
     wraps, and a == b raises SamePoint.
     """
-    n = space.n
-    if not (0 <= a < n and 0 <= b < n):
-        bad = b if 0 <= a < n else a
-        raise ValueError(f"point index {bad} out of range for n={n}")
+    _in_range(space, (a, b))
     if a == b:
         raise SamePoint(a)
     view = space.integer_view
@@ -411,16 +411,17 @@ def _frame_groups(space, gradings, n_max, cap):
     H_k of that product to MH_{2m+k}^l. Whether a tuple can grow, and
     what it then adds, depends only on a state (prev, last, total,
     product, realized): its last two points, its length as a scaled int,
-    its product, interned by value, and whether its pair and each of its
-    junction triples pass `frames.is_realized_frame`, which a frame does
-    exactly when all of them do. So each level keeps its states with a
-    multiplicity, and one transition stands for that many tuples: it
-    takes one `kunneth` per (product, pair homology), interned by
-    `_Products`, and tests each pair and each junction triple once,
-    through the module attribute, so a patch of it takes effect. A branch stops once it is longer than the
-    largest grading, once its least degree 2m + min k passes n_max
-    (neither can shrink as the tuple grows), or when its product is zero,
-    which a pair with zero reduced homology forces.
+    its product, interned by value, and whether each of its junctions is
+    realized, which a frame is exactly when all of them are. So each
+    level keeps its states with a multiplicity, and one transition stands
+    for that many tuples: it takes one `kunneth` per (product, pair
+    homology), interned by `_Products`, and reads the next points of
+    (prev, last) and whether each new junction is realized from
+    `frames._extensions`, the one growth rule, made once per (prev, last)
+    per call; a start point is its own prev. A branch stops once it is
+    longer than the largest grading, once its least degree 2m + min k
+    passes n_max (neither can shrink as the tuple grows), or when its
+    product is zero, which a pair with zero reduced homology forces.
 
     Each state keeps its lexicographically least tuple. A level is filled
     from the states of the one before in the order of their least tuples,
@@ -439,7 +440,6 @@ def _frame_groups(space, gradings, n_max, cap):
     """
     view = space.integer_view
     idist = view.idist
-    between = view.between
     wanted = {}
     for l in gradings:
         total = view.scaled(l)
@@ -449,34 +449,28 @@ def _frame_groups(space, gradings, n_max, cap):
         return {}
     top = max(wanted)
     steps = _Steps(resolve_cap(cap))
-    size = space.n
     interned = _Products(space, steps)
     products = interned.products
-    realized = {}  # a pair or a junction triple -> is_realized_frame of it
-
-    def is_realized(pts):
-        ok = realized.get(pts)
-        if ok is None:
-            ok = realized[pts] = _frames.is_realized_frame(space, pts)
-        return ok
-
+    extensions = {}  # (prev, last) -> frames._extensions of it
     betti = {}
     torsion = {}
     unrealized = None
     # degree 0: each point alone, with the product of no pair; prev is the
     # point itself, as no point lies strictly between a point and another
     unit = interned.intern({0: HomologyGroup(1)})
-    level = {(a, a, 0, unit, True): [1, (a,)] for a in range(size)}
+    level = {(a, a, 0, unit, True): [1, (a,)] for a in range(space.n)}
     m = 0
     while level:
         m += 1
         grown = {}
         for (prev, last, total, pid, ok), (count, least) in level.items():
             row = idist[last]
-            smooth = between[prev]
-            for nxt in range(size):
+            nexts = extensions.get((prev, last))
+            if nexts is None:
+                nexts = extensions[prev, last] = _frames._extensions(view, prev, last)
+            for nxt, good in nexts:
                 t = total + row[nxt]
-                if nxt == last or t > top or smooth[nxt] >> last & 1:
+                if t > top:
                     continue
                 hid = interned.pair(last, nxt)
                 if hid is None:
@@ -485,8 +479,7 @@ def _frame_groups(space, gradings, n_max, cap):
                 gid = interned.fold(pid, hid)
                 if gid is None or 2 * m + products[gid][1] > n_max:
                     continue
-                # the new pair, or junction triple, of every tuple of the state
-                key = last, nxt, t, gid, ok and is_realized(least[-2:] + (nxt,))
+                key = last, nxt, t, gid, ok and good
                 state = grown.get(key)
                 if state is None:
                     grown[key] = [count, least + (nxt,)]

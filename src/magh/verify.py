@@ -20,9 +20,10 @@ gradings a report prints become Fractions. `tensor_route` is the one
 chain-level cross-check: it compares the frame subcomplexes of the
 realized frames of low degree (`frames.frame_pieces`), whose search
 keeps only the chains that can end with one of them, with the
-interval-poset route, frame by frame. Its frames grow with one junction
-mask per pair of last points (`frames._junction_mask`), and its
-interval side folds each distinct pair of Kunneth products once.
+interval-poset route, frame by frame. Its frames grow through
+`frames._extensions`, the growth rule the frame count reads too, once
+per pair of last points, and its interval side folds each distinct pair
+of Kunneth products once.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from . import posets as _posets
 from .algebra import TRIVIAL_GROUP, _block_groups
 from .chains import count_step, realized_totals, resolve_cap, smooth_faces
 from .errors import EnumerationCapExceeded
-from .frames import _junction_mask, frame_pieces, m_x
+from .frames import _extensions, frame_pieces, m_x
 from .metric import (
     complete_space,
     cycle_space,
@@ -303,16 +304,12 @@ def _realized_frames(space, m_max):
     lexicographic order, each degree comes out sorted. A frame is
     realized when each of its junctions is (`frames.is_realized_frame`),
     so an extension is realized iff the frame it extends is and so is
-    its new junction (prev, last, x): a test of the junction mask of
-    (prev, last) (`frames._junction_mask`), which is made once per
-    (prev, last), with the points that extend it, not once per tuple.
+    its new junction. Both facts come from `frames._extensions`, made
+    once per (prev, last), not once per tuple.
     """
     view = space.integer_view
-    between = view.between
     points = range(space.n)
-    # (prev, last) -> [(x, whether the junction (prev, last, x) is
-    # realized)] for each x that leaves last not strictly smooth
-    extensions = {}
+    extensions = {}  # (prev, last) -> frames._extensions of it
     level = [((a, b), True) for a in points for b in points if a != b]
     realized = []
     excluded = 0
@@ -323,14 +320,7 @@ def _realized_frames(space, m_max):
                 key = pts[-2:]
                 nexts = extensions.get(key)
                 if nexts is None:
-                    prev, last = key
-                    bad = _junction_mask(view, prev, last)
-                    row = between[last]
-                    nexts = extensions[key] = [
-                        (x, not bad & (row[x] | 1 << x))
-                        for x in points
-                        if x != last and not between[prev][x] >> last & 1
-                    ]
+                    nexts = extensions[key] = _extensions(view, *key)
                 grown += [(pts + (x,), ok and good) for x, good in nexts]
             level = grown
         for pts, ok in level:

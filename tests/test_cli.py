@@ -363,11 +363,11 @@ def test_verify_default_suite_exit_zero(capsys, monkeypatch):
 
 
 def test_verify_failure_exit_one(capsys, monkeypatch):
-    import magh.verify as verify_module
+    import magh.frames
 
     # with no junction mask every self-framed tuple is realized, and the
     # six-cycle's frame (0, 1, 4) fails
-    monkeypatch.setattr(verify_module, "_junction_mask", lambda view, prev, x: 0)
+    monkeypatch.setattr(magh.frames, "_junction_mask", lambda view, prev, x: 0)
     _, space_json, _ = run_cli(capsys, monkeypatch, ["gen", "cycle", "6"])
     code, out, err = run_cli(
         capsys,

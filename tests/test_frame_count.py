@@ -20,9 +20,9 @@ from magh.algebra import HomologyGroup
 from magh.chains import length_spectra
 from magh.errors import EnumerationCapExceeded, UnrealizedFrame
 from magh.frames import m_x
-from magh.metric import path_space, random_metric, validate_metric
+from magh.metric import complete_space, path_space, random_metric, validate_metric
 from magh.posets import _frame_groups, _order_simplices, _Steps
-from magh.verify import full_suite, random_suite
+from magh.verify import _realized_frames, full_suite, random_suite
 
 from oracles import (
     dfs_frame_groups,
@@ -105,19 +105,45 @@ def test_forced_gradings_name_the_same_unrealized_frame(make, witness):
 
 
 def test_a_junction_refused_early_marks_every_extension(monkeypatch):
-    # is_realized_frame patched to refuse the junction (0, 1, 0) alone: a
-    # frame through it is refused at a length the junction's own frame
-    # does not reach, by both routes, with the same witness
-    def no_010(space, pts):
-        pts = tuple(pts)
-        return len(pts) > 1 and all(pts[i : i + 3] != (0, 1, 0) for i in range(len(pts) - 2))
+    # the junction mask of (0, 1) patched to hold point 0, which refuses
+    # the junction (0, 1, 0) alone: a frame through it is refused at a
+    # length the junction's own frame does not reach, by both routes,
+    # with the same witness
+    real = magh.frames._junction_mask
 
-    monkeypatch.setattr(magh.frames, "is_realized_frame", no_010)
+    def no_010(view, prev, x):
+        mask = real(view, prev, x)
+        return mask | 1 if (prev, x) == (0, 1) else mask
+
+    monkeypatch.setattr(magh.frames, "_junction_mask", no_010)
     space = path_space(3)
     for gradings in ([3], [4], [3, 4]):
         want = outcome(dfs_frame_groups, space, gradings, 4)
         assert want[0] == "unrealized" and want[1][:3] == (0, 1, 0) and len(want[1]) > 3
         assert outcome(_frame_groups, space, gradings, 4, None) == want
+
+
+def test_each_junction_mask_is_made_once_per_call(monkeypatch):
+    # both frame walks grow through `frames._extensions`, which makes the
+    # mask of each (prev, last) once per call, not once per tuple; on
+    # K_4 many frames share their last two points
+    real = magh.frames._junction_mask
+    made = []
+
+    def recorder(view, prev, x):
+        made.append((prev, x))
+        return real(view, prev, x)
+
+    monkeypatch.setattr(magh.frames, "_junction_mask", recorder)
+    for space in (rp2(), complete_space(4)):
+        gradings = below_m_x(space, 4)
+        for call in (
+            lambda: _frame_groups(space, gradings, 4, None),
+            lambda: _realized_frames(space, 3),
+        ):
+            made.clear()
+            call()
+            assert made and len(made) == len(set(made)), space.name
 
 
 def grid34():

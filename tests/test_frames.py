@@ -11,7 +11,7 @@ import pytest
 import magh
 import magh.frames
 from magh.algebra import TRIVIAL_GROUP, HomologyGroup, _blocks_homology
-from magh.chains import chain_total, smooth_mask
+from magh.chains import chain_total, is_strictly_smooth, smooth_mask
 from magh.errors import EnumerationCapExceeded, NotASubcomplex
 from magh.frames import (
     _frame_splits,
@@ -113,6 +113,42 @@ def test_realized_frames():
     c6 = cycle_space(6)
     assert is_frame(c6, (0, 1, 4))
     assert not is_realized_frame(c6, (0, 1, 4))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda space, p: frame(space, (0, p, 2)),
+        lambda space, p: is_frame(space, (0, p)),
+        lambda space, p: is_realized_frame(space, (0, 1, p)),
+        lambda space, p: is_geodesically_simple(space, (p, 1)),
+        lambda space, p: is_strictly_smooth(space, 0, 1, p),
+        lambda space, p: is_strictly_smooth(space, p, 1, 2),
+    ],
+    ids=[
+        "frame",
+        "is_frame",
+        "is_realized_frame",
+        "is_geodesically_simple",
+        "is_strictly_smooth",
+        "is_strictly_smooth-start",
+    ],
+)
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_frame_helpers_refuse_points_outside_the_space(call, bad):
+    # no index wraps round (-1 would read point 4) or reads past a table
+    with pytest.raises(ValueError, match=f"point index {bad} out of range for n=5"):
+        call(cycle_space(5), bad)
+
+
+def test_frame_helpers_keep_false_for_improper_tuples():
+    c5 = cycle_space(5)
+    for pts in [(), (0,), (0, 0), (0, 1, 1)]:
+        assert not is_frame(c5, pts)
+        assert not is_realized_frame(c5, pts)
+    assert frame(c5, (0, 0, 1)) == (0, 0, 1)
+    with pytest.raises(ValueError, match="at least one point"):
+        frame(c5, ())
 
 
 def test_unrealized_frame_routes_disagree():

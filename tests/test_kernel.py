@@ -215,7 +215,7 @@ def test_guards_survive_optimize():
     # under -O; none can happen in a validated space, so two spaces are
     # built directly and the last three faults are injected by replacing
     # `_frame_search`, the one search that gives the frame side its chains
-    # and their frames, `is_realized_frame` and `_isometry_generators`
+    # and their frames, `_junction_mask` and `_isometry_generators`
     code = (
         "from fractions import Fraction\n"
         "import magh.frames as frames\n"
@@ -259,7 +259,7 @@ def test_guards_survive_optimize():
         "        raise SystemExit(f'wrong witness: {exc}')\n"
         "else:\n"
         "    raise SystemExit('an improper frame was accepted')\n"
-        "frames.is_realized_frame = lambda space, pts: False\n"
+        "frames._junction_mask = lambda view, prev, x: -1\n"
         "try:\n"
         "    magnitude_homology(path_space(3), 1, 1)\n"
         "except UnrealizedFrame as exc:\n"

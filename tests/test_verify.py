@@ -268,7 +268,7 @@ def test_tensor_route_catches_unrealized_frame(monkeypatch):
     # widening "realized" to every self-framed tuple must expose the known
     # counterexample frame (0, 1, 4) on the six-cycle: with no junction
     # mask, every junction that leaves its point unsmooth is realized
-    monkeypatch.setattr(verify_module, "_junction_mask", lambda view, prev, x: 0)
+    monkeypatch.setattr(magh.frames, "_junction_mask", lambda view, prev, x: 0)
     report = check_tensor_route(cycle_space(6), n_max=3, m_max=2)
     assert not report.passed
     assert report.witness["frame"] == [0, 1, 4]
